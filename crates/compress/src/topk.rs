@@ -67,21 +67,31 @@ impl Persist for TopK {
     }
 }
 
+/// Moves the `k` largest-magnitude positions of `data` to the front of
+/// `order` (a permutation of `0..data.len()`, `1 <= k <= len`) and returns
+/// them in ascending index order.
+///
+/// Magnitudes compare under [`f32::total_cmp`] — a total order in which
+/// NaN ranks above infinity — and ties break toward the lower index, so
+/// the selected set is a function of `data` alone: not of `order`'s
+/// initial arrangement, and not of how a partial order happens to treat
+/// NaN.
+fn select_top_k(data: &[f32], order: &mut [u32], k: usize) -> Vec<u32> {
+    order.select_nth_unstable_by(k - 1, |&a, &b| {
+        let (va, vb) = (data[a as usize].abs(), data[b as usize].abs());
+        vb.total_cmp(&va).then(a.cmp(&b))
+    });
+    let mut indices = order[..k].to_vec();
+    indices.sort_unstable();
+    indices
+}
+
 impl Compressor for TopK {
     fn compress(&mut self, grad: &Matrix) -> Compressed {
         let len = grad.len();
-        let k = self.k_for_len(len);
-        // Partial selection: indices sorted by |value| descending.
-        let mut order: Vec<u32> = (0..len as u32).collect();
         let data = grad.as_slice();
-        order.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| {
-            data[b as usize]
-                .abs()
-                .partial_cmp(&data[a as usize].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut indices: Vec<u32> = order[..k].to_vec();
-        indices.sort_unstable();
+        let mut order: Vec<u32> = (0..len as u32).collect();
+        let indices = select_top_k(data, &mut order, self.k_for_len(len));
         let values = indices.iter().map(|&i| data[i as usize]).collect();
         Compressed::Sparse {
             rows: grad.rows(),
@@ -164,6 +174,41 @@ mod tests {
         let (indices, _values) = payload.try_sparse().expect("sparse payload");
         for w in indices.windows(2) {
             assert!(w[0] < w[1], "indices not strictly increasing");
+        }
+    }
+
+    #[test]
+    fn selection_with_nan_is_a_function_of_the_data_alone() {
+        let mut rng = SeedStream::new(6);
+        let mut g = rng.uniform_matrix(8, 8, 1.0);
+        g[(0, 3)] = f32::NAN;
+        g[(5, 1)] = -f32::NAN;
+        // Exact magnitude ties straddling the selection boundary.
+        for idx in [7usize, 19, 33, 48, 62] {
+            g.as_mut_slice()[idx] = if idx % 2 == 0 { 0.25 } else { -0.25 };
+        }
+        let mut c = TopK::new(0.25);
+        let first = c.compress(&g);
+        let (indices, _) = first.try_sparse().expect("sparse payload");
+        let again = c.compress(&g);
+        assert_eq!(again.try_sparse().expect("sparse payload").0, indices);
+        assert!(
+            indices.contains(&3) && indices.contains(&41),
+            "NaN ranks largest"
+        );
+
+        // Any initial arrangement of select_nth's input picks the same set.
+        let k = c.k_for_len(g.len());
+        let mut order: Vec<u32> = (0..g.len() as u32).collect();
+        for round in 0..20 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            assert_eq!(
+                select_top_k(g.as_slice(), &mut order, k),
+                indices,
+                "shuffle {round}"
+            );
         }
     }
 

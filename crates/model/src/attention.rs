@@ -119,18 +119,7 @@ impl MultiHeadAttention {
         let l = scores.rows();
         let mut out = Matrix::zeros(l, l);
         for i in 0..l {
-            let row = scores.row(i);
-            let visible = &row[..=i];
-            let max = visible.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let mut denom = 0.0;
-            for (j, &s) in visible.iter().enumerate() {
-                let e = (s - max).exp();
-                out[(i, j)] = e;
-                denom += e;
-            }
-            for j in 0..=i {
-                out[(i, j)] /= denom;
-            }
+            crate::loss::softmax_into(&scores.row(i)[..=i], &mut out.row_mut(i)[..=i]);
         }
         out
     }

@@ -121,22 +121,20 @@ impl Layer for LayerNorm {
     fn forward(&mut self, x: &Matrix) -> Matrix {
         let (rows, cols) = x.shape();
         let mut xhat = Matrix::zeros(rows, cols);
+        let mut y = Matrix::zeros(rows, cols);
         let mut inv_stds = Vec::with_capacity(rows);
+        let (gamma, beta) = (self.gamma.row(0), self.beta.row(0));
         for r in 0..rows {
             let row = x.row(r);
             let mean = row.iter().sum::<f32>() / cols as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                xhat[(r, c)] = (v - mean) * inv_std;
+            let lanes = xhat.row_mut(r).iter_mut().zip(y.row_mut(r)).zip(row);
+            for (((h, o), &v), (&g, &b)) in lanes.zip(gamma.iter().zip(beta)) {
+                *h = (v - mean) * inv_std;
+                *o = *h * g + b;
             }
             inv_stds.push(inv_std);
-        }
-        let mut y = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                y[(r, c)] = xhat[(r, c)] * self.gamma[(0, c)] + self.beta[(0, c)];
-            }
         }
         self.cache.push_back((xhat, inv_stds));
         y
@@ -150,21 +148,26 @@ impl Layer for LayerNorm {
         let (rows, cols) = grad_out.shape();
         let n = cols as f32;
         let mut dx = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            // dxhat = grad_out * gamma
-            let mut dxhat = vec![0.0f32; cols];
-            for c in 0..cols {
-                let g = grad_out[(r, c)];
-                dxhat[c] = g * self.gamma[(0, c)];
-                self.grad_gamma[(0, c)] += g * xhat[(r, c)];
-                self.grad_beta[(0, c)] += g;
+        let gamma = self.gamma.row(0);
+        let (grad_gamma, grad_beta) = (self.grad_gamma.row_mut(0), self.grad_beta.row_mut(0));
+        for (r, &inv_std) in inv_stds.iter().enumerate() {
+            let (g_row, h_row, d_row) = (grad_out.row(r), xhat.row(r), dx.row_mut(r));
+            // dxhat = grad_out * gamma, staged in the output row.
+            let params = gamma
+                .iter()
+                .zip(grad_gamma.iter_mut().zip(grad_beta.iter_mut()));
+            for (((d, &g), &h), (&gm, (gg, gb))) in
+                d_row.iter_mut().zip(g_row).zip(h_row).zip(params)
+            {
+                *d = g * gm;
+                *gg += g * h;
+                *gb += g;
             }
-            let sum_dxhat: f32 = dxhat.iter().sum();
-            let sum_dxhat_xhat: f32 = dxhat.iter().zip(xhat.row(r)).map(|(&d, &h)| d * h).sum();
-            let inv_std = inv_stds[r];
-            for c in 0..cols {
-                dx[(r, c)] =
-                    inv_std / n * (n * dxhat[c] - sum_dxhat - xhat[(r, c)] * sum_dxhat_xhat);
+            let sum_dxhat: f32 = d_row.iter().sum();
+            let sum_dxhat_xhat: f32 = d_row.iter().zip(h_row).map(|(&d, &h)| d * h).sum();
+            let scale = inv_std / n;
+            for (d, &h) in d_row.iter_mut().zip(h_row) {
+                *d = scale * (n * *d - sum_dxhat - h * sum_dxhat_xhat);
             }
         }
         dx
@@ -194,7 +197,8 @@ impl Layer for LayerNorm {
     }
 }
 
-/// GeLU activation (tanh approximation, as in GPT-2/Megatron).
+/// GeLU activation (tanh approximation, as in GPT-2/Megatron), computed
+/// by `opt-tensor`'s dispatched element-wise kernels.
 #[derive(Debug, Default)]
 pub struct Gelu {
     cache: VecDeque<Matrix>,
@@ -205,25 +209,14 @@ impl Gelu {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn gelu(x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-    }
-
-    fn dgelu(x: f32) -> f32 {
-        const C: f32 = 0.797_884_6;
-        let x3 = 0.044715 * x * x * x;
-        let t = (C * (x + x3)).tanh();
-        let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
-    }
 }
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Matrix) -> Matrix {
+        let mut y = Matrix::zeros(x.rows(), x.cols());
+        opt_tensor::gelu(x.as_slice(), y.as_mut_slice());
         self.cache.push_back(x.clone());
-        x.map(Self::gelu)
+        y
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -231,8 +224,10 @@ impl Layer for Gelu {
             .cache
             .pop_front()
             .expect("Gelu::backward without forward");
-        let dact = x.map(Self::dgelu);
-        grad_out.hadamard(&dact)
+        assert_eq!(x.shape(), grad_out.shape(), "Gelu::backward shape mismatch");
+        let mut dx = Matrix::zeros(x.rows(), x.cols());
+        opt_tensor::gelu_backward(x.as_slice(), grad_out.as_slice(), dx.as_mut_slice());
+        dx
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
@@ -258,7 +253,9 @@ pub struct Dropout {
     p: f32,
     rng: SeedStream,
     train: bool,
-    cache: VecDeque<Matrix>, // masks
+    /// One entry per in-flight forward: the mask, or `None` when the
+    /// forward was the identity.
+    cache: VecDeque<Option<Matrix>>,
 }
 
 impl Dropout {
@@ -286,7 +283,7 @@ impl Dropout {
 impl Layer for Dropout {
     fn forward(&mut self, x: &Matrix) -> Matrix {
         if !self.train || self.p == 0.0 {
-            self.cache.push_back(Matrix::full(x.rows(), x.cols(), 1.0));
+            self.cache.push_back(None);
             return x.clone();
         }
         let keep = 1.0 - self.p;
@@ -298,7 +295,7 @@ impl Layer for Dropout {
             }
         });
         let y = x.hadamard(&mask);
-        self.cache.push_back(mask);
+        self.cache.push_back(Some(mask));
         y
     }
 
@@ -307,7 +304,10 @@ impl Layer for Dropout {
             .cache
             .pop_front()
             .expect("Dropout::backward without forward");
-        grad_out.hadamard(&mask)
+        match mask {
+            Some(mask) => grad_out.hadamard(&mask),
+            None => grad_out.clone(),
+        }
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
@@ -405,6 +405,114 @@ mod tests {
         }
     }
 
+    /// The index-loop `LayerNorm` this crate shipped before the row-slice
+    /// rewrite, kept verbatim as the bit-exactness oracle.
+    fn old_layernorm_forward(
+        x: &Matrix,
+        gamma: &Matrix,
+        beta: &Matrix,
+        eps: f32,
+    ) -> (Matrix, Matrix, Vec<f32>) {
+        let (rows, cols) = x.shape();
+        let mut xhat = Matrix::zeros(rows, cols);
+        let mut inv_stds = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let row = x.row(r);
+            let mean = row.iter().sum::<f32>() / cols as f32;
+            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            for (c, &v) in row.iter().enumerate() {
+                xhat[(r, c)] = (v - mean) * inv_std;
+            }
+            inv_stds.push(inv_std);
+        }
+        let mut y = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                y[(r, c)] = xhat[(r, c)] * gamma[(0, c)] + beta[(0, c)];
+            }
+        }
+        (y, xhat, inv_stds)
+    }
+
+    fn old_layernorm_backward(
+        grad_out: &Matrix,
+        xhat: &Matrix,
+        inv_stds: &[f32],
+        gamma: &Matrix,
+        grad_gamma: &mut Matrix,
+        grad_beta: &mut Matrix,
+    ) -> Matrix {
+        let (rows, cols) = grad_out.shape();
+        let n = cols as f32;
+        let mut dx = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            let mut dxhat = vec![0.0f32; cols];
+            for c in 0..cols {
+                let g = grad_out[(r, c)];
+                dxhat[c] = g * gamma[(0, c)];
+                grad_gamma[(0, c)] += g * xhat[(r, c)];
+                grad_beta[(0, c)] += g;
+            }
+            let sum_dxhat: f32 = dxhat.iter().sum();
+            let sum_dxhat_xhat: f32 = dxhat.iter().zip(xhat.row(r)).map(|(&d, &h)| d * h).sum();
+            let inv_std = inv_stds[r];
+            for c in 0..cols {
+                dx[(r, c)] =
+                    inv_std / n * (n * dxhat[c] - sum_dxhat - xhat[(r, c)] * sum_dxhat_xhat);
+            }
+        }
+        dx
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn layernorm_is_bit_identical_to_the_index_loop_implementation() {
+        let mut rng = SeedStream::new(17);
+        for &(rows, cols) in &[(1usize, 1usize), (3, 7), (8, 32), (5, 129)] {
+            let mut ln = LayerNorm::new(cols);
+            *ln.params()[0].value = rng.uniform_matrix(1, cols, 2.0);
+            *ln.params()[1].value = rng.uniform_matrix(1, cols, 0.5);
+            let (gamma, beta) = (ln.gamma.clone(), ln.beta.clone());
+            // Two in-flight micro-batches: gradients accumulate across both.
+            let xs = [
+                rng.uniform_matrix(rows, cols, 4.0),
+                rng.uniform_matrix(rows, cols, 0.1),
+            ];
+            let gs = [
+                rng.uniform_matrix(rows, cols, 1.0),
+                rng.uniform_matrix(rows, cols, 3.0),
+            ];
+            let mut want_gg = Matrix::zeros(1, cols);
+            let mut want_gb = Matrix::zeros(1, cols);
+            let ys: Vec<Matrix> = xs.iter().map(|x| ln.forward(x)).collect();
+            for ((x, g), y) in xs.iter().zip(&gs).zip(&ys) {
+                let (want_y, xhat, inv_stds) = old_layernorm_forward(x, &gamma, &beta, ln.eps);
+                assert_eq!(bits(y), bits(&want_y), "forward {rows}x{cols}");
+                let want_dx =
+                    old_layernorm_backward(g, &xhat, &inv_stds, &gamma, &mut want_gg, &mut want_gb);
+                assert_eq!(
+                    bits(&ln.backward(g)),
+                    bits(&want_dx),
+                    "backward {rows}x{cols}"
+                );
+            }
+            assert_eq!(
+                bits(&ln.grad_gamma),
+                bits(&want_gg),
+                "grad_gamma {rows}x{cols}"
+            );
+            assert_eq!(
+                bits(&ln.grad_beta),
+                bits(&want_gb),
+                "grad_beta {rows}x{cols}"
+            );
+        }
+    }
+
     #[test]
     fn layernorm_input_gradient_matches_finite_difference() {
         check_input_gradient(|| LayerNorm::new(6), 3, 6, 2e-2);
@@ -412,12 +520,14 @@ mod tests {
 
     #[test]
     fn gelu_matches_reference_points() {
-        // gelu(0) = 0, gelu(large) ~ large, gelu(-large) ~ 0.
-        assert_eq!(Gelu::gelu(0.0), 0.0);
-        assert!((Gelu::gelu(5.0) - 5.0).abs() < 1e-3);
-        assert!(Gelu::gelu(-5.0).abs() < 1e-3);
-        // Known value: gelu(1.0) ~ 0.8412
-        assert!((Gelu::gelu(1.0) - 0.8412).abs() < 1e-3);
+        // gelu(0) = 0, gelu(large) ~ large, gelu(-large) ~ 0, and the
+        // known value gelu(1.0) ~ 0.8412.
+        let y = Gelu::new().forward(&Matrix::from_rows(&[&[0.0, 5.0, -5.0, 1.0]]));
+        let y = y.as_slice();
+        assert_eq!(y[0], 0.0);
+        assert!((y[1] - 5.0).abs() < 1e-3);
+        assert!(y[2].abs() < 1e-3);
+        assert!((y[3] - 0.8412).abs() < 1e-3);
     }
 
     #[test]
@@ -432,6 +542,22 @@ mod tests {
         let mut rng = SeedStream::new(3);
         let x = rng.uniform_matrix(3, 3, 1.0);
         assert_eq!(d.forward(&x), x);
+    }
+
+    #[test]
+    fn dropout_passthrough_keeps_fifo_order_with_masked_forwards_in_flight() {
+        let mut d = Dropout::new(0.5, 11);
+        let x = Matrix::full(4, 4, 1.0);
+        let masked = d.forward(&x);
+        d.set_train(false);
+        assert_eq!(d.forward(&x), x);
+        assert_eq!(d.pending_activations(), 2);
+        // FIFO: the first backward belongs to the masked forward, the
+        // second to the identity one, which returns the gradient's bits.
+        let g = Matrix::from_fn(4, 4, |r, c| (r as f32 - c as f32) * 0.3);
+        assert_eq!(d.backward(&x), masked);
+        assert_eq!(bits(&d.backward(&g)), bits(&g));
+        assert_eq!(d.pending_activations(), 0);
     }
 
     #[test]

@@ -2,6 +2,26 @@
 
 use opt_tensor::Matrix;
 
+/// `probs = softmax(scores)` with max-subtraction for numerical stability;
+/// the one softmax both the loss and causal attention run. The exponential
+/// is `opt-tensor`'s dispatched kernel; the max, the left-to-right sum and
+/// the divisions are IEEE-exact, so the result is the same bits on every
+/// host.
+pub(crate) fn softmax_into(scores: &[f32], probs: &mut [f32]) {
+    let max = scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    for (p, &s) in probs.iter_mut().zip(scores) {
+        *p = s - max;
+    }
+    opt_tensor::exp(probs);
+    let mut denom = 0.0;
+    for &e in probs.iter() {
+        denom += e;
+    }
+    for p in probs {
+        *p /= denom;
+    }
+}
+
 /// Row-wise softmax with max-subtraction for numerical stability.
 ///
 /// # Example
@@ -16,17 +36,7 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let (rows, cols) = logits.shape();
     let mut out = Matrix::zeros(rows, cols);
     for r in 0..rows {
-        let row = logits.row(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        let mut denom = 0.0;
-        for (c, &v) in row.iter().enumerate() {
-            let e = (v - max).exp();
-            out[(r, c)] = e;
-            denom += e;
-        }
-        for c in 0..cols {
-            out[(r, c)] /= denom;
-        }
+        softmax_into(logits.row(r), out.row_mut(r));
     }
     out
 }
@@ -44,6 +54,8 @@ pub struct LossOutput {
 
 impl LossOutput {
     /// Perplexity `exp(loss)` — the paper's validation metric.
+    // A reported scalar, once per evaluation: never fed back into training.
+    #[allow(clippy::disallowed_methods)]
     pub fn perplexity(&self) -> f32 {
         self.loss.exp()
     }

@@ -16,10 +16,12 @@
 //! 3. Anything else falls back to [`KernelArch::Scalar`].
 //!
 //! Every path produces **bit-identical results**: the kernel contract is a
-//! fused-multiply-add accumulation chain per output element (and a fixed
-//! 8-lane split for dot reductions — see `simd.rs`), which the scalar
-//! fallback emulates with [`f32::mul_add`]. `tests/kernel_equivalence.rs`
-//! enforces the contract across every path the host can run.
+//! fused-multiply-add accumulation chain per output element (a fixed
+//! 8-lane split for dot reductions, and a fixed sequence of IEEE-exact
+//! operations per element for `exp` / GELU — see `simd.rs`), which the
+//! scalar fallback emulates with [`f32::mul_add`].
+//! `tests/kernel_equivalence.rs` enforces the contract across every path
+//! the host can run.
 //!
 //! The module also keeps per-`{arch, dense/sparse}` invocation counters so
 //! a trace export can show which kernel paths a run actually exercised
@@ -184,9 +186,11 @@ pub fn kernel_arch_name() -> String {
 
 /// Process-wide invocation counters, one per `{arch, dense|sparse}` pair
 /// (indexed `[arch][kind]`). "Dense" counts GEMM driver entries under the
-/// selected arch (including the small-problem scalar shortcut — the
-/// counter records the *dispatch choice*, not the loop nest that won);
-/// "sparse" counts SpMM / sparse-AXPY kernel entries.
+/// selected arch, one per product whatever its size; "sparse" counts
+/// SpMM / sparse-AXPY kernel entries. The element-wise kernels (`exp`,
+/// `gelu`, `gelu_backward`) are deliberately not counted: the counters
+/// describe which *matrix-product* paths a run exercised, and their
+/// deltas must stay comparable across changes to the activation code.
 static PATH_COUNTS: [[AtomicU64; 2]; 3] = [
     [AtomicU64::new(0), AtomicU64::new(0)],
     [AtomicU64::new(0), AtomicU64::new(0)],

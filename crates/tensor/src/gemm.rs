@@ -2,7 +2,8 @@
 //!
 //! All three matrix products ([`crate::Matrix::matmul`],
 //! [`crate::Matrix::t_matmul`], [`crate::Matrix::matmul_t`]) funnel into
-//! one driver with three shapes of inner loop:
+//! one driver with two shapes of inner loop, both feeding the same
+//! arch-dispatched micro-kernel at every problem size:
 //!
 //! * the **packed path** for general shapes: B is packed into `NR`-wide
 //!   column panels once, A is either streamed directly (row-major
@@ -13,9 +14,7 @@
 //!   PowerSGD factor products after the swap below): the tiny A operand is
 //!   packed whole, B is read directly as contiguous row slivers (packing a
 //!   64 MB gradient to multiply it by a rank-8 factor would dominate), and
-//!   workers own disjoint column-panel ranges;
-//! * a **plain loop nest** below a FLOP threshold where packing overhead
-//!   would dominate.
+//!   workers own disjoint column-panel ranges.
 //!
 //! Tall-skinny `A^T B` (PowerSGD `Q = G^T P`) is rewritten as `(B^T A)^T`
 //! so every memory walk is over contiguous rows.
@@ -71,11 +70,6 @@ const SKINNY_PANELS_M: usize = 2;
 /// whole packed-B chunk (`panels * SKC * NR` floats) stays L2-resident.
 const SKC: usize = 64;
 
-/// Below this much work (`2*m*n*k` FLOPs) the packed path's overhead is
-/// not worth it and a plain loop nest (same accumulation order) runs
-/// instead.
-const SMALL_FLOPS: usize = 32 * 1024;
-
 /// How a GEMM operand is stored relative to its logical orientation.
 #[derive(Clone, Copy)]
 pub(crate) enum Src<'a> {
@@ -120,9 +114,6 @@ pub(crate) fn gemm_into(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, ou
     }
     dispatch::note_dense_kernel(dispatch::kernel_arch());
     let work = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if work < SMALL_FLOPS {
-        return gemm_small(a, b, m, n, k, out);
-    }
     // Tall-skinny `A^T B` (the PowerSGD `Q = G^T P` shape): reading A
     // through the transpose touches one cache line per element. Compute
     // `(B^T A)^T` instead — then *both* operands are walked along
@@ -149,7 +140,7 @@ pub(crate) fn gemm_into(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, ou
     dispatch(a, b, m, n, k, work, out);
 }
 
-/// Picks skinny vs packed for an already-size-screened problem.
+/// Picks skinny vs packed.
 fn dispatch(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize, out: &mut [f32]) {
     if let Src::Normal(db) = b {
         if m.div_ceil(MR) <= SKINNY_PANELS_M {
@@ -525,11 +516,11 @@ fn pack_b(b: Src<'_>, n: usize, k: usize, panels_n: usize, bpack: &mut [f32]) {
     }
 }
 
-/// Plain loop nests for small problems. Every output element is the same
-/// ascending-`k` fused chain as the micro-kernels (`f32::mul_add` is the
-/// contract's scalar form), so this path is bit-identical to the packed
-/// path on every architecture — which is why it needs no arch dispatch of
-/// its own.
+/// Test oracle: plain loop nests, no packing, no tiling, no dispatch.
+/// Every output element is the same ascending-`k` fused chain as the
+/// micro-kernels (`f32::mul_add` is the contract's scalar form), so the
+/// driver must reproduce these bits at every shape.
+#[cfg(test)]
 fn gemm_small(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, out: &mut [f32]) {
     out.fill(0.0);
     match (a, b) {
@@ -674,6 +665,40 @@ mod tests {
                     &mut got,
                 );
                 assert_bits(&format!("skinny/{}", arch.name()), &reference, &got);
+            }
+        }
+        dispatch::set_kernel_arch(dispatch::detected_arch());
+    }
+
+    #[test]
+    fn driver_is_bit_identical_to_plain_loops_at_every_small_shape() {
+        // Every shape up to 24x24x24 — ragged tiles, single rows and
+        // columns, k shorter than a tile — in all three public
+        // orientations, on every arch.
+        let mut rng = SeedStream::new(0x5A11);
+        let a_buf = rng.uniform_matrix(1, 24 * 24, 2.0);
+        let b_buf = rng.uniform_matrix(1, 24 * 24, 2.0);
+        let src = |transposed: bool, d| {
+            if transposed {
+                Src::Transposed(d)
+            } else {
+                Src::Normal(d)
+            }
+        };
+        let orients = [(false, false), (true, false), (false, true)];
+        for arch in dispatch::available_arches() {
+            dispatch::set_kernel_arch(arch);
+            for (m, n, k) in
+                (1..=24).flat_map(|m| (1..=24).flat_map(move |n| (1..=24).map(move |k| (m, n, k))))
+            {
+                let (da, db) = (&a_buf.as_slice()[..m * k], &b_buf.as_slice()[..k * n]);
+                for (ta, tb) in orients {
+                    let mut want = vec![0.0; m * n];
+                    gemm_small(src(ta, da), src(tb, db), m, n, k, &mut want);
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_into(src(ta, da), src(tb, db), m, n, k, &mut got);
+                    assert_bits(&format!("{m}x{n}x{k}/{}", arch.name()), &want, &got);
+                }
             }
         }
         dispatch::set_kernel_arch(dispatch::detected_arch());

@@ -18,7 +18,10 @@
 //! **bit-identical** across every arch path and any thread count, so
 //! training determinism (including checkpoint/restore bit-exactness)
 //! survives both the SIMD and the parallelism. Sparse compressor payloads
-//! apply through [`SparseMatrix`] kernels under the same contract.
+//! apply through [`SparseMatrix`] kernels under the same contract, and the
+//! model's transcendentals ([`exp`] for softmax, [`gelu`] /
+//! [`gelu_backward`]) are element-wise kernels built from IEEE-exact
+//! operations only — no libm call whose result could differ between hosts.
 //! Allocation-free `*_into` variants ([`Matrix::matmul_into`] and
 //! friends) back the model and compressor hot paths.
 //!
@@ -58,7 +61,6 @@ pub use pool::{
     host_parallelism, kernel_threads, parallel_flop_threshold, set_kernel_threads,
     set_parallel_flop_threshold, MAX_KERNEL_THREADS,
 };
-pub use sparse::{
-    set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX,
-};
+pub use simd::{exp, gelu, gelu_backward};
+pub use sparse::{set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX};
 pub use stats::{cosine_similarity, frobenius_norm, mean, relative_error};

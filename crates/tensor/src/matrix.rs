@@ -291,7 +291,9 @@ impl Matrix {
         }
     }
 
-    /// Index of the maximum element in each row.
+    /// Index of the maximum element in each row (the last one on ties),
+    /// under [`f32::total_cmp`]: a NaN ranks above every number, so the
+    /// answer is defined for every input.
     #[must_use]
     pub fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)
@@ -299,7 +301,7 @@ impl Matrix {
                 let row = self.row(r);
                 row.iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .max_by(|a, b| a.1.total_cmp(b.1))
                     .map_or(0, |(i, _)| i)
             })
             .collect()
@@ -544,6 +546,18 @@ mod tests {
     fn argmax_rows_finds_peaks() {
         let a = Matrix::from_rows(&[&[0.1, 0.9, 0.5], &[2.0, -1.0, 0.0]]);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_rows_is_total_under_nan() {
+        // partial_cmp-with-Equal made the answer depend on where the NaN
+        // sat relative to the peak; total_cmp ranks it above everything.
+        let a = Matrix::from_rows(&[
+            &[f32::NAN, 3.0, 1.0],
+            &[3.0, f32::NAN, 1.0],
+            &[3.0, 1.0, f32::NAN],
+        ]);
+        assert_eq!(a.argmax_rows(), vec![0, 1, 2]);
     }
 
     #[test]

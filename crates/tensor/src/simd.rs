@@ -3,8 +3,8 @@
 //!
 //! # The kernel bit-contract
 //!
-//! Two accumulation shapes cover every kernel in this crate, and each has
-//! one fixed, architecture-independent operation order:
+//! Three kernel shapes cover every kernel in this crate, and each has one
+//! fixed, architecture-independent operation order:
 //!
 //! * **Per-element FMA chains** (GEMM, SpMM, sparse AXPY): every output
 //!   element is a single fused-multiply-add chain over ascending `k` —
@@ -23,7 +23,23 @@
 //!   `[f32; 8]` — same lanes, same chains, same final reduction, so the
 //!   bits agree everywhere.
 //!
-//! `tests/kernel_equivalence.rs` pins both shapes against emulated
+//! * **Element-wise lanes** ([`exp`], [`gelu`], [`gelu_backward`]): every
+//!   output element is a function of its own input element only, written
+//!   once ([`exp_lane`] and friends) as a fixed sequence of IEEE-exact
+//!   operations — fma, multiply, add, subtract, divide, compare-and-select,
+//!   the round-to-nearest integer conversion done by adding `1.5 * 2^23`,
+//!   and an integer shift that inserts the exponent. Every one of those is
+//!   correctly rounded (or exact) with a unique result, so there is nothing
+//!   for an architecture to disagree on: the AVX2 and NEON forms are the
+//!   *same* lane function compiled under the wider instruction set (the
+//!   loop vectorizes across elements), and the scalar form is the same
+//!   function one element at a time. No libm transcendental (`expf`,
+//!   `tanhf`) is involved, which is what makes a GELU or a softmax
+//!   reproduce bit for bit on another host. (A NaN result is a NaN
+//!   everywhere; which NaN — sign and payload — is the one thing IEEE
+//!   leaves to the hardware, and the contract does not cover it.)
+//!
+//! `tests/kernel_equivalence.rs` pins all three shapes against scalar
 //! oracles across every architecture the host can execute.
 
 use crate::dispatch::{kernel_arch, KernelArch};
@@ -106,14 +122,119 @@ pub(crate) fn fma_axpy_scalar(dst: &mut [f32], a: f32, src: &[f32]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Element-wise lanes (the third contract shape's executable definition)
+// ---------------------------------------------------------------------------
+
+/// Inputs above this give `+inf` (`ln(f32::MAX)` is 88.72).
+const EXP_HI: f32 = 89.0;
+/// Inputs below this give `+0` (`ln(2^-150)`, half the smallest
+/// subnormal, is -103.97).
+const EXP_LO: f32 = -104.0;
+const LOG2_E: f32 = std::f32::consts::LOG2_E;
+/// `ln 2` split so that `n * LN2_HI` is exact for every `|n| <= 2^9`.
+const LN2_HI: f32 = 0.693_145_75;
+const LN2_LO: f32 = 1.428_606_8e-6;
+/// `1.5 * 2^23`: adding it rounds a small float to the nearest integer
+/// (ties to even) and leaves that integer in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `e^x`, accurate to under 2 ulp, without libm.
+///
+/// `x = n ln2 + r` with `|r| <= ln2 / 2`; `e^r` is the Cephes `expf`
+/// polynomial in Horner form; the scale `2^n` is applied as two exponent
+/// bit-inserts `2^(n>>1) * 2^(n - (n>>1))` so that `n = 128` (results just
+/// under `f32::MAX`) and `n < -126` (subnormal results, rounded once by
+/// the final multiply) need no special case. NaN propagates through the
+/// float path whatever bits the integer path makes of it.
+#[inline(always)]
+fn exp_lane(x: f32) -> f32 {
+    let xc = x.clamp(EXP_LO, EXP_HI);
+    let t = xc.mul_add(LOG2_E, ROUND_MAGIC);
+    let n = t - ROUND_MAGIC;
+    let ni = (t.to_bits() as i32).wrapping_sub(ROUND_MAGIC.to_bits() as i32);
+    let r = n.mul_add(-LN2_HI, xc);
+    let r = n.mul_add(-LN2_LO, r);
+    let mut p = 1.987_569_1e-4f32;
+    p = p.mul_add(r, 1.398_199_9e-3);
+    p = p.mul_add(r, 8.333_452e-3);
+    p = p.mul_add(r, 4.166_579_6e-2);
+    p = p.mul_add(r, 1.666_666_6e-1);
+    p = p.mul_add(r, 0.5);
+    let e = p.mul_add(r * r, r) + 1.0;
+    let half = ni >> 1;
+    let s1 = f32::from_bits((half.wrapping_add(127) as u32) << 23);
+    let s2 = f32::from_bits((ni.wrapping_sub(half).wrapping_add(127) as u32) << 23);
+    e * s1 * s2
+}
+
+/// `2 sqrt(2/pi)` and `2 sqrt(2/pi) * 0.044715`: the tanh-GELU's inner
+/// polynomial, doubled because `0.5 (1 + tanh u) = 1 / (1 + e^(-2u))`.
+const GELU_C1: f32 = 1.595_769_2;
+const GELU_C3: f32 = 0.071_354_814;
+/// `gelu'` is evaluated on `x` clamped to this magnitude: beyond it the
+/// derivative is 1 or 0 to within `3e-35`, and inside it `e^(-2u)` neither
+/// overflows nor flushes, so the backward lane is finite for every
+/// non-NaN input.
+const GELU_GRAD_CLAMP: f32 = 9.9;
+
+/// Tanh-approximation GELU `0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))`
+/// in its algebraically equal logistic form `x / (1 + e^(-2u))`: one
+/// [`exp_lane`] and one division, and no `1 + tanh` cancellation in the
+/// negative tail. `gelu(-inf)` is NaN, as in the textbook formula.
+#[inline(always)]
+fn gelu_lane(x: f32) -> f32 {
+    let z = x * (x * x).mul_add(GELU_C3, GELU_C1);
+    x / (1.0 + exp_lane(-z))
+}
+
+/// `g * gelu'(x)` with `gelu'(x) = s + x z'(x) s (1 - s)`, `s` the
+/// logistic of `z = 2u`; `s (1 - s)` is computed as `e s^2` with
+/// `e = e^(-z)`, which keeps full relative accuracy in both tails.
+#[inline(always)]
+fn gelu_backward_lane(x: f32, g: f32) -> f32 {
+    let xc = x.clamp(-GELU_GRAD_CLAMP, GELU_GRAD_CLAMP);
+    let x2 = xc * xc;
+    let z = xc * x2.mul_add(GELU_C3, GELU_C1);
+    let dz = x2.mul_add(3.0 * GELU_C3, GELU_C1);
+    let e = exp_lane(-z);
+    let s = 1.0 / (1.0 + e);
+    g * (xc * dz).mul_add(e * s * s, s)
+}
+
+/// The slice loops every arch form instantiates: inlined into a
+/// `#[target_feature]` wrapper they vectorize across elements under that
+/// instruction set; called directly they are the scalar form.
+#[inline(always)]
+pub(crate) fn exp_scalar(xs: &mut [f32]) {
+    for x in xs {
+        *x = exp_lane(*x);
+    }
+}
+
+#[inline(always)]
+pub(crate) fn gelu_scalar(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = gelu_lane(v);
+    }
+}
+
+#[inline(always)]
+pub(crate) fn gelu_backward_scalar(x: &[f32], grad: &[f32], dx: &mut [f32]) {
+    for ((d, &v), &g) in dx.iter_mut().zip(x).zip(grad) {
+        *d = gelu_backward_lane(v, g);
+    }
+}
+
 // A note on the scalar fallback's speed: on builds whose baseline target
 // features lack hardware FMA (plain x86_64 builds), [`f32::mul_add`]
 // lowers to a libm `fmaf` call per multiply, which makes the scalar tile
 // roughly an order of magnitude slower than the unfused seed-naive
 // loops. That cost is inherent to the bit contract — a correctly rounded
 // fused chain is the only accumulation every architecture can reproduce
-// exactly — and the scalar tile is the contract's portable reference,
-// not a performance path. `BENCH_kernels.json` records it as the
+// exactly — and the scalar tile (like the scalar form of the element-wise
+// lanes above, a dozen `mul_add`s per element) is the contract's portable
+// reference, not a performance path. `BENCH_kernels.json` records it as the
 // `blocked_scalar` variant next to the SIMD rows.
 
 // ---------------------------------------------------------------------------
@@ -227,6 +348,33 @@ pub(crate) mod avx2 {
         for j in chunks * 8..n {
             dst[j] = a.mul_add(src[j], dst[j]);
         }
+    }
+
+    /// Element-wise forms: the shared lane loops compiled with AVX2 + FMA
+    /// enabled, so `mul_add` is `vfmadd` and the loop runs 8 lanes wide.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn exp(xs: &mut [f32]) {
+        super::exp_scalar(xs)
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn gelu(x: &[f32], out: &mut [f32]) {
+        super::gelu_scalar(x, out)
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn gelu_backward(x: &[f32], grad: &[f32], dx: &mut [f32]) {
+        super::gelu_backward_scalar(x, grad, dx)
     }
 }
 
@@ -361,6 +509,33 @@ pub(crate) mod neon {
             dst[j] = a.mul_add(src[j], dst[j]);
         }
     }
+
+    /// Element-wise forms: the shared lane loops compiled with NEON
+    /// enabled (`mul_add` is `fmla`, 4 lanes wide).
+    ///
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64.
+    #[target_feature(enable = "neon")]
+    pub(crate) unsafe fn exp(xs: &mut [f32]) {
+        super::exp_scalar(xs)
+    }
+
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64.
+    #[target_feature(enable = "neon")]
+    pub(crate) unsafe fn gelu(x: &[f32], out: &mut [f32]) {
+        super::gelu_scalar(x, out)
+    }
+
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64.
+    #[target_feature(enable = "neon")]
+    pub(crate) unsafe fn gelu_backward(x: &[f32], grad: &[f32], dx: &mut [f32]) {
+        super::gelu_backward_scalar(x, grad, dx)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -436,6 +611,63 @@ pub(crate) fn fma_axpy(arch: KernelArch, dst: &mut [f32], a: f32, src: &[f32]) {
         // SAFETY: NEON is baseline on aarch64.
         KernelArch::Neon => unsafe { neon::fma_axpy(dst, a, src) },
         _ => fma_axpy_scalar(dst, a, src),
+    }
+}
+
+/// `xs[i] = e^xs[i]` under the process's dispatched arch.
+///
+/// Bit-identical on every arch (the element-wise contract above); NaN
+/// stays NaN, inputs above 88.73 give `+inf`, results below the smallest
+/// subnormal give `+0`. Does not count as a kernel-path invocation.
+pub fn exp(xs: &mut [f32]) {
+    match kernel_arch() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only selects Avx2 after feature detection.
+        KernelArch::Avx2 => unsafe { avx2::exp(xs) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is baseline on aarch64.
+        KernelArch::Neon => unsafe { neon::exp(xs) },
+        _ => exp_scalar(xs),
+    }
+}
+
+/// `out[i] = gelu(x[i])`, the tanh-approximation GELU of GPT-2/Megatron,
+/// under the process's dispatched arch; bit-identical on every arch.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn gelu(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "gelu length mismatch");
+    match kernel_arch() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only selects Avx2 after feature detection.
+        KernelArch::Avx2 => unsafe { avx2::gelu(x, out) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is baseline on aarch64.
+        KernelArch::Neon => unsafe { neon::gelu(x, out) },
+        _ => gelu_scalar(x, out),
+    }
+}
+
+/// Fused GELU backward `dx[i] = grad[i] * gelu'(x[i])` under the
+/// process's dispatched arch; bit-identical on every arch and finite for
+/// every non-NaN input.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn gelu_backward(x: &[f32], grad: &[f32], dx: &mut [f32]) {
+    assert_eq!(x.len(), grad.len(), "gelu_backward length mismatch");
+    assert_eq!(x.len(), dx.len(), "gelu_backward length mismatch");
+    match kernel_arch() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only selects Avx2 after feature detection.
+        KernelArch::Avx2 => unsafe { avx2::gelu_backward(x, grad, dx) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is baseline on aarch64.
+        KernelArch::Neon => unsafe { neon::gelu_backward(x, grad, dx) },
+        _ => gelu_backward_scalar(x, grad, dx),
     }
 }
 

@@ -1,9 +1,11 @@
 //! The kernel determinism contract, enforced end to end: every dispatchable
 //! kernel path (scalar fallback, AVX2+FMA, NEON) must be **bit-identical**
 //! to an in-test oracle that spells out the contract directly — a fused
-//! `mul_add` accumulation chain per output element for GEMM, and the fixed
-//! 8-lane split reduction for Gram–Schmidt dots — across odd shapes (1xN,
-//! Nx1, non-multiple-of-tile, empty) and worker-thread counts (1/2/4).
+//! `mul_add` accumulation chain per output element for GEMM, the fixed
+//! 8-lane split reduction for Gram–Schmidt dots, and the fixed per-element
+//! operation sequence of `exp` / GELU — across odd shapes (1xN, Nx1,
+//! non-multiple-of-tile, empty, and every shape up to 24x24x24) and
+//! worker-thread counts (1/2/4).
 //!
 //! The oracle is deliberately *not* [`opt_tensor::naive`]: the naive
 //! kernels keep the seed's unfused `a*b + acc` order as a benchmark
@@ -25,8 +27,9 @@
 //! which is exactly the property under test.
 
 use opt_tensor::{
-    available_arches, detected_arch, kernel_arch, orthonormalize_columns, set_kernel_arch,
-    set_kernel_threads, set_parallel_flop_threshold, Matrix, SeedStream,
+    available_arches, detected_arch, exp, gelu, gelu_backward, kernel_arch, kernel_path_counts,
+    orthonormalize_columns, set_kernel_arch, set_kernel_threads, set_parallel_flop_threshold,
+    Matrix, SeedStream,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -185,6 +188,112 @@ fn oracle_orthonormalize(m: &mut Matrix) {
         for c in 0..cols {
             m[(r, c)] = panel[c * rows + r];
         }
+    }
+}
+
+/// `e^x` exactly as the element-wise contract defines it: clamp, round
+/// `x log2(e)` to an integer by adding `1.5 * 2^23`, two-step Cody–Waite
+/// reduction, degree-5 Horner polynomial, two exponent bit-inserts.
+fn oracle_exp(x: f32) -> f32 {
+    const MAGIC: f32 = 12_582_912.0;
+    let xc = if x > 89.0 { 89.0 } else { x };
+    let xc = if xc < -104.0 { -104.0 } else { xc };
+    let t = xc.mul_add(std::f32::consts::LOG2_E, MAGIC);
+    let n = t - MAGIC;
+    let ni = (t.to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    let r = n.mul_add(-f32::from_bits(0x3f31_7200), xc);
+    let r = n.mul_add(-f32::from_bits(0x35bf_be8e), r);
+    let mut p = 1.987_569_1e-4f32;
+    for c in [
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_6e-1,
+        0.5,
+    ] {
+        p = p.mul_add(r, c);
+    }
+    let e = p.mul_add(r * r, r) + 1.0;
+    let half = ni >> 1;
+    let pow2 = |k: i32| f32::from_bits((k.wrapping_add(127) as u32) << 23);
+    e * pow2(half) * pow2(ni.wrapping_sub(half))
+}
+
+const GELU_C1: f32 = 1.595_769_2; // 2 sqrt(2/pi)
+const GELU_C3: f32 = 0.071_354_814; // 2 sqrt(2/pi) * 0.044715
+
+/// `x / (1 + e^(-z))`, `z = x (C1 + C3 x^2)`.
+fn oracle_gelu(x: f32) -> f32 {
+    let z = x * (x * x).mul_add(GELU_C3, GELU_C1);
+    x / (1.0 + oracle_exp(-z))
+}
+
+/// `g (s + x z' e s^2)` on `x` clamped to `[-9.9, 9.9]`, `e = e^(-z)`,
+/// `s = 1 / (1 + e)`.
+fn oracle_gelu_backward(x: f32, g: f32) -> f32 {
+    let xc = if x > 9.9 { 9.9 } else { x };
+    let xc = if xc < -9.9 { -9.9 } else { xc };
+    let x2 = xc * xc;
+    let z = xc * x2.mul_add(GELU_C3, GELU_C1);
+    let dz = x2.mul_add(3.0 * GELU_C3, GELU_C1);
+    let e = oracle_exp(-z);
+    let s = 1.0 / (1.0 + e);
+    g * (xc * dz).mul_add(e * s * s, s)
+}
+
+/// The element-wise suite's inputs: a dense sweep of `[-20, 20]` plus
+/// signed zeros, infinities, NaN, subnormals and every saturation edge of
+/// the three kernels (exp's overflow / subnormal / flush thresholds, the
+/// GELU derivative clamp, the magnitudes where `x^2` overflows).
+fn elementwise_inputs() -> Vec<f32> {
+    let mut xs: Vec<f32> = (0..=40 * 1024).map(|i| -20.0 + i as f32 / 1024.0).collect();
+    let edges = [
+        0.0,
+        f32::MIN_POSITIVE,
+        1e-40,
+        f32::from_bits(1),
+        1e-6,
+        9.9,
+        9.900_001,
+        10.0,
+        12.5,
+        87.336_54,
+        87.4,
+        88.0,
+        88.722_83,
+        88.722_84,
+        88.73,
+        89.0,
+        89.5,
+        103.9,
+        103.972,
+        104.0,
+        104.5,
+        1000.0,
+        1.8e19,
+        1.9e19,
+        1e20,
+        f32::MAX,
+        f32::INFINITY,
+    ];
+    for e in edges {
+        xs.extend([e, -e]);
+    }
+    xs.push(f32::NAN);
+    xs
+}
+
+/// Bit equality, except that any NaN matches any NaN: which NaN an
+/// operation returns is the one thing IEEE leaves to the hardware.
+fn assert_lanes_equal(label: &str, xs: &[f32], want: &[f32], got: &[f32]) {
+    assert_eq!(want.len(), got.len(), "{label}: length");
+    for ((&x, &w), &g) in xs.iter().zip(want).zip(got) {
+        assert!(
+            w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan()),
+            "{label}: f({x:e}) = {g:e} ({:#010x}), oracle {w:e} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
     }
 }
 
@@ -358,6 +467,211 @@ fn detected_arch_is_covered() {
         arches.iter().map(|a| a.name()).collect::<Vec<_>>()
     );
     assert!(arches.contains(&detected_arch()));
+}
+
+/// Every shape with `m, n, k` in `1..=24` — the whole range a plain scalar
+/// loop nest used to serve below a FLOP threshold — now reaches the
+/// dispatched micro-kernel, in all three orientations, on every arch and
+/// at 1/2/4 threads, with the FMA-chain oracle's bits.
+#[test]
+fn every_small_shape_matches_fma_chain_oracle_on_every_arch() {
+    let mut rng = SeedStream::new(0x5A11);
+    let _guard = KNOB_LOCK.lock().unwrap();
+    let old_threshold = opt_tensor::parallel_flop_threshold();
+    set_parallel_flop_threshold(0);
+    for m in 1..=24usize {
+        for n in 1..=24usize {
+            for k in 1..=24usize {
+                let a = rng.uniform_matrix(m, k, 10.0);
+                let at = a.transpose();
+                let b = rng.uniform_matrix(k, n, 10.0);
+                let bt = b.transpose();
+                let reference = oracle_matmul(&a, &b);
+                for arch in available_arches() {
+                    set_kernel_arch(arch);
+                    for threads in [1usize, 2, 4] {
+                        set_kernel_threads(threads);
+                        for (name, got) in [
+                            ("matmul", a.matmul(&b)),
+                            ("t_matmul", at.t_matmul(&b)),
+                            ("matmul_t", a.matmul_t(&bt)),
+                        ] {
+                            let label =
+                                format!("{name} {m}x{n}x{k} [{} @{threads}thr]", arch.name());
+                            assert_bits_equal(&label, &reference, &got).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    set_kernel_arch(detected_arch());
+    set_kernel_threads(1);
+    set_parallel_flop_threshold(old_threshold);
+}
+
+/// The element-wise contract: `exp`, GELU forward and fused GELU backward
+/// are bit-identical to the spelled-out operation sequence on every arch
+/// (and, trivially, at every thread count: they never touch the pool),
+/// over the dense sweep and every special value — and they do not count
+/// as kernel-path invocations.
+#[test]
+fn elementwise_kernels_match_lane_oracle_on_every_arch() {
+    let xs = elementwise_inputs();
+    let grads: Vec<f32> = (0..xs.len())
+        .map(|i| (i % 13) as f32 * 0.25 - 1.5)
+        .collect();
+    let want_exp: Vec<f32> = xs.iter().map(|&x| oracle_exp(x)).collect();
+    let want_gelu: Vec<f32> = xs.iter().map(|&x| oracle_gelu(x)).collect();
+    let want_bwd: Vec<f32> = xs
+        .iter()
+        .zip(&grads)
+        .map(|(&x, &g)| oracle_gelu_backward(x, g))
+        .collect();
+    let _guard = KNOB_LOCK.lock().unwrap();
+    let counts_before = kernel_path_counts();
+    for arch in available_arches() {
+        set_kernel_arch(arch);
+        for threads in [1usize, 2, 4] {
+            set_kernel_threads(threads);
+            let label = |k: &str| format!("{k} [{} @{threads}thr]", arch.name());
+            let mut got = xs.clone();
+            exp(&mut got);
+            assert_lanes_equal(&label("exp"), &xs, &want_exp, &got);
+            gelu(&xs, &mut got);
+            assert_lanes_equal(&label("gelu"), &xs, &want_gelu, &got);
+            gelu_backward(&xs, &grads, &mut got);
+            assert_lanes_equal(&label("gelu_backward"), &xs, &want_bwd, &got);
+            // Short and empty slices take only the remainder loop.
+            for len in 0..9 {
+                let mut short = xs[1000..1000 + len].to_vec();
+                exp(&mut short);
+                assert_lanes_equal(
+                    &label("exp/short"),
+                    &xs[1000..],
+                    &want_exp[1000..1000 + len],
+                    &short,
+                );
+            }
+        }
+    }
+    set_kernel_arch(detected_arch());
+    set_kernel_threads(1);
+    assert_eq!(
+        counts_before,
+        kernel_path_counts(),
+        "element-wise kernels must not bump the kernel-path counters"
+    );
+}
+
+fn ulps_off(got: f32, want: f64) -> f64 {
+    let w = want as f32;
+    let ulp = (f32::from_bits(w.to_bits() + 1) as f64 - w as f64).abs();
+    (got as f64 - want).abs() / ulp
+}
+
+/// Accuracy against `f64` references: within 4 ulp or `1e-6` absolute
+/// everywhere on `[-20, 20]` (and over exp's whole finite range).
+#[test]
+fn elementwise_kernels_are_accurate_against_f64() {
+    let c = (2.0 / std::f64::consts::PI).sqrt();
+    let u = |x: f64| c * (x + 0.044715 * x * x * x);
+    // The logistic form of the same function: `0.5 (1 + tanh u)` loses
+    // everything to cancellation in the negative tail even in f64.
+    let gelu_ref = |x: f64| x / (1.0 + (-2.0 * u(x)).exp());
+    let dgelu_ref = |x: f64| {
+        let t = u(x).tanh();
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
+    };
+    let close =
+        |got: f32, want: f64| ulps_off(got, want) <= 4.0 || (got as f64 - want).abs() <= 1e-6;
+
+    let xs: Vec<f32> = (0..=40 * 4096).map(|i| -20.0 + i as f32 / 4096.0).collect();
+    let ones = vec![1.0f32; xs.len()];
+    let mut got = xs.clone();
+    exp(&mut got);
+    for (&x, &y) in xs.iter().zip(&got) {
+        assert!(close(y, (x as f64).exp()), "exp({x}) = {y}");
+    }
+    gelu(&xs, &mut got);
+    for (&x, &y) in xs.iter().zip(&got) {
+        assert!(close(y, gelu_ref(x as f64)), "gelu({x}) = {y}");
+    }
+    gelu_backward(&xs, &ones, &mut got);
+    for (&x, &y) in xs.iter().zip(&got) {
+        assert!(close(y, dgelu_ref(x as f64)), "gelu'({x}) = {y}");
+    }
+    // exp over its whole finite output range, subnormal results included
+    // (where one ulp is the subnormal spacing).
+    let wide: Vec<f32> = (0..=193 * 512).map(|i| -104.5 + i as f32 / 512.0).collect();
+    let mut got = wide.clone();
+    exp(&mut got);
+    for (&x, &y) in wide.iter().zip(&got) {
+        let want = (x as f64).exp();
+        if want > f32::MAX as f64 {
+            assert_eq!(y, f32::INFINITY, "exp({x}) must overflow to +inf");
+        } else {
+            assert!(ulps_off(y, want) <= 2.0, "exp({x}) = {y}, want {want}");
+        }
+    }
+}
+
+/// What `tanh` saturation and odd symmetry become once `0.5 (1 + tanh u)`
+/// is computed as a logistic: `gelu(x)` is exactly `x` far right and
+/// exactly `-0` far left, `gelu'` is exactly 1 and (to 3e-35) 0 there,
+/// `gelu(x) - gelu(-x) = x`, and NaN in gives NaN out of all three.
+#[test]
+fn elementwise_kernels_saturate_and_propagate_nan() {
+    let xs = [
+        0.0f32,
+        -0.0,
+        6.0,
+        -6.0,
+        12.5,
+        -12.5,
+        1e20,
+        -1e20,
+        f32::MAX,
+        f32::MIN,
+    ];
+    let mut y = [0.0f32; 10];
+    gelu(&xs, &mut y);
+    assert_eq!(y[0].to_bits(), 0.0f32.to_bits());
+    assert_eq!(y[1].to_bits(), (-0.0f32).to_bits());
+    for i in [4usize, 6, 8] {
+        assert_eq!(y[i], xs[i], "gelu saturates to x");
+        assert_eq!(
+            y[i + 1].to_bits(),
+            (-0.0f32).to_bits(),
+            "gelu saturates to -0"
+        );
+    }
+    let mut d = [0.0f32; 10];
+    gelu_backward(&xs, &[1.0; 10], &mut d);
+    assert_eq!(d[0], 0.5);
+    for i in [4usize, 6, 8] {
+        assert_eq!(d[i], 1.0);
+        assert!(d[i + 1].abs() < 1e-30 && d[i + 1].is_finite());
+    }
+    for x in (1..200).map(|i| i as f32 * 0.05) {
+        let mut pair = [0.0f32; 2];
+        gelu(&[x, -x], &mut pair);
+        assert!(
+            (pair[0] - pair[1] - x).abs() <= 2.0 * f32::EPSILON * x,
+            "symmetry at {x}"
+        );
+    }
+    let mut e = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+    exp(&mut e);
+    assert!(e[0].is_nan());
+    assert_eq!(&e[1..], &[f32::INFINITY, 0.0, 1.0, 1.0]);
+    let mut out = [0.0f32; 1];
+    gelu(&[f32::NAN], &mut out);
+    assert!(out[0].is_nan());
+    gelu_backward(&[f32::NAN], &[1.0], &mut out);
+    assert!(out[0].is_nan());
+    gelu_backward(&[f32::INFINITY], &[2.0], &mut out);
+    assert_eq!(out[0], 2.0);
 }
 
 /// The headline determinism property as a plain test: one large-ish
