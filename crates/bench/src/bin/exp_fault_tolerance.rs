@@ -12,10 +12,11 @@
 use opt_bench::{banner, fmt, print_table};
 use opt_ckpt::FaultPlan;
 use opt_sim::{
-    simulate_with_faults, simulate_with_faults_rejoin, simulate_with_faults_sharded,
-    simulate_with_faults_sharded_via, snapshot_bytes, CkptCostModel, SimConfig, StoreTransport,
+    simulate_with_faults, snapshot_bytes, CkptCostModel, CkptIo,
+    Recovery::{FullRelaunch, Rejoin},
+    SimConfig, StoreTransport,
 };
-use optimus_cc::{run_with_faults, QualityConfig, Trainer, TrainerConfig};
+use optimus_cc::{run_with_faults, QualityConfig, Recovery, Trainer, TrainerConfig};
 
 fn main() {
     let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
@@ -35,7 +36,14 @@ fn main() {
     );
     let mut rows = Vec::new();
     for every in [0u64, 250, 100, 50, 20, 5] {
-        let r = simulate_with_faults(&cfg, 1000, &FaultPlan::new(3, 777, every), &costs);
+        let r = simulate_with_faults(
+            &cfg,
+            1000,
+            &FaultPlan::new(3, 777, every),
+            &costs,
+            CkptIo::Monolithic,
+            FullRelaunch,
+        );
         rows.push(vec![
             if every == 0 {
                 "never".to_string()
@@ -70,8 +78,8 @@ fn main() {
         costs.rendezvous_s
     );
     let plan = FaultPlan::new(3, 777, 50);
-    let mono = simulate_with_faults(&cfg, 1000, &plan, &costs);
-    let shard = simulate_with_faults_sharded(&cfg, 1000, &plan, &costs);
+    let mono = simulate_with_faults(&cfg, 1000, &plan, &costs, CkptIo::Monolithic, FullRelaunch);
+    let shard = simulate_with_faults(&cfg, 1000, &plan, &costs, CkptIo::Sharded, FullRelaunch);
     let rows: Vec<Vec<String>> = [("monolithic", &mono), ("sharded", &shard)]
         .iter()
         .map(|(name, r)| {
@@ -104,8 +112,22 @@ fn main() {
         costs.shard_fetch_bw / 1e9,
         costs.tcp_connect_s * 1e3
     );
-    let local = simulate_with_faults_sharded_via(&cfg, 1000, &plan, &costs, StoreTransport::Local);
-    let tcp = simulate_with_faults_sharded_via(&cfg, 1000, &plan, &costs, StoreTransport::Tcp);
+    let local = simulate_with_faults(
+        &cfg,
+        1000,
+        &plan,
+        &costs,
+        CkptIo::ShardedVia(StoreTransport::Local),
+        FullRelaunch,
+    );
+    let tcp = simulate_with_faults(
+        &cfg,
+        1000,
+        &plan,
+        &costs,
+        CkptIo::ShardedVia(StoreTransport::Tcp),
+        FullRelaunch,
+    );
     let rows: Vec<Vec<String>> = [
         ("local (MemShardStore)", &local),
         ("TCP (TcpShardStore)", &tcp),
@@ -146,8 +168,22 @@ fn main() {
         costs.rank_relaunch_s,
         costs.relaunch_s
     );
-    let full = simulate_with_faults_sharded_via(&cfg, 1000, &plan, &costs, StoreTransport::Tcp);
-    let rejoin = simulate_with_faults_rejoin(&cfg, 1000, &plan, &costs, StoreTransport::Tcp);
+    let full = simulate_with_faults(
+        &cfg,
+        1000,
+        &plan,
+        &costs,
+        CkptIo::ShardedVia(StoreTransport::Tcp),
+        FullRelaunch,
+    );
+    let rejoin = simulate_with_faults(
+        &cfg,
+        1000,
+        &plan,
+        &costs,
+        CkptIo::ShardedVia(StoreTransport::Tcp),
+        Rejoin,
+    );
     let rows: Vec<Vec<String>> = [("full relaunch", &full), ("single-rank rejoin", &rejoin)]
         .iter()
         .map(|(name, r)| {
@@ -189,7 +225,8 @@ fn main() {
     let mut straight = Trainer::launch(tcfg.clone());
     let straight_report = straight.train();
     straight.shutdown();
-    let outcome = run_with_faults(&tcfg, &plan).expect("faulted run completes");
+    let outcome =
+        run_with_faults(&tcfg, &plan, &Recovery::Monolithic).expect("faulted run completes");
 
     let resume_at = outcome.resumed_from.unwrap_or(0) as usize;
     let mut max_delta = 0.0f32;

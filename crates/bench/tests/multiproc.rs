@@ -10,8 +10,8 @@ use opt_ckpt::{shard_file_name, FaultPlan, ShardManifest, MANIFEST_FILE};
 use opt_net::{MemShardStore, ShardStore, ShardStoreServer, TcpShardStore};
 use opt_trace::Trace;
 use optimus_cc::{
-    run_with_faults_sharded, run_with_faults_sharded_proc, ProcFaultOptions, ProcOptions,
-    QualityConfig, TraceMode, Trainer, TrainerConfig, WorldError,
+    run_with_faults, ProcFaultOptions, ProcOptions, QualityConfig, Recovery, TraceMode, Trainer,
+    TrainerConfig, WorldError,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -84,7 +84,8 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
     let plan = FaultPlan::new(1, 6, 3); // kill rank 1 at iter 6, shards at 3 + 6
 
     let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-    let in_process = run_with_faults_sharded(&cfg, &plan, &store).expect("in-process run");
+    let in_process =
+        run_with_faults(&cfg, &plan, &Recovery::Sharded(store)).expect("in-process run");
 
     // Keep the shard directory around: CI archives the manifest from the
     // fixed workspace-root path below (tests run with the package dir as
@@ -93,14 +94,14 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
         .join("../../target")
         .join("multiproc-smoke");
     let _ = std::fs::remove_dir_all(&store_dir);
-    let outcome = run_with_faults_sharded_proc(
+    let outcome = run_with_faults(
         &cfg,
         &plan,
-        &ProcFaultOptions {
+        &Recovery::ProcessRelaunch(ProcFaultOptions {
             worker_bin: worker_bin(),
             scratch_dir: scratch("faulted"),
             store_dir: Some(store_dir.clone()),
-        },
+        }),
     )
     .expect("multi-process faulted run");
 

@@ -1,13 +1,14 @@
-//! Fault-injection harness: scripted worker failures with elastic restart
-//! from the newest snapshot — held by the coordinator (monolithic),
-//! fetched per rank from a shard store (the cross-host simulation), or
-//! fetched per **process** from a TCP shard store (the real thing:
-//! [`run_with_faults_sharded_proc`]).
+//! Fault-injection harness: scripted worker failures with elastic
+//! recovery from the newest checkpoint. One driver loop
+//! ([`run_with_faults`]) runs every scenario; a [`Recovery`] picks the
+//! world it runs on, where checkpoints live, and how the run gets back to
+//! training after the failure.
 
 use crate::proc::{ProcError, ProcOptions, ProcTrainer, WorldError};
 use crate::{TrainReport, Trainer, TrainerConfig};
-use opt_ckpt::{CkptError, FaultPlan, Snapshot};
+use opt_ckpt::{FaultPlan, Snapshot};
 use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer};
+use opt_trace::TraceMode;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,66 +33,7 @@ pub struct FaultOutcome {
     pub resumed_from: Option<u64>,
 }
 
-/// Trains `cfg.iters` iterations under a scripted [`FaultPlan`]: snapshot
-/// every `plan.snapshot_every` iterations, kill worker `plan.kill_rank`
-/// once `plan.kill_at_iter` iterations complete, and elastically restart
-/// from the newest snapshot (or from scratch if none exists yet).
-///
-/// In this in-process runtime a single worker death tears down the whole
-/// job — the collective world cannot make progress minus one member, which
-/// mirrors a real 3D-parallel job losing a GPU. The "kill" therefore
-/// quiesces and drops every worker thread without the clean `Stop`
-/// handshake, and the restart relaunches all of them before overwriting
-/// their state from the snapshot.
-///
-/// # Example
-///
-/// ```no_run
-/// use opt_ckpt::FaultPlan;
-/// use optimus_cc::{run_with_faults, QualityConfig, TrainerConfig};
-///
-/// let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 12);
-/// let outcome = run_with_faults(&cfg, &FaultPlan::new(1, 10, 4)).unwrap();
-/// assert_eq!(outcome.restarts, 1);
-/// assert_eq!(outcome.lost_iters, 2); // killed at 10, snapshot at 8
-/// ```
-pub fn run_with_faults(cfg: &TrainerConfig, plan: &FaultPlan) -> Result<FaultOutcome, CkptError> {
-    run_with_faults_impl(cfg, plan, None)
-}
-
-/// [`run_with_faults`], but checkpointing through a [`ShardStore`]: every
-/// snapshot is taken as per-rank shards published by the workers
-/// themselves ([`Trainer::save_sharded`]), and after the scripted failure
-/// the killed rank — like every other member of this in-process world —
-/// is relaunched as a **fresh worker that self-restores from the shard
-/// store** ([`Trainer::restore_sharded`]): it rendezvouses on the
-/// manifest and fetches only its own shard, exactly what a replacement
-/// worker on a different host would do. No coordinator-held state
-/// survives the failure.
-///
-/// # Example
-///
-/// ```no_run
-/// use opt_ckpt::FaultPlan;
-/// use opt_net::{MemShardStore, ShardStore};
-/// use optimus_cc::{run_with_faults_sharded, QualityConfig, TrainerConfig};
-/// use std::sync::Arc;
-///
-/// let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 12);
-/// let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-/// let outcome = run_with_faults_sharded(&cfg, &FaultPlan::new(1, 10, 4), &store).unwrap();
-/// assert_eq!(outcome.restarts, 1);
-/// assert_eq!(outcome.lost_iters, 2); // killed at 10, shards published at 8
-/// ```
-pub fn run_with_faults_sharded(
-    cfg: &TrainerConfig,
-    plan: &FaultPlan,
-    store: &Arc<dyn ShardStore>,
-) -> Result<FaultOutcome, CkptError> {
-    run_with_faults_impl(cfg, plan, Some(store))
-}
-
-/// Launch parameters for the real multi-process faulted run.
+/// Launch parameters for a faulted run on real worker processes.
 #[derive(Debug, Clone)]
 pub struct ProcFaultOptions {
     /// Path to the compiled `opt-worker` binary.
@@ -106,119 +48,103 @@ pub struct ProcFaultOptions {
     pub store_dir: Option<PathBuf>,
 }
 
-/// [`run_with_faults_sharded`], but with **real OS-process workers**: the
-/// world runs as `opt-worker` processes meshed over loopback TCP,
-/// checkpoint shards travel through a [`opt_net::TcpShardStore`] served
-/// by the coordinator, the scripted failure `SIGKILL`s an actual worker
-/// process, and the replacement world self-restores from the TCP store —
-/// rendezvous on the manifest, per-rank fetch, full validation, all
-/// across real process boundaries.
+/// Where a faulted run checkpoints, and how it recovers from its failure.
 ///
-/// The returned [`FaultOutcome`] is **bit-identical** (losses and
-/// traffic-ledger deltas) to what [`run_with_faults_sharded`] produces
-/// for the same config and plan in a single process — the acceptance
-/// guarantee of the transport refactor, enforced by the `multiproc`
-/// integration test and the CI smoke job.
-pub fn run_with_faults_sharded_proc(
-    cfg: &TrainerConfig,
-    plan: &FaultPlan,
-    opts: &ProcFaultOptions,
-) -> Result<FaultOutcome, ProcError> {
-    assert!(
-        plan.kill_rank < cfg.pp * cfg.dp,
-        "kill_rank {} outside the {}x{} world",
-        plan.kill_rank,
-        cfg.pp,
-        cfg.dp
-    );
-    let inner: Arc<dyn ShardStore> = match &opts.store_dir {
-        Some(dir) => Arc::new(FsShardStore::new(dir)),
-        None => Arc::new(MemShardStore::new()),
-    };
-    let server = ShardStoreServer::spawn(inner, "127.0.0.1:0")
-        .map_err(|e| ProcError::Protocol(format!("shard store server: {e}")))?;
-    let popts = ProcOptions {
-        worker_bin: opts.worker_bin.clone(),
-        store_addr: server.addr(),
-        scratch_dir: opts.scratch_dir.clone(),
-    };
+/// The first two run on worker *threads*, where a single worker death
+/// tears down the whole job — the collective world cannot make progress
+/// minus one member, which mirrors a real 3D-parallel job losing a GPU.
+/// The "kill" quiesces and stops every thread without any state being
+/// flushed, and the restart relaunches all of them. The last two run on
+/// real `opt-worker` OS *processes* meshed over loopback TCP, checkpoint
+/// through a TCP shard store served by the coordinator, and `SIGKILL` an
+/// actual process. All four produce **bit-identical** losses and
+/// traffic-ledger deltas for the same config and plan.
+#[derive(Debug, Clone)]
+pub enum Recovery {
+    /// Monolithic snapshots held by the coordinator
+    /// ([`Trainer::snapshot`]); the relaunched world is overwritten from
+    /// the newest one ([`Trainer::restore`]).
+    Monolithic,
+    /// Per-rank shards published by the workers themselves into this
+    /// store ([`Trainer::save_sharded`]); every relaunched worker
+    /// rendezvouses on the manifest and fetches only its own shard
+    /// ([`Trainer::restore_sharded`]) — exactly what a replacement worker
+    /// on a different host would do. No coordinator-held state survives
+    /// the failure.
+    Sharded(Arc<dyn ShardStore>),
+    /// Process world; the survivors of the `SIGKILL` are torn down too
+    /// and a whole new world self-restores from the TCP store.
+    ProcessRelaunch(ProcFaultOptions),
+    /// Process world, recovering through the **elastic single-rank rejoin
+    /// protocol**: the `SIGKILL` is *detected* by the coordinator's
+    /// heartbeat failure detector (no survivor ever trips a recv
+    /// timeout), survivors quiesce at a barrier while only the dead rank
+    /// is re-execed, the replacement self-restores its shard and splices
+    /// back into the survivors' live mesh — survivors keep their PIDs,
+    /// sockets to each other, and already-recorded metrics (rolled-back
+    /// iterations are truncated). A failure before any snapshot was
+    /// committed is unrecoverable by rejoin and surfaces as a typed
+    /// [`WorldError::Unrecoverable`] after the world is torn down
+    /// cleanly, never as a hung recv timeout.
+    Rejoin(ProcFaultOptions),
+}
 
-    let total = cfg.iters;
-    let mut trainer = ProcTrainer::launch(cfg.clone(), popts.clone())?;
-    let mut newest: Option<u64> = None;
-    let mut snapshots_taken = 0;
-    let mut restarts = 0;
-    let mut lost_iters = 0;
-    let mut resumed_from = None;
-    let mut failed = false;
+/// The world a faulted run drives: either launcher, behind the calls the
+/// driver loop needs from both.
+enum World {
+    Threads(Box<Trainer>),
+    Procs(Box<ProcTrainer>),
+}
 
-    let mut completed: u64 = 0;
-    while completed < total {
-        trainer.train_more(1)?;
-        completed += 1;
-        if plan.snapshot_due(completed) && completed < total {
-            newest = Some(trainer.save_sharded()?.meta.iter);
-            snapshots_taken += 1;
+impl World {
+    fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
+        match self {
+            World::Threads(t) => t.coord.train_more(extra),
+            World::Procs(t) => t.coord.train_more(extra),
         }
-        if !failed && completed == plan.kill_at_iter {
-            failed = true;
-            restarts += 1;
-            // The scripted failure: SIGKILL one real worker process. The
-            // collective world cannot progress minus a member, so the rest
-            // of the incarnation is torn down too — exactly what the
-            // in-process harness models with Trainer::kill.
-            trainer.kill_rank(plan.kill_rank)?;
-            debug_assert!(trainer.dead_ranks().contains(&plan.kill_rank));
-            trainer.abort();
-            match newest {
-                Some(iter) => {
-                    lost_iters += completed - iter;
-                    resumed_from = Some(iter);
-                    trainer = ProcTrainer::launch(cfg.clone(), popts.clone())?;
-                    trainer.self_restore_all()?;
-                    completed = iter;
-                }
-                None => {
-                    // No checkpoint yet: restart from scratch.
-                    lost_iters += completed;
-                    resumed_from = Some(0);
-                    trainer = ProcTrainer::launch(cfg.clone(), popts.clone())?;
-                    completed = 0;
-                }
+    }
+
+    fn finish(self) -> Result<TrainReport, ProcError> {
+        match self {
+            World::Threads(mut t) => {
+                let report = t.coord.report()?;
+                t.shutdown();
+                Ok(report)
+            }
+            World::Procs(mut t) => {
+                let report = t.report()?;
+                t.shutdown()?;
+                Ok(report)
             }
         }
     }
-    let report = trainer.report()?;
-    trainer.shutdown()?;
-    Ok(FaultOutcome {
-        report,
-        snapshots_taken,
-        restarts,
-        lost_iters,
-        resumed_from,
-    })
 }
 
-/// [`run_with_faults_sharded_proc`], but recovering through the **elastic
-/// single-rank rejoin protocol** instead of a wholesale world relaunch:
-/// the scripted `SIGKILL` is *detected* by the coordinator's heartbeat
-/// failure detector (no survivor ever trips a recv timeout), survivors
-/// quiesce at a barrier while only the dead rank is re-execed, the
-/// replacement self-restores its shard from the last committed manifest
-/// and splices back into the survivors' live mesh, and training resumes
-/// from the checkpoint iteration — survivors keep their PIDs, sockets to
-/// each other, and already-recorded metrics (rolled-back iterations are
-/// truncated, so the final report stays bit-identical to an uninterrupted
-/// run).
+/// Trains `cfg.iters` iterations under a scripted [`FaultPlan`]: take a
+/// checkpoint every `plan.snapshot_every` iterations, kill worker
+/// `plan.kill_rank` once `plan.kill_at_iter` iterations complete, and
+/// recover from the newest checkpoint (or from scratch if none exists
+/// yet) the way `recovery` says.
 ///
-/// A failure before any snapshot was committed is unrecoverable by
-/// rejoin — there is nothing to restore the replacement from — and
-/// surfaces as a typed [`WorldError::Unrecoverable`] after the world is
-/// torn down cleanly, never as a hung recv timeout.
-pub fn run_with_faults_rejoin(
+/// # Example
+///
+/// ```no_run
+/// use opt_ckpt::FaultPlan;
+/// use optimus_cc::{run_with_faults, QualityConfig, Recovery, TrainerConfig};
+///
+/// let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 12);
+/// let outcome = run_with_faults(&cfg, &FaultPlan::new(1, 10, 4), &Recovery::Monolithic).unwrap();
+/// assert_eq!(outcome.restarts, 1);
+/// assert_eq!(outcome.lost_iters, 2); // killed at 10, snapshot at 8
+/// ```
+///
+/// # Panics
+///
+/// Panics if `plan.kill_rank` lies outside the world.
+pub fn run_with_faults(
     cfg: &TrainerConfig,
     plan: &FaultPlan,
-    opts: &ProcFaultOptions,
+    recovery: &Recovery,
 ) -> Result<FaultOutcome, WorldError> {
     assert!(
         plan.kill_rank < cfg.pp * cfg.dp,
@@ -227,20 +153,41 @@ pub fn run_with_faults_rejoin(
         cfg.pp,
         cfg.dp
     );
-    let inner: Arc<dyn ShardStore> = match &opts.store_dir {
-        Some(dir) => Arc::new(FsShardStore::new(dir)),
-        None => Arc::new(MemShardStore::new()),
+    // A process world checkpoints through a shard store this run serves
+    // over TCP for as long as it lasts.
+    let served = match recovery {
+        Recovery::ProcessRelaunch(opts) | Recovery::Rejoin(opts) => {
+            let inner: Arc<dyn ShardStore> = match &opts.store_dir {
+                Some(dir) => Arc::new(FsShardStore::new(dir)),
+                None => Arc::new(MemShardStore::new()),
+            };
+            let server = ShardStoreServer::spawn(inner, "127.0.0.1:0")
+                .map_err(|e| ProcError::Protocol(format!("shard store server: {e}")))?;
+            let popts = ProcOptions {
+                worker_bin: opts.worker_bin.clone(),
+                store_addr: server.addr(),
+                scratch_dir: opts.scratch_dir.clone(),
+            };
+            Some((server, popts))
+        }
+        Recovery::Monolithic | Recovery::Sharded(_) => None,
     };
-    let server = ShardStoreServer::spawn(inner, "127.0.0.1:0")
-        .map_err(|e| ProcError::Protocol(format!("shard store server: {e}")))?;
-    let popts = ProcOptions {
-        worker_bin: opts.worker_bin.clone(),
-        store_addr: server.addr(),
-        scratch_dir: opts.scratch_dir.clone(),
+    let launch = || -> Result<World, ProcError> {
+        Ok(match &served {
+            Some((_, popts)) => World::Procs(Box::new(ProcTrainer::launch(
+                cfg.clone(),
+                popts.clone(),
+                TraceMode::from_env(),
+            )?)),
+            None => World::Threads(Box::new(Trainer::launch(cfg.clone()))),
+        })
     };
 
     let total = cfg.iters;
-    let mut trainer = ProcTrainer::launch(cfg.clone(), popts)?;
+    let mut world = launch()?;
+    // The newest checkpoint's iteration; a monolithic one is held here.
+    let mut newest: Option<u64> = None;
+    let mut snapshot: Option<Snapshot> = None;
     let mut snapshots_taken = 0;
     let mut restarts = 0;
     let mut lost_iters = 0;
@@ -249,126 +196,75 @@ pub fn run_with_faults_rejoin(
 
     let mut completed: u64 = 0;
     while completed < total {
-        trainer.train_more(1)?;
+        world.train_more(1)?;
         completed += 1;
         if plan.snapshot_due(completed) && completed < total {
-            trainer.save_sharded()?;
+            newest = Some(match (&mut world, recovery) {
+                (World::Threads(t), Recovery::Sharded(store)) => t.save_sharded(store)?.meta.iter,
+                (World::Threads(t), _) => snapshot.insert(t.coord.snapshot()?).meta.iter,
+                (World::Procs(t), _) => t.save_sharded()?.meta.iter,
+            });
             snapshots_taken += 1;
         }
         if !failed && completed == plan.kill_at_iter {
             failed = true;
             restarts += 1;
-            trainer.kill_rank(plan.kill_rank)?;
-            // The heartbeat detector — not a survivor's recv timeout —
-            // notices the death.
-            let Some(dead) = trainer.await_failure(Duration::from_secs(60)) else {
-                trainer.abort();
-                return Err(WorldError::Unrecoverable {
-                    reason: format!(
-                        "killed rank {} was never flagged by the failure detector",
-                        plan.kill_rank
-                    ),
-                });
+            let resumed;
+            (world, resumed) = match (world, recovery) {
+                (World::Procs(mut t), Recovery::Rejoin(_)) => {
+                    t.kill_rank(plan.kill_rank)?;
+                    // The heartbeat detector — not a survivor's recv
+                    // timeout — notices the death.
+                    let rejoined = match t.await_failure(Duration::from_secs(60)) {
+                        Some(dead) => t.rejoin_rank(dead),
+                        None => Err(WorldError::Unrecoverable {
+                            reason: format!(
+                                "killed rank {} was never flagged by the failure detector",
+                                plan.kill_rank
+                            ),
+                        }),
+                    };
+                    match rejoined {
+                        Ok(iter) => (World::Procs(t), iter),
+                        Err(e) => {
+                            t.abort();
+                            return Err(e);
+                        }
+                    }
+                }
+                // A full relaunch: the collective world cannot progress
+                // minus a member, so the rest of the incarnation goes too,
+                // and a fresh world picks up the newest checkpoint — or
+                // starts from scratch when there is none yet.
+                (World::Procs(mut t), _) => {
+                    t.kill_rank(plan.kill_rank)?;
+                    debug_assert!(t.dead_ranks().contains(&plan.kill_rank));
+                    t.abort();
+                    let mut fresh = launch()?;
+                    if let (World::Procs(t), Some(_)) = (&mut fresh, newest) {
+                        t.self_restore_all()?;
+                    }
+                    (fresh, newest.unwrap_or(0))
+                }
+                (World::Threads(t), _) => {
+                    t.kill();
+                    let fresh = match (recovery, &snapshot, newest) {
+                        (Recovery::Sharded(store), _, Some(_)) => {
+                            Trainer::restore_sharded(cfg.clone(), store)?
+                        }
+                        (_, Some(snap), _) => Trainer::restore(cfg.clone(), snap)?,
+                        _ => Trainer::launch(cfg.clone()),
+                    };
+                    (World::Threads(Box::new(fresh)), newest.unwrap_or(0))
+                }
             };
-            match trainer.rejoin_rank(dead) {
-                Ok(iter) => {
-                    lost_iters += completed - iter;
-                    resumed_from = Some(iter);
-                    completed = iter;
-                }
-                Err(e) => {
-                    trainer.abort();
-                    return Err(e);
-                }
-            }
+            lost_iters += completed - resumed;
+            resumed_from = Some(resumed);
+            completed = resumed;
         }
     }
-    let report = trainer.report()?;
-    trainer.shutdown()?;
     Ok(FaultOutcome {
-        report,
-        snapshots_taken,
-        restarts,
-        lost_iters,
-        resumed_from,
-    })
-}
-
-/// The newest checkpoint a faulted run can restart from.
-enum Newest {
-    /// No snapshot taken yet — a failure restarts from scratch.
-    None,
-    /// Coordinator-held monolithic snapshot.
-    Monolithic(Box<Snapshot>),
-    /// Shards live in the store; only the checkpoint iteration is known
-    /// to the coordinator.
-    Sharded(u64),
-}
-
-fn run_with_faults_impl(
-    cfg: &TrainerConfig,
-    plan: &FaultPlan,
-    store: Option<&Arc<dyn ShardStore>>,
-) -> Result<FaultOutcome, CkptError> {
-    assert!(
-        plan.kill_rank < cfg.pp * cfg.dp,
-        "kill_rank {} outside the {}x{} world",
-        plan.kill_rank,
-        cfg.pp,
-        cfg.dp
-    );
-    let total = cfg.iters;
-    let mut trainer = Trainer::launch(cfg.clone());
-    let mut newest = Newest::None;
-    let mut snapshots_taken = 0;
-    let mut restarts = 0;
-    let mut lost_iters = 0;
-    let mut resumed_from = None;
-    let mut failed = false;
-
-    let mut completed: u64 = 0;
-    while completed < total {
-        trainer.train_more(1);
-        completed += 1;
-        if plan.snapshot_due(completed) && completed < total {
-            newest = match store {
-                Some(store) => Newest::Sharded(trainer.save_sharded(store)?.meta.iter),
-                None => Newest::Monolithic(Box::new(trainer.snapshot())),
-            };
-            snapshots_taken += 1;
-        }
-        if !failed && completed == plan.kill_at_iter {
-            failed = true;
-            restarts += 1;
-            trainer.kill();
-            match &newest {
-                Newest::Monolithic(snap) => {
-                    lost_iters += completed - snap.meta.iter;
-                    resumed_from = Some(snap.meta.iter);
-                    trainer = Trainer::restore(cfg.clone(), snap)?;
-                    completed = snap.meta.iter;
-                }
-                Newest::Sharded(iter) => {
-                    lost_iters += completed - iter;
-                    resumed_from = Some(*iter);
-                    trainer =
-                        Trainer::restore_sharded(cfg.clone(), store.expect("sharded checkpoint"))?;
-                    completed = *iter;
-                }
-                Newest::None => {
-                    // No snapshot yet: restart from scratch.
-                    lost_iters += completed;
-                    resumed_from = Some(0);
-                    trainer = Trainer::launch(cfg.clone());
-                    completed = 0;
-                }
-            }
-        }
-    }
-    let report = trainer.report();
-    trainer.shutdown();
-    Ok(FaultOutcome {
-        report,
+        report: world.finish()?,
         snapshots_taken,
         restarts,
         lost_iters,
@@ -384,7 +280,8 @@ mod tests {
     #[test]
     fn faulted_run_completes_and_accounts_for_lost_work() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 9);
-        let outcome = run_with_faults(&cfg, &FaultPlan::new(2, 7, 3)).expect("faulted run");
+        let outcome = run_with_faults(&cfg, &FaultPlan::new(2, 7, 3), &Recovery::Monolithic)
+            .expect("faulted run");
         assert_eq!(outcome.restarts, 1);
         assert_eq!(outcome.snapshots_taken, 2); // iters 3 and 6
         assert_eq!(outcome.lost_iters, 1); // killed at 7, resumed from 6
@@ -399,7 +296,8 @@ mod tests {
     #[test]
     fn failure_before_first_snapshot_restarts_from_scratch() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::baseline(), 5);
-        let outcome = run_with_faults(&cfg, &FaultPlan::new(0, 2, 4)).expect("faulted run");
+        let outcome = run_with_faults(&cfg, &FaultPlan::new(0, 2, 4), &Recovery::Monolithic)
+            .expect("faulted run");
         assert_eq!(outcome.restarts, 1);
         assert_eq!(outcome.lost_iters, 2);
         assert_eq!(outcome.resumed_from, Some(0));
@@ -410,7 +308,8 @@ mod tests {
     #[test]
     fn run_without_reaching_kill_iter_never_restarts() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::baseline(), 3);
-        let outcome = run_with_faults(&cfg, &FaultPlan::new(0, 100, 2)).expect("run");
+        let outcome =
+            run_with_faults(&cfg, &FaultPlan::new(0, 100, 2), &Recovery::Monolithic).expect("run");
         assert_eq!(outcome.restarts, 0);
         assert_eq!(outcome.resumed_from, None);
         assert_eq!(outcome.snapshots_taken, 1); // iter 2
@@ -422,9 +321,10 @@ mod tests {
 
         let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 9);
         let plan = FaultPlan::new(2, 7, 3);
-        let mono = run_with_faults(&cfg, &plan).expect("monolithic run");
+        let mono = run_with_faults(&cfg, &plan, &Recovery::Monolithic).expect("monolithic run");
         let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-        let sharded = run_with_faults_sharded(&cfg, &plan, &store).expect("sharded run");
+        let sharded = run_with_faults(&cfg, &plan, &Recovery::Sharded(Arc::clone(&store)))
+            .expect("sharded run");
 
         assert_eq!(sharded.restarts, mono.restarts);
         assert_eq!(sharded.snapshots_taken, mono.snapshots_taken);

@@ -2,7 +2,7 @@
 //! communication compression, implemented as a real (CPU, multi-threaded)
 //! pipeline+data-parallel training runtime.
 //!
-//! Every (pipeline stage, data-parallel rank) pair runs as a worker thread
+//! Every (pipeline stage, data-parallel rank) pair runs as a worker
 //! owning its slice of the model (`opt-model::Stage`). Workers execute the
 //! 1F1B schedule from `opt-schedule`, exchanging *actual tensors* through
 //! `opt-net` channels and collectives. The paper's three techniques hook
@@ -24,6 +24,20 @@
 //! lazy-error statistics (Fig. 11), memory overhead (Fig. 12), and
 //! per-class wire traffic.
 //!
+//! **One coordinator, two launchers.** A world is `pp x dp` workers
+//! running one worker loop, driven by one coordinator that speaks one
+//! vocabulary of typed control messages over an `opt_net::Transport`, as
+//! the extra rank `pp * dp`. [`Trainer`] launches the workers as threads
+//! over a `LocalTransport` (messages cross as `Arc`s, nothing is encoded);
+//! [`ProcTrainer`] launches them as `opt-worker` OS processes over a
+//! `TcpTransport` and adds what only processes need — reaping, heartbeat
+//! failure detection, single-rank rejoin. Training schedule, metric
+//! aggregation and checkpoint commit order exist once, so the two worlds
+//! agree bit for bit by construction; every coordinator wait is bounded
+//! and a dead worker — thread or process — surfaces as a typed error
+//! naming its rank (which [`Trainer`]'s infallible methods turn into a
+//! panic).
+//!
 //! It is also **fault tolerant**: [`Trainer::snapshot`] serializes every
 //! worker's parameters, optimizer moments, and compression state (PowerSGD
 //! warm starts, lazy-error residuals, DP error feedback) into an
@@ -31,8 +45,8 @@
 //! a fresh world back to that exact point. The guarantee is bit-exact
 //! resume — train `N` straight vs. train `k`, snapshot, [`Trainer::kill`],
 //! restore, train `N - k` produce identical losses and identical wire
-//! traffic — and [`run_with_faults`] scripts whole kill/restart scenarios
-//! from an `opt_ckpt::FaultPlan`.
+//! traffic — and [`run_with_faults`] scripts whole kill/recover scenarios
+//! from an `opt_ckpt::FaultPlan` under a [`Recovery`].
 //!
 //! Checkpoints also exist in **sharded** form for cross-host elastic
 //! restore: [`Trainer::save_sharded`] has every worker publish its own
@@ -40,7 +54,7 @@
 //! [`Trainer::restore_sharded`] / [`Trainer::restore_rank`] relaunch
 //! workers that rendezvous on the manifest and fetch *only their own
 //! shard* — no process ever holds the whole world's state.
-//! [`run_with_faults_sharded`] scripts the full cross-host simulation.
+//! [`Recovery::Sharded`] scripts the full cross-host simulation.
 //!
 //! # Example
 //!
@@ -55,6 +69,8 @@
 //! ```
 
 mod config;
+mod control;
+mod coordinator;
 mod dp_compress;
 mod fault;
 mod memory;
@@ -65,10 +81,7 @@ mod worker;
 
 pub use config::{CbMethod, CbQuality, QualityConfig, ScQuality, TrainerConfig};
 pub use dp_compress::DistPowerSgd;
-pub use fault::{
-    run_with_faults, run_with_faults_rejoin, run_with_faults_sharded, run_with_faults_sharded_proc,
-    FaultOutcome, ProcFaultOptions,
-};
+pub use fault::{run_with_faults, FaultOutcome, ProcFaultOptions, Recovery};
 pub use memory::MemoryReport;
 pub use proc::{
     worker_main, ProcError, ProcOptions, ProcTrainer, WorldError, ENV_CFG, ENV_RANK, ENV_RDV,

@@ -1,7 +1,7 @@
 //! Memory-overhead accounting (paper Fig. 12).
 
 use crate::config::TrainerConfig;
-use crate::worker::WorkerAck;
+use crate::control::WorkerAck;
 
 /// Per-GPU (per-worker) peak memory estimate, in f32 elements, split the
 /// way the paper's Fig. 12 splits it: the training baseline (weights,
@@ -78,9 +78,6 @@ mod tests {
 
     fn ack(param: usize, lazy: usize, comp: usize) -> WorkerAck {
         WorkerAck {
-            id: 0,
-            stage: 0,
-            dp: 0,
             param_elems: param,
             lazy_error_elems: lazy,
             compressor_elems: comp,

@@ -1,52 +1,60 @@
-//! Real multi-process workers: one `opt-worker` OS process per
-//! `(stage, dp)` rank, meshed over TCP, driven by a coordinator.
+//! The process launcher: one `opt-worker` OS process per `(stage, dp)`
+//! rank, meshed over TCP.
 //!
-//! The in-process [`crate::Trainer`] runs its world as threads over
-//! `opt-net`'s `LocalTransport`. This module runs the **same worker
-//! loop** (`run_worker`, generic over the transport) as real OS processes
-//! over [`TcpTransport`]:
+//! A world is a set of workers running the shared worker loop
+//! (`run_worker`) plus one coordinator (`crate::coordinator`) driving
+//! them with the typed messages of `crate::control` over a
+//! [`opt_net::Transport`]. That part exists once. Two launchers put a
+//! world on hardware and own only what genuinely differs between them:
 //!
 //! ```text
-//!   coordinator (ProcTrainer, rank W = pp*dp)
-//!     | spawn + monitor            | WireCmd / acks / metrics (TCP lanes)
-//!     v                            v
-//!   opt-worker rank 0  <—— collectives + p2p over TcpTransport ——>  rank W-1
-//!     |                                                                |
-//!     +——— put/get shards over TcpShardStore ———> ShardStoreServer <———+
-//!                                                (in the coordinator)
+//!                  Coordinator (rank W = pp*dp of the world's transport)
+//!                    | WireCmd ->                  <- typed replies
+//!        +-----------+---------------------------------+
+//!        |  Trainer: worker threads, LocalTransport    |  spawn / join
+//!        |  ProcTrainer: opt-worker processes,         |  spawn / reap / fence,
+//!        |               TcpTransport                  |  heartbeats, rejoin
+//!        +-----------+---------------------------------+
+//!                    v
+//!   worker rank 0  <—— collectives + p2p over the same transport ——>  rank W-1
+//!     |                                                                 |
+//!     +—— put/get shards: the caller's store (threads) or a ———————————+
+//!         TcpShardStore client -> ShardStoreServer (processes)
 //! ```
 //!
-//! Rendezvous: every process (workers and coordinator) binds an ephemeral
-//! loopback listener and publishes it in a shared scratch directory
-//! ([`opt_net::tcp_rendezvous`]); checkpoint shards move through a
-//! [`TcpShardStore`] client talking to a [`ShardStoreServer`] hosted by
-//! the coordinator — a real remote blob store as far as any worker can
-//! tell.
+//! This module is the second launcher. Rendezvous: every process (workers
+//! and coordinator) binds an ephemeral loopback listener and publishes it
+//! in a shared scratch directory ([`opt_net::tcp_rendezvous`]);
+//! checkpoint shards move through a [`TcpShardStore`] client talking to a
+//! [`opt_net::ShardStoreServer`] — a real remote blob store as far as any
+//! worker can tell. On top of the shared protocol it adds what only
+//! processes need: every worker heartbeats to the coordinator, a
+//! `SIGKILL`ed rank is detected by [`ProcTrainer::await_failure`], and
+//! [`ProcTrainer::rejoin_rank`] splices a replacement into the surviving
+//! mesh and rolls the world back to the last committed sharded
+//! checkpoint without re-execing any survivor.
 //!
-//! The payoff is the determinism contract, now across process
-//! boundaries: because collectives reduce in member order, batch keys are
-//! pure functions of the config, and loss aggregation sorts before
-//! reducing, a multi-process run — including one that loses a worker
-//! process mid-run and self-restores a replacement from the shard store —
-//! produces **bit-identical** losses and traffic-ledger deltas to the
-//! single-process in-process run ([`run_with_faults_sharded_proc`] vs.
-//! [`crate::run_with_faults_sharded`], enforced by `opt-bench`'s
-//! `multiproc` integration test and the CI smoke job).
+//! Because both worlds run the same coordinator and the same worker loop,
+//! and because collectives reduce in member order, batch keys are pure
+//! functions of the config, and loss aggregation sorts before reducing, a
+//! multi-process run — including one that loses a worker process mid-run
+//! and self-restores a replacement from the shard store — produces
+//! **bit-identical** losses and traffic-ledger deltas to the in-process
+//! run (enforced by `opt-bench`'s `multiproc` integration test and the CI
+//! smoke job).
 
 use crate::config::TrainerConfig;
-use crate::stats::{Collector, RawSamples, TrainReport};
-use crate::worker::{
-    build_groups, run_worker, Cmd, WorkerAck, WorkerCtx, WorldGroups, CH_BWD, CH_FWD,
-};
-use crossbeam::channel::unbounded;
-use opt_ckpt::{CkptError, ShardEntry, ShardManifest, MANIFEST_FILE};
+use crate::control::StoreSlot;
+use crate::coordinator::{resolve_manifest, Coordinator, WorkerHandle};
+use crate::stats::TrainReport;
+use crate::worker::{run_worker, WorkerCtx};
+use opt_ckpt::{CkptError, ShardManifest};
 use opt_net::{
-    channel_id, tcp_rejoin, tcp_rendezvous, ChannelStat, CollectiveWorld, FailureDetector,
-    HeartbeatConfig, P2pMesh, RecvError, ShardStore, SharedPayload, TcpShardStore, TcpTransport,
-    TrafficBreakdown, TrafficLedger, TrafficSnapshot, Transport, TransportError, CH_HEARTBEAT,
+    tcp_rejoin, tcp_rendezvous, FailureDetector, HeartbeatConfig, ShardStore, TcpShardStore,
+    TcpTransport, TrafficBreakdown, Transport, TransportError, CH_HEARTBEAT,
 };
-use opt_tensor::{Persist, PersistError, Reader, Writer};
-use opt_trace::{SpanKind, Trace, TraceBuffer, TraceMode, ENV_TRACE};
+use opt_tensor::{Persist, PersistError};
+use opt_trace::{SpanKind, Trace, TraceMode, ENV_TRACE};
 use std::fmt;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -54,21 +62,6 @@ use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Channel namespace 3: the coordinator <-> worker control plane. (The
-/// pipeline-mesh channels `CH_FWD`/`CH_BWD` live in `crate::worker`,
-/// shared with the in-process trainer.)
-const CH_CMD: u64 = channel_id(3, 0);
-const CH_ACK: u64 = channel_id(3, 1);
-const CH_SHARD: u64 = channel_id(3, 2);
-const CH_RESTORE: u64 = channel_id(3, 3);
-const CH_METRICS: u64 = channel_id(3, 4);
-const CH_TRACE: u64 = channel_id(3, 5);
-
-/// How long the coordinator waits for one control-plane response. A
-/// barrier ack covers a whole batch of training iterations, so this is
-/// deliberately generous.
-const CTRL_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// How long processes wait for the world to rendezvous and mesh.
 const RDV_TIMEOUT: Duration = Duration::from_secs(120);
@@ -90,8 +83,6 @@ pub enum ProcError {
     Io(std::io::Error),
     /// The TCP fabric failed (rendezvous, send, recv).
     Transport(TransportError),
-    /// A point-to-point mesh lane failed (pipeline or collective hop).
-    Recv(RecvError),
     /// A checkpoint operation failed.
     Ckpt(CkptError),
     /// A control-plane message violated the protocol.
@@ -111,7 +102,6 @@ impl fmt::Display for ProcError {
         match self {
             ProcError::Io(e) => write!(f, "worker process I/O failed: {e}"),
             ProcError::Transport(e) => write!(f, "worker fabric failed: {e}"),
-            ProcError::Recv(e) => write!(f, "worker mesh lane failed: {e}"),
             ProcError::Ckpt(e) => write!(f, "checkpoint operation failed: {e}"),
             ProcError::Protocol(d) => write!(f, "control protocol violation: {d}"),
             ProcError::Reap { rank, detail } => {
@@ -147,17 +137,12 @@ impl From<PersistError> for ProcError {
     }
 }
 
-impl From<RecvError> for ProcError {
-    fn from(e: RecvError) -> Self {
-        ProcError::Recv(e)
-    }
-}
-
 /// Why an elastic-membership operation could not keep the world alive.
 ///
-/// [`ProcTrainer::rejoin_rank`] (and the [`crate::run_with_faults_rejoin`]
-/// harness on top of it) distinguishes *recoverable-layer* failures
-/// ([`WorldError::Proc`]) from the terminal case: a dead rank with **no
+/// [`ProcTrainer::rejoin_rank`] (and [`crate::run_with_faults`] under
+/// [`crate::Recovery::Rejoin`] on top of it) distinguishes
+/// *recoverable-layer* failures ([`WorldError::Proc`]) from the terminal
+/// case: a dead rank with **no
 /// committed checkpoint to restore a replacement from**. The latter is
 /// surfaced as [`WorldError::Unrecoverable`] so the caller can tear the
 /// survivors down cleanly instead of leaving them to die one by one on
@@ -198,250 +183,9 @@ impl From<TransportError> for WorldError {
     }
 }
 
-impl From<RecvError> for WorldError {
-    fn from(e: RecvError) -> Self {
-        WorldError::Proc(ProcError::Recv(e))
-    }
-}
-
 impl From<CkptError> for WorldError {
     fn from(e: CkptError) -> Self {
         WorldError::Proc(ProcError::Ckpt(e))
-    }
-}
-
-/// The control commands the coordinator broadcasts to worker processes —
-/// the wire twin of the in-process `Cmd`, minus anything that cannot
-/// cross a process boundary (stores travel as the worker's own
-/// [`TcpShardStore`] client; monolithic snapshot sections never leave
-/// their process on this path).
-#[derive(Debug, Clone, PartialEq)]
-enum WireCmd {
-    TrainIter { iter: u64 },
-    Validate { iter: u64, index: u64, n_seq: usize },
-    Barrier { id: u64 },
-    PublishShard { id: u64, iter: u64 },
-    SelfRestore { id: u64 },
-    FetchMetrics { id: u64 },
-    FetchTrace { id: u64 },
-    Stop,
-}
-
-impl Persist for WireCmd {
-    fn persist(&self, w: &mut Writer) {
-        match self {
-            WireCmd::TrainIter { iter } => {
-                w.u8(0);
-                w.u64(*iter);
-            }
-            WireCmd::Validate { iter, index, n_seq } => {
-                w.u8(1);
-                w.u64(*iter);
-                w.u64(*index);
-                w.usize(*n_seq);
-            }
-            WireCmd::Barrier { id } => {
-                w.u8(2);
-                w.u64(*id);
-            }
-            WireCmd::PublishShard { id, iter } => {
-                w.u8(3);
-                w.u64(*id);
-                w.u64(*iter);
-            }
-            WireCmd::SelfRestore { id } => {
-                w.u8(4);
-                w.u64(*id);
-            }
-            WireCmd::FetchMetrics { id } => {
-                w.u8(5);
-                w.u64(*id);
-            }
-            WireCmd::Stop => w.u8(6),
-            WireCmd::FetchTrace { id } => {
-                w.u8(7);
-                w.u64(*id);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.u8()? {
-            0 => WireCmd::TrainIter { iter: r.u64()? },
-            1 => WireCmd::Validate {
-                iter: r.u64()?,
-                index: r.u64()?,
-                n_seq: r.usize()?,
-            },
-            2 => WireCmd::Barrier { id: r.u64()? },
-            3 => WireCmd::PublishShard {
-                id: r.u64()?,
-                iter: r.u64()?,
-            },
-            4 => WireCmd::SelfRestore { id: r.u64()? },
-            5 => WireCmd::FetchMetrics { id: r.u64()? },
-            6 => WireCmd::Stop,
-            7 => WireCmd::FetchTrace { id: r.u64()? },
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "WireCmd",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Persist for WorkerAck {
-    fn persist(&self, w: &mut Writer) {
-        w.u64(self.id);
-        w.usize(self.stage);
-        w.usize(self.dp);
-        w.usize(self.param_elems);
-        w.usize(self.lazy_error_elems);
-        w.usize(self.compressor_elems);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(WorkerAck {
-            id: r.u64()?,
-            stage: r.usize()?,
-            dp: r.usize()?,
-            param_elems: r.usize()?,
-            lazy_error_elems: r.usize()?,
-            compressor_elems: r.usize()?,
-        })
-    }
-}
-
-impl Persist for RawSamples {
-    fn persist(&self, w: &mut Writer) {
-        self.train.persist(w);
-        self.val.persist(w);
-        self.error_stats.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RawSamples {
-            train: Vec::restore(r)?,
-            val: Vec::restore(r)?,
-            error_stats: Vec::restore(r)?,
-        })
-    }
-}
-
-/// A checkpoint outcome crossing the control plane carries its error as
-/// the display string — `CkptError` itself is not `Clone` (it can wrap an
-/// `io::Error`), and typed lanes require cloneable messages. The
-/// coordinator rewraps the string as [`CkptError::Store`], which is how
-/// every remote failure is surfaced.
-fn stringify_ckpt<T>(result: Result<T, CkptError>) -> Result<T, String> {
-    result.map_err(|e| e.to_string())
-}
-
-/// The coordinator-side inverse of [`stringify_ckpt`].
-fn rewrap_ckpt<T>(result: Result<T, String>) -> Result<T, CkptError> {
-    result.map_err(|what| CkptError::Store { what })
-}
-
-fn persist_string_result<T: Persist>(result: &Result<T, String>, w: &mut Writer) {
-    match result {
-        Ok(v) => {
-            w.u8(0);
-            v.persist(w);
-        }
-        Err(e) => {
-            w.u8(1);
-            e.persist(w);
-        }
-    }
-}
-
-fn restore_string_result<T: Persist>(
-    r: &mut Reader<'_>,
-    what: &'static str,
-) -> Result<Result<T, String>, PersistError> {
-    Ok(match r.u8()? {
-        0 => Ok(T::restore(r)?),
-        1 => Err(String::restore(r)?),
-        tag => return Err(PersistError::BadTag { what, tag }),
-    })
-}
-
-/// One worker's metrics reply: its raw samples plus its own transport's
-/// half of every lane it touched, tagged with the request id.
-#[derive(Debug, Clone)]
-struct MetricsMsg {
-    id: u64,
-    raw: RawSamples,
-    traffic: TrafficSnapshot,
-    channels: Vec<ChannelStat>,
-}
-
-impl Persist for MetricsMsg {
-    fn persist(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.raw.persist(w);
-        self.traffic.persist(w);
-        self.channels.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(MetricsMsg {
-            id: r.u64()?,
-            raw: RawSamples::restore(r)?,
-            traffic: TrafficSnapshot::restore(r)?,
-            channels: Vec::restore(r)?,
-        })
-    }
-}
-
-/// One worker's shard-publish outcome.
-#[derive(Debug, Clone)]
-struct ShardMsg {
-    id: u64,
-    result: Result<ShardEntry, String>,
-}
-
-impl Persist for ShardMsg {
-    fn persist(&self, w: &mut Writer) {
-        w.u64(self.id);
-        persist_string_result(&self.result, w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ShardMsg {
-            id: r.u64()?,
-            result: restore_string_result(r, "ShardMsg")?,
-        })
-    }
-}
-
-/// One worker's self-restore outcome: which `(stage, dp)` it serves and
-/// the checkpoint iteration it restored to.
-#[derive(Debug, Clone)]
-struct RestoreMsg {
-    id: u64,
-    stage: usize,
-    dp: usize,
-    outcome: Result<u64, String>,
-}
-
-impl Persist for RestoreMsg {
-    fn persist(&self, w: &mut Writer) {
-        w.u64(self.id);
-        w.usize(self.stage);
-        w.usize(self.dp);
-        persist_string_result(&self.outcome, w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RestoreMsg {
-            id: r.u64()?,
-            stage: r.usize()?,
-            dp: r.usize()?,
-            outcome: restore_string_result(r, "RestoreMsg")?,
-        })
     }
 }
 
@@ -479,7 +223,7 @@ static INCARNATION: AtomicU64 = AtomicU64::new(0);
 /// `Child::kill` on an already-reaped child fails with `InvalidInput`;
 /// the flag keeps fences idempotent and makes reap failures attributable
 /// to a rank instead of silently swallowed.
-struct WorkerSlot {
+pub(crate) struct WorkerSlot {
     child: Child,
     reaped: bool,
 }
@@ -498,6 +242,12 @@ impl WorkerSlot {
         self.child.wait().map_err(|e| wrap("wait", e))?;
         self.reaped = true;
         Ok(())
+    }
+}
+
+impl WorkerHandle for WorkerSlot {
+    fn exited(&mut self) -> bool {
+        self.reaped || matches!(self.child.try_wait(), Ok(Some(_)))
     }
 }
 
@@ -524,7 +274,7 @@ fn spawn_worker(
     trace: TraceMode,
     rank: usize,
     rejoin: bool,
-) -> Result<Child, ProcError> {
+) -> Result<WorkerSlot, ProcError> {
     let mut cmd = std::process::Command::new(&opts.worker_bin);
     cmd.env(ENV_RANK, rank.to_string())
         .env(ENV_CFG, to_hex(&cfg.to_bytes()))
@@ -534,25 +284,26 @@ fn spawn_worker(
     if rejoin {
         cmd.env(ENV_REJOIN, "1");
     }
-    cmd.spawn().map_err(ProcError::Io)
+    let child = cmd.spawn()?;
+    Ok(WorkerSlot {
+        child,
+        reaped: false,
+    })
 }
 
-/// The coordinator of a multi-process training world: spawns one
-/// `opt-worker` OS process per `(stage, dp)` rank, meshes with them over
-/// TCP as the extra rank `pp * dp`, and drives the same command protocol
-/// the in-process [`crate::Trainer`] drives over channels.
+/// A multi-process training world: one `opt-worker` OS process per
+/// `(stage, dp)` rank, meshed over TCP with the coordinator as the extra
+/// rank `pp * dp`. Training, reports, traces and checkpoints go through
+/// the same coordinator the in-process [`crate::Trainer`] uses; this type
+/// adds the process lifecycle — spawn, reap, fence — the heartbeat
+/// failure detector and single-rank rejoin.
 ///
 /// Created via [`crate::Trainer::launch_processes`].
 pub struct ProcTrainer {
-    cfg: TrainerConfig,
+    pub(crate) coord: Coordinator<TcpTransport, WorkerSlot>,
     opts: ProcOptions,
-    transport: Arc<TcpTransport>,
-    children: Vec<WorkerSlot>,
     /// The coordinator's own client view of the shard store.
     store: TcpShardStore,
-    trace: TraceMode,
-    next_id: u64,
-    trained_iters: u64,
     /// The rendezvous directory this world meshed in; survivors' endpoint
     /// files stay valid for the world's whole life, so a replacement rank
     /// can [`opt_net::tcp_rejoin`] through the same directory.
@@ -567,59 +318,52 @@ impl fmt::Debug for ProcTrainer {
         write!(
             f,
             "ProcTrainer(pp={}, dp={}, workers={})",
-            self.cfg.pp,
-            self.cfg.dp,
-            self.children.len()
+            self.coord.cfg.pp,
+            self.coord.cfg.dp,
+            self.coord.workers.len()
         )
     }
 }
 
 impl ProcTrainer {
-    /// Spawns the worker processes and meshes the world. The coordinator
-    /// participates in the TCP world as rank `pp * dp`.
-    pub(crate) fn launch(cfg: TrainerConfig, opts: ProcOptions) -> Result<ProcTrainer, ProcError> {
-        Self::launch_traced(cfg, opts, TraceMode::from_env())
-    }
-
-    /// [`ProcTrainer::launch`] with an explicit trace mode, propagated to
-    /// every worker process through the [`ENV_TRACE`] variable.
-    pub(crate) fn launch_traced(
+    /// Spawns the worker processes and meshes the world, with the trace
+    /// mode propagated to every worker process through the [`ENV_TRACE`]
+    /// variable. The coordinator participates in the TCP world as rank
+    /// `pp * dp`.
+    pub(crate) fn launch(
         cfg: TrainerConfig,
         opts: ProcOptions,
         trace: TraceMode,
     ) -> Result<ProcTrainer, ProcError> {
         assert!(cfg.pp > 0 && cfg.dp > 0, "pp and dp must be positive");
         let world = cfg.pp * cfg.dp;
-        let coord = world;
         let incarnation = INCARNATION.fetch_add(1, Ordering::SeqCst);
         let rdv_dir = opts
             .scratch_dir
             .join(format!("rdv-{}-{incarnation}", std::process::id()));
         std::fs::create_dir_all(&rdv_dir)?;
         let mut children: Vec<WorkerSlot> = Vec::with_capacity(world);
+        // Anything already spawned is reaped before a failed launch is
+        // reported; a reap failure on top of it is logged rather than
+        // masking the original error.
+        let cleanup = |children: &mut [WorkerSlot], during: &str| {
+            for (r, re) in reap_all(children) {
+                eprintln!("coordinator: cleanup after failed {during}, rank {r}: {re}");
+            }
+        };
         for rank in 0..world {
             match spawn_worker(&cfg, &opts, &rdv_dir, trace, rank, false) {
-                Ok(child) => children.push(WorkerSlot {
-                    child,
-                    reaped: false,
-                }),
+                Ok(slot) => children.push(slot),
                 Err(e) => {
-                    // Reap anything already spawned before reporting; a
-                    // reap failure on top of a failed launch is logged
-                    // rather than masking the original error.
-                    for (r, re) in reap_all(&mut children) {
-                        eprintln!("coordinator: cleanup after failed launch, rank {r}: {re}");
-                    }
+                    cleanup(&mut children, "launch");
                     return Err(e);
                 }
             }
         }
-        let transport = match tcp_rendezvous(&rdv_dir, world + 1, coord, RDV_TIMEOUT) {
+        let transport = match tcp_rendezvous(&rdv_dir, world + 1, world, RDV_TIMEOUT) {
             Ok(t) => Arc::new(t),
             Err(e) => {
-                for (r, re) in reap_all(&mut children) {
-                    eprintln!("coordinator: cleanup after failed rendezvous, rank {r}: {re}");
-                }
+                cleanup(&mut children, "rendezvous");
                 return Err(ProcError::Transport(e));
             }
         };
@@ -629,14 +373,9 @@ impl ProcTrainer {
         // thread. `take_trace` drains this buffer alongside the workers'.
         opt_trace::install(trace);
         Ok(ProcTrainer {
-            cfg,
+            coord: Coordinator::new(cfg, transport, children, trace),
             store: TcpShardStore::connect(opts.store_addr),
             opts,
-            transport,
-            children,
-            trace,
-            next_id: 0,
-            trained_iters: 0,
             rdv_dir,
             detector: FailureDetector::new(HeartbeatConfig::from_env(), world, Instant::now()),
         })
@@ -644,112 +383,24 @@ impl ProcTrainer {
 
     /// The configuration of this run.
     pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
+        &self.coord.cfg
     }
 
     /// Iterations completed so far (includes iterations inherited from a
     /// restored checkpoint).
     pub fn trained_iters(&self) -> u64 {
-        self.trained_iters
-    }
-
-    fn world(&self) -> usize {
-        self.cfg.pp * self.cfg.dp
-    }
-
-    fn coord(&self) -> usize {
-        self.world()
-    }
-
-    fn broadcast(&self, cmd: &WireCmd) -> Result<(), ProcError> {
-        let coord = self.coord();
-        // One shared payload for the whole fan-out: the command is encoded
-        // once into the payload's cache, not once per rank.
-        let payload = SharedPayload::new(cmd.clone());
-        for rank in 0..self.world() {
-            self.transport.send_shared(coord, rank, CH_CMD, &payload)?;
-        }
-        Ok(())
-    }
-
-    /// Receives one typed control message from `rank` on `channel`,
-    /// skipping stale ids (`id_of(msg) < id`) left over from abandoned
-    /// requests. FIFO per lane makes this loss-free.
-    fn recv_matching<T>(
-        &self,
-        rank: usize,
-        channel: u64,
-        id: u64,
-        id_of: impl Fn(&T) -> u64,
-    ) -> Result<T, ProcError>
-    where
-        T: Persist + Clone + Send + Sync + 'static,
-    {
-        let coord = self.coord();
-        loop {
-            let value: T = match self
-                .transport
-                .recv_value(rank, coord, channel, CTRL_TIMEOUT)
-            {
-                Ok(v) => v,
-                Err(TransportError::Decode { detail }) => {
-                    return Err(ProcError::Protocol(format!(
-                        "malformed control message: {detail}"
-                    )))
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let got = id_of(&value);
-            if got == id {
-                return Ok(value);
-            }
-            if got > id {
-                return Err(ProcError::Protocol(format!(
-                    "rank {rank} answered request {got} while {id} was pending"
-                )));
-            }
-        }
-    }
-
-    /// Broadcasts a barrier and waits for every worker's ack.
-    fn barrier(&mut self) -> Result<Vec<WorkerAck>, ProcError> {
-        self.next_id += 1;
-        let id = self.next_id;
-        self.broadcast(&WireCmd::Barrier { id })?;
-        let mut acks = Vec::with_capacity(self.world());
-        for rank in 0..self.world() {
-            acks.push(self.recv_matching(rank, CH_ACK, id, |a: &WorkerAck| a.id)?);
-        }
-        Ok(acks)
-    }
-
-    /// The quiesce step of the rejoin protocol: barriers every rank
-    /// *except* the dead one and collects the survivors' acks, proving
-    /// they are idle (no in-flight pipeline or collective frames) before
-    /// a replacement splices into their mesh.
-    fn barrier_except(&mut self, skip: usize) -> Result<Vec<WorkerAck>, ProcError> {
-        self.next_id += 1;
-        let id = self.next_id;
-        let coord = self.coord();
-        let payload = SharedPayload::new(WireCmd::Barrier { id });
-        for rank in (0..self.world()).filter(|&r| r != skip) {
-            self.transport.send_shared(coord, rank, CH_CMD, &payload)?;
-        }
-        let mut acks = Vec::with_capacity(self.world().saturating_sub(1));
-        for rank in (0..self.world()).filter(|&r| r != skip) {
-            acks.push(self.recv_matching(rank, CH_ACK, id, |a: &WorkerAck| a.id)?);
-        }
-        Ok(acks)
+        self.coord.trained_iters
     }
 
     /// Drains every queued heartbeat into the failure detector.
     fn poll_heartbeats(&mut self) {
-        let coord = self.coord();
+        let coord = self.coord.world();
         let now = Instant::now();
-        for rank in 0..self.world() {
-            while let Ok(Some(_)) = self
-                .transport
-                .try_recv_value::<u64>(rank, coord, CH_HEARTBEAT)
+        for rank in 0..coord {
+            while let Ok(Some(_)) =
+                self.coord
+                    .transport
+                    .try_recv_value::<u64>(rank, coord, CH_HEARTBEAT)
             {
                 self.detector.record_beat(rank, now);
             }
@@ -773,7 +424,7 @@ impl ProcTrainer {
                 // the detected rank in the micro field.
                 drop(opt_trace::begin(
                     SpanKind::Detect,
-                    self.trained_iters,
+                    self.coord.trained_iters,
                     rank as u32,
                     0,
                     0,
@@ -808,8 +459,8 @@ impl ProcTrainer {
     ///    background acceptor splices the fresh connection over the dead
     ///    one, draining stale per-lane state.
     /// 5. Wait for the splice to land in the coordinator's own mesh.
-    /// 6. Roll the whole world back to the manifest
-    ///    ([`ProcTrainer::self_restore_all`]): the replacement fetches
+    /// 6. Roll the whole world back to the manifest (as
+    ///    [`ProcTrainer::self_restore_all`] does): the replacement fetches
     ///    its shard from the store, survivors re-apply theirs and
     ///    truncate replayed metrics.
     /// 7. Re-arm the failure detector for the replacement.
@@ -820,141 +471,96 @@ impl ProcTrainer {
     ///
     /// Panics if `rank` lies outside the world.
     pub fn rejoin_rank(&mut self, rank: usize) -> Result<u64, WorldError> {
-        assert!(rank < self.world(), "rank {rank} outside the world");
-        let _rejoin_span =
-            opt_trace::begin(SpanKind::Rejoin, self.trained_iters, rank as u32, 0, 0);
-        self.children[rank].reap(rank)?;
-        let manifest_iter = match self.store.get(MANIFEST_FILE) {
-            Ok(bytes) => ShardManifest::decode(&bytes)?.meta.iter,
-            Err(e) => {
+        assert!(rank < self.coord.world(), "rank {rank} outside the world");
+        let trace = self.coord.trace;
+        let _rejoin_span = opt_trace::begin(
+            SpanKind::Rejoin,
+            self.coord.trained_iters,
+            rank as u32,
+            0,
+            0,
+        );
+        self.coord.workers[rank].reap(rank)?;
+        let manifest_iter = match resolve_manifest(&self.coord.cfg, &self.store) {
+            Ok(manifest) => manifest.meta.iter,
+            Err(CkptError::Store { what }) => {
                 return Err(WorldError::Unrecoverable {
                     reason: format!(
                         "rank {rank} is dead and no committed checkpoint manifest exists \
-                         to restore a replacement from: {e}"
+                         to restore a replacement from: {what}"
                     ),
                 })
             }
+            Err(e) => return Err(e.into()),
         };
-        self.barrier_except(rank)?;
-        let generation = self.transport.peer_generation(rank);
-        let child = spawn_worker(&self.cfg, &self.opts, &self.rdv_dir, self.trace, rank, true)?;
-        self.children[rank] = WorkerSlot {
-            child,
-            reaped: false,
-        };
-        self.transport
+        self.coord.barrier_except(rank)?;
+        let generation = self.coord.transport.peer_generation(rank);
+        self.coord.workers[rank] = spawn_worker(
+            &self.coord.cfg,
+            &self.opts,
+            &self.rdv_dir,
+            trace,
+            rank,
+            true,
+        )?;
+        self.coord
+            .transport
             .wait_peer_generation(rank, generation, RDV_TIMEOUT)?;
-        let resumed = {
+        {
             let _restore_span =
                 opt_trace::begin(SpanKind::Restore, manifest_iter, rank as u32, 0, 0);
-            self.self_restore_all()?
+            self.coord
+                .self_restore(0..self.coord.world(), manifest_iter)?;
         };
         self.detector.reset(rank, Instant::now());
-        Ok(resumed)
+        Ok(manifest_iter)
     }
 
     /// OS process ids of the current worker incarnations, indexed by
     /// rank. A rejoin replaces exactly one entry; the failure-matrix
     /// tests pin the survivors' entries across it.
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.children.iter().map(|s| s.child.id()).collect()
+        self.coord.workers.iter().map(|s| s.child.id()).collect()
     }
 
     /// Runs extra training iterations, leaving the world quiesced.
     pub fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
-        for iter in self.trained_iters..self.trained_iters + extra {
-            self.broadcast(&WireCmd::TrainIter { iter })?;
-        }
-        self.trained_iters += extra;
-        self.barrier()?;
-        Ok(())
+        self.coord.train_more(extra)
     }
 
     /// Runs training up to the configured iteration count with periodic
-    /// validation — the multi-process mirror of [`crate::Trainer::train`],
-    /// same command schedule, same aggregation, bit-identical report.
+    /// validation — same command schedule, same aggregation and therefore
+    /// the same report, bit for bit, as [`crate::Trainer::train`].
     pub fn train(&mut self) -> Result<TrainReport, ProcError> {
-        let iters = self.cfg.iters;
-        for iter in self.trained_iters..iters {
-            self.broadcast(&WireCmd::TrainIter { iter })?;
-            let validate_now =
-                self.cfg.validate_every > 0 && (iter + 1) % self.cfg.validate_every == 0;
-            if validate_now {
-                self.broadcast(&WireCmd::Validate {
-                    iter,
-                    index: iter,
-                    n_seq: self.cfg.val_sequences,
-                })?;
-            }
-        }
-        self.broadcast(&WireCmd::Validate {
-            iter: iters.saturating_sub(1),
-            index: iters,
-            n_seq: self.cfg.val_sequences,
-        })?;
-        self.trained_iters = iters.max(self.trained_iters);
-        self.report()
+        self.coord.train()
     }
 
     /// Quiesces the workers, gathers every process's raw samples and
-    /// ledger, and aggregates them exactly as the in-process collector
-    /// does (per-iteration sort before the floating-point mean, exact
-    /// integer traffic sums) — so the report is bit-identical to the one
-    /// a single-process run would produce.
+    /// ledger, and aggregates them into a report.
     pub fn report(&mut self) -> Result<TrainReport, ProcError> {
-        let (collector, traffic) = self.gather_metrics()?;
-        Ok(collector.into_report(self.trained_iters, traffic))
+        self.coord.report()
     }
 
     /// Quiesces the workers and returns the merged traffic counters:
-    /// per-class totals plus the per-(src, dst, channel) breakdown. Each
-    /// worker ships only its own transport's half of every lane (its sends
-    /// and its receives); the merge reassembles full lanes, so the result
-    /// is identical to the in-process trainer's single shared ledger.
+    /// per-class totals plus the per-(src, dst, channel) breakdown.
     pub fn traffic(&mut self) -> Result<TrafficBreakdown, ProcError> {
-        Ok(self.gather_metrics()?.1)
-    }
-
-    fn gather_metrics(&mut self) -> Result<(Collector, TrafficBreakdown), ProcError> {
-        // The barrier quiesces every worker; FetchMetrics is then handled
-        // by the worker's control bridge while its loop is idle.
-        self.barrier()?;
-        self.next_id += 1;
-        let id = self.next_id;
-        self.broadcast(&WireCmd::FetchMetrics { id })?;
-        let collector = Collector::default();
-        let mut traffic = TrafficBreakdown::default();
-        for rank in 0..self.world() {
-            let msg = self.recv_matching(rank, CH_METRICS, id, |m: &MetricsMsg| m.id)?;
-            collector.absorb(&msg.raw);
-            traffic.absorb(&TrafficBreakdown::new(msg.traffic, msg.channels));
-        }
-        Ok((collector, traffic))
+        self.coord.traffic()
     }
 
     /// Drains every worker process's trace buffer over the control plane
-    /// into one merged [`Trace`] — the multi-process mirror of
-    /// [`crate::Trainer::take_trace`]. Returns `None` when the world was
+    /// into one merged [`Trace`]. Returns `None` when the world was
     /// launched with tracing off.
     pub fn take_trace(&mut self) -> Result<Option<Trace>, ProcError> {
-        if !self.trace.enabled() {
+        let Some(mut buffers) = self.coord.take_trace()? else {
             return Ok(None);
-        }
-        self.barrier()?;
-        self.next_id += 1;
-        let id = self.next_id;
-        self.broadcast(&WireCmd::FetchTrace { id })?;
-        let mut buffers = Vec::with_capacity(self.world() + 1);
-        for rank in 0..self.world() {
-            let (_, buf) = self.recv_matching(rank, CH_TRACE, id, |m: &(u64, TraceBuffer)| m.0)?;
-            buffers.push(buf);
-        }
+        };
         // The coordinator thread records only recovery spans
         // (detect/rejoin/restore); include its buffer when a failure
         // actually happened so `trace_report` can show the outage, and
         // leave clean runs byte-identical to the pre-recovery format.
+        let cfg = &self.coord.cfg;
         let coord_buf =
-            opt_trace::take_buffer(self.coord() as u32, self.cfg.pp as u32, self.cfg.dp as u32);
+            opt_trace::take_buffer(self.coord.world() as u32, cfg.pp as u32, cfg.dp as u32);
         if !coord_buf.spans.is_empty() {
             buffers.push(coord_buf);
         }
@@ -963,79 +569,19 @@ impl ProcTrainer {
 
     /// Captures a sharded checkpoint: every worker process publishes its
     /// own shard to the store **over TCP**, the coordinator assembles and
-    /// publishes the manifest last — the same commit order as the
-    /// in-process path, so a crash mid-save leaves the previous
-    /// checkpoint fully restorable.
+    /// publishes the manifest last, so a crash mid-save leaves the
+    /// previous checkpoint fully restorable.
     pub fn save_sharded(&mut self) -> Result<ShardManifest, ProcError> {
-        self.next_id += 1;
-        let id = self.next_id;
-        let iter = self.trained_iters;
-        self.broadcast(&WireCmd::PublishShard { id, iter })?;
-        let world = self.world();
-        let pp = self.cfg.pp;
-        let mut entries: Vec<Option<ShardEntry>> = vec![None; world];
-        let mut first_err = None;
-        for rank in 0..world {
-            let msg = self.recv_matching(rank, CH_SHARD, id, |m: &ShardMsg| m.id)?;
-            match rewrap_ckpt(msg.result) {
-                Ok(entry) => {
-                    let idx = entry.dp * pp + entry.stage;
-                    if entries[idx].is_some() {
-                        return Err(ProcError::Protocol(format!(
-                            "duplicate shard entry for (stage {}, dp {})",
-                            entry.stage, entry.dp
-                        )));
-                    }
-                    entries[idx] = Some(entry);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(ProcError::Ckpt(e));
-        }
-        // The same commit path as the in-process trainer (manifest last,
-        // then GC), through the coordinator's own TCP client.
-        crate::trainer::commit_manifest(&self.cfg, iter, entries, &self.store)
-            .map_err(ProcError::Ckpt)
+        self.coord.save_sharded(&self.store)
     }
 
     /// Has every worker process rendezvous on the store's manifest, fetch
     /// only its own shard over TCP, validate, and apply it. Returns the
     /// checkpoint iteration the world resumed at.
     pub fn self_restore_all(&mut self) -> Result<u64, ProcError> {
-        let manifest_bytes = self.store.get(MANIFEST_FILE).map_err(|e| {
-            ProcError::Ckpt(CkptError::Store {
-                what: e.to_string(),
-            })
-        })?;
-        let manifest = ShardManifest::decode(&manifest_bytes)?;
-        let want_iter = manifest.meta.iter;
-        self.next_id += 1;
-        let id = self.next_id;
-        self.broadcast(&WireCmd::SelfRestore { id })?;
-        let mut first_err = None;
-        for rank in 0..self.world() {
-            let RestoreMsg {
-                stage, dp, outcome, ..
-            } = self.recv_matching(rank, CH_RESTORE, id, |m: &RestoreMsg| m.id)?;
-            match rewrap_ckpt(outcome) {
-                Ok(iter) if iter == want_iter => {}
-                Ok(_) => {
-                    first_err = first_err.or(Some(CkptError::ShardMismatch {
-                        stage,
-                        dp,
-                        what: "restored shard is from a different checkpoint than the manifest",
-                    }))
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(ProcError::Ckpt(e));
-        }
-        self.trained_iters = want_iter;
-        Ok(want_iter)
+        let iter = resolve_manifest(&self.coord.cfg, &self.store)?.meta.iter;
+        self.coord.self_restore(0..self.coord.world(), iter)?;
+        Ok(iter)
     }
 
     /// Kills the worker process for global rank `rank` the way a real
@@ -1045,17 +591,16 @@ impl ProcTrainer {
     ///
     /// Panics if `rank` lies outside the world.
     pub fn kill_rank(&mut self, rank: usize) -> Result<(), ProcError> {
-        assert!(rank < self.world(), "rank {rank} outside the world");
-        self.children[rank].reap(rank)
+        assert!(rank < self.coord.world(), "rank {rank} outside the world");
+        self.coord.workers[rank].reap(rank)
     }
 
     /// Ranks whose worker process has exited (monitoring; an unexpected
     /// entry here means the world has lost a member and cannot progress).
     pub fn dead_ranks(&mut self) -> Vec<usize> {
-        self.children
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(rank, slot)| slot.child.try_wait().ok().flatten().map(|_| rank))
+        let workers = self.coord.workers.iter_mut().enumerate();
+        workers
+            .filter_map(|(rank, slot)| slot.exited().then_some(rank))
             .collect()
     }
 
@@ -1067,7 +612,7 @@ impl ProcTrainer {
     /// Reap failures are returned (and logged to stderr) rather than
     /// silently swallowed — an unkillable worker means a leaked process.
     pub fn abort(mut self) -> Vec<(usize, ProcError)> {
-        let failures = reap_all(&mut self.children);
+        let failures = reap_all(&mut self.coord.workers);
         for (rank, e) in &failures {
             eprintln!("coordinator: reaping worker rank {rank} during abort failed: {e}");
         }
@@ -1077,8 +622,8 @@ impl ProcTrainer {
 
     /// Clean shutdown: broadcast `Stop`, then reap every worker process.
     pub fn shutdown(mut self) -> Result<(), ProcError> {
-        self.broadcast(&WireCmd::Stop)?;
-        for (rank, slot) in self.children.iter_mut().enumerate() {
+        self.coord.broadcast(crate::control::WireCmd::Stop)?;
+        for (rank, slot) in self.coord.workers.iter_mut().enumerate() {
             slot.child.wait().map_err(|e| ProcError::Reap {
                 rank,
                 detail: format!("wait: {e}"),
@@ -1098,12 +643,10 @@ impl ProcTrainer {
 /// The body of the `opt-worker` binary: runs **one** `(stage, dp)` rank
 /// as a real OS process. Reads the environment protocol
 /// ([`ENV_RANK`], [`ENV_CFG`], [`ENV_RDV`], [`ENV_STORE`]), rendezvouses
-/// with the rest of the world over TCP, builds the exact same
-/// `WorkerCtx` the in-process trainer builds (meshes, collective groups —
-/// through the same order-fixing `build_groups`), and enters the shared
-/// `run_worker` loop. Control commands arrive over TCP and are bridged
-/// onto the worker's command channel; acks, shard digests, restore
-/// outcomes, and metrics are bridged back.
+/// with the rest of the world over TCP, starts the heartbeat, builds the
+/// same `WorkerCtx` a worker thread gets, and runs the shared
+/// `run_worker` loop on it: commands arrive on, and replies leave
+/// through, the TCP transport's control lanes directly.
 pub fn worker_main() -> Result<(), ProcError> {
     let env = |key: &str| {
         std::env::var(key).map_err(|_| ProcError::Protocol(format!("{key} is not set")))
@@ -1123,16 +666,14 @@ pub fn worker_main() -> Result<(), ProcError> {
     let trace = TraceMode::from_env();
 
     let pp = cfg.pp;
-    let dp = cfg.dp;
-    let world = pp * dp;
+    let world = pp * cfg.dp;
     if rank >= world {
         return Err(ProcError::Protocol(format!(
-            "rank {rank} outside the {pp}x{dp} world"
+            "rank {rank} outside the {pp}x{} world",
+            cfg.dp
         )));
     }
     let coord = world;
-    let stage_idx = rank % pp;
-    let dp_idx = rank / pp;
 
     // Mesh the world: workers + the coordinator as rank `world`. A
     // replacement rank (ENV_REJOIN) dials into the *existing* mesh —
@@ -1145,6 +686,7 @@ pub fn worker_main() -> Result<(), ProcError> {
         Arc::new(tcp_rendezvous(&rdv_dir, world + 1, rank, RDV_TIMEOUT)?)
     };
     let store: Arc<dyn ShardStore> = Arc::new(TcpShardStore::connect(store_addr));
+    let store: StoreSlot = Arc::new(parking_lot::Mutex::new(Some(store)));
 
     // Heartbeat: a dedicated thread beats on the control-plane heartbeat
     // lane so the coordinator can tell "dead" from "busy". Control lanes
@@ -1168,227 +710,22 @@ pub fn worker_main() -> Result<(), ProcError> {
                 seq += 1;
                 std::thread::sleep(hb_interval);
             }
-        })
-        .map_err(ProcError::Io)?;
+        })?;
 
-    // Same construction sequence as Trainer::launch, so collective
-    // channel ids agree across every process of the world.
-    let fwd_mesh = P2pMesh::over(Arc::clone(&transport), CH_FWD);
-    let bwd_mesh = P2pMesh::over(Arc::clone(&transport), CH_BWD);
-    let collective_world = CollectiveWorld::over(Arc::clone(&transport));
-    let WorldGroups {
-        stage_groups,
-        emb_pair_groups,
-        fused_group,
-    } = build_groups(&collective_world, pp, dp);
+    let stage = opt_model::Stage::build_pipeline(&cfg.model, pp, cfg.seed)
+        .into_iter()
+        .nth(rank % pp)
+        .expect("stage exists");
+    run_worker(WorkerCtx::new(&cfg, rank, stage, transport, store, trace));
 
-    let (cmd_tx, cmd_rx) = unbounded();
-    let (ack_tx, ack_rx) = unbounded();
-    let (snap_tx, snap_rx) = unbounded();
-    let (shard_tx, shard_rx) = unbounded();
-    let (restore_tx, restore_rx) = unbounded();
-    let (predict_tx, predict_rx) = unbounded();
-    let (trace_tx, trace_rx) = unbounded();
-    let collector = Collector::default();
-    let ledger = TrafficLedger::new();
-
-    let ctx = WorkerCtx {
-        cfg: cfg.clone(),
-        stage_idx,
-        dp_idx,
-        stage: opt_model::Stage::build_pipeline(&cfg.model, pp, cfg.seed)
-            .into_iter()
-            .nth(stage_idx)
-            .expect("stage exists"),
-        corpus: cfg.corpus(),
-        fwd_mesh,
-        bwd_mesh,
-        stage_group: stage_groups[stage_idx].clone(),
-        emb_pair_group: if stage_idx == 0 || stage_idx == pp - 1 {
-            emb_pair_groups[dp_idx].clone()
-        } else {
-            None
-        },
-        fused_group: if stage_idx == 0 || stage_idx == pp - 1 {
-            fused_group.clone()
-        } else {
-            None
-        },
-        cmds: cmd_rx,
-        acks: ack_tx,
-        snap_out: snap_tx,
-        shard_out: shard_tx,
-        restore_out: restore_tx,
-        predict_out: predict_tx,
-        collector: collector.clone(),
-        ledger: ledger.clone(),
-        trace,
-        trace_out: trace_tx,
-    };
-
-    // Control bridge in: TCP command lane -> worker command channel.
-    // FetchMetrics is answered here directly — the coordinator only sends
-    // it after a barrier ack, i.e. while the worker loop is idle.
-    let bridge_transport = Arc::clone(&transport);
-    let bridge_collector = collector.clone();
-    let bridge_ledger = ledger.clone();
-    let bridge_store = Arc::clone(&store);
-    let bridge = std::thread::Builder::new()
-        .name("ctrl-bridge".to_string())
-        .spawn(move || loop {
-            let cmd =
-                match bridge_transport.recv_value::<WireCmd>(coord, rank, CH_CMD, CTRL_TIMEOUT) {
-                    Ok(c) => c,
-                    Err(TransportError::Timeout { .. }) => continue, // idle world
-                    Err(_) => {
-                        // Coordinator died (or sent garbage): stop the worker
-                        // loop and exit.
-                        let _ = cmd_tx.send(Cmd::Stop);
-                        return;
-                    }
-                };
-            let forward = match cmd {
-                WireCmd::TrainIter { iter } => Cmd::TrainIter { iter },
-                WireCmd::Validate { iter, index, n_seq } => Cmd::Validate { iter, index, n_seq },
-                WireCmd::Barrier { id } => Cmd::Barrier { id },
-                WireCmd::PublishShard { id, iter } => Cmd::PublishShard {
-                    id,
-                    iter,
-                    store: Arc::clone(&bridge_store),
-                },
-                WireCmd::SelfRestore { id } => Cmd::SelfRestore {
-                    id,
-                    store: Arc::clone(&bridge_store),
-                },
-                WireCmd::FetchMetrics { id } => {
-                    let msg = MetricsMsg {
-                        id,
-                        raw: bridge_collector.raw_samples(),
-                        traffic: bridge_ledger.snapshot(),
-                        // This process's half of every lane it touched; the
-                        // coordinator reassembles full lanes across ranks.
-                        channels: bridge_transport.channel_stats(),
-                    };
-                    let _ = bridge_transport.send_value(rank, coord, CH_METRICS, msg);
-                    continue;
-                }
-                WireCmd::FetchTrace { id } => Cmd::FetchTrace { id },
-                WireCmd::Stop => {
-                    let _ = cmd_tx.send(Cmd::Stop);
-                    return;
-                }
-            };
-            if cmd_tx.send(forward).is_err() {
-                return;
-            }
-        })
-        .map_err(ProcError::Io)?;
-
-    // Control bridges out: worker result channels -> TCP lanes.
-    let ack_transport = Arc::clone(&transport);
-    let ack_bridge = std::thread::spawn(move || {
-        while let Ok(ack) = ack_rx.recv() {
-            let _ = ack_transport.send_value(rank, coord, CH_ACK, ack);
-        }
-    });
-    let shard_transport = Arc::clone(&transport);
-    let shard_bridge = std::thread::spawn(move || {
-        while let Ok((id, result)) = shard_rx.recv() {
-            let msg = ShardMsg {
-                id,
-                result: stringify_ckpt(result),
-            };
-            let _ = shard_transport.send_value(rank, coord, CH_SHARD, msg);
-        }
-    });
-    let restore_transport = Arc::clone(&transport);
-    let restore_bridge = std::thread::spawn(move || {
-        while let Ok((id, stage, dp, result)) = restore_rx.recv() {
-            let msg = RestoreMsg {
-                id,
-                stage,
-                dp,
-                outcome: stringify_ckpt(result),
-            };
-            let _ = restore_transport.send_value(rank, coord, CH_RESTORE, msg);
-        }
-    });
-    let trace_transport = Arc::clone(&transport);
-    let trace_bridge = std::thread::spawn(move || {
-        while let Ok((id, buf)) = trace_rx.recv() {
-            let _ = trace_transport.send_value(rank, coord, CH_TRACE, (id, buf));
-        }
-    });
-
-    // The worker loop proper — identical code to the in-process threads.
-    run_worker(ctx);
-
-    // ctx dropped inside run_worker: the out-bridge channels close and
-    // their threads drain; the in-bridge exits on Stop (or coordinator
-    // death). The unused monolithic-snapshot and predict receivers were
-    // simply never sent to on this path.
-    drop(snap_rx);
-    drop(predict_rx);
     hb_stop.store(true, Ordering::Relaxed);
     let _ = heartbeat.join();
-    let _ = bridge.join();
-    let _ = ack_bridge.join();
-    let _ = shard_bridge.join();
-    let _ = restore_bridge.join();
-    let _ = trace_bridge.join();
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_cmds_roundtrip() {
-        let cmds = [
-            WireCmd::TrainIter { iter: 7 },
-            WireCmd::Validate {
-                iter: 3,
-                index: 4,
-                n_seq: 32,
-            },
-            WireCmd::Barrier { id: 9 },
-            WireCmd::PublishShard { id: 1, iter: 2 },
-            WireCmd::SelfRestore { id: 5 },
-            WireCmd::FetchMetrics { id: 6 },
-            WireCmd::FetchTrace { id: 8 },
-            WireCmd::Stop,
-        ];
-        for cmd in cmds {
-            assert_eq!(WireCmd::from_bytes(&cmd.to_bytes()).unwrap(), cmd);
-        }
-    }
-
-    #[test]
-    fn ckpt_results_roundtrip_with_error_as_store() {
-        let ok = RestoreMsg {
-            id: 3,
-            stage: 1,
-            dp: 2,
-            outcome: stringify_ckpt(Ok(42)),
-        };
-        let back = RestoreMsg::from_bytes(&ok.to_bytes()).unwrap();
-        assert_eq!(back.id, 3);
-        assert_eq!((back.stage, back.dp), (1, 2));
-        assert_eq!(rewrap_ckpt(back.outcome).unwrap(), 42);
-
-        let err = RestoreMsg {
-            id: 4,
-            stage: 0,
-            dp: 0,
-            outcome: stringify_ckpt(Err(CkptError::BadMagic)),
-        };
-        let back = RestoreMsg::from_bytes(&err.to_bytes()).unwrap();
-        match rewrap_ckpt(back.outcome) {
-            Err(CkptError::Store { what }) => assert!(!what.is_empty()),
-            other => panic!("expected Store error, got {other:?}"),
-        }
-    }
 
     #[test]
     fn hex_roundtrips() {

@@ -1,8 +1,6 @@
 //! Metrics collected during a training run.
 
 use opt_net::TrafficBreakdown;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// One validation measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,136 +85,90 @@ impl TrainReport {
     }
 }
 
-/// Shared collector the worker threads append into.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Collector {
-    inner: Arc<Mutex<CollectorInner>>,
-}
-
-#[derive(Debug, Default)]
-struct CollectorInner {
-    /// (iter, loss) samples from last-stage workers, one per micro-batch.
-    train_samples: Vec<(u64, f32)>,
-    /// (iter, loss) validation samples (dp rank 0's pipeline).
-    val_samples: Vec<(u64, f32)>,
-    error_stats: Vec<ErrorStatPoint>,
-}
-
-/// The raw samples of one worker's collector, in wire-friendly form —
-/// what a remote worker ships to the coordinator at report time. Merge
-/// order across workers does not matter: [`Collector::into_report`] sorts
-/// each iteration's samples before the floating-point reduction, so a
-/// merged multi-process report is bit-identical to the single shared
-/// collector of an in-process run.
+/// The raw samples of a run: what one worker records while it trains,
+/// what it ships to the coordinator at report time, and — absorbed across
+/// all workers — what a report is aggregated from. Merge order across
+/// workers does not matter: [`RawSamples::into_report`] sorts each
+/// iteration's samples before the floating-point reduction, so the report
+/// is bit-identical however the ranks were deployed.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RawSamples {
-    /// (iter, loss) training samples, one per micro-batch.
+pub(crate) struct RawSamples {
+    /// (iter, loss) training samples from last-stage workers, one per
+    /// micro-batch.
     pub train: Vec<(u64, f32)>,
-    /// (iter, loss) validation samples.
+    /// (iter, loss) validation samples (dp rank 0's pipeline).
     pub val: Vec<(u64, f32)>,
     /// Fig. 11 samples.
     pub error_stats: Vec<ErrorStatPoint>,
 }
 
-impl Collector {
-    pub fn record_train(&self, iter: u64, loss: f32) {
-        self.inner.lock().train_samples.push((iter, loss));
+impl opt_tensor::Persist for RawSamples {
+    fn persist(&self, w: &mut opt_tensor::Writer) {
+        self.train.persist(w);
+        self.val.persist(w);
+        self.error_stats.persist(w);
     }
 
-    /// Snapshots the raw samples recorded so far (quiesce first: callers
-    /// barrier the workers before reading).
-    pub fn raw_samples(&self) -> RawSamples {
-        let inner = self.inner.lock();
-        RawSamples {
-            train: inner.train_samples.clone(),
-            val: inner.val_samples.clone(),
-            error_stats: inner.error_stats.clone(),
-        }
+    fn restore(r: &mut opt_tensor::Reader<'_>) -> Result<Self, opt_tensor::PersistError> {
+        Ok(RawSamples {
+            train: Vec::restore(r)?,
+            val: Vec::restore(r)?,
+            error_stats: Vec::restore(r)?,
+        })
+    }
+}
+
+impl RawSamples {
+    /// Folds another worker's samples into this one.
+    pub fn absorb(&mut self, other: RawSamples) {
+        self.train.extend(other.train);
+        self.val.extend(other.val);
+        self.error_stats.extend(other.error_stats);
     }
 
-    /// Folds another worker's raw samples into this collector.
-    pub fn absorb(&self, raw: &RawSamples) {
-        let mut inner = self.inner.lock();
-        inner.train_samples.extend_from_slice(&raw.train);
-        inner.val_samples.extend_from_slice(&raw.val);
-        inner.error_stats.extend_from_slice(&raw.error_stats);
+    /// Discards every sample recorded at or after `iter`. A worker rolled
+    /// back to a checkpoint calls this so the iterations it is about to
+    /// replay are not recorded twice — the report after a rejoin stays
+    /// bit-identical to an uninterrupted run. Idempotent.
+    pub fn truncate_from(&mut self, iter: u64) {
+        self.train.retain(|&(i, _)| i < iter);
+        self.val.retain(|&(i, _)| i < iter);
+        self.error_stats.retain(|p| p.iter < iter);
     }
 
-    pub fn record_val(&self, iter: u64, loss: f32) {
-        self.inner.lock().val_samples.push((iter, loss));
-    }
-
-    /// Discards every sample recorded at or after `iter`. A survivor
-    /// rolled back to a checkpoint calls this so the iterations it is
-    /// about to replay are not recorded twice — the report after a
-    /// rejoin stays bit-identical to an uninterrupted run. Idempotent.
-    pub fn truncate_from(&self, iter: u64) {
-        let mut inner = self.inner.lock();
-        inner.train_samples.retain(|&(i, _)| i < iter);
-        inner.val_samples.retain(|&(i, _)| i < iter);
-        inner.error_stats.retain(|p| p.iter < iter);
-    }
-
-    pub fn record_error_stat(&self, p: ErrorStatPoint) {
-        self.inner.lock().error_stats.push(p);
-    }
-
-    /// Aggregates the raw samples into a [`TrainReport`].
+    /// Aggregates the samples into a [`TrainReport`].
     pub fn into_report(self, iters: u64, traffic: TrafficBreakdown) -> TrainReport {
-        let inner = Arc::try_unwrap(self.inner)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| {
-                let guard = arc.lock();
-                CollectorInner {
-                    train_samples: guard.train_samples.clone(),
-                    val_samples: guard.val_samples.clone(),
-                    error_stats: guard.error_stats.clone(),
-                }
-            });
-        // Samples arrive in thread-scheduling order; sort before summing
-        // so the floating-point reduction is identical across runs. This
-        // is what lets the checkpoint tests assert *bit-equal* losses
-        // between a straight run and a kill/restore run.
+        // Samples arrive in rank-merge order; sort before summing so the
+        // floating-point reduction is identical across runs. This is what
+        // lets the checkpoint tests assert *bit-equal* losses between a
+        // straight run and a kill/restore run.
         let mean_sorted = |mut ls: Vec<f32>| -> f32 {
             ls.sort_unstable_by(f32::total_cmp);
             ls.iter().sum::<f32>() / ls.len() as f32
         };
-        let mut train_loss = Vec::with_capacity(iters as usize);
-        for it in 0..iters {
-            let samples: Vec<f32> = inner
-                .train_samples
-                .iter()
-                .filter(|(i, _)| *i == it)
-                .map(|(_, l)| *l)
-                .collect();
-            if samples.is_empty() {
-                train_loss.push(f32::NAN);
-            } else {
-                train_loss.push(mean_sorted(samples));
-            }
-        }
-        // Error stats arrive in thread-scheduling (or, multi-process,
-        // rank-merge) order; each (iter, stage) subsequence comes from a
+        let at = |samples: &[(u64, f32)], it: u64| -> Vec<f32> {
+            let at_iter = samples.iter().filter(|(i, _)| *i == it);
+            at_iter.map(|(_, l)| *l).collect()
+        };
+        let train_loss = (0..iters)
+            .map(|it| match at(&self.train, it) {
+                samples if samples.is_empty() => f32::NAN,
+                samples => mean_sorted(samples),
+            })
+            .collect();
+        // Each (iter, stage) subsequence of the error stats comes from a
         // single worker in micro order, so a stable key sort makes the
-        // final vector identical however the worlds interleaved.
-        let mut error_stats = inner.error_stats;
+        // final vector identical however the ranks were merged.
+        let mut error_stats = self.error_stats;
         error_stats.sort_by_key(|p| (p.iter, p.stage));
-        let mut val_iters: Vec<u64> = inner.val_samples.iter().map(|(i, _)| *i).collect();
+        let mut val_iters: Vec<u64> = self.val.iter().map(|(i, _)| *i).collect();
         val_iters.sort_unstable();
         val_iters.dedup();
         let val_points = val_iters
             .into_iter()
-            .map(|it| {
-                let ls: Vec<f32> = inner
-                    .val_samples
-                    .iter()
-                    .filter(|(i, _)| *i == it)
-                    .map(|(_, l)| *l)
-                    .collect();
-                ValPoint {
-                    iter: it,
-                    loss: mean_sorted(ls),
-                }
+            .map(|iter| ValPoint {
+                iter,
+                loss: mean_sorted(at(&self.val, iter)),
             })
             .collect();
         TrainReport {
@@ -233,12 +185,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collector_aggregates_per_iteration() {
-        let c = Collector::default();
-        c.record_train(0, 2.0);
-        c.record_train(0, 4.0);
-        c.record_train(1, 1.0);
-        c.record_val(1, 0.5);
+    fn samples_aggregate_per_iteration() {
+        let mut c = RawSamples::default();
+        c.train.extend([(0, 2.0), (0, 4.0), (1, 1.0)]);
+        c.val.push((1, 0.5));
         let report = c.into_report(2, TrafficBreakdown::default());
         assert_eq!(report.train_loss, vec![3.0, 1.0]);
         assert_eq!(report.val_points.len(), 1);
@@ -250,28 +200,24 @@ mod tests {
 
     #[test]
     fn empty_report_is_nan() {
-        let c = Collector::default();
-        let report = c.into_report(1, TrafficBreakdown::default());
+        let report = RawSamples::default().into_report(1, TrafficBreakdown::default());
         assert!(report.train_loss[0].is_nan());
         assert!(report.final_val_ppl().is_nan());
     }
 
     #[test]
     fn truncate_from_drops_replayed_iterations() {
-        let c = Collector::default();
-        c.record_train(0, 2.0);
-        c.record_train(1, 4.0);
-        c.record_train(2, 8.0);
-        c.record_val(2, 0.5);
+        let mut c = RawSamples::default();
+        c.train.extend([(0, 2.0), (1, 4.0), (2, 8.0)]);
+        c.val.push((2, 0.5));
         // Rolled back to the iteration-2 checkpoint: iterations >= 2 will
         // be replayed and re-recorded.
         c.truncate_from(2);
         c.truncate_from(2); // idempotent
-        let raw = c.raw_samples();
-        assert_eq!(raw.train, vec![(0, 2.0), (1, 4.0)]);
-        assert!(raw.val.is_empty());
-        c.record_train(2, 8.0);
-        c.record_val(2, 0.5);
+        assert_eq!(c.train, vec![(0, 2.0), (1, 4.0)]);
+        assert!(c.val.is_empty());
+        c.train.push((2, 8.0));
+        c.val.push((2, 0.5));
         let report = c.into_report(3, TrafficBreakdown::default());
         assert_eq!(report.train_loss, vec![2.0, 4.0, 8.0]);
         assert_eq!(report.val_points.len(), 1);

@@ -1,95 +1,27 @@
-//! The per-(stage, dp-rank) worker thread.
+//! The per-(stage, dp-rank) worker: one loop, run by a thread of an
+//! in-process world or by an `opt-worker` OS process.
 
 use crate::config::{CbMethod, TrainerConfig};
-use crate::dp_compress::DistPowerSgd;
-use crate::stats::{Collector, ErrorStatPoint};
-use crossbeam::channel::{Receiver, Sender};
-use opt_ckpt::{
-    shard_file_name, CkptError, RankSection, Shard, ShardEntry, ShardManifest, MANIFEST_FILE,
+use crate::control::{
+    store_err, MetricsMsg, Outcome, StoreSlot, WireCmd, WorkerAck, CH_ACK, CH_BWD, CH_CMD, CH_FWD,
+    CH_METRICS, CH_PREDICT, CH_RESTORE, CH_SECTION, CH_SHARD, CH_TRACE, CTRL_TIMEOUT,
 };
+use crate::coordinator::resolve_manifest;
+use crate::dp_compress::DistPowerSgd;
+use crate::stats::{ErrorStatPoint, RawSamples};
+use opt_ckpt::{shard_file_name, CkptError, RankSection, Shard, ShardEntry};
 use opt_compress::{Compressed, LazyErrorPropagator, PowerSgd, TopK, FP16_BYTES};
 use opt_data::SyntheticCorpus;
 use opt_model::{cross_entropy, Adam, Optimizer, Stage};
 use opt_net::{
-    channel_id, CollectiveGroup, P2pMesh, ShardStore, TrafficClass, TrafficLedger, Transport,
+    ChannelStat, CollectiveGroup, CollectiveWorld, P2pMesh, ShardStore, TrafficClass,
+    TrafficLedger, Transport, TransportError,
 };
 use opt_schedule::{is_epilogue_send, one_f_one_b, Op};
 use opt_tensor::{cosine_similarity, Matrix, Persist, PersistError, Reader, Writer};
-use opt_trace::{SpanKind, TraceBuffer, TraceMode, NO_MICRO};
+use opt_trace::{SpanKind, TraceMode, NO_MICRO};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Channel namespace 1: the two pipeline meshes. Shared by the in-process
-/// trainer (over `LocalTransport`) and the multi-process world (over
-/// `TcpTransport`), so per-channel traffic stats line up across the two.
-pub(crate) const CH_FWD: u64 = channel_id(1, 0);
-pub(crate) const CH_BWD: u64 = channel_id(1, 1);
-
-/// Commands broadcast from the trainer to every worker.
-#[derive(Debug, Clone)]
-pub(crate) enum Cmd {
-    /// Run one full training iteration (all micro-batches + DP + sync).
-    TrainIter { iter: u64 },
-    /// Run a validation forward pass (dp rank 0's pipeline only).
-    Validate { iter: u64, index: u64, n_seq: usize },
-    /// Run an inference forward pass and report last-position argmaxes
-    /// (dp rank 0's pipeline only; the last stage answers).
-    Predict { id: u64, tokens: Vec<usize> },
-    /// Acknowledge via the ack channel once all prior commands finished.
-    Barrier { id: u64 },
-    /// Serialize all training state (parameters, optimizer moments,
-    /// compressor warm starts, lazy-error residuals) into a
-    /// [`RankSection`] and send it on the snapshot channel. Commands are
-    /// processed in order, so every prior iteration has fully retired —
-    /// snapshot semantics are a barrier.
-    Snapshot { id: u64 },
-    /// Overwrite all training state from a snapshot section, then ack.
-    /// Sent point-to-point (each worker gets its own section), unlike the
-    /// broadcast commands above.
-    Restore { id: u64, section: Box<RankSection> },
-    /// Drain the worker's trace buffer (spans recorded since the last
-    /// drain) and send it on the trace channel. Commands are processed in
-    /// order, so every prior iteration's spans are closed — barrier
-    /// semantics, like `Snapshot`.
-    FetchTrace { id: u64 },
-    /// Serialize all training state into a per-rank [`Shard`] and publish
-    /// it to the shard store under this rank's well-known name, reporting
-    /// the resulting manifest entry (or the failure) on the shard channel.
-    /// Barrier semantics, like `Snapshot`.
-    PublishShard {
-        id: u64,
-        /// Iterations completed when the shard is taken (stamped into the
-        /// shard header so a fetching worker can cross-check the manifest).
-        iter: u64,
-        store: Arc<dyn ShardStore>,
-    },
-    /// Rendezvous on the store's manifest, fetch *only this rank's*
-    /// shard, validate it (version, checksum, config fingerprint, rank
-    /// identity), apply it, and report the outcome on the restore
-    /// channel. This is the cross-host elastic-restore path: the
-    /// coordinator holds no worker state.
-    SelfRestore { id: u64, store: Arc<dyn ShardStore> },
-    /// Exit the worker loop.
-    Stop,
-}
-
-/// Barrier acknowledgement with memory accounting (Fig. 12).
-#[derive(Debug, Clone)]
-pub(crate) struct WorkerAck {
-    pub id: u64,
-    /// Stage index (kept for diagnostics in future per-stage reports).
-    #[allow(dead_code)]
-    pub stage: usize,
-    /// DP rank (kept for diagnostics).
-    #[allow(dead_code)]
-    pub dp: usize,
-    /// Scalar parameter elements on this worker.
-    pub param_elems: usize,
-    /// Lazy-error buffer elements (CB + LEP).
-    pub lazy_error_elems: usize,
-    /// PowerSGD warm-start + EF buffer elements (CB link + DP state).
-    pub compressor_elems: usize,
-}
 
 /// Everything a worker needs, bundled at spawn time. Generic over the
 /// [`Transport`] carrying its communication: a thread of a single-process
@@ -110,74 +42,97 @@ pub(crate) struct WorkerCtx<Tr: Transport> {
     pub emb_pair_group: Option<CollectiveGroup<Tr>>,
     /// Fused 2D-way group over all end-stage ranks.
     pub fused_group: Option<CollectiveGroup<Tr>>,
-    pub cmds: Receiver<Cmd>,
-    pub acks: Sender<WorkerAck>,
-    pub snap_out: Sender<(u64, RankSection)>,
-    /// Manifest entries (or failures) from `Cmd::PublishShard`.
-    pub shard_out: Sender<(u64, Result<ShardEntry, CkptError>)>,
-    /// `(id, stage, dp, outcome)` from `Cmd::SelfRestore`; `Ok` carries
-    /// the iteration the applied shard was taken at.
-    pub restore_out: Sender<(u64, usize, usize, Result<u64, CkptError>)>,
-    pub predict_out: Sender<(u64, Vec<usize>)>,
-    pub collector: Collector,
+    /// The world's transport: commands arrive and replies leave on its
+    /// control lanes, with the coordinator as rank `pp * dp`.
+    pub transport: Arc<Tr>,
+    /// Where `PublishShard` / `SelfRestore` find the shard store.
+    pub store: StoreSlot,
+    /// What this worker has recorded so far.
+    pub samples: RawSamples,
     pub ledger: TrafficLedger,
     /// Trace mode this worker installs on its own thread at startup.
     pub trace: TraceMode,
-    /// Drained [`TraceBuffer`]s from `Cmd::FetchTrace`.
-    pub trace_out: Sender<(u64, TraceBuffer)>,
 }
 
-/// The collective groups of a `pp x dp` world, carved out of one
-/// [`opt_net::CollectiveWorld`].
-pub(crate) struct WorldGroups<Tr: Transport> {
-    /// One DP group per stage, over that stage's dp ranks.
-    pub stage_groups: Vec<CollectiveGroup<Tr>>,
-    /// Per dp rank, the 2-way first<->last embedding pair (pp > 1 only).
-    pub emb_pair_groups: Vec<Option<CollectiveGroup<Tr>>>,
-    /// The fused 2D-way group over all end-stage ranks (pp > 1 only).
-    pub fused_group: Option<CollectiveGroup<Tr>>,
-}
-
-/// Carves the standard group set out of `world`, **in a fixed order** —
-/// stage groups, then embedding pairs, then the fused group. Group
-/// creation order determines collective channel ids, so every process of
-/// a distributed world must build its groups through this one function
-/// for their channels to line up (the single-process trainer shares the
-/// same code path, which is what keeps the two worlds bit-identical).
-pub(crate) fn build_groups<Tr: Transport>(
-    world: &opt_net::CollectiveWorld<Tr>,
-    pp: usize,
-    dp: usize,
-) -> WorldGroups<Tr> {
-    let stage_groups: Vec<_> = (0..pp)
-        .map(|s| world.group(&(0..dp).map(|d| d * pp + s).collect::<Vec<_>>()))
-        .collect();
-    let emb_pair_groups: Vec<_> = (0..dp)
-        .map(|d| {
-            if pp > 1 {
-                Some(world.group(&[d * pp, d * pp + pp - 1]))
-            } else {
-                None
+impl<Tr: Transport> WorkerCtx<Tr> {
+    /// Builds global rank `rank`'s context over `transport`. Both
+    /// launchers construct their workers here, so every member of a world
+    /// — thread or process — carves its collective groups the same way.
+    pub(crate) fn new(
+        cfg: &TrainerConfig,
+        rank: usize,
+        stage: Stage,
+        transport: Arc<Tr>,
+        store: StoreSlot,
+        trace: TraceMode,
+    ) -> Self {
+        let pp = cfg.pp;
+        let (stage_idx, dp_idx) = (rank % pp, rank / pp);
+        // Every group of the world is created, **in a fixed order** —
+        // one DP group per stage, then per dp rank the 2-way first<->last
+        // embedding pair, then the fused 2D-way group over all end-stage
+        // ranks (the last two on `pp > 1` only) — and this rank keeps the
+        // ones it is a member of. Creation order determines collective
+        // channel ids, so it must be the same on every member of a world.
+        let dp = cfg.dp;
+        let world = CollectiveWorld::over(Arc::clone(&transport));
+        let mut stage_groups: Vec<_> = (0..pp)
+            .map(|s| world.group(&(0..dp).map(|d| d * pp + s).collect::<Vec<_>>()))
+            .collect();
+        let mut end_groups = None;
+        if pp > 1 {
+            let mut pairs: Vec<_> = (0..dp)
+                .map(|d| world.group(&[d * pp, d * pp + pp - 1]))
+                .collect();
+            let mut ends: Vec<usize> = (0..dp).map(|d| d * pp).collect();
+            ends.extend((0..dp).map(|d| d * pp + pp - 1));
+            ends.sort_unstable();
+            let fused = world.group(&ends);
+            if stage_idx == 0 || stage_idx == pp - 1 {
+                end_groups = Some((pairs.swap_remove(dp_idx), fused));
             }
-        })
-        .collect();
-    let fused_group = if pp > 1 {
-        let mut ranks: Vec<usize> = (0..dp).map(|d| d * pp).collect();
-        ranks.extend((0..dp).map(|d| d * pp + pp - 1));
-        ranks.sort_unstable();
-        Some(world.group(&ranks))
-    } else {
-        None
-    };
-    WorldGroups {
-        stage_groups,
-        emb_pair_groups,
-        fused_group,
+        }
+        let (emb_pair_group, fused_group) = end_groups.unzip();
+        WorkerCtx {
+            cfg: cfg.clone(),
+            stage_idx,
+            dp_idx,
+            stage,
+            corpus: cfg.corpus(),
+            fwd_mesh: P2pMesh::over(Arc::clone(&transport), CH_FWD),
+            bwd_mesh: P2pMesh::over(Arc::clone(&transport), CH_BWD),
+            stage_group: stage_groups.swap_remove(stage_idx),
+            emb_pair_group,
+            fused_group,
+            transport,
+            store,
+            samples: RawSamples::default(),
+            ledger: TrafficLedger::new(),
+            trace,
+        }
+    }
+
+    /// This worker's global rank.
+    fn rank(&self) -> usize {
+        self.dp_idx * self.cfg.pp + self.stage_idx
+    }
+
+    /// The coordinator's rank: the one past the workers'.
+    fn coord(&self) -> usize {
+        self.cfg.pp * self.cfg.dp
+    }
+
+    /// Answers request `id` on `channel`. A coordinator that has gone away
+    /// is noticed by the next command receive, not here.
+    fn reply<T: Persist + Send + Sync + 'static>(&self, channel: u64, id: u64, body: T) {
+        let _ = self
+            .transport
+            .send_value(self.rank(), self.coord(), channel, (id, body));
     }
 }
 
 /// The inter-stage compressor variant for compressed backpropagation.
-pub(crate) enum CbLink {
+enum CbLink {
     LowRank(LazyErrorPropagator<PowerSgd>),
     TopK(LazyErrorPropagator<TopK>),
 }
@@ -217,7 +172,7 @@ impl CbLink {
 }
 
 /// Encodes the optional inter-stage link state for a snapshot section.
-pub(crate) fn encode_cb_link(link: &Option<CbLink>) -> Vec<u8> {
+fn encode_cb_link(link: &Option<CbLink>) -> Vec<u8> {
     let mut w = Writer::new();
     match link {
         None => w.u8(0),
@@ -233,9 +188,8 @@ pub(crate) fn encode_cb_link(link: &Option<CbLink>) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes an [`encode_cb_link`] blob. Also used by the trainer to
-/// pre-validate snapshot sections before handing them to workers.
-pub(crate) fn decode_cb_link(bytes: &[u8]) -> Result<Option<CbLink>, PersistError> {
+/// Decodes an [`encode_cb_link`] blob.
+fn decode_cb_link(bytes: &[u8]) -> Result<Option<CbLink>, PersistError> {
     let mut r = Reader::new(bytes);
     let link = match r.u8()? {
         0 => None,
@@ -252,28 +206,20 @@ pub(crate) fn decode_cb_link(bytes: &[u8]) -> Result<Option<CbLink>, PersistErro
     Ok(link)
 }
 
-/// Encodes the optional data-parallel compression state.
-pub(crate) fn encode_dp_state(state: &Option<DistPowerSgd>) -> Vec<u8> {
-    state.to_bytes()
-}
-
-/// Decodes an [`encode_dp_state`] blob.
-pub(crate) fn decode_dp_state(bytes: &[u8]) -> Result<Option<DistPowerSgd>, PersistError> {
-    Option::from_bytes(bytes)
-}
-
-/// Runs the worker loop until [`Cmd::Stop`].
+/// Runs the worker loop until [`WireCmd::Stop`] — or until the command
+/// lane fails: a coordinator that is gone, or one that sent something
+/// which is not a command, ends the worker the same way.
 pub(crate) fn run_worker<Tr: Transport + Send + Sync + 'static>(mut ctx: WorkerCtx<Tr>) {
     opt_trace::install(ctx.trace);
     let pp = ctx.cfg.pp;
     let s = ctx.stage_idx;
     let d = ctx.dp_idx;
-    let my_rank = d * pp + s;
+    let my_rank = ctx.rank();
+    let coord = ctx.coord();
     let schedule = one_f_one_b(pp, ctx.cfg.n_micro);
-    let mut optimizer = Adam::new(ctx.cfg.lr);
 
     // Inter-stage compression state for the upstream (s -> s-1) link.
-    let mut cb_link: Option<CbLink> = if s > 0 {
+    let cb_link: Option<CbLink> = if s > 0 {
         ctx.cfg.quality.cb.map(|cb| match cb.method {
             CbMethod::LowRank(rank) => CbLink::LowRank(LazyErrorPropagator::new(
                 PowerSgd::new(rank, ctx.cfg.seed ^ 0xCB ^ my_rank as u64),
@@ -289,7 +235,7 @@ pub(crate) fn run_worker<Tr: Transport + Send + Sync + 'static>(mut ctx: WorkerC
 
     // DP compression state (selective stage / naive DP).
     let dp_compressed = s < ctx.cfg.sc_stage_count();
-    let mut dp_state: Option<DistPowerSgd> = match (dp_compressed, ctx.cfg.dp_rank()) {
+    let dp_state: Option<DistPowerSgd> = match (dp_compressed, ctx.cfg.dp_rank()) {
         (true, Some(rank)) => {
             let n_slots = ctx.stage.non_embedding_params().len();
             // Seed must agree across dp ranks of the same stage.
@@ -302,172 +248,200 @@ pub(crate) fn run_worker<Tr: Transport + Send + Sync + 'static>(mut ctx: WorkerC
         _ => None,
     };
 
+    let mut state = TrainState {
+        optimizer: Adam::new(ctx.cfg.lr),
+        cb_link,
+        dp_state,
+    };
     let act_dense_bytes = |m: &Matrix| -> u64 { (m.len() * FP16_BYTES) as u64 };
 
     loop {
-        // A dropped trainer (no explicit shutdown) reads as Stop.
-        let Ok(cmd) = ctx.cmds.recv() else { return };
+        let cmd = match ctx
+            .transport
+            .recv_value::<WireCmd>(coord, my_rank, CH_CMD, CTRL_TIMEOUT)
+        {
+            Ok(cmd) => cmd,
+            Err(TransportError::Timeout { .. }) => continue, // idle world
+            Err(_) => return,
+        };
         match cmd {
-            Cmd::TrainIter { iter } => {
-                train_iter(
-                    &mut ctx,
-                    &schedule,
-                    &mut optimizer,
-                    &mut cb_link,
-                    &mut dp_state,
-                    iter,
-                    my_rank,
-                    act_dense_bytes,
-                );
+            WireCmd::TrainIter { iter } => {
+                train_iter(&mut ctx, &schedule, &mut state, iter, act_dense_bytes);
             }
-            Cmd::Validate { iter, index, n_seq } => {
+            WireCmd::Validate { iter, index, n_seq } => {
                 if d == 0 {
                     validate(&mut ctx, iter, index, n_seq);
                 }
             }
-            Cmd::Predict { id, tokens } => {
+            WireCmd::Predict { id, tokens } => {
                 if d == 0 {
                     predict(&mut ctx, id, &tokens);
                 }
             }
-            Cmd::Barrier { id } => {
+            WireCmd::Barrier { id } => {
+                let TrainState {
+                    cb_link, dp_state, ..
+                } = &state;
                 let ack = WorkerAck {
-                    id,
-                    stage: s,
-                    dp: d,
                     param_elems: ctx.stage.param_count(),
                     lazy_error_elems: cb_link.as_ref().map_or(0, CbLink::error_elems),
                     compressor_elems: cb_link.as_ref().map_or(0, CbLink::warm_start_elems)
                         + dp_state.as_ref().map_or(0, DistPowerSgd::buffer_elems),
                 };
-                ctx.acks.send(ack).expect("trainer dropped ack channel");
+                ctx.reply(CH_ACK, id, ack);
             }
-            Cmd::Snapshot { id } => {
-                let section = capture_section(&mut ctx, &optimizer, &cb_link, &dp_state);
-                ctx.snap_out
-                    .send((id, section))
-                    .expect("trainer dropped snapshot channel");
+            WireCmd::Snapshot { id } => {
+                let section = state.capture(&mut ctx);
+                ctx.reply(CH_SECTION, id, section);
             }
-            Cmd::PublishShard { id, iter, store } => {
+            WireCmd::PublishShard { id, iter } => {
                 let shard = Shard {
                     iter,
                     config_fingerprint: ctx.cfg.fingerprint(),
-                    section: capture_section(&mut ctx, &optimizer, &cb_link, &dp_state),
+                    section: state.capture(&mut ctx),
                 };
                 let name = shard_file_name(s, d, iter);
                 let blob = shard.encode();
-                let result = store
-                    .put(&name, &blob)
-                    .map(|()| ShardEntry::for_blob(s, d, name.clone(), &blob))
-                    .map_err(|e| CkptError::Store {
-                        what: e.to_string(),
-                    });
-                ctx.shard_out
-                    .send((id, result))
-                    .expect("trainer dropped shard channel");
+                let result = attached_store(&ctx)
+                    .and_then(|store| store.put(&name, &blob).map_err(store_err))
+                    .map(|()| ShardEntry::for_blob(s, d, name, &blob));
+                ctx.reply(CH_SHARD, id, Outcome::from(result));
             }
-            Cmd::SelfRestore { id, store } => {
-                let result = self_restore(
-                    &mut ctx,
-                    store.as_ref(),
-                    &mut optimizer,
-                    &mut cb_link,
-                    &mut dp_state,
-                );
-                if let Ok(&iter) = result.as_ref() {
-                    // Rolled back: iterations >= `iter` will be replayed,
-                    // so drop their samples to keep the report identical
-                    // to an uninterrupted run.
-                    ctx.collector.truncate_from(iter);
-                }
-                ctx.restore_out
-                    .send((id, s, d, result))
-                    .expect("trainer dropped restore channel");
+            WireCmd::SelfRestore { id } => {
+                let result = fetch_shard(&ctx).and_then(|shard| {
+                    let iter = shard.iter;
+                    state.apply(&mut ctx, shard.section).map(|()| iter)
+                });
+                reply_restored(&mut ctx, id, result);
             }
-            Cmd::Restore { id, section } => {
-                // Sections were pre-validated by Trainer::restore; a decode
-                // failure here means the trainer handed out the wrong blob.
-                ctx.stage.import_state(&section.params);
-                optimizer = Adam::from_bytes(&section.optimizer).expect("validated section");
-                cb_link = decode_cb_link(&section.cb_link).expect("validated section");
-                dp_state = decode_dp_state(&section.dp_state).expect("validated section");
-                let ack = WorkerAck {
-                    id,
-                    stage: s,
-                    dp: d,
-                    param_elems: ctx.stage.param_count(),
-                    lazy_error_elems: cb_link.as_ref().map_or(0, CbLink::error_elems),
-                    compressor_elems: cb_link.as_ref().map_or(0, CbLink::warm_start_elems)
-                        + dp_state.as_ref().map_or(0, DistPowerSgd::buffer_elems),
+            WireCmd::Restore { id, iter, section } => {
+                let result = state.apply(&mut ctx, *section).map(|()| iter);
+                reply_restored(&mut ctx, id, result);
+            }
+            WireCmd::FetchMetrics { id } => {
+                let msg = MetricsMsg {
+                    raw: ctx.samples.clone(),
+                    traffic: ctx.ledger.snapshot(),
+                    channels: own_lanes(ctx.transport.channel_stats(), my_rank as u32),
                 };
-                ctx.acks.send(ack).expect("trainer dropped ack channel");
+                ctx.reply(CH_METRICS, id, msg);
             }
-            Cmd::FetchTrace { id } => {
+            WireCmd::FetchTrace { id } => {
                 let buf = opt_trace::take_buffer(my_rank as u32, s as u32, d as u32);
-                ctx.trace_out
-                    .send((id, buf))
-                    .expect("trainer dropped trace channel");
+                ctx.reply(CH_TRACE, id, buf);
             }
-            Cmd::Stop => return,
+            WireCmd::Stop => return,
         }
     }
 }
 
-/// Serializes the worker's complete training state into a snapshot
-/// section (shared by the monolithic `Snapshot` and sharded
-/// `PublishShard` paths).
-fn capture_section<Tr: Transport>(
-    ctx: &mut WorkerCtx<Tr>,
-    optimizer: &Adam,
-    cb_link: &Option<CbLink>,
-    dp_state: &Option<DistPowerSgd>,
-) -> RankSection {
-    RankSection {
-        stage: ctx.stage_idx,
-        dp: ctx.dp_idx,
-        params: ctx.stage.export_state(),
-        optimizer: optimizer.to_bytes(),
-        cb_link: encode_cb_link(cb_link),
-        dp_state: encode_dp_state(dp_state),
+/// Rank `rank`'s half of every lane it touched: its sends and its
+/// receives. A `TcpTransport` endpoint records exactly that already; one
+/// `LocalTransport` counts for the whole world, so its peers' halves are
+/// masked out here and no lane is counted twice when the coordinator adds
+/// the per-rank replies back up.
+fn own_lanes(stats: Vec<ChannelStat>, rank: u32) -> Vec<ChannelStat> {
+    stats
+        .into_iter()
+        .filter(|lane| lane.src == rank || lane.dst == rank)
+        .map(|mut lane| {
+            if lane.src != rank {
+                (lane.sends, lane.send_bytes) = (0, 0);
+            }
+            if lane.dst != rank {
+                (lane.recvs, lane.recv_bytes) = (0, 0);
+            }
+            lane
+        })
+        .collect()
+}
+
+/// The shard store this worker checkpoints through.
+fn attached_store<Tr: Transport>(ctx: &WorkerCtx<Tr>) -> Result<Arc<dyn ShardStore>, CkptError> {
+    ctx.store.lock().clone().ok_or_else(|| CkptError::Store {
+        what: "no shard store is attached to this world".to_string(),
+    })
+}
+
+/// Reports a restore outcome. Rolled back to `iter`: iterations from
+/// there on will be replayed, so their samples are dropped first to keep
+/// the report identical to an uninterrupted run.
+fn reply_restored<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, id: u64, result: Result<u64, CkptError>) {
+    if let Ok(iter) = result {
+        ctx.samples.truncate_from(iter);
+    }
+    ctx.reply(CH_RESTORE, id, Outcome::from(result));
+}
+
+/// Everything a worker trains besides the model slice itself: exactly
+/// the state a checkpoint has to carry next to the parameters.
+struct TrainState {
+    optimizer: Adam,
+    /// Inter-stage compression state for the upstream (s -> s-1) link.
+    cb_link: Option<CbLink>,
+    /// DP compression state (selective stage / naive DP).
+    dp_state: Option<DistPowerSgd>,
+}
+
+impl TrainState {
+    /// Serializes the worker's complete training state into a snapshot
+    /// section (shared by the monolithic `Snapshot` and sharded
+    /// `PublishShard` paths).
+    fn capture<Tr: Transport>(&self, ctx: &mut WorkerCtx<Tr>) -> RankSection {
+        RankSection {
+            stage: ctx.stage_idx,
+            dp: ctx.dp_idx,
+            params: ctx.stage.export_state(),
+            optimizer: self.optimizer.to_bytes(),
+            cb_link: encode_cb_link(&self.cb_link),
+            dp_state: self.dp_state.to_bytes(),
+        }
+    }
+
+    /// Validate-then-apply, for every way a section reaches a worker:
+    /// decodes each opaque blob and checks the parameter shapes before
+    /// touching live state, so a rejected section leaves the worker
+    /// exactly as it was.
+    fn apply<Tr: Transport>(
+        &mut self,
+        ctx: &mut WorkerCtx<Tr>,
+        section: RankSection,
+    ) -> Result<(), CkptError> {
+        let restored = TrainState {
+            optimizer: Adam::from_bytes(&section.optimizer)?,
+            cb_link: decode_cb_link(&section.cb_link)?,
+            dp_state: Option::from_bytes(&section.dp_state)?,
+        };
+        let expected: Vec<(usize, usize)> =
+            ctx.stage.params().iter().map(|p| p.value.shape()).collect();
+        let shapes_match = section.params.len() == expected.len()
+            && section
+                .params
+                .iter()
+                .zip(&expected)
+                .all(|(m, &shape)| m.shape() == shape);
+        if !shapes_match {
+            return Err(CkptError::Decode(PersistError::Invalid {
+                what: "section parameter shapes do not match the stage",
+            }));
+        }
+        ctx.stage.import_state(&section.params);
+        *self = restored;
+        Ok(())
     }
 }
 
 /// The worker half of cross-host elastic restore: rendezvous on the
-/// store's manifest, fetch only this rank's shard, validate everything
+/// store's manifest, fetch only this rank's shard, and validate it
 /// (store-level checksum + size, shard codec, config fingerprint, rank
-/// identity, iteration), and only then overwrite the training state.
-///
-/// Nothing is mutated until every check has passed, so a rejected shard
-/// leaves the worker exactly as it was. Returns the iteration the applied
-/// shard was taken at.
-fn self_restore<Tr: Transport>(
-    ctx: &mut WorkerCtx<Tr>,
-    store: &dyn ShardStore,
-    optimizer: &mut Adam,
-    cb_link: &mut Option<CbLink>,
-    dp_state: &mut Option<DistPowerSgd>,
-) -> Result<u64, CkptError> {
+/// identity, iteration) before [`TrainState::apply`] sees it.
+fn fetch_shard<Tr: Transport>(ctx: &WorkerCtx<Tr>) -> Result<Shard, CkptError> {
     let s = ctx.stage_idx;
     let d = ctx.dp_idx;
-    let store_err = |e: opt_net::ShardStoreError| CkptError::Store {
-        what: e.to_string(),
-    };
+    let store = attached_store(ctx)?;
 
     // Rendezvous: resolve the (small) manifest and find our entry.
-    let manifest = ShardManifest::decode(&store.get(MANIFEST_FILE).map_err(store_err)?)?;
-    let fingerprint = ctx.cfg.fingerprint();
-    if manifest.meta.config_fingerprint != fingerprint {
-        return Err(CkptError::ConfigMismatch {
-            snapshot: manifest.meta.config_fingerprint,
-            config: fingerprint,
-        });
-    }
-    if (manifest.meta.pp, manifest.meta.dp) != (ctx.cfg.pp, ctx.cfg.dp) {
-        return Err(CkptError::WorldMismatch {
-            snapshot: (manifest.meta.pp, manifest.meta.dp),
-            config: (ctx.cfg.pp, ctx.cfg.dp),
-        });
-    }
+    let manifest = resolve_manifest(&ctx.cfg, store.as_ref())?;
     let entry = manifest
         .entry(s, d)
         .ok_or(CkptError::MissingRank { stage: s, dp: d })?;
@@ -485,32 +459,7 @@ fn self_restore<Tr: Transport>(
         });
     }
     shard.validate_against(&manifest.meta)?;
-
-    // Decode every opaque blob and check parameter shapes before touching
-    // live state.
-    let section = shard.section;
-    let new_optimizer = Adam::from_bytes(&section.optimizer)?;
-    let new_cb_link = decode_cb_link(&section.cb_link)?;
-    let new_dp_state = decode_dp_state(&section.dp_state)?;
-    let expected: Vec<(usize, usize)> =
-        ctx.stage.params().iter().map(|p| p.value.shape()).collect();
-    let shapes_match = section.params.len() == expected.len()
-        && section
-            .params
-            .iter()
-            .zip(&expected)
-            .all(|(m, &shape)| m.shape() == shape);
-    if !shapes_match {
-        return Err(CkptError::Decode(PersistError::Invalid {
-            what: "shard parameter shapes do not match the stage",
-        }));
-    }
-
-    ctx.stage.import_state(&section.params);
-    *optimizer = new_optimizer;
-    *cb_link = new_cb_link;
-    *dp_state = new_dp_state;
-    Ok(shard.iter)
+    Ok(shard)
 }
 
 /// Deterministic batch key shared by the first and last stages.
@@ -518,17 +467,19 @@ fn batch_key(iter: u64, d: usize, micro: usize) -> u64 {
     iter * 1_000_003 + (d as u64) * 1009 + micro as u64
 }
 
-#[allow(clippy::too_many_arguments)]
 fn train_iter<Tr: Transport + Send + Sync + 'static>(
     ctx: &mut WorkerCtx<Tr>,
     schedule: &opt_schedule::PipelineSchedule,
-    optimizer: &mut Adam,
-    cb_link: &mut Option<CbLink>,
-    dp_state: &mut Option<DistPowerSgd>,
+    state: &mut TrainState,
     iter: u64,
-    my_rank: usize,
     act_dense_bytes: impl Fn(&Matrix) -> u64,
 ) {
+    let TrainState {
+        optimizer,
+        cb_link,
+        dp_state,
+    } = state;
+    let my_rank = ctx.rank();
     let pp = ctx.cfg.pp;
     let s = ctx.stage_idx;
     let d = ctx.dp_idx;
@@ -584,7 +535,7 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
                         .corpus
                         .train_batch(ctx.cfg.micro_batch, batch_key(iter, d, micro));
                     let out = cross_entropy(&hidden, &batch.targets);
-                    ctx.collector.record_train(iter, out.loss);
+                    ctx.samples.train.push((iter, out.loss));
                     grad_queue.push_back(out.grad_logits);
                 } else {
                     let bytes = act_dense_bytes(&hidden);
@@ -645,7 +596,7 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
                                 if let (Some(eps), Some(diff)) =
                                     (link.error(), act_diffs.get(&micro))
                                 {
-                                    ctx.collector.record_error_stat(ErrorStatPoint {
+                                    ctx.samples.error_stats.push(ErrorStatPoint {
                                         iter,
                                         stage: s,
                                         error_mean: eps.mean_all(),
@@ -783,7 +734,7 @@ fn validate<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, iter: u64, index: u64, n_seq
             let h = ctx.stage.forward_tokens(&batch.tokens);
             if pp == 1 {
                 let out = cross_entropy(&h, &batch.targets);
-                ctx.collector.record_val(iter, out.loss);
+                ctx.samples.val.push((iter, out.loss));
             } else {
                 ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
             }
@@ -796,7 +747,7 @@ fn validate<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, iter: u64, index: u64, n_seq
             if s == pp - 1 {
                 let batch = ctx.corpus.validation_batch(ctx.cfg.micro_batch, key);
                 let out = cross_entropy(&h, &batch.targets);
-                ctx.collector.record_val(iter, out.loss);
+                ctx.samples.val.push((iter, out.loss));
             } else {
                 ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
             }
@@ -840,9 +791,7 @@ fn predict<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, id: u64, tokens: &[usize]) {
         .map(|q| preds[q * seq_len + seq_len - 1])
         .collect();
     ctx.stage.clear_caches();
-    ctx.predict_out
-        .send((id, answers))
-        .expect("trainer dropped predict channel");
+    ctx.reply(CH_PREDICT, id, answers);
 }
 
 /// Per-rank ring all-reduce wire bytes for `elems` fp16 elements.

@@ -156,3 +156,17 @@ fn dp_ranks_stay_in_sync() {
     t.shutdown();
     assert!(report.train_loss.iter().all(|l| l.is_finite()));
 }
+
+#[test]
+#[should_panic(expected = "outside the vocabulary")]
+fn predict_rejects_out_of_vocabulary_tokens() {
+    // On dp >= 2 the bad id used to kill dp 0's stage-0 worker inside the
+    // embedding lookup while the other workers kept the reply channel
+    // open, so the call never returned.
+    let mut cfg = TrainerConfig::tiny_test(QualityConfig::baseline(), 1);
+    cfg.pp = 1;
+    cfg.dp = 2;
+    let (vocab, seq_len) = (cfg.model.vocab, cfg.model.seq_len);
+    let mut t = Trainer::launch(cfg);
+    t.predict(&vec![vocab; seq_len]);
+}

@@ -237,11 +237,11 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
 /// fused embedding group spanning both.
 ///
 /// Each [`CollectiveWorld::group`] call claims the next collective channel
-/// id, so on a distributed backend **every process must create its groups
-/// in the same order** — the same rule `torch.distributed.new_group`
-/// imposes. (In a single-process world the trainer creates each group
-/// once and clones it to the member threads, which is trivially
-/// consistent.)
+/// id, so **every member of a world must create its groups in the same
+/// order** — the same rule `torch.distributed.new_group` imposes. (The
+/// trainer's workers, threads and processes alike, each carve theirs out
+/// of a world of their own over the shared transport; a single-process
+/// caller may also create a group once and clone it to its members.)
 pub struct CollectiveWorld<Tr: Transport = LocalTransport> {
     transport: Arc<Tr>,
     next_group: AtomicU64,

@@ -235,193 +235,80 @@ pub fn snapshot_bytes(cfg: &SimConfig) -> f64 {
     ((stage_params + emb_params) * 12) as f64
 }
 
-/// Simulates `iters` training iterations under `plan`, pricing snapshot
-/// writes and the elastic restart with `costs`.
-///
-/// Mirrors `optimus_cc::run_with_faults` event for event: snapshot after
-/// every `snapshot_every`-th iteration (except the last), one failure once
-/// `kill_at_iter` iterations complete, restart from the newest snapshot
-/// (or from scratch), replay the lost iterations, finish the run.
-///
-/// # Example
-///
-/// ```
-/// use opt_ckpt::FaultPlan;
-/// use opt_sim::{simulate_with_faults, CkptCostModel, SimConfig};
-///
-/// let cfg = SimConfig::paper_gpt_2_5b();
-/// let costs = CkptCostModel::paper_cluster();
-/// let r = simulate_with_faults(&cfg, 100, &FaultPlan::new(3, 55, 10), &costs);
-/// assert!(r.total_time_s > r.ideal_time_s);
-/// assert!(r.replay_time_s > 0.0);
-/// ```
-pub fn simulate_with_faults(
-    cfg: &SimConfig,
-    iters: u64,
-    plan: &FaultPlan,
-    costs: &CkptCostModel,
-) -> FaultSimResult {
-    simulate_with_faults_impl(
-        cfg,
-        iters,
-        plan,
-        costs,
-        CkptIo::Monolithic,
-        Recovery::FullRelaunch,
-    )
-}
-
 /// How checkpoint bytes move in a simulated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum CkptIo {
-    /// Monolithic snapshot through the shared filesystem.
+pub enum CkptIo {
+    /// Monolithic snapshot through the shared filesystem
+    /// ([`CkptCostModel::monolithic_io_s`]) — the cost twin of
+    /// `optimus_cc::Recovery::Monolithic`.
     Monolithic,
     /// Per-rank shards at NIC bandwidth (the historical sharded pricing,
-    /// no per-operation cost).
+    /// [`CkptCostModel::sharded_io_s`]: manifest rendezvous plus a
+    /// parallel per-rank fetch of `1/world` of the state, no
+    /// per-operation cost).
     Sharded,
-    /// Per-rank shards over an explicit store transport.
+    /// Per-rank shards over an explicit store transport:
+    /// [`StoreTransport::Local`] (in-process memory store, the twin of
+    /// `optimus_cc::Recovery::Sharded`) or [`StoreTransport::Tcp`] (the
+    /// real wire of the process worlds: per-operation connection setup
+    /// plus NIC-bound framed transfers).
     ShardedVia(StoreTransport),
-}
-
-/// [`simulate_with_faults`], but checkpointing through per-rank shards:
-/// snapshot writes and the post-failure restore pay the sharded I/O cost
-/// ([`CkptCostModel::sharded_io_s`] — manifest rendezvous plus a parallel
-/// per-rank fetch of `1/world` of the state) instead of the monolithic
-/// broadcast through the shared filesystem
-/// ([`CkptCostModel::monolithic_io_s`]). Mirrors
-/// `optimus_cc::run_with_faults_sharded` the way [`simulate_with_faults`]
-/// mirrors `run_with_faults`.
-///
-/// # Example
-///
-/// ```
-/// use opt_ckpt::FaultPlan;
-/// use opt_sim::{simulate_with_faults, simulate_with_faults_sharded, CkptCostModel, SimConfig};
-///
-/// let cfg = SimConfig::paper_gpt_2_5b();
-/// let costs = CkptCostModel::paper_cluster();
-/// let plan = FaultPlan::new(3, 55, 10);
-/// let mono = simulate_with_faults(&cfg, 100, &plan, &costs);
-/// let shard = simulate_with_faults_sharded(&cfg, 100, &plan, &costs);
-/// // Same failure, same replay — only the checkpoint I/O differs.
-/// assert_eq!(mono.replay_time_s, shard.replay_time_s);
-/// assert!(shard.snapshot_overhead_s < mono.snapshot_overhead_s);
-/// ```
-pub fn simulate_with_faults_sharded(
-    cfg: &SimConfig,
-    iters: u64,
-    plan: &FaultPlan,
-    costs: &CkptCostModel,
-) -> FaultSimResult {
-    simulate_with_faults_impl(
-        cfg,
-        iters,
-        plan,
-        costs,
-        CkptIo::Sharded,
-        Recovery::FullRelaunch,
-    )
-}
-
-/// [`simulate_with_faults_sharded`] with the transport dimension: prices
-/// every shard publish/fetch over `transport` —
-/// [`StoreTransport::Local`] (in-process memory store) or
-/// [`StoreTransport::Tcp`] (the real wire: per-operation connection
-/// setup plus NIC-bound framed transfers). This is the cost twin of
-/// `optimus_cc::run_with_faults_sharded` (Local) versus
-/// `optimus_cc::run_with_faults_sharded_proc` (Tcp).
-///
-/// # Example
-///
-/// ```
-/// use opt_ckpt::FaultPlan;
-/// use opt_sim::{simulate_with_faults_sharded_via, CkptCostModel, SimConfig, StoreTransport};
-///
-/// let cfg = SimConfig::paper_gpt_2_5b();
-/// let costs = CkptCostModel::paper_cluster();
-/// let plan = FaultPlan::new(3, 55, 10);
-/// let local = simulate_with_faults_sharded_via(&cfg, 100, &plan, &costs, StoreTransport::Local);
-/// let tcp = simulate_with_faults_sharded_via(&cfg, 100, &plan, &costs, StoreTransport::Tcp);
-/// // Same failure, same replay — the real wire only costs more I/O time.
-/// assert_eq!(local.replay_time_s, tcp.replay_time_s);
-/// assert!(local.snapshot_overhead_s < tcp.snapshot_overhead_s);
-/// ```
-pub fn simulate_with_faults_sharded_via(
-    cfg: &SimConfig,
-    iters: u64,
-    plan: &FaultPlan,
-    costs: &CkptCostModel,
-    transport: StoreTransport,
-) -> FaultSimResult {
-    simulate_with_faults_impl(
-        cfg,
-        iters,
-        plan,
-        costs,
-        CkptIo::ShardedVia(transport),
-        Recovery::FullRelaunch,
-    )
-}
-
-/// [`simulate_with_faults_sharded_via`], but recovering through the
-/// elastic single-rank **rejoin** protocol instead of a whole-world
-/// relaunch — the cost twin of `optimus_cc::run_with_faults_rejoin`.
-/// The failure is flagged by the heartbeat detector
-/// ([`CkptCostModel::hb_detection_s`], not the NCCL-timeout
-/// `detection_s`), survivors pay one quiesce barrier, only the dead rank
-/// is relaunched, and the world rolls back with a parallel sharded
-/// re-fetch. A failure before the first committed snapshot cannot be
-/// healed by rejoin (the real runtime escalates
-/// `WorldError::Unrecoverable`) and is priced as a from-scratch full
-/// relaunch after the heartbeat verdict.
-///
-/// # Example
-///
-/// ```
-/// use opt_ckpt::FaultPlan;
-/// use opt_sim::{
-///     simulate_with_faults_rejoin, simulate_with_faults_sharded_via, CkptCostModel, SimConfig,
-///     StoreTransport,
-/// };
-///
-/// let cfg = SimConfig::paper_gpt_2_5b();
-/// let costs = CkptCostModel::paper_cluster();
-/// let plan = FaultPlan::new(3, 55, 10);
-/// let full = simulate_with_faults_sharded_via(&cfg, 100, &plan, &costs, StoreTransport::Tcp);
-/// let rejoin = simulate_with_faults_rejoin(&cfg, 100, &plan, &costs, StoreTransport::Tcp);
-/// // Same failure, same replay — rejoin only shrinks the downtime.
-/// assert_eq!(full.replay_time_s, rejoin.replay_time_s);
-/// assert!(rejoin.restart_overhead_s < full.restart_overhead_s);
-/// ```
-pub fn simulate_with_faults_rejoin(
-    cfg: &SimConfig,
-    iters: u64,
-    plan: &FaultPlan,
-    costs: &CkptCostModel,
-    transport: StoreTransport,
-) -> FaultSimResult {
-    simulate_with_faults_impl(
-        cfg,
-        iters,
-        plan,
-        costs,
-        CkptIo::ShardedVia(transport),
-        Recovery::Rejoin,
-    )
 }
 
 /// How a simulated run gets back to training after its failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Recovery {
+pub enum Recovery {
     /// Tear the whole world down and relaunch every rank (NCCL-timeout
     /// detection, scheduler round-trip).
     FullRelaunch,
-    /// Elastic single-rank rejoin: heartbeat detection, survivor quiesce,
-    /// one rank relaunched into the live mesh.
+    /// Elastic single-rank rejoin — the cost twin of
+    /// `optimus_cc::Recovery::Rejoin`: the failure is flagged by the
+    /// heartbeat detector ([`CkptCostModel::hb_detection_s`], not the
+    /// NCCL-timeout `detection_s`), survivors pay one quiesce barrier,
+    /// only the dead rank is relaunched, and the world rolls back with a
+    /// parallel sharded re-fetch. A failure before the first committed
+    /// snapshot cannot be healed by rejoin (the real runtime escalates
+    /// `WorldError::Unrecoverable`) and is priced as a from-scratch full
+    /// relaunch after the heartbeat verdict.
     Rejoin,
 }
 
-fn simulate_with_faults_impl(
+/// Simulates `iters` training iterations under `plan`, pricing snapshot
+/// writes (through `io`) and the restart (through `recovery`) with
+/// `costs`.
+///
+/// Mirrors `optimus_cc::run_with_faults` event for event: snapshot after
+/// every `snapshot_every`-th iteration (except the last), one failure once
+/// `kill_at_iter` iterations complete, restart from the newest snapshot
+/// (or from scratch), replay the lost iterations, finish the run. Only
+/// checkpoint I/O and downtime depend on `io` and `recovery`; the failure
+/// story and the replayed work do not.
+///
+/// # Example
+///
+/// ```
+/// use opt_ckpt::FaultPlan;
+/// use opt_sim::{simulate_with_faults, CkptCostModel, CkptIo, Recovery, SimConfig, StoreTransport};
+///
+/// let cfg = SimConfig::paper_gpt_2_5b();
+/// let costs = CkptCostModel::paper_cluster();
+/// let plan = FaultPlan::new(3, 55, 10);
+/// let run = |io, recovery| simulate_with_faults(&cfg, 100, &plan, &costs, io, recovery);
+/// let mono = run(CkptIo::Monolithic, Recovery::FullRelaunch);
+/// assert!(mono.total_time_s > mono.ideal_time_s);
+/// assert!(mono.replay_time_s > 0.0);
+/// // Sharded checkpoints move less per rank; the real wire costs more
+/// // than shared memory; rejoin only shrinks the downtime.
+/// let shard = run(CkptIo::Sharded, Recovery::FullRelaunch);
+/// let tcp = run(CkptIo::ShardedVia(StoreTransport::Tcp), Recovery::FullRelaunch);
+/// let local = run(CkptIo::ShardedVia(StoreTransport::Local), Recovery::FullRelaunch);
+/// let rejoin = run(CkptIo::ShardedVia(StoreTransport::Tcp), Recovery::Rejoin);
+/// assert!(shard.snapshot_overhead_s < mono.snapshot_overhead_s);
+/// assert!(local.snapshot_overhead_s < tcp.snapshot_overhead_s);
+/// assert!(rejoin.restart_overhead_s < tcp.restart_overhead_s);
+/// assert_eq!(mono.replay_time_s, rejoin.replay_time_s);
+/// ```
+pub fn simulate_with_faults(
     cfg: &SimConfig,
     iters: u64,
     plan: &FaultPlan,
@@ -524,7 +411,14 @@ mod tests {
     #[test]
     fn accounting_adds_up() {
         let (cfg, costs) = base();
-        let r = simulate_with_faults(&cfg, 60, &FaultPlan::new(2, 45, 10), &costs);
+        let r = simulate_with_faults(
+            &cfg,
+            60,
+            &FaultPlan::new(2, 45, 10),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
         let sum = r.ideal_time_s + r.snapshot_overhead_s + r.restart_overhead_s + r.replay_time_s;
         assert!(
             (r.total_time_s - sum).abs() < 1e-6 * r.total_time_s,
@@ -538,7 +432,14 @@ mod tests {
     #[test]
     fn no_failure_means_only_snapshot_overhead() {
         let (cfg, costs) = base();
-        let r = simulate_with_faults(&cfg, 20, &FaultPlan::new(0, 1000, 5), &costs);
+        let r = simulate_with_faults(
+            &cfg,
+            20,
+            &FaultPlan::new(0, 1000, 5),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
         assert_eq!(r.restart_overhead_s, 0.0);
         assert_eq!(r.replay_time_s, 0.0);
         // Snapshots after iters 5, 10, 15 (20 is the final iteration).
@@ -555,8 +456,22 @@ mod tests {
     #[test]
     fn rarer_snapshots_trade_write_time_for_replay_time() {
         let (cfg, costs) = base();
-        let frequent = simulate_with_faults(&cfg, 100, &FaultPlan::new(1, 99, 5), &costs);
-        let rare = simulate_with_faults(&cfg, 100, &FaultPlan::new(1, 99, 50), &costs);
+        let frequent = simulate_with_faults(
+            &cfg,
+            100,
+            &FaultPlan::new(1, 99, 5),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
+        let rare = simulate_with_faults(
+            &cfg,
+            100,
+            &FaultPlan::new(1, 99, 50),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
         assert!(frequent.snapshot_overhead_s > rare.snapshot_overhead_s);
         assert!(frequent.replay_time_s < rare.replay_time_s);
     }
@@ -564,7 +479,14 @@ mod tests {
     #[test]
     fn failure_without_snapshot_replays_everything() {
         let (cfg, costs) = base();
-        let r = simulate_with_faults(&cfg, 10, &FaultPlan::new(0, 4, 0), &costs);
+        let r = simulate_with_faults(
+            &cfg,
+            10,
+            &FaultPlan::new(0, 4, 0),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
         assert!((r.replay_time_s - 4.0 * r.ideal_time_s / 10.0).abs() < 1e-9);
         assert!(r.events.iter().any(|e| matches!(
             e,
@@ -578,7 +500,14 @@ mod tests {
     #[test]
     fn events_are_time_ordered() {
         let (cfg, costs) = base();
-        let r = simulate_with_faults(&cfg, 40, &FaultPlan::new(0, 33, 8), &costs);
+        let r = simulate_with_faults(
+            &cfg,
+            40,
+            &FaultPlan::new(0, 33, 8),
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
         let times: Vec<f64> = r
             .events
             .iter()
@@ -615,8 +544,22 @@ mod tests {
     fn sharded_fault_sim_accounts_and_wins_on_io() {
         let (cfg, costs) = base();
         let plan = FaultPlan::new(2, 45, 10);
-        let mono = simulate_with_faults(&cfg, 60, &plan, &costs);
-        let shard = simulate_with_faults_sharded(&cfg, 60, &plan, &costs);
+        let mono = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::Monolithic,
+            Recovery::FullRelaunch,
+        );
+        let shard = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::Sharded,
+            Recovery::FullRelaunch,
+        );
         // Identical failure story: same events, same replayed work.
         assert_eq!(mono.events.len(), shard.events.len());
         assert_eq!(mono.replay_time_s, shard.replay_time_s);
@@ -666,9 +609,22 @@ mod tests {
     fn sharded_fault_sim_transport_dimension_only_moves_io_time() {
         let (cfg, costs) = base();
         let plan = FaultPlan::new(2, 45, 10);
-        let local =
-            simulate_with_faults_sharded_via(&cfg, 60, &plan, &costs, StoreTransport::Local);
-        let tcp = simulate_with_faults_sharded_via(&cfg, 60, &plan, &costs, StoreTransport::Tcp);
+        let local = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::ShardedVia(StoreTransport::Local),
+            Recovery::FullRelaunch,
+        );
+        let tcp = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::ShardedVia(StoreTransport::Tcp),
+            Recovery::FullRelaunch,
+        );
         // The failure story is transport-independent.
         assert_eq!(local.events.len(), tcp.events.len());
         assert_eq!(local.replay_time_s, tcp.replay_time_s);
@@ -689,8 +645,22 @@ mod tests {
     fn rejoin_recovery_shrinks_downtime_but_not_replay() {
         let (cfg, costs) = base();
         let plan = FaultPlan::new(2, 45, 10);
-        let full = simulate_with_faults_sharded_via(&cfg, 60, &plan, &costs, StoreTransport::Tcp);
-        let rejoin = simulate_with_faults_rejoin(&cfg, 60, &plan, &costs, StoreTransport::Tcp);
+        let full = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::ShardedVia(StoreTransport::Tcp),
+            Recovery::FullRelaunch,
+        );
+        let rejoin = simulate_with_faults(
+            &cfg,
+            60,
+            &plan,
+            &costs,
+            CkptIo::ShardedVia(StoreTransport::Tcp),
+            Recovery::Rejoin,
+        );
         // Identical failure story and replayed work — rejoin is purely a
         // downtime optimization.
         assert_eq!(full.events.len(), rejoin.events.len());
@@ -727,7 +697,14 @@ mod tests {
         // Killed at iteration 4 with the first snapshot due at 10: there
         // is nothing to splice a replacement against.
         let plan = FaultPlan::new(0, 4, 10);
-        let r = simulate_with_faults_rejoin(&cfg, 20, &plan, &costs, StoreTransport::Tcp);
+        let r = simulate_with_faults(
+            &cfg,
+            20,
+            &plan,
+            &costs,
+            CkptIo::ShardedVia(StoreTransport::Tcp),
+            Recovery::Rejoin,
+        );
         assert!((r.restart_overhead_s - (costs.hb_detection_s + costs.relaunch_s)).abs() < 1e-9);
         assert!(r.events.iter().any(|e| matches!(
             e,

@@ -52,8 +52,7 @@ pub use breakdown::{breakdown, breakdown_with_result, Breakdown};
 pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
 pub use engine::{simulate, SimResult, TraceEvent, TraceKind};
 pub use fault::{
-    simulate_with_faults, simulate_with_faults_rejoin, simulate_with_faults_sharded,
-    simulate_with_faults_sharded_via, snapshot_bytes, CkptCostModel, FaultEvent, FaultSimResult,
-    StoreTransport,
+    simulate_with_faults, snapshot_bytes, CkptCostModel, CkptIo, FaultEvent, FaultSimResult,
+    Recovery, StoreTransport,
 };
 pub use kernel::KernelModel;

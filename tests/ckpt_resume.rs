@@ -6,7 +6,7 @@
 //! the on-disk format.
 
 use optimus::ckpt::{CkptError, FaultPlan, Snapshot, MANIFEST_FILE};
-use optimus::core::{run_with_faults, QualityConfig, Trainer, TrainerConfig};
+use optimus::core::{run_with_faults, QualityConfig, Recovery, Trainer, TrainerConfig};
 use optimus::net::{MemShardStore, ShardStore, ShardStoreError, TrafficClass};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -98,7 +98,8 @@ fn fault_harness_reproduces_the_straight_run() {
     straight.shutdown();
 
     let plan = FaultPlan::new(1, 5, 3); // snapshot at 3 & 6, die at 5
-    let outcome = run_with_faults(&cfg, &plan).expect("faulted run completes");
+    let outcome =
+        run_with_faults(&cfg, &plan, &Recovery::Monolithic).expect("faulted run completes");
     assert_eq!(outcome.restarts, 1);
     assert_eq!(outcome.resumed_from, Some(3));
     assert_eq!(outcome.lost_iters, 2);
