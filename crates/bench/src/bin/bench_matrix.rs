@@ -638,9 +638,10 @@ fn run_transport(b: &Budget) -> BenchFile {
     });
 
     // Typed vs byte hops over one LocalTransport lane: the microbench
-    // guarding the zero-copy fast path. The byte path pays one Persist
-    // encode + decode per hop; the typed path hands the value off as an
-    // `Arc` and pays neither.
+    // guarding the zero-copy handoff. The byte row pays what a
+    // byte-boundary backend pays at its socket — one Persist encode +
+    // decode per hop; the typed row hands the value off as an `Arc` and
+    // pays neither.
     const HOPS: usize = 128;
     let hop_timeout = std::time::Duration::from_secs(5);
     let hop = SeedStream::new(0x40B).uniform_matrix(64, 64, 1.0);
@@ -648,8 +649,10 @@ fn run_transport(b: &Budget) -> BenchFile {
     let byte_t = LocalTransport::new(2);
     let byte_ns = time_best_ns(b.warmup, b.reps, || {
         for _ in 0..HOPS {
-            byte_t.send(0, 1, 11, hop.to_bytes()).expect("byte send");
-            let bytes = byte_t.recv(0, 1, 11, hop_timeout).expect("byte recv");
+            byte_t
+                .send_value(0, 1, 11, hop.to_bytes())
+                .expect("byte send");
+            let bytes: Vec<u8> = byte_t.recv_value(0, 1, 11, hop_timeout).expect("byte recv");
             std::hint::black_box(Matrix::from_bytes(&bytes).expect("byte decode"));
         }
     }) / HOPS as f64;

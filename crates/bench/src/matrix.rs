@@ -48,13 +48,12 @@ pub const TRAJECTORY_FILE: &str = "BENCH_trajectory.json";
 
 /// Environment knobs recorded in the machine fingerprint when set: they
 /// change what a benchmark *measures* (kernel-pool width, net timeouts,
-/// forced kernel arch, sparse crossover), so a run under an override must
-/// never be silently compared against a baseline measured without it.
-pub const PROVENANCE_ENV_VARS: [&str; 4] = [
+/// forced kernel arch), so a run under an override must never be silently
+/// compared against a baseline measured without it.
+pub const PROVENANCE_ENV_VARS: [&str; 3] = [
     "OPT_KERNEL_THREADS",
     "OPT_NET_TIMEOUT_MS",
     "OPT_KERNEL_ARCH",
-    "OPT_SPARSE_DENSITY_MAX",
 ];
 
 /// Machine fingerprint recorded in every benchmark file.

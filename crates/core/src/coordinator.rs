@@ -165,7 +165,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
                         return Err(TransportError::Disconnected { peer: rank }.into());
                     }
                 }
-                Err(TransportError::Decode { detail }) => {
+                Err(TransportError::Decode { detail, .. }) => {
                     return Err(ProcError::Protocol(format!(
                         "malformed control message from rank {rank}: {detail}"
                     )))

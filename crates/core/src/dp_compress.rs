@@ -78,11 +78,14 @@ impl DistPowerSgd {
         let (n, m) = grad.shape();
         if n == 1 || m == 1 {
             // Dense fallback for vectors (biases, LN params).
-            let wire = ring_wire_bytes(grad.len(), group.size());
-            ledger.record(TrafficClass::DataParallel, wire);
-            *grad = group
-                .all_reduce_mean(my_rank, grad.clone())
-                .expect("dense all-reduce decode");
+            *grad = all_reduce_recorded(
+                ledger,
+                TrafficClass::DataParallel,
+                group,
+                my_rank,
+                grad.clone(),
+                true,
+            );
             return;
         }
         let r = self.effective_rank(n, m);
@@ -99,12 +102,12 @@ impl DistPowerSgd {
         let p_local = corrected.matmul(&q_start);
         let mut p = group
             .all_reduce_mean(my_rank, p_local)
-            .expect("P factor all-reduce decode");
+            .expect("P factor all-reduce");
         orthonormalize_columns(&mut p);
         let q_local = corrected.t_matmul(&p);
         let q = group
             .all_reduce_mean(my_rank, q_local)
-            .expect("Q factor all-reduce decode");
+            .expect("Q factor all-reduce");
         let approx = p.matmul_t(&q);
         // Residual holds the *local* information the factorization lost.
         self.residual[slot] = Some(corrected.sub(&approx));
@@ -147,12 +150,39 @@ impl Persist for DistPowerSgd {
     }
 }
 
-/// Per-rank ring all-reduce wire bytes for `elems` fp16 elements.
+/// Per-rank ring all-reduce wire bytes for `elems` fp16 elements — the
+/// trainer's one modeled-bytes formula. Integer arithmetic on purpose: the
+/// ledger totals are exact and their digest is pinned.
 fn ring_wire_bytes(elems: usize, ranks: usize) -> u64 {
     if ranks <= 1 {
         return 0;
     }
     (2 * elems * opt_compress::FP16_BYTES) as u64 * (ranks as u64 - 1) / ranks as u64
+}
+
+/// One uncompressed all-reduce of `m` over `group` as the trainer does
+/// it: records the modeled ring bytes under `class`, then reduces to the
+/// mean (`mean`) or the sum.
+///
+/// # Panics
+///
+/// Panics if the transport fails mid-round; a worker cannot continue an
+/// iteration whose collective broke.
+pub(crate) fn all_reduce_recorded<Tr: Transport>(
+    ledger: &TrafficLedger,
+    class: TrafficClass,
+    group: &CollectiveGroup<Tr>,
+    my_rank: usize,
+    m: Matrix,
+    mean: bool,
+) -> Matrix {
+    ledger.record(class, ring_wire_bytes(m.len(), group.size()));
+    let reduced = if mean {
+        group.all_reduce_mean(my_rank, m)
+    } else {
+        group.all_reduce_sum(my_rank, m)
+    };
+    reduced.unwrap_or_else(|e| panic!("{class} all-reduce failed at rank {my_rank}: {e}"))
 }
 
 #[cfg(test)]

@@ -409,8 +409,8 @@ impl ProcTrainer {
 
     /// Watches the heartbeat lanes for up to `timeout` and returns the
     /// first rank the failure detector declares dead — silence longer
-    /// than `OPT_NET_HEARTBEAT_MS × OPT_NET_HEARTBEAT_MISSES`. Returns
-    /// `None` if every rank kept beating for the whole window.
+    /// than ten `OPT_NET_HEARTBEAT_MS` intervals. Returns `None` if
+    /// every rank kept beating for the whole window.
     ///
     /// This is how a dead rank is *detected*: the coordinator notices the
     /// missing beats instead of a survivor tripping a long recv timeout

@@ -7,7 +7,7 @@ use crate::control::{
     CH_METRICS, CH_PREDICT, CH_RESTORE, CH_SECTION, CH_SHARD, CH_TRACE, CTRL_TIMEOUT,
 };
 use crate::coordinator::resolve_manifest;
-use crate::dp_compress::DistPowerSgd;
+use crate::dp_compress::{all_reduce_recorded, DistPowerSgd};
 use crate::stats::{ErrorStatPoint, RawSamples};
 use opt_ckpt::{shard_file_name, CkptError, RankSection, Shard, ShardEntry};
 use opt_compress::{Compressed, LazyErrorPropagator, PowerSgd, TopK, FP16_BYTES};
@@ -626,6 +626,12 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
         "schedule left dangling caches"
     );
 
+    // Every uncompressed all-reduce of the iteration: ledger entry, then
+    // the reduction.
+    let reduce = |class, group: &CollectiveGroup<Tr>, m, mean| {
+        all_reduce_recorded(&ctx.ledger, class, group, my_rank, m, mean)
+    };
+
     // ----- Data-parallel gradient exchange ------------------------------
     {
         let _dp_span = opt_trace::begin(SpanKind::DpExchange, iter, NO_MICRO, 0, 0);
@@ -638,14 +644,12 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
             }
             None => {
                 for p in params.iter_mut() {
-                    ctx.ledger.record(
+                    *p.grad = reduce(
                         TrafficClass::DataParallel,
-                        ring_wire_bytes(p.grad.len(), ctx.stage_group.size()),
+                        &ctx.stage_group,
+                        p.grad.clone(),
+                        true,
                     );
-                    *p.grad = ctx
-                        .stage_group
-                        .all_reduce_mean(my_rank, p.grad.clone())
-                        .expect("DP all-reduce decode");
                 }
             }
         }
@@ -665,14 +669,7 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
     if pp == 1 {
         // Single replica: the table gradient rides the plain DP path.
         if let Some(g) = ctx.stage.embedding_grad().cloned() {
-            ctx.ledger.record(
-                TrafficClass::Embedding,
-                ring_wire_bytes(g.len(), ctx.stage_group.size()),
-            );
-            let synced = ctx
-                .stage_group
-                .all_reduce_mean(my_rank, g)
-                .expect("embedding all-reduce decode");
+            let synced = reduce(TrafficClass::Embedding, &ctx.stage_group, g, true);
             ctx.stage.set_embedding_grad(synced);
         }
     } else if let Some(g) = ctx.stage.embedding_grad().cloned() {
@@ -681,32 +678,17 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
             // One (2D)-way all-reduce: sum over both replicas' groups,
             // divided by D = mean over data ranks of (first + last).
             let fused = ctx.fused_group.as_ref().expect("end stage has fused group");
-            ctx.ledger.record(
-                TrafficClass::Embedding,
-                ring_wire_bytes(g.len(), fused.size()),
-            );
-            let mut summed = fused
-                .all_reduce_sum(my_rank, g)
-                .expect("fused embedding all-reduce decode");
+            let mut summed = reduce(TrafficClass::Embedding, fused, g, false);
             summed.scale_assign(1.0 / dp_ways as f32);
             ctx.stage.set_embedding_grad(summed);
         } else {
             // Baseline: EMB DP (D-way mean) then 2-way sum (paper Fig. 7a).
-            ctx.ledger
-                .record(TrafficClass::Embedding, ring_wire_bytes(g.len(), dp_ways));
-            let meaned = ctx
-                .stage_group
-                .all_reduce_mean(my_rank, g)
-                .expect("embedding DP all-reduce decode");
+            let meaned = reduce(TrafficClass::Embedding, &ctx.stage_group, g, true);
             let pair = ctx
                 .emb_pair_group
                 .as_ref()
                 .expect("end stage has pair group");
-            ctx.ledger
-                .record(TrafficClass::Embedding, ring_wire_bytes(meaned.len(), 2));
-            let synced = pair
-                .all_reduce_sum(my_rank, meaned)
-                .expect("embedding pair all-reduce decode");
+            let synced = reduce(TrafficClass::Embedding, pair, meaned, false);
             ctx.stage.set_embedding_grad(synced);
         }
     }
@@ -792,12 +774,4 @@ fn predict<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, id: u64, tokens: &[usize]) {
         .collect();
     ctx.stage.clear_caches();
     ctx.reply(CH_PREDICT, id, answers);
-}
-
-/// Per-rank ring all-reduce wire bytes for `elems` fp16 elements.
-fn ring_wire_bytes(elems: usize, ranks: usize) -> u64 {
-    if ranks <= 1 {
-        return 0;
-    }
-    (2 * elems * FP16_BYTES) as u64 * (ranks as u64 - 1) / ranks as u64
 }

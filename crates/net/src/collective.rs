@@ -9,7 +9,6 @@
 //! [`crate::TcpTransport`] world (the wire codec round-trips `f32` bits
 //! exactly).
 
-use crate::p2p::RecvError;
 use crate::transport::{
     channel_id, net_timeout, LocalTransport, SharedPayload, Transport, TransportError,
 };
@@ -56,9 +55,8 @@ pub struct CollectiveGroup<Tr: Transport = LocalTransport> {
     /// worker threads on the process-global environment lock).
     timeout: std::time::Duration,
     /// Which member positions are currently inside a round — shared by
-    /// every in-process clone, so the misuse the pre-transport
-    /// implementation caught (two threads contributing as the same rank
-    /// concurrently) still panics deterministically instead of
+    /// every in-process clone, so two threads contributing as the same
+    /// rank concurrently panic deterministically instead of
     /// desynchronizing the lane FIFOs.
     in_flight: Arc<parking_lot::Mutex<Vec<bool>>>,
 }
@@ -103,35 +101,6 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
         self.members.len()
     }
 
-    fn expect_ok<T>(&self, what: &str, peer: usize, r: Result<T, TransportError>) -> T {
-        r.unwrap_or_else(|e| {
-            panic!(
-                "all-reduce {what} with rank {peer} failed in group {:?} on channel {:#x}: {e}",
-                self.members, self.channel
-            )
-        })
-    }
-
-    /// Maps a typed-receive failure: decode failures become a
-    /// [`RecvError::Decode`] the caller can propagate; everything else
-    /// (peer death, corruption, timeout) panics with group context, as
-    /// every transport failure here always has.
-    fn recv_matrix(&self, what: &str, src: usize, dst: usize) -> Result<Matrix, RecvError> {
-        match self
-            .transport
-            .recv_value::<Matrix>(src, dst, self.channel, self.timeout)
-        {
-            Ok(m) => Ok(m),
-            Err(TransportError::Decode { detail }) => Err(RecvError::Decode {
-                src,
-                dst,
-                channel: self.channel,
-                detail,
-            }),
-            Err(e) => Ok(self.expect_ok(what, src, Err::<Matrix, _>(e))),
-        }
-    }
-
     /// Contributes `m` on behalf of global rank `rank` and returns the
     /// element-wise sum over all members. Blocks until every member has
     /// contributed.
@@ -144,17 +113,17 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
     ///
     /// # Errors
     ///
-    /// Returns [`RecvError::Decode`] if a delivered payload could not
-    /// become a [`Matrix`] — the transport's integrity checks passed, so
-    /// this means the channel is being used inconsistently (a code bug,
-    /// not a wire fault), and the caller decides whether that is fatal.
+    /// Returns the [`TransportError`] of the first send or receive of the
+    /// round that failed — a dead peer, a corrupt frame, a payload that
+    /// is not a [`Matrix`], or a timeout (in a correct schedule, a
+    /// deadlock bug). The round is over for this member either way, so
+    /// the group can be used again once the world has recovered.
     ///
     /// # Panics
     ///
-    /// Panics if `rank` is not a member, if shapes mismatch across members,
-    /// or if the transport fails (peer death, frame corruption, timeout —
-    /// in a correct schedule a timeout means a deadlock bug).
-    pub fn all_reduce_sum(&self, rank: usize, m: Matrix) -> Result<Matrix, RecvError> {
+    /// Panics if `rank` is not a member, if shapes mismatch across
+    /// members, or if `rank` is already inside a round on another thread.
+    pub fn all_reduce_sum(&self, rank: usize, m: Matrix) -> Result<Matrix, TransportError> {
         let pos = self
             .members
             .iter()
@@ -178,15 +147,19 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
         pos: usize,
         rank: usize,
         m: Matrix,
-    ) -> Result<Matrix, RecvError> {
+    ) -> Result<Matrix, TransportError> {
         let root = self.members[0];
+        let recv = |src, dst| {
+            self.transport
+                .recv_value::<Matrix>(src, dst, self.channel, self.timeout)
+        };
         if pos == 0 {
             // Root: gather in member order — the accumulation order (and
             // therefore every f32 rounding step) is fixed by the member
             // list, not by arrival order.
             let mut acc = m;
             for &peer in &self.members[1..] {
-                let part = self.recv_matrix("gather", peer, root)?;
+                let part = recv(peer, root)?;
                 assert_eq!(acc.shape(), part.shape(), "all-reduce shape mismatch");
                 acc.add_assign(&part);
             }
@@ -195,21 +168,13 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
             // the matrix once into the shared cache.
             let payload = SharedPayload::new(acc.clone());
             for &peer in &self.members[1..] {
-                self.expect_ok(
-                    "broadcast",
-                    peer,
-                    self.transport
-                        .send_shared(root, peer, self.channel, &payload),
-                );
+                self.transport
+                    .send_shared(root, peer, self.channel, &payload)?;
             }
             Ok(acc)
         } else {
-            self.expect_ok(
-                "contribute",
-                root,
-                self.transport.send_value(rank, root, self.channel, m),
-            );
-            self.recv_matrix("result", root, rank)
+            self.transport.send_value(rank, root, self.channel, m)?;
+            recv(root, rank)
         }
     }
 
@@ -222,7 +187,7 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
     /// # Panics
     ///
     /// Same conditions as [`CollectiveGroup::all_reduce_sum`].
-    pub fn all_reduce_mean(&self, rank: usize, m: Matrix) -> Result<Matrix, RecvError> {
+    pub fn all_reduce_mean(&self, rank: usize, m: Matrix) -> Result<Matrix, TransportError> {
         let mut sum = self.all_reduce_sum(rank, m)?;
         sum.scale_assign(1.0 / self.size() as f32);
         Ok(sum)
@@ -310,6 +275,7 @@ impl<Tr: Transport> CollectiveWorld<Tr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::FailingTransport;
     use std::thread;
 
     fn run_group(members: Vec<usize>, inputs: Vec<Matrix>) -> Vec<Matrix> {
@@ -410,12 +376,34 @@ mod tests {
         let group = world.group(&[0, 1]);
         let g2 = group.clone();
         // Rank 0 enters a round and blocks waiting on rank 1; a second
-        // thread contributing as rank 0 again must panic (the guard the
-        // pre-transport implementation enforced), not desynchronize the
-        // lanes.
+        // thread contributing as rank 0 again must panic, not
+        // desynchronize the lanes.
         let _blocked = thread::spawn(move || g2.all_reduce_sum(0, Matrix::zeros(1, 1)));
         thread::sleep(std::time::Duration::from_millis(200));
         let _ = group.all_reduce_sum(0, Matrix::zeros(1, 1));
+    }
+
+    #[test]
+    fn peer_lost_mid_gather_is_an_error_and_ends_the_round() {
+        // Rank 1 contributes, rank 2 is dead: its lane is empty and stays
+        // so. The root gathers rank 1's part, then fails on rank 2.
+        let dead = TransportError::Disconnected { peer: 2 };
+        let transport = Arc::new(FailingTransport {
+            inner: LocalTransport::new(3),
+            error: dead.clone(),
+        });
+        let group = CollectiveWorld::over(Arc::clone(&transport)).group(&[0, 1, 2]);
+        transport
+            .send_value(1, 0, group.channel, Matrix::full(1, 1, 1.0))
+            .unwrap();
+        let err = group
+            .all_reduce_sum(0, Matrix::full(1, 1, 1.0))
+            .unwrap_err();
+        assert_eq!(err, dead);
+        assert_eq!(*group.in_flight.lock(), vec![false; 3], "round left open");
+        // The member can enter the next round instead of tripping the
+        // double-deposit guard.
+        assert_eq!(group.all_reduce_sum(0, Matrix::zeros(1, 1)), Err(dead));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! dedicated control lane ([`CH_HEARTBEAT`]) every
 //! `OPT_NET_HEARTBEAT_MS` milliseconds. The coordinator feeds arrival
 //! times into a [`FailureDetector`]; a rank whose beats have been silent
-//! for `interval * misses` is declared dead. This is how a SIGKILLed
-//! rank is *detected* — instead of a survivor discovering the death via
-//! a 30-second recv-timeout panic deep inside a collective.
+//! for `interval * misses` (ten intervals: 1 s at the default cadence) is
+//! declared dead. This is how a SIGKILLed rank is *detected* — instead of
+//! a survivor discovering the death via a 30-second receive timeout deep
+//! inside a collective.
 //!
 //! The detector itself is pure bookkeeping over caller-supplied
 //! [`Instant`]s, so its semantics (including the slow-but-alive
@@ -27,8 +28,8 @@ pub const CH_HEARTBEAT: u64 = channel_id(3, 6);
 /// Default beat interval when `OPT_NET_HEARTBEAT_MS` is unset.
 const DEFAULT_INTERVAL_MS: u64 = 100;
 
-/// Default missed-beat threshold when `OPT_NET_HEARTBEAT_MISSES` is
-/// unset. Detection latency defaults to `interval * misses` = 1 s.
+/// Missed-beat threshold of the runtime's detector. Detection latency is
+/// `interval * misses`: 1 s at the default interval.
 const DEFAULT_MISSES: u32 = 10;
 
 /// Heartbeat cadence and the missed-beat threshold.
@@ -50,23 +51,18 @@ impl Default for HeartbeatConfig {
 }
 
 impl HeartbeatConfig {
-    /// Reads `OPT_NET_HEARTBEAT_MS` / `OPT_NET_HEARTBEAT_MISSES`, falling
-    /// back to the defaults (100 ms × 10 misses = 1 s detection latency)
-    /// for unset or unparsable values.
+    /// The default config with its beat interval read from
+    /// `OPT_NET_HEARTBEAT_MS` (100 ms if unset or unparsable; at 10
+    /// misses that is 1 s of detection latency).
     pub fn from_env() -> Self {
         let ms = std::env::var("OPT_NET_HEARTBEAT_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(DEFAULT_INTERVAL_MS)
             .max(1);
-        let misses = std::env::var("OPT_NET_HEARTBEAT_MISSES")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(DEFAULT_MISSES)
-            .max(1);
         HeartbeatConfig {
             interval: Duration::from_millis(ms),
-            misses,
+            ..HeartbeatConfig::default()
         }
     }
 
@@ -239,7 +235,7 @@ mod tests {
 
     #[test]
     fn env_defaults_apply() {
-        // The OPT_NET_HEARTBEAT_* knobs are unset in the test environment.
+        // OPT_NET_HEARTBEAT_MS is unset in the test environment.
         let c = HeartbeatConfig::from_env();
         assert_eq!(c, HeartbeatConfig::default());
         assert_eq!(c.silence_limit(), Duration::from_millis(1000));

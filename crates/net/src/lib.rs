@@ -9,11 +9,15 @@
 //!    inter-stage traffic), and [`CollectiveGroup`] implements a
 //!    deterministic all-reduce over any subset of ranks (data-parallel
 //!    gradient exchange, embedding synchronization, and the paper's *fused*
-//!    embedding synchronization which simply uses a larger group). Two
-//!    backends exist: [`LocalTransport`] (in-process crossbeam lanes, the
-//!    extracted original fabric) and [`TcpTransport`] (one OS process per
-//!    rank, length-framed checksummed TCP). Collectives reduce strictly in
-//!    member order, so both backends produce **the same bits**.
+//!    embedding synchronization which simply uses a larger group).
+//!    Messages are typed values ([`Transport::send_value`] /
+//!    [`Transport::recv_value`]) and every failure is a
+//!    [`TransportError`]. Two backends exist: [`LocalTransport`]
+//!    (`transport.rs`: in-process crossbeam lanes, values cross as `Arc`s)
+//!    and [`TcpTransport`] (`tcp.rs`: one OS process per rank, values
+//!    encoded into length-framed checksummed TCP). Collectives reduce
+//!    strictly in member order, so both backends produce **the same
+//!    bits**.
 //! 2. **Analytic cost models** ([`CostModel`]) for the discrete-event simulator:
 //!    the standard alpha–beta model with the ring all-reduce volume factor
 //!    `2 V (R-1) / R` that the paper's Eq. 15 builds on, and the
@@ -34,8 +38,10 @@ mod collective;
 mod cost;
 mod heartbeat;
 mod p2p;
+mod rendezvous;
 mod retry;
 mod shardstore;
+mod tcp;
 mod topology;
 mod traffic;
 mod transport;
@@ -44,16 +50,19 @@ pub use chanstats::{ChannelClass, ChannelLedger, ChannelStat, TrafficBreakdown};
 pub use collective::{CollectiveGroup, CollectiveWorld};
 pub use cost::{all_reduce_time_s, p2p_time_s, ring_all_reduce_wire_bytes, CostModel};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, CH_HEARTBEAT};
-pub use p2p::{P2pMesh, RecvError};
+pub use p2p::P2pMesh;
+pub use rendezvous::{tcp_rejoin, tcp_rendezvous};
 pub use retry::RetryPolicy;
 pub use shardstore::{
     FsShardStore, MemShardStore, ShardStore, ShardStoreError, ShardStoreServer, TcpShardStore,
     STORE_MAGIC, STORE_PROTOCOL_VERSION,
 };
+pub use tcp::{
+    wire_frame, wire_hello, TcpBound, TcpTransport, WIRE_FORMAT_VERSION, WIRE_MAGIC,
+    WIRE_OVERHEAD_BYTES,
+};
 pub use topology::{LinkKind, Topology};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 pub use transport::{
-    channel_id, net_timeout, tcp_rejoin, tcp_rendezvous, wire_frame, wire_hello, LocalTransport,
-    Payload, SharedPayload, TcpBound, TcpTransport, Transport, TransportError, WireValue,
-    WIRE_FORMAT_VERSION, WIRE_MAGIC, WIRE_OVERHEAD_BYTES,
+    channel_id, net_timeout, LocalTransport, Payload, SharedPayload, Transport, TransportError,
 };

@@ -1,5 +1,5 @@
 //! Point-to-point message mesh for pipeline inter-stage communication,
-//! generic over the [`Transport`] carrying its bytes.
+//! generic over the [`Transport`] carrying its messages.
 
 use crate::transport::{net_timeout, LocalTransport, Transport, TransportError};
 use opt_tensor::Persist;
@@ -7,128 +7,6 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Error returned by [`P2pMesh::recv`] when the peer disconnected or the
-/// receive timed out (indicating a deadlocked schedule — a bug).
-///
-/// Carries the lane identity so a timeout in a many-rank run says *which*
-/// edge of the pipeline stalled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecvError {
-    /// The sending side disappeared before a message arrived.
-    Disconnected {
-        /// Sending rank of the lane.
-        src: usize,
-        /// Receiving rank of the lane.
-        dst: usize,
-        /// World size of the mesh.
-        world: usize,
-    },
-    /// No message arrived within the timeout.
-    Timeout {
-        /// Sending rank of the lane.
-        src: usize,
-        /// Receiving rank of the lane.
-        dst: usize,
-        /// World size of the mesh.
-        world: usize,
-        /// The timeout that elapsed.
-        timeout: Duration,
-    },
-    /// A frame on the lane failed the transport's integrity validation
-    /// (bad magic, length/checksum mismatch) — the connection is dead.
-    Corrupt {
-        /// Sending rank of the lane.
-        src: usize,
-        /// Receiving rank of the lane.
-        dst: usize,
-        /// Transport channel id of the lane.
-        channel: u64,
-        /// What the validator rejected.
-        detail: String,
-    },
-    /// The transport failed below the mesh (I/O, rendezvous) in a way
-    /// that is not a plain timeout or disconnect.
-    Transport {
-        /// Sending rank of the lane.
-        src: usize,
-        /// Receiving rank of the lane.
-        dst: usize,
-        /// Transport channel id of the lane.
-        channel: u64,
-        /// The underlying transport error.
-        detail: String,
-    },
-    /// A delivered payload could not become the type this receiver asked
-    /// for — the byte decode failed after integrity checks, or a typed
-    /// zero-copy handoff carried a different type. The lane is being used
-    /// inconsistently: a code bug, not a wire fault.
-    Decode {
-        /// Sending rank of the lane.
-        src: usize,
-        /// Receiving rank of the lane.
-        dst: usize,
-        /// Transport channel id of the lane.
-        channel: u64,
-        /// What the decoder rejected.
-        detail: String,
-    },
-}
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvError::Disconnected { src, dst, world } => {
-                write!(
-                    f,
-                    "peer disconnected on lane src {src} -> dst {dst} (world {world})"
-                )
-            }
-            RecvError::Timeout {
-                src,
-                dst,
-                world,
-                timeout,
-            } => write!(
-                f,
-                "receive on lane src {src} -> dst {dst} (world {world}) timed out after \
-                 {} ms (schedule deadlock? timeout is tunable via OPT_NET_TIMEOUT_MS)",
-                timeout.as_millis()
-            ),
-            RecvError::Corrupt {
-                src,
-                dst,
-                channel,
-                detail,
-            } => write!(
-                f,
-                "frame on lane src {src} -> dst {dst} (channel {channel:#x}) failed \
-                 integrity validation: {detail}"
-            ),
-            RecvError::Transport {
-                src,
-                dst,
-                channel,
-                detail,
-            } => write!(
-                f,
-                "transport failed on lane src {src} -> dst {dst} (channel {channel:#x}): {detail}"
-            ),
-            RecvError::Decode {
-                src,
-                dst,
-                channel,
-                detail,
-            } => write!(
-                f,
-                "payload on lane src {src} -> dst {dst} (channel {channel:#x}) failed to \
-                 decode: {detail}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
 
 /// A full mesh of FIFO lanes between `world` ranks, carrying messages of
 /// type `T` (anything that round-trips the [`Persist`] byte codec —
@@ -188,8 +66,9 @@ impl<T: Persist + Clone + Send + Sync + 'static> P2pMesh<T, LocalTransport> {
     }
 
     /// Creates an in-process mesh with an explicit receive timeout.
-    /// Receives that exceed the timeout return [`RecvError::Timeout`]; in
-    /// a correct schedule this only fires on deadlock bugs.
+    /// Receives that exceed the timeout return
+    /// [`TransportError::Timeout`]; in a correct schedule this only fires
+    /// on deadlock bugs.
     ///
     /// # Panics
     ///
@@ -228,11 +107,9 @@ impl<T: Persist + Clone + Send + Sync + 'static, Tr: Transport> P2pMesh<T, Tr> {
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range, or if the transport
-    /// rejects the send (the peer process died).
+    /// Panics if the transport's lane check rejects `src` or `dst` (out
+    /// of range), or if it rejects the send (the peer process died).
     pub fn send(&self, src: usize, dst: usize, msg: T) {
-        let world = self.world();
-        assert!(src < world && dst < world, "rank out of range");
         self.transport
             .send_value(src, dst, self.channel, msg)
             .unwrap_or_else(|e| panic!("mesh send {src} -> {dst} failed: {e}"));
@@ -243,84 +120,28 @@ impl<T: Persist + Clone + Send + Sync + 'static, Tr: Transport> P2pMesh<T, Tr> {
     ///
     /// # Errors
     ///
-    /// Returns [`RecvError::Timeout`] if nothing arrives in time,
-    /// [`RecvError::Disconnected`] if the sender disappeared,
-    /// [`RecvError::Corrupt`] if a frame on the lane failed integrity
-    /// validation, [`RecvError::Decode`] if a delivered payload could not
-    /// become a `T`, or [`RecvError::Transport`] for any other transport
-    /// failure — every variant carries the (src, dst, channel) lane
-    /// context so a many-rank run says *which* edge failed.
+    /// Whatever the transport's typed receive returns, unchanged:
+    /// [`TransportError::Timeout`] if nothing arrives in time,
+    /// [`TransportError::Disconnected`] if the sender disappeared,
+    /// [`TransportError::Corrupt`] if a frame on the lane failed integrity
+    /// validation, [`TransportError::Decode`] if a delivered payload could
+    /// not become a `T` — the lane-bound variants name the
+    /// (src, dst, channel) lane, so a many-rank run says *which* edge
+    /// failed.
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn recv(&self, src: usize, dst: usize) -> Result<T, RecvError> {
-        let world = self.world();
-        assert!(src < world && dst < world, "rank out of range");
+    /// Panics if the transport's lane check rejects `src` or `dst`.
+    pub fn recv(&self, src: usize, dst: usize) -> Result<T, TransportError> {
         self.transport
             .recv_value(src, dst, self.channel, self.timeout)
-            .map_err(|e| self.map_err(src, dst, e))
-    }
-
-    /// Attempts to receive without blocking; returns `None` if the FIFO is
-    /// currently empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range, or if a delivered payload
-    /// fails to decode (this accessor has no error channel).
-    pub fn try_recv(&self, src: usize, dst: usize) -> Option<T> {
-        let world = self.world();
-        assert!(src < world && dst < world, "rank out of range");
-        self.transport
-            .try_recv_value(src, dst, self.channel)
-            .unwrap_or_else(|e| {
-                if matches!(e, TransportError::Decode { .. }) {
-                    panic!("mesh try_recv {src} -> {dst} failed: {e}")
-                }
-                None
-            })
-    }
-
-    /// Maps a transport failure onto the mesh's lane-contextual error.
-    fn map_err(&self, src: usize, dst: usize, e: TransportError) -> RecvError {
-        match e {
-            TransportError::Timeout { .. } => RecvError::Timeout {
-                src,
-                dst,
-                world: self.world(),
-                timeout: self.timeout,
-            },
-            TransportError::Disconnected { .. } => RecvError::Disconnected {
-                src,
-                dst,
-                world: self.world(),
-            },
-            TransportError::Corrupt { detail } => RecvError::Corrupt {
-                src,
-                dst,
-                channel: self.channel,
-                detail,
-            },
-            TransportError::Decode { detail } => RecvError::Decode {
-                src,
-                dst,
-                channel: self.channel,
-                detail,
-            },
-            other => RecvError::Transport {
-                src,
-                dst,
-                channel: self.channel,
-                detail: other.to_string(),
-            },
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::FailingTransport;
     use std::thread;
 
     #[test]
@@ -361,25 +182,16 @@ mod tests {
         let err = mesh.recv(0, 1).unwrap_err();
         assert!(matches!(
             err,
-            RecvError::Timeout {
+            TransportError::Timeout {
                 src: 0,
                 dst: 1,
-                world: 2,
-                ..
+                channel: 0,
+                waited_ms: 10,
             }
         ));
         let msg = err.to_string();
         assert!(msg.contains("src 0 -> dst 1"), "uninformative: {msg}");
-        assert!(msg.contains("world 2"), "uninformative: {msg}");
         assert!(msg.contains("OPT_NET_TIMEOUT_MS"), "no tuning hint: {msg}");
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let mesh: P2pMesh<u8> = P2pMesh::new(2);
-        assert_eq!(mesh.try_recv(0, 1), None);
-        mesh.send(0, 1, 9);
-        assert_eq!(mesh.try_recv(0, 1), Some(9));
     }
 
     #[test]
@@ -389,79 +201,50 @@ mod tests {
         mesh.send(0, 2, 1);
     }
 
-    /// A transport whose `recv` always fails with a fixed error, for
-    /// pinning down the error mapping.
-    #[derive(Debug)]
-    struct FailingTransport(TransportError);
-
-    impl Transport for FailingTransport {
-        fn world(&self) -> usize {
-            2
-        }
-
-        fn send_payload(
-            &self,
-            _: usize,
-            _: usize,
-            _: u64,
-            _: crate::Payload,
-        ) -> Result<(), TransportError> {
-            Ok(())
-        }
-
-        fn recv_payload(
-            &self,
-            _: usize,
-            _: usize,
-            _: u64,
-            _: Duration,
-        ) -> Result<crate::Payload, TransportError> {
-            Err(self.0.clone())
-        }
-
-        fn try_recv_payload(
-            &self,
-            _: usize,
-            _: usize,
-            _: u64,
-        ) -> Result<Option<crate::Payload>, TransportError> {
-            Ok(None)
-        }
+    /// A mesh over a transport whose receives fail with `error`.
+    fn failing_mesh(error: TransportError, channel: u64) -> P2pMesh<u8, FailingTransport> {
+        let inner = LocalTransport::new(2);
+        P2pMesh::over(Arc::new(FailingTransport { inner, error }), channel)
     }
 
     #[test]
     fn corrupt_frames_surface_as_typed_errors_with_lane_context() {
-        let t = Arc::new(FailingTransport(TransportError::Corrupt {
+        let corrupt = TransportError::Corrupt {
+            src: 0,
+            dst: 1,
+            channel: 0x42,
             detail: "checksum mismatch".into(),
-        }));
-        let mesh: P2pMesh<u8, _> = P2pMesh::over(t, 0x42);
-        let err = mesh.recv(0, 1).unwrap_err();
-        match &err {
-            RecvError::Corrupt {
-                src,
-                dst,
-                channel,
-                detail,
-            } => {
-                assert_eq!((*src, *dst, *channel), (0, 1, 0x42));
-                assert!(detail.contains("checksum mismatch"));
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        assert!(err.to_string().contains("src 0 -> dst 1"));
-        assert!(err.to_string().contains("0x42"));
+        };
+        let err = failing_mesh(corrupt.clone(), 0x42).recv(0, 1).unwrap_err();
+        assert_eq!(err, corrupt);
+        let msg = err.to_string();
+        assert!(msg.contains("src 0 -> dst 1"), "uninformative: {msg}");
+        assert!(msg.contains("0x42"), "uninformative: {msg}");
+        assert!(msg.contains("checksum mismatch"), "uninformative: {msg}");
     }
 
     #[test]
-    fn other_transport_failures_surface_as_typed_errors() {
-        let t = Arc::new(FailingTransport(TransportError::Io {
+    fn other_transport_failures_surface_unchanged() {
+        let io = TransportError::Io {
             detail: "connection reset".into(),
-        }));
-        let mesh: P2pMesh<u8, _> = P2pMesh::over(t, 7);
-        let err = mesh.recv(1, 0).unwrap_err();
+        };
+        assert_eq!(failing_mesh(io.clone(), 7).recv(1, 0).unwrap_err(), io);
+    }
+
+    #[test]
+    fn a_mistyped_message_is_a_decode_error_not_a_panic() {
+        let transport = Arc::new(LocalTransport::new(2));
+        let strings: P2pMesh<String, _> = P2pMesh::over(Arc::clone(&transport), 3);
+        let numbers: P2pMesh<u32, _> = P2pMesh::over(transport, 3);
+        strings.send(0, 1, "not a number".to_string());
         assert!(matches!(
-            &err,
-            RecvError::Transport { src: 1, dst: 0, channel: 7, detail } if detail.contains("connection reset")
+            numbers.recv(0, 1).unwrap_err(),
+            TransportError::Decode {
+                src: 0,
+                dst: 1,
+                channel: 3,
+                ..
+            }
         ));
     }
 

@@ -1,0 +1,102 @@
+//! Shared-directory rendezvous for same-host TCP worlds: how the ranks of
+//! a [`TcpTransport`] mesh learn each other's listener addresses.
+//!
+//! Every rank binds an ephemeral loopback listener and publishes its
+//! address as `ep-<rank>` in a directory all ranks can see, then polls
+//! until every peer has done the same. A first launch
+//! ([`tcp_rendezvous`]) and a relaunched rank's re-entry ([`tcp_rejoin`])
+//! run the same body and differ only in the meshing step they end with.
+
+use crate::retry::RetryPolicy;
+use crate::tcp::{TcpBound, TcpTransport};
+use crate::transport::TransportError;
+use opt_ckpt::framing;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// Meshes a TCP world through a shared rendezvous directory: every rank
+/// binds an ephemeral loopback listener, publishes `ep-<rank>` (atomic
+/// write, so a reader never sees a half-written address), waits for all
+/// peers to publish, then [`TcpBound::establish`]es the full mesh.
+///
+/// The directory must be fresh per world incarnation — stale endpoint
+/// files from a previous run would be read as live peers.
+pub fn tcp_rendezvous(
+    dir: impl Into<PathBuf>,
+    world: usize,
+    rank: usize,
+    timeout: Duration,
+) -> Result<TcpTransport, TransportError> {
+    rendezvous(&dir.into(), world, rank, timeout, TcpBound::establish)
+}
+
+/// Re-meshes a relaunched rank into a live world through the *same*
+/// rendezvous directory the world was originally built in: the survivors'
+/// endpoint files are still valid (their listeners stay open for the
+/// transport's whole life), and this rank overwrites its own stale
+/// `ep-<rank>` before dialing everyone via [`TcpBound::rejoin`].
+pub fn tcp_rejoin(
+    dir: impl Into<PathBuf>,
+    world: usize,
+    rank: usize,
+    timeout: Duration,
+) -> Result<TcpTransport, TransportError> {
+    rendezvous(&dir.into(), world, rank, timeout, TcpBound::rejoin)
+}
+
+/// The body of both directory rendezvous: bind, publish, wait for every
+/// endpoint, then `mesh` within what is left of `timeout`.
+fn rendezvous(
+    dir: &Path,
+    world: usize,
+    rank: usize,
+    timeout: Duration,
+    mesh: fn(TcpBound, &[SocketAddr], Duration) -> Result<TcpTransport, TransportError>,
+) -> Result<TcpTransport, TransportError> {
+    std::fs::create_dir_all(dir)?;
+    let bound = TcpTransport::bind(world, rank, "127.0.0.1:0")?;
+    publish_endpoint(dir, rank, bound.addr())?;
+    let deadline = Instant::now() + timeout;
+    let endpoints = poll_endpoints(dir, world, deadline)?;
+    mesh(
+        bound,
+        &endpoints,
+        deadline.saturating_duration_since(Instant::now()),
+    )
+}
+
+/// Polls the rendezvous directory until every rank's endpoint is
+/// published (capped-exponential backoff), or the deadline passes.
+fn poll_endpoints(
+    dir: &Path,
+    world: usize,
+    deadline: Instant,
+) -> Result<Vec<SocketAddr>, TransportError> {
+    let retry = RetryPolicy::default();
+    let mut endpoints = Vec::with_capacity(world);
+    for peer in 0..world {
+        let addr = retry
+            .run_until(deadline, || read_endpoint(dir, peer).ok_or(()))
+            .map_err(|()| TransportError::Rendezvous {
+                detail: format!("rank {peer} never published an endpoint in {dir:?}"),
+            })?;
+        endpoints.push(addr);
+    }
+    Ok(endpoints)
+}
+
+/// Publishes this rank's listener address into the rendezvous directory.
+fn publish_endpoint(dir: &Path, rank: usize, addr: SocketAddr) -> Result<(), TransportError> {
+    framing::atomic_write(&dir.join(format!("ep-{rank}")), addr.to_string().as_bytes()).map_err(
+        |e| TransportError::Rendezvous {
+            detail: format!("publishing endpoint for rank {rank}: {e}"),
+        },
+    )
+}
+
+/// Reads a peer's published listener address, if present yet.
+fn read_endpoint(dir: &Path, rank: usize) -> Option<SocketAddr> {
+    let bytes = std::fs::read(dir.join(format!("ep-{rank}"))).ok()?;
+    String::from_utf8(bytes).ok()?.parse().ok()
+}

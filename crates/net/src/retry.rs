@@ -1,42 +1,32 @@
 //! Deterministic capped-exponential retry/backoff.
 //!
-//! Every place the runtime used to spin on a single-shot connect or a
-//! fixed-sleep poll loop (TCP mesh dialing, rendezvous-endpoint polling,
-//! [`crate::TcpShardStore`] connects) now goes through one
-//! [`RetryPolicy`]. The backoff schedule is *deterministic* — no jitter —
-//! so two runs of the same scenario retry on the same cadence, keeping
-//! wall-clock behavior reproducible enough to reason about in tests.
+//! Every place the runtime waits for a peer to come up (TCP mesh dialing,
+//! rendezvous-endpoint polling, [`crate::TcpShardStore`] connects) goes
+//! through one [`RetryPolicy`]. The backoff schedule is *deterministic* —
+//! no jitter — so two runs of the same scenario retry on the same cadence,
+//! keeping wall-clock behavior reproducible enough to reason about in
+//! tests.
 //!
-//! Knobs (all optional, read by [`RetryPolicy::from_env`]):
-//!
-//! * `OPT_NET_RETRY_BASE_MS` — first backoff sleep (default 25 ms).
-//! * `OPT_NET_RETRY_CAP_MS` — backoff ceiling (default 1000 ms).
-//! * `OPT_NET_RETRY_ATTEMPTS` — attempt budget for deadline-less retries
-//!   (default 10).
+//! The runtime uses [`RetryPolicy::default`] everywhere: first sleep
+//! 25 ms, doubling up to a 1000 ms ceiling, and 10 attempts where no
+//! deadline bounds the retry.
 
 use std::time::{Duration, Instant};
 
-/// Default first backoff sleep.
+/// First backoff sleep of the default policy.
 const DEFAULT_BASE_MS: u64 = 25;
 
-/// Default backoff ceiling.
+/// Backoff ceiling of the default policy.
 const DEFAULT_CAP_MS: u64 = 1000;
 
-/// Default attempt budget when no deadline bounds the retry.
+/// Attempt budget of the default policy when no deadline bounds the retry.
 const DEFAULT_ATTEMPTS: u32 = 10;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
-}
 
 /// A deterministic capped-exponential backoff schedule.
 ///
 /// Attempt `i` (zero-based) is followed by a sleep of
 /// `min(base * 2^i, cap)`; there is no jitter, so the schedule is a pure
-/// function of the knobs.
+/// function of the three fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Sleep after the first failed attempt.
@@ -58,16 +48,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Reads the `OPT_NET_RETRY_*` knobs, falling back to the defaults
-    /// for unset or unparsable values.
-    pub fn from_env() -> Self {
-        RetryPolicy {
-            base: Duration::from_millis(env_u64("OPT_NET_RETRY_BASE_MS", DEFAULT_BASE_MS)),
-            cap: Duration::from_millis(env_u64("OPT_NET_RETRY_CAP_MS", DEFAULT_CAP_MS)),
-            attempts: env_u64("OPT_NET_RETRY_ATTEMPTS", u64::from(DEFAULT_ATTEMPTS)) as u32,
-        }
-    }
-
     /// The backoff sleep after failed attempt `attempt` (zero-based):
     /// `min(base * 2^attempt, cap)`.
     pub fn delay(&self, attempt: u32) -> Duration {
@@ -214,12 +194,5 @@ mod tests {
         });
         assert_eq!(r, Err("x"));
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn env_defaults_apply() {
-        // The OPT_NET_RETRY_* knobs are unset in the test environment.
-        let p = RetryPolicy::from_env();
-        assert_eq!(p, RetryPolicy::default());
     }
 }

@@ -486,7 +486,7 @@ impl TcpShardStore {
         // A single refused connect must not fail a restore mid-rejoin:
         // retry the connect (not the round-trip — requests are only sent
         // once) on the shared capped-exponential backoff schedule.
-        let mut stream = crate::retry::RetryPolicy::from_env()
+        let mut stream = crate::retry::RetryPolicy::default()
             .run(|| TcpStream::connect_timeout(&self.addr, STORE_IO_TIMEOUT))
             .map_err(|e| io_err("connecting to", e))?;
         stream

@@ -1,0 +1,989 @@
+//! The real-wire [`Transport`] backend: one OS process per rank, a full
+//! mesh of TCP connections, every message in a checksummed frame.
+//!
+//! A value handed to [`Transport::send_value`] is encoded once at the
+//! socket (the encode is cached in its [`crate::SharedPayload`], so a
+//! broadcast encodes a single time), wrapped by [`wire_frame`] in the
+//! shared `opt-ckpt` frame plus a 16-byte lane header, and written to the
+//! destination's connection. A reader thread per connection validates
+//! each frame and demultiplexes the bodies into per-`(src, channel)`
+//! inbox lanes as [`Payload::Bytes`]; the typed receive decodes them.
+//!
+//! There is one way into the mesh, whichever direction a connection is
+//! opened in and whenever it happens: the caller `dial`s and introduces
+//! itself with a [`wire_hello`] frame, the callee `admit`s the hello,
+//! and `PeerTable::splice` installs the connection. The initial mesh
+//! ([`TcpBound::establish`]: dial lower ranks, accept higher ones) and a
+//! relaunched rank's re-entry ([`TcpBound::rejoin`]: dial everyone, the
+//! survivors' background acceptors splice it over its dead predecessor)
+//! differ only in whom they dial.
+
+use crate::chanstats::{ChannelLedger, ChannelStat};
+use crate::retry::RetryPolicy;
+use crate::transport::{LaneMap, Payload, Transport, TransportError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use opt_ckpt::framing::{self, FRAME_OVERHEAD, HEADER_LEN};
+use opt_trace::{SpanKind, NO_MICRO};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Magic bytes opening every transport wire frame.
+pub const WIRE_MAGIC: &[u8; 8] = b"OPTWIRE\0";
+
+/// Current transport wire format version.
+pub const WIRE_FORMAT_VERSION: u32 = 1;
+
+/// Bytes the wire adds around a payload: the shared frame (magic,
+/// version, length, checksum) plus the 16-byte lane header (channel +
+/// destination rank).
+pub const WIRE_OVERHEAD_BYTES: usize = FRAME_OVERHEAD + 16;
+
+/// Upper bound on a single wire frame body. A corrupt length field must
+/// not make a reader allocate terabytes before the checksum has a chance
+/// to reject the frame.
+const MAX_WIRE_BODY: u64 = 1 << 30;
+
+/// Polling slice for receive loops that must notice peer death while
+/// waiting on an empty lane.
+const POLL_SLICE: Duration = Duration::from_millis(25);
+
+/// How long the background acceptor waits for a late connection's hello
+/// frame before dropping it.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Encodes one wire frame carrying `bytes` on `channel` for rank `dst`,
+/// using the shared `opt-ckpt` framing (magic, version, length, FNV-1a).
+///
+/// Public so tests can hand-craft (and tamper with) frames.
+pub fn wire_frame(channel: u64, dst: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(16 + bytes.len());
+    body.extend_from_slice(&channel.to_le_bytes());
+    body.extend_from_slice(&(dst as u64).to_le_bytes());
+    body.extend_from_slice(bytes);
+    framing::frame(WIRE_MAGIC, WIRE_FORMAT_VERSION, &body)
+}
+
+/// The hello frame a connecting rank sends first on a new connection,
+/// identifying itself. Public so tests can impersonate a peer.
+pub fn wire_hello(rank: usize) -> Vec<u8> {
+    framing::frame(
+        WIRE_MAGIC,
+        WIRE_FORMAT_VERSION,
+        &(rank as u64).to_le_bytes(),
+    )
+}
+
+/// State shared between a peer's writer handle and its reader thread.
+struct Peer {
+    writer: Mutex<TcpStream>,
+    /// Cleared by the reader thread on EOF or I/O error.
+    alive: Arc<AtomicBool>,
+    /// Set by the reader thread when a frame fails validation.
+    corrupt: Arc<AtomicBool>,
+}
+
+/// Peer connection slots plus a per-slot replacement counter, shared
+/// between the transport handle and its background accept thread so a
+/// relaunched rank can be spliced over a dead one without touching the
+/// surviving process's other connections.
+struct PeerTable {
+    slots: Vec<RwLock<Option<Peer>>>,
+    /// Bumped each time a slot's connection is (re)installed: 1 after the
+    /// initial mesh, +1 per rejoin splice.
+    generations: Vec<AtomicU64>,
+}
+
+impl PeerTable {
+    fn new(world: usize) -> Self {
+        PeerTable {
+            slots: (0..world).map(|_| RwLock::new(None)).collect(),
+            generations: (0..world).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Installs `stream` as the live connection for `rank`: shuts down
+    /// any previous connection, drains the rank's inbox lanes, then
+    /// spawns the fresh reader.
+    ///
+    /// The drain is the per-lane sequence resync of the rejoin protocol:
+    /// anything still queued was sent by the dead incarnation and must
+    /// not leak into the replacement's conversation. Lanes are drained in
+    /// place (not removed), so receiver clones held by in-flight receives
+    /// stay wired to the lane.
+    fn splice(
+        &self,
+        rank: usize,
+        stream: TcpStream,
+        inbox: &LaneMap<(usize, u64)>,
+    ) -> Result<(), TransportError> {
+        let mut slot = self.slots[rank].write();
+        if let Some(old) = slot.take() {
+            old.alive.store(false, Ordering::SeqCst);
+            let _ = old.writer.lock().shutdown(std::net::Shutdown::Both);
+        }
+        {
+            let map = inbox.lock();
+            for ((src, _), (_, rx)) in map.iter() {
+                if *src == rank {
+                    while rx.try_recv().is_ok() {}
+                }
+            }
+        }
+        *slot = Some(spawn_peer(rank, stream, inbox)?);
+        self.generations[rank].fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// The real-wire backend: one OS process per rank, a full mesh of TCP
+/// connections, every message in a checksummed frame.
+///
+/// Construction is two-phase so the caller controls rendezvous:
+/// [`TcpTransport::bind`] grabs a listener (so the endpoint can be
+/// published), then [`TcpBound::establish`] connects the full mesh once
+/// every peer endpoint is known. [`crate::tcp_rendezvous`] wraps both
+/// phases behind a shared-directory rendezvous for same-host worlds.
+///
+/// A `TcpTransport` *is* one rank: a send requires `src` to be this rank
+/// and a receive requires `dst` to be this rank — a process can neither
+/// forge another rank's traffic nor read it.
+///
+/// The listener outlives the initial mesh: a background accept thread
+/// keeps running for the transport's whole life, so a relaunched rank can
+/// re-handshake ([`crate::tcp_rejoin`]) and be spliced over its dead predecessor
+/// while every other connection stays untouched.
+pub struct TcpTransport {
+    world: usize,
+    rank: usize,
+    peers: Arc<PeerTable>,
+    inbox: LaneMap<(usize, u64)>,
+    stats: ChannelLedger,
+    /// Tells the background acceptor to exit.
+    acceptor_stop: Arc<AtomicBool>,
+    /// The background acceptor, joined on drop.
+    acceptor: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl fmt::Debug for TcpTransport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TcpTransport(rank={}/{})", self.rank, self.world)
+    }
+}
+
+/// A bound-but-unconnected TCP rank: holds the listener whose address
+/// peers must learn before [`TcpBound::establish`] can mesh the world.
+pub struct TcpBound {
+    world: usize,
+    rank: usize,
+    listener: TcpListener,
+    addr: SocketAddr,
+}
+
+impl TcpBound {
+    /// The address peers should connect to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Connects the full mesh: dials every lower rank, accepts every
+    /// higher rank, exchanging hello frames to identify peers. Blocks up
+    /// to `timeout`.
+    ///
+    /// `endpoints[r]` must hold rank `r`'s listener address for `r` below
+    /// this rank (higher entries are ignored — those peers dial us).
+    pub fn establish(
+        self,
+        endpoints: &[SocketAddr],
+        timeout: Duration,
+    ) -> Result<TcpTransport, TransportError> {
+        let dial_below = self.rank;
+        self.mesh(endpoints, timeout, dial_below)
+    }
+
+    /// Re-meshes this rank into an already-running world after a
+    /// relaunch. Unlike the initial [`TcpBound::establish`] (dial lower,
+    /// accept higher), a rejoining rank dials *every* peer: the
+    /// survivors' background acceptors validate the hello and splice the
+    /// fresh connection over the dead one, so no dial-direction
+    /// coordination is needed.
+    ///
+    /// `endpoints[r]` must hold rank `r`'s listener address for every
+    /// `r != rank` (the own-rank entry is ignored).
+    pub fn rejoin(
+        self,
+        endpoints: &[SocketAddr],
+        timeout: Duration,
+    ) -> Result<TcpTransport, TransportError> {
+        let dial_below = self.world;
+        self.mesh(endpoints, timeout, dial_below)
+    }
+
+    /// Dials every peer below `dial_below`, accepts every peer from there
+    /// up, then keeps the listener accepting in the background so
+    /// later-relaunched ranks can splice in.
+    fn mesh(
+        self,
+        endpoints: &[SocketAddr],
+        timeout: Duration,
+        dial_below: usize,
+    ) -> Result<TcpTransport, TransportError> {
+        let deadline = Instant::now() + timeout;
+        let (world, rank, listener) = (self.world, self.rank, self.listener);
+        assert!(
+            endpoints.len() >= dial_below,
+            "need an endpoint for every rank below {dial_below}"
+        );
+        let inbox: LaneMap<(usize, u64)> = Arc::new(Mutex::new(HashMap::new()));
+        let table = Arc::new(PeerTable::new(world));
+
+        for peer in (0..dial_below).filter(|&p| p != rank) {
+            table.splice(peer, dial(rank, peer, endpoints[peer], deadline)?, &inbox)?;
+        }
+
+        listener.set_nonblocking(true)?;
+        // Whoever was not dialed dials us; the hello says who called.
+        let mut expected = world - dial_below.max(rank + 1);
+        while expected > 0 {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    let peer = admit(&stream, world, rank, remaining.max(POLL_SLICE))?;
+                    if table.generations[peer].load(Ordering::SeqCst) != 0 {
+                        return Err(TransportError::Rendezvous {
+                            detail: format!("second hello from rank {peer}"),
+                        });
+                    }
+                    table.splice(peer, stream, &inbox)?;
+                    expected -= 1;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(TransportError::Rendezvous {
+                            detail: format!("{expected} peer(s) never connected"),
+                        });
+                    }
+                    std::thread::sleep(POLL_SLICE);
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = spawn_acceptor(
+            listener,
+            world,
+            rank,
+            Arc::clone(&table),
+            Arc::clone(&inbox),
+            Arc::clone(&stop),
+        )?;
+        Ok(TcpTransport {
+            world,
+            rank,
+            peers: table,
+            inbox,
+            stats: ChannelLedger::new(),
+            acceptor_stop: stop,
+            acceptor: Mutex::new(Some(acceptor)),
+        })
+    }
+}
+
+/// The caller's half of the handshake: connects to `peer`'s listener
+/// and introduces `rank` with a hello frame. A peer's listener is up
+/// before its endpoint is visible, so the connect may only transiently
+/// fail; it is retried on the capped-exponential backoff until `deadline`.
+fn dial(
+    rank: usize,
+    peer: usize,
+    endpoint: SocketAddr,
+    deadline: Instant,
+) -> Result<TcpStream, TransportError> {
+    let mut stream = RetryPolicy::default()
+        .run_until(deadline, || TcpStream::connect(endpoint))
+        .map_err(|e| TransportError::Rendezvous {
+            detail: format!("connecting to rank {peer} at {endpoint}: {e}"),
+        })?;
+    stream.set_nodelay(true)?;
+    stream.write_all(&wire_hello(rank))?;
+    Ok(stream)
+}
+
+/// The callee's half of the handshake: prepares an accepted connection
+/// and validates its hello frame, returning the rank that called. Every
+/// inbound connection — initial mesh or late rejoin — passes through
+/// here before it is spliced in.
+fn admit(
+    stream: &TcpStream,
+    world: usize,
+    rank: usize,
+    hello_timeout: Duration,
+) -> Result<usize, TransportError> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(hello_timeout))?;
+    let mut reader = stream.try_clone()?;
+    let hello = read_frame_body(&mut reader).map_err(|e| TransportError::Rendezvous {
+        detail: format!("reading hello frame: {e}"),
+    })?;
+    let Ok(hello) = <[u8; 8]>::try_from(hello.as_slice()) else {
+        return Err(TransportError::Rendezvous {
+            detail: "hello frame has wrong length".to_string(),
+        });
+    };
+    let peer = u64::from_le_bytes(hello) as usize;
+    if peer >= world || peer == rank {
+        return Err(TransportError::Rendezvous {
+            detail: format!("unexpected hello from rank {peer}"),
+        });
+    }
+    stream.set_read_timeout(None)?;
+    Ok(peer)
+}
+
+/// Spawns the background accept thread that admits late connections —
+/// the survivor half of the rejoin handshake. A hello for an occupied
+/// slot *replaces* the old connection (newest wins): the coordinator
+/// fences the dead process before relaunching, so by the time a
+/// replacement dials in, whatever sits in the slot is garbage.
+fn spawn_acceptor(
+    listener: TcpListener,
+    world: usize,
+    rank: usize,
+    table: Arc<PeerTable>,
+    inbox: LaneMap<(usize, u64)>,
+    stop: Arc<AtomicBool>,
+) -> Result<JoinHandle<()>, TransportError> {
+    std::thread::Builder::new()
+        .name(format!("net-accept-{rank}"))
+        .spawn(move || loop {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let spliced = admit(&stream, world, rank, HELLO_TIMEOUT)
+                        .and_then(|peer| table.splice(peer, stream, &inbox));
+                    if let Err(e) = spliced {
+                        eprintln!("rank {rank}: rejected late connection: {e}");
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(POLL_SLICE);
+                }
+                Err(_) => return,
+            }
+        })
+        .map_err(TransportError::from)
+}
+
+/// Reads one frame (header + body + checksum) off `stream`, validating
+/// magic, version, length, and checksum. Returns the body; a frame that
+/// fails validation is an [`io::ErrorKind::InvalidData`] error.
+fn read_frame_body(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+    let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
+    let mut header = [0u8; HEADER_LEN];
+    stream.read_exact(&mut header)?;
+    let body_len = framing::parse_header(&header, WIRE_MAGIC, WIRE_FORMAT_VERSION)
+        .map_err(|e| invalid(e.to_string()))?;
+    if body_len > MAX_WIRE_BODY {
+        return Err(invalid(format!(
+            "frame body claims {body_len} bytes (cap {MAX_WIRE_BODY})"
+        )));
+    }
+    let mut rest = vec![0u8; body_len as usize + 8];
+    stream.read_exact(&mut rest)?;
+    let mut full = Vec::with_capacity(HEADER_LEN + rest.len());
+    full.extend_from_slice(&header);
+    full.extend_from_slice(&rest);
+    framing::unframe(&full, WIRE_MAGIC, WIRE_FORMAT_VERSION)
+        .map(<[u8]>::to_vec)
+        .map_err(|e| invalid(e.to_string()))
+}
+
+/// Registers a peer connection and spawns its reader thread, which
+/// demultiplexes incoming frames into per-`(src, channel)` inbox lanes.
+fn spawn_peer(
+    peer_rank: usize,
+    stream: TcpStream,
+    inbox: &LaneMap<(usize, u64)>,
+) -> Result<Peer, TransportError> {
+    let alive = Arc::new(AtomicBool::new(true));
+    let corrupt = Arc::new(AtomicBool::new(false));
+    let mut reader = stream.try_clone()?;
+    let inbox = Arc::clone(inbox);
+    let t_alive = Arc::clone(&alive);
+    let t_corrupt = Arc::clone(&corrupt);
+    std::thread::Builder::new()
+        .name(format!("net-rx-{peer_rank}"))
+        .spawn(move || {
+            let fault = loop {
+                match read_frame_body(&mut reader) {
+                    Ok(body) if body.len() >= 16 => {
+                        let channel = u64::from_le_bytes(body[..8].try_into().unwrap());
+                        let payload = Payload::Bytes(body[16..].to_vec());
+                        let tx = {
+                            let mut map = inbox.lock();
+                            map.entry((peer_rank, channel))
+                                .or_insert_with(unbounded)
+                                .0
+                                .clone()
+                        };
+                        // The inbox map owns the receiver; send cannot fail.
+                        let _ = tx.send(payload);
+                    }
+                    Ok(_) => break io::ErrorKind::InvalidData,
+                    // EOF or I/O error (the peer is gone), or a frame
+                    // that failed validation.
+                    Err(e) => break e.kind(),
+                }
+            };
+            if fault == io::ErrorKind::InvalidData {
+                t_corrupt.store(true, Ordering::SeqCst);
+            }
+            t_alive.store(false, Ordering::SeqCst);
+        })?;
+    Ok(Peer {
+        writer: Mutex::new(stream),
+        alive,
+        corrupt,
+    })
+}
+
+impl TcpTransport {
+    /// Binds rank `rank` of a `world`-rank TCP world on `bind_addr`
+    /// (typically `127.0.0.1:0`), returning the bound-but-unconnected
+    /// endpoint whose address peers must learn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `world == 0` or `rank >= world`.
+    pub fn bind(world: usize, rank: usize, bind_addr: &str) -> Result<TcpBound, TransportError> {
+        assert!(world > 0, "world size must be positive");
+        assert!(rank < world, "rank {rank} outside world {world}");
+        let listener = TcpListener::bind(bind_addr)?;
+        let addr = listener.local_addr()?;
+        Ok(TcpBound {
+            world,
+            rank,
+            listener,
+            addr,
+        })
+    }
+
+    /// This process's rank.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// How many times `rank`'s connection has been (re)installed: 1 after
+    /// the initial mesh, +1 per rejoin splice. Lets a coordinator (and
+    /// the failure-matrix tests) observe that a replacement actually
+    /// re-handshaked.
+    pub fn peer_generation(&self, rank: usize) -> u64 {
+        self.peers.generations[rank].load(Ordering::SeqCst)
+    }
+
+    /// Blocks until `rank`'s connection generation exceeds `above` — i.e.
+    /// a relaunched rank has spliced in — or `timeout` passes.
+    pub fn wait_peer_generation(
+        &self,
+        rank: usize,
+        above: u64,
+        timeout: Duration,
+    ) -> Result<u64, TransportError> {
+        let start = Instant::now();
+        let deadline = start + timeout;
+        loop {
+            let generation = self.peer_generation(rank);
+            if generation > above {
+                return Ok(generation);
+            }
+            if Instant::now() >= deadline {
+                return Err(TransportError::Timeout {
+                    src: rank,
+                    dst: self.rank,
+                    channel: 0,
+                    waited_ms: start.elapsed().as_millis(),
+                });
+            }
+            std::thread::sleep(POLL_SLICE);
+        }
+    }
+
+    /// The one lane check of this backend: this endpoint is the `local`
+    /// end of the lane, and `remote` is another rank of the world.
+    fn check_lane(&self, local: usize, remote: usize) {
+        assert!(
+            local == self.rank,
+            "TcpTransport rank {} cannot act as rank {local}",
+            self.rank
+        );
+        assert!(
+            remote < self.world && remote != self.rank,
+            "rank {remote} is not a peer of rank {} (world {})",
+            self.rank,
+            self.world
+        );
+    }
+
+    /// The receiving end of inbox lane `(src, channel)`, created on first
+    /// use by whichever of the reader thread and a receive gets there
+    /// first.
+    fn inbox_lane(&self, src: usize, channel: u64) -> Receiver<Payload> {
+        let mut map = self.inbox.lock();
+        map.entry((src, channel))
+            .or_insert_with(unbounded)
+            .1
+            .clone()
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        // Shut the sockets down explicitly: reader threads hold clones of
+        // every stream, so merely dropping the writer halves would leave
+        // the connections open and peers would never observe our death.
+        self.acceptor_stop.store(true, Ordering::SeqCst);
+        for slot in &self.peers.slots {
+            if let Some(peer) = slot.read().as_ref() {
+                let _ = peer.writer.lock().shutdown(std::net::Shutdown::Both);
+            }
+        }
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn world(&self) -> usize {
+        self.world
+    }
+
+    fn send_payload(
+        &self,
+        src: usize,
+        dst: usize,
+        channel: u64,
+        payload: Payload,
+    ) -> Result<(), TransportError> {
+        self.check_lane(src, dst);
+        // The socket boundary: a shared payload is encoded here — once,
+        // cached, so a broadcast of one payload encodes a single time no
+        // matter how many peers it goes to.
+        let bytes: &[u8] = match &payload {
+            Payload::Bytes(b) => b,
+            Payload::Shared(s) => s.encoded(),
+        };
+        let _span = opt_trace::begin_full(SpanKind::Send, 0, NO_MICRO, bytes.len() as u64, 0);
+        let frame = wire_frame(channel, dst, bytes);
+        let slot = self.peers.slots[dst].read();
+        let Some(peer) = slot.as_ref() else {
+            return Err(TransportError::Disconnected { peer: dst });
+        };
+        if !peer.alive.load(Ordering::SeqCst) {
+            return Err(TransportError::Disconnected { peer: dst });
+        }
+        let mut w = peer.writer.lock();
+        w.write_all(&frame)
+            .map_err(|_| TransportError::Disconnected { peer: dst })?;
+        w.flush()
+            .map_err(|_| TransportError::Disconnected { peer: dst })?;
+        drop(w);
+        drop(slot);
+        self.stats.record_send(src, dst, channel, bytes.len());
+        Ok(())
+    }
+
+    fn recv_payload(
+        &self,
+        src: usize,
+        dst: usize,
+        channel: u64,
+        timeout: Duration,
+    ) -> Result<Payload, TransportError> {
+        self.check_lane(dst, src);
+        let rx = self.inbox_lane(src, channel);
+        let span = opt_trace::begin_full(SpanKind::Recv, 0, NO_MICRO, 0, 0);
+        let start = Instant::now();
+        let deadline = start + timeout;
+        loop {
+            let slice = deadline
+                .saturating_duration_since(Instant::now())
+                .min(POLL_SLICE);
+            match rx.recv_timeout(slice) {
+                Ok(payload) => {
+                    let wire_len = payload.wire_len();
+                    span.set_bytes(wire_len as u64);
+                    self.stats.record_recv(src, dst, channel, wire_len);
+                    return Ok(payload);
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(TransportError::Disconnected { peer: src })
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    // Drain wins over death: only report a dead peer once
+                    // its lane is empty.
+                    if rx.is_empty() {
+                        let slot = self.peers.slots[src].read();
+                        match slot.as_ref() {
+                            Some(peer) if peer.corrupt.load(Ordering::SeqCst) => {
+                                return Err(TransportError::Corrupt {
+                                    src,
+                                    dst,
+                                    channel,
+                                    detail: format!(
+                                        "connection from rank {src} failed frame validation"
+                                    ),
+                                });
+                            }
+                            Some(peer) if peer.alive.load(Ordering::SeqCst) => {}
+                            _ => return Err(TransportError::Disconnected { peer: src }),
+                        }
+                    }
+                    if Instant::now() >= deadline {
+                        return Err(TransportError::Timeout {
+                            src,
+                            dst,
+                            channel,
+                            waited_ms: start.elapsed().as_millis(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    fn try_recv_payload(
+        &self,
+        src: usize,
+        dst: usize,
+        channel: u64,
+    ) -> Result<Option<Payload>, TransportError> {
+        self.check_lane(dst, src);
+        let got = self.inbox_lane(src, channel).try_recv().ok();
+        if let Some(payload) = &got {
+            self.stats
+                .record_recv(src, dst, channel, payload.wire_len());
+        }
+        Ok(got)
+    }
+
+    fn channel_stats(&self) -> Vec<ChannelStat> {
+        self.stats.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rendezvous::{tcp_rejoin, tcp_rendezvous};
+    use crate::transport::{channel_id, net_timeout, LocalTransport};
+    use std::path::Path;
+    use std::thread;
+
+    /// Establishes an n-rank loopback TCP world in `dir`, keeping the
+    /// rendezvous files so a rank can later rejoin through them.
+    fn tcp_world_in(dir: &Path, n: usize) -> Vec<TcpTransport> {
+        let handles: Vec<_> = (0..n)
+            .map(|r| {
+                let dir = dir.to_path_buf();
+                thread::spawn(move || {
+                    tcp_rendezvous(dir, n, r, Duration::from_secs(20)).expect("rendezvous")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// Establishes an n-rank loopback TCP world inside one test process.
+    fn tcp_world(n: usize) -> Vec<TcpTransport> {
+        let dir = std::env::temp_dir().join(format!(
+            "opt-tcp-test-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = tcp_world_in(&dir, n);
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    /// A world of one rank: nobody to mesh with, every lane invalid.
+    fn solo_world() -> TcpTransport {
+        TcpTransport::bind(1, 0, "127.0.0.1:0")
+            .and_then(|b| b.establish(&[], Duration::from_secs(10)))
+            .expect("single-rank world")
+    }
+
+    /// A typed receive of the byte vectors these tests exchange.
+    fn recv_bytes(
+        t: &TcpTransport,
+        src: usize,
+        channel: u64,
+        secs: u64,
+    ) -> Result<Vec<u8>, TransportError> {
+        t.recv_value(src, t.rank(), channel, Duration::from_secs(secs))
+    }
+
+    #[test]
+    fn tcp_world_exchanges_fifo_messages() {
+        let world = tcp_world(3);
+        // Every ordered pair exchanges a couple of messages, in order.
+        thread::scope(|s| {
+            for t in &world {
+                s.spawn(move || {
+                    let me = t.rank();
+                    for dst in 0..t.world() {
+                        if dst == me {
+                            continue;
+                        }
+                        for k in 0..3u8 {
+                            t.send_value(me, dst, 1, vec![me as u8, k]).unwrap();
+                        }
+                    }
+                    for src in 0..t.world() {
+                        if src == me {
+                            continue;
+                        }
+                        for k in 0..3u8 {
+                            let got = recv_bytes(t, src, 1, 10).unwrap();
+                            assert_eq!(got, vec![src as u8, k]);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn tcp_large_payload_roundtrips_exactly() {
+        let world = tcp_world(2);
+        let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+        let expect = payload.clone();
+        thread::scope(|s| {
+            let t0 = &world[0];
+            let t1 = &world[1];
+            s.spawn(move || t0.send_value(0, 1, 9, payload).unwrap());
+            let got = recv_bytes(t1, 0, 9, 20).unwrap();
+            assert_eq!(got, expect);
+        });
+    }
+
+    #[test]
+    fn tcp_detects_dead_peer() {
+        let mut world = tcp_world(2);
+        let t1 = world.pop().unwrap();
+        let t0 = world.pop().unwrap();
+        drop(t1); // rank 1's connections close
+        let err = recv_bytes(&t0, 1, 0, 5).unwrap_err();
+        assert_eq!(err, TransportError::Disconnected { peer: 1 });
+        // Sending to the dead peer fails too (possibly after the OS
+        // notices the close).
+        let mut saw_disconnect = false;
+        for _ in 0..50 {
+            if t0.send_value(0, 1, 0, vec![1u8]).is_err() {
+                saw_disconnect = true;
+                break;
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+        assert!(saw_disconnect, "send to dead peer never failed");
+    }
+
+    #[test]
+    fn killed_rank_rejoins_with_lane_resync() {
+        let dir = std::env::temp_dir().join(format!(
+            "opt-tcp-rejoin-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut world = tcp_world_in(&dir, 3);
+        let t2 = world.pop().unwrap();
+        let t1 = world.pop().unwrap();
+        let t0 = world.pop().unwrap();
+
+        // A message from rank 1's first incarnation that nobody received:
+        // the splice must drain it, not deliver it to the replacement's
+        // conversation.
+        t1.send_value(1, 0, 5, vec![0xAAu8]).unwrap();
+        thread::sleep(Duration::from_millis(200));
+
+        let gen0 = t0.peer_generation(1);
+        let gen2 = t2.peer_generation(1);
+        drop(t1); // rank 1 dies
+
+        let nt1 = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("rejoin");
+        assert_eq!(
+            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
+                .unwrap(),
+            gen0 + 1
+        );
+        t2.wait_peer_generation(1, gen2, Duration::from_secs(10))
+            .unwrap();
+
+        // The stale frame is gone; fresh traffic flows in both directions
+        // with every survivor, on the survivors' original sockets.
+        nt1.send_value(1, 0, 5, vec![0xBBu8]).unwrap();
+        assert_eq!(recv_bytes(&t0, 1, 5, 10).unwrap(), vec![0xBB]);
+        t0.send_value(0, 1, 5, vec![1u8]).unwrap();
+        assert_eq!(recv_bytes(&nt1, 0, 5, 10).unwrap(), vec![1]);
+        t2.send_value(2, 1, 6, vec![2u8]).unwrap();
+        assert_eq!(recv_bytes(&nt1, 2, 6, 10).unwrap(), vec![2]);
+        nt1.send_value(1, 2, 6, vec![3u8]).unwrap();
+        assert_eq!(recv_bytes(&t2, 1, 6, 10).unwrap(), vec![3]);
+
+        // Double-kill of the same rank: a second incarnation dies too and
+        // a third splices in, bumping the generation again.
+        let gen0 = t0.peer_generation(1);
+        drop(nt1);
+        let nt1b = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("second rejoin");
+        assert_eq!(
+            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
+                .unwrap(),
+            gen0 + 1
+        );
+        nt1b.send_value(1, 0, 5, vec![0xCCu8]).unwrap();
+        assert_eq!(recv_bytes(&t0, 1, 5, 10).unwrap(), vec![0xCC]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wait_peer_generation_times_out_without_rejoin() {
+        let world = tcp_world(2);
+        let gen = world[0].peer_generation(1);
+        assert_eq!(gen, 1);
+        let err = world[0]
+            .wait_peer_generation(1, gen, Duration::from_millis(60))
+            .unwrap_err();
+        assert!(matches!(err, TransportError::Timeout { .. }));
+    }
+
+    #[test]
+    fn tcp_rejects_tampered_frame() {
+        // Rank 0 is a real transport endpoint; the "peer" is a raw socket
+        // that completes the hello handshake and then sends a frame with
+        // one flipped payload bit. The transport must refuse to deliver
+        // it and surface Corrupt — naming the lane — instead.
+        let bound = TcpTransport::bind(2, 0, "127.0.0.1:0").expect("bind");
+        let addr = bound.addr();
+        let attacker = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(&wire_hello(1)).expect("hello");
+            let mut frame = wire_frame(4, 0, b"legitimate payload");
+            let n = frame.len();
+            frame[n - 12] ^= 0x01; // flip one payload bit
+            s.write_all(&frame).expect("tampered frame");
+            s.flush().expect("flush");
+            // Keep the socket open so EOF cannot mask the corruption.
+            thread::sleep(Duration::from_secs(2));
+        });
+        let t0 = bound.establish(&[], Duration::from_secs(10)).expect("mesh");
+        let err = recv_bytes(&t0, 1, 4, 5).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TransportError::Corrupt {
+                    src: 1,
+                    dst: 0,
+                    channel: 4,
+                    ..
+                }
+            ),
+            "tampered frame yielded {err:?}"
+        );
+        attacker.join().unwrap();
+    }
+
+    #[test]
+    fn a_second_hello_from_one_rank_fails_the_initial_mesh() {
+        let bound = TcpTransport::bind(3, 0, "127.0.0.1:0").expect("bind");
+        let addr = bound.addr();
+        let twins = thread::spawn(move || {
+            let dial = || {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                s.write_all(&wire_hello(1)).expect("hello");
+                s
+            };
+            let _keep = (dial(), dial());
+            thread::sleep(Duration::from_secs(1));
+        });
+        let err = bound
+            .establish(&[], Duration::from_secs(10))
+            .expect_err("duplicate rank must not mesh");
+        assert!(matches!(err, TransportError::Rendezvous { .. }), "{err:?}");
+        twins.join().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 is not a peer of rank 0")]
+    fn try_recv_checks_the_source_rank() {
+        // A source outside the world used to create an inbox lane for a
+        // rank that cannot exist and report it empty.
+        let _ = solo_world().try_recv_value::<u8>(5, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 is not a peer of rank 0")]
+    fn try_recv_refuses_a_lane_to_itself() {
+        let _ = solo_world().try_recv_value::<u8>(0, 0, 0);
+    }
+
+    #[test]
+    fn try_recv_is_nonblocking_and_typed() {
+        let world = tcp_world(2);
+        assert_eq!(world[1].try_recv_value::<u8>(0, 1, 2).unwrap(), None);
+        world[0].send_value(0, 1, 2, 7u8).unwrap();
+        let got = world[1]
+            .recv_value::<u8>(0, 1, 2, Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(got, 7);
+    }
+
+    #[test]
+    fn channel_stats_agree_between_local_and_tcp() {
+        // Same message pattern over both backends: the per-lane counters
+        // must be identical once the TCP halves are merged, because lane
+        // accounting counts payload bytes only (no frame overhead).
+        let lane = channel_id(1, 0);
+        let local = LocalTransport::new(2);
+        local.send_value(0, 1, lane, vec![0u8; 100]).unwrap();
+        local.send_value(0, 1, lane, vec![0u8; 20]).unwrap();
+        for _ in 0..2 {
+            local
+                .recv_value::<Vec<u8>>(0, 1, lane, net_timeout())
+                .unwrap();
+        }
+
+        let world = tcp_world(2);
+        world[0].send_value(0, 1, lane, vec![0u8; 100]).unwrap();
+        world[0].send_value(0, 1, lane, vec![0u8; 20]).unwrap();
+        for _ in 0..2 {
+            recv_bytes(&world[1], 0, lane, 10).unwrap();
+        }
+
+        let mut merged = crate::TrafficBreakdown::new(
+            crate::TrafficSnapshot::default(),
+            world[0].channel_stats(),
+        );
+        merged.absorb(&crate::TrafficBreakdown::new(
+            crate::TrafficSnapshot::default(),
+            world[1].channel_stats(),
+        ));
+        let reference =
+            crate::TrafficBreakdown::new(crate::TrafficSnapshot::default(), local.channel_stats());
+        assert_eq!(merged, reference);
+        // A byte vector encodes as an 8-byte length plus its elements.
+        assert_eq!(merged.channels[0].send_bytes, 108 + 28);
+        assert_eq!(merged.channels[0].recv_bytes, 108 + 28);
+    }
+}

@@ -1,78 +1,56 @@
 //! The pluggable message transport behind every communication primitive.
 //!
 //! The collectives ([`crate::CollectiveGroup`]), the point-to-point mesh
-//! ([`crate::P2pMesh`]), and the remote shard store
-//! ([`crate::TcpShardStore`]) are all written against one small
-//! abstraction: a [`Transport`] moves framed messages between ranks of a
-//! fixed-size world, FIFO per `(src, dst, channel)` lane. Messages are
-//! [`Payload`]s — either raw encoded bytes or an `Arc`-shared typed
-//! value ([`Payload::Shared`]), and the typed
-//! [`Transport::send_value`]/[`Transport::recv_value`] fast path lets an
-//! in-process backend hand values across with **zero serialization**
-//! while a byte-boundary backend transparently encodes at the socket.
-//! Two backends implement it:
+//! ([`crate::P2pMesh`]) and the control plane of the trainer are all
+//! written against one small abstraction: a [`Transport`] moves typed
+//! messages between the ranks of a fixed-size world, FIFO per
+//! `(src, dst, channel)` lane.
 //!
-//! * [`LocalTransport`] — the extracted in-process fabric: one crossbeam
-//!   channel per lane, shared by every worker *thread* of a
-//!   single-process world. This is bit- and behavior-identical to the
-//!   channels the runtime used before the transport split.
-//! * [`TcpTransport`] — a real wire: one process per rank, a full mesh of
-//!   loopback/LAN TCP connections, every message wrapped in the shared
-//!   `opt-ckpt` frame (magic, version, length, FNV-1a checksum) so a
-//!   truncated or bit-flipped frame is detected at the transport layer,
-//!   before any payload decoder sees it.
+//! There is **one message form**: a value that implements
+//! [`Persist`], sent with [`Transport::send_value`] (or, for a
+//! broadcast, wrapped once in a [`SharedPayload`] and sent with
+//! [`Transport::send_shared`]) and received with
+//! [`Transport::recv_value`] / [`Transport::try_recv_value`]. What a
+//! backend does with it is its own business:
+//!
+//! * [`LocalTransport`] (this file) — one crossbeam channel per lane,
+//!   shared by every worker *thread* of a single-process world. A value
+//!   crosses as the `Arc` it was wrapped in: zero serialization.
+//! * [`crate::TcpTransport`] (`tcp.rs`) — one process per rank, a full
+//!   mesh of loopback/LAN TCP connections. A value is encoded once at the
+//!   socket, wrapped in the shared `opt-ckpt` frame (magic, version,
+//!   length, FNV-1a checksum) and decoded on delivery, so a truncated or
+//!   bit-flipped frame is rejected before any decoder sees it.
+//!
+//! A backend implements the three `*_payload` methods over [`Payload`],
+//! the envelope a message travels in; the typed methods are derived.
+//! [`Payload::Bytes`] exists because bytes are what a socket delivers —
+//! nothing but a byte-boundary backend's reader constructs one.
+//!
+//! There is **one error type**: every failure of a send or a receive is a
+//! [`TransportError`], and the variants a receive can produce name the
+//! lane (or the peer) they happened on.
 //!
 //! Because both backends preserve per-lane FIFO order and the collectives
 //! reduce strictly in member order, a training step produces **the same
 //! bits** whether its world is threads over [`LocalTransport`] or OS
-//! processes over [`TcpTransport`].
+//! processes over [`crate::TcpTransport`].
 //!
 //! The receive timeout of every lane defaults to 30 s and is tunable via
 //! the `OPT_NET_TIMEOUT_MS` environment variable (handy when stepping
 //! through real-transport runs in a debugger).
 
 use crate::chanstats::{ChannelLedger, ChannelStat};
-use crate::retry::RetryPolicy;
-use opt_ckpt::framing::{self, FRAME_OVERHEAD, HEADER_LEN};
 use opt_tensor::Persist;
 use opt_trace::{SpanKind, NO_MICRO};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-
-/// Magic bytes opening every transport wire frame.
-pub const WIRE_MAGIC: &[u8; 8] = b"OPTWIRE\0";
-
-/// Current transport wire format version.
-pub const WIRE_FORMAT_VERSION: u32 = 1;
-
-/// Bytes the wire adds around a payload: the shared frame (magic,
-/// version, length, checksum) plus the 16-byte lane header (channel +
-/// destination rank).
-pub const WIRE_OVERHEAD_BYTES: usize = FRAME_OVERHEAD + 16;
-
-/// Upper bound on a single wire frame body. A corrupt length field must
-/// not make a reader allocate terabytes before the checksum has a chance
-/// to reject the frame.
-const MAX_WIRE_BODY: u64 = 1 << 30;
-
-/// Polling slice for receive loops that must notice peer death while
-/// waiting on an empty lane.
-const POLL_SLICE: Duration = Duration::from_millis(25);
-
-/// How long the background acceptor waits for a late connection's hello
-/// frame before dropping it.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default receive timeout when `OPT_NET_TIMEOUT_MS` is unset.
 const DEFAULT_TIMEOUT_MS: u64 = 30_000;
@@ -97,9 +75,17 @@ pub const fn channel_id(namespace: u8, index: u64) -> u64 {
 }
 
 /// Why a transport operation failed.
+///
+/// The variants a receive can return on an established lane —
+/// [`Timeout`](TransportError::Timeout),
+/// [`Corrupt`](TransportError::Corrupt),
+/// [`Decode`](TransportError::Decode) — carry the `(src, dst, channel)`
+/// lane, so a failure in a many-rank run says *which* edge stalled or
+/// broke; [`Disconnected`](TransportError::Disconnected) names the peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// No message arrived on the lane within the timeout.
+    /// No message arrived on the lane within the timeout. In a correct
+    /// schedule this means a deadlock — a bug.
     Timeout {
         /// Sending rank of the lane.
         src: usize,
@@ -115,10 +101,17 @@ pub enum TransportError {
         /// The peer rank that disappeared.
         peer: usize,
     },
-    /// A frame failed integrity validation (bad magic, stale version,
-    /// length/checksum mismatch). The connection it arrived on is dead —
-    /// a transport that cannot trust its framing cannot resynchronize.
+    /// A frame from the lane's sender failed integrity validation (bad
+    /// magic, stale version, length/checksum mismatch). The connection it
+    /// arrived on is dead — a transport that cannot trust its framing
+    /// cannot resynchronize.
     Corrupt {
+        /// Sending rank of the lane.
+        src: usize,
+        /// Receiving rank of the lane.
+        dst: usize,
+        /// Channel id of the lane.
+        channel: u64,
         /// What the validator rejected.
         detail: String,
     },
@@ -127,7 +120,8 @@ pub enum TransportError {
         /// Stringified I/O error.
         detail: String,
     },
-    /// Rendezvous failed (peers never published, unparsable endpoint).
+    /// Rendezvous failed (peers never published, unparsable endpoint, a
+    /// connection whose hello frame does not validate).
     Rendezvous {
         /// What went wrong.
         detail: String,
@@ -138,6 +132,12 @@ pub enum TransportError {
     /// different type than the receiver asked for. Either way the lane
     /// is being used inconsistently — a code bug, not a wire fault.
     Decode {
+        /// Sending rank of the lane.
+        src: usize,
+        /// Receiving rank of the lane.
+        dst: usize,
+        /// Channel id of the lane.
+        channel: u64,
         /// What the decoder rejected.
         detail: String,
     },
@@ -145,6 +145,7 @@ pub enum TransportError {
 
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lane = |src, dst, channel| format!("src {src} -> dst {dst}, channel {channel:#x}");
         match self {
             TransportError::Timeout {
                 src,
@@ -153,30 +154,45 @@ impl fmt::Display for TransportError {
                 waited_ms,
             } => write!(
                 f,
-                "transport receive on lane (src {src} -> dst {dst}, channel {channel:#x}) \
-                 timed out after {waited_ms} ms"
+                "transport receive on lane ({}) timed out after {waited_ms} ms \
+                 (schedule deadlock? timeout is tunable via OPT_NET_TIMEOUT_MS)",
+                lane(src, dst, channel)
             ),
             TransportError::Disconnected { peer } => {
                 write!(f, "transport peer rank {peer} disconnected")
             }
-            TransportError::Corrupt { detail } => {
-                write!(f, "transport frame failed integrity validation: {detail}")
-            }
+            TransportError::Corrupt {
+                src,
+                dst,
+                channel,
+                detail,
+            } => write!(
+                f,
+                "transport frame on lane ({}) failed integrity validation: {detail}",
+                lane(src, dst, channel)
+            ),
             TransportError::Io { detail } => write!(f, "transport I/O error: {detail}"),
             TransportError::Rendezvous { detail } => {
                 write!(f, "transport rendezvous failed: {detail}")
             }
-            TransportError::Decode { detail } => {
-                write!(f, "transport payload failed to decode: {detail}")
-            }
+            TransportError::Decode {
+                src,
+                dst,
+                channel,
+                detail,
+            } => write!(
+                f,
+                "transport payload on lane ({}) failed to decode: {detail}",
+                lane(src, dst, channel)
+            ),
         }
     }
 }
 
 impl std::error::Error for TransportError {}
 
-impl TransportError {
-    fn io(e: std::io::Error) -> Self {
+impl From<std::io::Error> for TransportError {
+    fn from(e: std::io::Error) -> Self {
         TransportError::Io {
             detail: e.to_string(),
         }
@@ -187,11 +203,8 @@ impl TransportError {
 /// knows its exact wire encoding (for the moment a real wire needs it)
 /// and its encoded length (so byte accounting never serializes), and it
 /// can be downcast back to its concrete type on the receiving side.
-///
-/// Blanket-implemented for every `Persist + Send + Sync + 'static` type —
-/// implement [`Persist`] and the typed transport API is available for
-/// free.
-pub trait WireValue: Any + Send + Sync {
+/// Implemented for every `Persist + Send + Sync + 'static` type.
+trait WireValue: Any + Send + Sync {
     /// Produces the exact bytes [`Persist::to_bytes`] would — what a
     /// byte-boundary backend puts on the wire.
     fn encode_wire(&self) -> Vec<u8>;
@@ -221,9 +234,9 @@ impl<T: Persist + Send + Sync + 'static> WireValue for T {
 /// An `Arc`-shared typed message plus a lazily-populated encode cache.
 ///
 /// On [`LocalTransport`] the value crosses lanes as the `Arc` itself —
-/// zero serialization. On [`TcpTransport`] the first send forces the
-/// encode and caches it, so broadcasting one payload to N peers encodes
-/// once, not N times. Clones share both the value and the cache.
+/// zero serialization. On [`crate::TcpTransport`] the first send forces
+/// the encode and caches it, so broadcasting one payload to N peers
+/// encodes once, not N times. Clones share both the value and the cache.
 #[derive(Clone)]
 pub struct SharedPayload {
     value: Arc<dyn WireValue>,
@@ -269,24 +282,21 @@ impl SharedPayload {
     /// Recovers the concrete value, or returns `self` unchanged if the
     /// payload holds a different type.
     pub fn downcast<T: Any + Send + Sync>(self) -> Result<Arc<T>, SharedPayload> {
-        let encoded = Arc::clone(&self.encoded);
-        match Arc::clone(&self.value).as_any().downcast::<T>() {
-            Ok(v) => Ok(v),
-            Err(_) => Err(SharedPayload {
-                value: self.value,
-                encoded,
-            }),
-        }
+        Arc::clone(&self.value)
+            .as_any()
+            .downcast::<T>()
+            .map_err(|_| self)
     }
 }
 
-/// A message travelling through a [`Transport`]: either raw encoded
-/// bytes (the classic path, and the only form a byte-boundary backend
-/// ever delivers) or an `Arc`-shared typed value that an in-process
-/// backend hands off with zero serialization.
+/// The envelope a message travels in between a [`Transport`] backend's
+/// send and receive halves: an `Arc`-shared typed value on its way in
+/// (and, through an in-process backend, on its way out), or the encoded
+/// bytes a byte-boundary backend's socket reader delivered.
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// An already-encoded message body.
+    /// An encoded message body, as read off a wire. Only a byte-boundary
+    /// backend's reader constructs this form.
     Bytes(Vec<u8>),
     /// A typed in-memory value; a byte-boundary backend encodes it at
     /// the socket (once, cached), an in-process backend never does.
@@ -301,68 +311,66 @@ impl Payload {
 
     /// Exact number of bytes this payload occupies on a byte-boundary
     /// backend — the length every backend's channel stats record, so the
-    /// per-lane counters of a zero-copy run match a byte run exactly.
+    /// per-lane counters of a zero-copy run match a socket run exactly.
     pub fn wire_len(&self) -> usize {
         match self {
             Payload::Bytes(b) => b.len(),
             Payload::Shared(s) => s.wire_len(),
         }
     }
-
-    /// The encoded message body, forcing (and caching) the encode for a
-    /// shared value.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(b) => b,
-            Payload::Shared(s) => s.encoded().to_vec(),
-        }
-    }
 }
 
-/// Turns a delivered [`Payload`] into the typed value the receiver asked
-/// for: bytes decode through [`Persist`], a shared handoff downcasts
-/// (and unwraps the `Arc`, cloning only if other references remain).
-fn payload_value<T>(payload: Payload) -> Result<T, TransportError>
+/// Turns the [`Payload`] delivered on lane `(src, dst, channel)` into the
+/// typed value the receiver asked for: bytes decode through [`Persist`],
+/// a shared handoff downcasts (and unwraps the `Arc`, cloning only if
+/// other references remain).
+fn payload_value<T>(
+    payload: Payload,
+    src: usize,
+    dst: usize,
+    channel: u64,
+) -> Result<T, TransportError>
 where
     T: Persist + Clone + Send + Sync + 'static,
 {
+    let decode_error = |detail| TransportError::Decode {
+        src,
+        dst,
+        channel,
+        detail,
+    };
     match payload {
-        Payload::Bytes(bytes) => T::from_bytes(&bytes).map_err(|e| TransportError::Decode {
-            detail: e.to_string(),
-        }),
+        Payload::Bytes(bytes) => T::from_bytes(&bytes).map_err(|e| decode_error(e.to_string())),
         Payload::Shared(shared) => match shared.downcast::<T>() {
             Ok(arc) => Ok(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())),
-            Err(_) => Err(TransportError::Decode {
-                detail: format!(
-                    "shared payload does not hold a {}",
-                    std::any::type_name::<T>()
-                ),
-            }),
+            Err(_) => Err(decode_error(format!(
+                "shared payload does not hold a {}",
+                std::any::type_name::<T>()
+            ))),
         },
     }
 }
 
-/// Moves framed messages between the ranks of a fixed-size world.
+/// Moves typed messages between the ranks of a fixed-size world.
 ///
 /// Guarantees every backend must provide:
 ///
 /// * **FIFO per lane** — messages on one `(src, dst, channel)` lane
 ///   arrive in send order; distinct lanes are unordered relative to each
 ///   other.
-/// * **Integrity** — a delivered message is byte-identical to the sent
-///   one (for a [`Payload::Shared`] handoff: the *value* is identical,
-///   and its encoding would be byte-identical); a backend that cannot
-///   guarantee this (a real wire) must detect and reject the damage
-///   instead of delivering it.
-/// * **No tapping** — `recv(src, dst, ..)` only ever yields messages sent
-///   by `src` to `dst`.
+/// * **Integrity** — a delivered value is identical to the sent one, and
+///   its encoding byte-identical; a backend that cannot guarantee this
+///   (a real wire) must detect and reject the damage instead of
+///   delivering it.
+/// * **No tapping** — a receive on `(src, dst, ..)` only ever yields
+///   messages sent by `src` to `dst`.
 /// * **Stats parity** — a backend with channel stats records
-///   [`Payload::wire_len`] per message, so byte and zero-copy runs of
+///   [`Payload::wire_len`] per message, so zero-copy and socket runs of
 ///   the same traffic produce identical per-lane counters.
 ///
 /// Implementers provide the three `*_payload` methods (plus `world` and
-/// optionally `channel_stats`); the byte-level `send`/`recv`/`try_recv`
-/// and the typed `send_value`/`recv_value` family are derived. A backend
+/// optionally `channel_stats`); callers use the derived typed
+/// `send_value`/`send_shared`/`recv_value`/`try_recv_value`. A backend
 /// without a shared address space simply never yields
 /// [`Payload::Shared`] from its receive methods.
 pub trait Transport: Send + Sync + fmt::Debug + 'static {
@@ -403,47 +411,9 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
         Vec::new()
     }
 
-    /// Sends raw `bytes` on the `(src, dst, channel)` lane. Non-blocking.
-    fn send(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-        bytes: Vec<u8>,
-    ) -> Result<(), TransportError> {
-        self.send_payload(src, dst, channel, Payload::Bytes(bytes))
-    }
-
-    /// Receives the next message on the `(src, dst, channel)` lane as raw
-    /// bytes, blocking up to `timeout`. A zero-copy payload is encoded on
-    /// the way out, so mixed typed/byte usage of one lane stays coherent.
-    fn recv(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, TransportError> {
-        Ok(self.recv_payload(src, dst, channel, timeout)?.into_bytes())
-    }
-
-    /// Non-blocking byte receive: `Ok(None)` if the lane is currently
-    /// empty.
-    fn try_recv(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<Vec<u8>>, TransportError> {
-        Ok(self
-            .try_recv_payload(src, dst, channel)?
-            .map(Payload::into_bytes))
-    }
-
-    /// Sends a typed value on the `(src, dst, channel)` lane — the fast
-    /// path. An in-process backend hands the value across as an `Arc`
-    /// with zero serialization; a byte-boundary backend encodes at the
-    /// socket.
+    /// Sends a typed value on the `(src, dst, channel)` lane. An
+    /// in-process backend hands the value across as an `Arc` with zero
+    /// serialization; a byte-boundary backend encodes at the socket.
     fn send_value<T>(
         &self,
         src: usize,
@@ -475,13 +445,13 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
     }
 
     /// Receives the next message on the lane as a typed value, blocking
-    /// up to `timeout`. A zero-copy handoff downcasts (no decode); raw
-    /// bytes decode through [`Persist`].
+    /// up to `timeout`. A zero-copy handoff downcasts (no decode); bytes
+    /// off a wire decode through [`Persist`].
     ///
     /// # Errors
     ///
     /// [`TransportError::Decode`] if the payload cannot become a `T`; any
-    /// transport error `recv` can return.
+    /// error the backend's `recv_payload` returns.
     fn recv_value<T>(
         &self,
         src: usize,
@@ -493,7 +463,8 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
         T: Persist + Clone + Send + Sync + 'static,
         Self: Sized,
     {
-        payload_value(self.recv_payload(src, dst, channel, timeout)?)
+        let payload = self.recv_payload(src, dst, channel, timeout)?;
+        payload_value(payload, src, dst, channel)
     }
 
     /// Non-blocking typed receive: `Ok(None)` if the lane is currently
@@ -512,23 +483,20 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
         T: Persist + Clone + Send + Sync + 'static,
         Self: Sized,
     {
-        match self.try_recv_payload(src, dst, channel)? {
-            Some(payload) => payload_value(payload).map(Some),
-            None => Ok(None),
-        }
+        self.try_recv_payload(src, dst, channel)?
+            .map(|payload| payload_value(payload, src, dst, channel))
+            .transpose()
     }
 }
 
-type Lane = (Sender<Payload>, Receiver<Payload>);
+pub(crate) type Lane = (Sender<Payload>, Receiver<Payload>);
 
 /// Shared map of lanes, keyed by lane identity.
-type LaneMap<K> = Arc<Mutex<HashMap<K, Lane>>>;
+pub(crate) type LaneMap<K> = Arc<Mutex<HashMap<K, Lane>>>;
 
 /// The in-process backend: every lane is a crossbeam channel in shared
 /// memory, so one clone per worker *thread* wires up a whole
-/// single-process world. Extracted verbatim from the pre-transport
-/// runtime — message order, blocking behavior, and (trivially) payload
-/// bits are identical.
+/// single-process world.
 #[derive(Clone, Default)]
 pub struct LocalTransport {
     world: usize,
@@ -557,18 +525,17 @@ impl LocalTransport {
         }
     }
 
-    fn lane(&self, key: (usize, usize, u64)) -> Lane {
-        let mut lanes = self.lanes.lock();
-        let (s, r) = lanes.entry(key).or_insert_with(unbounded);
-        (s.clone(), r.clone())
-    }
-
-    fn check_ranks(&self, src: usize, dst: usize) {
+    /// The one lane check of this backend: both ends must be ranks of
+    /// the world. Returns the lane's channel ends.
+    fn lane(&self, src: usize, dst: usize, channel: u64) -> Lane {
         assert!(
             src < self.world && dst < self.world,
             "rank out of range (src {src}, dst {dst}, world {})",
             self.world
         );
+        let mut lanes = self.lanes.lock();
+        let (s, r) = lanes.entry((src, dst, channel)).or_insert_with(unbounded);
+        (s.clone(), r.clone())
     }
 }
 
@@ -584,13 +551,12 @@ impl Transport for LocalTransport {
         channel: u64,
         payload: Payload,
     ) -> Result<(), TransportError> {
-        self.check_ranks(src, dst);
+        let (tx, _rx) = self.lane(src, dst, channel);
         let wire_len = payload.wire_len();
         let _span = opt_trace::begin_full(SpanKind::Send, 0, NO_MICRO, wire_len as u64, 0);
         self.stats.record_send(src, dst, channel, wire_len);
         // The transport holds both lane ends, so the send cannot fail. A
         // shared payload crosses as-is: the zero-copy fast path.
-        let (tx, _rx) = self.lane((src, dst, channel));
         tx.send(payload).expect("local lane receiver dropped");
         Ok(())
     }
@@ -602,9 +568,8 @@ impl Transport for LocalTransport {
         channel: u64,
         timeout: Duration,
     ) -> Result<Payload, TransportError> {
-        self.check_ranks(src, dst);
+        let (_tx, rx) = self.lane(src, dst, channel);
         let span = opt_trace::begin_full(SpanKind::Recv, 0, NO_MICRO, 0, 0);
-        let (_tx, rx) = self.lane((src, dst, channel));
         match rx.recv_timeout(timeout) {
             Ok(payload) => {
                 let wire_len = payload.wire_len();
@@ -628,8 +593,7 @@ impl Transport for LocalTransport {
         dst: usize,
         channel: u64,
     ) -> Result<Option<Payload>, TransportError> {
-        self.check_ranks(src, dst);
-        let (_tx, rx) = self.lane((src, dst, channel));
+        let (_tx, rx) = self.lane(src, dst, channel);
         let got = rx.try_recv().ok();
         if let Some(payload) = &got {
             self.stats
@@ -641,779 +605,81 @@ impl Transport for LocalTransport {
     fn channel_stats(&self) -> Vec<ChannelStat> {
         self.stats.snapshot()
     }
-}
-
-/// Encodes one wire frame carrying `bytes` on `channel` for rank `dst`,
-/// using the shared `opt-ckpt` framing (magic, version, length, FNV-1a).
-///
-/// Public so tests can hand-craft (and tamper with) frames.
-pub fn wire_frame(channel: u64, dst: usize, bytes: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + bytes.len());
-    body.extend_from_slice(&channel.to_le_bytes());
-    body.extend_from_slice(&(dst as u64).to_le_bytes());
-    body.extend_from_slice(bytes);
-    framing::frame(WIRE_MAGIC, WIRE_FORMAT_VERSION, &body)
-}
-
-/// The hello frame a connecting rank sends first on a new connection,
-/// identifying itself. Public so tests can impersonate a peer.
-pub fn wire_hello(rank: usize) -> Vec<u8> {
-    framing::frame(
-        WIRE_MAGIC,
-        WIRE_FORMAT_VERSION,
-        &(rank as u64).to_le_bytes(),
-    )
-}
-
-/// State shared between a peer's writer handle and its reader thread.
-struct Peer {
-    writer: Mutex<TcpStream>,
-    /// Cleared by the reader thread on EOF or I/O error.
-    alive: Arc<AtomicBool>,
-    /// Set by the reader thread when a frame fails validation.
-    corrupt: Arc<AtomicBool>,
-}
-
-/// Peer connection slots plus a per-slot replacement counter, shared
-/// between the transport handle and its background accept thread so a
-/// relaunched rank can be spliced over a dead one without touching the
-/// surviving process's other connections.
-struct PeerTable {
-    slots: Vec<RwLock<Option<Peer>>>,
-    /// Bumped each time a slot's connection is (re)installed: 1 after the
-    /// initial mesh, +1 per rejoin splice.
-    generations: Vec<AtomicU64>,
-}
-
-impl PeerTable {
-    fn new(peers: Vec<Option<Peer>>) -> Self {
-        let generations = peers
-            .iter()
-            .map(|p| AtomicU64::new(u64::from(p.is_some())))
-            .collect();
-        PeerTable {
-            slots: peers.into_iter().map(RwLock::new).collect(),
-            generations,
-        }
-    }
-
-    /// Installs `stream` as the live connection for `rank`: shuts down
-    /// any previous connection, drains the rank's inbox lanes, then
-    /// spawns the fresh reader.
-    ///
-    /// The drain is the per-lane sequence resync of the rejoin protocol:
-    /// anything still queued was sent by the dead incarnation and must
-    /// not leak into the replacement's conversation. Lanes are drained in
-    /// place (not removed), so receiver clones held by in-flight `recv`
-    /// calls stay wired to the lane.
-    fn splice(
-        &self,
-        rank: usize,
-        stream: TcpStream,
-        inbox: &LaneMap<(usize, u64)>,
-    ) -> Result<(), TransportError> {
-        let mut slot = self.slots[rank].write();
-        if let Some(old) = slot.take() {
-            old.alive.store(false, Ordering::SeqCst);
-            let _ = old.writer.lock().shutdown(std::net::Shutdown::Both);
-        }
-        {
-            let map = inbox.lock();
-            for ((src, _), (_, rx)) in map.iter() {
-                if *src == rank {
-                    while rx.try_recv().is_ok() {}
-                }
-            }
-        }
-        *slot = Some(spawn_peer(rank, stream, inbox)?);
-        self.generations[rank].fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-}
-
-/// The real-wire backend: one OS process per rank, a full mesh of TCP
-/// connections, every message in a checksummed frame.
-///
-/// Construction is two-phase so the caller controls rendezvous:
-/// [`TcpTransport::bind`] grabs a listener (so the endpoint can be
-/// published), then [`TcpBound::establish`] connects the full mesh once
-/// every peer endpoint is known. [`tcp_rendezvous`] wraps both phases
-/// behind a shared-directory rendezvous for same-host worlds.
-///
-/// A `TcpTransport` *is* one rank: `send` requires `src` to be this rank
-/// and `recv` requires `dst` to be this rank — a process can neither
-/// forge another rank's traffic nor read it.
-///
-/// The listener outlives the initial mesh: a background accept thread
-/// keeps running for the transport's whole life, so a relaunched rank can
-/// re-handshake ([`tcp_rejoin`]) and be spliced over its dead predecessor
-/// while every other connection stays untouched.
-pub struct TcpTransport {
-    world: usize,
-    rank: usize,
-    peers: Arc<PeerTable>,
-    inbox: LaneMap<(usize, u64)>,
-    stats: ChannelLedger,
-    /// Tells the background acceptor to exit.
-    acceptor_stop: Arc<AtomicBool>,
-    /// The background acceptor, joined on drop.
-    acceptor: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TcpTransport(rank={}/{})", self.rank, self.world)
-    }
-}
-
-/// A bound-but-unconnected TCP rank: holds the listener whose address
-/// peers must learn before [`TcpBound::establish`] can mesh the world.
-pub struct TcpBound {
-    world: usize,
-    rank: usize,
-    listener: TcpListener,
-    addr: SocketAddr,
-}
-
-impl TcpBound {
-    /// The address peers should connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Connects the full mesh: dials every lower rank, accepts every
-    /// higher rank, exchanging hello frames to identify peers. Blocks up
-    /// to `timeout`.
-    ///
-    /// `endpoints[r]` must hold rank `r`'s listener address for `r` below
-    /// this rank (higher entries are ignored — those peers dial us).
-    pub fn establish(
-        self,
-        endpoints: &[SocketAddr],
-        timeout: Duration,
-    ) -> Result<TcpTransport, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let world = self.world;
-        let rank = self.rank;
-        assert!(endpoints.len() >= rank, "missing endpoints for lower ranks");
-        let retry = RetryPolicy::from_env();
-        let inbox: LaneMap<(usize, u64)> = Arc::new(Mutex::new(HashMap::new()));
-        let mut peers: Vec<Option<Peer>> = (0..world).map(|_| None).collect();
-
-        // Dial every lower rank (their listeners are up before their
-        // endpoint is visible, so connect may only transiently fail).
-        for (p, &ep) in endpoints.iter().enumerate().take(rank) {
-            let mut stream = retry
-                .run_until(deadline, || TcpStream::connect(ep))
-                .map_err(|e| TransportError::Rendezvous {
-                    detail: format!("connecting to rank {p} at {ep}: {e}"),
-                })?;
-            stream.set_nodelay(true).map_err(TransportError::io)?;
-            stream
-                .write_all(&wire_hello(rank))
-                .map_err(TransportError::io)?;
-            peers[p] = Some(spawn_peer(p, stream, &inbox)?);
-        }
-
-        // Accept every higher rank; the hello frame tells us who called.
-        self.listener
-            .set_nonblocking(true)
-            .map_err(TransportError::io)?;
-        let mut expected = world - rank - 1;
-        while expected > 0 {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).map_err(TransportError::io)?;
-                    stream.set_nodelay(true).map_err(TransportError::io)?;
-                    stream
-                        .set_read_timeout(Some(
-                            deadline
-                                .saturating_duration_since(Instant::now())
-                                .max(POLL_SLICE),
-                        ))
-                        .map_err(TransportError::io)?;
-                    let mut clone = stream.try_clone().map_err(TransportError::io)?;
-                    let peer = read_hello(&mut clone)?;
-                    if peer >= world || peers[peer].is_some() || peer == rank {
-                        return Err(TransportError::Rendezvous {
-                            detail: format!("unexpected hello from rank {peer}"),
-                        });
-                    }
-                    stream.set_read_timeout(None).map_err(TransportError::io)?;
-                    peers[peer] = Some(spawn_peer(peer, stream, &inbox)?);
-                    expected -= 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Rendezvous {
-                            detail: format!("{expected} peer(s) never connected"),
-                        });
-                    }
-                    std::thread::sleep(POLL_SLICE);
-                }
-                Err(e) => return Err(TransportError::io(e)),
-            }
-        }
-
-        finish_mesh(self.listener, world, rank, peers, inbox)
-    }
-
-    /// Re-meshes this rank into an already-running world after a
-    /// relaunch. Unlike the initial [`TcpBound::establish`] (dial lower,
-    /// accept higher), a rejoining rank dials *every* peer: the
-    /// survivors' background acceptors validate the hello and splice the
-    /// fresh connection over the dead one, so no dial-direction
-    /// coordination is needed.
-    ///
-    /// `endpoints[r]` must hold rank `r`'s listener address for every
-    /// `r != rank` (the own-rank entry is ignored).
-    pub fn rejoin(
-        self,
-        endpoints: &[SocketAddr],
-        timeout: Duration,
-    ) -> Result<TcpTransport, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let world = self.world;
-        let rank = self.rank;
-        assert!(endpoints.len() >= world, "need an endpoint per rank");
-        let retry = RetryPolicy::from_env();
-        let inbox: LaneMap<(usize, u64)> = Arc::new(Mutex::new(HashMap::new()));
-        let mut peers: Vec<Option<Peer>> = (0..world).map(|_| None).collect();
-        for (p, &ep) in endpoints.iter().enumerate().take(world) {
-            if p == rank {
-                continue;
-            }
-            let mut stream = retry
-                .run_until(deadline, || TcpStream::connect(ep))
-                .map_err(|e| TransportError::Rendezvous {
-                    detail: format!("rejoin: connecting to rank {p} at {ep}: {e}"),
-                })?;
-            stream.set_nodelay(true).map_err(TransportError::io)?;
-            stream
-                .write_all(&wire_hello(rank))
-                .map_err(TransportError::io)?;
-            peers[p] = Some(spawn_peer(p, stream, &inbox)?);
-        }
-        finish_mesh(self.listener, world, rank, peers, inbox)
-    }
-}
-
-/// Shared tail of [`TcpBound::establish`] and [`TcpBound::rejoin`]: wraps
-/// the meshed peers in a live transport and keeps the listener accepting
-/// in the background so later-relaunched ranks can splice in.
-fn finish_mesh(
-    listener: TcpListener,
-    world: usize,
-    rank: usize,
-    peers: Vec<Option<Peer>>,
-    inbox: LaneMap<(usize, u64)>,
-) -> Result<TcpTransport, TransportError> {
-    let table = Arc::new(PeerTable::new(peers));
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = spawn_acceptor(
-        listener,
-        world,
-        rank,
-        Arc::clone(&table),
-        Arc::clone(&inbox),
-        Arc::clone(&stop),
-    )?;
-    Ok(TcpTransport {
-        world,
-        rank,
-        peers: table,
-        inbox,
-        stats: ChannelLedger::new(),
-        acceptor_stop: stop,
-        acceptor: Mutex::new(Some(acceptor)),
-    })
-}
-
-/// Parses the 8-byte hello body identifying a connecting rank.
-fn read_hello(stream: &mut TcpStream) -> Result<usize, TransportError> {
-    let hello = read_frame_body(stream)?;
-    if hello.len() != 8 {
-        return Err(TransportError::Corrupt {
-            detail: "hello frame has wrong length".to_string(),
-        });
-    }
-    Ok(u64::from_le_bytes(hello.try_into().unwrap()) as usize)
-}
-
-/// Spawns the background accept thread that admits late connections —
-/// the survivor half of the rejoin handshake.
-fn spawn_acceptor(
-    listener: TcpListener,
-    world: usize,
-    rank: usize,
-    table: Arc<PeerTable>,
-    inbox: LaneMap<(usize, u64)>,
-    stop: Arc<AtomicBool>,
-) -> Result<JoinHandle<()>, TransportError> {
-    listener.set_nonblocking(true).map_err(TransportError::io)?;
-    std::thread::Builder::new()
-        .name(format!("net-accept-{rank}"))
-        .spawn(move || loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if let Err(e) = admit(stream, world, rank, &table, &inbox) {
-                        eprintln!("rank {rank}: rejected late connection: {e}");
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_SLICE);
-                }
-                Err(_) => return,
-            }
-        })
-        .map_err(TransportError::io)
-}
-
-/// Validates a late connection's hello and splices it into the mesh. A
-/// hello for an occupied slot *replaces* the old connection (newest wins):
-/// the coordinator fences the dead process before relaunching, so by the
-/// time a replacement dials in, whatever sits in the slot is garbage.
-fn admit(
-    stream: TcpStream,
-    world: usize,
-    rank: usize,
-    table: &PeerTable,
-    inbox: &LaneMap<(usize, u64)>,
-) -> Result<(), TransportError> {
-    stream.set_nonblocking(false).map_err(TransportError::io)?;
-    stream.set_nodelay(true).map_err(TransportError::io)?;
-    stream
-        .set_read_timeout(Some(HELLO_TIMEOUT))
-        .map_err(TransportError::io)?;
-    let mut clone = stream.try_clone().map_err(TransportError::io)?;
-    let peer = read_hello(&mut clone)?;
-    if peer >= world || peer == rank {
-        return Err(TransportError::Rendezvous {
-            detail: format!("unexpected hello from rank {peer}"),
-        });
-    }
-    stream.set_read_timeout(None).map_err(TransportError::io)?;
-    table.splice(peer, stream, inbox)
-}
-
-/// Reads one frame (header + body + checksum) off `stream`, validating
-/// magic, version, length, and checksum. Returns the body.
-fn read_frame_body(stream: &mut TcpStream) -> Result<Vec<u8>, TransportError> {
-    let mut header = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header).map_err(TransportError::io)?;
-    let body_len =
-        framing::parse_header(&header, WIRE_MAGIC, WIRE_FORMAT_VERSION).map_err(|e| {
-            TransportError::Corrupt {
-                detail: e.to_string(),
-            }
-        })?;
-    if body_len > MAX_WIRE_BODY {
-        return Err(TransportError::Corrupt {
-            detail: format!("frame body claims {body_len} bytes (cap {MAX_WIRE_BODY})"),
-        });
-    }
-    let mut rest = vec![0u8; body_len as usize + 8];
-    stream.read_exact(&mut rest).map_err(TransportError::io)?;
-    let mut full = Vec::with_capacity(HEADER_LEN + rest.len());
-    full.extend_from_slice(&header);
-    full.extend_from_slice(&rest);
-    framing::unframe(&full, WIRE_MAGIC, WIRE_FORMAT_VERSION)
-        .map(<[u8]>::to_vec)
-        .map_err(|e| TransportError::Corrupt {
-            detail: e.to_string(),
-        })
-}
-
-/// Registers a peer connection and spawns its reader thread, which
-/// demultiplexes incoming frames into per-`(src, channel)` inbox lanes.
-fn spawn_peer(
-    peer_rank: usize,
-    stream: TcpStream,
-    inbox: &LaneMap<(usize, u64)>,
-) -> Result<Peer, TransportError> {
-    let alive = Arc::new(AtomicBool::new(true));
-    let corrupt = Arc::new(AtomicBool::new(false));
-    let mut reader = stream.try_clone().map_err(TransportError::io)?;
-    let inbox = Arc::clone(inbox);
-    let t_alive = Arc::clone(&alive);
-    let t_corrupt = Arc::clone(&corrupt);
-    std::thread::Builder::new()
-        .name(format!("net-rx-{peer_rank}"))
-        .spawn(move || loop {
-            match read_frame_body(&mut reader) {
-                Ok(body) => {
-                    if body.len() < 16 {
-                        t_corrupt.store(true, Ordering::SeqCst);
-                        t_alive.store(false, Ordering::SeqCst);
-                        return;
-                    }
-                    let channel = u64::from_le_bytes(body[..8].try_into().unwrap());
-                    let payload = Payload::Bytes(body[16..].to_vec());
-                    let tx = {
-                        let mut map = inbox.lock();
-                        map.entry((peer_rank, channel))
-                            .or_insert_with(unbounded)
-                            .0
-                            .clone()
-                    };
-                    // The inbox map owns the receiver; send cannot fail.
-                    let _ = tx.send(payload);
-                }
-                Err(TransportError::Corrupt { .. }) => {
-                    t_corrupt.store(true, Ordering::SeqCst);
-                    t_alive.store(false, Ordering::SeqCst);
-                    return;
-                }
-                Err(_) => {
-                    // EOF or I/O error: the peer is gone.
-                    t_alive.store(false, Ordering::SeqCst);
-                    return;
-                }
-            }
-        })
-        .map_err(TransportError::io)?;
-    Ok(Peer {
-        writer: Mutex::new(stream),
-        alive,
-        corrupt,
-    })
-}
-
-impl TcpTransport {
-    /// Binds rank `rank` of a `world`-rank TCP world on `bind_addr`
-    /// (typically `127.0.0.1:0`), returning the bound-but-unconnected
-    /// endpoint whose address peers must learn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world == 0` or `rank >= world`.
-    pub fn bind(world: usize, rank: usize, bind_addr: &str) -> Result<TcpBound, TransportError> {
-        assert!(world > 0, "world size must be positive");
-        assert!(rank < world, "rank {rank} outside world {world}");
-        let listener = TcpListener::bind(bind_addr).map_err(TransportError::io)?;
-        let addr = listener.local_addr().map_err(TransportError::io)?;
-        Ok(TcpBound {
-            world,
-            rank,
-            listener,
-            addr,
-        })
-    }
-
-    /// This process's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// How many times `rank`'s connection has been (re)installed: 1 after
-    /// the initial mesh, +1 per rejoin splice. Lets a coordinator (and
-    /// the failure-matrix tests) observe that a replacement actually
-    /// re-handshaked.
-    pub fn peer_generation(&self, rank: usize) -> u64 {
-        self.peers.generations[rank].load(Ordering::SeqCst)
-    }
-
-    /// Blocks until `rank`'s connection generation exceeds `above` — i.e.
-    /// a relaunched rank has spliced in — or `timeout` passes.
-    pub fn wait_peer_generation(
-        &self,
-        rank: usize,
-        above: u64,
-        timeout: Duration,
-    ) -> Result<u64, TransportError> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        loop {
-            let generation = self.peer_generation(rank);
-            if generation > above {
-                return Ok(generation);
-            }
-            if Instant::now() >= deadline {
-                return Err(TransportError::Timeout {
-                    src: rank,
-                    dst: self.rank,
-                    channel: 0,
-                    waited_ms: start.elapsed().as_millis(),
-                });
-            }
-            std::thread::sleep(POLL_SLICE);
-        }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Shut the sockets down explicitly: reader threads hold clones of
-        // every stream, so merely dropping the writer halves would leave
-        // the connections open and peers would never observe our death.
-        self.acceptor_stop.store(true, Ordering::SeqCst);
-        for slot in &self.peers.slots {
-            if let Some(peer) = slot.read().as_ref() {
-                let _ = peer.writer.lock().shutdown(std::net::Shutdown::Both);
-            }
-        }
-        if let Some(acceptor) = self.acceptor.lock().take() {
-            let _ = acceptor.join();
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn world(&self) -> usize {
-        self.world
-    }
-
-    fn send_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-        payload: Payload,
-    ) -> Result<(), TransportError> {
-        assert!(
-            src == self.rank,
-            "TcpTransport rank {} cannot send as rank {src}",
-            self.rank
-        );
-        assert!(
-            dst < self.world && dst != self.rank,
-            "bad destination {dst}"
-        );
-        // The socket boundary: a shared payload is encoded here — once,
-        // cached, so a broadcast of one payload encodes a single time no
-        // matter how many peers it goes to.
-        let bytes: &[u8] = match &payload {
-            Payload::Bytes(b) => b,
-            Payload::Shared(s) => s.encoded(),
-        };
-        let _span = opt_trace::begin_full(SpanKind::Send, 0, NO_MICRO, bytes.len() as u64, 0);
-        let frame = wire_frame(channel, dst, bytes);
-        let slot = self.peers.slots[dst].read();
-        let Some(peer) = slot.as_ref() else {
-            return Err(TransportError::Disconnected { peer: dst });
-        };
-        if !peer.alive.load(Ordering::SeqCst) {
-            return Err(TransportError::Disconnected { peer: dst });
-        }
-        let mut w = peer.writer.lock();
-        w.write_all(&frame)
-            .map_err(|_| TransportError::Disconnected { peer: dst })?;
-        w.flush()
-            .map_err(|_| TransportError::Disconnected { peer: dst })?;
-        drop(w);
-        drop(slot);
-        self.stats.record_send(src, dst, channel, bytes.len());
-        Ok(())
-    }
-
-    fn recv_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-        timeout: Duration,
-    ) -> Result<Payload, TransportError> {
-        assert!(
-            dst == self.rank,
-            "TcpTransport rank {} cannot receive as rank {dst}",
-            self.rank
-        );
-        assert!(src < self.world && src != self.rank, "bad source {src}");
-        let rx = {
-            let mut map = self.inbox.lock();
-            map.entry((src, channel))
-                .or_insert_with(unbounded)
-                .1
-                .clone()
-        };
-        let span = opt_trace::begin_full(SpanKind::Recv, 0, NO_MICRO, 0, 0);
-        let start = Instant::now();
-        let deadline = start + timeout;
-        loop {
-            let slice = deadline
-                .saturating_duration_since(Instant::now())
-                .min(POLL_SLICE);
-            match rx.recv_timeout(slice) {
-                Ok(payload) => {
-                    let wire_len = payload.wire_len();
-                    span.set_bytes(wire_len as u64);
-                    self.stats.record_recv(src, dst, channel, wire_len);
-                    return Ok(payload);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(TransportError::Disconnected { peer: src })
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Drain wins over death: only report a dead peer once
-                    // its lane is empty.
-                    if rx.is_empty() {
-                        let slot = self.peers.slots[src].read();
-                        match slot.as_ref() {
-                            Some(peer) => {
-                                if peer.corrupt.load(Ordering::SeqCst) {
-                                    return Err(TransportError::Corrupt {
-                                        detail: format!(
-                                            "connection from rank {src} failed frame validation"
-                                        ),
-                                    });
-                                }
-                                if !peer.alive.load(Ordering::SeqCst) {
-                                    return Err(TransportError::Disconnected { peer: src });
-                                }
-                            }
-                            None => return Err(TransportError::Disconnected { peer: src }),
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Timeout {
-                            src,
-                            dst,
-                            channel,
-                            waited_ms: start.elapsed().as_millis(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_recv_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<Payload>, TransportError> {
-        assert!(dst == self.rank, "bad destination {dst}");
-        let rx = {
-            let mut map = self.inbox.lock();
-            map.entry((src, channel))
-                .or_insert_with(unbounded)
-                .1
-                .clone()
-        };
-        let got = rx.try_recv().ok();
-        if let Some(payload) = &got {
-            self.stats
-                .record_recv(src, dst, channel, payload.wire_len());
-        }
-        Ok(got)
-    }
-
-    fn channel_stats(&self) -> Vec<ChannelStat> {
-        self.stats.snapshot()
-    }
-}
-
-/// Meshes a TCP world through a shared rendezvous directory: every rank
-/// binds an ephemeral loopback listener, publishes `ep-<rank>` (atomic
-/// write, so a reader never sees a half-written address), waits for all
-/// peers to publish, then [`TcpBound::establish`]es the full mesh.
-///
-/// The directory must be fresh per world incarnation — stale endpoint
-/// files from a previous run would be read as live peers.
-pub fn tcp_rendezvous(
-    dir: impl Into<PathBuf>,
-    world: usize,
-    rank: usize,
-    timeout: Duration,
-) -> Result<TcpTransport, TransportError> {
-    let dir = dir.into();
-    std::fs::create_dir_all(&dir).map_err(TransportError::io)?;
-    let bound = TcpTransport::bind(world, rank, "127.0.0.1:0")?;
-    publish_endpoint(&dir, rank, bound.addr())?;
-    let deadline = Instant::now() + timeout;
-    let endpoints = poll_endpoints(&dir, world, deadline)?;
-    bound.establish(
-        &endpoints,
-        deadline.saturating_duration_since(Instant::now()),
-    )
-}
-
-/// Re-meshes a relaunched rank into a live world through the *same*
-/// rendezvous directory the world was originally built in: the survivors'
-/// endpoint files are still valid (their listeners stay open for the
-/// transport's whole life), and this rank overwrites its own stale
-/// `ep-<rank>` before dialing everyone via [`TcpBound::rejoin`].
-pub fn tcp_rejoin(
-    dir: impl Into<PathBuf>,
-    world: usize,
-    rank: usize,
-    timeout: Duration,
-) -> Result<TcpTransport, TransportError> {
-    let dir = dir.into();
-    std::fs::create_dir_all(&dir).map_err(TransportError::io)?;
-    let bound = TcpTransport::bind(world, rank, "127.0.0.1:0")?;
-    publish_endpoint(&dir, rank, bound.addr())?;
-    let deadline = Instant::now() + timeout;
-    let endpoints = poll_endpoints(&dir, world, deadline)?;
-    bound.rejoin(
-        &endpoints,
-        deadline.saturating_duration_since(Instant::now()),
-    )
-}
-
-/// Polls the rendezvous directory until every rank's endpoint is
-/// published (capped-exponential backoff), or the deadline passes.
-fn poll_endpoints(
-    dir: &Path,
-    world: usize,
-    deadline: Instant,
-) -> Result<Vec<SocketAddr>, TransportError> {
-    let retry = RetryPolicy::from_env();
-    let mut endpoints = Vec::with_capacity(world);
-    for peer in 0..world {
-        let addr = retry
-            .run_until(deadline, || read_endpoint(dir, peer).ok_or(()))
-            .map_err(|()| TransportError::Rendezvous {
-                detail: format!("rank {peer} never published an endpoint in {dir:?}"),
-            })?;
-        endpoints.push(addr);
-    }
-    Ok(endpoints)
-}
-
-/// Publishes this rank's listener address into the rendezvous directory.
-fn publish_endpoint(dir: &Path, rank: usize, addr: SocketAddr) -> Result<(), TransportError> {
-    framing::atomic_write(&dir.join(format!("ep-{rank}")), addr.to_string().as_bytes()).map_err(
-        |e| TransportError::Rendezvous {
-            detail: format!("publishing endpoint for rank {rank}: {e}"),
-        },
-    )
-}
-
-/// Reads a peer's published listener address, if present yet.
-fn read_endpoint(dir: &Path, rank: usize) -> Option<SocketAddr> {
-    let bytes = std::fs::read(dir.join(format!("ep-{rank}"))).ok()?;
-    String::from_utf8(bytes).ok()?.parse().ok()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::thread;
+
+    /// Test double for failure paths: a [`LocalTransport`] on which a
+    /// receive from an *empty* lane fails at once with a fixed error.
+    /// Messages already on a lane are still delivered first — the same
+    /// "drain wins over death" order the TCP backend keeps.
+    #[derive(Debug)]
+    pub(crate) struct FailingTransport {
+        pub(crate) inner: LocalTransport,
+        pub(crate) error: TransportError,
+    }
+
+    impl Transport for FailingTransport {
+        fn world(&self) -> usize {
+            self.inner.world()
+        }
+
+        fn send_payload(
+            &self,
+            src: usize,
+            dst: usize,
+            channel: u64,
+            payload: Payload,
+        ) -> Result<(), TransportError> {
+            self.inner.send_payload(src, dst, channel, payload)
+        }
+
+        fn recv_payload(
+            &self,
+            src: usize,
+            dst: usize,
+            channel: u64,
+            _: Duration,
+        ) -> Result<Payload, TransportError> {
+            self.inner
+                .try_recv_payload(src, dst, channel)?
+                .ok_or_else(|| self.error.clone())
+        }
+
+        fn try_recv_payload(
+            &self,
+            src: usize,
+            dst: usize,
+            channel: u64,
+        ) -> Result<Option<Payload>, TransportError> {
+            self.inner.try_recv_payload(src, dst, channel)
+        }
+    }
 
     #[test]
     fn local_lanes_are_fifo_and_independent() {
         let t = LocalTransport::new(2);
         for i in 0..5u8 {
-            t.send(0, 1, 7, vec![i]).unwrap();
+            t.send_value(0, 1, 7, vec![i]).unwrap();
         }
-        t.send(1, 0, 7, vec![99]).unwrap();
-        t.send(0, 1, 8, vec![42]).unwrap();
+        t.send_value(1, 0, 7, vec![99u8]).unwrap();
+        t.send_value(0, 1, 8, vec![42u8]).unwrap();
+        let recv = |src, dst, channel| t.recv_value::<Vec<u8>>(src, dst, channel, net_timeout());
         for i in 0..5u8 {
-            assert_eq!(t.recv(0, 1, 7, net_timeout()).unwrap(), vec![i]);
+            assert_eq!(recv(0, 1, 7).unwrap(), vec![i]);
         }
-        assert_eq!(t.recv(1, 0, 7, net_timeout()).unwrap(), vec![99]);
-        assert_eq!(t.recv(0, 1, 8, net_timeout()).unwrap(), vec![42]);
+        assert_eq!(recv(1, 0, 7).unwrap(), vec![99]);
+        assert_eq!(recv(0, 1, 8).unwrap(), vec![42]);
     }
 
     #[test]
     fn local_timeout_reports_lane() {
         let t = LocalTransport::new(2);
-        let err = t.recv(0, 1, 3, Duration::from_millis(10)).unwrap_err();
+        let err = t
+            .recv_value::<u8>(0, 1, 3, Duration::from_millis(10))
+            .unwrap_err();
         match err {
             TransportError::Timeout {
                 src, dst, channel, ..
@@ -1422,246 +688,42 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-        assert!(err.to_string().contains("src 0 -> dst 1"));
+        let msg = err.to_string();
+        assert!(msg.contains("src 0 -> dst 1"), "uninformative: {msg}");
+        assert!(msg.contains("OPT_NET_TIMEOUT_MS"), "no tuning hint: {msg}");
     }
 
     #[test]
     fn local_try_recv_is_nonblocking() {
         let t = LocalTransport::new(2);
-        assert_eq!(t.try_recv(0, 1, 0).unwrap(), None);
-        t.send(0, 1, 0, vec![5]).unwrap();
-        assert_eq!(t.try_recv(0, 1, 0).unwrap(), Some(vec![5]));
-    }
-
-    /// Establishes an n-rank loopback TCP world in `dir`, keeping the
-    /// rendezvous files so a rank can later rejoin through them.
-    fn tcp_world_in(dir: &Path, n: usize) -> Vec<TcpTransport> {
-        let handles: Vec<_> = (0..n)
-            .map(|r| {
-                let dir = dir.to_path_buf();
-                thread::spawn(move || {
-                    tcp_rendezvous(dir, n, r, Duration::from_secs(20)).expect("rendezvous")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
-
-    /// Establishes an n-rank loopback TCP world inside one test process.
-    fn tcp_world(n: usize) -> Vec<TcpTransport> {
-        let dir = std::env::temp_dir().join(format!(
-            "opt-tcp-test-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = tcp_world_in(&dir, n);
-        let _ = std::fs::remove_dir_all(&dir);
-        out
+        assert_eq!(t.try_recv_value::<u8>(0, 1, 0).unwrap(), None);
+        t.send_value(0, 1, 0, 5u8).unwrap();
+        assert_eq!(t.try_recv_value::<u8>(0, 1, 0).unwrap(), Some(5));
     }
 
     #[test]
-    fn tcp_world_exchanges_fifo_messages() {
-        let world = tcp_world(3);
-        // Every ordered pair exchanges a couple of messages, in order.
-        thread::scope(|s| {
-            for t in &world {
-                s.spawn(move || {
-                    let me = t.rank();
-                    for dst in 0..t.world() {
-                        if dst == me {
-                            continue;
-                        }
-                        for k in 0..3u8 {
-                            t.send(me, dst, 1, vec![me as u8, k]).unwrap();
-                        }
-                    }
-                    for src in 0..t.world() {
-                        if src == me {
-                            continue;
-                        }
-                        for k in 0..3u8 {
-                            let got = t.recv(src, me, 1, Duration::from_secs(10)).unwrap();
-                            assert_eq!(got, vec![src as u8, k]);
-                        }
-                    }
-                });
-            }
-        });
+    #[should_panic(expected = "rank out of range")]
+    fn local_try_recv_checks_the_lane() {
+        let _ = LocalTransport::new(2).try_recv_value::<u8>(2, 1, 0);
     }
 
     #[test]
-    fn tcp_large_payload_roundtrips_exactly() {
-        let world = tcp_world(2);
-        let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        thread::scope(|s| {
-            let t0 = &world[0];
-            let t1 = &world[1];
-            s.spawn(move || t0.send(0, 1, 9, payload).unwrap());
-            let got = t1.recv(0, 1, 9, Duration::from_secs(20)).unwrap();
-            assert_eq!(got, expect);
-        });
-    }
-
-    #[test]
-    fn tcp_detects_dead_peer() {
-        let mut world = tcp_world(2);
-        let t1 = world.pop().unwrap();
-        let t0 = world.pop().unwrap();
-        drop(t1); // rank 1's connections close
-        let err = t0.recv(1, 0, 0, Duration::from_secs(5)).unwrap_err();
-        assert_eq!(err, TransportError::Disconnected { peer: 1 });
-        // Sending to the dead peer fails too (possibly after the OS
-        // notices the close).
-        let mut saw_disconnect = false;
-        for _ in 0..50 {
-            if t0.send(0, 1, 0, vec![1]).is_err() {
-                saw_disconnect = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert!(saw_disconnect, "send to dead peer never failed");
-    }
-
-    #[test]
-    fn killed_rank_rejoins_with_lane_resync() {
-        let dir = std::env::temp_dir().join(format!(
-            "opt-tcp-rejoin-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut world = tcp_world_in(&dir, 3);
-        let t2 = world.pop().unwrap();
-        let t1 = world.pop().unwrap();
-        let t0 = world.pop().unwrap();
-
-        // A message from rank 1's first incarnation that nobody received:
-        // the splice must drain it, not deliver it to the replacement's
-        // conversation.
-        t1.send(1, 0, 5, vec![0xAA]).unwrap();
-        thread::sleep(Duration::from_millis(200));
-
-        let gen0 = t0.peer_generation(1);
-        let gen2 = t2.peer_generation(1);
-        drop(t1); // rank 1 dies
-
-        let nt1 = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("rejoin");
-        assert_eq!(
-            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
-                .unwrap(),
-            gen0 + 1
-        );
-        t2.wait_peer_generation(1, gen2, Duration::from_secs(10))
-            .unwrap();
-
-        // The stale frame is gone; fresh traffic flows in both directions
-        // with every survivor, on the survivors' original sockets.
-        nt1.send(1, 0, 5, vec![0xBB]).unwrap();
-        assert_eq!(
-            t0.recv(1, 0, 5, Duration::from_secs(10)).unwrap(),
-            vec![0xBB]
-        );
-        t0.send(0, 1, 5, vec![1]).unwrap();
-        assert_eq!(nt1.recv(0, 1, 5, Duration::from_secs(10)).unwrap(), vec![1]);
-        t2.send(2, 1, 6, vec![2]).unwrap();
-        assert_eq!(nt1.recv(2, 1, 6, Duration::from_secs(10)).unwrap(), vec![2]);
-        nt1.send(1, 2, 6, vec![3]).unwrap();
-        assert_eq!(t2.recv(1, 2, 6, Duration::from_secs(10)).unwrap(), vec![3]);
-
-        // Double-kill of the same rank: a second incarnation dies too and
-        // a third splices in, bumping the generation again.
-        let gen0 = t0.peer_generation(1);
-        drop(nt1);
-        let nt1b = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("second rejoin");
-        assert_eq!(
-            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
-                .unwrap(),
-            gen0 + 1
-        );
-        nt1b.send(1, 0, 5, vec![0xCC]).unwrap();
-        assert_eq!(
-            t0.recv(1, 0, 5, Duration::from_secs(10)).unwrap(),
-            vec![0xCC]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wait_peer_generation_times_out_without_rejoin() {
-        let world = tcp_world(2);
-        let gen = world[0].peer_generation(1);
-        assert_eq!(gen, 1);
-        let err = world[0]
-            .wait_peer_generation(1, gen, Duration::from_millis(60))
+    fn mistyped_receive_is_a_decode_error_naming_the_lane() {
+        let t = LocalTransport::new(2);
+        t.send_value(0, 1, 0x42, 5u8).unwrap();
+        let err = t
+            .recv_value::<String>(0, 1, 0x42, net_timeout())
             .unwrap_err();
-        assert!(matches!(err, TransportError::Timeout { .. }));
-    }
-
-    #[test]
-    fn tcp_rejects_tampered_frame() {
-        // Rank 0 is a real transport endpoint; the "peer" is a raw socket
-        // that completes the hello handshake and then sends a frame with
-        // one flipped payload bit. The transport must refuse to deliver
-        // it and surface Corrupt instead.
-        let bound = TcpTransport::bind(2, 0, "127.0.0.1:0").expect("bind");
-        let addr = bound.addr();
-        let attacker = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&wire_hello(1)).expect("hello");
-            let mut frame = wire_frame(4, 0, b"legitimate payload");
-            let n = frame.len();
-            frame[n - 12] ^= 0x01; // flip one payload bit
-            s.write_all(&frame).expect("tampered frame");
-            s.flush().expect("flush");
-            // Keep the socket open so EOF cannot mask the corruption.
-            thread::sleep(Duration::from_secs(2));
-        });
-        let t0 = bound.establish(&[], Duration::from_secs(10)).expect("mesh");
-        let err = t0.recv(1, 0, 4, Duration::from_secs(5)).unwrap_err();
-        assert!(
-            matches!(err, TransportError::Corrupt { .. }),
-            "tampered frame yielded {err:?}"
-        );
-        attacker.join().unwrap();
-    }
-
-    #[test]
-    fn channel_stats_agree_between_local_and_tcp() {
-        // Same message pattern over both backends: the per-lane counters
-        // must be identical once the TCP halves are merged, because lane
-        // accounting counts payload bytes only (no frame overhead).
-        let local = LocalTransport::new(2);
-        local.send(0, 1, channel_id(1, 0), vec![0; 100]).unwrap();
-        local.send(0, 1, channel_id(1, 0), vec![0; 20]).unwrap();
-        local.recv(0, 1, channel_id(1, 0), net_timeout()).unwrap();
-        local.recv(0, 1, channel_id(1, 0), net_timeout()).unwrap();
-
-        let world = tcp_world(2);
-        world[0].send(0, 1, channel_id(1, 0), vec![0; 100]).unwrap();
-        world[0].send(0, 1, channel_id(1, 0), vec![0; 20]).unwrap();
-        world[1]
-            .recv(0, 1, channel_id(1, 0), Duration::from_secs(10))
-            .unwrap();
-        world[1]
-            .recv(0, 1, channel_id(1, 0), Duration::from_secs(10))
-            .unwrap();
-
-        let mut merged = crate::TrafficBreakdown::new(
-            crate::TrafficSnapshot::default(),
-            world[0].channel_stats(),
-        );
-        merged.absorb(&crate::TrafficBreakdown::new(
-            crate::TrafficSnapshot::default(),
-            world[1].channel_stats(),
+        assert!(matches!(
+            err,
+            TransportError::Decode {
+                src: 0,
+                dst: 1,
+                channel: 0x42,
+                ..
+            }
         ));
-        let reference =
-            crate::TrafficBreakdown::new(crate::TrafficSnapshot::default(), local.channel_stats());
-        assert_eq!(merged, reference);
-        assert_eq!(merged.channels[0].send_bytes, 120);
-        assert_eq!(merged.channels[0].recv_bytes, 120);
+        assert!(err.to_string().contains("src 0 -> dst 1, channel 0x42"));
     }
 
     #[test]

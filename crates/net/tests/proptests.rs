@@ -157,25 +157,26 @@ proptest! {
     }
 
     #[test]
-    fn typed_hop_matches_byte_hop_bit_for_bit_and_in_stats(
+    fn typed_hop_delivers_the_encoding_bit_for_bit_and_in_stats(
         rows in 1usize..6,
         cols in 1usize..6,
         seed in 0u64..1000,
     ) {
-        // The typed fast path must be observationally identical to the
-        // byte path it replaced: same bits delivered, same per-lane
-        // accounting — so swapping one for the other can never perturb
-        // the determinism contract.
+        // The zero-copy hop must be observationally identical to a hop
+        // through the encoding a socket would carry: same bits delivered,
+        // and the lane accounts exactly the encoded length — so swapping
+        // backends can never perturb the determinism contract.
         let m = SeedStream::new(seed).uniform_matrix(rows, cols, 3.0);
-        let byte_t = LocalTransport::new(2);
-        let typed_t = LocalTransport::new(2);
-        byte_t.send(0, 1, 7, m.to_bytes()).unwrap();
-        let a = Matrix::from_bytes(&byte_t.recv(0, 1, 7, Duration::from_secs(5)).unwrap()).unwrap();
-        typed_t.send_value(0, 1, 7, m.clone()).unwrap();
-        let b: Matrix = typed_t.recv_value(0, 1, 7, Duration::from_secs(5)).unwrap();
-        assert_bits_equal(&a, &b, "typed vs byte hop")?;
-        assert_bits_equal(&b, &m, "typed hop vs original")?;
-        prop_assert_eq!(byte_t.channel_stats(), typed_t.channel_stats());
+        let t = LocalTransport::new(2);
+        t.send_value(0, 1, 7, m.clone()).unwrap();
+        let got: Matrix = t.recv_value(0, 1, 7, Duration::from_secs(5)).unwrap();
+        let via_bytes = Matrix::from_bytes(&m.to_bytes()).unwrap();
+        assert_bits_equal(&got, &via_bytes, "typed hop vs encode/decode")?;
+        assert_bits_equal(&got, &m, "typed hop vs original")?;
+        let stats = t.channel_stats();
+        prop_assert_eq!(stats.len(), 1);
+        prop_assert_eq!(stats[0].send_bytes, m.to_bytes().len() as u64);
+        prop_assert_eq!(stats[0].recv_bytes, m.to_bytes().len() as u64);
     }
 
     #[test]
@@ -199,14 +200,15 @@ proptest! {
 
     #[test]
     fn mesh_preserves_all_messages(n_msgs in 1usize..40) {
-        let mesh: P2pMesh<usize> = P2pMesh::new(2);
+        let transport = Arc::new(LocalTransport::new(2));
+        let mesh: P2pMesh<usize, _> = P2pMesh::over(Arc::clone(&transport), 0);
         for i in 0..n_msgs {
             mesh.send(0, 1, i);
         }
         for i in 0..n_msgs {
             prop_assert_eq!(mesh.recv(0, 1).unwrap(), i);
         }
-        prop_assert!(mesh.try_recv(0, 1).is_none());
+        prop_assert_eq!(transport.try_recv_value::<usize>(0, 1, 0).unwrap(), None);
     }
 
     #[test]
@@ -329,7 +331,9 @@ fn tcp_transport_rejects_a_tampered_frame() {
         thread::sleep(Duration::from_secs(2));
     });
     let t = bound.establish(&[], Duration::from_secs(10)).expect("mesh");
-    let err = t.recv(1, 0, 3, Duration::from_secs(5)).unwrap_err();
+    let err = t
+        .recv_value::<Vec<u8>>(1, 0, 3, Duration::from_secs(5))
+        .unwrap_err();
     assert!(
         matches!(err, TransportError::Corrupt { .. }),
         "tampered frame yielded {err:?}"

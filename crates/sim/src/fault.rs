@@ -53,8 +53,8 @@ pub struct CkptCostModel {
     /// `TcpShardStore` opens one connection per put/get.
     pub tcp_connect_s: f64,
     /// Seconds for the coordinator's heartbeat failure detector to flag a
-    /// dead rank (`OPT_NET_HEARTBEAT_MS × OPT_NET_HEARTBEAT_MISSES` plus
-    /// a poll) — the elastic-rejoin replacement for the NCCL-timeout
+    /// dead rank (ten silent `OPT_NET_HEARTBEAT_MS` intervals plus a
+    /// poll) — the elastic-rejoin replacement for the NCCL-timeout
     /// `detection_s`.
     pub hb_detection_s: f64,
     /// Seconds for the survivors to drain in-flight work and park at the

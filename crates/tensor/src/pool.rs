@@ -58,9 +58,9 @@ pub fn host_parallelism() -> usize {
     }
 }
 
-/// usize::MAX means "not yet initialized" (0 is a meaningful override:
-/// always parallelize).
-static PARALLEL_FLOPS: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// The threshold in effect: the committed constant unless a test or
+/// benchmark overrode it (0 is a meaningful override: always parallelize).
+static PARALLEL_FLOPS: AtomicUsize = AtomicUsize::new(DEFAULT_PARALLEL_FLOPS);
 
 fn threads_from_env() -> usize {
     std::env::var("OPT_KERNEL_THREADS")
@@ -101,26 +101,16 @@ pub fn set_kernel_threads(n: usize) {
 }
 
 /// The FLOP count (`2*m*n*k`) above which a GEMM is fanned out to the
-/// worker pool.
+/// worker pool: 32 MFLOPs unless [`set_parallel_flop_threshold`] changed
+/// it. The path is chosen from the observed shape, not from a setting.
 pub fn parallel_flop_threshold() -> usize {
-    match PARALLEL_FLOPS.load(Ordering::Relaxed) {
-        usize::MAX => {
-            let v = std::env::var("OPT_KERNEL_PAR_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_PARALLEL_FLOPS)
-                .min(usize::MAX - 1);
-            PARALLEL_FLOPS.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
+    PARALLEL_FLOPS.load(Ordering::Relaxed)
 }
 
 /// Overrides the parallelization threshold (tests force `0` so that tiny
 /// matrices exercise the multi-threaded path).
 pub fn set_parallel_flop_threshold(flops: usize) {
-    PARALLEL_FLOPS.store(flops.min(usize::MAX - 1), Ordering::Relaxed);
+    PARALLEL_FLOPS.store(flops, Ordering::Relaxed);
 }
 
 /// Fixed decomposition of `panels` micro-panels over `threads` workers:

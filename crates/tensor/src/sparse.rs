@@ -34,11 +34,11 @@
 //!
 //! Sparse apply wins while the payload is sparse enough; near full density
 //! the CSR indirection loses to straight dense loops. The crossover is a
-//! process-wide density threshold, default [`DEFAULT_DENSITY_MAX`]
-//! (profiled on the committed `BENCH_sparse.json` sweep), overridable via
-//! `OPT_SPARSE_DENSITY_MAX` or [`set_sparse_density_max`]. Payload apply
-//! sites in `opt-compress` compare `nnz / (rows * cols)` against this knob
-//! and fall back to densify-then-dense above it.
+//! process-wide density threshold, [`DEFAULT_DENSITY_MAX`] (profiled on
+//! the committed `BENCH_sparse.json` sweep; benchmark sweeps and tests move
+//! it with [`set_sparse_density_max`]). Payload apply sites in
+//! `opt-compress` compare the observed `nnz / (rows * cols)` against it and
+//! fall back to densify-then-dense above it.
 
 use crate::dispatch;
 use crate::persist::{Persist, PersistError, Reader, Writer};
@@ -52,25 +52,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// between 1% and 10% payload density, so 5% is the conservative cut.
 pub const DEFAULT_DENSITY_MAX: f32 = 0.05;
 
-/// `u32::MAX` (a NaN bit pattern we never store) means "not yet resolved".
-static DENSITY_MAX: AtomicU32 = AtomicU32::new(u32::MAX);
+/// The crossover in effect, as `f32` bits.
+static DENSITY_MAX: AtomicU32 = AtomicU32::new(DEFAULT_DENSITY_MAX.to_bits());
 
-/// The sparse-apply crossover density, resolved once from
-/// `OPT_SPARSE_DENSITY_MAX` (else [`DEFAULT_DENSITY_MAX`]) on first use.
-/// `0.0` disables the sparse path entirely; `1.0` always takes it.
+/// The sparse-apply crossover density: [`DEFAULT_DENSITY_MAX`] unless
+/// [`set_sparse_density_max`] changed it. `0.0` disables the sparse path
+/// entirely; `1.0` always takes it.
 pub fn sparse_density_max() -> f32 {
-    match DENSITY_MAX.load(Ordering::Relaxed) {
-        u32::MAX => {
-            let v = std::env::var("OPT_SPARSE_DENSITY_MAX")
-                .ok()
-                .and_then(|s| s.trim().parse::<f32>().ok())
-                .filter(|d| d.is_finite() && (0.0..=1.0).contains(d))
-                .unwrap_or(DEFAULT_DENSITY_MAX);
-            DENSITY_MAX.store(v.to_bits(), Ordering::Relaxed);
-            v
-        }
-        bits => f32::from_bits(bits),
-    }
+    f32::from_bits(DENSITY_MAX.load(Ordering::Relaxed))
 }
 
 /// Overrides the sparse-apply crossover density at runtime (benchmark

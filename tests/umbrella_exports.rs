@@ -47,7 +47,7 @@ fn transport_reexports_resolve() {
     // constants, the tunable timeout, and the remote shard store.
     let local = LocalTransport::new(2);
     local
-        .send(0, 1, optimus::net::channel_id(7, 0), vec![1, 2])
+        .send_value(0, 1, optimus::net::channel_id(7, 0), vec![1u8, 2])
         .expect("send");
     assert_eq!(local.world(), 2);
     let _ = optimus::net::net_timeout();
