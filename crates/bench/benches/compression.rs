@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the compression kernels (Fig. 15's real-code
 //! counterpart): PowerSGD compress/decompress across ranks and shapes,
-//! plus the top-k and quantization baselines.
+//! plus the top-k and quantization baselines, and the sparse-vs-densify
+//! apply sweep behind `opt_tensor::DEFAULT_DENSITY_MAX`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use opt_compress::{Compressor, PowerSgd, SignQuantizer, TernaryQuantizer, TopK};
-use opt_tensor::SeedStream;
+use opt_tensor::{set_sparse_density_max, sparse_density_max, SeedStream};
 
 fn bench_powersgd(c: &mut Criterion) {
     let mut group = c.benchmark_group("powersgd_compress");
@@ -54,5 +55,31 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_powersgd, bench_baselines);
+/// The evidence for `DEFAULT_DENSITY_MAX`: the same top-k payload applied
+/// through the CSR kernels (`sparse`, threshold forced to 1.0) and through
+/// decompress + dense subtract (`densify`, threshold 0.0). The two are
+/// bit-identical, so the crossover density is purely a speed question.
+fn bench_topk_apply(c: &mut Criterion) {
+    let mut rng = SeedStream::new(3);
+    let grad = rng.uniform_matrix(256, 256, 1.0);
+    let orig = sparse_density_max();
+
+    let mut group = c.benchmark_group("topk_apply");
+    for density in [0.001, 0.01, 0.1, 0.5] {
+        let payload = TopK::new(density).compress(&grad);
+        for (path, threshold) in [("sparse", 1.0), ("densify", 0.0)] {
+            group.bench_function(BenchmarkId::new(path, density), |b| {
+                set_sparse_density_max(threshold);
+                // Reused across iterations: repeated subtraction only
+                // shifts the values, the work per call stays the same.
+                let mut target = grad.clone();
+                b.iter(|| std::hint::black_box(&payload).apply_sub(&mut target));
+            });
+        }
+    }
+    group.finish();
+    set_sparse_density_max(orig);
+}
+
+criterion_group!(benches, bench_powersgd, bench_baselines, bench_topk_apply);
 criterion_main!(benches);

@@ -1,10 +1,9 @@
-//! A minimal, dependency-free JSON reader/writer for the benchmark matrix.
+//! A minimal, dependency-free JSON reader.
 //!
-//! The committed `BENCH_*.json` perf records are written and re-read by
-//! this module alone — the same "own the bytes" discipline as the
-//! `Persist` binary codec in `opt-tensor`: no serde, a deterministic
-//! writer (object keys keep insertion order, floats format canonically),
-//! and a strict recursive-descent parser that rejects trailing garbage.
+//! `trace_report` parses user-supplied Chrome-trace files with it, so it
+//! is written for outside input: no serde, a strict recursive-descent
+//! parser that rejects trailing garbage, nesting capped at 128 levels,
+//! and time linear in the document's length.
 //!
 //! # Example
 //!
@@ -15,10 +14,12 @@
 //! assert_eq!(v.get("b").unwrap().as_str(), Some("x"));
 //! ```
 
-use std::fmt::Write as _;
+/// Deepest array/object nesting [`Json::parse`] accepts; a Chrome trace
+/// nests four levels. The parser recurses once per level, so an unbounded
+/// document could otherwise overflow the stack.
+const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value. Object member order is preserved, so
-/// parse → render round trips are stable.
+/// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -89,13 +90,14 @@ impl Json {
     /// Parses one JSON document. Trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
@@ -119,9 +121,13 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// `pos` only ever advances past whole characters (ASCII bytes one at a
+/// time, string runs up to an ASCII delimiter), so it is always a char
+/// boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -133,7 +139,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -152,7 +158,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -162,8 +168,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -171,6 +177,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -228,50 +247,45 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("non-UTF-8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // writer; map unpaired surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape character")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the run of plain characters up to the next quote or
+            // escape in one go, so a string costs time linear in its length.
+            let rest = &self.text[self.pos..];
+            let Some(run) = rest.find(['"', '\\']) else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    // Exactly four hex digits; no sign, no shorter form.
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|hex| {
+                            hex.chars()
+                                .try_fold(0u32, |acc, c| Some(acc * 16 + c.to_digit(16)?))
+                        })
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not needed by the trace
+                    // exporter; map unpaired surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape character")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -298,62 +312,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
-}
-
-/// Escapes a string for embedding in a JSON document (adds no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Canonical float formatting for the matrix codec: six decimal places,
-/// trailing zeros trimmed, always at least one decimal digit.
-///
-/// The format is **idempotent under re-parsing**: for any `v` this
-/// function emits, `fmt_f64(parse(fmt_f64(v)))` yields the same bytes —
-/// the property the byte-identical-regeneration contract of the report
-/// generator rests on.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(opt_bench::json::fmt_f64(59766728.0), "59766728.0");
-/// assert_eq!(opt_bench::json::fmt_f64(1.15), "1.15");
-/// assert_eq!(opt_bench::json::fmt_f64(0.000000123), "0.0");
-/// ```
-pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        // The matrix never records non-finite measurements; treat them as
-        // an explicit "absent" marker rather than emitting invalid JSON.
-        return "0.0".to_string();
-    }
-    let mut s = format!("{v:.6}");
-    while s.ends_with('0') {
-        s.pop();
-    }
-    if s.ends_with('.') {
-        s.push('0');
-    }
-    s
 }
 
 #[cfg(test)]
@@ -395,28 +358,43 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips() {
-        let s = "a\"b\\c\nd\te\u{1}";
-        let doc = format!("\"{}\"", escape(s));
-        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(s));
+    fn caps_nesting_depth_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            let e = Json::parse(&nested(depth)).unwrap_err();
+            assert_eq!((e.at, e.msg.as_str()), (MAX_DEPTH, "nesting too deep"));
+        }
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().msg, "nesting too deep");
     }
 
     #[test]
-    fn fmt_f64_is_idempotent_under_reparse() {
-        for v in [
-            0.0,
-            1.0,
-            -3.75,
-            1.15,
-            59766728.0,
-            0.000001,
-            0.0000001,
-            123456.654321,
-            f64::NAN,
+    fn long_strings_parse_in_linear_time() {
+        // 4.2 MB in one string: a parser that re-validates the rest of the
+        // document per character is quadratic and takes minutes here.
+        let body = "añ€".repeat(700_000) + r"\n";
+        let doc = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(parsed.as_str().map(str::len), Some(body.len() - 1));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse(r#""\u0041\u00e9""#).unwrap().as_str(),
+            Some("Aé")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u41""#,
+            r#""\u00é""#,
+            r#""\u004"#,
         ] {
-            let once = fmt_f64(v);
-            let back: f64 = once.parse().unwrap();
-            assert_eq!(fmt_f64(back), once, "value {v}");
+            assert!(Json::parse(bad).is_err(), "{bad}");
         }
     }
 

@@ -1,22 +1,13 @@
 //! `opt-bench` — experiment harness for the Optimus-CC reproduction.
 //!
 //! One binary per paper table/figure (see `src/bin/`), each printing the
-//! same rows/series the paper reports, plus Criterion micro-benchmarks in
-//! `benches/`, plus the repo's perf-observability layer:
-//!
-//! * [`matrix`] — the schema-versioned benchmark-matrix data model:
-//!   `BENCH_<dimension>.json` codec, machine/git provenance, the
-//!   median-regression gate with its allowlist, and the run trajectory;
-//! * [`report`] — byte-deterministic markdown generation (`reports/`,
-//!   README headline block) from the committed JSON records;
-//! * [`json`] — the serde-free JSON reader/writer both build on.
-//!
-//! The `bench_matrix` binary runs the workload sweeps and emits the JSON
-//! records; `bench_report` renders the reports and enforces the CI gate.
+//! same rows/series the paper reports, plus `opt_worker` (the process-world
+//! rank the `multiproc` suite spawns), `trace_report` (offline Chrome-trace
+//! analysis, built on the [`json`] reader) and the Criterion
+//! micro-benchmarks in `benches/`. The repo's timing instrument is not
+//! here: it is the standalone `benchmark/` package (`benchmark/run.sh`).
 
 pub mod json;
-pub mod matrix;
-pub mod report;
 
 use std::fmt::Display;
 

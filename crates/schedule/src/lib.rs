@@ -25,16 +25,11 @@
 //! ```
 
 mod epilogue;
-mod interleaved;
 mod overlap;
 mod schedule;
 mod slot;
 
 pub use epilogue::{epilogue_sends, is_epilogue_send};
-pub use interleaved::{
-    device_of_virtual_stage, interleaved_bubble_fraction, interleaved_comm_factor,
-    virtual_stages_of_device,
-};
 pub use overlap::{overlap_launch, overlap_micro, OverlapTask};
 pub use schedule::{bubble_fraction, gpipe, one_f_one_b, Op, PipelineSchedule};
 pub use slot::slot_guard;

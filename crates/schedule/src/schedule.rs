@@ -185,8 +185,7 @@ pub fn gpipe(n_stages: usize, n_micro: usize) -> PipelineSchedule {
 }
 
 /// Ideal pipeline bubble fraction `(S - 1) / (M + S - 1)` for 1F1B with
-/// equal forward/backward stage times — the figure interleaved scheduling
-/// divides by the number of virtual chunks.
+/// equal forward/backward stage times.
 pub fn bubble_fraction(n_stages: usize, n_micro: usize) -> f64 {
     (n_stages as f64 - 1.0) / (n_micro as f64 + n_stages as f64 - 1.0)
 }

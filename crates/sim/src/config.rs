@@ -199,22 +199,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with a different data-parallel width, adjusting
-    /// `n_micro` to keep the global mini-batch
-    /// (`micro_batch × n_micro × dp`) constant where divisibility allows.
-    ///
-    /// Used by the benchmark matrix to *price* a pp×dp axis point at
-    /// paper scale (via [`crate::simulate`]) before spending wall-clock
-    /// on the numerical run.
-    pub fn with_dp(mut self, dp: usize) -> Self {
-        assert!(dp > 0, "dp must be positive");
-        let global = self.micro_batch * self.n_micro * self.dp;
-        self.dp = dp;
-        let per_pipeline = global / dp / self.micro_batch;
-        self.n_micro = per_pipeline.max(1);
-        self
-    }
-
     /// Tokens processed per micro-batch.
     pub fn tokens_per_micro(&self) -> u64 {
         (self.micro_batch * self.model.seq_len) as u64
@@ -330,22 +314,6 @@ mod tests {
         assert!(CompressionPlan::naive_cb(16)
             .compressed_backprop
             .is_some_and(|p| !p.epilogue_only));
-    }
-
-    #[test]
-    fn with_dp_preserves_global_batch() {
-        let base = SimConfig::paper_gpt_2_5b(); // micro 8 × n_micro 16 × dp 4 = 512
-        let global = base.micro_batch * base.n_micro * base.dp;
-        for dp in [1, 2, 4, 8] {
-            let c = base.clone().with_dp(dp);
-            assert_eq!(c.dp, dp);
-            assert_eq!(c.micro_batch * c.n_micro * c.dp, global, "dp={dp}");
-        }
-        // Pricing still works across the sweep (wider DP never speeds up
-        // the uncompressed baseline's all-reduce-bound iteration).
-        let t2 = crate::simulate(&base.clone().with_dp(2)).iteration_time_s;
-        let t8 = crate::simulate(&base.clone().with_dp(8)).iteration_time_s;
-        assert!(t2.is_finite() && t8.is_finite() && t2 > 0.0 && t8 > 0.0);
     }
 
     #[test]

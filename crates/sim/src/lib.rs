@@ -40,14 +40,12 @@
 //! assert!(t_opt < t_base);
 //! ```
 
-mod autotune;
 mod breakdown;
 mod config;
 mod engine;
 mod fault;
 mod kernel;
 
-pub use autotune::{auto_tune, error_pressure, sweep, TunePoint};
 pub use breakdown::{breakdown, breakdown_with_result, Breakdown};
 pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
 pub use engine::{simulate, SimResult, TraceEvent, TraceKind};

@@ -174,12 +174,6 @@ pub fn set_kernel_arch(arch: KernelArch) {
     KERNEL_ARCH.store(arch.code(), Ordering::Relaxed);
 }
 
-/// `"<target>/<path>"`, e.g. `"x86_64/avx2"` — the string benchmark
-/// provenance records as the machine's kernel arch.
-pub fn kernel_arch_name() -> String {
-    format!("{}/{}", std::env::consts::ARCH, kernel_arch().name())
-}
-
 // ---------------------------------------------------------------------------
 // Kernel-path invocation counters
 // ---------------------------------------------------------------------------
@@ -251,7 +245,6 @@ mod tests {
         assert_eq!(KernelArch::Scalar.name(), "scalar");
         assert_eq!(KernelArch::Avx2.name(), "avx2");
         assert_eq!(KernelArch::Neon.name(), "neon");
-        assert!(kernel_arch_name().ends_with(kernel_arch().name()));
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! Blocked, blocked+parallel, and every architecture path are therefore
 //! bit-identical for finite inputs at any thread count;
 //! `tests/kernel_equivalence.rs` enforces this against an emulated
-//! oracle. The retained seed kernels in [`crate::naive`] use *unfused*
-//! multiply-then-add and are only a benchmark baseline, not an oracle.
+//! oracle. An *unfused* multiply-then-add loop agrees with them to
+//! rounding only and is not an oracle.
 
 use crate::dispatch;
 use crate::pool;

@@ -41,7 +41,6 @@ mod gemm;
 mod init;
 mod linalg;
 mod matrix;
-pub mod naive;
 mod ops;
 mod persist;
 mod pool;
@@ -50,8 +49,8 @@ mod sparse;
 mod stats;
 
 pub use dispatch::{
-    arch_available, available_arches, detected_arch, kernel_arch, kernel_arch_name,
-    kernel_path_counts, reset_kernel_path_counts, set_kernel_arch, KernelArch,
+    arch_available, available_arches, detected_arch, kernel_arch, kernel_path_counts,
+    reset_kernel_path_counts, set_kernel_arch, KernelArch,
 };
 pub use init::{xavier_uniform, SeedStream};
 pub use linalg::orthonormalize_columns;

@@ -331,8 +331,8 @@ impl Matrix {
     /// on the dispatched micro-kernel arch ([`crate::kernel_arch`]); large
     /// products are fanned out over the deterministic worker pool. The
     /// fused-multiply-add chain contract makes results bit-identical
-    /// across every arch path and thread count for finite inputs (the
-    /// unfused [`crate::naive`] baseline agrees to rounding only).
+    /// across every arch path and thread count for finite inputs (an
+    /// unfused `acc += a * b` loop agrees to rounding only).
     ///
     /// # Panics
     ///

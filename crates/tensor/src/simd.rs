@@ -229,13 +229,12 @@ pub(crate) fn gelu_backward_scalar(x: &[f32], grad: &[f32], dx: &mut [f32]) {
 // A note on the scalar fallback's speed: on builds whose baseline target
 // features lack hardware FMA (plain x86_64 builds), [`f32::mul_add`]
 // lowers to a libm `fmaf` call per multiply, which makes the scalar tile
-// roughly an order of magnitude slower than the unfused seed-naive
-// loops. That cost is inherent to the bit contract — a correctly rounded
+// roughly an order of magnitude slower than an unfused `acc += a * b`
+// loop. That cost is inherent to the bit contract — a correctly rounded
 // fused chain is the only accumulation every architecture can reproduce
 // exactly — and the scalar tile (like the scalar form of the element-wise
 // lanes above, a dozen `mul_add`s per element) is the contract's portable
-// reference, not a performance path. `BENCH_kernels.json` records it as the
-// `blocked_scalar` variant next to the SIMD rows.
+// reference, not a performance path.
 
 // ---------------------------------------------------------------------------
 // AVX2 + FMA (x86_64)

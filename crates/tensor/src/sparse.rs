@@ -34,9 +34,10 @@
 //!
 //! Sparse apply wins while the payload is sparse enough; near full density
 //! the CSR indirection loses to straight dense loops. The crossover is a
-//! process-wide density threshold, [`DEFAULT_DENSITY_MAX`] (profiled on
-//! the committed `BENCH_sparse.json` sweep; benchmark sweeps and tests move
-//! it with [`set_sparse_density_max`]). Payload apply sites in
+//! process-wide density threshold, [`DEFAULT_DENSITY_MAX`] (profiled by
+//! the `topk_apply` group of `cargo bench -p opt-bench --bench
+//! compression`; that sweep and tests move it with
+//! [`set_sparse_density_max`]). Payload apply sites in
 //! `opt-compress` compare the observed `nnz / (rows * cols)` against it and
 //! fall back to densify-then-dense above it.
 
@@ -48,7 +49,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Default sparse-apply crossover density (see module docs): payloads at
 /// or below this density take the CSR kernels, denser payloads densify.
-/// The committed `BENCH_sparse.json` sweep puts the apply crossover
+/// The `topk_apply` group of `cargo bench -p opt-bench --bench compression`
+/// forces both paths at four densities and puts the apply crossover
 /// between 1% and 10% payload density, so 5% is the conservative cut.
 pub const DEFAULT_DENSITY_MAX: f32 = 0.05;
 

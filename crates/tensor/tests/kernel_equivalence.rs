@@ -7,11 +7,10 @@
 //! non-multiple-of-tile, empty, and every shape up to 24x24x24) and
 //! worker-thread counts (1/2/4).
 //!
-//! The oracle is deliberately *not* [`opt_tensor::naive`]: the naive
-//! kernels keep the seed's unfused `a*b + acc` order as a benchmark
-//! baseline and agree with the dispatched kernels only to rounding, not to
-//! the bit. The contract the dispatcher must honor is the FMA-chain /
-//! lane-split order defined here.
+//! The oracle is deliberately *not* an unfused `acc += a * b` loop: that
+//! agrees with the dispatched kernels only to rounding, not to the bit.
+//! The contract the dispatcher must honor is the FMA-chain / lane-split
+//! order defined here.
 //!
 //! Every test loops over [`opt_tensor::available_arches`] — exactly the
 //! set the dispatcher could pick on this host — so CI's
@@ -676,9 +675,9 @@ fn elementwise_kernels_saturate_and_propagate_nan() {
 
 /// The headline determinism property as a plain test: one large-ish
 /// matmul, bit-compared across every arch × 1/2/4 threads against the
-/// FMA-chain oracle — plus a rounding-level sanity check against the
-/// unfused [`opt_tensor::naive`] baseline (which is *not* bit-identical:
-/// fusing changes rounding, not math).
+/// FMA-chain oracle — plus a rounding-level sanity check against an
+/// unfused `acc += a * b` loop (which is *not* bit-identical: fusing
+/// changes rounding, not math).
 #[test]
 fn matmul_is_deterministic_across_arches_and_threads() {
     let mut rng = SeedStream::new(0xD17);
@@ -707,7 +706,14 @@ fn matmul_is_deterministic_across_arches_and_threads() {
     set_kernel_arch(detected_arch());
     set_kernel_threads(1);
     set_parallel_flop_threshold(old_threshold);
-    let unfused = opt_tensor::naive::matmul(&a, &b);
+    let mut unfused = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            for kk in 0..a.cols() {
+                unfused[(i, j)] += a[(i, kk)] * b[(kk, j)];
+            }
+        }
+    }
     let rel = opt_tensor::relative_error(&reference, &unfused);
     assert!(
         rel < 1e-5,
