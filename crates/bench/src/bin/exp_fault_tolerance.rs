@@ -4,19 +4,21 @@
 //!
 //! Not a paper figure — this exercises the `opt-ckpt` subsystem the way an
 //! operator would: pick a snapshot cadence, lose a worker mid-run, and pay
-//! detection + relaunch + snapshot read + replay.
+//! detection + relaunch + per-rank shard fetch + replay.
 //!
 //! Knobs: `OPT_QUALITY_ITERS` (default 30) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
 use opt_bench::{banner, fmt, print_table};
 use opt_ckpt::FaultPlan;
+use opt_net::MemShardStore;
 use opt_sim::{
-    simulate_with_faults, snapshot_bytes, CkptCostModel, CkptIo,
+    simulate_with_faults, snapshot_bytes, CkptCostModel,
     Recovery::{FullRelaunch, Rejoin},
     SimConfig, StoreTransport,
 };
 use optimus_cc::{run_with_faults, QualityConfig, Recovery, Trainer, TrainerConfig};
+use std::sync::Arc;
 
 fn main() {
     let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
@@ -28,9 +30,11 @@ fn main() {
     let cfg = SimConfig::paper_gpt_2_5b();
     let costs = CkptCostModel::paper_cluster();
     println!(
-        "snapshot size: {:.1} GB, disk {:.0} GB/s, detection {:.0} s, relaunch {:.0} s\n",
+        "snapshot size: {:.1} GB in per-rank shards over TCP ({:.0} GB/s per rank, manifest \
+         rendezvous {:.0} s), detection {:.0} s, relaunch {:.0} s\n",
         snapshot_bytes(&cfg) / 1e9,
-        costs.disk_bw / 1e9,
+        costs.shard_fetch_bw / 1e9,
+        costs.rendezvous_s,
         costs.detection_s,
         costs.relaunch_s
     );
@@ -41,7 +45,7 @@ fn main() {
             1000,
             &FaultPlan::new(3, 777, every),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             FullRelaunch,
         );
         rows.push(vec![
@@ -50,7 +54,7 @@ fn main() {
             } else {
                 every.to_string()
             },
-            fmt(format!("{:.0}", r.snapshot_overhead_s)),
+            fmt(format!("{:.2}", r.snapshot_overhead_s)),
             fmt(format!("{:.0}", r.restart_overhead_s)),
             fmt(format!("{:.0}", r.replay_time_s)),
             fmt(format!("{:.2}", r.total_time_s / 3600.0)),
@@ -71,40 +75,7 @@ fn main() {
     println!("Frequent snapshots buy cheap recovery with steady-state write cost;");
     println!("'never' pays by replaying all 777 lost iterations.");
 
-    banner("Sharded per-rank shards vs monolithic broadcast — same failure, cadence 50");
-    println!(
-        "per-rank fetch {:.0} GB/s, manifest rendezvous {:.0} s\n",
-        costs.shard_fetch_bw / 1e9,
-        costs.rendezvous_s
-    );
     let plan = FaultPlan::new(3, 777, 50);
-    let mono = simulate_with_faults(&cfg, 1000, &plan, &costs, CkptIo::Monolithic, FullRelaunch);
-    let shard = simulate_with_faults(&cfg, 1000, &plan, &costs, CkptIo::Sharded, FullRelaunch);
-    let rows: Vec<Vec<String>> = [("monolithic", &mono), ("sharded", &shard)]
-        .iter()
-        .map(|(name, r)| {
-            vec![
-                name.to_string(),
-                fmt(format!("{:.0}", r.snapshot_overhead_s)),
-                fmt(format!("{:.0}", r.restart_overhead_s)),
-                fmt(format!("{:.2}", r.total_time_s / 3600.0)),
-                fmt(format!("{:.2}%", 100.0 * r.overhead_fraction())),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "Checkpoint I/O",
-            "Write (s)",
-            "Restart (s)",
-            "Total (h)",
-            "Overhead",
-        ],
-        &rows,
-    );
-    println!("Sharding turns the checkpoint into parallel per-rank transfers;");
-    println!("every rank moves only its own slice, so I/O stops scaling with world size.");
-
     banner("Shard-store transport: in-process vs real TCP wire — same failure, cadence 50");
     println!(
         "local copies {:.0} GB/s; TCP {:.0} GB/s per rank + {:.1} ms connect per operation\n",
@@ -117,17 +88,10 @@ fn main() {
         1000,
         &plan,
         &costs,
-        CkptIo::ShardedVia(StoreTransport::Local),
+        StoreTransport::Local,
         FullRelaunch,
     );
-    let tcp = simulate_with_faults(
-        &cfg,
-        1000,
-        &plan,
-        &costs,
-        CkptIo::ShardedVia(StoreTransport::Tcp),
-        FullRelaunch,
-    );
+    let tcp = simulate_with_faults(&cfg, 1000, &plan, &costs, StoreTransport::Tcp, FullRelaunch);
     let rows: Vec<Vec<String>> = [
         ("local (MemShardStore)", &local),
         ("TCP (TcpShardStore)", &tcp),
@@ -168,23 +132,9 @@ fn main() {
         costs.rank_relaunch_s,
         costs.relaunch_s
     );
-    let full = simulate_with_faults(
-        &cfg,
-        1000,
-        &plan,
-        &costs,
-        CkptIo::ShardedVia(StoreTransport::Tcp),
-        FullRelaunch,
-    );
-    let rejoin = simulate_with_faults(
-        &cfg,
-        1000,
-        &plan,
-        &costs,
-        CkptIo::ShardedVia(StoreTransport::Tcp),
-        Rejoin,
-    );
-    let rows: Vec<Vec<String>> = [("full relaunch", &full), ("single-rank rejoin", &rejoin)]
+    let full = &tcp; // the same run: TCP store, whole-world relaunch
+    let rejoin = simulate_with_faults(&cfg, 1000, &plan, &costs, StoreTransport::Tcp, Rejoin);
+    let rows: Vec<Vec<String>> = [("full relaunch", full), ("single-rank rejoin", &rejoin)]
         .iter()
         .map(|(name, r)| {
             vec![
@@ -225,8 +175,8 @@ fn main() {
     let mut straight = Trainer::launch(tcfg.clone());
     let straight_report = straight.train();
     straight.shutdown();
-    let outcome =
-        run_with_faults(&tcfg, &plan, &Recovery::Monolithic).expect("faulted run completes");
+    let recovery = Recovery::Sharded(Arc::new(MemShardStore::new()));
+    let outcome = run_with_faults(&tcfg, &plan, &recovery).expect("faulted run completes");
 
     let resume_at = outcome.resumed_from.unwrap_or(0) as usize;
     let mut max_delta = 0.0f32;

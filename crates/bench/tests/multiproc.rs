@@ -7,7 +7,7 @@
 //! builds it before running this test.
 
 use opt_ckpt::{shard_file_name, FaultPlan, ShardManifest, MANIFEST_FILE};
-use opt_net::{MemShardStore, ShardStore, ShardStoreServer, TcpShardStore};
+use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer, TcpShardStore};
 use opt_trace::Trace;
 use optimus_cc::{
     run_with_faults, ProcFaultOptions, ProcOptions, QualityConfig, Recovery, TraceMode, Trainer,
@@ -117,15 +117,40 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
 
     // The store the processes checkpointed through holds a valid
     // manifest naming one shard per rank.
-    let manifest = ShardManifest::load(store_dir.join(MANIFEST_FILE)).expect("manifest on disk");
+    let on_disk = FsShardStore::new(&store_dir);
+    let manifest = ShardManifest::decode(&on_disk.get(MANIFEST_FILE).expect("manifest on disk"))
+        .expect("manifest decodes");
     assert_eq!(manifest.world_size(), cfg.pp * cfg.dp);
     for entry in &manifest.shards {
-        assert!(
-            store_dir.join(&entry.name).exists(),
-            "shard {} missing",
-            entry.name
-        );
+        let blob = on_disk.get(&entry.name).expect("shard on disk");
+        entry.verify(&blob).expect("shard verifies");
     }
+
+    // Third leg, the scripted single-rank rejoin: the heartbeat detector
+    // flags the SIGKILL, only rank 1 is re-execed, the world rolls back to
+    // the iter-3 manifest. Same counters; and from the resume point on,
+    // the same losses. Nothing earlier is comparable: the survivors keep
+    // their samples and ledgers, so iterations 0..3 average the surviving
+    // dp rank alone and the traffic total includes the doomed work.
+    let rejoined = run_with_faults(
+        &cfg,
+        &plan,
+        &Recovery::Rejoin(ProcFaultOptions {
+            worker_bin: worker_bin(),
+            scratch_dir: scratch("faulted-rejoin"),
+            store_dir: None,
+        }),
+    )
+    .expect("multi-process rejoin run");
+    assert_eq!(rejoined.restarts, in_process.restarts);
+    assert_eq!(rejoined.snapshots_taken, in_process.snapshots_taken);
+    assert_eq!(rejoined.lost_iters, in_process.lost_iters);
+    assert_eq!(rejoined.resumed_from, in_process.resumed_from);
+    let resumed = in_process.resumed_from.expect("the plan's kill fired") as usize;
+    assert_bit_identical(
+        &in_process.report.train_loss[resumed..],
+        &rejoined.report.train_loss[resumed..],
+    );
 }
 
 /// Spans-mode run of a real TCP process world: returns the merged trace.

@@ -1,7 +1,7 @@
 //! The shared file/wire frame: magic, version, length, FNV-1a checksum.
 //!
 //! Every durable or wire-crossing byte blob in the reproduction — the
-//! monolithic [`crate::Snapshot`], per-rank [`crate::Shard`]s and their
+//! in-memory [`crate::Snapshot`], per-rank [`crate::Shard`]s and their
 //! manifest, and `opt-net`'s TCP transport messages — wears the same
 //! frame, produced and validated by this module alone:
 //!
@@ -16,10 +16,10 @@
 //! Keeping one implementation means every consumer gets the same
 //! validation order (magic, version, length arithmetic, checksum — all
 //! with checked arithmetic so corrupt length fields surface as typed
-//! errors, never panics) and the same atomic-write discipline.
+//! errors, never panics). Putting the bytes on a disk is not this
+//! module's job: `opt-net`'s `FsShardStore::put` is the one writer.
 
 use crate::CkptError;
-use std::path::Path;
 
 /// FNV-1a 64-bit hash, used both as the frame body checksum and (by
 /// `optimus-cc`) as the config fingerprint. Not cryptographic — it guards
@@ -100,70 +100,6 @@ pub fn unframe<'a>(bytes: &'a [u8], magic: &[u8; 8], version: u32) -> Result<&'a
         return Err(CkptError::ChecksumMismatch { stored, computed });
     }
     Ok(body)
-}
-
-/// Reads a framed file header-first: the magic/version/length prefix is
-/// validated against the real file size *before* the body is read, so an
-/// oversized or garbage file is rejected early without pulling its
-/// contents into memory. Returns the checksum-verified body.
-pub fn read_framed_file(path: &Path, magic: &[u8; 8], version: u32) -> Result<Vec<u8>, CkptError> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut header = [0u8; HEADER_LEN];
-    if file_len < HEADER_LEN as u64 {
-        return Err(CkptError::Truncated {
-            expected: HEADER_LEN,
-            actual: file_len as usize,
-        });
-    }
-    file.read_exact(&mut header)?;
-    let body_len64 = parse_header(&header, magic, version)?;
-    // Checked arithmetic: the claimed length must agree exactly with the
-    // bytes actually on disk (header + body + trailing checksum).
-    let expected = (HEADER_LEN as u64)
-        .checked_add(body_len64)
-        .and_then(|t| t.checked_add(8));
-    match expected {
-        Some(e) if e == file_len => {}
-        _ => {
-            return Err(CkptError::Truncated {
-                expected: expected
-                    .and_then(|e| usize::try_from(e).ok())
-                    .unwrap_or(usize::MAX),
-                actual: file_len as usize,
-            })
-        }
-    }
-    let body_len = usize::try_from(body_len64).map_err(|_| CkptError::Truncated {
-        expected: usize::MAX,
-        actual: file_len as usize,
-    })?;
-    let mut rest = vec![0u8; body_len + 8];
-    file.read_exact(&mut rest)?;
-    let stored = u64::from_le_bytes(rest[body_len..].try_into().unwrap());
-    rest.truncate(body_len);
-    let computed = fnv1a64(&rest);
-    if stored != computed {
-        return Err(CkptError::ChecksumMismatch { stored, computed });
-    }
-    Ok(rest)
-}
-
-/// Writes `bytes` to `path` via a sibling temp file and an atomic rename,
-/// so a crash mid-write can never destroy the previous good file at that
-/// path — the overwrite happens only after the new bytes are fully on
-/// disk.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".partial");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, bytes)?;
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -14,18 +14,20 @@
 //!
 //! Four pieces:
 //!
-//! * [`Snapshot`] — the versioned monolithic on-disk format: a header
+//! * [`Shard`] + [`ShardManifest`] — the checkpoint format: each
+//!   `(stage, dp)` worker's state ([`RankSection`]) in its own
+//!   checksummed shard file, named by a small versioned manifest
 //!   ([`SnapshotMeta`]: world shape, completed iterations, config
-//!   fingerprint) plus one [`RankSection`] per `(stage, dp)` worker, all
-//!   encoded with the byte codec from `opt_tensor::{Persist, Writer,
-//!   Reader}` and guarded by a length header and FNV-1a checksum. A
-//!   truncated or bit-flipped file is rejected at load, never half-applied.
-//! * [`Shard`] + [`ShardManifest`] — the same state split per rank for
-//!   **cross-host elastic restore**: each worker's state in its own
-//!   checksummed shard file, named by a small versioned manifest, so a
-//!   replacement worker on a different host can rendezvous on the
-//!   manifest, fetch only its own shard, validate it, and apply it.
-//!   Conversion to/from the monolithic format
+//!   fingerprint; name, size and checksum per shard), so a relaunched
+//!   worker — or a replacement on a different host — can rendezvous on the
+//!   manifest, fetch only its own shard, validate it
+//!   ([`ShardManifest::validate_shard`]), and apply it. All encoded with
+//!   the byte codec from `opt_tensor::{Persist, Writer, Reader}` and
+//!   guarded by a length header and FNV-1a checksum: a truncated or
+//!   bit-flipped file is rejected, never half-applied.
+//! * [`Snapshot`] — the same state gathered into one in-memory value
+//!   (what `Trainer::snapshot()` returns), not an on-disk format.
+//!   Conversion to/from shards
 //!   ([`Snapshot::to_shards`]/[`Snapshot::from_shards`]) is lossless.
 //! * [`CkptError`] — why a snapshot, manifest, or shard was rejected.
 //! * [`FaultPlan`] — a scripted failure (kill rank *r* after iteration
@@ -33,11 +35,11 @@
 //!   (`optimus_cc::run_with_faults`) and the event simulator
 //!   (`opt_sim::simulate_with_faults`).
 //!
-//! The save/load drivers live in `optimus-cc` (`Trainer::save_snapshot`,
-//! `Trainer::restore_from_file`, `Trainer::save_sharded`,
+//! The save/restore drivers live in `optimus-cc` (`Trainer::save_sharded`,
 //! `Trainer::restore_sharded`), which owns the worker protocol; the shard
-//! store abstraction lives in `opt-net`; this crate owns the formats and
-//! the failure vocabulary.
+//! store abstraction — `FsShardStore`, the one thing that writes a
+//! checkpoint to disk, included — lives in `opt-net`; this crate owns the
+//! formats and the failure vocabulary.
 //!
 //! # Example
 //!

@@ -1,13 +1,11 @@
 //! Per-rank snapshot shards and the shard manifest.
 //!
-//! The monolithic [`Snapshot`] serializes the whole world into one blob
-//! that only the coordinating trainer can reload. Elastic restart across
-//! hosts needs the opposite shape: each `(stage, dp)` worker's state in
-//! its **own** checksummed file ([`Shard`]), plus a small versioned
-//! [`ShardManifest`] naming every shard, so a replacement worker can
-//! rendezvous on the manifest, fetch *only its own shard*, validate it
-//! (config fingerprint + checksum), and apply it — no process ever has to
-//! hold all state.
+//! A checkpoint is each `(stage, dp)` worker's state in its **own**
+//! checksummed file ([`Shard`]), plus a small versioned
+//! [`ShardManifest`] naming every shard, so a relaunched or replacement
+//! worker can rendezvous on the manifest, fetch *only its own shard*,
+//! validate it ([`ShardManifest::validate_shard`]), and apply it — no
+//! process ever has to hold all state.
 //!
 //! # On-disk layout of a sharded checkpoint directory
 //!
@@ -30,14 +28,13 @@
 //! manifest additionally records each shard's byte size and checksum, so a
 //! fetched blob is validated against the manifest *before* it is decoded.
 //!
-//! Conversion to and from the monolithic format is lossless:
+//! The in-memory [`Snapshot`] converts to and from shards losslessly:
 //! [`Snapshot::to_shards`] followed by [`Snapshot::from_shards`]
 //! reproduces the snapshot bit for bit.
 
-use crate::framing::{atomic_write, fnv1a64, frame, read_framed_file, unframe};
+use crate::framing::{fnv1a64, frame, unframe};
 use crate::{CkptError, RankSection, Snapshot, SnapshotMeta};
 use opt_tensor::{Persist, PersistError, Reader, Writer};
-use std::path::Path;
 
 /// Magic bytes opening every shard file.
 pub const SHARD_MAGIC: &[u8; 8] = b"OPTSHRD\0";
@@ -46,7 +43,7 @@ pub const SHARD_MAGIC: &[u8; 8] = b"OPTSHRD\0";
 pub const MANIFEST_MAGIC: &[u8; 8] = b"OPTMANI\0";
 
 /// Current shard/manifest format version (versioned independently of the
-/// monolithic snapshot format).
+/// in-memory snapshot encoding).
 pub const SHARD_FORMAT_VERSION: u32 = 1;
 
 /// Well-known object name of the manifest in a shard store or directory.
@@ -276,12 +273,7 @@ impl ShardManifest {
     /// Parses and validates the framed byte format, including world
     /// completeness.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let body = unframe(bytes, MANIFEST_MAGIC, SHARD_FORMAT_VERSION)?;
-        Self::decode_body(body)
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Self, CkptError> {
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(unframe(bytes, MANIFEST_MAGIC, SHARD_FORMAT_VERSION)?);
         let meta = SnapshotMeta::restore(&mut r)?;
         let shards = Vec::<ShardEntry>::restore(&mut r)?;
         r.finish().map_err(CkptError::Decode)?;
@@ -290,15 +282,26 @@ impl ShardManifest {
         Ok(manifest)
     }
 
-    /// Writes the manifest to `path` atomically (temp file + rename).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CkptError> {
-        atomic_write(path.as_ref(), &self.encode())
-    }
-
-    /// Reads and validates a manifest from `path`, header first.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CkptError> {
-        let body = read_framed_file(path.as_ref(), MANIFEST_MAGIC, SHARD_FORMAT_VERSION)?;
-        Self::decode_body(&body)
+    /// The validation every fetched shard passes before anything applies
+    /// it — spelled once, for a worker restoring itself and for
+    /// [`Snapshot::from_shards`] alike. `blob` is what the store returned
+    /// under `entry.name`; in order: exact size and checksum against the
+    /// manifest entry (so a truncated or bit-rotted fetch never reaches
+    /// the structural decoder), the shard codec, the rank identity inside
+    /// the shard against the entry that named it, then iteration, config
+    /// fingerprint and world against the manifest header.
+    pub fn validate_shard(&self, entry: &ShardEntry, blob: &[u8]) -> Result<Shard, CkptError> {
+        entry.verify(blob)?;
+        let shard = Shard::decode(blob)?;
+        if (shard.stage(), shard.dp()) != (entry.stage, entry.dp) {
+            return Err(CkptError::ShardMismatch {
+                stage: entry.stage,
+                dp: entry.dp,
+                what: "shard rank identity does not match its manifest entry",
+            });
+        }
+        shard.validate_against(&self.meta)?;
+        Ok(shard)
     }
 }
 
@@ -335,13 +338,9 @@ impl Snapshot {
         (manifest, blobs)
     }
 
-    /// Reassembles a monolithic snapshot from a manifest, fetching each
-    /// shard blob through `fetch` (a directory read, a store get, ...).
-    ///
-    /// Every fetched blob is verified against its manifest entry (size +
-    /// checksum) before decoding, and every decoded shard is validated
-    /// against the manifest header (rank identity, iteration, config
-    /// fingerprint) before it is accepted.
+    /// Reassembles a snapshot from a manifest, fetching each shard blob
+    /// through `fetch` (a store get, a map lookup, ...). Every blob passes
+    /// [`ShardManifest::validate_shard`] before its section is accepted.
     pub fn from_shards(
         manifest: &ShardManifest,
         mut fetch: impl FnMut(&ShardEntry) -> Result<Vec<u8>, CkptError>,
@@ -349,18 +348,7 @@ impl Snapshot {
         manifest.validate_complete()?;
         let mut ranks = Vec::with_capacity(manifest.shards.len());
         for entry in &manifest.shards {
-            let blob = fetch(entry)?;
-            entry.verify(&blob)?;
-            let shard = Shard::decode(&blob)?;
-            if (shard.stage(), shard.dp()) != (entry.stage, entry.dp) {
-                return Err(CkptError::ShardMismatch {
-                    stage: entry.stage,
-                    dp: entry.dp,
-                    what: "shard rank identity does not match its manifest entry",
-                });
-            }
-            shard.validate_against(&manifest.meta)?;
-            ranks.push(shard.section);
+            ranks.push(manifest.validate_shard(entry, &fetch(entry)?)?.section);
         }
         let snap = Snapshot {
             meta: manifest.meta.clone(),
@@ -368,47 +356,6 @@ impl Snapshot {
         };
         snap.validate_complete()?;
         Ok(snap)
-    }
-
-    /// Writes the snapshot as a sharded checkpoint directory: every shard
-    /// via an atomic temp-file + rename, then [`MANIFEST_FILE`] last — so
-    /// a crash mid-save can never leave a manifest naming shards that are
-    /// not fully on disk. Shard names carry the checkpoint iteration, so
-    /// re-saving a *newer* snapshot into the same directory leaves the
-    /// previous checkpoint fully restorable until the new manifest lands;
-    /// shards the new manifest no longer references are then
-    /// garbage-collected (best effort — a leftover blob is harmless, the
-    /// manifest is authoritative).
-    pub fn save_sharded(&self, dir: impl AsRef<Path>) -> Result<ShardManifest, CkptError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let (manifest, blobs) = self.to_shards();
-        for (name, blob) in &blobs {
-            atomic_write(&dir.join(name), blob)?;
-        }
-        manifest.save(dir.join(MANIFEST_FILE))?;
-        let live: std::collections::HashSet<&str> =
-            manifest.shards.iter().map(|e| e.name.as_str()).collect();
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if let Ok(name) = entry.file_name().into_string() {
-                    if name.ends_with(".shard") && !live.contains(name.as_str()) {
-                        let _ = std::fs::remove_file(entry.path());
-                    }
-                }
-            }
-        }
-        Ok(manifest)
-    }
-
-    /// Reads a sharded checkpoint directory back into a monolithic
-    /// snapshot: manifest first, then each shard, fully validated.
-    pub fn load_sharded(dir: impl AsRef<Path>) -> Result<Snapshot, CkptError> {
-        let dir = dir.as_ref();
-        let manifest = ShardManifest::load(dir.join(MANIFEST_FILE))?;
-        Snapshot::from_shards(&manifest, |entry| {
-            std::fs::read(dir.join(&entry.name)).map_err(CkptError::Io)
-        })
     }
 }
 
@@ -639,49 +586,6 @@ mod tests {
             Snapshot::from_shards(&manifest, fetch_from(&map)),
             Err(CkptError::ShardMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn sharded_directory_roundtrip() {
-        let snap = sample();
-        let dir = std::env::temp_dir().join(format!("optckpt-shards-{}", std::process::id()));
-        let manifest = snap.save_sharded(&dir).expect("save");
-        assert!(dir.join(MANIFEST_FILE).exists());
-        for entry in &manifest.shards {
-            assert!(dir.join(&entry.name).exists(), "{} missing", entry.name);
-            assert!(
-                !dir.join(format!("{}.partial", entry.name)).exists(),
-                "temp file left behind"
-            );
-        }
-        let back = Snapshot::load_sharded(&dir).expect("load");
-        assert_eq!(back, snap);
-        // Re-saving a newer checkpoint writes fresh names, then
-        // garbage-collects the old iteration's shards after the manifest
-        // commit — the directory always holds exactly one checkpoint.
-        let mut newer = snap.clone();
-        newer.meta.iter += 5;
-        let newer_manifest = newer.save_sharded(&dir).expect("re-save");
-        assert_ne!(newer_manifest.shards[0].name, manifest.shards[0].name);
-        for entry in &manifest.shards {
-            assert!(
-                !dir.join(&entry.name).exists(),
-                "stale shard {} not garbage-collected",
-                entry.name
-            );
-        }
-        assert_eq!(Snapshot::load_sharded(&dir).expect("load newer"), newer);
-        // Corrupting one shard on disk breaks only that fetch, loudly.
-        let victim = dir.join(&newer_manifest.shards[0].name);
-        let mut bytes = std::fs::read(&victim).expect("read shard");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&victim, &bytes).expect("write corrupted shard");
-        assert!(matches!(
-            Snapshot::load_sharded(&dir),
-            Err(CkptError::ChecksumMismatch { .. })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The versioned on-disk snapshot format.
+//! The whole world's training state in one value: the in-memory view
+//! `Trainer::snapshot()` returns, and the vocabulary (header, per-rank
+//! section) the sharded checkpoint is built from. Nothing writes a
+//! [`Snapshot`] to disk — a checkpoint on disk is always a manifest plus
+//! one shard per rank ([`crate::ShardManifest`]).
 
-use crate::framing::{atomic_write, frame, read_framed_file, unframe};
+use crate::framing::{frame, unframe};
 use crate::CkptError;
 use opt_tensor::{Matrix, Persist, PersistError, Reader, Writer};
-use std::path::Path;
 
-/// Magic bytes opening every snapshot file.
+/// Magic bytes opening an encoded snapshot.
 pub const MAGIC: &[u8; 8] = b"OPTCKPT\0";
 
-/// Current snapshot format version.
+/// Current snapshot encoding version.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Snapshot header: who took it, when (in iterations), and under what
@@ -96,9 +99,12 @@ impl Persist for RankSection {
 }
 
 /// A complete, self-validating training snapshot: header plus one
-/// [`RankSection`] per `(stage, dp)` worker.
+/// [`RankSection`] per `(stage, dp)` worker, gathered in one process.
+/// [`Snapshot::to_shards`] / [`Snapshot::from_shards`] bridge it to the
+/// sharded checkpoint (what `Trainer::restore` does, and how tests craft
+/// damaged state).
 ///
-/// # On-disk layout
+/// # Encoded layout
 ///
 /// ```text
 /// magic    8 bytes   "OPTCKPT\0"
@@ -110,7 +116,7 @@ impl Persist for RankSection {
 ///
 /// [`Snapshot::decode`] rejects bad magic, unknown versions, truncation,
 /// checksum mismatches, and structurally invalid bodies — a snapshot that
-/// loads is a snapshot that was written completely and has not rotted.
+/// decodes is a snapshot that was encoded completely and has not rotted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Header.
@@ -154,7 +160,7 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes to the on-disk byte format.
+    /// Serializes to the framed byte encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Writer::new();
         self.meta.persist(&mut body);
@@ -162,39 +168,15 @@ impl Snapshot {
         frame(MAGIC, FORMAT_VERSION, &body.into_bytes())
     }
 
-    /// Parses and validates the on-disk byte format.
+    /// Parses and validates the framed byte encoding.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let body = unframe(bytes, MAGIC, FORMAT_VERSION)?;
-        Self::decode_body(body)
-    }
-
-    /// Decodes a checksum-verified snapshot body.
-    fn decode_body(body: &[u8]) -> Result<Self, CkptError> {
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(unframe(bytes, MAGIC, FORMAT_VERSION)?);
         let meta = SnapshotMeta::restore(&mut r)?;
         let ranks = Vec::<RankSection>::restore(&mut r)?;
         r.finish().map_err(CkptError::Decode)?;
         let snap = Snapshot { meta, ranks };
         snap.validate_complete()?;
         Ok(snap)
-    }
-
-    /// Writes the snapshot to `path` via a sibling temp file and an atomic
-    /// rename, so a crash mid-save can never destroy the previous good
-    /// snapshot at that path — the overwrite happens only after the new
-    /// bytes are fully on disk.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CkptError> {
-        atomic_write(path.as_ref(), &self.encode())
-    }
-
-    /// Reads and validates a snapshot from `path`.
-    ///
-    /// The magic/version/length prefix is validated against the real file
-    /// size *before* the body is read, so a garbage file or a corrupt
-    /// length field is rejected early, without loading the whole file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CkptError> {
-        let body = read_framed_file(path.as_ref(), MAGIC, FORMAT_VERSION)?;
-        Self::decode_body(&body)
     }
 }
 
@@ -310,79 +292,5 @@ mod tests {
             Snapshot::decode(&bytes2),
             Err(CkptError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn save_leaves_no_partial_file() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("optckpt-atomic-{}.snap", std::process::id()));
-        let snap = sample();
-        snap.save(&path).expect("first save");
-        snap.save(&path).expect("overwrite save");
-        let partial = dir.join(format!(
-            "optckpt-atomic-{}.snap.partial",
-            std::process::id()
-        ));
-        assert!(!partial.exists(), "temp file left behind");
-        assert_eq!(Snapshot::load(&path).expect("load"), snap);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn save_load_file_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("optckpt-test-{}.snap", std::process::id()));
-        let snap = sample();
-        snap.save(&path).expect("save");
-        let back = Snapshot::load(&path).expect("load");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn load_validates_header_before_reading_the_body() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-
-        // Garbage that isn't even a header: rejected as Truncated.
-        let tiny = dir.join(format!("optckpt-tiny-{pid}.snap"));
-        std::fs::write(&tiny, b"short").expect("write");
-        assert!(matches!(
-            Snapshot::load(&tiny),
-            Err(CkptError::Truncated { .. })
-        ));
-        let _ = std::fs::remove_file(&tiny);
-
-        // A huge length field is rejected from the 20-byte prefix alone —
-        // the (absent) multi-terabyte body is never read.
-        let mut bytes = sample().encode();
-        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        let huge = dir.join(format!("optckpt-huge-{pid}.snap"));
-        std::fs::write(&huge, &bytes).expect("write");
-        assert!(matches!(
-            Snapshot::load(&huge),
-            Err(CkptError::Truncated { .. })
-        ));
-        let _ = std::fs::remove_file(&huge);
-
-        // An oversized file (trailing junk after the checksum) is rejected:
-        // the header's length claim must match the file exactly.
-        let mut padded = sample().encode();
-        padded.extend_from_slice(&[0u8; 64]);
-        let fat = dir.join(format!("optckpt-fat-{pid}.snap"));
-        std::fs::write(&fat, &padded).expect("write");
-        assert!(matches!(
-            Snapshot::load(&fat),
-            Err(CkptError::Truncated { .. })
-        ));
-        let _ = std::fs::remove_file(&fat);
-
-        // Wrong magic and stale version are caught from the prefix too.
-        let mut foreign = sample().encode();
-        foreign[0] = b'Z';
-        let bad = dir.join(format!("optckpt-magic-{pid}.snap"));
-        std::fs::write(&bad, &foreign).expect("write");
-        assert!(matches!(Snapshot::load(&bad), Err(CkptError::BadMagic)));
-        let _ = std::fs::remove_file(&bad);
     }
 }

@@ -10,7 +10,7 @@
 //! lane of its own and travels as `(request id, body)`.
 
 use crate::stats::RawSamples;
-use opt_ckpt::{CkptError, RankSection};
+use opt_ckpt::CkptError;
 use opt_net::{channel_id, ChannelStat, ShardStore, ShardStoreError, TrafficSnapshot};
 use opt_tensor::{Persist, PersistError, Reader, Writer};
 use std::sync::Arc;
@@ -78,16 +78,8 @@ pub(crate) enum WireCmd {
     Stop,
     /// Drain the trace buffer (spans recorded since the last drain).
     FetchTrace { id: u64 },
-    /// Reply with all training state as a [`RankSection`].
+    /// Reply with all training state as an `opt_ckpt::RankSection`.
     Snapshot { id: u64 },
-    /// Validate `section`, overwrite all training state from it, and
-    /// reply with `iter`, the iteration the section was taken at. Sent
-    /// point-to-point: each worker gets its own section.
-    Restore {
-        id: u64,
-        iter: u64,
-        section: Box<RankSection>,
-    },
     /// Run an inference forward pass (dp rank 0's pipeline only); the
     /// last stage replies with the last-position argmaxes.
     Predict { id: u64, tokens: Vec<usize> },
@@ -132,12 +124,6 @@ impl Persist for WireCmd {
                 w.u8(8);
                 w.u64(*id);
             }
-            WireCmd::Restore { id, iter, section } => {
-                w.u8(9);
-                w.u64(*id);
-                w.u64(*iter);
-                section.persist(w);
-            }
             WireCmd::Predict { id, tokens } => {
                 w.u8(10);
                 w.u64(*id);
@@ -164,11 +150,8 @@ impl Persist for WireCmd {
             6 => WireCmd::Stop,
             7 => WireCmd::FetchTrace { id: r.u64()? },
             8 => WireCmd::Snapshot { id: r.u64()? },
-            9 => WireCmd::Restore {
-                id: r.u64()?,
-                iter: r.u64()?,
-                section: Box::new(RankSection::restore(r)?),
-            },
+            // Tag 9 was the coordinator-pushed `Restore`: retired, not
+            // reused, so a stale frame is refused instead of misread.
             10 => WireCmd::Predict {
                 id: r.u64()?,
                 tokens: Vec::restore(r)?,
@@ -237,7 +220,7 @@ impl Persist for MetricsMsg {
 }
 
 /// A checkpoint outcome crossing the control plane (the reply to
-/// `PublishShard`, `SelfRestore` and `Restore`).
+/// `PublishShard` and `SelfRestore`).
 ///
 /// `CkptError` is neither `Clone` (it can wrap an `io::Error`) nor
 /// `Persist`, and typed lanes need both. The `Arc` supplies the first; a
@@ -296,6 +279,7 @@ impl<T: Persist> Persist for Outcome<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opt_ckpt::RankSection;
     use opt_net::{LocalTransport, Transport};
     use opt_tensor::Matrix;
 
@@ -314,14 +298,14 @@ mod tests {
 
     #[test]
     fn wire_cmds_roundtrip() {
-        let section = Box::new(RankSection {
+        let section = RankSection {
             stage: 1,
             dp: 0,
             params: vec![Matrix::full(2, 3, 0.5), Matrix::zeros(1, 4)],
             optimizer: vec![1, 2, 3],
             cb_link: vec![0],
             dp_state: Vec::new(),
-        });
+        };
         let (id, iter, index, n_seq) = (9, 7, 4, 32);
         for cmd in [
             WireCmd::TrainIter { iter },
@@ -332,11 +316,6 @@ mod tests {
             WireCmd::FetchMetrics { id },
             WireCmd::FetchTrace { id },
             WireCmd::Snapshot { id },
-            WireCmd::Restore {
-                id,
-                iter,
-                section: section.clone(),
-            },
             WireCmd::Predict {
                 id,
                 tokens: vec![3, 1, 4, 1, 5],
@@ -345,6 +324,7 @@ mod tests {
         ] {
             roundtrips(cmd);
         }
+        assert!(WireCmd::from_bytes(&[9]).is_err(), "retired tag accepted");
         assert!(WireCmd::from_bytes(&[11]).is_err(), "unknown tag accepted");
 
         // Replies travel as `(request id, body)`.
@@ -376,7 +356,7 @@ mod tests {
                 channels: vec![lane],
             },
         ));
-        roundtrips((id, *section));
+        roundtrips((id, section));
         roundtrips((id, vec![7usize, 9]));
         let spans = Vec::new();
         roundtrips((

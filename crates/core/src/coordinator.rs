@@ -43,8 +43,8 @@ impl WorkerHandle for std::thread::JoinHandle<()> {
 }
 
 /// Resolves the store's manifest and validates it against `cfg` — the
-/// only checkpoint state a coordinator ever reads on the sharded path,
-/// and the rendezvous step of a worker's self-restore.
+/// only checkpoint state a coordinator ever reads, and the rendezvous
+/// step of a worker's self-restore.
 pub(crate) fn resolve_manifest(
     cfg: &TrainerConfig,
     store: &dyn ShardStore,
@@ -56,7 +56,7 @@ pub(crate) fn resolve_manifest(
 }
 
 /// Refuses a checkpoint taken under a different world shape or config.
-pub(crate) fn check_meta(cfg: &TrainerConfig, meta: &SnapshotMeta) -> Result<(), CkptError> {
+fn check_meta(cfg: &TrainerConfig, meta: &SnapshotMeta) -> Result<(), CkptError> {
     if (meta.pp, meta.dp) != (cfg.pp, cfg.dp) {
         return Err(CkptError::WorldMismatch {
             snapshot: (meta.pp, meta.dp),
@@ -294,34 +294,19 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         })
     }
 
-    /// Overwrites every worker's state from its section of `snapshot`,
-    /// which the caller has checked to be complete and to match `cfg`.
-    /// Each worker validates its section before applying it; on any
-    /// rejection the world is left half-restored and must be discarded.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), ProcError> {
-        let id = self.fresh_id();
-        let iter = snapshot.meta.iter;
-        let mut ranks = Vec::with_capacity(snapshot.ranks.len());
-        for section in &snapshot.ranks {
-            let rank = section.dp * self.cfg.pp + section.stage;
-            let section = Box::new(section.clone());
-            self.send_to(rank..rank + 1, WireCmd::Restore { id, iter, section })?;
-            ranks.push(rank);
-        }
-        self.collect_restored(ranks.into_iter(), id, iter)
-    }
-
-    /// Collects the restore outcome of request `id` from each of `ranks`,
-    /// requiring every one to have landed on iteration `want_iter`.
-    fn collect_restored(
+    /// The one restore: has each of `ranks` rendezvous on its shard
+    /// store's manifest, fetch only its own shard, validate, and apply it.
+    /// The coordinator has read nothing but the manifest, whose iteration
+    /// is `want_iter`, and requires every rank to have landed on it.
+    pub fn self_restore(
         &mut self,
-        ranks: impl Iterator<Item = usize>,
-        id: u64,
+        ranks: impl Iterator<Item = usize> + Clone,
         want_iter: u64,
     ) -> Result<(), ProcError> {
+        let outcomes: Vec<Outcome<u64>> =
+            self.request(ranks.clone(), |id| WireCmd::SelfRestore { id }, CH_RESTORE)?;
         let mut first_err = None;
-        for rank in ranks {
-            let outcome: Outcome<u64> = self.recv_matching(rank, CH_RESTORE, id)?;
+        for (rank, outcome) in ranks.zip(outcomes) {
             match outcome.into_result() {
                 Ok(iter) if iter == want_iter => {}
                 // The store changed between the coordinator's manifest
@@ -343,19 +328,6 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
                 Ok(())
             }
         }
-    }
-
-    /// Has each of `ranks` rendezvous on its shard store's manifest, fetch
-    /// only its own shard, validate, and apply it. The coordinator has
-    /// read nothing but the manifest, whose iteration is `want_iter`.
-    pub fn self_restore(
-        &mut self,
-        ranks: impl Iterator<Item = usize> + Clone,
-        want_iter: u64,
-    ) -> Result<(), ProcError> {
-        let id = self.fresh_id();
-        self.send_to(ranks.clone(), WireCmd::SelfRestore { id })?;
-        self.collect_restored(ranks, id, want_iter)
     }
 
     /// Captures a sharded checkpoint: every worker publishes its own

@@ -6,7 +6,7 @@
 
 use crate::proc::{ProcError, ProcOptions, ProcTrainer, WorldError};
 use crate::{TrainReport, Trainer, TrainerConfig};
-use opt_ckpt::{FaultPlan, Snapshot};
+use opt_ckpt::{FaultPlan, ShardManifest};
 use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer};
 use opt_trace::TraceMode;
 use std::path::PathBuf;
@@ -50,21 +50,23 @@ pub struct ProcFaultOptions {
 
 /// Where a faulted run checkpoints, and how it recovers from its failure.
 ///
-/// The first two run on worker *threads*, where a single worker death
+/// The first runs on worker *threads*, where a single worker death
 /// tears down the whole job — the collective world cannot make progress
 /// minus one member, which mirrors a real 3D-parallel job losing a GPU.
 /// The "kill" quiesces and stops every thread without any state being
 /// flushed, and the restart relaunches all of them. The last two run on
 /// real `opt-worker` OS *processes* meshed over loopback TCP, checkpoint
 /// through a TCP shard store served by the coordinator, and `SIGKILL` an
-/// actual process. All four produce **bit-identical** losses and
-/// traffic-ledger deltas for the same config and plan.
+/// actual process. All three report the same counters and, **from
+/// `resumed_from` on, bit-identical losses** for the same config and
+/// plan — the uninterrupted run's. The two full relaunches also agree on
+/// everything before it (`NaN` losses, a ledger that restarts at zero);
+/// under [`Recovery::Rejoin`] the survivors keep their samples and
+/// ledgers (only the replayed iterations are truncated), so earlier
+/// losses are means over the surviving dp ranks and the whole-run
+/// `report.traffic` includes the doomed work.
 #[derive(Debug, Clone)]
 pub enum Recovery {
-    /// Monolithic snapshots held by the coordinator
-    /// ([`Trainer::snapshot`]); the relaunched world is overwritten from
-    /// the newest one ([`Trainer::restore`]).
-    Monolithic,
     /// Per-rank shards published by the workers themselves into this
     /// store ([`Trainer::save_sharded`]); every relaunched worker
     /// rendezvouses on the manifest and fetches only its own shard
@@ -90,23 +92,31 @@ pub enum Recovery {
 }
 
 /// The world a faulted run drives: either launcher, behind the calls the
-/// driver loop needs from both.
+/// driver loop needs from both. A thread world is handed its store with
+/// every checkpoint call; a process world was launched with one.
 enum World {
-    Threads(Box<Trainer>),
+    Threads(Box<Trainer>, Arc<dyn ShardStore>),
     Procs(Box<ProcTrainer>),
 }
 
 impl World {
     fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
         match self {
-            World::Threads(t) => t.coord.train_more(extra),
+            World::Threads(t, _) => t.coord.train_more(extra),
             World::Procs(t) => t.coord.train_more(extra),
+        }
+    }
+
+    fn save_sharded(&mut self) -> Result<ShardManifest, ProcError> {
+        match self {
+            World::Threads(t, store) => Ok(t.save_sharded(store)?),
+            World::Procs(t) => t.save_sharded(),
         }
     }
 
     fn finish(self) -> Result<TrainReport, ProcError> {
         match self {
-            World::Threads(mut t) => {
+            World::Threads(mut t, _) => {
                 let report = t.coord.report()?;
                 t.shutdown();
                 Ok(report)
@@ -133,7 +143,8 @@ impl World {
 /// use optimus_cc::{run_with_faults, QualityConfig, Recovery, TrainerConfig};
 ///
 /// let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 12);
-/// let outcome = run_with_faults(&cfg, &FaultPlan::new(1, 10, 4), &Recovery::Monolithic).unwrap();
+/// let store = std::sync::Arc::new(opt_net::MemShardStore::new());
+/// let outcome = run_with_faults(&cfg, &FaultPlan::new(1, 10, 4), &Recovery::Sharded(store)).unwrap();
 /// assert_eq!(outcome.restarts, 1);
 /// assert_eq!(outcome.lost_iters, 2); // killed at 10, snapshot at 8
 /// ```
@@ -155,7 +166,11 @@ pub fn run_with_faults(
     );
     // A process world checkpoints through a shard store this run serves
     // over TCP for as long as it lasts.
-    let served = match recovery {
+    let launch: Box<dyn Fn() -> Result<World, ProcError> + '_> = match recovery {
+        Recovery::Sharded(store) => Box::new(move || {
+            let world = Trainer::launch(cfg.clone());
+            Ok(World::Threads(Box::new(world), Arc::clone(store)))
+        }),
         Recovery::ProcessRelaunch(opts) | Recovery::Rejoin(opts) => {
             let inner: Arc<dyn ShardStore> = match &opts.store_dir {
                 Some(dir) => Arc::new(FsShardStore::new(dir)),
@@ -163,31 +178,22 @@ pub fn run_with_faults(
             };
             let server = ShardStoreServer::spawn(inner, "127.0.0.1:0")
                 .map_err(|e| ProcError::Protocol(format!("shard store server: {e}")))?;
-            let popts = ProcOptions {
-                worker_bin: opts.worker_bin.clone(),
-                store_addr: server.addr(),
-                scratch_dir: opts.scratch_dir.clone(),
-            };
-            Some((server, popts))
+            Box::new(move || {
+                let popts = ProcOptions {
+                    worker_bin: opts.worker_bin.clone(),
+                    store_addr: server.addr(),
+                    scratch_dir: opts.scratch_dir.clone(),
+                };
+                let world = ProcTrainer::launch(cfg.clone(), popts, TraceMode::from_env())?;
+                Ok(World::Procs(Box::new(world)))
+            })
         }
-        Recovery::Monolithic | Recovery::Sharded(_) => None,
-    };
-    let launch = || -> Result<World, ProcError> {
-        Ok(match &served {
-            Some((_, popts)) => World::Procs(Box::new(ProcTrainer::launch(
-                cfg.clone(),
-                popts.clone(),
-                TraceMode::from_env(),
-            )?)),
-            None => World::Threads(Box::new(Trainer::launch(cfg.clone()))),
-        })
     };
 
     let total = cfg.iters;
     let mut world = launch()?;
-    // The newest checkpoint's iteration; a monolithic one is held here.
+    // The newest checkpoint's iteration; its state lives in the store.
     let mut newest: Option<u64> = None;
-    let mut snapshot: Option<Snapshot> = None;
     let mut snapshots_taken = 0;
     let mut restarts = 0;
     let mut lost_iters = 0;
@@ -199,11 +205,7 @@ pub fn run_with_faults(
         world.train_more(1)?;
         completed += 1;
         if plan.snapshot_due(completed) && completed < total {
-            newest = Some(match (&mut world, recovery) {
-                (World::Threads(t), Recovery::Sharded(store)) => t.save_sharded(store)?.meta.iter,
-                (World::Threads(t), _) => snapshot.insert(t.coord.snapshot()?).meta.iter,
-                (World::Procs(t), _) => t.save_sharded()?.meta.iter,
-            });
+            newest = Some(world.save_sharded()?.meta.iter);
             snapshots_taken += 1;
         }
         if !failed && completed == plan.kill_at_iter {
@@ -246,16 +248,13 @@ pub fn run_with_faults(
                     }
                     (fresh, newest.unwrap_or(0))
                 }
-                (World::Threads(t), _) => {
+                (World::Threads(t, store), _) => {
                     t.kill();
-                    let fresh = match (recovery, &snapshot, newest) {
-                        (Recovery::Sharded(store), _, Some(_)) => {
-                            Trainer::restore_sharded(cfg.clone(), store)?
-                        }
-                        (_, Some(snap), _) => Trainer::restore(cfg.clone(), snap)?,
-                        _ => Trainer::launch(cfg.clone()),
+                    let fresh = match newest {
+                        Some(_) => Trainer::restore_sharded(cfg.clone(), &store)?,
+                        None => Trainer::launch(cfg.clone()),
                     };
-                    (World::Threads(Box::new(fresh)), newest.unwrap_or(0))
+                    (World::Threads(Box::new(fresh), store), newest.unwrap_or(0))
                 }
             };
             lost_iters += completed - resumed;
@@ -277,11 +276,17 @@ mod tests {
     use super::*;
     use crate::QualityConfig;
 
+    fn sharded() -> Recovery {
+        Recovery::Sharded(Arc::new(MemShardStore::new()))
+    }
+
     #[test]
     fn faulted_run_completes_and_accounts_for_lost_work() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 9);
-        let outcome = run_with_faults(&cfg, &FaultPlan::new(2, 7, 3), &Recovery::Monolithic)
-            .expect("faulted run");
+        let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
+        let recovery = Recovery::Sharded(Arc::clone(&store));
+        let outcome =
+            run_with_faults(&cfg, &FaultPlan::new(2, 7, 3), &recovery).expect("faulted run");
         assert_eq!(outcome.restarts, 1);
         assert_eq!(outcome.snapshots_taken, 2); // iters 3 and 6
         assert_eq!(outcome.lost_iters, 1); // killed at 7, resumed from 6
@@ -291,13 +296,18 @@ mod tests {
         for (i, l) in outcome.report.train_loss[6..].iter().enumerate() {
             assert!(l.is_finite(), "iteration {} lost its loss", 6 + i);
         }
+        // The store ends up holding the manifest plus one shard per rank:
+        // the iter-3 shards went when the iter-6 manifest committed.
+        let names = store.list().expect("list");
+        assert_eq!(names.len(), 1 + cfg.pp * cfg.dp);
+        assert!(names.iter().any(|n| n == "manifest.ckpt"));
     }
 
     #[test]
     fn failure_before_first_snapshot_restarts_from_scratch() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::baseline(), 5);
-        let outcome = run_with_faults(&cfg, &FaultPlan::new(0, 2, 4), &Recovery::Monolithic)
-            .expect("faulted run");
+        let outcome =
+            run_with_faults(&cfg, &FaultPlan::new(0, 2, 4), &sharded()).expect("faulted run");
         assert_eq!(outcome.restarts, 1);
         assert_eq!(outcome.lost_iters, 2);
         assert_eq!(outcome.resumed_from, Some(0));
@@ -308,44 +318,9 @@ mod tests {
     #[test]
     fn run_without_reaching_kill_iter_never_restarts() {
         let cfg = TrainerConfig::tiny_test(QualityConfig::baseline(), 3);
-        let outcome =
-            run_with_faults(&cfg, &FaultPlan::new(0, 100, 2), &Recovery::Monolithic).expect("run");
+        let outcome = run_with_faults(&cfg, &FaultPlan::new(0, 100, 2), &sharded()).expect("run");
         assert_eq!(outcome.restarts, 0);
         assert_eq!(outcome.resumed_from, None);
         assert_eq!(outcome.snapshots_taken, 1); // iter 2
-    }
-
-    #[test]
-    fn sharded_fault_run_matches_the_monolithic_one() {
-        use opt_net::MemShardStore;
-
-        let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 9);
-        let plan = FaultPlan::new(2, 7, 3);
-        let mono = run_with_faults(&cfg, &plan, &Recovery::Monolithic).expect("monolithic run");
-        let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-        let sharded = run_with_faults(&cfg, &plan, &Recovery::Sharded(Arc::clone(&store)))
-            .expect("sharded run");
-
-        assert_eq!(sharded.restarts, mono.restarts);
-        assert_eq!(sharded.snapshots_taken, mono.snapshots_taken);
-        assert_eq!(sharded.lost_iters, mono.lost_iters);
-        assert_eq!(sharded.resumed_from, mono.resumed_from);
-        for (i, (a, b)) in mono
-            .report
-            .train_loss
-            .iter()
-            .zip(&sharded.report.train_loss)
-            .enumerate()
-        {
-            if a.is_nan() {
-                assert!(b.is_nan(), "iteration {i}: {a} vs {b}");
-            } else {
-                assert_eq!(a.to_bits(), b.to_bits(), "iteration {i}: {a} vs {b}");
-            }
-        }
-        // The store ends up holding the manifest plus one shard per rank.
-        let names = store.list().expect("list");
-        assert_eq!(names.len(), 1 + cfg.pp * cfg.dp);
-        assert!(names.iter().any(|n| n == "manifest.ckpt"));
     }
 }

@@ -38,23 +38,23 @@
 //! naming its rank (which [`Trainer`]'s infallible methods turn into a
 //! panic).
 //!
-//! It is also **fault tolerant**: [`Trainer::snapshot`] serializes every
-//! worker's parameters, optimizer moments, and compression state (PowerSGD
-//! warm starts, lazy-error residuals, DP error feedback) into an
-//! `opt-ckpt` snapshot with barrier semantics; [`Trainer::restore`] brings
-//! a fresh world back to that exact point. The guarantee is bit-exact
-//! resume — train `N` straight vs. train `k`, snapshot, [`Trainer::kill`],
-//! restore, train `N - k` produce identical losses and identical wire
-//! traffic — and [`run_with_faults`] scripts whole kill/recover scenarios
-//! from an `opt_ckpt::FaultPlan` under a [`Recovery`].
-//!
-//! Checkpoints also exist in **sharded** form for cross-host elastic
-//! restore: [`Trainer::save_sharded`] has every worker publish its own
-//! checksummed shard to an `opt_net::ShardStore`, and
-//! [`Trainer::restore_sharded`] / [`Trainer::restore_rank`] relaunch
+//! It is also **fault tolerant**, and a checkpoint is one thing: a
+//! manifest plus one shard per rank in an `opt_net::ShardStore`.
+//! [`Trainer::save_sharded`] has every worker serialize its own
+//! parameters, optimizer moments, and compression state (PowerSGD warm
+//! starts, lazy-error residuals, DP error feedback) into a checksummed
+//! shard and publish it, with barrier semantics, and commits the manifest
+//! last; [`Trainer::restore_sharded`] / [`Trainer::restore_rank`] relaunch
 //! workers that rendezvous on the manifest and fetch *only their own
-//! shard* — no process ever holds the whole world's state.
-//! [`Recovery::Sharded`] scripts the full cross-host simulation.
+//! shard* — no process ever holds the whole world's state, and a
+//! replacement worker on a different host does exactly the same. The
+//! guarantee is bit-exact resume — train `N` straight vs. train `k`,
+//! checkpoint, [`Trainer::kill`], restore, train `N - k` produce identical
+//! losses and identical wire traffic — and [`run_with_faults`] scripts
+//! whole kill/recover scenarios from an `opt_ckpt::FaultPlan` under a
+//! [`Recovery`]. [`Trainer::snapshot`] gathers the same state into one
+//! in-memory value for inspection, and [`Trainer::restore`] feeds such a
+//! value back through the same restore path.
 //!
 //! # Example
 //!

@@ -3,18 +3,17 @@
 //! coordinator.
 
 use crate::config::TrainerConfig;
-use crate::control::{StoreSlot, WireCmd};
-use crate::coordinator::{check_meta, resolve_manifest, Coordinator};
+use crate::control::{store_err, StoreSlot, WireCmd};
+use crate::coordinator::{resolve_manifest, Coordinator};
 use crate::proc::ProcError;
 use crate::stats::TrainReport;
 use crate::worker::{run_worker, WorkerCtx};
 use crate::MemoryReport;
-use opt_ckpt::{CkptError, ShardManifest, Snapshot};
+use opt_ckpt::{CkptError, ShardManifest, Snapshot, MANIFEST_FILE};
 use opt_data::{TaskScore, ZeroShotTask};
 use opt_model::Stage;
-use opt_net::{LocalTransport, ShardStore, TrafficBreakdown};
+use opt_net::{LocalTransport, MemShardStore, ShardStore, TrafficBreakdown};
 use opt_trace::{Trace, TraceMode};
-use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -33,6 +32,20 @@ fn ckpt<T>(result: Result<T, ProcError>) -> Result<T, CkptError> {
         Err(ProcError::Ckpt(e)) => Err(e),
         other => Ok(live(other)),
     }
+}
+
+/// `snapshot` as a checkpoint in a private in-memory store: every shard,
+/// then the manifest.
+fn checkpoint_of(snapshot: &Snapshot) -> Result<Arc<dyn ShardStore>, CkptError> {
+    let store = MemShardStore::new();
+    let (manifest, blobs) = snapshot.to_shards();
+    for (name, blob) in &blobs {
+        store.put(name, blob).map_err(store_err)?;
+    }
+    store
+        .put(MANIFEST_FILE, &manifest.encode())
+        .map_err(store_err)?;
+    Ok(Arc::new(store))
 }
 
 /// A running 3D-parallel training job: `pp x dp` worker threads, each
@@ -194,22 +207,19 @@ impl Trainer {
         live(self.coord.take_trace()).map(Trace::merge)
     }
 
-    /// Captures a complete training snapshot: every worker serializes its
-    /// parameters, optimizer moments, and compression state behind barrier
+    /// Gathers every worker's parameters, optimizer moments, and
+    /// compression state into one in-memory [`Snapshot`], behind barrier
     /// semantics (commands are ordered per worker, and the collection
-    /// blocks until all `pp * dp` sections arrive).
+    /// blocks until all `pp * dp` sections arrive). A snapshot is a value
+    /// to inspect, compare or hand to [`Trainer::restore`]; a checkpoint
+    /// that outlives the process is [`Trainer::save_sharded`].
     pub fn snapshot(&mut self) -> Snapshot {
         live(self.coord.snapshot())
     }
 
-    /// Takes a snapshot and writes it to `path`.
-    pub fn save_snapshot(&mut self, path: impl AsRef<Path>) -> Result<(), CkptError> {
-        self.snapshot().save(path)
-    }
-
-    /// Relaunches a training job from a snapshot: fresh workers are
-    /// spawned under `cfg`, then every worker validates its snapshot
-    /// section and overwrites its state from it. The resumed trainer
+    /// Relaunches a training job from a snapshot, through the one restore
+    /// path: its shards go into a private in-memory store and
+    /// [`Trainer::restore_sharded`] does the rest. The resumed trainer
     /// continues at the snapshot's iteration and — by the bit-exact-resume
     /// guarantee — reproduces exactly the losses and wire traffic the
     /// uninterrupted run would have produced from that point.
@@ -220,20 +230,7 @@ impl Trainer {
     /// decode or has the wrong parameter shapes is refused by the worker
     /// it was meant for, and the half-restored world is stopped.
     pub fn restore(cfg: TrainerConfig, snapshot: &Snapshot) -> Result<Trainer, CkptError> {
-        check_meta(&cfg, &snapshot.meta)?;
-        snapshot.validate_complete()?;
-        let mut trainer = Trainer::launch(cfg);
-        ckpt(trainer.coord.restore(snapshot))?;
-        Ok(trainer)
-    }
-
-    /// [`Trainer::restore`] from a snapshot file.
-    pub fn restore_from_file(
-        cfg: TrainerConfig,
-        path: impl AsRef<Path>,
-    ) -> Result<Trainer, CkptError> {
-        let snapshot = Snapshot::load(path)?;
-        Self::restore(cfg, &snapshot)
+        Self::restore_sharded(cfg, &checkpoint_of(snapshot)?)
     }
 
     /// Captures a sharded checkpoint directly into a [`ShardStore`]: every
@@ -435,18 +432,16 @@ mod tests {
     fn rejected_section_is_a_typed_error_and_a_dead_worker_is_named() {
         let mut t = Trainer::launch(TrainerConfig::tiny_test(QualityConfig::cb(), 2));
         t.train_more(1);
-        // Straight to the coordinator, as a caller that skipped every
-        // up-front check would: the worker itself refuses the section.
+        // A shard whose manifest, checksum and header are all in order but
+        // whose tensors are not this stage's: only the worker it is meant
+        // for can tell, and it refuses the section before touching state.
         let mut snapshot = t.snapshot();
         snapshot.ranks[1].params[0] = opt_tensor::Matrix::zeros(1, 1);
+        let store = checkpoint_of(&snapshot).unwrap();
         let err = t
-            .coord
-            .restore(&snapshot)
+            .restore_rank(1, 0, &store)
             .expect_err("wrong shapes applied");
-        assert!(
-            matches!(err, ProcError::Ckpt(CkptError::Decode(_))),
-            "{err}"
-        );
+        assert!(matches!(err, CkptError::Decode(_)), "{err}");
         t.coord.barrier().expect("the world outlives a refusal");
 
         // Something that is not a command ends the worker that reads it;

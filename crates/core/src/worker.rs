@@ -314,10 +314,6 @@ pub(crate) fn run_worker<Tr: Transport + Send + Sync + 'static>(mut ctx: WorkerC
                 });
                 reply_restored(&mut ctx, id, result);
             }
-            WireCmd::Restore { id, iter, section } => {
-                let result = state.apply(&mut ctx, *section).map(|()| iter);
-                reply_restored(&mut ctx, id, result);
-            }
             WireCmd::FetchMetrics { id } => {
                 let msg = MetricsMsg {
                     raw: ctx.samples.clone(),
@@ -385,8 +381,8 @@ struct TrainState {
 
 impl TrainState {
     /// Serializes the worker's complete training state into a snapshot
-    /// section (shared by the monolithic `Snapshot` and sharded
-    /// `PublishShard` paths).
+    /// section (shared by the in-memory `Snapshot` gather and the
+    /// `PublishShard` checkpoint path).
     fn capture<Tr: Transport>(&self, ctx: &mut WorkerCtx<Tr>) -> RankSection {
         RankSection {
             stage: ctx.stage_idx,
@@ -449,17 +445,7 @@ fn fetch_shard<Tr: Transport>(ctx: &WorkerCtx<Tr>) -> Result<Shard, CkptError> {
     // Fetch: only our own shard, validated against the manifest entry
     // before the structural decoder ever sees it.
     let blob = store.get(&entry.name).map_err(store_err)?;
-    entry.verify(&blob)?;
-    let shard = Shard::decode(&blob)?;
-    if (shard.stage(), shard.dp()) != (s, d) {
-        return Err(CkptError::ShardMismatch {
-            stage: s,
-            dp: d,
-            what: "fetched shard belongs to a different rank",
-        });
-    }
-    shard.validate_against(&manifest.meta)?;
-    Ok(shard)
+    manifest.validate_shard(entry, &blob)
 }
 
 /// Deterministic batch key shared by the first and last stages.

@@ -10,7 +10,6 @@
 use crate::retry::RetryPolicy;
 use crate::tcp::{TcpBound, TcpTransport};
 use crate::transport::TransportError;
-use opt_ckpt::framing;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -88,11 +87,23 @@ fn poll_endpoints(
 
 /// Publishes this rank's listener address into the rendezvous directory.
 fn publish_endpoint(dir: &Path, rank: usize, addr: SocketAddr) -> Result<(), TransportError> {
-    framing::atomic_write(&dir.join(format!("ep-{rank}")), addr.to_string().as_bytes()).map_err(
-        |e| TransportError::Rendezvous {
+    publish_atomically(dir, &format!("ep-{rank}"), addr.to_string().as_bytes()).map_err(|e| {
+        TransportError::Rendezvous {
             detail: format!("publishing endpoint for rank {rank}: {e}"),
-        },
-    )
+        }
+    })
+}
+
+/// Writes `bytes` to `<name>.partial` and renames it to `name`, so a
+/// polling peer sees the whole file or none of it. One writer per name
+/// (each rank publishes only its own endpoint); nothing is synced — the
+/// file matters only while its writer is alive.
+fn publish_atomically(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.partial"));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, dir.join(name)).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// Reads a peer's published listener address, if present yet.

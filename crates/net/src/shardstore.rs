@@ -13,8 +13,9 @@
 //!   worker that holds none of the coordinator's state.
 //! * [`FsShardStore`] — a directory of files, standing in for remote blob
 //!   storage (a parallel filesystem, S3, a burst buffer). Puts are atomic
-//!   (temp file + rename), so a reader never observes a half-written
-//!   shard.
+//!   (a temp file per call + rename) and durable (synced before the
+//!   rename), so a reader never observes a half-written shard and a crash
+//!   never leaves a manifest naming one.
 //!
 //! * [`TcpShardStore`] — an **actually remote** backend: a thin client
 //!   speaking a framed request/response protocol to a
@@ -35,8 +36,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Why a shard-store operation failed.
@@ -125,9 +126,17 @@ impl MemShardStore {
         Self::default()
     }
 
+    /// The blob map. A thread that panicked while holding the lock cannot
+    /// have left it torn — every update is a single `insert` / `remove`
+    /// of a whole blob — so a poisoned guard is recovered, not propagated
+    /// as a second panic into every later checkpoint call.
+    fn blobs(&self) -> MutexGuard<'_, HashMap<String, Vec<u8>>> {
+        self.blobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of blobs currently stored.
     pub fn len(&self) -> usize {
-        self.blobs.lock().expect("store poisoned").len()
+        self.blobs().len()
     }
 
     /// Whether the store holds no blobs.
@@ -139,18 +148,13 @@ impl MemShardStore {
 impl ShardStore for MemShardStore {
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), ShardStoreError> {
         validate_name(name)?;
-        self.blobs
-            .lock()
-            .expect("store poisoned")
-            .insert(name.to_string(), bytes.to_vec());
+        self.blobs().insert(name.to_string(), bytes.to_vec());
         Ok(())
     }
 
     fn get(&self, name: &str) -> Result<Vec<u8>, ShardStoreError> {
         validate_name(name)?;
-        self.blobs
-            .lock()
-            .expect("store poisoned")
+        self.blobs()
             .get(name)
             .cloned()
             .ok_or_else(|| ShardStoreError::NotFound {
@@ -159,31 +163,31 @@ impl ShardStore for MemShardStore {
     }
 
     fn list(&self) -> Result<Vec<String>, ShardStoreError> {
-        let mut names: Vec<String> = self
-            .blobs
-            .lock()
-            .expect("store poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.blobs().keys().cloned().collect();
         names.sort();
         Ok(names)
     }
 
     fn delete(&self, name: &str) -> Result<(), ShardStoreError> {
         validate_name(name)?;
-        self.blobs.lock().expect("store poisoned").remove(name);
+        self.blobs().remove(name);
         Ok(())
     }
 }
 
 /// Filesystem shard store: one file per blob under a directory, standing
-/// in for remote blob storage. Puts go through a sibling temp file and an
-/// atomic rename.
+/// in for remote blob storage — and the only thing in the workspace that
+/// writes checkpoint bytes to a filesystem. A put is atomic under any
+/// concurrency (a temp file of its own, then a rename) and durable (synced
+/// before the rename publishes it), so "manifest last" is crash-ordered.
 #[derive(Debug, Clone)]
 pub struct FsShardStore {
     dir: PathBuf,
 }
+
+/// Distinguishes the temp files of concurrent puts within one process
+/// (the pid distinguishes processes sharing a directory).
+static PUT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl FsShardStore {
     /// Creates a store rooted at `dir` (created lazily on first put).
@@ -202,17 +206,34 @@ impl FsShardStore {
             detail: e.to_string(),
         }
     }
+
+    /// Writes and syncs `bytes` at `tmp`, renames it over `name`, then
+    /// syncs the directory so the rename itself survives a crash (best
+    /// effort: not every filesystem lets a directory be opened or synced).
+    fn publish(&self, tmp: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+        let mut file = std::fs::File::create(tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(tmp, self.dir.join(name))?;
+        let _ = std::fs::File::open(&self.dir).and_then(|dir| dir.sync_all());
+        Ok(())
+    }
 }
 
 impl ShardStore for FsShardStore {
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), ShardStoreError> {
         validate_name(name)?;
         std::fs::create_dir_all(&self.dir).map_err(|e| self.backend_err(name, e))?;
-        // The shared temp-file + atomic-rename discipline from opt-ckpt:
-        // a reader never observes a half-written blob.
-        framing::atomic_write(&self.dir.join(name), bytes).map_err(|e| ShardStoreError::Backend {
-            name: name.to_string(),
-            detail: e.to_string(),
+        // A temp name no other put shares — two writers of one name must
+        // not interleave in one file — still ending in `.partial`, which
+        // `list` hides.
+        let seq = PUT_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!("{name}.{}-{seq}.partial", std::process::id()));
+        self.publish(&tmp, name, bytes).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            self.backend_err(name, e)
         })
     }
 
@@ -611,6 +632,84 @@ mod tests {
             assert!(!name.ends_with(".partial"), "temp file {name} left behind");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fs_store_concurrent_puts_of_one_name_never_tear() {
+        // The `ShardStore` contract under same-name concurrency: every
+        // `get` sees one writer's whole blob, no `put` fails, no temp
+        // file outlives its put.
+        const WRITERS: u8 = 4;
+        const PUTS: usize = 40;
+        const LEN: usize = 256 * 1024;
+        let dir = std::env::temp_dir().join(format!("opt-shardstore-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FsShardStore::new(&dir);
+        store.put("contended.shard", &vec![0; LEN]).expect("seed");
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        let writing = AtomicBool::new(true);
+        // Nothing inside the scope may panic before `writing` is cleared,
+        // or the reader would spin forever: failures are counted instead.
+        let (failed_puts, reads) = thread::scope(|scope| {
+            let writers: Vec<_> = (1..=WRITERS)
+                .map(|fill| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        let blob = vec![fill; LEN];
+                        start.wait();
+                        (0..PUTS)
+                            .filter(|_| store.put("contended.shard", &blob).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut reads = 0;
+                while writing.load(Ordering::SeqCst) {
+                    let blob = store.get("contended.shard").expect("get");
+                    assert_eq!(blob.len(), LEN, "read {reads} saw a short blob");
+                    assert!(
+                        blob.iter().all(|&b| b == blob[0]),
+                        "read {reads} saw a mixture of two puts"
+                    );
+                    reads += 1;
+                }
+                reads
+            });
+            let failed: usize = writers.into_iter().map(|w| w.join().unwrap_or(PUTS)).sum();
+            writing.store(false, Ordering::SeqCst);
+            (failed, reader.join().expect("reader"))
+        });
+        assert_eq!(failed_puts, 0, "puts failed under same-name concurrency");
+        assert!(reads > 0);
+        assert_eq!(store.list().unwrap(), vec!["contended.shard"]);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "temp files left behind: {left:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mem_store_outlives_a_panic_under_its_lock() {
+        let store = MemShardStore::new();
+        store.put("manifest.ckpt", b"meta").unwrap();
+        let clone = store.clone();
+        let poisoner = thread::spawn(move || {
+            let _guard = clone.blobs.lock().unwrap();
+            panic!("worker died holding the store lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(store.blobs.is_poisoned());
+        // Every operation still answers, on whole blobs.
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get("manifest.ckpt").unwrap(), b"meta");
+        store.put("rank-0-0-1.shard", b"state").unwrap();
+        assert_eq!(
+            store.list().unwrap(),
+            vec!["manifest.ckpt", "rank-0-0-1.shard"]
+        );
+        store.delete("manifest.ckpt").unwrap();
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

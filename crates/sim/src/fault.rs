@@ -34,9 +34,6 @@ pub struct CkptCostModel {
     pub detection_s: f64,
     /// Seconds for the scheduler to relaunch and rendezvous the world.
     pub relaunch_s: f64,
-    /// Aggregate snapshot read/write bandwidth in bytes/s (parallel file
-    /// system, shared by all ranks) — the monolithic path.
-    pub disk_bw: f64,
     /// Per-rank fetch/publish bandwidth to the shard store in bytes/s —
     /// the sharded path, where every rank moves only its own `1/world`
     /// slice in parallel over its own NIC.
@@ -68,10 +65,10 @@ pub struct CkptCostModel {
 
 impl CkptCostModel {
     /// Defaults in the spirit of the paper's 128×A100 cluster: a 30 s
-    /// NCCL-timeout detection, 60 s relaunch, 10 GB/s aggregate burst
-    /// buffer bandwidth, 25 GB/s per-rank shard fetches (200 Gb/s
-    /// Infiniband HDR), a 1 s manifest rendezvous, 100 GB/s in-process
-    /// memory copies, and a 0.5 ms per-operation TCP setup.
+    /// NCCL-timeout detection, 60 s relaunch, 25 GB/s per-rank shard
+    /// fetches (200 Gb/s Infiniband HDR), a 1 s manifest rendezvous,
+    /// 100 GB/s in-process memory copies, and a 0.5 ms per-operation TCP
+    /// setup.
     /// Rejoin-path constants: a ~3 s heartbeat verdict (conservative
     /// interval × misses at cluster scale), a 0.5 s survivor quiesce, and
     /// a 5 s single-rank relaunch (one container restart + mesh splice,
@@ -80,7 +77,6 @@ impl CkptCostModel {
         Self {
             detection_s: 30.0,
             relaunch_s: 60.0,
-            disk_bw: 10e9,
             shard_fetch_bw: 25e9,
             rendezvous_s: 1.0,
             mem_bw: 100e9,
@@ -89,30 +85,6 @@ impl CkptCostModel {
             quiesce_s: 0.5,
             rank_relaunch_s: 5.0,
         }
-    }
-
-    /// Wall-clock seconds to move a full `bytes` checkpoint through the
-    /// shared filesystem — the monolithic broadcast: every rank's state
-    /// funnels through one aggregate pipe.
-    pub fn monolithic_io_s(&self, bytes: f64) -> f64 {
-        bytes / self.disk_bw
-    }
-
-    /// Wall-clock seconds for a sharded restore: one manifest rendezvous,
-    /// then all `world` ranks fetch their own `bytes / world` shard in
-    /// parallel — the slowest rank (any rank, they are symmetric) gates
-    /// completion. Priced at NIC bandwidth (the historical default,
-    /// equivalent to [`StoreTransport::Tcp`] minus per-op setup).
-    pub fn sharded_io_s(&self, bytes: f64, world: usize) -> f64 {
-        self.rendezvous_s + self.sharded_publish_s(bytes, world)
-    }
-
-    /// Wall-clock seconds for a sharded snapshot *write*: every rank
-    /// publishes its own shard under a name it already knows, in
-    /// parallel, so no rendezvous lookup is paid (the trailing manifest
-    /// put is a few hundred bytes — negligible).
-    pub fn sharded_publish_s(&self, bytes: f64, world: usize) -> f64 {
-        bytes / world.max(1) as f64 / self.shard_fetch_bw
     }
 
     /// Bandwidth one rank sees to the store over `transport`.
@@ -132,39 +104,37 @@ impl CkptCostModel {
         }
     }
 
-    /// [`CkptCostModel::sharded_publish_s`] with the transport dimension:
-    /// each rank pays one store operation plus its `bytes / world` slice
-    /// at the transport's bandwidth (the ~28-byte frame around each
-    /// request is noise against megabyte shards and is folded into the
-    /// per-op constant).
-    pub fn sharded_publish_s_via(
-        &self,
-        bytes: f64,
-        world: usize,
-        transport: StoreTransport,
-    ) -> f64 {
+    /// Wall-clock seconds for a checkpoint *write*: every rank publishes
+    /// its own shard under a name it already knows, in parallel, so no
+    /// rendezvous lookup is paid (the trailing manifest put is a few
+    /// hundred bytes — negligible). Each rank pays one store operation
+    /// plus its `bytes / world` slice at the transport's bandwidth (the
+    /// ~28-byte frame around each request is noise against megabyte
+    /// shards and is folded into the per-op constant).
+    pub fn sharded_publish_s(&self, bytes: f64, world: usize, transport: StoreTransport) -> f64 {
         self.store_op_s(transport) + bytes / world.max(1) as f64 / self.store_bw(transport)
     }
 
-    /// [`CkptCostModel::sharded_io_s`] with the transport dimension: a
-    /// restore additionally pays the manifest rendezvous (itself one more
-    /// store operation on the wire).
-    pub fn sharded_io_s_via(&self, bytes: f64, world: usize, transport: StoreTransport) -> f64 {
+    /// Wall-clock seconds for a restore: one manifest rendezvous (itself
+    /// one more store operation on the wire), then all `world` ranks
+    /// fetch their own shard in parallel — the slowest rank (any rank,
+    /// they are symmetric) gates completion.
+    pub fn sharded_io_s(&self, bytes: f64, world: usize, transport: StoreTransport) -> f64 {
         self.rendezvous_s
             + self.store_op_s(transport)
-            + self.sharded_publish_s_via(bytes, world, transport)
+            + self.sharded_publish_s(bytes, world, transport)
     }
 
     /// Downtime of an elastic single-rank rejoin: heartbeat detection,
     /// survivor quiesce, relaunching one rank, then the sharded restore
     /// (every rank re-fetches its own shard in parallel while the world
     /// rolls back to the manifest). Compare with the full-relaunch
-    /// downtime `detection_s + relaunch_s + sharded_io_s_via(..)`.
+    /// downtime `detection_s + relaunch_s + sharded_io_s(..)`.
     pub fn rejoin_downtime_s(&self, bytes: f64, world: usize, transport: StoreTransport) -> f64 {
         self.hb_detection_s
             + self.quiesce_s
             + self.rank_relaunch_s
-            + self.sharded_io_s_via(bytes, world, transport)
+            + self.sharded_io_s(bytes, world, transport)
     }
 }
 
@@ -235,26 +205,6 @@ pub fn snapshot_bytes(cfg: &SimConfig) -> f64 {
     ((stage_params + emb_params) * 12) as f64
 }
 
-/// How checkpoint bytes move in a simulated run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CkptIo {
-    /// Monolithic snapshot through the shared filesystem
-    /// ([`CkptCostModel::monolithic_io_s`]) — the cost twin of
-    /// `optimus_cc::Recovery::Monolithic`.
-    Monolithic,
-    /// Per-rank shards at NIC bandwidth (the historical sharded pricing,
-    /// [`CkptCostModel::sharded_io_s`]: manifest rendezvous plus a
-    /// parallel per-rank fetch of `1/world` of the state, no
-    /// per-operation cost).
-    Sharded,
-    /// Per-rank shards over an explicit store transport:
-    /// [`StoreTransport::Local`] (in-process memory store, the twin of
-    /// `optimus_cc::Recovery::Sharded`) or [`StoreTransport::Tcp`] (the
-    /// real wire of the process worlds: per-operation connection setup
-    /// plus NIC-bound framed transfers).
-    ShardedVia(StoreTransport),
-}
-
 /// How a simulated run gets back to training after its failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Recovery {
@@ -274,46 +224,43 @@ pub enum Recovery {
 }
 
 /// Simulates `iters` training iterations under `plan`, pricing snapshot
-/// writes (through `io`) and the restart (through `recovery`) with
+/// writes (over `transport`) and the restart (through `recovery`) with
 /// `costs`.
 ///
 /// Mirrors `optimus_cc::run_with_faults` event for event: snapshot after
 /// every `snapshot_every`-th iteration (except the last), one failure once
 /// `kill_at_iter` iterations complete, restart from the newest snapshot
 /// (or from scratch), replay the lost iterations, finish the run. Only
-/// checkpoint I/O and downtime depend on `io` and `recovery`; the failure
-/// story and the replayed work do not.
+/// checkpoint I/O and downtime depend on `transport` and `recovery`; the
+/// failure story and the replayed work do not.
 ///
 /// # Example
 ///
 /// ```
 /// use opt_ckpt::FaultPlan;
-/// use opt_sim::{simulate_with_faults, CkptCostModel, CkptIo, Recovery, SimConfig, StoreTransport};
+/// use opt_sim::{simulate_with_faults, CkptCostModel, Recovery, SimConfig, StoreTransport};
 ///
 /// let cfg = SimConfig::paper_gpt_2_5b();
 /// let costs = CkptCostModel::paper_cluster();
 /// let plan = FaultPlan::new(3, 55, 10);
-/// let run = |io, recovery| simulate_with_faults(&cfg, 100, &plan, &costs, io, recovery);
-/// let mono = run(CkptIo::Monolithic, Recovery::FullRelaunch);
-/// assert!(mono.total_time_s > mono.ideal_time_s);
-/// assert!(mono.replay_time_s > 0.0);
-/// // Sharded checkpoints move less per rank; the real wire costs more
-/// // than shared memory; rejoin only shrinks the downtime.
-/// let shard = run(CkptIo::Sharded, Recovery::FullRelaunch);
-/// let tcp = run(CkptIo::ShardedVia(StoreTransport::Tcp), Recovery::FullRelaunch);
-/// let local = run(CkptIo::ShardedVia(StoreTransport::Local), Recovery::FullRelaunch);
-/// let rejoin = run(CkptIo::ShardedVia(StoreTransport::Tcp), Recovery::Rejoin);
-/// assert!(shard.snapshot_overhead_s < mono.snapshot_overhead_s);
+/// let run = |via, recovery| simulate_with_faults(&cfg, 100, &plan, &costs, via, recovery);
+/// let tcp = run(StoreTransport::Tcp, Recovery::FullRelaunch);
+/// assert!(tcp.total_time_s > tcp.ideal_time_s);
+/// assert!(tcp.replay_time_s > 0.0);
+/// // The real wire costs more than shared memory; rejoin only shrinks
+/// // the downtime.
+/// let local = run(StoreTransport::Local, Recovery::FullRelaunch);
+/// let rejoin = run(StoreTransport::Tcp, Recovery::Rejoin);
 /// assert!(local.snapshot_overhead_s < tcp.snapshot_overhead_s);
 /// assert!(rejoin.restart_overhead_s < tcp.restart_overhead_s);
-/// assert_eq!(mono.replay_time_s, rejoin.replay_time_s);
+/// assert_eq!(tcp.replay_time_s, rejoin.replay_time_s);
 /// ```
 pub fn simulate_with_faults(
     cfg: &SimConfig,
     iters: u64,
     plan: &FaultPlan,
     costs: &CkptCostModel,
-    io: CkptIo,
+    transport: StoreTransport,
     recovery: Recovery,
 ) -> FaultSimResult {
     let t_iter = simulate(cfg).iteration_time_s;
@@ -321,17 +268,8 @@ pub fn simulate_with_faults(
     let world = cfg.tp * cfg.dp * cfg.pp;
     // Writes publish in parallel with no rendezvous; restores pay the
     // manifest round-trip before their fetch.
-    let (t_snap, t_read) = match io {
-        CkptIo::Monolithic => (costs.monolithic_io_s(bytes), costs.monolithic_io_s(bytes)),
-        CkptIo::Sharded => (
-            costs.sharded_publish_s(bytes, world),
-            costs.sharded_io_s(bytes, world),
-        ),
-        CkptIo::ShardedVia(t) => (
-            costs.sharded_publish_s_via(bytes, world, t),
-            costs.sharded_io_s_via(bytes, world, t),
-        ),
-    };
+    let t_snap = costs.sharded_publish_s(bytes, world, transport);
+    let t_read = costs.sharded_io_s(bytes, world, transport);
     let ideal_time_s = t_iter * iters as f64;
 
     let mut now = 0.0;
@@ -368,9 +306,7 @@ pub fn simulate_with_faults(
                 (Recovery::FullRelaunch, None) => costs.detection_s + costs.relaunch_s,
                 // Heartbeat verdict, quiesce, one rank relaunched, world
                 // rolls back with a parallel shard re-fetch.
-                (Recovery::Rejoin, Some(_)) => {
-                    costs.hb_detection_s + costs.quiesce_s + costs.rank_relaunch_s + t_read
-                }
+                (Recovery::Rejoin, Some(_)) => costs.rejoin_downtime_s(bytes, world, transport),
                 // Nothing committed to splice a replacement against:
                 // rejoin escalates (`WorldError::Unrecoverable`) and the
                 // job falls back to a from-scratch full relaunch — only
@@ -416,7 +352,7 @@ mod tests {
             60,
             &FaultPlan::new(2, 45, 10),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         let sum = r.ideal_time_s + r.snapshot_overhead_s + r.restart_overhead_s + r.replay_time_s;
@@ -437,7 +373,7 @@ mod tests {
             20,
             &FaultPlan::new(0, 1000, 5),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         assert_eq!(r.restart_overhead_s, 0.0);
@@ -461,7 +397,7 @@ mod tests {
             100,
             &FaultPlan::new(1, 99, 5),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         let rare = simulate_with_faults(
@@ -469,7 +405,7 @@ mod tests {
             100,
             &FaultPlan::new(1, 99, 50),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         assert!(frequent.snapshot_overhead_s > rare.snapshot_overhead_s);
@@ -484,7 +420,7 @@ mod tests {
             10,
             &FaultPlan::new(0, 4, 0),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         assert!((r.replay_time_s - 4.0 * r.ideal_time_s / 10.0).abs() < 1e-9);
@@ -505,7 +441,7 @@ mod tests {
             40,
             &FaultPlan::new(0, 33, 8),
             &costs,
-            CkptIo::Monolithic,
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         let times: Vec<f64> = r
@@ -523,65 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_io_beats_monolithic_broadcast_at_scale() {
-        let (cfg, costs) = base();
-        let bytes = snapshot_bytes(&cfg);
-        let world = cfg.tp * cfg.dp * cfg.pp;
-        assert!(world > 1);
-        // Per-shard fetch moves 1/world of the bytes over a faster
-        // per-rank pipe; even with the rendezvous round-trip it wins on a
-        // tens-of-GB snapshot.
-        assert!(costs.sharded_io_s(bytes, world) < costs.monolithic_io_s(bytes));
-        // Writes skip the rendezvous a restore pays.
-        let gap = costs.sharded_io_s(bytes, world) - costs.sharded_publish_s(bytes, world);
-        assert!((gap - costs.rendezvous_s).abs() < 1e-9, "gap {gap}");
-        // Degenerate world of one still pays the rendezvous.
-        assert!(costs.sharded_io_s(bytes, 1) >= costs.rendezvous_s);
-        assert!(costs.sharded_io_s(0.0, 0) == costs.rendezvous_s);
-    }
-
-    #[test]
-    fn sharded_fault_sim_accounts_and_wins_on_io() {
-        let (cfg, costs) = base();
-        let plan = FaultPlan::new(2, 45, 10);
-        let mono = simulate_with_faults(
-            &cfg,
-            60,
-            &plan,
-            &costs,
-            CkptIo::Monolithic,
-            Recovery::FullRelaunch,
-        );
-        let shard = simulate_with_faults(
-            &cfg,
-            60,
-            &plan,
-            &costs,
-            CkptIo::Sharded,
-            Recovery::FullRelaunch,
-        );
-        // Identical failure story: same events, same replayed work.
-        assert_eq!(mono.events.len(), shard.events.len());
-        assert_eq!(mono.replay_time_s, shard.replay_time_s);
-        assert_eq!(mono.ideal_time_s, shard.ideal_time_s);
-        // Only checkpoint I/O differs, in the sharded path's favor.
-        assert!(shard.snapshot_overhead_s < mono.snapshot_overhead_s);
-        assert!(shard.restart_overhead_s < mono.restart_overhead_s);
-        assert!(shard.total_time_s < mono.total_time_s);
-        // And the accounting still adds up.
-        let sum = shard.ideal_time_s
-            + shard.snapshot_overhead_s
-            + shard.restart_overhead_s
-            + shard.replay_time_s;
-        assert!(
-            (shard.total_time_s - sum).abs() < 1e-6 * shard.total_time_s,
-            "total {} != parts {}",
-            shard.total_time_s,
-            sum
-        );
-    }
-
-    #[test]
     fn transport_dimension_prices_the_real_wire() {
         let (cfg, costs) = base();
         let bytes = snapshot_bytes(&cfg);
@@ -589,20 +466,20 @@ mod tests {
         // Local shard ops are a memory copy: no per-op cost, faster pipe.
         assert_eq!(costs.store_op_s(StoreTransport::Local), 0.0);
         assert!(costs.store_bw(StoreTransport::Local) > costs.store_bw(StoreTransport::Tcp));
-        let local = costs.sharded_publish_s_via(bytes, world, StoreTransport::Local);
-        let tcp = costs.sharded_publish_s_via(bytes, world, StoreTransport::Tcp);
+        let local = costs.sharded_publish_s(bytes, world, StoreTransport::Local);
+        let tcp = costs.sharded_publish_s(bytes, world, StoreTransport::Tcp);
         assert!(local < tcp, "local {local} !< tcp {tcp}");
-        // The TCP publish is the historical NIC pricing plus one
+        // The TCP publish is one rank's slice at NIC bandwidth plus one
         // connection setup.
-        let legacy = costs.sharded_publish_s(bytes, world);
-        assert!((tcp - legacy - costs.tcp_connect_s).abs() < 1e-12);
+        let slice = bytes / world as f64 / costs.shard_fetch_bw;
+        assert!((tcp - slice - costs.tcp_connect_s).abs() < 1e-12);
         // A restore pays the rendezvous plus one extra store op (the
-        // manifest fetch) on top of the shard fetch.
-        let io_tcp = costs.sharded_io_s_via(bytes, world, StoreTransport::Tcp);
+        // manifest fetch) on top of the shard fetch — writes skip both.
+        let io_tcp = costs.sharded_io_s(bytes, world, StoreTransport::Tcp);
         assert!((io_tcp - (costs.rendezvous_s + costs.tcp_connect_s + tcp)).abs() < 1e-12);
-        // Even over the real wire, sharded restore beats the monolithic
-        // broadcast at paper scale.
-        assert!(io_tcp < costs.monolithic_io_s(bytes));
+        // A degenerate world still pays the rendezvous.
+        assert!(costs.sharded_io_s(bytes, 1, StoreTransport::Local) >= costs.rendezvous_s);
+        assert!(costs.sharded_io_s(0.0, 0, StoreTransport::Local) == costs.rendezvous_s);
     }
 
     #[test]
@@ -614,7 +491,7 @@ mod tests {
             60,
             &plan,
             &costs,
-            CkptIo::ShardedVia(StoreTransport::Local),
+            StoreTransport::Local,
             Recovery::FullRelaunch,
         );
         let tcp = simulate_with_faults(
@@ -622,7 +499,7 @@ mod tests {
             60,
             &plan,
             &costs,
-            CkptIo::ShardedVia(StoreTransport::Tcp),
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         // The failure story is transport-independent.
@@ -650,7 +527,7 @@ mod tests {
             60,
             &plan,
             &costs,
-            CkptIo::ShardedVia(StoreTransport::Tcp),
+            StoreTransport::Tcp,
             Recovery::FullRelaunch,
         );
         let rejoin = simulate_with_faults(
@@ -658,7 +535,7 @@ mod tests {
             60,
             &plan,
             &costs,
-            CkptIo::ShardedVia(StoreTransport::Tcp),
+            StoreTransport::Tcp,
             Recovery::Rejoin,
         );
         // Identical failure story and replayed work — rejoin is purely a
@@ -702,7 +579,7 @@ mod tests {
             20,
             &plan,
             &costs,
-            CkptIo::ShardedVia(StoreTransport::Tcp),
+            StoreTransport::Tcp,
             Recovery::Rejoin,
         );
         assert!((r.restart_overhead_s - (costs.hb_detection_s + costs.relaunch_s)).abs() < 1e-9);

@@ -50,7 +50,7 @@ pub use breakdown::{breakdown, breakdown_with_result, Breakdown};
 pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
 pub use engine::{simulate, SimResult, TraceEvent, TraceKind};
 pub use fault::{
-    simulate_with_faults, snapshot_bytes, CkptCostModel, CkptIo, FaultEvent, FaultSimResult,
-    Recovery, StoreTransport,
+    simulate_with_faults, snapshot_bytes, CkptCostModel, FaultEvent, FaultSimResult, Recovery,
+    StoreTransport,
 };
 pub use kernel::KernelModel;

@@ -23,8 +23,7 @@ fn main() {
     let cfg = || TrainerConfig::small_test(QualityConfig::cb_fe_sc(), total);
     let dir =
         std::env::var("OPT_SHARD_DIR").unwrap_or_else(|_| "target/elastic-restore-shards".into());
-    let fs = FsShardStore::new(&dir);
-    let store: Arc<dyn ShardStore> = Arc::new(fs.clone());
+    let store: Arc<dyn ShardStore> = Arc::new(FsShardStore::new(&dir));
 
     println!("reference: training {total} iterations straight through...");
     let mut straight = Trainer::launch(cfg());
@@ -86,7 +85,8 @@ fn main() {
     assert!(matches!(err, CkptError::ChecksumMismatch { .. }));
     println!("flipping one bit in {victim_name} -> restore fails with: {err}");
     store.put(victim_name, &good).expect("restore good shard");
-    let reloaded = ShardManifest::load(fs.dir().join(MANIFEST_FILE)).expect("manifest reloads");
+    let on_disk = store.get(MANIFEST_FILE).expect("manifest on disk");
+    let reloaded = ShardManifest::decode(&on_disk).expect("manifest reloads");
     assert_eq!(reloaded, manifest);
     println!("shard directory left at {dir}/ (manifest + one shard per rank).");
 }

@@ -1,18 +1,23 @@
 //! The checkpoint subsystem's headline guarantee, exercised end to end:
-//! train N iterations straight versus train k, snapshot, kill, restore,
+//! train N iterations straight versus train k, checkpoint, kill, restore,
 //! train N−k — identical per-iteration losses and identical post-restore
 //! traffic-ledger deltas, with every compression state object (PowerSGD
 //! warm starts, LEP residuals, DP error feedback) round-tripping through
-//! the on-disk format.
+//! the shard format, in memory and on disk.
 
 use optimus::ckpt::{CkptError, FaultPlan, Snapshot, MANIFEST_FILE};
-use optimus::core::{run_with_faults, QualityConfig, Recovery, Trainer, TrainerConfig};
-use optimus::net::{MemShardStore, ShardStore, ShardStoreError, TrafficClass};
+use optimus::core::{
+    run_with_faults, FaultOutcome, QualityConfig, Recovery, Trainer, TrainerConfig,
+};
+use optimus::net::{FsShardStore, MemShardStore, ShardStore, ShardStoreError, TrafficClass};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-fn snap_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("optimus-{tag}-{}.ckpt", std::process::id()))
+/// A fresh checkpoint directory, and a store handle on it.
+fn fs_store(tag: &str) -> (std::path::PathBuf, Arc<dyn ShardStore>) {
+    let dir = std::env::temp_dir().join(format!("optimus-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (dir.clone(), Arc::new(FsShardStore::new(dir)))
 }
 
 /// Full Optimus-CC stack: CB (PowerSGD + LEP), fused embedding, selective
@@ -35,23 +40,26 @@ fn resume_is_bit_exact_including_compression_state() {
     let traffic_end = straight.traffic();
     straight.shutdown();
 
-    // Faulted run: snapshot at k, do some doomed extra work, kill, restore
-    // from disk, finish.
-    let path = snap_path("resume");
+    // Faulted run: checkpoint at k into a directory, do some doomed extra
+    // work, kill, restore from disk through a *second* handle on the same
+    // path — all a relaunched process has — and finish.
+    let (dir, store) = fs_store("resume");
     let mut victim = Trainer::launch(full_stack_cfg(TOTAL));
     victim.train_more(SNAP_AT);
-    victim.save_snapshot(&path).expect("snapshot saved");
+    victim.save_sharded(&store).expect("checkpoint saved");
     victim.train_more(2); // work that the failure will destroy
     victim.kill();
+    drop(store);
 
+    let reopened: Arc<dyn ShardStore> = Arc::new(FsShardStore::new(&dir));
     let mut resumed =
-        Trainer::restore_from_file(full_stack_cfg(TOTAL), &path).expect("snapshot restores");
+        Trainer::restore_sharded(full_stack_cfg(TOTAL), &reopened).expect("checkpoint restores");
     assert_eq!(resumed.trained_iters(), SNAP_AT);
     resumed.train_more(TOTAL - SNAP_AT);
     let resumed_report = resumed.report();
     let resumed_traffic = resumed.traffic();
     resumed.shutdown();
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Losses after the restore point must match the straight run *bit for
     // bit* — any forgotten state (an RNG counter, a residual, a warm-start
@@ -87,74 +95,115 @@ fn resume_is_bit_exact_including_compression_state() {
     }
 }
 
-#[test]
-fn fault_harness_reproduces_the_straight_run() {
-    // The scripted-failure driver must land on the same trajectory.
-    const TOTAL: u64 = 9;
-    let cfg = full_stack_cfg(TOTAL);
-
+/// Trains `cfg` straight and under the scripted failure (snapshot at 3 &
+/// 6, rank 1 dies at 5, in-memory store); from the resume point on the
+/// faulted run must be the uninterrupted one, bit for bit.
+fn faulted_run_matches_straight(name: &str, cfg: &TrainerConfig) -> FaultOutcome {
     let mut straight = Trainer::launch(cfg.clone());
     let straight_report = straight.train();
     straight.shutdown();
 
-    let plan = FaultPlan::new(1, 5, 3); // snapshot at 3 & 6, die at 5
+    let recovery = Recovery::Sharded(Arc::new(MemShardStore::new()));
     let outcome =
-        run_with_faults(&cfg, &plan, &Recovery::Monolithic).expect("faulted run completes");
-    assert_eq!(outcome.restarts, 1);
-    assert_eq!(outcome.resumed_from, Some(3));
-    assert_eq!(outcome.lost_iters, 2);
-    for iter in 3..TOTAL as usize {
+        run_with_faults(cfg, &FaultPlan::new(1, 5, 3), &recovery).expect("faulted run completes");
+    assert_eq!(outcome.resumed_from, Some(3), "{name}");
+    for iter in 3..cfg.iters as usize {
         assert_eq!(
             straight_report.train_loss[iter].to_bits(),
             outcome.report.train_loss[iter].to_bits(),
-            "iteration {iter} diverged after elastic restart"
+            "{name}: iteration {iter} diverged after elastic restart"
         );
+    }
+    outcome
+}
+
+#[test]
+fn fault_harness_reproduces_the_straight_run() {
+    // The scripted-failure driver must land on the same trajectory.
+    let outcome = faulted_run_matches_straight("cb_fe_sc", &full_stack_cfg(9));
+    assert_eq!(outcome.restarts, 1);
+    assert_eq!(outcome.lost_iters, 2);
+}
+
+#[test]
+fn resume_is_bit_exact_for_every_compression_preset() {
+    // Every kind of state a checkpoint can carry, not just the full
+    // stack's: no link at all, a non-LEP link, a top-k link, and naive DP
+    // compression on every stage.
+    let presets = [
+        ("baseline", QualityConfig::baseline()),
+        ("cb", QualityConfig::cb()),
+        ("cb_non_lep", QualityConfig::cb_non_lep()),
+        ("cb_fe", QualityConfig::cb_fe()),
+        ("cb_fe_sc", QualityConfig::cb_fe_sc()),
+        ("naive_dp(2)", QualityConfig::naive_dp(2)),
+        ("naive_cb(4)", QualityConfig::naive_cb(4)),
+        ("cb_topk(0.1)", QualityConfig::cb_topk(0.1)),
+    ];
+    for (name, quality) in presets {
+        faulted_run_matches_straight(name, &TrainerConfig::tiny_test(quality, 9));
     }
 }
 
 #[test]
 fn corrupted_and_truncated_snapshots_are_rejected() {
-    let path = snap_path("corrupt");
+    let (dir, store) = fs_store("corrupt");
     let mut t = Trainer::launch(full_stack_cfg(4));
     t.train_more(2);
-    t.save_snapshot(&path).expect("snapshot saved");
+    let manifest = t.save_sharded(&store).expect("checkpoint saved");
+    let clean = t.snapshot().encode();
     t.shutdown();
-    let clean = std::fs::read(&path).expect("snapshot bytes");
-    let _ = std::fs::remove_file(&path);
+    let restore = || Trainer::restore_sharded(full_stack_cfg(4), &store);
+    let flip_middle_bit = |bytes: &mut Vec<u8>| {
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+    };
 
-    // Sanity: the pristine bytes load.
+    // Sanity: the pristine directory restores (and the refusals below
+    // return only after the world they launched has been joined — a
+    // dropped `Trainer` stops its workers).
+    restore().expect("clean checkpoint restores").shutdown();
+
+    // A single flipped bit in a shard file is caught by the checksum.
+    let shard_path = dir.join(&manifest.shards[1].name);
+    let good = std::fs::read(&shard_path).expect("shard bytes");
+    let mut flipped = good.clone();
+    flip_middle_bit(&mut flipped);
+    std::fs::write(&shard_path, &flipped).expect("write flipped shard");
+    assert!(matches!(restore(), Err(CkptError::ChecksumMismatch { .. })));
+
+    // A shard file cut short (a crash mid-write on a store without atomic
+    // puts) is caught by the manifest's size.
+    std::fs::write(&shard_path, &good[..good.len() - 7]).expect("write short shard");
+    assert!(matches!(restore(), Err(CkptError::Truncated { .. })));
+    std::fs::write(&shard_path, &good).expect("write good shard");
+
+    // A manifest file that is not a manifest is rejected before any state
+    // is parsed — and before anything is spawned.
+    std::fs::write(
+        dir.join(MANIFEST_FILE),
+        b"definitely not a manifest, whatever it says",
+    )
+    .expect("write foreign manifest");
+    assert!(matches!(restore(), Err(CkptError::BadMagic)));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The in-memory snapshot's own codec refuses the same three damages.
     Snapshot::decode(&clean).expect("clean snapshot decodes");
-
-    // A single flipped bit anywhere in the body is caught by the checksum.
     let mut flipped = clean.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x01;
-    assert!(
-        matches!(
-            Snapshot::decode(&flipped),
-            Err(CkptError::ChecksumMismatch { .. })
-        ),
-        "bit flip at byte {mid} was accepted"
-    );
-
-    // Truncation (a crash mid-save) is caught by the length header.
+    flip_middle_bit(&mut flipped);
+    assert!(matches!(
+        Snapshot::decode(&flipped),
+        Err(CkptError::ChecksumMismatch { .. })
+    ));
     assert!(matches!(
         Snapshot::decode(&clean[..clean.len() / 2]),
         Err(CkptError::Truncated { .. })
     ));
-
-    // A foreign file is rejected before any state is parsed.
     assert!(matches!(
         Snapshot::decode(b"definitely not a snapshot"),
         Err(CkptError::BadMagic)
     ));
-
-    // And a truncated file on disk fails through the file API too.
-    let half_path = snap_path("truncated");
-    std::fs::write(&half_path, &clean[..clean.len() - 7]).expect("write half");
-    let err = Trainer::restore_from_file(full_stack_cfg(4), &half_path);
-    let _ = std::fs::remove_file(&half_path);
-    assert!(matches!(err, Err(CkptError::Truncated { .. })));
 }
 
 #[test]

@@ -96,7 +96,8 @@ fn elastic_restore_reexports_resolve() {
     store.put("manifest.ckpt", b"x").expect("put");
     let _ = optimus::net::FsShardStore::new("never-created");
     let costs = optimus::sim::CkptCostModel::paper_cluster();
-    // On a paper-scale (tens of GB) snapshot, parallel per-rank fetches
-    // beat the monolithic broadcast despite the rendezvous round-trip.
-    assert!(costs.sharded_io_s(1e11, 64) < costs.monolithic_io_s(1e11));
+    // On a paper-scale (tens of GB) snapshot, per-rank fetches from a
+    // store in local memory beat the same fetches over the TCP wire.
+    use optimus::sim::StoreTransport::{Local, Tcp};
+    assert!(costs.sharded_io_s(1e11, 64, Local) < costs.sharded_io_s(1e11, 64, Tcp));
 }
