@@ -1,9 +1,11 @@
 //! Criterion benchmarks of the in-process communication substrate:
-//! all-reduce groups and p2p mesh round-trips.
+//! all-reduce groups and p2p mesh round-trips, plus the byte handling a
+//! real wire adds per message (frame checksum, `Matrix` codec).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use opt_ckpt::framing;
 use opt_net::{CollectiveWorld, P2pMesh};
-use opt_tensor::{Matrix, SeedStream};
+use opt_tensor::{Matrix, Persist, SeedStream};
 use std::thread;
 
 fn bench_all_reduce(c: &mut Criterion) {
@@ -50,5 +52,28 @@ fn bench_p2p(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_all_reduce, bench_p2p);
+/// One 256 KB gradient matrix (the mid model's 128 x 512 MLP weight)
+/// through the two byte passes each side of a TCP hop makes: frame +
+/// unframe (one checksum pass each), and `Matrix` encode + decode.
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    let m = SeedStream::new(3).uniform_matrix(128, 512, 1.0);
+    let bytes = m.to_bytes();
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("frame_unframe_256k", |b| {
+        b.iter(|| {
+            let framed = framing::frame(b"OPTBENC\0", 1, &bytes);
+            std::hint::black_box(framing::unframe(&framed, b"OPTBENC\0", 1).unwrap().len());
+        });
+    });
+    group.bench_function("matrix_encode_decode_256k", |b| {
+        b.iter(|| {
+            let encoded = std::hint::black_box(&m).to_bytes();
+            std::hint::black_box(Matrix::from_bytes(&encoded).unwrap());
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_all_reduce, bench_p2p, bench_wire);
 criterion_main!(benches);

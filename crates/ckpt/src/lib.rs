@@ -23,7 +23,8 @@
 //!   manifest, fetch only its own shard, validate it
 //!   ([`ShardManifest::validate_shard`]), and apply it. All encoded with
 //!   the byte codec from `opt_tensor::{Persist, Writer, Reader}` and
-//!   guarded by a length header and FNV-1a checksum: a truncated or
+//!   guarded by a length header and the word-wise frame checksum
+//!   (`framing::checksum`): a truncated or
 //!   bit-flipped file is rejected, never half-applied.
 //! * [`Snapshot`] — the same state gathered into one in-memory value
 //!   (what `Trainer::snapshot()` returns), not an on-disk format.
@@ -68,7 +69,7 @@ mod snapshot;
 
 pub use error::CkptError;
 pub use fault::FaultPlan;
-pub use framing::fnv1a64;
+pub use framing::{checksum, fnv1a64};
 pub use shard::{
     shard_file_name, Shard, ShardEntry, ShardManifest, MANIFEST_FILE, MANIFEST_MAGIC,
     SHARD_FORMAT_VERSION, SHARD_MAGIC,

@@ -24,7 +24,7 @@
 //! matching shards.
 //!
 //! Every file reuses the snapshot frame: magic, format version (u32 LE),
-//! body length (u64 LE), `Persist`-encoded body, FNV-1a checksum. The
+//! body length (u64 LE), `Persist`-encoded body, frame checksum. The
 //! manifest additionally records each shard's byte size and checksum, so a
 //! fetched blob is validated against the manifest *before* it is decoded.
 //!
@@ -32,7 +32,7 @@
 //! [`Snapshot::to_shards`] followed by [`Snapshot::from_shards`]
 //! reproduces the snapshot bit for bit.
 
-use crate::framing::{fnv1a64, frame, unframe};
+use crate::framing::{checksum, frame, unframe};
 use crate::{CkptError, RankSection, Snapshot, SnapshotMeta};
 use opt_tensor::{Persist, PersistError, Reader, Writer};
 
@@ -44,7 +44,7 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"OPTMANI\0";
 
 /// Current shard/manifest format version (versioned independently of the
 /// in-memory snapshot encoding).
-pub const SHARD_FORMAT_VERSION: u32 = 1;
+pub const SHARD_FORMAT_VERSION: u32 = 2;
 
 /// Well-known object name of the manifest in a shard store or directory.
 pub const MANIFEST_FILE: &str = "manifest.ckpt";
@@ -152,7 +152,7 @@ pub struct ShardEntry {
     pub name: String,
     /// Exact encoded size of the shard file in bytes.
     pub bytes: u64,
-    /// FNV-1a checksum over the full encoded shard file.
+    /// [`crate::checksum`] over the full encoded shard file.
     pub checksum: u64,
 }
 
@@ -164,7 +164,7 @@ impl ShardEntry {
             dp,
             name,
             bytes: blob.len() as u64,
-            checksum: fnv1a64(blob),
+            checksum: checksum(blob),
         }
     }
 
@@ -178,7 +178,7 @@ impl ShardEntry {
                 actual: blob.len(),
             });
         }
-        let computed = fnv1a64(blob);
+        let computed = checksum(blob);
         if computed != self.checksum {
             return Err(CkptError::ChecksumMismatch {
                 stored: self.checksum,

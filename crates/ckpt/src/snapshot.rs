@@ -12,7 +12,7 @@ use opt_tensor::{Matrix, Persist, PersistError, Reader, Writer};
 pub const MAGIC: &[u8; 8] = b"OPTCKPT\0";
 
 /// Current snapshot encoding version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Snapshot header: who took it, when (in iterations), and under what
 /// configuration.
@@ -111,7 +111,7 @@ impl Persist for RankSection {
 /// version  u32 LE
 /// body_len u64 LE
 /// body     body_len  SnapshotMeta + Vec<RankSection> (Persist codec)
-/// checksum u64 LE    FNV-1a over body
+/// checksum u64 LE    framing::checksum over body
 /// ```
 ///
 /// [`Snapshot::decode`] rejects bad magic, unknown versions, truncation,

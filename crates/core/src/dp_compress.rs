@@ -1,4 +1,12 @@
-//! Distributed PowerSGD all-reduce for data-parallel gradients.
+//! Distributed PowerSGD all-reduce for data-parallel gradients, and the
+//! trainer's one uncompressed all-reduce ([`all_reduce_recorded`]).
+//!
+//! Both run as grouped rounds of [`CollectiveGroup`]: a stage's whole
+//! dense exchange is one round, and a PowerSGD step over every slot is
+//! two — every `P` factor (with the vector slots' dense gradients), then
+//! every `Q` factor — instead of one or two rounds per parameter. The
+//! messages, their bytes, the ledger records and every result bit are
+//! those of the per-parameter loop.
 
 use opt_net::{CollectiveGroup, TrafficClass, TrafficLedger, Transport};
 use opt_tensor::{
@@ -62,11 +70,12 @@ impl DistPowerSgd {
     }
 
     /// All-reduces `grad` (slot `slot`) over `group`, replacing it with
-    /// the compressed mean across ranks. Vector parameters (single row or
-    /// column) are too small to factorize and are all-reduced densely, as
-    /// PowerSGD's reference implementation does.
+    /// the compressed mean across ranks: the one-slot case of
+    /// [`DistPowerSgd::all_reduce_grouped`].
     ///
-    /// Records wire bytes in `ledger` (fp16 accounting, per rank).
+    /// # Panics
+    ///
+    /// Panics if the transport fails mid-round.
     pub fn all_reduce<Tr: Transport>(
         &mut self,
         group: &CollectiveGroup<Tr>,
@@ -75,46 +84,91 @@ impl DistPowerSgd {
         grad: &mut Matrix,
         ledger: &TrafficLedger,
     ) {
-        let (n, m) = grad.shape();
-        if n == 1 || m == 1 {
-            // Dense fallback for vectors (biases, LN params).
-            *grad = all_reduce_recorded(
-                ledger,
-                TrafficClass::DataParallel,
-                group,
-                my_rank,
-                grad.clone(),
-                true,
-            );
-            return;
+        self.all_reduce_grouped(group, my_rank, [(slot, grad)], ledger);
+    }
+
+    /// All-reduces every `(slot, gradient)` of `grads` over `group`,
+    /// replacing each gradient with the compressed mean across ranks, in
+    /// two grouped rounds: every matrix slot's `P` factor together with
+    /// every vector slot's gradient, then every `Q` factor. Vector
+    /// parameters (single row or column) are too small to factorize and
+    /// are all-reduced densely, as PowerSGD's reference implementation
+    /// does. Each slot's result is bit-identical to a
+    /// [`DistPowerSgd::all_reduce`] of that slot alone.
+    ///
+    /// Records one ledger entry of wire bytes per slot (fp16 accounting,
+    /// per rank).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transport fails mid-round; a worker cannot continue
+    /// an iteration whose collective broke.
+    pub fn all_reduce_grouped<'g, Tr: Transport>(
+        &mut self,
+        group: &CollectiveGroup<Tr>,
+        my_rank: usize,
+        grads: impl IntoIterator<Item = (usize, &'g mut Matrix)>,
+        ledger: &TrafficLedger,
+    ) {
+        let ranks = group.size();
+        // Round 1: a vector slot's gradient itself, or a matrix slot's
+        // local P factor. A matrix slot's gradient becomes its
+        // error-corrected form in place.
+        let mut slots = Vec::new();
+        let mut round1 = Vec::new();
+        for (slot, grad) in grads {
+            let (n, m) = grad.shape();
+            let factored = n > 1 && m > 1;
+            if factored {
+                let r = self.effective_rank(n, m);
+                ledger.record(
+                    TrafficClass::DataParallel,
+                    ring_wire_bytes(n * r, ranks) + ring_wire_bytes(m * r, ranks),
+                );
+                // Error-feedback correction.
+                if let Some(e) = self.residual[slot].as_ref().filter(|e| e.shape() == (n, m)) {
+                    grad.add_assign(e);
+                }
+                // Identical cold-start Q on every rank (shared seed per slot).
+                let q_start = match &self.q_prev[slot] {
+                    Some(q) if q.shape() == (m, r) => q.clone(),
+                    _ => SeedStream::new(self.seed ^ (slot as u64) << 4).normal_matrix(m, r, 1.0),
+                };
+                round1.push(grad.matmul(&q_start));
+            } else {
+                ledger.record(
+                    TrafficClass::DataParallel,
+                    ring_wire_bytes(grad.len(), ranks),
+                );
+                round1.push(std::mem::take(grad));
+            }
+            slots.push((slot, grad, factored));
         }
-        let r = self.effective_rank(n, m);
-        // Error-feedback correction.
-        let corrected = match &self.residual[slot] {
-            Some(e) if e.shape() == grad.shape() => grad.add(e),
-            _ => grad.clone(),
-        };
-        // Identical cold-start Q on every rank (shared seed per slot).
-        let q_start = match &self.q_prev[slot] {
-            Some(q) if q.shape() == (m, r) => q.clone(),
-            _ => SeedStream::new(self.seed ^ (slot as u64) << 4).normal_matrix(m, r, 1.0),
-        };
-        let p_local = corrected.matmul(&q_start);
-        let mut p = group
-            .all_reduce_mean(my_rank, p_local)
-            .expect("P factor all-reduce");
-        orthonormalize_columns(&mut p);
-        let q_local = corrected.t_matmul(&p);
-        let q = group
-            .all_reduce_mean(my_rank, q_local)
-            .expect("Q factor all-reduce");
-        let approx = p.matmul_t(&q);
-        // Residual holds the *local* information the factorization lost.
-        self.residual[slot] = Some(corrected.sub(&approx));
-        self.q_prev[slot] = Some(q.clone());
-        let wire = ring_wire_bytes(p.len(), group.size()) + ring_wire_bytes(q.len(), group.size());
-        ledger.record(TrafficClass::DataParallel, wire);
-        *grad = approx;
+        let round1 = reduce_or_panic(TrafficClass::DataParallel, group, my_rank, round1, true);
+
+        // Round 2: every Q factor against its orthonormalized P.
+        let mut ps = Vec::new();
+        let mut round2 = Vec::new();
+        for ((_, grad, factored), mut reduced) in slots.iter_mut().zip(round1) {
+            if *factored {
+                orthonormalize_columns(&mut reduced);
+                round2.push(grad.t_matmul(&reduced));
+                ps.push(reduced);
+            } else {
+                **grad = reduced;
+            }
+        }
+        let qs = reduce_or_panic(TrafficClass::DataParallel, group, my_rank, round2, true);
+
+        let factored = slots.into_iter().filter(|(_, _, factored)| *factored);
+        for ((slot, grad, _), (p, q)) in factored.zip(ps.into_iter().zip(qs)) {
+            let approx = p.matmul_t(&q);
+            // Residual holds the *local* information the factorization
+            // lost: the corrected gradient minus what was sent.
+            grad.sub_assign(&approx);
+            self.residual[slot] = Some(std::mem::replace(grad, approx));
+            self.q_prev[slot] = Some(q);
+        }
     }
 }
 
@@ -148,6 +202,10 @@ impl Persist for DistPowerSgd {
             seed,
         })
     }
+
+    fn persist_len(&self) -> usize {
+        8 + 8 + self.q_prev.persist_len() + self.residual.persist_len()
+    }
 }
 
 /// Per-rank ring all-reduce wire bytes for `elems` fp16 elements — the
@@ -160,9 +218,32 @@ fn ring_wire_bytes(elems: usize, ranks: usize) -> u64 {
     (2 * elems * opt_compress::FP16_BYTES) as u64 * (ranks as u64 - 1) / ranks as u64
 }
 
-/// One uncompressed all-reduce of `m` over `group` as the trainer does
-/// it: records the modeled ring bytes under `class`, then reduces to the
-/// mean (`mean`) or the sum.
+/// One grouped all-reduce of `ms` over `group`, to the means (`mean`) or
+/// the sums.
+///
+/// # Panics
+///
+/// Panics if the transport fails mid-round; a worker cannot continue an
+/// iteration whose collective broke.
+fn reduce_or_panic<Tr: Transport>(
+    class: TrafficClass,
+    group: &CollectiveGroup<Tr>,
+    my_rank: usize,
+    ms: Vec<Matrix>,
+    mean: bool,
+) -> Vec<Matrix> {
+    let reduced = if mean {
+        group.all_reduce_mean_grouped(my_rank, ms)
+    } else {
+        group.all_reduce_sum_grouped(my_rank, ms)
+    };
+    reduced.unwrap_or_else(|e| panic!("{class} all-reduce failed at rank {my_rank}: {e}"))
+}
+
+/// One uncompressed grouped all-reduce of `ms` over `group` as the
+/// trainer does it: records the modeled ring bytes of each matrix under
+/// `class`, then reduces to the means (`mean`) or the sums. A one-member
+/// group records its zero-byte entries and hands `ms` back untouched.
 ///
 /// # Panics
 ///
@@ -173,16 +254,13 @@ pub(crate) fn all_reduce_recorded<Tr: Transport>(
     class: TrafficClass,
     group: &CollectiveGroup<Tr>,
     my_rank: usize,
-    m: Matrix,
+    ms: Vec<Matrix>,
     mean: bool,
-) -> Matrix {
-    ledger.record(class, ring_wire_bytes(m.len(), group.size()));
-    let reduced = if mean {
-        group.all_reduce_mean(my_rank, m)
-    } else {
-        group.all_reduce_sum(my_rank, m)
-    };
-    reduced.unwrap_or_else(|e| panic!("{class} all-reduce failed at rank {my_rank}: {e}"))
+) -> Vec<Matrix> {
+    for m in &ms {
+        ledger.record(class, ring_wire_bytes(m.len(), group.size()));
+    }
+    reduce_or_panic(class, group, my_rank, ms, mean)
 }
 
 #[cfg(test)]
@@ -294,6 +372,181 @@ mod tests {
         let b = round(2, vec![g2.clone(), g2.clone()], &mut restored);
         assert_eq!(a, b, "restored DP state diverged");
         assert_ne!(first[0], a[0], "sanity: state actually evolved");
+    }
+
+    /// The per-slot exchange as it ran before grouped rounds — one or two
+    /// all-reduces of its own per slot, the dense vectors through the
+    /// collective directly: the reference the grouped rounds are pinned
+    /// to, ledger records included.
+    fn reference_all_reduce(
+        st: &mut DistPowerSgd,
+        group: &CollectiveGroup<opt_net::LocalTransport>,
+        my_rank: usize,
+        slot: usize,
+        grad: &mut Matrix,
+        ledger: &TrafficLedger,
+    ) {
+        let ranks = group.size();
+        let (n, m) = grad.shape();
+        if n == 1 || m == 1 {
+            ledger.record(
+                TrafficClass::DataParallel,
+                ring_wire_bytes(grad.len(), ranks),
+            );
+            *grad = group.all_reduce_mean(my_rank, grad.clone()).unwrap();
+            return;
+        }
+        let r = st.effective_rank(n, m);
+        let corrected = match &st.residual[slot] {
+            Some(e) if e.shape() == grad.shape() => grad.add(e),
+            _ => grad.clone(),
+        };
+        let q_start = match &st.q_prev[slot] {
+            Some(q) if q.shape() == (m, r) => q.clone(),
+            _ => SeedStream::new(st.seed ^ (slot as u64) << 4).normal_matrix(m, r, 1.0),
+        };
+        let mut p = group
+            .all_reduce_mean(my_rank, corrected.matmul(&q_start))
+            .unwrap();
+        orthonormalize_columns(&mut p);
+        let q = group
+            .all_reduce_mean(my_rank, corrected.t_matmul(&p))
+            .unwrap();
+        let approx = p.matmul_t(&q);
+        st.residual[slot] = Some(corrected.sub(&approx));
+        st.q_prev[slot] = Some(q.clone());
+        ledger.record(
+            TrafficClass::DataParallel,
+            ring_wire_bytes(p.len(), ranks) + ring_wire_bytes(q.len(), ranks),
+        );
+        *grad = approx;
+    }
+
+    /// How one rank exchanges all its slots in [`exchange`].
+    type Exchange = fn(
+        &mut DistPowerSgd,
+        &CollectiveGroup<opt_net::LocalTransport>,
+        usize,
+        &mut [Matrix],
+        &TrafficLedger,
+    );
+
+    const REFERENCE: Exchange = |st, group, d, gs, ledger| {
+        for (slot, g) in gs.iter_mut().enumerate() {
+            reference_all_reduce(st, group, d, slot, g, ledger);
+        }
+    };
+
+    const PER_SLOT: Exchange = |st, group, d, gs, ledger| {
+        for (slot, g) in gs.iter_mut().enumerate() {
+            st.all_reduce(group, d, slot, g, ledger);
+        }
+    };
+
+    const GROUPED: Exchange = |st, group, d, gs, ledger| {
+        st.all_reduce_grouped(group, d, gs.iter_mut().enumerate(), ledger);
+    };
+
+    /// One exchange of every slot on every rank of a fresh world.
+    /// Returns each rank's gradients and the shared ledger's totals.
+    fn exchange(
+        grads: &[Vec<Matrix>],
+        states: &mut [DistPowerSgd],
+        run: Exchange,
+    ) -> (Vec<Vec<u32>>, opt_net::TrafficSnapshot) {
+        let world = CollectiveWorld::new(grads.len());
+        let group = world.group(&(0..grads.len()).collect::<Vec<_>>());
+        let ledger = TrafficLedger::new();
+        let outs: Vec<Vec<Matrix>> = thread::scope(|scope| {
+            let handles: Vec<_> = grads
+                .iter()
+                .zip(states.iter_mut())
+                .enumerate()
+                .map(|(d, (gs, st))| {
+                    let (group, ledger) = (group.clone(), ledger.clone());
+                    let mut gs = gs.clone();
+                    scope.spawn(move || {
+                        run(st, &group, d, &mut gs, &ledger);
+                        gs
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let bits = outs
+            .iter()
+            .map(|gs| {
+                gs.iter()
+                    .flat_map(|g| g.as_slice().iter().map(|x| x.to_bits()))
+                    .collect()
+            })
+            .collect();
+        (bits, ledger.snapshot())
+    }
+
+    #[test]
+    fn grouped_rounds_match_one_round_per_slot() {
+        // Matrix and vector slots interleaved, over five warm-started
+        // rounds of fresh gradients, then through a Persist round trip
+        // of the grouped side's state: results, ledger and state all
+        // equal the reference's, for the grouped call and the one-slot
+        // call alike.
+        let shapes = [(6, 5), (1, 7), (8, 3), (4, 1), (5, 5), (2, 9)];
+        let mut rng = SeedStream::new(11);
+        let mut draw = |ranks: usize| -> Vec<Vec<Matrix>> {
+            (0..ranks)
+                .map(|_| {
+                    shapes
+                        .iter()
+                        .map(|&(n, m)| rng.uniform_matrix(n, m, 1.0))
+                        .collect()
+                })
+                .collect()
+        };
+        for ranks in [1, 2, 3] {
+            let fresh = || -> Vec<DistPowerSgd> {
+                (0..ranks)
+                    .map(|_| DistPowerSgd::new(2, shapes.len(), 17))
+                    .collect()
+            };
+            let (mut reference, mut per_slot, mut grouped) = (fresh(), fresh(), fresh());
+            for round in 0..7 {
+                if round == 5 {
+                    grouped = grouped
+                        .iter()
+                        .map(|s| DistPowerSgd::from_bytes(&s.to_bytes()).expect("roundtrip"))
+                        .collect();
+                }
+                let grads = draw(ranks);
+                let want = exchange(&grads, &mut reference, REFERENCE);
+                let what = format!("{ranks} ranks, round {round}");
+                assert_eq!(exchange(&grads, &mut per_slot, PER_SLOT), want, "{what}");
+                assert_eq!(exchange(&grads, &mut grouped, GROUPED), want, "{what}");
+                for ((r, a), b) in reference.iter().zip(&per_slot).zip(&grouped) {
+                    assert_eq!(a.to_bytes(), r.to_bytes(), "per-slot state, {what}");
+                    assert_eq!(b.to_bytes(), r.to_bytes(), "grouped state, {what}");
+                    assert_eq!(b.persist_len(), b.to_bytes().len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_member_dense_exchange_records_and_hands_the_gradients_back() {
+        // dp = 1: every message is still counted (zero bytes each), and
+        // the very buffers that went in come back — no copy, no scaling.
+        let group = CollectiveWorld::new(1).group(&[0]);
+        let ledger = TrafficLedger::new();
+        let grads = vec![Matrix::full(3, 4, 0.1), Matrix::full(1, 4, -2.0)];
+        let ptrs: Vec<_> = grads.iter().map(|g| g.as_slice().as_ptr()).collect();
+        let want = grads.clone();
+        let out = all_reduce_recorded(&ledger, TrafficClass::DataParallel, &group, 0, grads, true);
+        assert_eq!(out, want);
+        let back: Vec<_> = out.iter().map(|g| g.as_slice().as_ptr()).collect();
+        assert_eq!(back, ptrs, "gradients were copied");
+        let snap = ledger.snapshot();
+        assert_eq!(snap.messages(TrafficClass::DataParallel), 2);
+        assert_eq!(snap.bytes(TrafficClass::DataParallel), 0);
     }
 
     #[test]

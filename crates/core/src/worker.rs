@@ -615,27 +615,32 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
     // Every uncompressed all-reduce of the iteration: ledger entry, then
     // the reduction.
     let reduce = |class, group: &CollectiveGroup<Tr>, m, mean| {
-        all_reduce_recorded(&ctx.ledger, class, group, my_rank, m, mean)
+        all_reduce_recorded(&ctx.ledger, class, group, my_rank, vec![m], mean).swap_remove(0)
     };
 
     // ----- Data-parallel gradient exchange ------------------------------
+    // One grouped round per stage (two under DP compression), gradients
+    // moved in and the results moved back.
     {
         let _dp_span = opt_trace::begin(SpanKind::DpExchange, iter, NO_MICRO, 0, 0);
         let mut params = ctx.stage.non_embedding_params();
+        let grads = params.iter_mut().map(|p| &mut *p.grad);
         match dp_state {
             Some(state) => {
-                for (slot, p) in params.iter_mut().enumerate() {
-                    state.all_reduce(&ctx.stage_group, my_rank, slot, p.grad, &ctx.ledger);
-                }
+                state.all_reduce_grouped(&ctx.stage_group, my_rank, grads.enumerate(), &ctx.ledger);
             }
             None => {
-                for p in params.iter_mut() {
-                    *p.grad = reduce(
-                        TrafficClass::DataParallel,
-                        &ctx.stage_group,
-                        p.grad.clone(),
-                        true,
-                    );
+                let taken: Vec<Matrix> = grads.map(std::mem::take).collect();
+                let reduced = all_reduce_recorded(
+                    &ctx.ledger,
+                    TrafficClass::DataParallel,
+                    &ctx.stage_group,
+                    my_rank,
+                    taken,
+                    true,
+                );
+                for (p, g) in params.iter_mut().zip(reduced) {
+                    *p.grad = g;
                 }
             }
         }

@@ -132,6 +132,11 @@ fn persist_moments(map: &HashMap<usize, Matrix>, w: &mut Writer) {
     }
 }
 
+/// Exact encoded length of [`persist_moments`]'s output.
+fn moments_len(map: &HashMap<usize, Matrix>) -> usize {
+    8 + map.values().map(|m| 8 + m.persist_len()).sum::<usize>()
+}
+
 fn restore_moments(r: &mut Reader<'_>) -> Result<HashMap<usize, Matrix>, PersistError> {
     let n = r.checked_len(8)?;
     let mut map = HashMap::with_capacity(n);
@@ -173,6 +178,10 @@ impl Persist for Adam {
             m: restore_moments(r)?,
             v: restore_moments(r)?,
         })
+    }
+
+    fn persist_len(&self) -> usize {
+        5 * 4 + moments_len(&self.m) + moments_len(&self.v)
     }
 }
 
@@ -301,6 +310,7 @@ mod tests {
             }];
             opt.step(&mut params);
         }
+        assert_eq!(opt.persist_len(), opt.to_bytes().len());
         let mut restored = Adam::from_bytes(&opt.to_bytes()).expect("roundtrip");
         let mut w2 = w.clone();
         let mut g2 = g.clone();

@@ -8,6 +8,20 @@
 //! in-process [`LocalTransport`] world and a multi-process
 //! [`crate::TcpTransport`] world (the wire codec round-trips `f32` bits
 //! exactly).
+//!
+//! A round is **grouped**: it reduces a list of matrices — a stage's
+//! gradients, or every PowerSGD factor of one step — as one streamed
+//! exchange. A non-root member sends its contributions back to back,
+//! keeping up to four in flight ahead of the results it has taken back;
+//! the root takes the matrices one at a time, gathering in member order,
+//! reducing and broadcasting each while later ones are still arriving.
+//! Each matrix is still its own message and its own member-order fold, so
+//! a grouped round moves the same messages and produces the same bits as
+//! one round per matrix, without a round trip per matrix. (The bound on
+//! what is in flight keeps a byte-boundary transport's inboxes from
+//! holding a whole stage's gradients at once: unbounded, the process
+//! world's peak resident set grew by a few percent.) The single-matrix
+//! calls are grouped rounds of one.
 
 use crate::transport::{
     channel_id, net_timeout, LocalTransport, SharedPayload, Transport, TransportError,
@@ -19,6 +33,10 @@ use std::sync::Arc;
 
 /// Channel-id namespace reserved for collective groups.
 const COLLECTIVE_NAMESPACE: u8 = 2;
+
+/// How many contributions a non-root member keeps in flight ahead of the
+/// results it has taken.
+const AHEAD: usize = 4;
 
 /// An all-reduce group over a fixed set of global ranks, communicating
 /// through a shared [`Transport`].
@@ -101,14 +119,17 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
         self.members.len()
     }
 
-    /// Contributes `m` on behalf of global rank `rank` and returns the
-    /// element-wise sum over all members. Blocks until every member has
-    /// contributed.
+    /// Contributes `ms` on behalf of global rank `rank` and returns the
+    /// element-wise sum over all members of each matrix, in order: one
+    /// grouped round (module docs). Every member must contribute the same
+    /// number of matrices, with matching shapes position by position.
+    /// Blocks until every member has contributed.
     ///
-    /// The gather and the broadcast both travel typed: over an in-process
+    /// A one-member group returns `ms` as it is, untouched. Otherwise the
+    /// gather and the broadcast both travel typed: over an in-process
     /// transport the matrices cross as `Arc`s with zero serialization, and
-    /// the broadcast shares one value (and one encode cache) across all
-    /// peers, so a byte-boundary transport encodes the result exactly
+    /// each broadcast shares one value (and one encode cache) across all
+    /// peers, so a byte-boundary transport encodes each result exactly
     /// once.
     ///
     /// # Errors
@@ -116,81 +137,160 @@ impl<Tr: Transport> CollectiveGroup<Tr> {
     /// Returns the [`TransportError`] of the first send or receive of the
     /// round that failed — a dead peer, a corrupt frame, a payload that
     /// is not a [`Matrix`], or a timeout (in a correct schedule, a
-    /// deadlock bug). The round is over for this member either way, so
-    /// the group can be used again once the world has recovered.
+    /// deadlock bug) — or, at the root, [`TransportError::Decode`] naming
+    /// the lane whose contribution has the wrong shape. The round is over
+    /// for this member either way, so the group can be used again once
+    /// the world has recovered.
     ///
     /// # Panics
     ///
-    /// Panics if `rank` is not a member, if shapes mismatch across
-    /// members, or if `rank` is already inside a round on another thread.
-    pub fn all_reduce_sum(&self, rank: usize, m: Matrix) -> Result<Matrix, TransportError> {
+    /// Panics if `rank` is not a member, or if `rank` is already inside a
+    /// round on another thread.
+    pub fn all_reduce_sum_grouped(
+        &self,
+        rank: usize,
+        ms: Vec<Matrix>,
+    ) -> Result<Vec<Matrix>, TransportError> {
         let pos = self
             .members
             .iter()
             .position(|&r| r == rank)
             .unwrap_or_else(|| panic!("rank {rank} is not a member of {:?}", self.members));
         if self.members.len() == 1 {
-            return Ok(m);
+            return Ok(ms);
         }
         {
             let mut in_flight = self.in_flight.lock();
             assert!(!in_flight[pos], "rank {rank} deposited twice in one round");
             in_flight[pos] = true;
         }
-        let result = self.all_reduce_sum_inner(pos, rank, m);
+        let result = if pos == 0 {
+            self.reduce_at_root(ms)
+        } else {
+            self.contribute(rank, ms)
+        };
         self.in_flight.lock()[pos] = false;
         result
     }
 
-    fn all_reduce_sum_inner(
-        &self,
-        pos: usize,
-        rank: usize,
-        m: Matrix,
-    ) -> Result<Matrix, TransportError> {
+    /// A non-root member's half of a round: contributions back to back,
+    /// at most [`AHEAD`] of them ahead of the results taken so far.
+    fn contribute(&self, rank: usize, ms: Vec<Matrix>) -> Result<Vec<Matrix>, TransportError> {
         let root = self.members[0];
-        let recv = |src, dst| {
-            self.transport
-                .recv_value::<Matrix>(src, dst, self.channel, self.timeout)
-        };
-        if pos == 0 {
-            // Root: gather in member order — the accumulation order (and
-            // therefore every f32 rounding step) is fixed by the member
-            // list, not by arrival order.
-            let mut acc = m;
-            for &peer in &self.members[1..] {
-                let part = recv(peer, root)?;
-                assert_eq!(acc.shape(), part.shape(), "all-reduce shape mismatch");
+        let n = ms.len();
+        let mut unsent = ms.into_iter();
+        for m in unsent.by_ref().take(AHEAD) {
+            self.transport.send_value(rank, root, self.channel, m)?;
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            out.push(
+                self.transport
+                    .recv_value(root, rank, self.channel, self.timeout)?,
+            );
+            if let Some(m) = unsent.next() {
+                self.transport.send_value(rank, root, self.channel, m)?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// The root's half of a round, matrix by matrix: gather in member
+    /// order — the accumulation order (and therefore every f32 rounding
+    /// step) is fixed by the member list, not by arrival order — then
+    /// broadcast before taking the next matrix.
+    fn reduce_at_root(&self, ms: Vec<Matrix>) -> Result<Vec<Matrix>, TransportError> {
+        let root = self.members[0];
+        let peers = &self.members[1..];
+        let mut out = Vec::with_capacity(ms.len());
+        for (i, mut acc) in ms.into_iter().enumerate() {
+            for &peer in peers {
+                let part: Matrix =
+                    self.transport
+                        .recv_value(peer, root, self.channel, self.timeout)?;
+                if part.shape() != acc.shape() {
+                    return Err(TransportError::Decode {
+                        src: peer,
+                        dst: root,
+                        channel: self.channel,
+                        detail: format!(
+                            "all-reduce matrix {i}: contribution is {:?}, the root's is {:?}",
+                            part.shape(),
+                            acc.shape()
+                        ),
+                    });
+                }
                 acc.add_assign(&part);
             }
             // One shared payload for the whole broadcast: every peer's
             // send clones the Arc, and a byte-boundary transport encodes
-            // the matrix once into the shared cache.
-            let payload = SharedPayload::new(acc.clone());
-            for &peer in &self.members[1..] {
+            // the matrix once into the shared cache. Once the sends are
+            // done the root takes its result back out, copying it only if
+            // a peer has not picked its share up yet.
+            let acc = Arc::new(acc);
+            let payload = SharedPayload::from_arc(Arc::clone(&acc));
+            for &peer in peers {
                 self.transport
                     .send_shared(root, peer, self.channel, &payload)?;
             }
-            Ok(acc)
-        } else {
-            self.transport.send_value(rank, root, self.channel, m)?;
-            recv(root, rank)
+            drop(payload);
+            out.push(Arc::unwrap_or_clone(acc));
         }
+        Ok(out)
     }
 
-    /// All-reduce returning the mean instead of the sum.
+    /// [`CollectiveGroup::all_reduce_sum_grouped`] returning the means: a
+    /// one-member group returns `ms` untouched, otherwise every sum is
+    /// scaled by `1 / size`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CollectiveGroup::all_reduce_sum`].
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
     ///
     /// # Panics
     ///
-    /// Same conditions as [`CollectiveGroup::all_reduce_sum`].
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
+    pub fn all_reduce_mean_grouped(
+        &self,
+        rank: usize,
+        ms: Vec<Matrix>,
+    ) -> Result<Vec<Matrix>, TransportError> {
+        let mut sums = self.all_reduce_sum_grouped(rank, ms)?;
+        if self.size() > 1 {
+            let scale = 1.0 / self.size() as f32;
+            for sum in &mut sums {
+                sum.scale_assign(scale);
+            }
+        }
+        Ok(sums)
+    }
+
+    /// Contributes `m` on behalf of global rank `rank` and returns the
+    /// element-wise sum over all members: a grouped round of one matrix.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
+    pub fn all_reduce_sum(&self, rank: usize, m: Matrix) -> Result<Matrix, TransportError> {
+        Ok(self.all_reduce_sum_grouped(rank, vec![m])?.swap_remove(0))
+    }
+
+    /// All-reduce returning the mean instead of the sum: a grouped round
+    /// of one matrix.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`CollectiveGroup::all_reduce_sum_grouped`].
     pub fn all_reduce_mean(&self, rank: usize, m: Matrix) -> Result<Matrix, TransportError> {
-        let mut sum = self.all_reduce_sum(rank, m)?;
-        sum.scale_assign(1.0 / self.size() as f32);
-        Ok(sum)
+        Ok(self.all_reduce_mean_grouped(rank, vec![m])?.swap_remove(0))
     }
 }
 
@@ -404,6 +504,73 @@ mod tests {
         // The member can enter the next round instead of tripping the
         // double-deposit guard.
         assert_eq!(group.all_reduce_sum(0, Matrix::zeros(1, 1)), Err(dead));
+    }
+
+    #[test]
+    fn shape_mismatch_mid_round_is_a_decode_error_naming_the_lane() {
+        let transport = Arc::new(LocalTransport::new(2));
+        let group = CollectiveWorld::over(Arc::clone(&transport)).group(&[0, 1]);
+        // Rank 1's half of a three-matrix round, the middle one misshapen.
+        for m in [
+            Matrix::full(2, 2, 1.0),
+            Matrix::full(3, 1, 1.0),
+            Matrix::full(2, 2, 1.0),
+        ] {
+            transport.send_value(1, 0, group.channel, m).unwrap();
+        }
+        let err = group
+            .all_reduce_sum_grouped(0, vec![Matrix::zeros(2, 2); 3])
+            .unwrap_err();
+        assert!(
+            matches!(err, TransportError::Decode { src: 1, dst: 0, channel, .. } if channel == group.channel),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("matrix 1"), "{err}");
+        assert_eq!(*group.in_flight.lock(), vec![false; 2], "round left open");
+        // The root can enter the next round (here it takes the
+        // contribution rank 1 still has queued).
+        let next = group
+            .all_reduce_sum_grouped(0, vec![Matrix::full(2, 2, 2.0)])
+            .unwrap();
+        assert_eq!(next, vec![Matrix::full(2, 2, 3.0)]);
+    }
+
+    #[test]
+    fn grouped_round_streams_mixed_shapes() {
+        let world = CollectiveWorld::new(3);
+        let group = world.group(&[0, 1, 2]);
+        let shapes = [(1, 4), (3, 2), (5, 1), (2, 2)];
+        let inputs = |r: usize| -> Vec<Matrix> {
+            shapes
+                .iter()
+                .map(|&(n, m)| Matrix::full(n, m, (r + 1) as f32))
+                .collect()
+        };
+        let outs: Vec<Vec<Matrix>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|r| {
+                    let g = group.clone();
+                    s.spawn(move || g.all_reduce_mean_grouped(r, inputs(r)).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for out in outs {
+            let want: Vec<Matrix> = shapes
+                .iter()
+                .map(|&(n, m)| Matrix::full(n, m, 2.0))
+                .collect();
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn one_member_grouped_round_returns_its_input() {
+        let world = CollectiveWorld::new(1);
+        let group = world.group(&[0]);
+        let ms = vec![Matrix::full(2, 3, 0.1), Matrix::full(1, 2, -3.5)];
+        assert_eq!(group.all_reduce_mean_grouped(0, ms.clone()).unwrap(), ms);
+        assert_eq!(group.all_reduce_sum_grouped(0, Vec::new()).unwrap(), vec![]);
     }
 
     #[test]

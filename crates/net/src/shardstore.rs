@@ -21,7 +21,7 @@
 //!   speaking a framed request/response protocol to a
 //!   [`ShardStoreServer`] on another process (or host), which serves any
 //!   inner [`ShardStore`]. Every request and response wears the shared
-//!   `opt-ckpt` frame (magic, version, length, FNV-1a checksum), so a
+//!   `opt-ckpt` frame (magic, version, length, word-wise checksum), so a
 //!   damaged exchange is rejected at the protocol layer.
 //!
 //! The store is deliberately dumb: `put`/`get`/`list` over opaque bytes.
@@ -289,8 +289,9 @@ impl ShardStore for FsShardStore {
 /// Magic bytes opening every shard-store protocol frame.
 pub const STORE_MAGIC: &[u8; 8] = b"OPTSTOR\0";
 
-/// Current shard-store wire protocol version.
-pub const STORE_PROTOCOL_VERSION: u32 = 1;
+/// Current shard-store wire protocol version (2: the word-wise frame
+/// checksum).
+pub const STORE_PROTOCOL_VERSION: u32 = 2;
 
 /// How long a [`TcpShardStore`] client waits on one request round-trip.
 const STORE_IO_TIMEOUT: Duration = Duration::from_secs(60);

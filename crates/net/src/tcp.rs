@@ -3,11 +3,28 @@
 //!
 //! A value handed to [`Transport::send_value`] is encoded once at the
 //! socket (the encode is cached in its [`crate::SharedPayload`], so a
-//! broadcast encodes a single time), wrapped by [`wire_frame`] in the
-//! shared `opt-ckpt` frame plus a 16-byte lane header, and written to the
-//! destination's connection. A reader thread per connection validates
-//! each frame and demultiplexes the bodies into per-`(src, channel)`
-//! inbox lanes as [`Payload::Bytes`]; the typed receive decodes them.
+//! broadcast encodes a single time), framed in the shared `opt-ckpt`
+//! frame with a 16-byte lane header ([`wire_frame`] is the layout), and
+//! written to the destination's connection. A reader thread per
+//! connection validates each frame and demultiplexes the payloads into
+//! per-`(src, channel)` inbox lanes as [`Payload::Bytes`]; the typed
+//! receive decodes them.
+//!
+//! A payload's bytes are copied exactly this often between the value on
+//! the sender and the value on the receiver:
+//!
+//! 1. the encode into the payload's cache (`Persist`, one bulk pass for a
+//!    [`opt_tensor::Matrix`]);
+//! 2. the kernel's copy out of that cache — header, payload, lane header
+//!    and checksum go out in one vectored write, with no frame assembled
+//!    in memory;
+//! 3. the kernel's copy into the receive buffer — the frame body is read
+//!    once into the buffer that becomes [`Payload::Bytes`], checksummed
+//!    in place, and the lane header (which trails the payload) is
+//!    stripped by truncation;
+//! 4. the decode out of that buffer (`Persist`, one bulk pass).
+//!
+//! Each side also makes one checksum pass over the body.
 //!
 //! There is one way into the mesh, whichever direction a connection is
 //! opened in and whenever it happens: the caller `dial`s and introduces
@@ -27,7 +44,7 @@ use opt_trace::{SpanKind, NO_MICRO};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,13 +54,18 @@ use std::time::{Duration, Instant};
 /// Magic bytes opening every transport wire frame.
 pub const WIRE_MAGIC: &[u8; 8] = b"OPTWIRE\0";
 
-/// Current transport wire format version.
-pub const WIRE_FORMAT_VERSION: u32 = 1;
+/// Current transport wire format version. Version 2: the word-wise frame
+/// checksum, and the lane header after the payload.
+pub const WIRE_FORMAT_VERSION: u32 = 2;
 
 /// Bytes the wire adds around a payload: the shared frame (magic,
 /// version, length, checksum) plus the 16-byte lane header (channel +
 /// destination rank).
-pub const WIRE_OVERHEAD_BYTES: usize = FRAME_OVERHEAD + 16;
+pub const WIRE_OVERHEAD_BYTES: usize = FRAME_OVERHEAD + LANE_LEN;
+
+/// Length of the lane header (channel, destination rank) that trails the
+/// payload inside a message frame's body.
+const LANE_LEN: usize = 16;
 
 /// Upper bound on a single wire frame body. A corrupt length field must
 /// not make a reader allocate terabytes before the checksum has a chance
@@ -58,16 +80,78 @@ const POLL_SLICE: Duration = Duration::from_millis(25);
 /// frame before dropping it.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Encodes one wire frame carrying `bytes` on `channel` for rank `dst`,
-/// using the shared `opt-ckpt` framing (magic, version, length, FNV-1a).
+/// One message frame around a payload it borrows, as the three slices
+/// the send path writes — the one definition of the wire layout:
+///
+/// ```text
+/// header   20 bytes  shared opt-ckpt frame header (magic, version, body length)
+/// payload  n bytes   the message's Persist encoding
+/// lane     16 bytes  channel (u64 LE), destination rank (u64 LE)
+/// checksum 8 bytes   framing::checksum over payload and lane header
+/// ```
+///
+/// The lane header trails the payload so a reader can take the whole
+/// body into one buffer, check it there, and strip the lane header by
+/// truncation, keeping the payload where the socket wrote it.
+struct WireFrame<'a> {
+    header: [u8; HEADER_LEN],
+    payload: &'a [u8],
+    /// The lane header, then the checksum.
+    trailer: [u8; LANE_LEN + 8],
+}
+
+impl<'a> WireFrame<'a> {
+    fn new(channel: u64, dst: usize, payload: &'a [u8]) -> Self {
+        let mut trailer = [0u8; LANE_LEN + 8];
+        trailer[..8].copy_from_slice(&channel.to_le_bytes());
+        trailer[8..LANE_LEN].copy_from_slice(&(dst as u64).to_le_bytes());
+        let (header, sum) = framing::frame_parts(
+            WIRE_MAGIC,
+            WIRE_FORMAT_VERSION,
+            &[payload, &trailer[..LANE_LEN]],
+        );
+        trailer[LANE_LEN..].copy_from_slice(&sum);
+        Self {
+            header,
+            payload,
+            trailer,
+        }
+    }
+
+    fn slices(&self) -> [&[u8]; 3] {
+        [&self.header, self.payload, &self.trailer]
+    }
+}
+
+/// Encodes one wire frame carrying `bytes` on `channel` for rank `dst` —
+/// the bytes the send path writes, in one buffer.
 ///
 /// Public so tests can hand-craft (and tamper with) frames.
 pub fn wire_frame(channel: u64, dst: usize, bytes: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + bytes.len());
-    body.extend_from_slice(&channel.to_le_bytes());
-    body.extend_from_slice(&(dst as u64).to_le_bytes());
-    body.extend_from_slice(bytes);
-    framing::frame(WIRE_MAGIC, WIRE_FORMAT_VERSION, &body)
+    WireFrame::new(channel, dst, bytes).slices().concat()
+}
+
+/// Writes every byte of `parts`, in order, in as few vectored writes as
+/// the socket accepts.
+fn write_all_parts(w: &mut impl Write, parts: [&[u8]; 3]) -> io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a little-endian `u64` from exactly eight bytes.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 /// The hello frame a connecting rank sends first on a new connection,
@@ -330,7 +414,7 @@ fn admit(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(hello_timeout))?;
     let mut reader = stream.try_clone()?;
-    let hello = read_frame_body(&mut reader).map_err(|e| TransportError::Rendezvous {
+    let hello = read_frame(&mut reader).map_err(|e| TransportError::Rendezvous {
         detail: format!("reading hello frame: {e}"),
     })?;
     let Ok(hello) = <[u8; 8]>::try_from(hello.as_slice()) else {
@@ -384,28 +468,46 @@ fn spawn_acceptor(
         .map_err(TransportError::from)
 }
 
+fn invalid_data(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
 /// Reads one frame (header + body + checksum) off `stream`, validating
-/// magic, version, length, and checksum. Returns the body; a frame that
-/// fails validation is an [`io::ErrorKind::InvalidData`] error.
-fn read_frame_body(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
+/// magic, version, length, and checksum. Returns the body, read straight
+/// into the returned buffer and checked there; a frame that fails
+/// validation is an [`io::ErrorKind::InvalidData`] error.
+fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut header = [0u8; HEADER_LEN];
     stream.read_exact(&mut header)?;
     let body_len = framing::parse_header(&header, WIRE_MAGIC, WIRE_FORMAT_VERSION)
-        .map_err(|e| invalid(e.to_string()))?;
+        .map_err(|e| invalid_data(e.to_string()))?;
     if body_len > MAX_WIRE_BODY {
-        return Err(invalid(format!(
+        return Err(invalid_data(format!(
             "frame body claims {body_len} bytes (cap {MAX_WIRE_BODY})"
         )));
     }
-    let mut rest = vec![0u8; body_len as usize + 8];
-    stream.read_exact(&mut rest)?;
-    let mut full = Vec::with_capacity(HEADER_LEN + rest.len());
-    full.extend_from_slice(&header);
-    full.extend_from_slice(&rest);
-    framing::unframe(&full, WIRE_MAGIC, WIRE_FORMAT_VERSION)
-        .map(<[u8]>::to_vec)
-        .map_err(|e| invalid(e.to_string()))
+    let body_len = body_len as usize;
+    let mut body = vec![0u8; body_len + 8];
+    stream.read_exact(&mut body)?;
+    let stored = le_u64(&body[body_len..]);
+    body.truncate(body_len);
+    framing::check_body(&body, stored).map_err(|e| invalid_data(e.to_string()))?;
+    Ok(body)
+}
+
+/// Reads one message frame off `stream`: its channel and its payload,
+/// left in the buffer [`read_frame`] read the body into.
+fn read_message(stream: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
+    let mut body = read_frame(stream)?;
+    let Some(at) = body.len().checked_sub(LANE_LEN) else {
+        return Err(invalid_data(format!(
+            "{}-byte frame body has no lane header",
+            body.len()
+        )));
+    };
+    let channel = le_u64(&body[at..at + 8]);
+    body.truncate(at);
+    Ok((channel, body))
 }
 
 /// Registers a peer connection and spawns its reader thread, which
@@ -425,10 +527,9 @@ fn spawn_peer(
         .name(format!("net-rx-{peer_rank}"))
         .spawn(move || {
             let fault = loop {
-                match read_frame_body(&mut reader) {
-                    Ok(body) if body.len() >= 16 => {
-                        let channel = u64::from_le_bytes(body[..8].try_into().unwrap());
-                        let payload = Payload::Bytes(body[16..].to_vec());
+                match read_message(&mut reader) {
+                    Ok((channel, bytes)) => {
+                        let payload = Payload::Bytes(bytes);
                         let tx = {
                             let mut map = inbox.lock();
                             map.entry((peer_rank, channel))
@@ -439,7 +540,6 @@ fn spawn_peer(
                         // The inbox map owns the receiver; send cannot fail.
                         let _ = tx.send(payload);
                     }
-                    Ok(_) => break io::ErrorKind::InvalidData,
                     // EOF or I/O error (the peer is gone), or a frame
                     // that failed validation.
                     Err(e) => break e.kind(),
@@ -584,7 +684,7 @@ impl Transport for TcpTransport {
             Payload::Shared(s) => s.encoded(),
         };
         let _span = opt_trace::begin_full(SpanKind::Send, 0, NO_MICRO, bytes.len() as u64, 0);
-        let frame = wire_frame(channel, dst, bytes);
+        let frame = WireFrame::new(channel, dst, bytes);
         let slot = self.peers.slots[dst].read();
         let Some(peer) = slot.as_ref() else {
             return Err(TransportError::Disconnected { peer: dst });
@@ -593,7 +693,7 @@ impl Transport for TcpTransport {
             return Err(TransportError::Disconnected { peer: dst });
         }
         let mut w = peer.writer.lock();
-        w.write_all(&frame)
+        write_all_parts(&mut *w, frame.slices())
             .map_err(|_| TransportError::Disconnected { peer: dst })?;
         w.flush()
             .map_err(|_| TransportError::Disconnected { peer: dst })?;
@@ -880,8 +980,7 @@ mod tests {
             let mut s = TcpStream::connect(addr).expect("connect");
             s.write_all(&wire_hello(1)).expect("hello");
             let mut frame = wire_frame(4, 0, b"legitimate payload");
-            let n = frame.len();
-            frame[n - 12] ^= 0x01; // flip one payload bit
+            frame[HEADER_LEN + 3] ^= 0x01; // flip one payload bit
             s.write_all(&frame).expect("tampered frame");
             s.flush().expect("flush");
             // Keep the socket open so EOF cannot mask the corruption.
@@ -902,6 +1001,61 @@ mod tests {
             "tampered frame yielded {err:?}"
         );
         attacker.join().unwrap();
+    }
+
+    #[test]
+    fn wire_frames_reject_every_bit_flip_and_every_cut() {
+        // Bodies of 0..=70 bytes: the ones too short to hold a lane
+        // header, then payloads whose byte tail and lane header land on
+        // every offset of a checksum word.
+        for len in 0..LANE_LEN {
+            let frame = framing::frame(WIRE_MAGIC, WIRE_FORMAT_VERSION, &vec![7u8; len]);
+            let err = read_message(&mut &frame[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "body {len}");
+        }
+        for len in 0..=70 - LANE_LEN {
+            let payload: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+            let frame = wire_frame(0xABCD, 1, &payload);
+            assert_eq!(frame.len(), payload.len() + WIRE_OVERHEAD_BYTES);
+            assert_eq!(
+                read_message(&mut &frame[..]).unwrap(),
+                (0xABCD, payload.clone())
+            );
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    read_message(&mut &bad[..]).is_err(),
+                    "payload {len}: flip of bit {bit} accepted"
+                );
+            }
+            for cut in 0..frame.len() {
+                assert!(read_message(&mut &frame[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn vectored_writes_survive_short_writes() {
+        // A writer that takes at most 5 bytes per call, so every slice
+        // boundary is crossed mid-write.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(5);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"x", b"a payload of some length"] {
+            let frame = WireFrame::new(9, 1, payload);
+            let mut out = Trickle(Vec::new());
+            write_all_parts(&mut out, frame.slices()).unwrap();
+            assert_eq!(out.0, wire_frame(9, 1, payload));
+        }
     }
 
     #[test]

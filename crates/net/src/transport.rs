@@ -19,7 +19,7 @@
 //! * [`crate::TcpTransport`] (`tcp.rs`) — one process per rank, a full
 //!   mesh of loopback/LAN TCP connections. A value is encoded once at the
 //!   socket, wrapped in the shared `opt-ckpt` frame (magic, version,
-//!   length, FNV-1a checksum) and decoded on delivery, so a truncated or
+//!   length, word-wise checksum) and decoded on delivery, so a truncated or
 //!   bit-flipped frame is rejected before any decoder sees it.
 //!
 //! A backend implements the three `*_payload` methods over [`Payload`],
@@ -261,8 +261,14 @@ impl fmt::Debug for SharedPayload {
 impl SharedPayload {
     /// Wraps `value` for zero-copy transport.
     pub fn new<T: Persist + Send + Sync + 'static>(value: T) -> Self {
+        Self::from_arc(Arc::new(value))
+    }
+
+    /// Wraps a value the caller keeps a handle on: once every clone of
+    /// the payload is gone, the caller's `Arc` is the only one again.
+    pub fn from_arc<T: Persist + Send + Sync + 'static>(value: Arc<T>) -> Self {
         Self {
-            value: Arc::new(value),
+            value,
             encoded: Arc::new(OnceLock::new()),
         }
     }

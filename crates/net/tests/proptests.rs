@@ -63,15 +63,18 @@ fn fresh_rdv_dir() -> std::path::PathBuf {
 
 /// Runs one all-reduce round where member threads *arrive* in an
 /// adversarial (shuffled, staggered) order, returning every member's
-/// result. `make_group` builds each member's view of the group — shared
-/// clones for the in-process world, per-rank transports for TCP.
-fn adversarial_round<Tr: Transport>(
+/// result. `groups` holds each member's view of the group — shared
+/// clones for the in-process world, per-rank transports for TCP — and
+/// `contribute` is what a member does in the round.
+fn adversarial_round<Tr: Transport, In: Clone + Send, Out: Send>(
     groups: Vec<opt_net::CollectiveGroup<Tr>>,
-    inputs: &[Matrix],
+    inputs: &[In],
     order: &[usize],
-) -> Vec<Matrix> {
+    contribute: impl Fn(&opt_net::CollectiveGroup<Tr>, usize, In) -> Out + Sync,
+) -> Vec<Out> {
     let n = inputs.len();
-    let mut outs: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
+    let mut outs: Vec<Option<Out>> = (0..n).map(|_| None).collect();
+    let contribute = &contribute;
     thread::scope(|s| {
         let mut handles = Vec::new();
         for (slot, &member) in order.iter().enumerate() {
@@ -84,7 +87,7 @@ fn adversarial_round<Tr: Transport>(
                 member,
                 s.spawn(move || {
                     thread::sleep(delay);
-                    g.all_reduce_sum(member, m).expect("all-reduce decode")
+                    contribute(&g, member, m)
                 }),
             ));
         }
@@ -93,6 +96,109 @@ fn adversarial_round<Tr: Transport>(
         }
     });
     outs.into_iter().map(|o| o.expect("filled")).collect()
+}
+
+fn sum_one<Tr: Transport>(g: &opt_net::CollectiveGroup<Tr>, rank: usize, m: Matrix) -> Matrix {
+    g.all_reduce_sum(rank, m).expect("all-reduce decode")
+}
+
+/// A member's grouped round and its per-matrix loop over the same
+/// inputs, back to back.
+fn grouped_and_looped<Tr: Transport>(
+    g: &opt_net::CollectiveGroup<Tr>,
+    rank: usize,
+    ms: Vec<Matrix>,
+) -> (Vec<Matrix>, Vec<Matrix>) {
+    let grouped = g
+        .all_reduce_sum_grouped(rank, ms.clone())
+        .expect("grouped all-reduce");
+    let looped = ms.into_iter().map(|m| sum_one(g, rank, m)).collect();
+    (grouped, looped)
+}
+
+/// `n_ranks` contributions of `n_mats` matrices each: a seeded mix of
+/// row vectors, column vectors and matrices, with magnitudes that differ
+/// by rank so any deviation from the member-order fold changes bits.
+fn mixed_inputs(n_ranks: usize, n_mats: usize, seed: u64) -> Vec<Vec<Matrix>> {
+    let mut s = seed | 1;
+    let mut next = |k: u64| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) % k
+    };
+    let shapes: Vec<(usize, usize)> = (0..n_mats)
+        .map(|_| {
+            let len = 1 + next(6) as usize;
+            match next(3) {
+                0 => (1, len),
+                1 => (len, 1),
+                _ => (len, 1 + next(5) as usize),
+            }
+        })
+        .collect();
+    let mut rng = SeedStream::new(seed);
+    (0..n_ranks)
+        .map(|i| {
+            shapes
+                .iter()
+                .map(|&(r, c)| {
+                    let mut m = rng.uniform_matrix(r, c, 1.0);
+                    m.scale_assign(10f32.powi((i as i32 % 5) - 2));
+                    m
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Checks one member's grouped and looped results against the
+/// member-order fold of every matrix.
+fn assert_grouped_round(
+    inputs: &[Vec<Matrix>],
+    outs: &[(Vec<Matrix>, Vec<Matrix>)],
+    what: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for (r, (grouped, looped)) in outs.iter().enumerate() {
+        prop_assert_eq!(grouped.len(), inputs[0].len());
+        prop_assert_eq!(looped.len(), inputs[0].len());
+        for i in 0..inputs[0].len() {
+            let column: Vec<Matrix> = inputs.iter().map(|ms| ms[i].clone()).collect();
+            let expect = member_order_reference(&column);
+            assert_bits_equal(
+                &grouped[i],
+                &looped[i],
+                &format!("{what} rank {r} matrix {i}"),
+            )?;
+            assert_bits_equal(&grouped[i], &expect, &format!("{what} rank {r} matrix {i}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// One transport per rank, exactly like one process per rank; each rank
+/// builds its own CollectiveWorld and carves the same group, so channel
+/// ids agree (the rule real worker processes follow).
+fn tcp_groups(n_ranks: usize) -> Vec<opt_net::CollectiveGroup<opt_net::TcpTransport>> {
+    let dir = fresh_rdv_dir();
+    let transports: Vec<_> = thread::scope(|s| {
+        (0..n_ranks)
+            .map(|r| {
+                let dir = dir.clone();
+                s.spawn(move || {
+                    tcp_rendezvous(dir, n_ranks, r, Duration::from_secs(20)).expect("rendezvous")
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("mesh"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    transports
+        .into_iter()
+        .map(|t| CollectiveWorld::over(Arc::new(t)).group(&(0..n_ranks).collect::<Vec<_>>()))
+        .collect()
 }
 
 proptest! {
@@ -245,10 +351,27 @@ proptest! {
         for round in 0..3u64 {
             let order = shuffled(n_ranks, sched ^ round);
             let groups = (0..n_ranks).map(|_| group.clone()).collect();
-            let outs = adversarial_round(groups, &inputs, &order);
+            let outs = adversarial_round(groups, &inputs, &order, sum_one);
             for (r, out) in outs.iter().enumerate() {
                 assert_bits_equal(out, &expect, &format!("round {round} rank {r}"))?;
             }
+        }
+    }
+
+    #[test]
+    fn local_grouped_all_reduce_matches_the_per_matrix_loop(
+        n_ranks in 2usize..5,
+        n_mats in 1usize..7,
+        seed in 0u64..u64::MAX,
+        sched in 0u64..u64::MAX,
+    ) {
+        let inputs = mixed_inputs(n_ranks, n_mats, seed);
+        let group = CollectiveWorld::new(n_ranks).group(&(0..n_ranks).collect::<Vec<_>>());
+        for round in 0..2u64 {
+            let order = shuffled(n_ranks, sched ^ round);
+            let groups = (0..n_ranks).map(|_| group.clone()).collect();
+            let outs = adversarial_round(groups, &inputs, &order, grouped_and_looped);
+            assert_grouped_round(&inputs, &outs, &format!("local round {round}"))?;
         }
     }
 }
@@ -273,40 +396,31 @@ proptest! {
             })
             .collect();
         let expect = member_order_reference(&inputs);
-
-        // One transport per rank, exactly like one process per rank; each
-        // rank builds its own CollectiveWorld and carves the same group,
-        // so channel ids agree (the rule real worker processes follow).
-        let dir = fresh_rdv_dir();
-        let transports: Vec<_> = thread::scope(|s| {
-            (0..n_ranks)
-                .map(|r| {
-                    let dir = dir.clone();
-                    s.spawn(move || {
-                        tcp_rendezvous(dir, n_ranks, r, Duration::from_secs(20))
-                            .expect("rendezvous")
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("mesh"))
-                .collect()
-        });
-        let groups: Vec<_> = transports
-            .into_iter()
-            .map(|t| {
-                CollectiveWorld::over(Arc::new(t)).group(&(0..n_ranks).collect::<Vec<_>>())
-            })
-            .collect();
-
+        let groups = tcp_groups(n_ranks);
         for round in 0..2u64 {
             let order = shuffled(n_ranks, sched ^ round);
-            let outs = adversarial_round(groups.clone(), &inputs, &order);
+            let outs = adversarial_round(groups.clone(), &inputs, &order, sum_one);
             for (r, out) in outs.iter().enumerate() {
                 assert_bits_equal(out, &expect, &format!("tcp round {round} rank {r}"))?;
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tcp_grouped_all_reduce_matches_the_per_matrix_loop(
+        n_mats in 1usize..7,
+        seed in 0u64..u64::MAX,
+        sched in 0u64..u64::MAX,
+    ) {
+        for n_ranks in [2, 3] {
+            let inputs = mixed_inputs(n_ranks, n_mats, seed);
+            let groups = tcp_groups(n_ranks);
+            for round in 0..2u64 {
+                let order = shuffled(n_ranks, sched ^ round);
+                let outs = adversarial_round(groups.clone(), &inputs, &order, grouped_and_looped);
+                assert_grouped_round(&inputs, &outs, &format!("tcp {n_ranks} ranks round {round}"))?;
+            }
+        }
     }
 }
 

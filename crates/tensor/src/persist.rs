@@ -113,6 +113,13 @@ impl Writer {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -161,6 +168,16 @@ impl Writer {
     /// Writes an `f64` as its IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Writes every `f32` of `v` as its IEEE-754 bit pattern, with no
+    /// length prefix: the bulk form of [`Writer::f32`].
+    pub fn f32s(&mut self, v: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * v.len(), 0);
+        for (out, x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
+            out.copy_from_slice(&x.to_le_bytes());
+        }
     }
 
     /// Writes a length-prefixed byte blob.
@@ -255,6 +272,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads `n` `f32` bit patterns written by [`Writer::f32s`], checking
+    /// the stream length once for all of them.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, PersistError> {
+        let needed = n.checked_mul(4).ok_or(PersistError::Invalid {
+            what: "element count overflows",
+        })?;
+        Ok(self
+            .take(needed)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+
     /// Reads a length-prefixed byte blob.
     pub fn bytes(&mut self) -> Result<Vec<u8>, PersistError> {
         let n = self.usize()?;
@@ -291,11 +321,12 @@ pub trait Persist: Sized {
     /// Decodes one value from `r`, advancing the cursor.
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError>;
 
-    /// Encodes into a fresh byte vector. Counts one encode cycle in
+    /// Encodes into a fresh byte vector, sized up front from
+    /// [`Persist::persist_len`]. Counts one encode cycle in
     /// [`codec_cycle_counts`].
     fn to_bytes(&self) -> Vec<u8> {
         ENCODE_CYCLES.with(|c| c.set(c.get() + 1));
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.persist_len());
         self.persist(&mut w);
         w.into_bytes()
     }
@@ -331,9 +362,7 @@ impl Persist for Matrix {
     fn persist(&self, w: &mut Writer) {
         w.usize(self.rows());
         w.usize(self.cols());
-        for &x in self.as_slice() {
-            w.f32(x);
-        }
+        w.f32s(self.as_slice());
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -342,17 +371,7 @@ impl Persist for Matrix {
         let len = rows.checked_mul(cols).ok_or(PersistError::Invalid {
             what: "matrix shape overflows",
         })?;
-        if r.remaining() < len.saturating_mul(4) {
-            return Err(PersistError::UnexpectedEof {
-                needed: len * 4,
-                remaining: r.remaining(),
-            });
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(r.f32()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
+        Ok(Matrix::from_vec(rows, cols, r.f32s(len)?))
     }
 
     fn persist_len(&self) -> usize {
@@ -505,6 +524,83 @@ mod tests {
         assert_eq!(back.shape(), (2, 2));
         for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// The per-element `Matrix` codec the bulk one replaced: the
+    /// reference both directions are checked against.
+    fn encode_per_element(m: &Matrix) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.usize(m.rows());
+        w.usize(m.cols());
+        for &x in m.as_slice() {
+            w.f32(x);
+        }
+        w.into_bytes()
+    }
+
+    fn decode_per_element(bytes: &[u8]) -> Result<Matrix, PersistError> {
+        let mut r = Reader::new(bytes);
+        let rows = r.usize()?;
+        let cols = r.usize()?;
+        let len = rows.checked_mul(cols).ok_or(PersistError::Invalid {
+            what: "matrix shape overflows",
+        })?;
+        if r.remaining() < len.saturating_mul(4) {
+            return Err(PersistError::UnexpectedEof {
+                needed: len * 4,
+                remaining: r.remaining(),
+            });
+        }
+        let mut data = Vec::with_capacity(len);
+        for _ in 0..len {
+            data.push(r.f32()?);
+        }
+        r.finish()?;
+        Ok(Matrix::from_vec(rows, cols, data))
+    }
+
+    #[test]
+    fn bulk_matrix_codec_matches_the_per_element_loop() {
+        // Every bit pattern class a gradient can hold, plus arbitrary
+        // words: NaN payloads (quiet and signalling, both signs), -0.0,
+        // subnormals, ±inf, the extremes.
+        let mut bits: Vec<u32> = vec![
+            0x7fc0_0000,
+            0x7fc1_2345,
+            0x7f80_0001,
+            0xffbf_ffff,
+            0x8000_0000,
+            0x0000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7f7f_ffff,
+            0xff7f_ffff,
+        ];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        bits.extend((0..52).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        }));
+        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let m = Matrix::from_vec(8, 8, data);
+        let bytes = m.to_bytes();
+        assert_eq!(bytes, encode_per_element(&m), "encodings differ");
+        let back = Matrix::from_bytes(&bytes).unwrap();
+        let got: Vec<u32> = back.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits, "decoded bits differ");
+        // Short input fails identically at every cut, `needed` and
+        // `remaining` included.
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Matrix::from_bytes(&bytes[..cut]).unwrap_err(),
+                decode_per_element(&bytes[..cut]).unwrap_err(),
+                "cut at {cut}"
+            );
         }
     }
 
