@@ -123,6 +123,28 @@ impl MultiHeadAttention {
         }
         out
     }
+
+    /// Softmax backward on each row's unmasked prefix `0..=i`:
+    /// `dS = A ⊙ (dA - rowsum(dA ⊙ A))`, the row sum an unfused
+    /// left-to-right `dot += dA * A`. Masked entries of `d_s` are zero.
+    fn causal_softmax_backward(a: &Matrix, d_a: &Matrix, d_s: &mut Matrix) {
+        let l = a.rows();
+        if d_s.shape() != (l, l) {
+            *d_s = Matrix::zeros(l, l);
+        }
+        for i in 0..l {
+            let (ai, gi) = (&a.row(i)[..=i], &d_a.row(i)[..=i]);
+            let mut dot = 0.0;
+            for (&g, &p) in gi.iter().zip(ai) {
+                dot += g * p;
+            }
+            let (head, masked) = d_s.row_mut(i).split_at_mut(i + 1);
+            for ((d, &g), &p) in head.iter_mut().zip(gi).zip(ai) {
+                *d = p * (g - dot);
+            }
+            masked.fill(0.0);
+        }
+    }
 }
 
 impl Layer for MultiHeadAttention {
@@ -208,21 +230,7 @@ impl Layer for MultiHeadAttention {
                 sc.d_ctx_h.matmul_t_into(&sc.vh, &mut sc.d_a); // L x L
                 a.t_matmul_into(&sc.d_ctx_h, &mut sc.d_vh); // L x dk
 
-                // Softmax backward per row: dS = A ⊙ (dA - rowsum(dA ⊙ A)).
-                if sc.d_s.shape() == (l, l) {
-                    sc.d_s.fill_zero();
-                } else {
-                    sc.d_s = Matrix::zeros(l, l);
-                }
-                for i in 0..l {
-                    let mut dot = 0.0;
-                    for j in 0..=i {
-                        dot += sc.d_a[(i, j)] * a[(i, j)];
-                    }
-                    for j in 0..=i {
-                        sc.d_s[(i, j)] = a[(i, j)] * (sc.d_a[(i, j)] - dot);
-                    }
-                }
+                Self::causal_softmax_backward(a, &sc.d_a, &mut sc.d_s);
                 // scores = qh kh^T * scale
                 sc.d_s.matmul_into(&sc.kh, &mut sc.d_qh);
                 sc.d_qh.scale_assign(scale);
@@ -308,6 +316,45 @@ mod tests {
             for j in (i + 1)..4 {
                 assert_eq!(a[(i, j)], 0.0, "future position ({i},{j}) not masked");
             }
+        }
+    }
+
+    /// The index-loop softmax backward this crate shipped before the
+    /// row-slice rewrite, kept verbatim as the bit-exactness oracle.
+    fn old_causal_softmax_backward(a: &Matrix, d_a: &Matrix) -> Matrix {
+        let l = a.rows();
+        let mut d_s = Matrix::zeros(l, l);
+        for i in 0..l {
+            let mut dot = 0.0;
+            for j in 0..=i {
+                dot += d_a[(i, j)] * a[(i, j)];
+            }
+            for j in 0..=i {
+                d_s[(i, j)] = a[(i, j)] * (d_a[(i, j)] - dot);
+            }
+        }
+        d_s
+    }
+
+    #[test]
+    fn softmax_backward_is_bit_identical_to_the_index_loop_implementation() {
+        let mut rng = SeedStream::new(23);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // One scratch buffer across every length: a stale shape is
+        // replaced, stale contents of a reused one are overwritten.
+        let mut d_s = rng.uniform_matrix(2, 5, 9.0);
+        for l in [1usize, 3, 16, 32, 16] {
+            let scores = rng.uniform_matrix(l, l, 3.0);
+            let a = MultiHeadAttention::causal_softmax(&scores);
+            // The full dA, masked upper triangle included, as the
+            // `d_ctx_h · vhᵀ` GEMM produces it.
+            let d_a = rng.uniform_matrix(l, l, 2.0);
+            MultiHeadAttention::causal_softmax_backward(&a, &d_a, &mut d_s);
+            assert_eq!(
+                bits(&d_s),
+                bits(&old_causal_softmax_backward(&a, &d_a)),
+                "L = {l}"
+            );
         }
     }
 

@@ -10,14 +10,15 @@
 //!   operands) or packed per `k`-chunk (transposed operands), and an
 //!   `MR x NR` register tile of `f32` accumulators walks the shared `k`
 //!   dimension in L1-sized chunks;
-//! * the **skinny path** for outputs with at most a few rows (the
-//!   PowerSGD factor products after the swap below): the tiny A operand is
-//!   packed whole, B is read directly as contiguous row slivers (packing a
-//!   64 MB gradient to multiply it by a rank-8 factor would dominate), and
-//!   workers own disjoint column-panel ranges.
+//! * the **skinny path** for outputs with at most [`SKINNY_ROWS`] rows
+//!   (the PowerSGD factor products after the swap below): the tiny A
+//!   operand is packed whole, B is read directly as contiguous row slivers
+//!   (packing a 64 MB gradient to multiply it by a rank-8 factor would
+//!   dominate), and workers own disjoint column-panel ranges.
 //!
 //! Tall-skinny `A^T B` (PowerSGD `Q = G^T P`) is rewritten as `(B^T A)^T`
-//! so every memory walk is over contiguous rows.
+//! so every memory walk is over contiguous rows. The pure [`route`]
+//! function picks among the three.
 //!
 //! The micro-kernels themselves are architecture-dispatched (see
 //! [`crate::dispatch`]): AVX2+FMA on x86_64, NEON on aarch64, and a
@@ -55,17 +56,23 @@ use crate::pool;
 use crate::simd;
 use std::cell::RefCell;
 
-/// Rows of the register tile (output rows per micro-panel). Eight rows
-/// give the FMA units eight independent accumulation chains per column
-/// vector — enough to cover FMA latency at two issues per cycle.
-pub(crate) const MR: usize = 8;
-/// Columns of the register tile (one 8-lane `f32` vector).
-pub(crate) const NR: usize = 8;
-/// `k`-chunk length: one `KC x NR` B-panel slice (8 KiB) plus the A rows
-/// feeding it stay L1-resident while the register tile sweeps a chunk.
+/// Rows of the register tile (output rows per micro-panel). Six rows of
+/// two AVX2 vectors are 12 independent accumulation chains, more than FMA
+/// latency times two issue ports needs, and each `k` step issues 8 loads
+/// (2 of B, 6 broadcasts of A) for 12 FMAs, so the FMA units are the limit.
+pub(crate) const MR: usize = 6;
+/// Columns of the register tile (two 8-lane AVX2 vectors, four 4-lane NEON
+/// vectors); also the width of a packed B panel.
+pub(crate) const NR: usize = 16;
+/// `k`-chunk length: one `KC x NR` B-panel slice (16 KiB) plus the `MR`
+/// A rows feeding it (6 KiB) stay L1-resident while the register tile
+/// sweeps a chunk.
 const KC: usize = 256;
-/// Outputs with at most this many row micro-panels take the skinny path.
-const SKINNY_PANELS_M: usize = 2;
+/// Outputs with at most this many rows take the skinny path, and a
+/// tall-skinny `A^T B` with at most this many columns is swapped onto it.
+/// Counted in rows, not `MR`-panels, so the rule survives a retile: a
+/// rank-16 PowerSGD factor product must keep its swap.
+const SKINNY_ROWS: usize = 16;
 /// `k`-chunk length of the skinny path: small enough that a worker's
 /// whole packed-B chunk (`panels * SKC * NR` floats) stays L2-resident.
 const SKC: usize = 64;
@@ -114,40 +121,41 @@ pub(crate) fn gemm_into(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, ou
     }
     dispatch::note_dense_kernel(dispatch::kernel_arch());
     let work = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    // Tall-skinny `A^T B` (the PowerSGD `Q = G^T P` shape): reading A
-    // through the transpose touches one cache line per element. Compute
-    // `(B^T A)^T` instead — then *both* operands are walked along
-    // contiguous rows — and transpose the small result at the end.
-    if let (Src::Transposed(da), Src::Normal(db)) = (a, b) {
-        if m >= 4 * n && n.div_ceil(MR) <= SKINNY_PANELS_M {
-            return TSCRATCH.with(|t| {
-                let mut tmp = t.borrow_mut();
-                tmp.clear();
-                tmp.resize(n * m, 0.0);
-                dispatch(
-                    Src::Transposed(db),
-                    Src::Normal(da),
-                    n,
-                    m,
-                    k,
-                    work,
-                    &mut tmp,
-                );
-                transpose_into(&tmp, n, m, out);
-            });
-        }
+    match (route(a, b, m, n), a, b) {
+        (Route::Swap, Src::Transposed(da), Src::Normal(db)) => TSCRATCH.with(|t| {
+            let mut tmp = t.borrow_mut();
+            tmp.clear();
+            tmp.resize(n * m, 0.0);
+            gemm_skinny(Src::Transposed(db), da, n, m, k, work, &mut tmp);
+            transpose_into(&tmp, n, m, out);
+        }),
+        (Route::Skinny, _, Src::Normal(db)) => gemm_skinny(a, db, m, n, k, work, out),
+        _ => gemm_packed(a, b, m, n, k, work, out),
     }
-    dispatch(a, b, m, n, k, work, out);
 }
 
-/// Picks skinny vs packed.
-fn dispatch(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize, out: &mut [f32]) {
-    if let Src::Normal(db) = b {
-        if m.div_ceil(MR) <= SKINNY_PANELS_M {
-            return gemm_skinny(a, db, m, n, k, work, out);
-        }
+/// Which inner loop serves an `m x n` product.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// Tall-skinny `A^T B` (the PowerSGD `Q = G^T P` shape): reading A
+    /// through the transpose touches one cache line per element, so
+    /// compute `(B^T A)^T` on the skinny path instead — then *both*
+    /// operands are walked along contiguous rows — and transpose the small
+    /// result at the end.
+    Swap,
+    /// At most [`SKINNY_ROWS`] output rows against a row-major B.
+    Skinny,
+    Packed,
+}
+
+/// Pure routing function: which inner loop an `m x n` product with these
+/// operand orientations takes. Counted in rows, independent of the tile.
+fn route(a: Src<'_>, b: Src<'_>, m: usize, n: usize) -> Route {
+    match (a, b) {
+        (Src::Transposed(_), Src::Normal(_)) if m >= 4 * n && n <= SKINNY_ROWS => Route::Swap,
+        (_, Src::Normal(_)) if m <= SKINNY_ROWS => Route::Skinny,
+        _ => Route::Packed,
     }
-    gemm_packed(a, b, m, n, k, work, out);
 }
 
 /// FLOPs a worker thread must have to justify its spawn cost when the
@@ -287,7 +295,7 @@ fn run_row_panels(
 }
 
 // ---------------------------------------------------------------------------
-// Skinny path (m <= MR * SKINNY_PANELS_M, row-major B)
+// Skinny path (m <= SKINNY_ROWS, row-major B)
 // ---------------------------------------------------------------------------
 
 /// Few output rows against a potentially huge row-major B: pack the small
@@ -377,7 +385,7 @@ fn run_col_panels(
         let kc = k1 - k0;
         // kk-outer scatter: B's rows are read contiguously (the only
         // sequential walk its storage admits); the per-panel write
-        // cursors advance 32 bytes per row and stay hot.
+        // cursors advance 64 bytes per row and stay hot.
         for kk in k0..k1 {
             let row = &db[kk * n..(kk + 1) * n];
             for p in pstart..pend {
@@ -487,8 +495,8 @@ fn pack_b(b: Src<'_>, n: usize, k: usize, panels_n: usize, bpack: &mut [f32]) {
     match b {
         Src::Normal(d) => {
             // kk-outer scatter: read each B row once, contiguously; the
-            // per-panel write cursors advance 32 bytes per row, so the
-            // write working set is one line per panel.
+            // per-panel write cursors advance one 64-byte line per row,
+            // so the write working set is one line per panel.
             for kk in 0..k {
                 let row = &d[kk * n..(kk + 1) * n];
                 for p in 0..panels_n {
@@ -620,9 +628,14 @@ mod tests {
                 (1, 17, 5),
                 (33, 31, 29),
                 // k spanning multiple KC chunks exercises the accumulator
-                // spill/reload chain; m > 16 forces the packed (non-skinny)
-                // path through `dispatch`.
+                // spill/reload chain, here at ragged and exact multiples
+                // of both tile edges (MR = 6, NR = 16).
                 (21, 5, 2 * KC + 7),
+                (5, 15, 2 * KC + 7),
+                (7, 17, 2 * KC + 7),
+                (12, 32, 2 * KC + 7),
+                (13, 33, 2 * KC + 7),
+                (18, 48, 2 * KC + 7),
             ] {
                 dispatch::set_kernel_arch(arch);
                 let mut rng = SeedStream::new((m * 1000 + n * 100 + k) as u64);
@@ -648,7 +661,19 @@ mod tests {
     #[test]
     fn skinny_path_is_bit_identical_to_plain_loops_on_every_arch() {
         for arch in dispatch::available_arches() {
-            for &(m, n, k) in &[(1, 40, 9), (4, 33, 2 * KC + 5), (13, 64, 17), (16, 7, 64)] {
+            for &(m, n, k) in &[
+                (1, 40, 9),
+                (4, 33, 2 * KC + 5),
+                (13, 64, 17),
+                (16, 7, 64),
+                // Ragged and exact tile edges with k spanning SKC and KC
+                // chunks.
+                (5, 15, 2 * KC + 7),
+                (6, 16, 2 * KC + 7),
+                (7, 17, 2 * KC + 7),
+                (12, 31, 2 * KC + 7),
+                (16, 49, 2 * KC + 7),
+            ] {
                 dispatch::set_kernel_arch(arch);
                 let mut rng = SeedStream::new((m * 1000 + n * 100 + k) as u64);
                 let a = rng.uniform_matrix(m, k, 1.0);
@@ -730,33 +755,74 @@ mod tests {
     }
 
     #[test]
+    fn routing_counts_rows_not_tile_panels() {
+        let (nm, tr) = (Src::Normal(&[]), Src::Transposed(&[]));
+        // PowerSGD on a 512 x 2048 gradient at the ranks of the fig13
+        // sweep: `Q = G^T P` keeps its swap through rank 16, `P = G Q`
+        // is a tall product for the packed path.
+        for rank in [4usize, 8, 16] {
+            assert_eq!(route(tr, nm, 2048, rank), Route::Swap, "G^T P rank {rank}");
+            assert_eq!(route(nm, nm, 512, rank), Route::Packed, "G Q rank {rank}");
+        }
+        assert_eq!(route(tr, nm, 2048, 17), Route::Packed);
+        // 12- to 17-row outputs: skinny through 16 rows whenever B is
+        // row-major, whatever the tile height.
+        for m in 12..=17 {
+            let want = if m <= 16 {
+                Route::Skinny
+            } else {
+                Route::Packed
+            };
+            assert_eq!(route(nm, nm, m, 512), want, "{m} rows");
+            assert_eq!(route(tr, nm, m, 512), want, "{m} rows, A transposed");
+            assert_eq!(
+                route(nm, tr, m, 512),
+                Route::Packed,
+                "{m} rows, B transposed"
+            );
+        }
+        // Every shape routes as the 8-row-panel rule of the 8 x 8 tile
+        // (at most two panels) routed it.
+        let panel_rule = |a_t: bool, b_t: bool, m: usize, n: usize| {
+            if a_t && !b_t && m >= 4 * n && n.div_ceil(8) <= 2 {
+                Route::Swap
+            } else if !b_t && m.div_ceil(8) <= 2 {
+                Route::Skinny
+            } else {
+                Route::Packed
+            }
+        };
+        let src = |t: bool| if t { tr } else { nm };
+        for (a_t, b_t) in [(false, false), (true, false), (false, true)] {
+            for m in 1..=96 {
+                for n in 1..=96 {
+                    assert_eq!(
+                        route(src(a_t), src(b_t), m, n),
+                        panel_rule(a_t, b_t, m, n),
+                        "{m}x{n} a_t={a_t} b_t={b_t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tall_skinny_swap_matches_direct_transposed_path() {
         let mut rng = SeedStream::new(77);
         // a stored k x m with m >> n triggers the swapped path in
         // gemm_into; gemm_packed on the same operands is the direct path.
-        let (k, m, n) = (64usize, 96usize, 3usize);
-        let a = rng.uniform_matrix(k, m, 1.0);
-        let b = rng.uniform_matrix(k, n, 1.0);
-        let mut swapped = vec![0.0; m * n];
-        gemm_into(
-            Src::Transposed(a.as_slice()),
-            Src::Normal(b.as_slice()),
-            m,
-            n,
-            k,
-            &mut swapped,
-        );
-        let mut direct = vec![0.0; m * n];
-        gemm_packed(
-            Src::Transposed(a.as_slice()),
-            Src::Normal(b.as_slice()),
-            m,
-            n,
-            k,
-            2 * m * n * k,
-            &mut direct,
-        );
-        assert_bits("swap", &direct, &swapped);
+        // n = 16 is the widest factor that keeps the swap.
+        for (k, m, n) in [(64usize, 96usize, 3usize), (64, 96, 16)] {
+            let a = rng.uniform_matrix(k, m, 1.0);
+            let b = rng.uniform_matrix(k, n, 1.0);
+            let (ta, nb) = (Src::Transposed(a.as_slice()), Src::Normal(b.as_slice()));
+            assert_eq!(route(ta, nb, m, n), Route::Swap);
+            let mut swapped = vec![0.0; m * n];
+            gemm_into(ta, nb, m, n, k, &mut swapped);
+            let mut direct = vec![0.0; m * n];
+            gemm_packed(ta, nb, m, n, k, 2 * m * n * k, &mut direct);
+            assert_bits(&format!("swap n={n}"), &direct, &swapped);
+        }
     }
 
     #[test]

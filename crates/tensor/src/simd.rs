@@ -41,6 +41,18 @@
 //!
 //! `tests/kernel_equivalence.rs` pins all three shapes against scalar
 //! oracles across every architecture the host can execute.
+//!
+//! # The GEMM register tile
+//!
+//! Every GEMM micro-kernel updates one `MR x NR` = 6 x 16 tile of
+//! accumulators per `k` step: `NR / lanes` vector loads of B (two `__m256`
+//! on AVX2, four `float32x4` on NEON), then per tile row one broadcast of
+//! `a` and `NR / lanes` FMAs. The SIMD kernels are written once over that
+//! vectors-per-row count, so the tile shape lives in `gemm.rs` alone. On
+//! AVX2 a step issues 8 loads for 12 FMAs (an 8 x 8 tile issued 9 for 8,
+//! which made load issue, not the FMA units, the limit) and keeps 12
+//! independent chains in flight, more than FMA latency times its two ports
+//! needs; NEON keeps 24 of its 32 vector registers as accumulators.
 
 use crate::dispatch::{kernel_arch, KernelArch};
 use crate::gemm::{MR, NR};
@@ -245,6 +257,61 @@ pub(crate) mod avx2 {
     use super::{DOT_LANES, MR, NR};
     use std::arch::x86_64::*;
 
+    /// `__m256` vectors per tile row.
+    const NV: usize = NR / 8;
+
+    // The tile helpers below are `#[inline(always)]` instead of
+    // `#[target_feature]` (the two attributes cannot be combined): they
+    // compile as part of the AVX2 kernels that call them, where every
+    // intrinsic inlines and the tile lives in 12 `ymm` registers.
+
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[inline(always)]
+    unsafe fn load_tile(acc: &[[f32; NR]; MR]) -> [[__m256; NV]; MR] {
+        let mut vacc = [[_mm256_setzero_ps(); NV]; MR];
+        for (vrow, row) in vacc.iter_mut().zip(acc) {
+            for (c, v) in vrow.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(row.as_ptr().add(c * 8));
+            }
+        }
+        vacc
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[inline(always)]
+    unsafe fn store_tile(vacc: &[[__m256; NV]; MR], acc: &mut [[f32; NR]; MR]) {
+        for (vrow, row) in vacc.iter().zip(acc) {
+            for (c, v) in vrow.iter().enumerate() {
+                _mm256_storeu_ps(row.as_mut_ptr().add(c * 8), *v);
+            }
+        }
+    }
+
+    /// One `k` step: `NV` loads of B's row `kk`, then per tile row one
+    /// broadcast of `a(i)` and `NV` FMAs.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA; `bp` must be valid for `NR`
+    /// reads.
+    #[inline(always)]
+    unsafe fn step(vacc: &mut [[__m256; NV]; MR], bp: *const f32, a: impl Fn(usize) -> f32) {
+        let mut b = [_mm256_setzero_ps(); NV];
+        for (c, v) in b.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(bp.add(c * 8));
+        }
+        for (i, vrow) in vacc.iter_mut().enumerate() {
+            let ai = _mm256_set1_ps(a(i));
+            for (v, bv) in vrow.iter_mut().zip(&b) {
+                *v = _mm256_fmadd_ps(ai, *bv, *v);
+            }
+        }
+    }
+
     /// # Safety
     ///
     /// The host must support AVX2 and FMA (guaranteed by dispatch).
@@ -255,23 +322,14 @@ pub(crate) mod avx2 {
         acc: &mut [[f32; NR]; MR],
     ) {
         let kc = bpanel.len() / NR;
-        debug_assert_eq!(apack.len(), kc * MR);
-        let mut vacc = [_mm256_setzero_ps(); MR];
-        for (v, row) in vacc.iter_mut().zip(acc.iter()) {
-            *v = _mm256_loadu_ps(row.as_ptr());
-        }
+        assert_eq!(apack.len(), kc * MR);
+        let mut vacc = load_tile(acc);
         let ap = apack.as_ptr();
         let bp = bpanel.as_ptr();
         for kk in 0..kc {
-            let b = _mm256_loadu_ps(bp.add(kk * NR));
-            for (i, v) in vacc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*ap.add(kk * MR + i));
-                *v = _mm256_fmadd_ps(a, b, *v);
-            }
+            step(&mut vacc, bp.add(kk * NR), |i| *ap.add(kk * MR + i));
         }
-        for (v, row) in vacc.iter().zip(acc.iter_mut()) {
-            _mm256_storeu_ps(row.as_mut_ptr(), *v);
-        }
+        store_tile(&vacc, acc);
     }
 
     /// # Safety
@@ -286,21 +344,12 @@ pub(crate) mod avx2 {
         acc: &mut [[f32; NR]; MR],
     ) {
         let kc = bpanel.len() / NR;
-        let mut vacc = [_mm256_setzero_ps(); MR];
-        for (v, row) in vacc.iter_mut().zip(acc.iter()) {
-            *v = _mm256_loadu_ps(row.as_ptr());
-        }
+        let mut vacc = load_tile(acc);
         let bp = bpanel.as_ptr();
         for kk in 0..kc {
-            let b = _mm256_loadu_ps(bp.add(kk * NR));
-            for (v, arow) in vacc.iter_mut().zip(arows.iter()) {
-                let a = _mm256_set1_ps(*arow.as_ptr().add(kk));
-                *v = _mm256_fmadd_ps(a, b, *v);
-            }
+            step(&mut vacc, bp.add(kk * NR), |i| *arows[i].as_ptr().add(kk));
         }
-        for (v, row) in vacc.iter().zip(acc.iter_mut()) {
-            _mm256_storeu_ps(row.as_mut_ptr(), *v);
-        }
+        store_tile(&vacc, acc);
     }
 
     /// 8-lane split dot: the `__m256` accumulator *is* the lane array.
@@ -386,6 +435,55 @@ pub(crate) mod neon {
     use super::{DOT_LANES, MR, NR};
     use std::arch::aarch64::*;
 
+    /// `float32x4` vectors per tile row.
+    const NV: usize = NR / 4;
+
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64.
+    #[inline(always)]
+    unsafe fn load_tile(acc: &[[f32; NR]; MR]) -> [[float32x4_t; NV]; MR] {
+        let mut vacc = [[vdupq_n_f32(0.0); NV]; MR];
+        for (vrow, row) in vacc.iter_mut().zip(acc) {
+            for (c, v) in vrow.iter_mut().enumerate() {
+                *v = vld1q_f32(row.as_ptr().add(c * 4));
+            }
+        }
+        vacc
+    }
+
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64.
+    #[inline(always)]
+    unsafe fn store_tile(vacc: &[[float32x4_t; NV]; MR], acc: &mut [[f32; NR]; MR]) {
+        for (vrow, row) in vacc.iter().zip(acc) {
+            for (c, v) in vrow.iter().enumerate() {
+                vst1q_f32(row.as_mut_ptr().add(c * 4), *v);
+            }
+        }
+    }
+
+    /// One `k` step: `NV` loads of B's row `kk`, then per tile row one
+    /// broadcast of `a(i)` and `NV` FMAs.
+    ///
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64; `bp` must be valid for `NR` reads.
+    #[inline(always)]
+    unsafe fn step(vacc: &mut [[float32x4_t; NV]; MR], bp: *const f32, a: impl Fn(usize) -> f32) {
+        let mut b = [vdupq_n_f32(0.0); NV];
+        for (c, v) in b.iter_mut().enumerate() {
+            *v = vld1q_f32(bp.add(c * 4));
+        }
+        for (i, vrow) in vacc.iter_mut().enumerate() {
+            let ai = vdupq_n_f32(a(i));
+            for (v, bv) in vrow.iter_mut().zip(&b) {
+                *v = vfmaq_f32(*v, ai, *bv);
+            }
+        }
+    }
+
     /// # Safety
     ///
     /// NEON is baseline on aarch64; pointers derive from the slices.
@@ -396,28 +494,14 @@ pub(crate) mod neon {
         acc: &mut [[f32; NR]; MR],
     ) {
         let kc = bpanel.len() / NR;
-        debug_assert_eq!(apack.len(), kc * MR);
-        let mut lo = [vdupq_n_f32(0.0); MR];
-        let mut hi = [vdupq_n_f32(0.0); MR];
-        for i in 0..MR {
-            lo[i] = vld1q_f32(acc[i].as_ptr());
-            hi[i] = vld1q_f32(acc[i].as_ptr().add(4));
-        }
+        assert_eq!(apack.len(), kc * MR);
+        let mut vacc = load_tile(acc);
         let ap = apack.as_ptr();
         let bp = bpanel.as_ptr();
         for kk in 0..kc {
-            let b_lo = vld1q_f32(bp.add(kk * NR));
-            let b_hi = vld1q_f32(bp.add(kk * NR + 4));
-            for i in 0..MR {
-                let a = vdupq_n_f32(*ap.add(kk * MR + i));
-                lo[i] = vfmaq_f32(lo[i], a, b_lo);
-                hi[i] = vfmaq_f32(hi[i], a, b_hi);
-            }
+            step(&mut vacc, bp.add(kk * NR), |i| *ap.add(kk * MR + i));
         }
-        for i in 0..MR {
-            vst1q_f32(acc[i].as_mut_ptr(), lo[i]);
-            vst1q_f32(acc[i].as_mut_ptr().add(4), hi[i]);
-        }
+        store_tile(&vacc, acc);
     }
 
     /// # Safety
@@ -431,26 +515,12 @@ pub(crate) mod neon {
         acc: &mut [[f32; NR]; MR],
     ) {
         let kc = bpanel.len() / NR;
-        let mut lo = [vdupq_n_f32(0.0); MR];
-        let mut hi = [vdupq_n_f32(0.0); MR];
-        for i in 0..MR {
-            lo[i] = vld1q_f32(acc[i].as_ptr());
-            hi[i] = vld1q_f32(acc[i].as_ptr().add(4));
-        }
+        let mut vacc = load_tile(acc);
         let bp = bpanel.as_ptr();
         for kk in 0..kc {
-            let b_lo = vld1q_f32(bp.add(kk * NR));
-            let b_hi = vld1q_f32(bp.add(kk * NR + 4));
-            for i in 0..MR {
-                let a = vdupq_n_f32(*arows[i].as_ptr().add(kk));
-                lo[i] = vfmaq_f32(lo[i], a, b_lo);
-                hi[i] = vfmaq_f32(hi[i], a, b_hi);
-            }
+            step(&mut vacc, bp.add(kk * NR), |i| *arows[i].as_ptr().add(kk));
         }
-        for i in 0..MR {
-            vst1q_f32(acc[i].as_mut_ptr(), lo[i]);
-            vst1q_f32(acc[i].as_mut_ptr().add(4), hi[i]);
-        }
+        store_tile(&vacc, acc);
     }
 
     /// 8-lane split dot: lanes 0–3 live in one `float32x4`, lanes 4–7 in
@@ -721,6 +791,8 @@ mod tests {
         }
     }
 
+    /// The full `MR x NR` tile, both A forms, on every arch at chunk
+    /// lengths from one step to a quarter of `KC`.
     #[test]
     fn micro_kernels_match_scalar_contract_on_every_arch() {
         let mut rng = SeedStream::new(13);

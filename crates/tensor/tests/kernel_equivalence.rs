@@ -296,15 +296,19 @@ fn assert_lanes_equal(label: &str, xs: &[f32], want: &[f32], got: &[f32]) {
     }
 }
 
-/// Odd shape distribution: tile multiples, off-by-one, degenerate 1xN /
-/// Nx1, and empty dimensions.
+/// Odd shape distribution: exact multiples and off-by-ones of the 6 x 16
+/// register tile (`MR` = 6, `NR` = 16), degenerate 1xN / Nx1, and empty
+/// dimensions.
 fn dim() -> impl Strategy<Value = usize> {
-    (0usize..5).prop_map(|sel| match sel {
+    (0usize..8).prop_map(|sel| match sel {
         0 => 1,
-        1 => 4,
-        2 => 17, // crosses both the MR (8) and NR (8) tile boundaries
-        3 => 33,
-        _ => 0, // empty
+        1 => 6,  // one MR panel
+        2 => 7,  // one past MR
+        3 => 12, // two MR panels
+        4 => 16, // one NR panel; the last skinny row count
+        5 => 17, // one past NR; the first packed row count
+        6 => 48, // three NR panels, eight MR panels
+        _ => 0,  // empty
     })
 }
 
