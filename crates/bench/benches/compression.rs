@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the compression kernels (Fig. 15's real-code
 //! counterpart): PowerSGD compress/decompress across ranks and shapes,
-//! plus the top-k and quantization baselines, and the sparse-vs-densify
-//! apply sweep behind `opt_tensor::DEFAULT_DENSITY_MAX`.
+//! plus the top-k baseline, and the sparse-vs-densify apply sweep behind
+//! `opt_tensor::DEFAULT_DENSITY_MAX`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use opt_compress::{Compressor, PowerSgd, SignQuantizer, TernaryQuantizer, TopK};
+use opt_compress::{Compressor, PowerSgd, TopK};
 use opt_tensor::{set_sparse_density_max, sparse_density_max, SeedStream};
 
 fn bench_powersgd(c: &mut Criterion) {
@@ -42,14 +42,6 @@ fn bench_baselines(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(bytes));
     group.bench_function("topk_10pct", |b| {
         let mut comp = TopK::new(0.1);
-        b.iter(|| comp.compress(std::hint::black_box(&grad)));
-    });
-    group.bench_function("sign_1bit", |b| {
-        let mut comp = SignQuantizer::new();
-        b.iter(|| comp.compress(std::hint::black_box(&grad)));
-    });
-    group.bench_function("ternary", |b| {
-        let mut comp = TernaryQuantizer::new(3);
         b.iter(|| comp.compress(std::hint::black_box(&grad)));
     });
     group.finish();

@@ -2,27 +2,22 @@
 //! compute-to-interconnect ratio (TPU-like, IPU-POD128-like clusters).
 
 use opt_bench::{banner, print_table, speedup_pct};
-use opt_net::Topology;
 use opt_sim::{breakdown, simulate, CompressionPlan, ScPlan, SimConfig};
 
 fn main() {
     banner("§10.1 — Optimus-CC benefit vs compute/interconnect ratio (GPT-8.3B)");
-    // (name, topology, effective per-chip FLOPs, effective inter-node bw):
-    // IPU-POD128 per the paper: 8 PFLOPS/node vs our 5, but 100 Gb/s.
-    let machines: Vec<(&str, Topology, f64, f64)> = vec![
-        (
-            "A100 + IB HDR (paper)",
-            Topology::paper_cluster(),
-            31e12,
-            8e9,
-        ),
-        ("TPU-like (400 Gb/s)", Topology::tpu_pod(), 40e12, 16e9),
-        ("IPU-like (100 Gb/s)", Topology::ipu_pod128(), 50e12, 4e9),
+    // (name, inter-node latency, effective per-chip FLOPs, effective
+    // inter-node bw). IPU-POD128 per the paper: 8 PFLOPS/node vs our 5,
+    // but 100 Gb/s links; a TPU pod: 400 Gb/s links.
+    let machines: [(&str, f64, f64, f64); 3] = [
+        ("A100 + IB HDR (paper)", 5e-6, 31e12, 8e9),
+        ("TPU-like (400 Gb/s)", 4e-6, 40e12, 16e9),
+        ("IPU-like (100 Gb/s)", 6e-6, 50e12, 4e9),
     ];
     let mut rows = Vec::new();
-    for (name, topo, flops, bw) in machines {
+    for (name, latency, flops, bw) in machines {
         let mut cfg = SimConfig::paper_gpt_8_3b();
-        cfg.topology = topo;
+        cfg.inter_node_latency = latency;
         cfg.gpu_eff_flops = flops;
         cfg.inter_node_eff_bw = bw;
         let base = simulate(&cfg).iteration_time_s;

@@ -2,19 +2,21 @@
 //! measured wire bytes in the numerical runtime.
 
 use opt_bench::{banner, print_table};
-use opt_net::{CostModel, Topology, TrafficClass};
+use opt_net::TrafficClass;
+use opt_sim::{
+    embedding_fusion_speedup, embedding_sync_baseline_bytes, embedding_sync_fused_bytes,
+};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
     banner("Eq. 15/16 — analytic per-rank cost (V = 1)");
-    let cm = CostModel::new(Topology::paper_cluster());
     let mut rows = Vec::new();
     for d in [2usize, 4, 8, 16, 64] {
         rows.push(vec![
             d.to_string(),
-            format!("{:.4}", cm.embedding_sync_baseline_bytes(1.0, d)),
-            format!("{:.4}", cm.embedding_sync_fused_bytes(1.0, d)),
-            format!("{:.2}%", cm.embedding_fusion_speedup(d) * 100.0),
+            format!("{:.4}", embedding_sync_baseline_bytes(1.0, d)),
+            format!("{:.4}", embedding_sync_fused_bytes(1.0, d)),
+            format!("{:.2}%", embedding_fusion_speedup(d) * 100.0),
         ]);
     }
     print_table(

@@ -3,28 +3,27 @@
 
 use opt_bench::{banner, print_table, speedup_pct};
 use opt_model::GptConfig;
-use opt_net::Topology;
 use opt_sim::{simulate, CompressionPlan, SimConfig};
 
 fn main() {
     banner("Fig. 16 — scalability sweep (TP8 fixed, GPUs grow with model)");
-    // (model, pp, dp, nodes): mirrors "we increased the number of GPUs in
-    // larger models for a fair comparison".
-    let jobs: Vec<(GptConfig, usize, usize, usize)> = vec![
-        (GptConfig::gpt_2_5b(), 4, 4, 16),  // 128 GPUs
-        (GptConfig::gpt_8_3b(), 4, 4, 16),  // 128 GPUs
-        (GptConfig::gpt_39b(), 8, 4, 32),   // 256 GPUs
-        (GptConfig::gpt_175b(), 16, 4, 64), // 512 GPUs
+    // (model, pp, dp): mirrors "we increased the number of GPUs in larger
+    // models for a fair comparison" (TP8 x DP4 x PP = 128..512 GPUs).
+    let jobs: Vec<(GptConfig, usize, usize)> = vec![
+        (GptConfig::gpt_2_5b(), 4, 4),
+        (GptConfig::gpt_8_3b(), 4, 4),
+        (GptConfig::gpt_39b(), 8, 4),
+        (GptConfig::gpt_175b(), 16, 4),
     ];
     let mut rows = Vec::new();
-    for (model, pp, dp, nodes) in jobs {
+    for (model, pp, dp) in jobs {
         let name = model.name.clone();
         let mut cfg = SimConfig::paper_defaults(model);
         cfg.pp = pp;
         cfg.dp = dp;
-        cfg.topology = Topology::with_nodes(nodes);
         let base = simulate(&cfg).iteration_time_s;
-        let mut row = vec![name, format!("{}", nodes * 8), format!("{base:.2}")];
+        let gpus = cfg.tp * cfg.dp * cfg.pp;
+        let mut row = vec![name, gpus.to_string(), format!("{base:.2}")];
         for (_, plan) in CompressionPlan::table2_columns().into_iter().skip(1) {
             let t = simulate(&cfg.clone().with_plan(plan)).iteration_time_s;
             row.push(speedup_pct(base, t));

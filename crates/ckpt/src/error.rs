@@ -2,13 +2,10 @@
 
 use opt_tensor::PersistError;
 use std::fmt;
-use std::io;
 
 /// Everything that can go wrong saving, loading, or applying a snapshot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CkptError {
-    /// Filesystem I/O failure.
-    Io(io::Error),
     /// The file does not start with the snapshot magic.
     BadMagic,
     /// The snapshot was written by an unknown format version.
@@ -74,7 +71,6 @@ pub enum CkptError {
 impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             CkptError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             CkptError::UnsupportedVersion(v) => {
                 write!(f, "unsupported snapshot format version {v}")
@@ -116,16 +112,9 @@ impl fmt::Display for CkptError {
 impl std::error::Error for CkptError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CkptError::Io(e) => Some(e),
             CkptError::Decode(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<io::Error> for CkptError {
-    fn from(e: io::Error) -> Self {
-        CkptError::Io(e)
     }
 }
 

@@ -26,7 +26,9 @@ pub struct LinkErrorStats {
 /// device memory* and added to the gradient of micro-batch *i+n* of the
 /// **same iteration**. Because all micro-batches execute on the same weight
 /// version, the delayed error does not suffer from weight staleness — in
-/// contrast to classic [`crate::ErrorFeedback`] on data-parallel traffic.
+/// contrast to the classic across-iteration residual of data-parallel
+/// compression (`optimus_cc::DistPowerSgd`), which is applied only after
+/// the weight update.
 /// The residual of the last micro-batch carries into the first micro-batch
 /// of the next iteration, as the paper notes at the end of §5.1.
 ///

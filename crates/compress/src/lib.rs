@@ -1,27 +1,25 @@
 //! `opt-compress` — gradient compression algorithms for the Optimus-CC
 //! reproduction.
 //!
-//! The paper (§2.3, §8) builds on three families of lossy gradient
-//! compression and two error-handling mechanisms:
+//! The paper (§2.3, §8) trains with one lossy compressor family and
+//! contrasts it with another, and corrects compression error in two
+//! places:
 //!
 //! * **Low-rank approximation** — [`PowerSgd`] (Vogels et al., NeurIPS'19),
 //!   the compressor Optimus-CC adopts for both inter-stage backpropagation
 //!   traffic and data-parallel gradients.
 //! * **Top-k sparsification** — [`TopK`], the baseline shown in the paper's
 //!   Fig. 3 to be unsuitable for point-to-point compression.
-//! * **Quantization** — [`SignQuantizer`] (signSGD-style 1-bit) and
-//!   [`TernaryQuantizer`] (TernGrad-style), included as the quantization
-//!   baselines discussed in §2.3.
-//! * **Error feedback** — [`ErrorFeedback`], the classic across-iteration
-//!   residual correction used for data-parallel compression. The paper (§7)
-//!   points out this residual is applied *after* the weight update and thus
-//!   suffers from staleness.
 //! * **Lazy error propagation** — [`LazyErrorPropagator`] (§5.1), the
 //!   paper's contribution: the compression residual of micro-batch *i* is
 //!   added to micro-batch *i+n* **within the same iteration**, before the
 //!   weight update, so no staleness is introduced.
+//! * The classic across-iteration residual of data-parallel compression
+//!   lives with the DP exchange itself (`optimus_cc::DistPowerSgd`); the
+//!   paper (§7) points out it is applied *after* the weight update and
+//!   thus suffers from staleness.
 //!
-//! All compressors produce a self-describing [`Compressed`] payload that
+//! Both compressors produce a self-describing [`Compressed`] payload that
 //! knows how to [`Compressed::decompress`] itself and how many bytes it
 //! would occupy on the wire ([`Compressed::wire_bytes`], fp16 accounting as
 //! in the paper).
@@ -41,73 +39,30 @@
 //! assert!(payload.wire_bytes() < grad.len() * 2);
 //! ```
 
-mod error_feedback;
 mod lazy;
 mod payload;
 mod powersgd;
-mod quant;
 mod topk;
 
-pub use error_feedback::ErrorFeedback;
 pub use lazy::{LazyErrorPropagator, LinkErrorStats};
-pub use payload::{Compressed, PayloadKind, PayloadKindError, FP16_BYTES};
+pub use payload::{Compressed, FP16_BYTES};
 pub use powersgd::PowerSgd;
-pub use quant::{SignQuantizer, TernaryQuantizer};
 pub use topk::TopK;
 
 use opt_tensor::Matrix;
 
 /// A lossy gradient compressor.
 ///
-/// Compressors are stateful: PowerSGD keeps its warm-start factor between
-/// calls, quantizers keep RNG state. Decompression is stateless and lives
-/// on [`Compressed`].
+/// Compressors may be stateful: PowerSGD keeps its warm-start factor
+/// between calls. Decompression is stateless and lives on [`Compressed`].
 pub trait Compressor: Send {
     /// Compresses a gradient matrix into a wire payload.
     fn compress(&mut self, grad: &Matrix) -> Compressed;
-
-    /// A short human-readable name ("powersgd", "topk", ...).
-    fn name(&self) -> &'static str;
 
     /// Compress, then immediately decompress — the round trip every lossy
     /// link performs. Provided for convenience and tests.
     fn round_trip(&mut self, grad: &Matrix) -> Matrix {
         self.compress(grad).decompress()
-    }
-}
-
-impl Compressor for Box<dyn Compressor> {
-    fn compress(&mut self, grad: &Matrix) -> Compressed {
-        (**self).compress(grad)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// A pass-through "compressor" used for baselines (no compression).
-///
-/// # Example
-///
-/// ```
-/// use opt_compress::{Compressor, Identity};
-/// use opt_tensor::Matrix;
-/// let g = Matrix::full(2, 2, 3.0);
-/// assert_eq!(Identity.compress(&g).decompress(), g);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Identity;
-
-impl Compressor for Identity {
-    fn compress(&mut self, grad: &Matrix) -> Compressed {
-        Compressed::Dense {
-            matrix: grad.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "identity"
     }
 }
 
@@ -118,14 +73,18 @@ mod tests {
 
     #[test]
     fn identity_round_trip_is_exact() {
+        // A dense payload — what a send that skips compression carries —
+        // reconstructs its matrix bit for bit.
         let mut rng = SeedStream::new(1);
         let g = rng.uniform_matrix(5, 7, 3.0);
-        assert_eq!(Identity.round_trip(&g), g);
+        assert_eq!(Compressed::Dense { matrix: g.clone() }.decompress(), g);
     }
 
     #[test]
     fn identity_wire_bytes_match_dense_fp16() {
-        let g = Matrix::zeros(10, 10);
-        assert_eq!(Identity.compress(&g).wire_bytes(), 100 * FP16_BYTES);
+        let dense = Compressed::Dense {
+            matrix: Matrix::zeros(10, 10),
+        };
+        assert_eq!(dense.wire_bytes(), 100 * FP16_BYTES);
     }
 }

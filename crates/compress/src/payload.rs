@@ -1,7 +1,6 @@
 //! Self-describing compressed payloads and their wire-size accounting.
 
 use opt_tensor::{Matrix, Persist, PersistError, Reader, SparseMatrix, Writer};
-use std::fmt;
 
 /// Bytes per floating-point element on the wire.
 ///
@@ -13,77 +12,19 @@ pub const FP16_BYTES: usize = 2;
 /// Bytes per sparse index on the wire (top-k sends 32-bit indices).
 const INDEX_BYTES: usize = 4;
 
-/// The discriminant of a [`Compressed`] payload, without its data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PayloadKind {
-    /// [`Compressed::Dense`].
-    Dense,
-    /// [`Compressed::LowRank`].
-    LowRank,
-    /// [`Compressed::Sparse`].
-    Sparse,
-    /// [`Compressed::Sign`].
-    Sign,
-    /// [`Compressed::Ternary`].
-    Ternary,
-}
-
-impl fmt::Display for PayloadKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PayloadKind::Dense => "dense",
-            PayloadKind::LowRank => "low-rank",
-            PayloadKind::Sparse => "sparse",
-            PayloadKind::Sign => "sign",
-            PayloadKind::Ternary => "ternary",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Error returned by the `try_*` payload accessors when the payload holds a
-/// different variant than the caller expected.
-///
-/// # Example
-///
-/// ```
-/// use opt_compress::{Compressed, PayloadKind};
-/// use opt_tensor::Matrix;
-///
-/// let payload = Compressed::Dense { matrix: Matrix::zeros(2, 2) };
-/// let err = payload.try_low_rank().unwrap_err();
-/// assert_eq!(err.expected, PayloadKind::LowRank);
-/// assert_eq!(err.found, PayloadKind::Dense);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PayloadKindError {
-    /// The variant the accessor was asked for.
-    pub expected: PayloadKind,
-    /// The variant the payload actually holds.
-    pub found: PayloadKind,
-}
-
-impl fmt::Display for PayloadKindError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "expected {} payload, found {}",
-            self.expected, self.found
-        )
-    }
-}
-
-impl std::error::Error for PayloadKindError {}
-
 /// A compressed gradient payload.
 ///
 /// Payloads are self-describing: they carry enough metadata to reconstruct
 /// a dense approximation via [`Compressed::decompress`] and to compute the
 /// exact number of bytes they would occupy on the interconnect via
 /// [`Compressed::wire_bytes`].
+///
+/// The [`Persist`] encoding leads with a one-byte tag — 0 dense, 1
+/// low-rank, 2 sparse — shared by transport frames and checkpoint shards;
+/// any other tag decodes to [`PersistError::BadTag`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Compressed {
-    /// Uncompressed matrix (baseline / `Identity` compressor).
+    /// Uncompressed matrix (the baseline, and sends that skip compression).
     Dense {
         /// The matrix itself.
         matrix: Matrix,
@@ -105,28 +46,6 @@ pub enum Compressed {
         indices: Vec<u32>,
         /// Kept element values.
         values: Vec<f32>,
-    },
-    /// 1-bit sign quantization with a single positive scale.
-    Sign {
-        /// Dense row count.
-        rows: usize,
-        /// Dense column count.
-        cols: usize,
-        /// Reconstruction magnitude (mean absolute value).
-        scale: f32,
-        /// One bit per element, LSB-first within each word.
-        bits: Vec<u64>,
-    },
-    /// Ternary quantization (TernGrad): each element in {-1, 0, +1} x scale.
-    Ternary {
-        /// Dense row count.
-        rows: usize,
-        /// Dense column count.
-        cols: usize,
-        /// Reconstruction magnitude (max absolute value).
-        scale: f32,
-        /// One entry per element.
-        trits: Vec<i8>,
     },
 }
 
@@ -167,44 +86,21 @@ impl Compressed {
                 }
                 m
             }
-            Compressed::Sign {
-                rows,
-                cols,
-                scale,
-                bits,
-            } => {
-                let mut m = Matrix::zeros(*rows, *cols);
-                for (i, e) in m.as_mut_slice().iter_mut().enumerate() {
-                    let bit = (bits[i / 64] >> (i % 64)) & 1;
-                    *e = if bit == 1 { *scale } else { -*scale };
-                }
-                m
-            }
-            Compressed::Ternary {
-                rows,
-                cols,
-                scale,
-                trits,
-            } => {
-                let data = trits.iter().map(|&t| t as f32 * scale).collect();
-                Matrix::from_vec(*rows, *cols, data)
-            }
         }
     }
 
     /// Subtracts this payload's dense approximation from `target` in
-    /// place — the error-feedback residual update — taking the sparse
+    /// place — the lazy-error residual update — taking the sparse
     /// fast path when the payload is sparse enough.
     ///
-    /// Top-k ([`Compressed::Sparse`]) and ternary payloads whose density
+    /// Top-k ([`Compressed::Sparse`]) payloads whose density
     /// (`nnz / (rows * cols)`) is at or below
     /// [`opt_tensor::sparse_density_max`] are applied through
     /// [`SparseMatrix`] CSR kernels, touching only the stored entries;
     /// anything else falls back to [`Compressed::decompress`] +
     /// dense subtract. The two paths are **bit-identical**: the entries
     /// the sparse path skips subtract an exact `+0.0` in the dense path
-    /// (`x - (+0.0) == x` bitwise; ternary zeros decode to `+0.0` because
-    /// the scale is non-negative), so the crossover knob only ever changes
+    /// (`x - (+0.0) == x` bitwise), so the crossover knob only ever changes
     /// speed. The sparse path records its Decode span with
     /// [`opt_trace::FLAG_SPARSE`] so traces show which path ran.
     ///
@@ -212,56 +108,32 @@ impl Compressed {
     ///
     /// Panics if `target`'s shape differs from [`Compressed::dense_shape`].
     pub fn apply_sub(&self, target: &mut Matrix) {
-        let threshold = opt_tensor::sparse_density_max();
-        match self {
-            Compressed::Sparse {
-                rows,
-                cols,
-                indices,
-                values,
-            } => {
-                let total = rows * cols;
-                if total > 0 && values.len() as f32 <= threshold * total as f32 {
-                    let _span = opt_trace::begin(
-                        opt_trace::SpanKind::Decode,
-                        0,
-                        opt_trace::NO_MICRO,
-                        self.wire_bytes() as u64,
-                        opt_trace::FLAG_SPARSE,
-                    );
-                    SparseMatrix::from_flat_payload(*rows, *cols, indices, values).sub_from(target);
-                    return;
-                }
+        if let Compressed::Sparse {
+            rows,
+            cols,
+            indices,
+            values,
+        } = self
+        {
+            let total = rows * cols;
+            if total > 0 && values.len() as f32 <= opt_tensor::sparse_density_max() * total as f32 {
+                let _span = opt_trace::begin(
+                    opt_trace::SpanKind::Decode,
+                    0,
+                    opt_trace::NO_MICRO,
+                    self.wire_bytes() as u64,
+                    opt_trace::FLAG_SPARSE,
+                );
+                SparseMatrix::from_flat_payload(*rows, *cols, indices, values).sub_from(target);
+                return;
             }
-            Compressed::Ternary {
-                rows,
-                cols,
-                scale,
-                trits,
-            } => {
-                let total = rows * cols;
-                let nnz = trits.iter().filter(|&&t| t != 0).count();
-                if total > 0 && nnz as f32 <= threshold * total as f32 {
-                    let _span = opt_trace::begin(
-                        opt_trace::SpanKind::Decode,
-                        0,
-                        opt_trace::NO_MICRO,
-                        self.wire_bytes() as u64,
-                        opt_trace::FLAG_SPARSE,
-                    );
-                    SparseMatrix::from_ternary(*rows, *cols, trits, *scale).sub_from(target);
-                    return;
-                }
-            }
-            _ => {}
         }
         let approx = self.decompress();
         target.sub_assign(&approx);
     }
 
     /// Number of bytes this payload occupies on the interconnect, using the
-    /// paper's fp16 wire format for floats, 4-byte sparse indices, 1 bit
-    /// per sign, and 2 bits per ternary value.
+    /// paper's fp16 wire format for floats and 4-byte sparse indices.
     pub fn wire_bytes(&self) -> usize {
         match self {
             Compressed::Dense { matrix } => matrix.len() * FP16_BYTES,
@@ -269,8 +141,6 @@ impl Compressed {
             Compressed::Sparse {
                 indices, values, ..
             } => indices.len() * INDEX_BYTES + values.len() * FP16_BYTES,
-            Compressed::Sign { rows, cols, .. } => (rows * cols).div_ceil(8) + 4,
-            Compressed::Ternary { rows, cols, .. } => (rows * cols * 2).div_ceil(8) + 4,
         }
     }
 
@@ -279,9 +149,7 @@ impl Compressed {
         match self {
             Compressed::Dense { matrix } => matrix.shape(),
             Compressed::LowRank { p, q } => (p.rows(), q.rows()),
-            Compressed::Sparse { rows, cols, .. }
-            | Compressed::Sign { rows, cols, .. }
-            | Compressed::Ternary { rows, cols, .. } => (*rows, *cols),
+            Compressed::Sparse { rows, cols, .. } => (*rows, *cols),
         }
     }
 
@@ -293,77 +161,6 @@ impl Compressed {
         let (r, c) = self.dense_shape();
         let dense = (r * c * FP16_BYTES) as f64;
         dense / self.wire_bytes().max(1) as f64
-    }
-
-    /// The variant this payload holds.
-    pub fn kind(&self) -> PayloadKind {
-        match self {
-            Compressed::Dense { .. } => PayloadKind::Dense,
-            Compressed::LowRank { .. } => PayloadKind::LowRank,
-            Compressed::Sparse { .. } => PayloadKind::Sparse,
-            Compressed::Sign { .. } => PayloadKind::Sign,
-            Compressed::Ternary { .. } => PayloadKind::Ternary,
-        }
-    }
-
-    /// The dense matrix, if this is a [`Compressed::Dense`] payload.
-    pub fn try_dense(&self) -> Result<&Matrix, PayloadKindError> {
-        match self {
-            Compressed::Dense { matrix } => Ok(matrix),
-            other => Err(PayloadKindError {
-                expected: PayloadKind::Dense,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// The `(P, Q)` factors, if this is a [`Compressed::LowRank`] payload.
-    pub fn try_low_rank(&self) -> Result<(&Matrix, &Matrix), PayloadKindError> {
-        match self {
-            Compressed::LowRank { p, q } => Ok((p, q)),
-            other => Err(PayloadKindError {
-                expected: PayloadKind::LowRank,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// The `(indices, values)` pair, if this is a [`Compressed::Sparse`]
-    /// payload.
-    pub fn try_sparse(&self) -> Result<(&[u32], &[f32]), PayloadKindError> {
-        match self {
-            Compressed::Sparse {
-                indices, values, ..
-            } => Ok((indices, values)),
-            other => Err(PayloadKindError {
-                expected: PayloadKind::Sparse,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// The `(scale, bit words)` pair, if this is a [`Compressed::Sign`]
-    /// payload.
-    pub fn try_sign(&self) -> Result<(f32, &[u64]), PayloadKindError> {
-        match self {
-            Compressed::Sign { scale, bits, .. } => Ok((*scale, bits)),
-            other => Err(PayloadKindError {
-                expected: PayloadKind::Sign,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// The `(scale, trits)` pair, if this is a [`Compressed::Ternary`]
-    /// payload.
-    pub fn try_ternary(&self) -> Result<(f32, &[i8]), PayloadKindError> {
-        match self {
-            Compressed::Ternary { scale, trits, .. } => Ok((*scale, trits)),
-            other => Err(PayloadKindError {
-                expected: PayloadKind::Ternary,
-                found: other.kind(),
-            }),
-        }
     }
 }
 
@@ -394,36 +191,6 @@ impl Persist for Compressed {
                 }
                 for &v in values {
                     w.f32(v);
-                }
-            }
-            Compressed::Sign {
-                rows,
-                cols,
-                scale,
-                bits,
-            } => {
-                w.u8(3);
-                w.usize(*rows);
-                w.usize(*cols);
-                w.f32(*scale);
-                w.usize(bits.len());
-                for &b in bits {
-                    w.u64(b);
-                }
-            }
-            Compressed::Ternary {
-                rows,
-                cols,
-                scale,
-                trits,
-            } => {
-                w.u8(4);
-                w.usize(*rows);
-                w.usize(*cols);
-                w.f32(*scale);
-                w.usize(trits.len());
-                for &t in trits {
-                    w.u8(t as u8);
                 }
             }
         }
@@ -465,54 +232,6 @@ impl Persist for Compressed {
                     values,
                 })
             }
-            3 => {
-                let rows = r.usize()?;
-                let cols = r.usize()?;
-                let len = rows.checked_mul(cols).ok_or(PersistError::Invalid {
-                    what: "sign shape overflows",
-                })?;
-                let scale = r.f32()?;
-                let n = r.checked_len(8)?;
-                if n < len.div_ceil(64) {
-                    return Err(PersistError::Invalid {
-                        what: "sign payload has too few bit words",
-                    });
-                }
-                let mut bits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    bits.push(r.u64()?);
-                }
-                Ok(Compressed::Sign {
-                    rows,
-                    cols,
-                    scale,
-                    bits,
-                })
-            }
-            4 => {
-                let rows = r.usize()?;
-                let cols = r.usize()?;
-                let len = rows.checked_mul(cols).ok_or(PersistError::Invalid {
-                    what: "ternary shape overflows",
-                })?;
-                let scale = r.f32()?;
-                let n = r.checked_len(1)?;
-                if n != len {
-                    return Err(PersistError::Invalid {
-                        what: "ternary payload length mismatch",
-                    });
-                }
-                let mut trits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    trits.push(r.u8()? as i8);
-                }
-                Ok(Compressed::Ternary {
-                    rows,
-                    cols,
-                    scale,
-                    trits,
-                })
-            }
             tag => Err(PersistError::BadTag {
                 what: "Compressed",
                 tag,
@@ -530,8 +249,6 @@ impl Persist for Compressed {
             Compressed::Sparse {
                 indices, values, ..
             } => 8 + 8 + 8 + 4 * indices.len() + 4 * values.len(),
-            Compressed::Sign { bits, .. } => 8 + 8 + 4 + 8 + 8 * bits.len(),
-            Compressed::Ternary { trits, .. } => 8 + 8 + 4 + 8 + trits.len(),
         }
     }
 }
@@ -576,69 +293,9 @@ mod tests {
         assert_eq!(c.wire_bytes(), 2 * 4 + 2 * FP16_BYTES);
     }
 
-    #[test]
-    fn sign_bits_roundtrip() {
-        // Elements: +s, -s, -s, +s
-        let c = Compressed::Sign {
-            rows: 2,
-            cols: 2,
-            scale: 0.5,
-            bits: vec![0b1001],
-        };
-        let m = c.decompress();
-        assert_eq!(m.as_slice(), &[0.5, -0.5, -0.5, 0.5]);
-        assert_eq!(c.wire_bytes(), 1 + 4); // 4 bits -> 1 byte + scale
-    }
-
-    #[test]
-    fn ternary_decompress() {
-        let c = Compressed::Ternary {
-            rows: 1,
-            cols: 4,
-            scale: 2.0,
-            trits: vec![-1, 0, 1, 0],
-        };
-        assert_eq!(c.decompress().as_slice(), &[-2.0, 0.0, 2.0, 0.0]);
-        assert_eq!(c.wire_bytes(), 1 + 4); // 8 bits -> 1 byte + scale
-    }
-
-    #[test]
-    fn try_accessors_match_kind() {
-        let dense = Compressed::Dense {
-            matrix: Matrix::zeros(2, 2),
-        };
-        assert_eq!(dense.kind(), PayloadKind::Dense);
-        assert!(dense.try_dense().is_ok());
-        let err = dense.try_sparse().unwrap_err();
-        assert_eq!(err.expected, PayloadKind::Sparse);
-        assert_eq!(err.found, PayloadKind::Dense);
-        assert_eq!(err.to_string(), "expected sparse payload, found dense");
-
-        let sign = Compressed::Sign {
-            rows: 1,
-            cols: 2,
-            scale: 0.5,
-            bits: vec![0b10],
-        };
-        let (scale, bits) = sign.try_sign().expect("sign payload");
-        assert_eq!(scale, 0.5);
-        assert_eq!(bits, &[0b10]);
-        assert!(sign.try_low_rank().is_err());
-
-        let tern = Compressed::Ternary {
-            rows: 1,
-            cols: 2,
-            scale: 1.0,
-            trits: vec![-1, 1],
-        };
-        let (_, trits) = tern.try_ternary().expect("ternary payload");
-        assert_eq!(trits, &[-1, 1]);
-    }
-
-    #[test]
-    fn persist_roundtrip_every_variant() {
-        use opt_tensor::Persist;
-        let payloads = vec![
+    /// One payload of each variant.
+    fn every_variant() -> Vec<Compressed> {
+        vec![
             Compressed::Dense {
                 matrix: Matrix::from_rows(&[&[1.0, -2.0]]),
             },
@@ -652,62 +309,38 @@ mod tests {
                 indices: vec![0, 5],
                 values: vec![7.0, -1.0],
             },
-            Compressed::Sign {
-                rows: 2,
-                cols: 2,
-                scale: 0.25,
-                bits: vec![0b1001],
-            },
-            Compressed::Ternary {
-                rows: 1,
-                cols: 4,
-                scale: 2.0,
-                trits: vec![-1, 0, 1, 0],
-            },
-        ];
-        for p in payloads {
-            let back = Compressed::from_bytes(&p.to_bytes()).expect("roundtrip");
+        ]
+    }
+
+    #[test]
+    fn persist_roundtrip_every_variant() {
+        for (tag, p) in every_variant().into_iter().enumerate() {
+            let bytes = p.to_bytes();
+            assert_eq!(usize::from(bytes[0]), tag, "wire tag of {p:?}");
+            let back = Compressed::from_bytes(&bytes).expect("roundtrip");
             assert_eq!(back, p);
+        }
+        // Tags past the three variants are not payloads.
+        for tag in [3u8, 4, 255] {
+            let mut bytes = Compressed::Dense {
+                matrix: Matrix::zeros(2, 2),
+            }
+            .to_bytes();
+            bytes[0] = tag;
+            assert_eq!(
+                Compressed::from_bytes(&bytes),
+                Err(PersistError::BadTag {
+                    what: "Compressed",
+                    tag
+                })
+            );
         }
     }
 
     #[test]
     fn persist_len_matches_encoded_length_every_variant() {
-        use opt_tensor::Persist;
-        let payloads = vec![
-            Compressed::Dense {
-                matrix: Matrix::from_rows(&[&[1.0, -2.0]]),
-            },
-            Compressed::LowRank {
-                p: Matrix::full(3, 2, 0.5),
-                q: Matrix::full(4, 2, -1.5),
-            },
-            Compressed::Sparse {
-                rows: 2,
-                cols: 3,
-                indices: vec![0, 5],
-                values: vec![7.0, -1.0],
-            },
-            Compressed::Sign {
-                rows: 2,
-                cols: 2,
-                scale: 0.25,
-                bits: vec![0b1001],
-            },
-            Compressed::Ternary {
-                rows: 1,
-                cols: 4,
-                scale: 2.0,
-                trits: vec![-1, 0, 1, 0],
-            },
-        ];
-        for p in payloads {
-            assert_eq!(
-                p.persist_len(),
-                p.to_bytes().len(),
-                "variant {:?}",
-                p.kind()
-            );
+        for p in every_variant() {
+            assert_eq!(p.persist_len(), p.to_bytes().len(), "variant {p:?}");
         }
     }
 
@@ -723,12 +356,6 @@ mod tests {
                 indices: vec![0, 9, 13, 41],
                 values: vec![0.5, -1.25, 2.0, -0.0625],
             },
-            Compressed::Ternary {
-                rows: 6,
-                cols: 7,
-                scale: 0.75,
-                trits: (0..42).map(|i| [0i8, 1, 0, -1][i % 4]).collect(),
-            },
             // Never sparse-eligible; exercises the fallback arm.
             Compressed::Dense {
                 matrix: rng.uniform_matrix(6, 7, 1.0),
@@ -743,13 +370,13 @@ mod tests {
             set_sparse_density_max(1.0); // force the sparse path where eligible
             payload.apply_sub(&mut sparse_path);
             for (a, b) in sparse_path.as_slice().iter().zip(dense_path.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "variant {:?}", payload.kind());
+                assert_eq!(a.to_bits(), b.to_bits(), "variant {payload:?}");
             }
             // And both agree with the reference spelled out longhand.
             let mut reference = base.clone();
             reference.sub_assign(&payload.decompress());
             for (a, b) in sparse_path.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "variant {:?}", payload.kind());
+                assert_eq!(a.to_bits(), b.to_bits(), "variant {payload:?}");
             }
         }
         set_sparse_density_max(orig);
@@ -757,7 +384,6 @@ mod tests {
 
     #[test]
     fn persist_rejects_out_of_bounds_sparse_index() {
-        use opt_tensor::Persist;
         let bad = Compressed::Sparse {
             rows: 2,
             cols: 2,

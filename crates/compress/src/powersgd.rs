@@ -67,12 +67,6 @@ impl PowerSgd {
         self.rank
     }
 
-    /// Drops the warm-start state (used when the link is re-purposed for a
-    /// different tensor shape).
-    pub fn reset(&mut self) {
-        self.q_prev = None;
-    }
-
     /// Elements held in the warm-start factor (Fig. 12 memory accounting).
     pub fn warm_start_elems(&self) -> usize {
         self.q_prev.as_ref().map_or(0, Matrix::len)
@@ -127,10 +121,6 @@ impl Compressor for PowerSgd {
         grad.t_matmul_into(&p, &mut q);
         self.q_prev = Some(q.clone());
         Compressed::LowRank { p, q }
-    }
-
-    fn name(&self) -> &'static str {
-        "powersgd"
     }
 }
 
@@ -219,7 +209,9 @@ mod tests {
         let mut c = PowerSgd::new(64, 0);
         let grad = Matrix::full(4, 3, 1.0);
         let payload = c.compress(&grad);
-        let (p, q) = payload.try_low_rank().expect("low-rank payload");
+        let Compressed::LowRank { p, q } = &payload else {
+            panic!("expected a low-rank payload, got {payload:?}");
+        };
         assert_eq!(p.shape(), (4, 3));
         assert_eq!(q.shape(), (3, 3));
         // Full-rank clamp recovers the matrix.
@@ -260,16 +252,5 @@ mod tests {
         let mut bytes = PowerSgd::new(1, 0).to_bytes();
         bytes[..8].copy_from_slice(&0u64.to_le_bytes());
         assert!(PowerSgd::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn reset_discards_state() {
-        let mut rng = SeedStream::new(7);
-        let grad = rng.uniform_matrix(8, 8, 1.0);
-        let mut c = PowerSgd::new(2, 3);
-        c.compress(&grad);
-        c.reset();
-        let payload = c.compress(&grad);
-        assert_eq!(payload.dense_shape(), (8, 8));
     }
 }

@@ -100,10 +100,6 @@ impl Compressor for TopK {
             values,
         }
     }
-
-    fn name(&self) -> &'static str {
-        "topk"
-    }
 }
 
 #[cfg(test)]
@@ -170,8 +166,9 @@ mod tests {
         let mut rng = SeedStream::new(5);
         let g = rng.uniform_matrix(16, 16, 1.0);
         let mut c = TopK::new(0.3);
-        let payload = c.compress(&g);
-        let (indices, _values) = payload.try_sparse().expect("sparse payload");
+        let Compressed::Sparse { indices, .. } = c.compress(&g) else {
+            panic!("expected a sparse payload");
+        };
         for w in indices.windows(2) {
             assert!(w[0] < w[1], "indices not strictly increasing");
         }
@@ -188,10 +185,12 @@ mod tests {
             g.as_mut_slice()[idx] = if idx % 2 == 0 { 0.25 } else { -0.25 };
         }
         let mut c = TopK::new(0.25);
-        let first = c.compress(&g);
-        let (indices, _) = first.try_sparse().expect("sparse payload");
-        let again = c.compress(&g);
-        assert_eq!(again.try_sparse().expect("sparse payload").0, indices);
+        let sparse_indices = |payload: Compressed| match payload {
+            Compressed::Sparse { indices, .. } => indices,
+            other => panic!("expected a sparse payload, got {other:?}"),
+        };
+        let indices = sparse_indices(c.compress(&g));
+        assert_eq!(sparse_indices(c.compress(&g)), indices);
         assert!(
             indices.contains(&3) && indices.contains(&41),
             "NaN ranks largest"

@@ -222,27 +222,22 @@ impl Persist for MetricsMsg {
 /// A checkpoint outcome crossing the control plane (the reply to
 /// `PublishShard` and `SelfRestore`).
 ///
-/// `CkptError` is neither `Clone` (it can wrap an `io::Error`) nor
-/// `Persist`, and typed lanes need both. The `Arc` supplies the first; a
-/// zero-copy handoff therefore delivers the worker's typed error intact.
-/// A byte boundary carries the error's display string, which arrives as
+/// `CkptError` is not `Persist`, which typed lanes need: a zero-copy
+/// handoff delivers the worker's typed error intact, while a byte boundary
+/// carries the error's display string, which arrives as
 /// [`CkptError::Store`] — how every remote failure is surfaced.
 #[derive(Debug, Clone)]
-pub(crate) struct Outcome<T>(Result<T, Arc<CkptError>>);
+pub(crate) struct Outcome<T>(Result<T, CkptError>);
 
 impl<T> From<Result<T, CkptError>> for Outcome<T> {
     fn from(result: Result<T, CkptError>) -> Self {
-        Outcome(result.map_err(Arc::new))
+        Outcome(result)
     }
 }
 
 impl<T> Outcome<T> {
     pub(crate) fn into_result(self) -> Result<T, CkptError> {
-        self.0.map_err(|e| {
-            Arc::try_unwrap(e).unwrap_or_else(|shared| CkptError::Store {
-                what: shared.to_string(),
-            })
-        })
+        self.0
     }
 }
 
@@ -263,9 +258,9 @@ impl<T: Persist> Persist for Outcome<T> {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Outcome(match r.u8()? {
             0 => Ok(T::restore(r)?),
-            1 => Err(Arc::new(CkptError::Store {
+            1 => Err(CkptError::Store {
                 what: String::restore(r)?,
-            })),
+            }),
             tag => {
                 return Err(PersistError::BadTag {
                     what: "Outcome",

@@ -120,16 +120,6 @@ impl GptConfig {
         }
     }
 
-    /// The paper's evaluation zoo for the Fig. 16 scalability experiment.
-    pub fn scalability_zoo() -> Vec<GptConfig> {
-        vec![
-            Self::gpt_2_5b(),
-            Self::gpt_8_3b(),
-            Self::gpt_39b(),
-            Self::gpt_175b(),
-        ]
-    }
-
     /// Analytic parameter count using the standard Megatron accounting:
     /// `12 l h^2 + 13 l h + (V + L) h`.
     pub fn param_count(&self) -> u64 {
@@ -138,14 +128,6 @@ impl GptConfig {
         let v = self.vocab as u64;
         let s = self.seq_len as u64;
         12 * l * h * h + 13 * l * h + (v + s) * h
-    }
-
-    /// Parameters of the transformer layers resident on one pipeline stage
-    /// when the model is split into `pp` equal stages (embedding excluded).
-    pub fn layer_params_per_stage(&self, pp: usize) -> u64 {
-        let h = self.hidden as u64;
-        let layers_per_stage = (self.n_layers as u64).div_ceil(pp as u64);
-        layers_per_stage * (12 * h * h + 13 * h)
     }
 
     /// Parameters of the shared embedding table (the EMB-sync volume).
@@ -222,7 +204,13 @@ mod tests {
 
     #[test]
     fn bigger_models_have_more_params() {
-        let zoo = GptConfig::scalability_zoo();
+        // The Fig. 16 scalability sweep, smallest to largest.
+        let zoo = [
+            GptConfig::gpt_2_5b(),
+            GptConfig::gpt_8_3b(),
+            GptConfig::gpt_39b(),
+            GptConfig::gpt_175b(),
+        ];
         for w in zoo.windows(2) {
             assert!(w[0].param_count() < w[1].param_count());
         }

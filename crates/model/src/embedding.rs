@@ -83,11 +83,6 @@ impl Embedding {
         self.grad_table = grad;
     }
 
-    /// Positional-table parameter and gradient, `(seq_len x hidden)`.
-    pub fn pos_param(&mut self) -> (&mut Matrix, &mut Matrix) {
-        (&mut self.pos, &mut self.grad_pos)
-    }
-
     /// Mutable (table, grad) pair for the optimizer step.
     pub fn table_param(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.table, &mut self.grad_table)

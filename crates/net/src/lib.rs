@@ -1,27 +1,21 @@
 //! `opt-net` — the communication substrate of the Optimus-CC reproduction.
 //!
 //! The paper runs on NCCL over NVLink (intra-node) and 200 Gb/s Infiniband
-//! HDR (inter-node). This crate replaces that fabric with two layers:
-//!
-//! 1. **Real collectives and point-to-point lanes** for the numerical
-//!    trainer, written against a pluggable [`Transport`]: [`P2pMesh`]
-//!    gives every (src, dst) pair a FIFO message lane (pipeline
-//!    inter-stage traffic), and [`CollectiveGroup`] implements a
-//!    deterministic all-reduce over any subset of ranks (data-parallel
-//!    gradient exchange, embedding synchronization, and the paper's *fused*
-//!    embedding synchronization which simply uses a larger group).
-//!    Messages are typed values ([`Transport::send_value`] /
-//!    [`Transport::recv_value`]) and every failure is a
-//!    [`TransportError`]. Two backends exist: [`LocalTransport`]
-//!    (`transport.rs`: in-process crossbeam lanes, values cross as `Arc`s)
-//!    and [`TcpTransport`] (`tcp.rs`: one OS process per rank, values
-//!    encoded into length-framed checksummed TCP). Collectives reduce
-//!    strictly in member order, so both backends produce **the same
-//!    bits**.
-//! 2. **Analytic cost models** ([`CostModel`]) for the discrete-event simulator:
-//!    the standard alpha–beta model with the ring all-reduce volume factor
-//!    `2 V (R-1) / R` that the paper's Eq. 15 builds on, and the
-//!    [`Topology`] describing the paper's cluster (Table 1).
+//! HDR (inter-node). This crate replaces that fabric for the numerical
+//! trainer with real collectives and point-to-point lanes, written against
+//! a pluggable [`Transport`]: [`P2pMesh`] gives every (src, dst) pair a
+//! FIFO message lane (pipeline inter-stage traffic), and
+//! [`CollectiveGroup`] implements a deterministic all-reduce over any
+//! subset of ranks (data-parallel gradient exchange, embedding
+//! synchronization, and the paper's *fused* embedding synchronization
+//! which simply uses a larger group). Messages are typed values
+//! ([`Transport::send_value`] / [`Transport::recv_value`]) and every
+//! failure is a [`TransportError`]. Two backends exist: [`LocalTransport`]
+//! (`transport.rs`: in-process crossbeam lanes, values cross as `Arc`s)
+//! and [`TcpTransport`] (`tcp.rs`: one OS process per rank, values encoded
+//! into length-framed checksummed TCP). Collectives reduce strictly in
+//! member order, so both backends produce **the same bits**. (The
+//! simulator's analytic link model lives in `opt-sim`.)
 //!
 //! Traffic is accounted per class ([`TrafficClass`]) by [`TrafficLedger`],
 //! which experiments read to verify volume reductions.
@@ -35,20 +29,17 @@
 
 mod chanstats;
 mod collective;
-mod cost;
 mod heartbeat;
 mod p2p;
 mod rendezvous;
 mod retry;
 mod shardstore;
 mod tcp;
-mod topology;
 mod traffic;
 mod transport;
 
 pub use chanstats::{ChannelClass, ChannelLedger, ChannelStat, TrafficBreakdown};
 pub use collective::{CollectiveGroup, CollectiveWorld};
-pub use cost::{all_reduce_time_s, p2p_time_s, ring_all_reduce_wire_bytes, CostModel};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, CH_HEARTBEAT};
 pub use p2p::P2pMesh;
 pub use rendezvous::{tcp_rejoin, tcp_rendezvous};
@@ -61,7 +52,6 @@ pub use tcp::{
     wire_frame, wire_hello, TcpBound, TcpTransport, WIRE_FORMAT_VERSION, WIRE_MAGIC,
     WIRE_OVERHEAD_BYTES,
 };
-pub use topology::{LinkKind, Topology};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 pub use transport::{
     channel_id, net_timeout, LocalTransport, Payload, SharedPayload, Transport, TransportError,

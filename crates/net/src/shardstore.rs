@@ -195,11 +195,6 @@ impl FsShardStore {
         Self { dir: dir.into() }
     }
 
-    /// The directory blobs are stored under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn backend_err(&self, name: &str, e: std::io::Error) -> ShardStoreError {
         ShardStoreError::Backend {
             name: name.to_string(),

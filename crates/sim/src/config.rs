@@ -1,7 +1,6 @@
 //! Simulation configuration and compression plans.
 
 use opt_model::GptConfig;
-use opt_net::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Compressed-backpropagation plan (§5).
@@ -127,8 +126,9 @@ impl CompressionPlan {
 pub struct SimConfig {
     /// Model being trained (paper-scale config; sizes volumes & flops).
     pub model: GptConfig,
-    /// Cluster description.
-    pub topology: Topology,
+    /// Per-message latency on the inter-node link, seconds (paper
+    /// cluster, Infiniband HDR: 5 µs).
+    pub inter_node_latency: f64,
     /// Tensor-parallel ways (paper: 8, intra-node).
     pub tp: usize,
     /// Data-parallel ways (paper: 4).
@@ -160,7 +160,7 @@ impl SimConfig {
     pub fn paper_defaults(model: GptConfig) -> Self {
         Self {
             model,
-            topology: Topology::paper_cluster(),
+            inter_node_latency: 5e-6,
             tp: 8,
             dp: 4,
             pp: 4,
@@ -272,7 +272,7 @@ mod tests {
         assert_eq!((c.tp, c.dp, c.pp), (8, 4, 4));
         assert_eq!(c.micro_batch, 8);
         assert_eq!(c.n_micro, 16); // 512 / (8 * 4)
-        assert_eq!(c.tp * c.dp * c.pp, c.topology.total_gpus());
+        assert_eq!(c.tp * c.dp * c.pp, 128); // 16 nodes x 8 A100s
     }
 
     #[test]

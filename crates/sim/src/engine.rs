@@ -1,7 +1,7 @@
 //! The discrete-event iteration simulator.
 
+use crate::cost::{all_reduce_time_s, p2p_time_s, ring_all_reduce_wire_bytes};
 use crate::{KernelModel, SimConfig};
-use opt_net::ring_all_reduce_wire_bytes;
 use opt_schedule::{is_epilogue_send, one_f_one_b, Op};
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +102,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
     let s_count = cfg.pp;
     let m_count = cfg.n_micro;
     let sched = one_f_one_b(s_count, m_count);
-    let latency = cfg.topology.inter_node_latency;
+    let latency = cfg.inter_node_latency;
     let bw = cfg.inter_node_eff_bw;
 
     // Message arrival tables: fwd_arrival[s][m] = activation from s-1 to s;
@@ -145,9 +145,8 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         } else {
             (cfg.dp_volume_bytes(s), 0.0)
         };
-        let wire = ring_all_reduce_wire_bytes(volume, cfg.dp);
-        let dur = overhead + wire / bw + 2.0 * (cfg.dp as f64 - 1.0) * latency;
-        (dur, wire)
+        let dur = overhead + all_reduce_time_s(volume, cfg.dp, bw, latency);
+        (dur, ring_all_reduce_wire_bytes(volume, cfg.dp))
     };
     // dp_window[s] = Some((start, end)) once stage s's DP is scheduled.
     let mut dp_window = vec![None::<(f64, f64)>; s_count];
@@ -198,7 +197,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                         if s + 1 < s_count {
                             // Forward sends are never compressed (§5: it
                             // would break convergence).
-                            let arr = end + latency + act_dense / bw;
+                            let arr = end + p2p_time_s(act_dense, bw, latency);
                             fwd_arrival[s + 1][micro] = Some(Arrival { ready_at: arr });
                             interstage_bytes += act_dense;
                         }
@@ -243,7 +242,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                                 .filter(|&&(a, b)| send_start >= a && send_start < b)
                                 .count();
                             let eff_bw = bw / (1.0 + active_dp as f64);
-                            let arr = send_start + latency + volume / eff_bw + decomp;
+                            let arr = send_start + p2p_time_s(volume, eff_bw, latency) + decomp;
                             bwd_arrival[s - 1][micro] = Some(Arrival { ready_at: arr });
                             interstage_bytes += volume;
                         }
@@ -283,11 +282,9 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
     if s_count == 1 {
         // Single stage: the table is shared; its gradient rides the normal
         // DP all-reduce (already counted in stage params approximation).
-        let wire = ring_all_reduce_wire_bytes(emb_v, cfg.dp);
-        let dur = wire / bw + 2.0 * (cfg.dp as f64 - 1.0) * latency;
         let start = dp_done[0];
-        let end = start + dur;
-        emb_bytes += wire;
+        let end = start + all_reduce_time_s(emb_v, cfg.dp, bw, latency);
+        emb_bytes += ring_all_reduce_wire_bytes(emb_v, cfg.dp);
         trace.push(TraceEvent {
             stage: 0,
             kind: TraceKind::EmbDp,
@@ -300,11 +297,9 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         // One (2*dp)-way all-reduce across both replicas' DP groups,
         // issued after the per-stage DP all-reduce as in the paper's
         // Fig. 4b ("Fused EMB Sync" follows "DP").
-        let wire = ring_all_reduce_wire_bytes(emb_v, 2 * cfg.dp);
-        let dur = wire / bw + 2.0 * (2.0 * cfg.dp as f64 - 1.0) * latency;
         let start = dp_done[first].max(dp_done[last]);
-        let end = start + dur;
-        emb_bytes += wire;
+        let end = start + all_reduce_time_s(emb_v, 2 * cfg.dp, bw, latency);
+        emb_bytes += ring_all_reduce_wire_bytes(emb_v, 2 * cfg.dp);
         for &s in &[first, last] {
             trace.push(TraceEvent {
                 stage: s,
@@ -320,9 +315,8 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         // Baseline: EMB DP (dp-way) on each replica stage, then 2-way sync.
         // Byte accounting is per participating rank (the paper's Eq. 15
         // metric): one EMB DP plus one sync per rank.
-        let wire_dp = ring_all_reduce_wire_bytes(emb_v, cfg.dp);
-        let dur_dp = wire_dp / bw + 2.0 * (cfg.dp as f64 - 1.0) * latency;
-        emb_bytes += wire_dp;
+        let dur_dp = all_reduce_time_s(emb_v, cfg.dp, bw, latency);
+        emb_bytes += ring_all_reduce_wire_bytes(emb_v, cfg.dp);
         for &s in &[first, last] {
             let start = dp_done[s];
             let end = start + dur_dp;
@@ -335,11 +329,9 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
             });
             dp_done[s] = end;
         }
-        let wire_sync = ring_all_reduce_wire_bytes(emb_v, 2);
-        let dur_sync = wire_sync / bw + 2.0 * latency;
         let start = dp_done[first].max(dp_done[last]);
-        let end = start + dur_sync;
-        emb_bytes += wire_sync;
+        let end = start + all_reduce_time_s(emb_v, 2, bw, latency);
+        emb_bytes += ring_all_reduce_wire_bytes(emb_v, 2);
         for &s in &[first, last] {
             trace.push(TraceEvent {
                 stage: s,

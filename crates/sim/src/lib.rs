@@ -6,6 +6,10 @@
 //!
 //! * per-device compute ops following the 1F1B schedule from
 //!   `opt-schedule` (forward `t`, backward `2t`, as in the paper's Fig. 4),
+//! * one alpha–beta link model for every transfer (`cost.rs`:
+//!   [`p2p_time_s`], [`all_reduce_time_s`] with the ring volume factor
+//!   [`ring_all_reduce_wire_bytes`], and the Eq. 15/16 embedding-sync
+//!   costs),
 //! * point-to-point inter-stage transfers over the inter-node fabric,
 //!   optionally compressed (with compression/decompression kernel time
 //!   from the calibrated [`KernelModel`]),
@@ -20,9 +24,10 @@
 //!   the same `opt_ckpt::FaultPlan` the numerical trainer executes.
 //!
 //! Communication volumes are derived from the *paper-scale* model configs
-//! (`opt-model::GptConfig`) and the paper's cluster parameters
-//! (`opt-net::Topology`), so "who wins by what factor" is governed by the
-//! same volume/bandwidth ratios as on the real cluster.
+//! (`opt-model::GptConfig`) and the paper's cluster parameters (effective
+//! inter-node bandwidth and latency on [`SimConfig`]), so "who wins by
+//! what factor" is governed by the same volume/bandwidth ratios as on the
+//! real cluster.
 //!
 //! The CPI-stack-style breakdown of §3/Fig. 10 is reproduced by the same
 //! method the paper uses: re-running the simulation with one communication
@@ -42,12 +47,17 @@
 
 mod breakdown;
 mod config;
+mod cost;
 mod engine;
 mod fault;
 mod kernel;
 
 pub use breakdown::{breakdown, breakdown_with_result, Breakdown};
 pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
+pub use cost::{
+    all_reduce_time_s, embedding_fusion_speedup, embedding_sync_baseline_bytes,
+    embedding_sync_fused_bytes, p2p_time_s, ring_all_reduce_wire_bytes,
+};
 pub use engine::{simulate, SimResult, TraceEvent, TraceKind};
 pub use fault::{
     simulate_with_faults, snapshot_bytes, CkptCostModel, FaultEvent, FaultSimResult, Recovery,

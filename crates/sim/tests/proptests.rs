@@ -1,7 +1,10 @@
-//! Property-based tests on simulator invariants.
+//! Property-based tests on simulator invariants and its link model.
 
 use opt_model::GptConfig;
-use opt_sim::{simulate, CbPlan, CompressionPlan, ScPlan, SimConfig};
+use opt_sim::{
+    all_reduce_time_s, embedding_fusion_speedup, p2p_time_s, ring_all_reduce_wire_bytes, simulate,
+    CbPlan, CompressionPlan, ScPlan, SimConfig,
+};
 use proptest::prelude::*;
 
 fn job(pp: usize, n_micro: usize) -> SimConfig {
@@ -101,5 +104,38 @@ proptest! {
                 prop_assert!(w[1].start >= w[0].end - 1e-12);
             }
         }
+    }
+}
+
+// The link model the engine times every transfer with.
+proptest! {
+    #[test]
+    fn ring_wire_bytes_bounded_by_2v(volume in 0.0f64..1e12, ranks in 1usize..1024) {
+        let wire = ring_all_reduce_wire_bytes(volume, ranks);
+        prop_assert!(wire >= 0.0);
+        prop_assert!(wire <= 2.0 * volume + 1e-9);
+        if ranks == 1 {
+            prop_assert_eq!(wire, 0.0);
+        }
+    }
+
+    #[test]
+    fn all_reduce_time_monotone_in_ranks(volume in 1.0f64..1e9, ranks in 2usize..128) {
+        let t1 = all_reduce_time_s(volume, ranks, 10e9, 5e-6);
+        let t2 = all_reduce_time_s(volume, ranks + 1, 10e9, 5e-6);
+        prop_assert!(t2 >= t1, "more ranks cannot be faster for fixed volume");
+    }
+
+    #[test]
+    fn p2p_time_linear_in_volume(v in 1.0f64..1e9, bw in 1e9f64..1e12) {
+        let t1 = p2p_time_s(v, bw, 0.0);
+        let t2 = p2p_time_s(2.0 * v, bw, 0.0);
+        prop_assert!((t2 - 2.0 * t1).abs() < 1e-12 * t2.max(1.0));
+    }
+
+    #[test]
+    fn fusion_speedup_matches_closed_form(d in 2usize..256) {
+        let expect = (d as f64 - 1.0) / (2.0 * d as f64 - 1.0);
+        prop_assert!((embedding_fusion_speedup(d) - expect).abs() < 1e-9);
     }
 }

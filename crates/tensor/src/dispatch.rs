@@ -1,9 +1,9 @@
 //! Runtime kernel-architecture dispatch.
 //!
-//! The GEMM and sparse kernels come in one implementation per
-//! architecture: an AVX2+FMA micro-kernel on x86_64, a NEON micro-kernel
-//! on aarch64, and a portable scalar fallback. Which one runs is resolved
-//! **once** per process, from the first probe of [`kernel_arch`]:
+//! The GEMM kernels come in one implementation per architecture: an
+//! AVX2+FMA micro-kernel on x86_64, a NEON micro-kernel on aarch64, and a
+//! portable scalar fallback. Which one runs is resolved **once** per
+//! process, from the first probe of [`kernel_arch`]:
 //!
 //! 1. `OPT_KERNEL_ARCH=scalar|avx2|neon` forces a path (benchmarking the
 //!    fallback on a SIMD box, CI's forced-scalar leg). Requesting a path
@@ -181,10 +181,11 @@ pub fn set_kernel_arch(arch: KernelArch) {
 /// Process-wide invocation counters, one per `{arch, dense|sparse}` pair
 /// (indexed `[arch][kind]`). "Dense" counts GEMM driver entries under the
 /// selected arch, one per product whatever its size; "sparse" counts
-/// SpMM / sparse-AXPY kernel entries. The element-wise kernels (`exp`,
-/// `gelu`, `gelu_backward`) are deliberately not counted: the counters
-/// describe which *matrix-product* paths a run exercised, and their
-/// deltas must stay comparable across changes to the activation code.
+/// sparse-subtract entries ([`crate::SparseMatrix::sub_from`]). The
+/// element-wise kernels (`exp`, `gelu`, `gelu_backward`) are deliberately
+/// not counted: the counters describe which *matrix-product* paths a run
+/// exercised, and their deltas must stay comparable across changes to the
+/// activation code.
 static PATH_COUNTS: [[AtomicU64; 2]; 3] = [
     [AtomicU64::new(0), AtomicU64::new(0)],
     [AtomicU64::new(0), AtomicU64::new(0)],

@@ -17,8 +17,8 @@
 //! plus a fixed 8-lane split for dot reductions — makes results
 //! **bit-identical** across every arch path and any thread count, so
 //! training determinism (including checkpoint/restore bit-exactness)
-//! survives both the SIMD and the parallelism. Sparse compressor payloads
-//! apply through [`SparseMatrix`] kernels under the same contract, and the
+//! survives both the SIMD and the parallelism. Top-k payloads subtract
+//! through [`SparseMatrix`], bit-identical to the dense subtract, and the
 //! model's transcendentals ([`exp`] for softmax, [`gelu`] /
 //! [`gelu_backward`]) are element-wise kernels built from IEEE-exact
 //! operations only — no libm call whose result could differ between hosts.
@@ -62,4 +62,4 @@ pub use pool::{
 };
 pub use simd::{exp, gelu, gelu_backward};
 pub use sparse::{set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX};
-pub use stats::{cosine_similarity, frobenius_norm, mean, relative_error};
+pub use stats::{cosine_similarity, relative_error};

@@ -169,11 +169,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `r` as a slice.
     ///
     /// # Panics
@@ -244,16 +239,6 @@ impl Matrix {
             out.row_mut(r).copy_from_slice(src);
         }
         out
-    }
-
-    /// No-allocation variant of [`Matrix::slice_cols`]: copies columns
-    /// `[start, end)` into `out`, reshaping it as needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.cols()`.
-    pub fn slice_cols_into(&self, start: usize, end: usize, out: &mut Matrix) {
-        self.slice_block_into(0, self.rows, start, end, out);
     }
 
     /// Copies the sub-block of rows `[r0, r1)` x columns `[c0, c1)` into

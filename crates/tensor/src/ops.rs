@@ -89,13 +89,6 @@ impl Matrix {
         Matrix::from_vec(self.rows(), self.cols(), data)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for a in self.as_mut_slice() {
-            *a = f(*a);
-        }
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.as_mut_slice().fill(0.0);
@@ -148,16 +141,6 @@ impl Matrix {
     #[must_use]
     pub fn max_abs(&self) -> f32 {
         self.as_slice().iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Per-row sums as an `rows x 1` matrix.
-    #[must_use]
-    pub fn row_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), 1);
-        for r in 0..self.rows() {
-            out[(r, 0)] = self.row(r).iter().sum();
-        }
-        out
     }
 
     /// Per-column sums as a `1 x cols` matrix.
@@ -257,9 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_sums() {
+    fn col_sums_add_down_each_column() {
         let a = m(2, 3);
-        assert_eq!(a.row_sums().as_slice(), &[3.0, 12.0]);
         assert_eq!(a.col_sums().as_slice(), &[3.0, 5.0, 7.0]);
     }
 

@@ -6,7 +6,7 @@
 //! Three kernel shapes cover every kernel in this crate, and each has one
 //! fixed, architecture-independent operation order:
 //!
-//! * **Per-element FMA chains** (GEMM, SpMM, sparse AXPY): every output
+//! * **Per-element FMA chains** (GEMM): every output
 //!   element is a single fused-multiply-add chain over ascending `k` —
 //!   `acc = fma(a_k, b_k, acc)`. The SIMD kernels vectorize across
 //!   *output columns* (broadcast `a`, vector `b`), which interleaves
@@ -123,15 +123,6 @@ pub(crate) fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
         *lane = a[base + j].mul_add(b[base + j], *lane);
     }
     reduce_lanes(&lanes)
-}
-
-/// `dst[j] = fma(a, src[j], dst[j])` — the SpMM row update, scalar
-/// contract emulation.
-#[inline(always)]
-pub(crate) fn fma_axpy_scalar(dst: &mut [f32], a: f32, src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = a.mul_add(s, *d);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,27 +368,6 @@ pub(crate) mod avx2 {
         super::reduce_lanes(&lanes)
     }
 
-    /// # Safety
-    ///
-    /// The host must support AVX2 and FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn fma_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let chunks = n / 8;
-        let va = _mm256_set1_ps(a);
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        for c in 0..chunks {
-            let d = _mm256_loadu_ps(dp.add(c * 8));
-            let s = _mm256_loadu_ps(sp.add(c * 8));
-            _mm256_storeu_ps(dp.add(c * 8), _mm256_fmadd_ps(va, s, d));
-        }
-        for j in chunks * 8..n {
-            dst[j] = a.mul_add(src[j], dst[j]);
-        }
-    }
-
     /// Element-wise forms: the shared lane loops compiled with AVX2 + FMA
     /// enabled, so `mul_add` is `vfmadd` and the loop runs 8 lanes wide.
     ///
@@ -558,27 +528,6 @@ pub(crate) mod neon {
         super::reduce_lanes(&lanes)
     }
 
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64; pointers derive from the slices.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn fma_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let chunks = n / 4;
-        let va = vdupq_n_f32(a);
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        for c in 0..chunks {
-            let d = vld1q_f32(dp.add(c * 4));
-            let s = vld1q_f32(sp.add(c * 4));
-            vst1q_f32(dp.add(c * 4), vfmaq_f32(d, va, s));
-        }
-        for j in chunks * 4..n {
-            dst[j] = a.mul_add(src[j], dst[j]);
-        }
-    }
-
     /// Element-wise forms: the shared lane loops compiled with NEON
     /// enabled (`mul_add` is `fmla`, 4 lanes wide).
     ///
@@ -669,20 +618,6 @@ pub(crate) fn dot_arch(arch: KernelArch, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// `dst[j] = fma(a, src[j], dst[j])` under an explicit arch choice.
-#[inline]
-pub(crate) fn fma_axpy(arch: KernelArch, dst: &mut [f32], a: f32, src: &[f32]) {
-    match arch {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 after feature detection.
-        KernelArch::Avx2 => unsafe { avx2::fma_axpy(dst, a, src) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::fma_axpy(dst, a, src) },
-        _ => fma_axpy_scalar(dst, a, src),
-    }
-}
-
 /// `xs[i] = e^xs[i]` under the process's dispatched arch.
 ///
 /// Bit-identical on every arch (the element-wise contract above); NaN
@@ -763,30 +698,6 @@ mod tests {
                     "dot len {len} on {}: {want} vs {got}",
                     arch.name()
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn fma_axpy_matches_scalar_contract_on_every_arch() {
-        let mut rng = SeedStream::new(12);
-        for len in [0usize, 3, 8, 17, 100] {
-            let src = rng.uniform_matrix(1, len.max(1), 1.0);
-            let base = rng.uniform_matrix(1, len.max(1), 1.0);
-            let src = &src.as_slice()[..len];
-            let mut want = base.as_slice()[..len].to_vec();
-            fma_axpy_scalar(&mut want, 0.37, src);
-            for arch in available_arches() {
-                let mut got = base.as_slice()[..len].to_vec();
-                fma_axpy(arch, &mut got, 0.37, src);
-                for (w, g) in want.iter().zip(&got) {
-                    assert_eq!(
-                        w.to_bits(),
-                        g.to_bits(),
-                        "axpy len {len} on {}",
-                        arch.name()
-                    );
-                }
             }
         }
     }

@@ -1,34 +1,19 @@
-//! CSR sparse matrices and the sparse fast path for compressor payloads.
+//! CSR sparse matrices and the sparse fast path for top-k payloads.
 //!
-//! Top-k and ternary compression produce payloads that are mostly zeros;
-//! decoding them to a dense [`Matrix`] just to subtract or multiply pays
-//! `rows * cols` of memory traffic for `nnz` of information. This module
-//! gives those payloads a compressed-sparse-row representation with two
-//! kernels:
-//!
-//! * [`SparseMatrix::sub_from`] — sparse AXPY-style subtract, the
-//!   error-feedback residual update (`residual = corrected - decode(payload)`
-//!   touches only the `nnz` selected entries).
-//! * [`SparseMatrix::spmm`] — sparse × dense product, accumulating
-//!   `out[r, :] += a[r, c] * b[c, :]` per stored entry.
+//! Top-k compression produces payloads that are mostly zeros; decoding
+//! them to a dense [`Matrix`] just to subtract pays `rows * cols` of
+//! memory traffic for `nnz` of information. This module gives those
+//! payloads a compressed-sparse-row representation with one kernel,
+//! [`SparseMatrix::sub_from`]: the sparse subtract behind the lazy-error
+//! residual update (`residual = corrected - decode(payload)` touches only
+//! the `nnz` selected entries).
 //!
 //! # Bit-exactness
 //!
-//! Both kernels follow the crate's fused-multiply-add contract (see
-//! `simd.rs`) and dispatch on [`crate::kernel_arch`], so every arch path
-//! produces identical bits. Against the *densify-then-dense* reference the
-//! story is:
-//!
-//! * `sub_from` is unconditionally bit-identical: the skipped entries
-//!   subtract an exact `+0.0`, and IEEE-754 guarantees `x - (+0.0) == x`
-//!   bitwise for every `x` (including `-0.0` and NaN payload bits).
-//! * `spmm` skips `fma(0.0, b, acc)` terms the dense kernel performs.
-//!   Those are bit-identity except for one theoretical corner: an
-//!   accumulator holding `-0.0` (only reachable when a product of two
-//!   nonzero values underflows to `-0.0`, i.e. magnitudes around 1e-23)
-//!   would be canonicalized to `+0.0` by the dense zero term. Gradient
-//!   values are many orders of magnitude above the underflow threshold,
-//!   and the proptest suite pins bit-identity on realistic magnitudes.
+//! `sub_from` is unconditionally bit-identical to the *densify-then-dense*
+//! reference: the skipped entries subtract an exact `+0.0`, and IEEE-754
+//! guarantees `x - (+0.0) == x` bitwise for every `x` (including `-0.0`
+//! and NaN payload bits).
 //!
 //! # The crossover knob
 //!
@@ -42,8 +27,6 @@
 //! fall back to densify-then-dense above it.
 
 use crate::dispatch;
-use crate::persist::{Persist, PersistError, Reader, Writer};
-use crate::simd;
 use crate::Matrix;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -131,37 +114,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Builds a CSR matrix from a ternary payload: `trits[i] ∈ {-1, 0, 1}`
-    /// in row-major order, each nonzero trit contributing
-    /// `(trit as f32) * scale` — the exact value the dense decoder writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trits.len() != rows * cols`.
-    pub fn from_ternary(rows: usize, cols: usize, trits: &[i8], scale: f32) -> Self {
-        assert_eq!(trits.len(), rows * cols, "trit count must equal rows*cols");
-        let mut row_ptr = vec![0u32; rows + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for (flat, &t) in trits.iter().enumerate() {
-            if t != 0 {
-                row_ptr[flat / cols.max(1) + 1] += 1;
-                col_idx.push((flat % cols.max(1)) as u32);
-                values.push(f32::from(t) * scale);
-            }
-        }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        SparseMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -175,17 +127,6 @@ impl SparseMatrix {
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Stored entries as a fraction of the dense element count (`1.0` for
-    /// an empty-shape matrix, which is as dense as it gets).
-    pub fn density(&self) -> f32 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            1.0
-        } else {
-            self.nnz() as f32 / total as f32
-        }
     }
 
     /// Expands to a dense [`Matrix`] (the reference the sparse kernels are
@@ -221,94 +162,6 @@ impl SparseMatrix {
             }
         }
     }
-
-    /// Sparse × dense product into a zeroed output:
-    /// `out[r, :] += a[r, c] * b[c, :]` per stored entry, each row panel
-    /// accumulated with the crate's FMA chains (the dispatch module's
-    /// `fma_axpy`), ascending column order — the same per-element chains
-    /// as the dense GEMM over the stored entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != self.cols()` or `out`'s shape is not
-    /// `(self.rows(), b.cols())`.
-    pub fn spmm_into(&self, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(b.rows(), self.cols, "inner dimension mismatch");
-        assert_eq!(out.shape(), (self.rows, b.cols()), "output shape mismatch");
-        let arch = dispatch::kernel_arch();
-        dispatch::note_sparse_kernel(arch);
-        let n = b.cols();
-        let bdata = b.as_slice();
-        let odata = out.as_mut_slice();
-        odata.fill(0.0);
-        for r in 0..self.rows {
-            let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let orow = &mut odata[r * n..(r + 1) * n];
-            for (&c, &v) in self.col_idx[s..e].iter().zip(&self.values[s..e]) {
-                let brow = &bdata[c as usize * n..(c as usize + 1) * n];
-                simd::fma_axpy(arch, orow, v, brow);
-            }
-        }
-    }
-
-    /// Allocating wrapper around [`SparseMatrix::spmm_into`].
-    pub fn spmm(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, b.cols());
-        self.spmm_into(b, &mut out);
-        out
-    }
-}
-
-impl Persist for SparseMatrix {
-    fn persist(&self, w: &mut Writer) {
-        w.usize(self.rows);
-        w.usize(self.cols);
-        self.row_ptr.persist(w);
-        self.col_idx.persist(w);
-        self.values.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let rows = r.usize()?;
-        let cols = r.usize()?;
-        let row_ptr = Vec::<u32>::restore(r)?;
-        let col_idx = Vec::<u32>::restore(r)?;
-        let values = Vec::<f32>::restore(r)?;
-        if row_ptr.len() != rows + 1 || row_ptr.first() != Some(&0) {
-            return Err(PersistError::Invalid {
-                what: "sparse row_ptr length",
-            });
-        }
-        if row_ptr.windows(2).any(|w| w[1] < w[0]) {
-            return Err(PersistError::Invalid {
-                what: "sparse row_ptr not monotone",
-            });
-        }
-        if *row_ptr.last().unwrap() as usize != values.len() || col_idx.len() != values.len() {
-            return Err(PersistError::Invalid {
-                what: "sparse nnz mismatch",
-            });
-        }
-        if col_idx.iter().any(|&c| c as usize >= cols) {
-            return Err(PersistError::Invalid {
-                what: "sparse column index out of range",
-            });
-        }
-        Ok(SparseMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    fn persist_len(&self) -> usize {
-        8 + 8
-            + (8 + 4 * self.row_ptr.len())
-            + (8 + 4 * self.col_idx.len())
-            + (8 + 4 * self.values.len())
-    }
 }
 
 #[cfg(test)]
@@ -335,17 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn ternary_payload_matches_dense_decode() {
-        let trits: Vec<i8> = vec![0, 1, -1, 0, 0, 1, 0, -1];
-        let s = SparseMatrix::from_ternary(2, 4, &trits, 0.75);
-        let d = s.densify();
-        for (i, &t) in trits.iter().enumerate() {
-            let expect = f32::from(t) * 0.75;
-            assert_eq!(d.as_slice()[i].to_bits(), expect.to_bits());
-        }
-    }
-
-    #[test]
     fn sub_from_is_bit_identical_to_dense_subtract() {
         let s = sample();
         let mut rng = SeedStream::new(11);
@@ -360,57 +202,6 @@ mod tests {
         for (a, b) in sparse_path.as_slice().iter().zip(dense_path.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn spmm_matches_dense_matmul_on_every_arch() {
-        let mut rng = SeedStream::new(12);
-        let s = sample();
-        let b = rng.uniform_matrix(4, 6, 1.0);
-        let reference = s.densify().matmul(&b);
-        for arch in dispatch::available_arches() {
-            dispatch::set_kernel_arch(arch);
-            let got = s.spmm(&b);
-            for (a, r) in got.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(a.to_bits(), r.to_bits(), "arch {}", arch.name());
-            }
-        }
-        dispatch::set_kernel_arch(dispatch::detected_arch());
-    }
-
-    #[test]
-    fn persist_roundtrip_and_len() {
-        let s = sample();
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), s.persist_len());
-        assert_eq!(SparseMatrix::from_bytes(&bytes).unwrap(), s);
-    }
-
-    #[test]
-    fn corrupt_csr_is_rejected() {
-        let s = sample();
-        // Break the last row_ptr entry (bytes 16+8.. hold row_ptr data).
-        let mut w = Writer::new();
-        w.usize(3);
-        w.usize(4);
-        vec![0u32, 2, 2, 9].persist(&mut w); // last != nnz
-        vec![1u32, 3, 0].persist(&mut w);
-        s.values.persist(&mut w);
-        assert!(matches!(
-            SparseMatrix::from_bytes(&w.into_bytes()),
-            Err(PersistError::Invalid { .. })
-        ));
-        // Column index out of range.
-        let mut w = Writer::new();
-        w.usize(3);
-        w.usize(4);
-        vec![0u32, 2, 2, 3].persist(&mut w);
-        vec![1u32, 7, 0].persist(&mut w);
-        s.values.persist(&mut w);
-        assert!(matches!(
-            SparseMatrix::from_bytes(&w.into_bytes()),
-            Err(PersistError::Invalid { .. })
-        ));
     }
 
     #[test]

@@ -32,17 +32,6 @@ pub fn cosine_similarity(a: &Matrix, b: &Matrix) -> f32 {
     a.dot(b) / (na * nb)
 }
 
-/// Frobenius norm of a matrix (free function form for call sites that
-/// operate on references generically).
-pub fn frobenius_norm(m: &Matrix) -> f32 {
-    m.norm()
-}
-
-/// Mean of all elements.
-pub fn mean(m: &Matrix) -> f32 {
-    m.mean_all()
-}
-
 /// Relative reconstruction error `||a - b|| / ||a||`.
 ///
 /// Returns `0.0` when `a` is exactly zero and `b` is too; returns

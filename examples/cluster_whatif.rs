@@ -29,13 +29,12 @@ fn main() {
     }
     if arg == "175b" {
         cfg.pp = 16; // 96 layers / 16 stages; needs 512 GPUs at TP8/DP4.
-        cfg.topology.nodes = 64;
     }
 
     println!(
         "planning {} on {} GPUs (TP{}/DP{}/PP{}), {} micro-batches of {}:",
         cfg.model.name,
-        cfg.topology.total_gpus(),
+        cfg.tp * cfg.dp * cfg.pp,
         cfg.tp,
         cfg.dp,
         cfg.pp,
