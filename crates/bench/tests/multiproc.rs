@@ -6,7 +6,7 @@
 //! `CARGO_BIN_EXE_opt_worker` points at the compiled worker binary; cargo
 //! builds it before running this test.
 
-use opt_ckpt::{shard_file_name, FaultPlan, ShardManifest, MANIFEST_FILE};
+use opt_ckpt::{shard_file_name, CkptError, FaultPlan, ShardManifest, MANIFEST_FILE};
 use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer, TcpShardStore};
 use opt_trace::Trace;
 use optimus_cc::{
@@ -402,7 +402,9 @@ fn rejoin_survives_interrupted_publish_and_refuses_corrupt_shards() {
     world.train_more(1).expect("world is live after rejoin");
 
     // A corrupted shard is refused by the replacement (digest validation)
-    // and the world escalates with a typed error instead of hanging.
+    // and the world escalates with a typed error instead of hanging. The
+    // refusal crosses the control plane as its message, so over TCP it
+    // arrives as a store-level checkpoint error naming the checksum.
     let name = shard_file_name(0, 0, 2); // rank 0 = (stage 0, dp 0)
     let mut blob = store.get(&name).expect("fetch shard");
     let mid = blob.len() / 2;
@@ -410,10 +412,12 @@ fn rejoin_survives_interrupted_publish_and_refuses_corrupt_shards() {
     store.put(&name, &blob).expect("corrupt the shard in place");
     world.kill_rank(0).expect("kill again");
     let err = world.rejoin_rank(0).expect_err("corrupt shard accepted");
-    assert!(
-        matches!(err, WorldError::Proc(_)),
-        "wrong escalation: {err}"
-    );
+    match &err {
+        WorldError::Ckpt(CkptError::Store { what }) => {
+            assert!(what.contains("checksum mismatch"), "wrong refusal: {what}")
+        }
+        other => panic!("wrong escalation: {other}"),
+    }
     world.abort();
 }
 

@@ -27,9 +27,8 @@
 //!   (`framing::checksum`): a truncated or
 //!   bit-flipped file is rejected, never half-applied.
 //! * [`Snapshot`] — the same state gathered into one in-memory value
-//!   (what `Trainer::snapshot()` returns), not an on-disk format.
-//!   Conversion to/from shards
-//!   ([`Snapshot::to_shards`]/[`Snapshot::from_shards`]) is lossless.
+//!   (what `Trainer::snapshot()` returns) for inspection; not an on-disk
+//!   format, and nothing restores from it.
 //! * [`CkptError`] — why a snapshot, manifest, or shard was rejected.
 //! * [`FaultPlan`] — a scripted failure (kill rank *r* after iteration
 //!   *k*, snapshot every *n*) interpreted by both the numerical trainer

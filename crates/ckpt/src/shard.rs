@@ -27,13 +27,9 @@
 //! body length (u64 LE), `Persist`-encoded body, frame checksum. The
 //! manifest additionally records each shard's byte size and checksum, so a
 //! fetched blob is validated against the manifest *before* it is decoded.
-//!
-//! The in-memory [`Snapshot`] converts to and from shards losslessly:
-//! [`Snapshot::to_shards`] followed by [`Snapshot::from_shards`]
-//! reproduces the snapshot bit for bit.
 
 use crate::framing::{checksum, frame, unframe};
-use crate::{CkptError, RankSection, Snapshot, SnapshotMeta};
+use crate::{CkptError, RankSection, SnapshotMeta};
 use opt_tensor::{Persist, PersistError, Reader, Writer};
 
 /// Magic bytes opening every shard file.
@@ -282,13 +278,12 @@ impl ShardManifest {
         Ok(manifest)
     }
 
-    /// The validation every fetched shard passes before anything applies
-    /// it — spelled once, for a worker restoring itself and for
-    /// [`Snapshot::from_shards`] alike. `blob` is what the store returned
-    /// under `entry.name`; in order: exact size and checksum against the
-    /// manifest entry (so a truncated or bit-rotted fetch never reaches
-    /// the structural decoder), the shard codec, the rank identity inside
-    /// the shard against the entry that named it, then iteration, config
+    /// The validation every fetched shard passes before a worker applies
+    /// it. `blob` is what the store returned under `entry.name`; in
+    /// order: exact size and checksum against the manifest entry (so a
+    /// truncated or bit-rotted fetch never reaches the structural
+    /// decoder), the shard codec, the rank identity inside the shard
+    /// against the entry that named it, then iteration, config
     /// fingerprint and world against the manifest header.
     pub fn validate_shard(&self, entry: &ShardEntry, blob: &[u8]) -> Result<Shard, CkptError> {
         entry.verify(blob)?;
@@ -305,64 +300,12 @@ impl ShardManifest {
     }
 }
 
-impl Snapshot {
-    /// Splits the snapshot into per-rank shards plus the manifest naming
-    /// them: the manifest and the encoded, ready-to-store blob of every
-    /// shard (keyed by [`shard_file_name`]).
-    ///
-    /// The conversion is lossless — [`Snapshot::from_shards`] over the
-    /// result reproduces `self` exactly.
-    pub fn to_shards(&self) -> (ShardManifest, Vec<(String, Vec<u8>)>) {
-        let mut entries = Vec::with_capacity(self.ranks.len());
-        let mut blobs = Vec::with_capacity(self.ranks.len());
-        for section in &self.ranks {
-            let shard = Shard {
-                iter: self.meta.iter,
-                config_fingerprint: self.meta.config_fingerprint,
-                section: section.clone(),
-            };
-            let name = shard_file_name(section.stage, section.dp, self.meta.iter);
-            let blob = shard.encode();
-            entries.push(ShardEntry::for_blob(
-                section.stage,
-                section.dp,
-                name.clone(),
-                &blob,
-            ));
-            blobs.push((name, blob));
-        }
-        let manifest = ShardManifest {
-            meta: self.meta.clone(),
-            shards: entries,
-        };
-        (manifest, blobs)
-    }
-
-    /// Reassembles a snapshot from a manifest, fetching each shard blob
-    /// through `fetch` (a store get, a map lookup, ...). Every blob passes
-    /// [`ShardManifest::validate_shard`] before its section is accepted.
-    pub fn from_shards(
-        manifest: &ShardManifest,
-        mut fetch: impl FnMut(&ShardEntry) -> Result<Vec<u8>, CkptError>,
-    ) -> Result<Snapshot, CkptError> {
-        manifest.validate_complete()?;
-        let mut ranks = Vec::with_capacity(manifest.shards.len());
-        for entry in &manifest.shards {
-            ranks.push(manifest.validate_shard(entry, &fetch(entry)?)?.section);
-        }
-        let snap = Snapshot {
-            meta: manifest.meta.clone(),
-            ranks,
-        };
-        snap.validate_complete()?;
-        Ok(snap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Snapshot;
     use opt_tensor::Matrix;
+    use std::collections::HashMap;
 
     fn sample() -> Snapshot {
         let section = |stage: usize, dp: usize| RankSection {
@@ -385,19 +328,29 @@ mod tests {
         }
     }
 
-    fn store(snap: &Snapshot) -> (ShardManifest, std::collections::HashMap<String, Vec<u8>>) {
-        let (manifest, blobs) = snap.to_shards();
-        (manifest, blobs.into_iter().collect())
-    }
-
-    fn fetch_from(
-        map: &std::collections::HashMap<String, Vec<u8>>,
-    ) -> impl FnMut(&ShardEntry) -> Result<Vec<u8>, CkptError> + '_ {
-        |entry: &ShardEntry| {
-            map.get(&entry.name).cloned().ok_or(CkptError::Store {
-                what: format!("missing blob {}", entry.name),
-            })
+    /// `snap` as a sharded checkpoint, the way workers publish one: every
+    /// section encoded as a [`Shard`] under [`shard_file_name`], and the
+    /// manifest naming each blob by size and checksum.
+    fn store(snap: &Snapshot) -> (ShardManifest, HashMap<String, Vec<u8>>) {
+        let mut blobs = HashMap::new();
+        let mut shards = Vec::new();
+        for section in &snap.ranks {
+            let (stage, dp) = (section.stage, section.dp);
+            let blob = Shard {
+                iter: snap.meta.iter,
+                config_fingerprint: snap.meta.config_fingerprint,
+                section: section.clone(),
+            }
+            .encode();
+            let name = shard_file_name(stage, dp, snap.meta.iter);
+            shards.push(ShardEntry::for_blob(stage, dp, name.clone(), &blob));
+            blobs.insert(name, blob);
         }
+        let manifest = ShardManifest {
+            meta: snap.meta.clone(),
+            shards,
+        };
+        (manifest, blobs)
     }
 
     #[test]
@@ -406,8 +359,13 @@ mod tests {
         let (manifest, map) = store(&snap);
         assert_eq!(manifest.world_size(), 4);
         assert_eq!(map.len(), 4);
-        let back = Snapshot::from_shards(&manifest, fetch_from(&map)).expect("roundtrip");
-        assert_eq!(back, snap);
+        manifest.validate_complete().expect("complete world");
+        for (entry, section) in manifest.shards.iter().zip(&snap.ranks) {
+            let shard = manifest
+                .validate_shard(entry, &map[&entry.name])
+                .expect("roundtrip");
+            assert_eq!(&shard.section, section);
+        }
     }
 
     #[test]
@@ -434,7 +392,7 @@ mod tests {
         for cut in [0, 5, 19, blob.len() / 2, blob.len() - 1] {
             assert!(
                 matches!(
-                    entry.verify(&blob[..cut.min(blob.len())]),
+                    manifest.validate_shard(entry, &blob[..cut]),
                     Err(CkptError::Truncated { .. })
                 ),
                 "cut at {cut} accepted by manifest verification"
@@ -442,41 +400,37 @@ mod tests {
         }
         // The standalone decoder rejects truncation too (a worker with no
         // manifest copy still cannot apply half a shard).
-        let name = &manifest.shards[0].name;
-        let own = &map[name];
-        assert!(Shard::decode(&own[..own.len() - 1]).is_err());
+        assert!(Shard::decode(&blob[..blob.len() - 1]).is_err());
     }
 
     #[test]
     fn shard_checksum_mismatch_is_rejected() {
         let snap = sample();
         let (manifest, mut map) = store(&snap);
-        let entry = manifest.shards[1].clone();
+        let entry = &manifest.shards[1];
         let blob = map.get_mut(&entry.name).unwrap();
         let mid = blob.len() / 2;
         blob[mid] ^= 0x10;
         assert!(matches!(
-            entry.verify(blob),
+            manifest.validate_shard(entry, blob),
             Err(CkptError::ChecksumMismatch { .. })
         ));
-        let err = Snapshot::from_shards(&manifest, fetch_from(&map)).unwrap_err();
-        assert!(matches!(err, CkptError::ChecksumMismatch { .. }));
     }
 
     #[test]
     fn missing_rank_in_manifest_is_rejected() {
         let snap = sample();
-        let (mut manifest, map) = store(&snap);
+        let (mut manifest, _) = store(&snap);
         manifest.shards.remove(2);
         assert!(matches!(
-            Snapshot::from_shards(&manifest, fetch_from(&map)),
+            manifest.validate_complete(),
             Err(CkptError::Decode(PersistError::Invalid { .. }))
         ));
         // Right count but a duplicated rank: caught per-pair.
-        let (mut dup, map2) = store(&snap);
+        let (mut dup, _) = store(&snap);
         dup.shards[3] = dup.shards[0].clone();
         assert!(matches!(
-            Snapshot::from_shards(&dup, fetch_from(&map2)),
+            dup.validate_complete(),
             Err(CkptError::MissingRank { .. })
         ));
         // And the encoded manifest refuses to decode at all.
@@ -488,8 +442,9 @@ mod tests {
         let snap = sample();
         let (mut manifest, map) = store(&snap);
         manifest.meta.config_fingerprint ^= 1;
+        let entry = &manifest.shards[0];
         assert!(matches!(
-            Snapshot::from_shards(&manifest, fetch_from(&map)),
+            manifest.validate_shard(entry, &map[&entry.name]),
             Err(CkptError::ConfigMismatch { .. })
         ));
     }
@@ -499,16 +454,14 @@ mod tests {
         let snap = sample();
         let mut older = snap.clone();
         older.meta.iter -= 1;
-        let (_, stale_blobs) = older.to_shards();
-        let stale: std::collections::HashMap<_, _> = stale_blobs.into_iter().collect();
         // Stale blobs fail the manifest checksum (contents differ) — but
         // even a re-indexed manifest pointing at them trips the iteration
         // check inside the shard header.
-        let (stale_manifest, _) = older.to_shards();
-        let mut crossed = stale_manifest;
+        let (mut crossed, stale) = store(&older);
         crossed.meta.iter = snap.meta.iter;
+        let entry = &crossed.shards[0];
         assert!(matches!(
-            Snapshot::from_shards(&crossed, fetch_from(&stale)),
+            crossed.validate_shard(entry, &stale[&entry.name]),
             Err(CkptError::ShardMismatch { .. })
         ));
     }
@@ -516,7 +469,7 @@ mod tests {
     #[test]
     fn stale_manifest_version_is_rejected() {
         let snap = sample();
-        let (manifest, _) = store(&snap);
+        let (manifest, map) = store(&snap);
         let mut bytes = manifest.encode();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
@@ -524,8 +477,7 @@ mod tests {
             Err(CkptError::UnsupportedVersion(99))
         ));
         // A stale shard version is equally fatal.
-        let (_, blobs) = snap.to_shards();
-        let mut shard_bytes = blobs[0].1.clone();
+        let mut shard_bytes = map[&manifest.shards[0].name].clone();
         shard_bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             Shard::decode(&shard_bytes),
@@ -535,7 +487,7 @@ mod tests {
 
     #[test]
     fn manifest_magic_and_corruption_are_rejected() {
-        let manifest = sample().to_shards().0;
+        let manifest = store(&sample()).0;
         let clean = manifest.encode();
         let mut bad_magic = clean.clone();
         bad_magic[0] = b'X';
@@ -563,29 +515,25 @@ mod tests {
         // rank identity inside the shard gives the swap away.
         let snap = sample();
         let (mut manifest, map) = store(&snap);
-        let name0 = manifest.shards[0].name.clone();
-        let name1 = manifest.shards[1].name.clone();
         let e0 = manifest.shards[0].clone();
         let e1 = manifest.shards[1].clone();
         // Doctor the manifest so entry 0 points at shard 1's blob.
         manifest.shards[0] = ShardEntry {
             stage: e0.stage,
             dp: e0.dp,
-            name: name1,
-            bytes: e1.bytes,
-            checksum: e1.checksum,
+            ..e1.clone()
         };
         manifest.shards[1] = ShardEntry {
             stage: e1.stage,
             dp: e1.dp,
-            name: name0,
-            bytes: e0.bytes,
-            checksum: e0.checksum,
+            ..e0
         };
-        assert!(matches!(
-            Snapshot::from_shards(&manifest, fetch_from(&map)),
-            Err(CkptError::ShardMismatch { .. })
-        ));
+        for entry in &manifest.shards[..2] {
+            assert!(matches!(
+                manifest.validate_shard(entry, &map[&entry.name]),
+                Err(CkptError::ShardMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -593,9 +541,9 @@ mod tests {
         assert_eq!(shard_file_name(0, 0, 0), "rank-0-0-0.shard");
         assert_eq!(shard_file_name(3, 1, 42), "rank-3-1-42.shard");
         let snap = sample();
-        let (manifest, blobs) = snap.to_shards();
-        for (entry, (name, _)) in manifest.shards.iter().zip(&blobs) {
-            assert_eq!(&entry.name, name);
+        let (manifest, map) = store(&snap);
+        for entry in &manifest.shards {
+            assert!(map.contains_key(&entry.name));
             assert_eq!(
                 entry.name,
                 shard_file_name(entry.stage, entry.dp, snap.meta.iter)

@@ -99,10 +99,9 @@ impl Persist for RankSection {
 }
 
 /// A complete, self-validating training snapshot: header plus one
-/// [`RankSection`] per `(stage, dp)` worker, gathered in one process.
-/// [`Snapshot::to_shards`] / [`Snapshot::from_shards`] bridge it to the
-/// sharded checkpoint (what `Trainer::restore` does, and how tests craft
-/// damaged state).
+/// [`RankSection`] per `(stage, dp)` worker, gathered in one process for
+/// inspection. Nothing restores from it; a checkpoint that can be
+/// restored is a [`crate::ShardManifest`] plus its shards.
 ///
 /// # Encoded layout
 ///
@@ -131,14 +130,8 @@ impl Snapshot {
         self.meta.pp * self.meta.dp
     }
 
-    /// The section for `(stage, dp)`, if present.
-    pub fn section(&self, stage: usize, dp: usize) -> Option<&RankSection> {
-        self.ranks.iter().find(|s| s.stage == stage && s.dp == dp)
-    }
-
     /// Verifies that exactly one section exists per `(stage, dp)` pair and
-    /// nothing else (a stray out-of-world section would index out of
-    /// bounds during restore).
+    /// nothing else.
     pub fn validate_complete(&self) -> Result<(), CkptError> {
         if self.ranks.len() != self.world_size() {
             return Err(CkptError::Decode(PersistError::Invalid {
@@ -211,8 +204,6 @@ mod tests {
         let back = Snapshot::decode(&snap.encode()).expect("roundtrip");
         assert_eq!(back, snap);
         assert_eq!(back.world_size(), 2);
-        assert!(back.section(1, 0).is_some());
-        assert!(back.section(2, 0).is_none());
     }
 
     #[test]

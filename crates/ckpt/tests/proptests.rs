@@ -4,8 +4,7 @@
 //! panicked on.
 
 use opt_ckpt::{
-    shard_file_name, CkptError, RankSection, Shard, ShardEntry, ShardManifest, Snapshot,
-    SnapshotMeta,
+    shard_file_name, CkptError, RankSection, Shard, ShardEntry, ShardManifest, SnapshotMeta,
 };
 use opt_tensor::SeedStream;
 use proptest::prelude::*;
@@ -28,23 +27,20 @@ fn section(stage: usize, dp: usize, seed: u64) -> RankSection {
     }
 }
 
-fn snapshot(pp: usize, dp: usize, iter: u64, seed: u64) -> Snapshot {
-    let mut ranks = Vec::new();
-    for d in 0..dp {
-        for s in 0..pp {
-            ranks.push(section(s, d, seed));
-        }
-    }
-    Snapshot {
-        meta: SnapshotMeta {
-            pp,
-            dp,
-            seed,
-            iter,
-            config_fingerprint: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        },
-        ranks,
-    }
+/// A `pp x dp` world's sections under one header, in manifest order.
+fn world(pp: usize, dp: usize, iter: u64, seed: u64) -> (SnapshotMeta, Vec<RankSection>) {
+    let meta = SnapshotMeta {
+        pp,
+        dp,
+        seed,
+        iter,
+        config_fingerprint: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    };
+    let ranks = (0..dp)
+        .flat_map(|d| (0..pp).map(move |s| (s, d)))
+        .map(|(s, d)| section(s, d, seed))
+        .collect();
+    (meta, ranks)
 }
 
 proptest! {
@@ -74,20 +70,34 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_to_shards_and_back_is_lossless(
+    fn sections_through_shards_and_back_are_lossless(
         pp in 1usize..4,
         dp in 1usize..3,
         iter in 0u64..100,
         seed in 0u64..200,
     ) {
-        let snap = snapshot(pp, dp, iter, seed);
-        let (manifest, blobs) = snap.to_shards();
+        let (meta, ranks) = world(pp, dp, iter, seed);
+        let blobs: Vec<Vec<u8>> = ranks
+            .iter()
+            .map(|section| {
+                Shard { iter, config_fingerprint: meta.config_fingerprint, section: section.clone() }
+                    .encode()
+            })
+            .collect();
+        let shards = ranks
+            .iter()
+            .zip(&blobs)
+            .map(|(s, blob)| {
+                ShardEntry::for_blob(s.stage, s.dp, shard_file_name(s.stage, s.dp, iter), blob)
+            })
+            .collect();
+        let manifest = ShardManifest { meta, shards };
         prop_assert_eq!(manifest.world_size(), pp * dp);
-        let map: std::collections::HashMap<String, Vec<u8>> = blobs.into_iter().collect();
-        let back = Snapshot::from_shards(&manifest, |e: &ShardEntry| {
-            Ok(map[&e.name].clone())
-        }).expect("lossless");
-        prop_assert_eq!(back, snap);
+        manifest.validate_complete().expect("complete world");
+        for ((entry, blob), section) in manifest.shards.iter().zip(&blobs).zip(&ranks) {
+            let shard = manifest.validate_shard(entry, blob).expect("lossless");
+            prop_assert_eq!(&shard.section, section);
+        }
         // The manifest itself round-trips through its framed codec.
         let again = ShardManifest::decode(&manifest.encode()).expect("manifest decodes");
         prop_assert_eq!(again, manifest);

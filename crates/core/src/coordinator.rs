@@ -8,7 +8,7 @@
 //! command schedule, aggregation, checkpoint commit order — is therefore
 //! the same code, and Local ≡ TCP holds by construction.
 //!
-//! Every wait is bounded and every failure is a typed [`ProcError`]: a
+//! Every wait is bounded and every failure is a typed [`WorldError`]: a
 //! reply is awaited in slices, and between slices the launcher's handle
 //! on the awaited worker ([`WorkerHandle`]) is asked whether it is still
 //! alive, so a dead worker surfaces by rank within a moment instead of
@@ -19,7 +19,7 @@ use crate::control::{
     store_err, MetricsMsg, Outcome, WireCmd, WorkerAck, CH_ACK, CH_CMD, CH_METRICS, CH_PREDICT,
     CH_RESTORE, CH_SECTION, CH_SHARD, CH_TRACE, CTRL_SLICE, CTRL_TIMEOUT,
 };
-use crate::proc::ProcError;
+use crate::proc::WorldError;
 use crate::stats::{RawSamples, TrainReport};
 use crate::MemoryReport;
 use opt_ckpt::{CkptError, ShardEntry, ShardManifest, Snapshot, SnapshotMeta, MANIFEST_FILE};
@@ -135,14 +135,14 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// Sends `cmd` to every worker.
-    pub fn broadcast(&self, cmd: WireCmd) -> Result<(), ProcError> {
+    pub fn broadcast(&self, cmd: WireCmd) -> Result<(), WorldError> {
         Ok(self.send_to(0..self.world(), cmd)?)
     }
 
     /// Receives `rank`'s reply to request `id` on `channel`, skipping
     /// stale replies to abandoned requests (FIFO per lane makes this
     /// loss-free).
-    fn recv_matching<T>(&mut self, rank: usize, channel: u64, id: u64) -> Result<T, ProcError>
+    fn recv_matching<T>(&mut self, rank: usize, channel: u64, id: u64) -> Result<T, WorldError>
     where
         T: Persist + Clone + Send + Sync + 'static,
     {
@@ -156,7 +156,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
                 Ok((got, body)) if got == id => return Ok(body),
                 Ok((got, _)) if got < id => {}
                 Ok((got, _)) => {
-                    return Err(ProcError::Protocol(format!(
+                    return Err(WorldError::Protocol(format!(
                         "rank {rank} answered request {got} while {id} was pending"
                     )))
                 }
@@ -166,7 +166,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
                     }
                 }
                 Err(TransportError::Decode { detail, .. }) => {
-                    return Err(ProcError::Protocol(format!(
+                    return Err(WorldError::Protocol(format!(
                         "malformed control message from rank {rank}: {detail}"
                     )))
                 }
@@ -183,7 +183,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         ranks: impl Iterator<Item = usize> + Clone,
         cmd: impl FnOnce(u64) -> WireCmd,
         channel: u64,
-    ) -> Result<Vec<T>, ProcError>
+    ) -> Result<Vec<T>, WorldError>
     where
         T: Persist + Clone + Send + Sync + 'static,
     {
@@ -195,7 +195,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// Waits until every worker has retired everything sent so far.
-    pub fn barrier(&mut self) -> Result<Vec<WorkerAck>, ProcError> {
+    pub fn barrier(&mut self) -> Result<Vec<WorkerAck>, WorldError> {
         self.request(0..self.world(), |id| WireCmd::Barrier { id }, CH_ACK)
     }
 
@@ -203,14 +203,14 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// quiesce step of the rejoin protocol: proves the survivors idle (no
     /// in-flight pipeline or collective frames) before a replacement
     /// splices into their mesh.
-    pub fn barrier_except(&mut self, skip: usize) -> Result<Vec<WorkerAck>, ProcError> {
+    pub fn barrier_except(&mut self, skip: usize) -> Result<Vec<WorkerAck>, WorldError> {
         let survivors = (0..self.world()).filter(move |&r| r != skip);
         self.request(survivors, |id| WireCmd::Barrier { id }, CH_ACK)
     }
 
     /// Runs training up to the configured iteration count with periodic
     /// validation, returning the aggregated report.
-    pub fn train(&mut self) -> Result<TrainReport, ProcError> {
+    pub fn train(&mut self) -> Result<TrainReport, WorldError> {
         let iters = self.cfg.iters;
         let validate = |iter, index| WireCmd::Validate {
             iter,
@@ -230,7 +230,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// Runs `extra` more training iterations, leaving the world quiesced.
-    pub fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
+    pub fn train_more(&mut self, extra: u64) -> Result<(), WorldError> {
         for iter in self.trained_iters..self.trained_iters + extra {
             self.broadcast(WireCmd::TrainIter { iter })?;
         }
@@ -243,7 +243,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// is taken), ledgers by exact integer sums, and each rank's half of
     /// every lane back into whole lanes — so the result does not depend
     /// on how the ranks were deployed.
-    fn gather_metrics(&mut self) -> Result<(RawSamples, TrafficBreakdown), ProcError> {
+    fn gather_metrics(&mut self) -> Result<(RawSamples, TrafficBreakdown), WorldError> {
         let replies: Vec<MetricsMsg> = self.request(
             0..self.world(),
             |id| WireCmd::FetchMetrics { id },
@@ -259,19 +259,19 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// Quiesces the workers and aggregates the metrics recorded so far.
-    pub fn report(&mut self) -> Result<TrainReport, ProcError> {
+    pub fn report(&mut self) -> Result<TrainReport, WorldError> {
         let (samples, traffic) = self.gather_metrics()?;
         Ok(samples.into_report(self.trained_iters, traffic))
     }
 
     /// Quiesces the workers and returns the traffic counters so far.
-    pub fn traffic(&mut self) -> Result<TrafficBreakdown, ProcError> {
+    pub fn traffic(&mut self) -> Result<TrafficBreakdown, WorldError> {
         Ok(self.gather_metrics()?.1)
     }
 
     /// Drains every worker's trace buffer, ordered by rank; `None` when
     /// the world was launched with tracing off.
-    pub fn take_trace(&mut self) -> Result<Option<Vec<TraceBuffer>>, ProcError> {
+    pub fn take_trace(&mut self) -> Result<Option<Vec<TraceBuffer>>, WorldError> {
         if !self.trace.enabled() {
             return Ok(None);
         }
@@ -280,14 +280,14 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// Memory accounting across workers (Fig. 12).
-    pub fn memory_report(&mut self) -> Result<MemoryReport, ProcError> {
+    pub fn memory_report(&mut self) -> Result<MemoryReport, WorldError> {
         let acks = self.barrier()?;
         Ok(crate::memory::memory_report(&self.cfg, &acks))
     }
 
     /// Captures a complete training snapshot: every worker serializes its
     /// state once everything sent before has retired.
-    pub fn snapshot(&mut self) -> Result<Snapshot, ProcError> {
+    pub fn snapshot(&mut self) -> Result<Snapshot, WorldError> {
         Ok(Snapshot {
             ranks: self.request(0..self.world(), |id| WireCmd::Snapshot { id }, CH_SECTION)?,
             meta: self.meta(),
@@ -302,7 +302,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         &mut self,
         ranks: impl Iterator<Item = usize> + Clone,
         want_iter: u64,
-    ) -> Result<(), ProcError> {
+    ) -> Result<(), WorldError> {
         let outcomes: Vec<Outcome<u64>> =
             self.request(ranks.clone(), |id| WireCmd::SelfRestore { id }, CH_RESTORE)?;
         let mut first_err = None;
@@ -336,7 +336,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// fully published, and a crash mid-save leaves the previous
     /// checkpoint restorable. Shards the new manifest no longer
     /// references are garbage-collected after the commit.
-    pub fn save_sharded(&mut self, store: &dyn ShardStore) -> Result<ShardManifest, ProcError> {
+    pub fn save_sharded(&mut self, store: &dyn ShardStore) -> Result<ShardManifest, WorldError> {
         let iter = self.trained_iters;
         let replies: Vec<Outcome<ShardEntry>> = self.request(
             0..self.world(),
@@ -368,7 +368,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
 
     /// Last-position argmax per `seq_len` chunk of `tokens`, computed by
     /// dp rank 0's pipeline (its last stage answers).
-    pub fn predict(&mut self, tokens: &[usize]) -> Result<Vec<usize>, ProcError> {
+    pub fn predict(&mut self, tokens: &[usize]) -> Result<Vec<usize>, WorldError> {
         let id = self.fresh_id();
         let tokens = tokens.to_vec();
         self.broadcast(WireCmd::Predict { id, tokens })?;

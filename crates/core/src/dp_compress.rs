@@ -21,9 +21,11 @@ use opt_tensor::{
 /// 2. `P = mean_d(P_d)` by all-reduce — valid because the map is linear,
 /// 3. every rank orthonormalizes `P` (deterministic, identical result),
 /// 4. `Q_d = (G_d + e_d)^T * P`, `Q = mean_d(Q_d)` by all-reduce,
-/// 5. the reconstruction `P Q^T` approximates `mean_d(G_d + e_d)`; each
-///    rank updates its residual `e_d += G_d - P Q^T` *after* the weight
-///    update — the staleness the paper's §7 calls out.
+/// 5. the reconstruction `P Q^T` approximates `mean_d(G_d + e_d)` and
+///    replaces the gradient; inside the same exchange, *before* the
+///    optimizer step, each rank sets its residual
+///    `e_d <- (G_d + e_d) - P Q^T`, which is added to the *next*
+///    iteration's gradient — the staleness the paper's §7 calls out.
 ///
 /// Only the `P` and `Q` factors cross the wire: `(n + m) r` elements per
 /// matrix versus `n m` dense.

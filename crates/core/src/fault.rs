@@ -4,7 +4,7 @@
 //! world it runs on, where checkpoints live, and how the run gets back to
 //! training after the failure.
 
-use crate::proc::{ProcError, ProcOptions, ProcTrainer, WorldError};
+use crate::proc::{ProcOptions, ProcTrainer, WorldError};
 use crate::{TrainReport, Trainer, TrainerConfig};
 use opt_ckpt::{FaultPlan, ShardManifest};
 use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer};
@@ -100,21 +100,21 @@ enum World {
 }
 
 impl World {
-    fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
+    fn train_more(&mut self, extra: u64) -> Result<(), WorldError> {
         match self {
             World::Threads(t, _) => t.coord.train_more(extra),
             World::Procs(t) => t.coord.train_more(extra),
         }
     }
 
-    fn save_sharded(&mut self) -> Result<ShardManifest, ProcError> {
+    fn save_sharded(&mut self) -> Result<ShardManifest, WorldError> {
         match self {
             World::Threads(t, store) => Ok(t.save_sharded(store)?),
             World::Procs(t) => t.save_sharded(),
         }
     }
 
-    fn finish(self) -> Result<TrainReport, ProcError> {
+    fn finish(self) -> Result<TrainReport, WorldError> {
         match self {
             World::Threads(mut t, _) => {
                 let report = t.coord.report()?;
@@ -166,7 +166,7 @@ pub fn run_with_faults(
     );
     // A process world checkpoints through a shard store this run serves
     // over TCP for as long as it lasts.
-    let launch: Box<dyn Fn() -> Result<World, ProcError> + '_> = match recovery {
+    let launch: Box<dyn Fn() -> Result<World, WorldError> + '_> = match recovery {
         Recovery::Sharded(store) => Box::new(move || {
             let world = Trainer::launch(cfg.clone());
             Ok(World::Threads(Box::new(world), Arc::clone(store)))
@@ -177,7 +177,7 @@ pub fn run_with_faults(
                 None => Arc::new(MemShardStore::new()),
             };
             let server = ShardStoreServer::spawn(inner, "127.0.0.1:0")
-                .map_err(|e| ProcError::Protocol(format!("shard store server: {e}")))?;
+                .map_err(|e| WorldError::Protocol(format!("shard store server: {e}")))?;
             Box::new(move || {
                 let popts = ProcOptions {
                     worker_bin: opts.worker_bin.clone(),

@@ -34,9 +34,9 @@
 //! failure detection, single-rank rejoin. Training schedule, metric
 //! aggregation and checkpoint commit order exist once, so the two worlds
 //! agree bit for bit by construction; every coordinator wait is bounded
-//! and a dead worker — thread or process — surfaces as a typed error
-//! naming its rank (which [`Trainer`]'s infallible methods turn into a
-//! panic).
+//! and a dead worker — thread or process — surfaces as a typed
+//! [`WorldError`] naming its rank (which [`Trainer`]'s infallible methods
+//! turn into a panic).
 //!
 //! It is also **fault tolerant**, and a checkpoint is one thing: a
 //! manifest plus one shard per rank in an `opt_net::ShardStore`.
@@ -53,8 +53,7 @@
 //! losses and identical wire traffic — and [`run_with_faults`] scripts
 //! whole kill/recover scenarios from an `opt_ckpt::FaultPlan` under a
 //! [`Recovery`]. [`Trainer::snapshot`] gathers the same state into one
-//! in-memory value for inspection, and [`Trainer::restore`] feeds such a
-//! value back through the same restore path.
+//! in-memory value for inspection; nothing restores from it.
 //!
 //! # Example
 //!
@@ -84,8 +83,8 @@ pub use dp_compress::DistPowerSgd;
 pub use fault::{run_with_faults, FaultOutcome, ProcFaultOptions, Recovery};
 pub use memory::MemoryReport;
 pub use proc::{
-    worker_main, ProcError, ProcOptions, ProcTrainer, WorldError, ENV_CFG, ENV_RANK, ENV_RDV,
-    ENV_REJOIN, ENV_STORE,
+    worker_main, ProcOptions, ProcTrainer, WorldError, ENV_CFG, ENV_RANK, ENV_RDV, ENV_REJOIN,
+    ENV_STORE,
 };
 pub use stats::{ErrorStatPoint, TrainReport, ValPoint};
 pub use trainer::Trainer;

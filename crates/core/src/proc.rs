@@ -76,12 +76,21 @@ pub const ENV_STORE: &str = "OPT_WORKER_STORE";
 /// [`opt_net::tcp_rejoin`], splicing over its dead predecessor.
 pub const ENV_REJOIN: &str = "OPT_WORKER_REJOIN";
 
-/// Why a multi-process operation failed.
+/// Why an operation on a world failed — either launcher, any layer.
+///
+/// The first five variants are ordinary failures of one operation; the
+/// last is the terminal case of [`ProcTrainer::rejoin_rank`] (and of
+/// [`crate::run_with_faults`] under [`crate::Recovery::Rejoin`] on top of
+/// it): a dead rank with **no committed checkpoint to restore a
+/// replacement from**. That one is surfaced as
+/// [`WorldError::Unrecoverable`] so the caller can tear the survivors
+/// down cleanly instead of leaving them to die one by one on recv
+/// timeouts.
 #[derive(Debug)]
-pub enum ProcError {
+pub enum WorldError {
     /// Spawning or signalling a worker process failed.
     Io(std::io::Error),
-    /// The TCP fabric failed (rendezvous, send, recv).
+    /// The fabric failed (rendezvous, send, recv, a dead peer).
     Transport(TransportError),
     /// A checkpoint operation failed.
     Ckpt(CkptError),
@@ -95,97 +104,53 @@ pub enum ProcError {
         /// What the kill/wait syscall reported.
         detail: String,
     },
-}
-
-impl fmt::Display for ProcError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProcError::Io(e) => write!(f, "worker process I/O failed: {e}"),
-            ProcError::Transport(e) => write!(f, "worker fabric failed: {e}"),
-            ProcError::Ckpt(e) => write!(f, "checkpoint operation failed: {e}"),
-            ProcError::Protocol(d) => write!(f, "control protocol violation: {d}"),
-            ProcError::Reap { rank, detail } => {
-                write!(f, "reaping worker rank {rank} failed: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProcError {}
-
-impl From<std::io::Error> for ProcError {
-    fn from(e: std::io::Error) -> Self {
-        ProcError::Io(e)
-    }
-}
-
-impl From<TransportError> for ProcError {
-    fn from(e: TransportError) -> Self {
-        ProcError::Transport(e)
-    }
-}
-
-impl From<CkptError> for ProcError {
-    fn from(e: CkptError) -> Self {
-        ProcError::Ckpt(e)
-    }
-}
-
-impl From<PersistError> for ProcError {
-    fn from(e: PersistError) -> Self {
-        ProcError::Protocol(format!("malformed control message: {e}"))
-    }
-}
-
-/// Why an elastic-membership operation could not keep the world alive.
-///
-/// [`ProcTrainer::rejoin_rank`] (and [`crate::run_with_faults`] under
-/// [`crate::Recovery::Rejoin`] on top of it) distinguishes
-/// *recoverable-layer* failures ([`WorldError::Proc`]) from the terminal
-/// case: a dead rank with **no
-/// committed checkpoint to restore a replacement from**. The latter is
-/// surfaced as [`WorldError::Unrecoverable`] so the caller can tear the
-/// survivors down cleanly instead of leaving them to die one by one on
-/// recv timeouts.
-#[derive(Debug)]
-pub enum WorldError {
     /// The world cannot be made whole again; escalate and tear down.
     Unrecoverable {
         /// Why recovery is impossible.
         reason: String,
     },
-    /// A multi-process operation failed for an ordinary reason.
-    Proc(ProcError),
 }
 
 impl fmt::Display for WorldError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            WorldError::Io(e) => write!(f, "worker process I/O failed: {e}"),
+            WorldError::Transport(e) => write!(f, "worker fabric failed: {e}"),
+            WorldError::Ckpt(e) => write!(f, "checkpoint operation failed: {e}"),
+            WorldError::Protocol(d) => write!(f, "control protocol violation: {d}"),
+            WorldError::Reap { rank, detail } => {
+                write!(f, "reaping worker rank {rank} failed: {detail}")
+            }
             WorldError::Unrecoverable { reason } => {
                 write!(f, "world is unrecoverable: {reason}")
             }
-            WorldError::Proc(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for WorldError {}
 
-impl From<ProcError> for WorldError {
-    fn from(e: ProcError) -> Self {
-        WorldError::Proc(e)
+impl From<std::io::Error> for WorldError {
+    fn from(e: std::io::Error) -> Self {
+        WorldError::Io(e)
     }
 }
 
 impl From<TransportError> for WorldError {
     fn from(e: TransportError) -> Self {
-        WorldError::Proc(ProcError::Transport(e))
+        WorldError::Transport(e)
     }
 }
 
 impl From<CkptError> for WorldError {
     fn from(e: CkptError) -> Self {
-        WorldError::Proc(ProcError::Ckpt(e))
+        WorldError::Ckpt(e)
+    }
+}
+
+impl From<PersistError> for WorldError {
+    fn from(e: PersistError) -> Self {
+        WorldError::Protocol(format!("malformed control message: {e}"))
     }
 }
 
@@ -230,11 +195,11 @@ pub(crate) struct WorkerSlot {
 
 impl WorkerSlot {
     /// Kills and reaps the process if it has not been reaped yet.
-    fn reap(&mut self, rank: usize) -> Result<(), ProcError> {
+    fn reap(&mut self, rank: usize) -> Result<(), WorldError> {
         if self.reaped {
             return Ok(());
         }
-        let wrap = |what: &str, e: std::io::Error| ProcError::Reap {
+        let wrap = |what: &str, e: std::io::Error| WorldError::Reap {
             rank,
             detail: format!("{what}: {e}"),
         };
@@ -254,7 +219,7 @@ impl WorkerHandle for WorkerSlot {
 /// Kills and reaps every not-yet-reaped worker, collecting (rank, error)
 /// pairs instead of aborting on the first failure — teardown must visit
 /// every child even when one refuses to die.
-fn reap_all(children: &mut [WorkerSlot]) -> Vec<(usize, ProcError)> {
+fn reap_all(children: &mut [WorkerSlot]) -> Vec<(usize, WorldError)> {
     let mut failures = Vec::new();
     for (rank, slot) in children.iter_mut().enumerate() {
         if let Err(e) = slot.reap(rank) {
@@ -274,7 +239,7 @@ fn spawn_worker(
     trace: TraceMode,
     rank: usize,
     rejoin: bool,
-) -> Result<WorkerSlot, ProcError> {
+) -> Result<WorkerSlot, WorldError> {
     let mut cmd = std::process::Command::new(&opts.worker_bin);
     cmd.env(ENV_RANK, rank.to_string())
         .env(ENV_CFG, to_hex(&cfg.to_bytes()))
@@ -334,7 +299,7 @@ impl ProcTrainer {
         cfg: TrainerConfig,
         opts: ProcOptions,
         trace: TraceMode,
-    ) -> Result<ProcTrainer, ProcError> {
+    ) -> Result<ProcTrainer, WorldError> {
         assert!(cfg.pp > 0 && cfg.dp > 0, "pp and dp must be positive");
         let world = cfg.pp * cfg.dp;
         let incarnation = INCARNATION.fetch_add(1, Ordering::SeqCst);
@@ -364,7 +329,7 @@ impl ProcTrainer {
             Ok(t) => Arc::new(t),
             Err(e) => {
                 cleanup(&mut children, "rendezvous");
-                return Err(ProcError::Transport(e));
+                return Err(WorldError::Transport(e));
             }
         };
         // The coordinator records its own (recovery) spans: failure
@@ -524,33 +489,33 @@ impl ProcTrainer {
     }
 
     /// Runs extra training iterations, leaving the world quiesced.
-    pub fn train_more(&mut self, extra: u64) -> Result<(), ProcError> {
+    pub fn train_more(&mut self, extra: u64) -> Result<(), WorldError> {
         self.coord.train_more(extra)
     }
 
     /// Runs training up to the configured iteration count with periodic
     /// validation — same command schedule, same aggregation and therefore
     /// the same report, bit for bit, as [`crate::Trainer::train`].
-    pub fn train(&mut self) -> Result<TrainReport, ProcError> {
+    pub fn train(&mut self) -> Result<TrainReport, WorldError> {
         self.coord.train()
     }
 
     /// Quiesces the workers, gathers every process's raw samples and
     /// ledger, and aggregates them into a report.
-    pub fn report(&mut self) -> Result<TrainReport, ProcError> {
+    pub fn report(&mut self) -> Result<TrainReport, WorldError> {
         self.coord.report()
     }
 
     /// Quiesces the workers and returns the merged traffic counters:
     /// per-class totals plus the per-(src, dst, channel) breakdown.
-    pub fn traffic(&mut self) -> Result<TrafficBreakdown, ProcError> {
+    pub fn traffic(&mut self) -> Result<TrafficBreakdown, WorldError> {
         self.coord.traffic()
     }
 
     /// Drains every worker process's trace buffer over the control plane
     /// into one merged [`Trace`]. Returns `None` when the world was
     /// launched with tracing off.
-    pub fn take_trace(&mut self) -> Result<Option<Trace>, ProcError> {
+    pub fn take_trace(&mut self) -> Result<Option<Trace>, WorldError> {
         let Some(mut buffers) = self.coord.take_trace()? else {
             return Ok(None);
         };
@@ -571,14 +536,14 @@ impl ProcTrainer {
     /// own shard to the store **over TCP**, the coordinator assembles and
     /// publishes the manifest last, so a crash mid-save leaves the
     /// previous checkpoint fully restorable.
-    pub fn save_sharded(&mut self) -> Result<ShardManifest, ProcError> {
+    pub fn save_sharded(&mut self) -> Result<ShardManifest, WorldError> {
         self.coord.save_sharded(&self.store)
     }
 
     /// Has every worker process rendezvous on the store's manifest, fetch
     /// only its own shard over TCP, validate, and apply it. Returns the
     /// checkpoint iteration the world resumed at.
-    pub fn self_restore_all(&mut self) -> Result<u64, ProcError> {
+    pub fn self_restore_all(&mut self) -> Result<u64, WorldError> {
         let iter = resolve_manifest(&self.coord.cfg, &self.store)?.meta.iter;
         self.coord.self_restore(0..self.coord.world(), iter)?;
         Ok(iter)
@@ -590,7 +555,7 @@ impl ProcTrainer {
     /// # Panics
     ///
     /// Panics if `rank` lies outside the world.
-    pub fn kill_rank(&mut self, rank: usize) -> Result<(), ProcError> {
+    pub fn kill_rank(&mut self, rank: usize) -> Result<(), WorldError> {
         assert!(rank < self.coord.world(), "rank {rank} outside the world");
         self.coord.workers[rank].reap(rank)
     }
@@ -611,7 +576,7 @@ impl ProcTrainer {
     ///
     /// Reap failures are returned (and logged to stderr) rather than
     /// silently swallowed — an unkillable worker means a leaked process.
-    pub fn abort(mut self) -> Vec<(usize, ProcError)> {
+    pub fn abort(mut self) -> Vec<(usize, WorldError)> {
         let failures = reap_all(&mut self.coord.workers);
         for (rank, e) in &failures {
             eprintln!("coordinator: reaping worker rank {rank} during abort failed: {e}");
@@ -621,10 +586,10 @@ impl ProcTrainer {
     }
 
     /// Clean shutdown: broadcast `Stop`, then reap every worker process.
-    pub fn shutdown(mut self) -> Result<(), ProcError> {
+    pub fn shutdown(mut self) -> Result<(), WorldError> {
         self.coord.broadcast(crate::control::WireCmd::Stop)?;
         for (rank, slot) in self.coord.workers.iter_mut().enumerate() {
-            slot.child.wait().map_err(|e| ProcError::Reap {
+            slot.child.wait().map_err(|e| WorldError::Reap {
                 rank,
                 detail: format!("wait: {e}"),
             })?;
@@ -647,20 +612,20 @@ impl ProcTrainer {
 /// same `WorkerCtx` a worker thread gets, and runs the shared
 /// `run_worker` loop on it: commands arrive on, and replies leave
 /// through, the TCP transport's control lanes directly.
-pub fn worker_main() -> Result<(), ProcError> {
+pub fn worker_main() -> Result<(), WorldError> {
     let env = |key: &str| {
-        std::env::var(key).map_err(|_| ProcError::Protocol(format!("{key} is not set")))
+        std::env::var(key).map_err(|_| WorldError::Protocol(format!("{key} is not set")))
     };
     let rank: usize = env(ENV_RANK)?
         .parse()
-        .map_err(|_| ProcError::Protocol(format!("{ENV_RANK} is not a rank")))?;
+        .map_err(|_| WorldError::Protocol(format!("{ENV_RANK} is not a rank")))?;
     let cfg_bytes = from_hex(&env(ENV_CFG)?)
-        .ok_or_else(|| ProcError::Protocol(format!("{ENV_CFG} is not hex")))?;
+        .ok_or_else(|| WorldError::Protocol(format!("{ENV_CFG} is not hex")))?;
     let cfg = TrainerConfig::from_bytes(&cfg_bytes)?;
     let rdv_dir = PathBuf::from(env(ENV_RDV)?);
     let store_addr: SocketAddr = env(ENV_STORE)?
         .parse()
-        .map_err(|_| ProcError::Protocol(format!("{ENV_STORE} is not an address")))?;
+        .map_err(|_| WorldError::Protocol(format!("{ENV_STORE} is not an address")))?;
     // Trace mode travels in the environment like the rest of the launch
     // protocol; the coordinator sets it explicitly on every spawn.
     let trace = TraceMode::from_env();
@@ -668,7 +633,7 @@ pub fn worker_main() -> Result<(), ProcError> {
     let pp = cfg.pp;
     let world = pp * cfg.dp;
     if rank >= world {
-        return Err(ProcError::Protocol(format!(
+        return Err(WorldError::Protocol(format!(
             "rank {rank} outside the {pp}x{} world",
             cfg.dp
         )));

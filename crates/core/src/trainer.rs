@@ -3,16 +3,16 @@
 //! coordinator.
 
 use crate::config::TrainerConfig;
-use crate::control::{store_err, StoreSlot, WireCmd};
+use crate::control::{StoreSlot, WireCmd};
 use crate::coordinator::{resolve_manifest, Coordinator};
-use crate::proc::ProcError;
+use crate::proc::WorldError;
 use crate::stats::TrainReport;
 use crate::worker::{run_worker, WorkerCtx};
 use crate::MemoryReport;
-use opt_ckpt::{CkptError, ShardManifest, Snapshot, MANIFEST_FILE};
+use opt_ckpt::{CkptError, ShardManifest, Snapshot};
 use opt_data::{TaskScore, ZeroShotTask};
 use opt_model::Stage;
-use opt_net::{LocalTransport, MemShardStore, ShardStore, TrafficBreakdown};
+use opt_net::{LocalTransport, ShardStore, TrafficBreakdown};
 use opt_trace::{Trace, TraceMode};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,31 +21,17 @@ use std::thread::JoinHandle;
 /// the world is broken (a worker thread died, a reply never came), there
 /// is nothing left to drive, and the typed error becomes the panic
 /// message.
-fn live<T>(result: Result<T, ProcError>) -> T {
+fn live<T>(result: Result<T, WorldError>) -> T {
     result.unwrap_or_else(|e| panic!("in-process world failed: {e}"))
 }
 
 /// Checkpoint failures are the caller's to handle; anything else means
 /// the world is broken ([`live`]).
-fn ckpt<T>(result: Result<T, ProcError>) -> Result<T, CkptError> {
+fn ckpt<T>(result: Result<T, WorldError>) -> Result<T, CkptError> {
     match result {
-        Err(ProcError::Ckpt(e)) => Err(e),
+        Err(WorldError::Ckpt(e)) => Err(e),
         other => Ok(live(other)),
     }
-}
-
-/// `snapshot` as a checkpoint in a private in-memory store: every shard,
-/// then the manifest.
-fn checkpoint_of(snapshot: &Snapshot) -> Result<Arc<dyn ShardStore>, CkptError> {
-    let store = MemShardStore::new();
-    let (manifest, blobs) = snapshot.to_shards();
-    for (name, blob) in &blobs {
-        store.put(name, blob).map_err(store_err)?;
-    }
-    store
-        .put(MANIFEST_FILE, &manifest.encode())
-        .map_err(store_err)?;
-    Ok(Arc::new(store))
 }
 
 /// A running 3D-parallel training job: `pp x dp` worker threads, each
@@ -148,7 +134,7 @@ impl Trainer {
     pub fn launch_processes(
         cfg: TrainerConfig,
         opts: crate::ProcOptions,
-    ) -> Result<crate::ProcTrainer, ProcError> {
+    ) -> Result<crate::ProcTrainer, WorldError> {
         Self::launch_processes_traced(cfg, opts, TraceMode::from_env())
     }
 
@@ -160,14 +146,14 @@ impl Trainer {
         cfg: TrainerConfig,
         opts: crate::ProcOptions,
         trace: TraceMode,
-    ) -> Result<crate::ProcTrainer, ProcError> {
+    ) -> Result<crate::ProcTrainer, WorldError> {
         crate::ProcTrainer::launch(cfg, opts, trace)
     }
 
     /// Runs training up to the configured iteration count with periodic
     /// validation, returning the aggregated report. A freshly launched
-    /// trainer starts at iteration 0; a [`Trainer::restore`]d one resumes
-    /// where its snapshot left off.
+    /// trainer starts at iteration 0; a [`Trainer::restore_sharded`] one
+    /// resumes where its checkpoint left off.
     pub fn train(&mut self) -> TrainReport {
         live(self.coord.train())
     }
@@ -179,7 +165,7 @@ impl Trainer {
     }
 
     /// Iterations completed so far (includes iterations inherited from a
-    /// restored snapshot).
+    /// restored checkpoint).
     pub fn trained_iters(&self) -> u64 {
         self.coord.trained_iters
     }
@@ -211,26 +197,10 @@ impl Trainer {
     /// compression state into one in-memory [`Snapshot`], behind barrier
     /// semantics (commands are ordered per worker, and the collection
     /// blocks until all `pp * dp` sections arrive). A snapshot is a value
-    /// to inspect, compare or hand to [`Trainer::restore`]; a checkpoint
-    /// that outlives the process is [`Trainer::save_sharded`].
+    /// to inspect or compare; a checkpoint that can be restored is
+    /// [`Trainer::save_sharded`].
     pub fn snapshot(&mut self) -> Snapshot {
         live(self.coord.snapshot())
-    }
-
-    /// Relaunches a training job from a snapshot, through the one restore
-    /// path: its shards go into a private in-memory store and
-    /// [`Trainer::restore_sharded`] does the rest. The resumed trainer
-    /// continues at the snapshot's iteration and — by the bit-exact-resume
-    /// guarantee — reproduces exactly the losses and wire traffic the
-    /// uninterrupted run would have produced from that point.
-    ///
-    /// Fails without spawning anything if the snapshot's world shape or
-    /// config fingerprint does not match `cfg` or a rank's section is
-    /// missing; a section that fails to
-    /// decode or has the wrong parameter shapes is refused by the worker
-    /// it was meant for, and the half-restored world is stopped.
-    pub fn restore(cfg: TrainerConfig, snapshot: &Snapshot) -> Result<Trainer, CkptError> {
-        Self::restore_sharded(cfg, &checkpoint_of(snapshot)?)
     }
 
     /// Captures a sharded checkpoint directly into a [`ShardStore`]: every
@@ -271,6 +241,12 @@ impl Trainer {
     /// exactly the losses and wire traffic the uninterrupted run would
     /// have produced — even if the restored incarnation runs with a
     /// different kernel thread count.
+    ///
+    /// Fails without spawning anything if the manifest is missing or its
+    /// world shape or config fingerprint does not match `cfg`; a shard
+    /// that fails validation or has the wrong parameter shapes is refused
+    /// by the worker it was meant for, and the half-restored world is
+    /// stopped.
     pub fn restore_sharded(
         cfg: TrainerConfig,
         store: &Arc<dyn ShardStore>,
@@ -426,7 +402,8 @@ mod tests {
     use super::*;
     use crate::control::CH_CMD;
     use crate::QualityConfig;
-    use opt_net::{Transport, TransportError};
+    use opt_ckpt::{Shard, ShardEntry, MANIFEST_FILE};
+    use opt_net::{MemShardStore, Transport, TransportError};
 
     #[test]
     fn rejected_section_is_a_typed_error_and_a_dead_worker_is_named() {
@@ -435,9 +412,19 @@ mod tests {
         // A shard whose manifest, checksum and header are all in order but
         // whose tensors are not this stage's: only the worker it is meant
         // for can tell, and it refuses the section before touching state.
-        let mut snapshot = t.snapshot();
-        snapshot.ranks[1].params[0] = opt_tensor::Matrix::zeros(1, 1);
-        let store = checkpoint_of(&snapshot).unwrap();
+        let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
+        let mut manifest = t.save_sharded(&store).unwrap();
+        let entry = manifest
+            .shards
+            .iter_mut()
+            .find(|e| (e.stage, e.dp) == (1, 0))
+            .unwrap();
+        let mut shard = Shard::decode(&store.get(&entry.name).unwrap()).unwrap();
+        shard.section.params[0] = opt_tensor::Matrix::zeros(1, 1);
+        let blob = shard.encode();
+        store.put(&entry.name, &blob).unwrap();
+        *entry = ShardEntry::for_blob(1, 0, entry.name.clone(), &blob);
+        store.put(MANIFEST_FILE, &manifest.encode()).unwrap();
         let err = t
             .restore_rank(1, 0, &store)
             .expect_err("wrong shapes applied");
@@ -455,7 +442,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                ProcError::Transport(TransportError::Disconnected { peer: 2 })
+                WorldError::Transport(TransportError::Disconnected { peer: 2 })
             ),
             "{err}"
         );

@@ -1,27 +1,28 @@
 //! Runtime kernel-architecture dispatch.
 //!
-//! The GEMM kernels come in one implementation per architecture: an
-//! AVX2+FMA micro-kernel on x86_64, a NEON micro-kernel on aarch64, and a
-//! portable scalar fallback. Which one runs is resolved **once** per
-//! process, from the first probe of [`kernel_arch`]:
+//! The kernels come in two implementations: an AVX2+FMA form on x86_64
+//! hosts that have it, and a portable scalar form. Which one runs is
+//! resolved **once** per process, from the first probe of
+//! [`kernel_arch`]:
 //!
-//! 1. `OPT_KERNEL_ARCH=scalar|avx2|neon` forces a path (benchmarking the
+//! 1. `OPT_KERNEL_ARCH=scalar|avx2` forces a path (benchmarking the
 //!    fallback on a SIMD box, CI's forced-scalar leg). Requesting a path
 //!    the host cannot execute panics instead of silently falling back —
 //!    a benchmark or test run under an override must never measure a
 //!    different kernel than it claims. `detect` (or an empty value) is
 //!    the same as leaving the variable unset.
 //! 2. Otherwise the host is probed (`is_x86_feature_detected!("avx2")` +
-//!    `"fma"` on x86_64; NEON is baseline on aarch64).
+//!    `"fma"` on x86_64).
 //! 3. Anything else falls back to [`KernelArch::Scalar`].
 //!
-//! Every path produces **bit-identical results**: the kernel contract is a
-//! fused-multiply-add accumulation chain per output element (a fixed
-//! 8-lane split for dot reductions, and a fixed sequence of IEEE-exact
-//! operations per element for `exp` / GELU — see `simd.rs`), which the
-//! scalar fallback emulates with [`f32::mul_add`].
-//! `tests/kernel_equivalence.rs` enforces the contract across every path
-//! the host can run.
+//! Every path produces **bit-identical results**. The contract names no
+//! instruction set: one ascending-`k` fused-multiply-add chain per output
+//! element, a fixed 8-lane split for dot reductions, and a fixed sequence
+//! of IEEE-exact operations per element for `exp` / GELU (see `simd.rs`).
+//! The scalar form spells it out with [`f32::mul_add`], so a kernel for
+//! another target is a new [`KernelArch`] variant that transcribes that
+//! order. `tests/kernel_equivalence.rs` enforces the contract across
+//! every path the host can run.
 //!
 //! The module also keeps per-`{arch, dense/sparse}` invocation counters so
 //! a trace export can show which kernel paths a run actually exercised
@@ -39,8 +40,6 @@ pub enum KernelArch {
     Scalar,
     /// x86_64 AVX2 + FMA (`_mm256_fmadd_ps`) micro-kernels.
     Avx2,
-    /// aarch64 NEON (`vfmaq_f32`) micro-kernels.
-    Neon,
 }
 
 impl KernelArch {
@@ -49,7 +48,6 @@ impl KernelArch {
         match self {
             KernelArch::Scalar => "scalar",
             KernelArch::Avx2 => "avx2",
-            KernelArch::Neon => "neon",
         }
     }
 
@@ -57,7 +55,6 @@ impl KernelArch {
         match self {
             KernelArch::Scalar => 1,
             KernelArch::Avx2 => 2,
-            KernelArch::Neon => 3,
         }
     }
 
@@ -65,7 +62,6 @@ impl KernelArch {
         match code {
             1 => Some(KernelArch::Scalar),
             2 => Some(KernelArch::Avx2),
-            3 => Some(KernelArch::Neon),
             _ => None,
         }
     }
@@ -93,7 +89,6 @@ pub fn arch_available(arch: KernelArch) -> bool {
                 false
             }
         }
-        KernelArch::Neon => cfg!(target_arch = "aarch64"),
     }
 }
 
@@ -103,10 +98,8 @@ pub fn arch_available(arch: KernelArch) -> bool {
 /// dispatcher could pick is always a path the oracle ran against.
 pub fn available_arches() -> Vec<KernelArch> {
     let mut arches = vec![KernelArch::Scalar];
-    for arch in [KernelArch::Avx2, KernelArch::Neon] {
-        if arch_available(arch) {
-            arches.push(arch);
-        }
+    if arch_available(KernelArch::Avx2) {
+        arches.push(KernelArch::Avx2);
     }
     arches
 }
@@ -115,8 +108,6 @@ pub fn available_arches() -> Vec<KernelArch> {
 pub fn detected_arch() -> KernelArch {
     if arch_available(KernelArch::Avx2) {
         KernelArch::Avx2
-    } else if arch_available(KernelArch::Neon) {
-        KernelArch::Neon
     } else {
         KernelArch::Scalar
     }
@@ -130,8 +121,7 @@ fn arch_from_env() -> KernelArch {
                 "" | "detect" => return detected_arch(),
                 "scalar" => KernelArch::Scalar,
                 "avx2" => KernelArch::Avx2,
-                "neon" => KernelArch::Neon,
-                other => panic!("OPT_KERNEL_ARCH={other:?} is not one of scalar|avx2|neon|detect"),
+                other => panic!("OPT_KERNEL_ARCH={other:?} is not one of scalar|avx2|detect"),
             };
             assert!(
                 arch_available(requested),
@@ -186,8 +176,7 @@ pub fn set_kernel_arch(arch: KernelArch) {
 /// not counted: the counters describe which *matrix-product* paths a run
 /// exercised, and their deltas must stay comparable across changes to the
 /// activation code.
-static PATH_COUNTS: [[AtomicU64; 2]; 3] = [
-    [AtomicU64::new(0), AtomicU64::new(0)],
+static PATH_COUNTS: [[AtomicU64; 2]; 2] = [
     [AtomicU64::new(0), AtomicU64::new(0)],
     [AtomicU64::new(0), AtomicU64::new(0)],
 ];
@@ -201,13 +190,13 @@ pub(crate) fn note_sparse_kernel(arch: KernelArch) {
 }
 
 /// Snapshot of the per-path invocation counters:
-/// `(arch name, "dense"|"sparse", invocations)` for all six pairs, in a
+/// `(arch name, "dense"|"sparse", invocations)` for all four pairs, in a
 /// fixed order. Counters are process-global and monotonic; consumers
 /// (the Chrome-trace exporter, `trace_report`) typically show only the
 /// nonzero entries.
-pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); 6] {
-    let arches = [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Neon];
-    let mut out = [("", "", 0u64); 6];
+pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); 4] {
+    let arches = [KernelArch::Scalar, KernelArch::Avx2];
+    let mut out = [("", "", 0u64); 4];
     for (i, arch) in arches.iter().enumerate() {
         for (j, path) in ["dense", "sparse"].iter().enumerate() {
             out[i * 2 + j] = (
@@ -245,25 +234,26 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(KernelArch::Scalar.name(), "scalar");
         assert_eq!(KernelArch::Avx2.name(), "avx2");
-        assert_eq!(KernelArch::Neon.name(), "neon");
     }
 
     #[test]
     fn arch_codes_roundtrip() {
-        for arch in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Neon] {
+        for arch in [KernelArch::Scalar, KernelArch::Avx2] {
             assert_eq!(KernelArch::from_code(arch.code()), Some(arch));
         }
         assert_eq!(KernelArch::from_code(0), None);
+        // Code 3 named a retired path; it stays unassigned.
+        assert_eq!(KernelArch::from_code(3), None);
         assert_eq!(KernelArch::from_code(9), None);
     }
 
     #[test]
     fn path_counts_enumerate_all_pairs() {
         let counts = kernel_path_counts();
-        assert_eq!(counts.len(), 6);
+        assert_eq!(counts.len(), 4);
         assert_eq!(counts[0].0, "scalar");
         assert_eq!(counts[0].1, "dense");
-        assert_eq!(counts[5].0, "neon");
-        assert_eq!(counts[5].1, "sparse");
+        assert_eq!(counts[3].0, "avx2");
+        assert_eq!(counts[3].1, "sparse");
     }
 }

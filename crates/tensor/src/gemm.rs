@@ -20,17 +20,17 @@
 //! so every memory walk is over contiguous rows. The pure [`route`]
 //! function picks among the three.
 //!
-//! The micro-kernels themselves are architecture-dispatched (see
-//! [`crate::dispatch`]): AVX2+FMA on x86_64, NEON on aarch64, and a
-//! portable [`f32::mul_add`] fallback, all implementing the same
+//! The micro-kernels themselves are dispatched at runtime (see
+//! [`crate::dispatch`]): AVX2+FMA on x86_64 hosts that have it, and a
+//! portable [`f32::mul_add`] fallback, both implementing the same
 //! contract (see `simd.rs`).
 //!
 //! # Determinism contract
 //!
 //! Every output element is **one fused-multiply-add chain** over
 //! ascending `k`: `acc = fma(a_k, b_k, acc)`. Correctly rounded FMA is
-//! unique, so the hardware `vfmadd`/`vfma` paths and the scalar
-//! `f32::mul_add` fallback produce identical bits on every architecture:
+//! unique, so a hardware fused multiply-add and the scalar
+//! `f32::mul_add` fallback produce identical bits:
 //!
 //! * the SIMD kernels vectorize across output *columns* (broadcast `a`,
 //!   vector `b`), which interleaves different elements' chains but never
@@ -45,7 +45,7 @@
 //! * the worker pool (see [`crate::pool`]) assigns each output panel to
 //!   exactly one thread via a fixed decomposition.
 //!
-//! Blocked, blocked+parallel, and every architecture path are therefore
+//! Blocked, blocked+parallel, and every dispatched kernel path are therefore
 //! bit-identical for finite inputs at any thread count;
 //! `tests/kernel_equivalence.rs` enforces this against an emulated
 //! oracle. An *unfused* multiply-then-add loop agrees with them to
@@ -61,8 +61,8 @@ use std::cell::RefCell;
 /// latency times two issue ports needs, and each `k` step issues 8 loads
 /// (2 of B, 6 broadcasts of A) for 12 FMAs, so the FMA units are the limit.
 pub(crate) const MR: usize = 6;
-/// Columns of the register tile (two 8-lane AVX2 vectors, four 4-lane NEON
-/// vectors); also the width of a packed B panel.
+/// Columns of the register tile (two 8-lane AVX2 vectors); also the width
+/// of a packed B panel.
 pub(crate) const NR: usize = 16;
 /// `k`-chunk length: one `KC x NR` B-panel slice (16 KiB) plus the `MR`
 /// A rows feeding it (6 KiB) stay L1-resident while the register tile

@@ -9,7 +9,7 @@
 //!
 //! The matrix products run on a cache-blocked, register-tiled GEMM layer
 //! (see `gemm.rs`) with vectorized micro-kernels (AVX2+FMA on x86_64,
-//! NEON on aarch64, scalar `mul_add` fallback) selected once at startup
+//! scalar `mul_add` fallback) selected once at startup
 //! by a runtime dispatch module ([`kernel_arch`], overridable via
 //! `OPT_KERNEL_ARCH`). Large outputs fan across a small deterministic
 //! worker pool (`OPT_KERNEL_THREADS`, see [`kernel_threads`]). The kernel
@@ -21,7 +21,8 @@
 //! through [`SparseMatrix`], bit-identical to the dense subtract, and the
 //! model's transcendentals ([`exp`] for softmax, [`gelu`] /
 //! [`gelu_backward`]) are element-wise kernels built from IEEE-exact
-//! operations only — no libm call whose result could differ between hosts.
+//! operations only — no libm call whose result could differ between
+//! kernel paths.
 //! Allocation-free `*_into` variants ([`Matrix::matmul_into`] and
 //! friends) back the model and compressor hot paths.
 //!

@@ -189,58 +189,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns a new matrix containing rows `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.rows()`.
-    #[must_use]
-    pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "row slice out of bounds");
-        Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    #[must_use]
-    pub fn vcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vcat requires equal column counts");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Returns a new matrix containing columns `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.cols()`.
-    #[must_use]
-    pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
-        assert!(
-            start <= end && end <= self.cols,
-            "column slice out of bounds"
-        );
-        let mut out = Matrix::zeros(self.rows, end - start);
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols + start..r * self.cols + end];
-            out.row_mut(r).copy_from_slice(src);
-        }
-        out
-    }
-
     /// Copies the sub-block of rows `[r0, r1)` x columns `[c0, c1)` into
     /// `out` (reshaped as needed, buffer reused) — the no-allocation
     /// workhorse behind per-head attention slicing.
@@ -255,24 +203,6 @@ impl Matrix {
         for r in r0..r1 {
             let src = &self.data[r * self.cols + c0..r * self.cols + c1];
             out.row_mut(r - r0).copy_from_slice(src);
-        }
-    }
-
-    /// Copies `block` into `self` starting at column `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` does not fit (row count mismatch or columns
-    /// overflow).
-    pub fn paste_cols(&mut self, start: usize, block: &Matrix) {
-        assert_eq!(self.rows, block.rows, "paste_cols row mismatch");
-        assert!(
-            start + block.cols <= self.cols,
-            "paste_cols overflows columns"
-        );
-        for r in 0..self.rows {
-            let dst_start = r * self.cols + start;
-            self.data[dst_start..dst_start + block.cols].copy_from_slice(block.row(r));
         }
     }
 
@@ -508,23 +438,14 @@ mod tests {
 
     #[test]
     fn row_access_and_slicing() {
-        let a = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
-        assert_eq!(a.row(2), &[4.0, 5.0]);
-        let s = a.slice_rows(1, 3);
+        let a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        assert_eq!(a.row(2), &[6.0, 7.0, 8.0]);
+        // The block buffer is reshaped to fit, whatever it held before.
+        let mut s = Matrix::zeros(5, 5);
+        a.slice_block_into(1, 3, 1, 3, &mut s);
         assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.row(0), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn slice_and_paste_cols_roundtrip() {
-        let a = Matrix::from_fn(3, 6, |r, c| (r * 6 + c) as f32);
-        let block = a.slice_cols(2, 5);
-        assert_eq!(block.shape(), (3, 3));
-        assert_eq!(block.row(1), &[8.0, 9.0, 10.0]);
-        let mut b = Matrix::zeros(3, 6);
-        b.paste_cols(2, &block);
-        assert_eq!(b.slice_cols(2, 5), block);
-        assert_eq!(b[(0, 0)], 0.0);
+        assert_eq!(s.row(0), &[4.0, 5.0]);
+        assert_eq!(s.row(1), &[7.0, 8.0]);
     }
 
     #[test]
@@ -543,15 +464,6 @@ mod tests {
             &[3.0, 1.0, f32::NAN],
         ]);
         assert_eq!(a.argmax_rows(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn vcat_stacks() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = a.vcat(&b);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
     }
 
     #[test]

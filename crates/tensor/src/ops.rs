@@ -155,21 +155,7 @@ impl Matrix {
         out
     }
 
-    /// Adds a `1 x cols` bias row to every row of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x self.cols()`.
-    #[must_use]
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.shape(), (1, self.cols()), "bias must be 1 x cols");
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias);
-        out
-    }
-
-    /// In-place variant of [`Matrix::add_row_broadcast`]: adds a
-    /// `1 x cols` bias row to every row of `self` without allocating.
+    /// Adds a `1 x cols` bias row to every row of `self` in place.
     ///
     /// # Panics
     ///
@@ -247,9 +233,9 @@ mod tests {
 
     #[test]
     fn broadcast_bias() {
-        let a = Matrix::zeros(3, 2);
+        let mut out = Matrix::zeros(3, 2);
         let b = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let out = a.add_row_broadcast(&b);
+        out.add_row_broadcast_assign(&b);
         for r in 0..3 {
             assert_eq!(out.row(r), &[1.0, -1.0]);
         }

@@ -1,27 +1,28 @@
-//! Architecture-specific micro-kernels and the lane-order accumulation
-//! contract.
+//! SIMD micro-kernels and the lane-order accumulation contract.
 //!
 //! # The kernel bit-contract
 //!
-//! Three kernel shapes cover every kernel in this crate, and each has one
-//! fixed, architecture-independent operation order:
+//! Three kernel shapes cover every kernel in this crate. Each has one
+//! fixed operation order, stated here without reference to any
+//! instruction set; a vector kernel for a new target is a transcription
+//! of the order below, checked by the same tests.
 //!
-//! * **Per-element FMA chains** (GEMM): every output
-//!   element is a single fused-multiply-add chain over ascending `k` —
-//!   `acc = fma(a_k, b_k, acc)`. The SIMD kernels vectorize across
-//!   *output columns* (broadcast `a`, vector `b`), which interleaves
-//!   different elements' chains but never reassociates any one chain.
-//!   Correctly rounded FMA is unique, so hardware `vfmadd`/`vfma` and the
-//!   scalar fallback's [`f32::mul_add`] produce identical bits.
+//! * **Per-element FMA chains** (GEMM): every output element is a single
+//!   fused-multiply-add chain over ascending `k` — `acc = fma(a_k, b_k,
+//!   acc)`. A vector kernel may vectorize across *output columns*
+//!   (broadcast `a`, vector `b`), which interleaves different elements'
+//!   chains but never reassociates any one chain. Correctly rounded FMA
+//!   is unique, so a hardware fused multiply-add and the scalar form's
+//!   [`f32::mul_add`] produce identical bits.
 //!
 //! * **8-lane split dot reductions** ([`dot`], used by modified
 //!   Gram–Schmidt): element `i` accumulates into lane `i % 8` (full
 //!   8-element chunks round-robin the lanes; the tail fills lanes
 //!   `0..len % 8`), each lane being an FMA chain, and the eight lanes are
-//!   reduced strictly left-to-right at the end. AVX2 holds the lanes in
-//!   one `__m256`, NEON in two `float32x4`, and the scalar fallback in a
-//!   `[f32; 8]` — same lanes, same chains, same final reduction, so the
-//!   bits agree everywhere.
+//!   reduced strictly left-to-right at the end. However a kernel holds the
+//!   eight lanes (one 8-wide vector, two 4-wide ones, or the scalar form's
+//!   `[f32; 8]`), the lanes, their chains and the final reduction are the
+//!   same, so the bits agree.
 //!
 //! * **Element-wise lanes** ([`exp`], [`gelu`], [`gelu_backward`]): every
 //!   output element is a function of its own input element only, written
@@ -29,30 +30,29 @@
 //!   operations — fma, multiply, add, subtract, divide, compare-and-select,
 //!   the round-to-nearest integer conversion done by adding `1.5 * 2^23`,
 //!   and an integer shift that inserts the exponent. Every one of those is
-//!   correctly rounded (or exact) with a unique result, so there is nothing
-//!   for an architecture to disagree on: the AVX2 and NEON forms are the
-//!   *same* lane function compiled under the wider instruction set (the
+//!   correctly rounded (or exact) with a unique result, so no two
+//!   compilations of the lane function can disagree: a vector form is the
+//!   *same* lane function compiled under a wider instruction set (the
 //!   loop vectorizes across elements), and the scalar form is the same
 //!   function one element at a time. No libm transcendental (`expf`,
-//!   `tanhf`) is involved, which is what makes a GELU or a softmax
-//!   reproduce bit for bit on another host. (A NaN result is a NaN
-//!   everywhere; which NaN — sign and payload — is the one thing IEEE
-//!   leaves to the hardware, and the contract does not cover it.)
+//!   `tanhf`) is involved. (A NaN result is a NaN on every path; which NaN
+//!   — sign and payload — is the one thing IEEE leaves to the hardware,
+//!   and the contract does not cover it.)
 //!
 //! `tests/kernel_equivalence.rs` pins all three shapes against scalar
-//! oracles across every architecture the host can execute.
+//! oracles on every path the host can execute; CI runs it on x86_64,
+//! where that is the scalar form and AVX2, at 1 and 4 kernel threads.
 //!
 //! # The GEMM register tile
 //!
 //! Every GEMM micro-kernel updates one `MR x NR` = 6 x 16 tile of
 //! accumulators per `k` step: `NR / lanes` vector loads of B (two `__m256`
-//! on AVX2, four `float32x4` on NEON), then per tile row one broadcast of
-//! `a` and `NR / lanes` FMAs. The SIMD kernels are written once over that
-//! vectors-per-row count, so the tile shape lives in `gemm.rs` alone. On
-//! AVX2 a step issues 8 loads for 12 FMAs (an 8 x 8 tile issued 9 for 8,
-//! which made load issue, not the FMA units, the limit) and keeps 12
-//! independent chains in flight, more than FMA latency times its two ports
-//! needs; NEON keeps 24 of its 32 vector registers as accumulators.
+//! on AVX2), then per tile row one broadcast of `a` and `NR / lanes` FMAs.
+//! The AVX2 kernels are written over that vectors-per-row count, so the
+//! tile shape lives in `gemm.rs` alone. A step issues 8 loads for 12 FMAs
+//! (an 8 x 8 tile issued 9 for 8, which made load issue, not the FMA
+//! units, the limit) and keeps 12 independent chains in flight, more than
+//! FMA latency times its two ports needs.
 
 use crate::dispatch::{kernel_arch, KernelArch};
 use crate::gemm::{MR, NR};
@@ -234,7 +234,7 @@ pub(crate) fn gelu_backward_scalar(x: &[f32], grad: &[f32], dx: &mut [f32]) {
 // lowers to a libm `fmaf` call per multiply, which makes the scalar tile
 // roughly an order of magnitude slower than an unfused `acc += a * b`
 // loop. That cost is inherent to the bit contract — a correctly rounded
-// fused chain is the only accumulation every architecture can reproduce
+// fused chain is the only accumulation every kernel path can reproduce
 // exactly — and the scalar tile (like the scalar form of the element-wise
 // lanes above, a dozen `mul_add`s per element) is the contract's portable
 // reference, not a performance path.
@@ -397,166 +397,6 @@ pub(crate) mod avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// NEON (aarch64)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon {
-    use super::{DOT_LANES, MR, NR};
-    use std::arch::aarch64::*;
-
-    /// `float32x4` vectors per tile row.
-    const NV: usize = NR / 4;
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64.
-    #[inline(always)]
-    unsafe fn load_tile(acc: &[[f32; NR]; MR]) -> [[float32x4_t; NV]; MR] {
-        let mut vacc = [[vdupq_n_f32(0.0); NV]; MR];
-        for (vrow, row) in vacc.iter_mut().zip(acc) {
-            for (c, v) in vrow.iter_mut().enumerate() {
-                *v = vld1q_f32(row.as_ptr().add(c * 4));
-            }
-        }
-        vacc
-    }
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64.
-    #[inline(always)]
-    unsafe fn store_tile(vacc: &[[float32x4_t; NV]; MR], acc: &mut [[f32; NR]; MR]) {
-        for (vrow, row) in vacc.iter().zip(acc) {
-            for (c, v) in vrow.iter().enumerate() {
-                vst1q_f32(row.as_mut_ptr().add(c * 4), *v);
-            }
-        }
-    }
-
-    /// One `k` step: `NV` loads of B's row `kk`, then per tile row one
-    /// broadcast of `a(i)` and `NV` FMAs.
-    ///
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64; `bp` must be valid for `NR` reads.
-    #[inline(always)]
-    unsafe fn step(vacc: &mut [[float32x4_t; NV]; MR], bp: *const f32, a: impl Fn(usize) -> f32) {
-        let mut b = [vdupq_n_f32(0.0); NV];
-        for (c, v) in b.iter_mut().enumerate() {
-            *v = vld1q_f32(bp.add(c * 4));
-        }
-        for (i, vrow) in vacc.iter_mut().enumerate() {
-            let ai = vdupq_n_f32(a(i));
-            for (v, bv) in vrow.iter_mut().zip(&b) {
-                *v = vfmaq_f32(*v, ai, *bv);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64; pointers derive from the slices.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn micro_kernel_packed(
-        apack: &[f32],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        let kc = bpanel.len() / NR;
-        assert_eq!(apack.len(), kc * MR);
-        let mut vacc = load_tile(acc);
-        let ap = apack.as_ptr();
-        let bp = bpanel.as_ptr();
-        for kk in 0..kc {
-            step(&mut vacc, bp.add(kk * NR), |i| *ap.add(kk * MR + i));
-        }
-        store_tile(&vacc, acc);
-    }
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64; every `arows[i]` must hold at least
-    /// `bpanel.len() / NR` elements.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn micro_kernel_rows(
-        arows: &[&[f32]; MR],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        let kc = bpanel.len() / NR;
-        let mut vacc = load_tile(acc);
-        let bp = bpanel.as_ptr();
-        for kk in 0..kc {
-            step(&mut vacc, bp.add(kk * NR), |i| *arows[i].as_ptr().add(kk));
-        }
-        store_tile(&vacc, acc);
-    }
-
-    /// 8-lane split dot: lanes 0–3 live in one `float32x4`, lanes 4–7 in
-    /// another — the same lane assignment as one AVX2 vector.
-    ///
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64; pointers derive from the slices.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let chunks = a.len() / DOT_LANES;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        for c in 0..chunks {
-            let base = c * DOT_LANES;
-            acc_lo = vfmaq_f32(
-                acc_lo,
-                vld1q_f32(a.as_ptr().add(base)),
-                vld1q_f32(b.as_ptr().add(base)),
-            );
-            acc_hi = vfmaq_f32(
-                acc_hi,
-                vld1q_f32(a.as_ptr().add(base + 4)),
-                vld1q_f32(b.as_ptr().add(base + 4)),
-            );
-        }
-        let mut lanes = [0.0f32; DOT_LANES];
-        vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-        let base = chunks * DOT_LANES;
-        for (j, lane) in lanes.iter_mut().enumerate().take(a.len() - base) {
-            *lane = a[base + j].mul_add(b[base + j], *lane);
-        }
-        super::reduce_lanes(&lanes)
-    }
-
-    /// Element-wise forms: the shared lane loops compiled with NEON
-    /// enabled (`mul_add` is `fmla`, 4 lanes wide).
-    ///
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn exp(xs: &mut [f32]) {
-        super::exp_scalar(xs)
-    }
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn gelu(x: &[f32], out: &mut [f32]) {
-        super::gelu_scalar(x, out)
-    }
-
-    /// # Safety
-    ///
-    /// NEON is baseline on aarch64.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn gelu_backward(x: &[f32], grad: &[f32], dx: &mut [f32]) {
-        super::gelu_backward_scalar(x, grad, dx)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Arch-dispatching wrappers
 // ---------------------------------------------------------------------------
 
@@ -572,9 +412,6 @@ pub(crate) fn micro_kernel_packed(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::micro_kernel_packed(apack, bpanel, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::micro_kernel_packed(apack, bpanel, acc) },
         _ => micro_kernel_packed_scalar(apack, bpanel, acc),
     }
 }
@@ -591,9 +428,6 @@ pub(crate) fn micro_kernel_rows(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::micro_kernel_rows(arows, bpanel, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::micro_kernel_rows(arows, bpanel, acc) },
         _ => micro_kernel_rows_scalar(arows, bpanel, acc),
     }
 }
@@ -611,9 +445,6 @@ pub(crate) fn dot_arch(arch: KernelArch, a: &[f32], b: &[f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::dot(a, b) },
         _ => dot_scalar(a, b),
     }
 }
@@ -628,9 +459,6 @@ pub fn exp(xs: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::exp(xs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::exp(xs) },
         _ => exp_scalar(xs),
     }
 }
@@ -647,9 +475,6 @@ pub fn gelu(x: &[f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::gelu(x, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::gelu(x, out) },
         _ => gelu_scalar(x, out),
     }
 }
@@ -668,9 +493,6 @@ pub fn gelu_backward(x: &[f32], grad: &[f32], dx: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after feature detection.
         KernelArch::Avx2 => unsafe { avx2::gelu_backward(x, grad, dx) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        KernelArch::Neon => unsafe { neon::gelu_backward(x, grad, dx) },
         _ => gelu_backward_scalar(x, grad, dx),
     }
 }

@@ -1,5 +1,5 @@
 //! The kernel determinism contract, enforced end to end: every dispatchable
-//! kernel path (scalar fallback, AVX2+FMA, NEON) must be **bit-identical**
+//! kernel path (scalar fallback, AVX2+FMA) must be **bit-identical**
 //! to an in-test oracle that spells out the contract directly — a fused
 //! `mul_add` accumulation chain per output element for GEMM, the fixed
 //! 8-lane split reduction for Gram–Schmidt dots, and the fixed per-element

@@ -102,16 +102,6 @@ proptest! {
         prop_assert_eq!(m.add(&zero), m.clone());
         prop_assert!(m.sub(&m).max_abs() == 0.0);
     }
-
-    #[test]
-    fn vcat_then_slice_roundtrip(seed in 0u64..500) {
-        let mut rng = SeedStream::new(seed);
-        let a = rng.uniform_matrix(3, 4, 1.0);
-        let b = rng.uniform_matrix(2, 4, 1.0);
-        let cat = a.vcat(&b);
-        prop_assert_eq!(cat.slice_rows(0, 3), a);
-        prop_assert_eq!(cat.slice_rows(3, 5), b);
-    }
 }
 
 // ---------------------------------------------------------------------------
