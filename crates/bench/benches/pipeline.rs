@@ -2,9 +2,11 @@
 //! training iteration (all micro-batches, DP exchange, embedding sync)
 //! for baseline vs full Optimus-CC, which demonstrates that compression
 //! also reduces *our* in-process wall-clock (less data through channels);
-//! and the linear-layer GEMMs that dominate that iteration's compute.
+//! the GPT-mid model step that dominates the benchmark's dp2-mid
+//! iterations; and the linear-layer GEMMs that dominate that step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use opt_model::{cross_entropy, GptConfig, Stage};
 use opt_tensor::SeedStream;
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
@@ -50,5 +52,35 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_train_iter, bench_gemm);
+/// One GPT-mid stage step at 128 rows (4 sequences of 32 tokens):
+/// forward, loss and backward, the step a dp2-mid iteration spends
+/// ~85 % of its time in. Throughput is in tokens.
+fn bench_model_step(c: &mut Criterion) {
+    let cfg = GptConfig {
+        name: "GPT-mid".into(),
+        n_layers: 4,
+        hidden: 128,
+        heads: 4,
+        vocab: 256,
+        seq_len: 32,
+    };
+    let mut stage = Stage::build_pipeline(&cfg, 1, 5).remove(0);
+    let tokens: Vec<usize> = (0..4 * cfg.seq_len).map(|i| i * 7 % cfg.vocab).collect();
+    let targets: Vec<usize> = tokens.iter().map(|&t| (t + 1) % cfg.vocab).collect();
+    let mut group = c.benchmark_group("model_step");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(tokens.len() as u64));
+    group.bench_function("gpt_mid_128_rows", |bench| {
+        bench.iter(|| {
+            let logits = stage.forward_tokens(std::hint::black_box(&tokens));
+            let out = cross_entropy(&logits, &targets);
+            stage.backward(&out.grad_logits);
+            stage.zero_grad();
+            out.loss
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_train_iter, bench_model_step, bench_gemm);
 criterion_main!(benches);

@@ -37,10 +37,10 @@
 
 use crate::chanstats::{ChannelLedger, ChannelStat};
 use crate::retry::RetryPolicy;
-use crate::transport::{LaneMap, Payload, Transport, TransportError};
+use crate::transport::{hop_span, LaneMap, Payload, Transport, TransportError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opt_ckpt::framing::{self, FRAME_OVERHEAD, HEADER_LEN};
-use opt_trace::{SpanKind, NO_MICRO};
+use opt_trace::SpanKind;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -683,7 +683,7 @@ impl Transport for TcpTransport {
             Payload::Bytes(b) => b,
             Payload::Shared(s) => s.encoded(),
         };
-        let _span = opt_trace::begin_full(SpanKind::Send, 0, NO_MICRO, bytes.len() as u64, 0);
+        let _span = hop_span(SpanKind::Send, channel, bytes.len());
         let frame = WireFrame::new(channel, dst, bytes);
         let slot = self.peers.slots[dst].read();
         let Some(peer) = slot.as_ref() else {
@@ -712,7 +712,7 @@ impl Transport for TcpTransport {
     ) -> Result<Payload, TransportError> {
         self.check_lane(dst, src);
         let rx = self.inbox_lane(src, channel);
-        let span = opt_trace::begin_full(SpanKind::Recv, 0, NO_MICRO, 0, 0);
+        let span = hop_span(SpanKind::Recv, channel, 0);
         let start = Instant::now();
         let deadline = start + timeout;
         loop {

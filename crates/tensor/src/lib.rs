@@ -26,6 +26,23 @@
 //! Allocation-free `*_into` variants ([`Matrix::matmul_into`] and
 //! friends) back the model and compressor hot paths.
 //!
+//! # Storage
+//!
+//! [`Matrix`] storage of 64 KiB or more is drawn from one
+//! process-wide pool of freed buffers, matched by exact length, and a
+//! dropped `Matrix` gives its buffer back, so each training step reuses
+//! the pages the previous one freed instead of faulting fresh ones in.
+//! What draws from the pool: [`Matrix::zeros`], [`Matrix::full`],
+//! [`Matrix::from_fn`], `clone`, the element-wise ops, `transpose`, the
+//! growth of an `*_into` output, and [`Reader::f32s`] (every decoded
+//! payload and checkpoint). What does not: buffers under 64 KiB, which
+//! the allocator serves without faulting, and the
+//! vectors handed to [`Matrix::from_vec`] / [`Matrix::from_rows`], which
+//! keep their own storage until they are dropped. Reuse never changes a
+//! bit — every constructor and kernel overwrites the whole buffer, and
+//! `zeros` / `full` still fill — and the pool never holds more than
+//! 32 MiB; a buffer past that ceiling is freed.
+//!
 //! # Example
 //!
 //! ```

@@ -1,5 +1,6 @@
 //! Element-wise and reduction operations on [`Matrix`].
 
+use crate::matrix::take_storage;
 use crate::Matrix;
 
 impl Matrix {
@@ -85,7 +86,10 @@ impl Matrix {
     /// Applies `f` to every element, returning a new matrix.
     #[must_use]
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let data = self.as_slice().iter().map(|&x| f(x)).collect();
+        let mut data = take_storage(self.len());
+        for (o, &x) in data.iter_mut().zip(self.as_slice()) {
+            *o = f(x);
+        }
         Matrix::from_vec(self.rows(), self.cols(), data)
     }
 
@@ -171,12 +175,10 @@ impl Matrix {
 
     fn zip_with(&self, rhs: &Matrix, op: &'static str, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "{op} shape mismatch");
-        let data = self
-            .as_slice()
-            .iter()
-            .zip(rhs.as_slice())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
+        let mut data = take_storage(self.len());
+        for ((o, &a), &b) in data.iter_mut().zip(self.as_slice()).zip(rhs.as_slice()) {
+            *o = f(a, b);
+        }
         Matrix::from_vec(self.rows(), self.cols(), data)
     }
 }

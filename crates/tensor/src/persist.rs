@@ -25,6 +25,7 @@
 //! assert_eq!(Matrix::from_bytes(&bytes).unwrap(), m);
 //! ```
 
+use crate::matrix::take_storage;
 use crate::Matrix;
 use std::cell::Cell;
 use std::fmt;
@@ -273,16 +274,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` `f32` bit patterns written by [`Writer::f32s`], checking
-    /// the stream length once for all of them.
+    /// the stream length once for all of them. The buffer is drawn from
+    /// the [`Matrix`] storage pool, so a decoded matrix reuses freed pages
+    /// and the pool does not fill with buffers that only ever flow in.
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, PersistError> {
         let needed = n.checked_mul(4).ok_or(PersistError::Invalid {
             what: "element count overflows",
         })?;
-        Ok(self
-            .take(needed)?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+        let bytes = self.take(needed)?;
+        let mut out = take_storage(n);
+        for (o, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed byte blob.
