@@ -1,13 +1,11 @@
-//! Fault-injection plans shared by the numerical trainer and the
-//! discrete-event simulator.
+//! Fault-injection plans for the numerical trainer.
 
 /// A scripted failure: kill worker `kill_rank` once `kill_at_iter`
 /// iterations have completed, then elastically restart from the newest
 /// snapshot (or from scratch if none was taken yet).
 ///
-/// The same plan drives both substrates: `optimus-cc`'s
-/// `run_with_faults` replays it against real worker threads, `opt-sim`'s
-/// `simulate_with_faults` prices it in wall-clock seconds.
+/// `optimus-cc`'s `run_with_faults` replays it against real worker threads
+/// or processes.
 ///
 /// # Example
 ///

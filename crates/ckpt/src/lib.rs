@@ -31,9 +31,8 @@
 //!   format, and nothing restores from it.
 //! * [`CkptError`] — why a snapshot, manifest, or shard was rejected.
 //! * [`FaultPlan`] — a scripted failure (kill rank *r* after iteration
-//!   *k*, snapshot every *n*) interpreted by both the numerical trainer
-//!   (`optimus_cc::run_with_faults`) and the event simulator
-//!   (`opt_sim::simulate_with_faults`).
+//!   *k*, snapshot every *n*) that the numerical trainer replays
+//!   (`optimus_cc::run_with_faults`).
 //!
 //! The save/restore drivers live in `optimus-cc` (`Trainer::save_sharded`,
 //! `Trainer::restore_sharded`), which owns the worker protocol; the shard

@@ -240,10 +240,11 @@ impl TrainerConfig {
         )
     }
 
-    /// Number of earliest stages covered by selective stage compression.
+    /// Number of earliest stages covered by selective stage compression
+    /// ([`opt_schedule::sc_stage_count`]); naive DP compression covers all.
     pub fn sc_stage_count(&self) -> usize {
         match (self.quality.sc, self.quality.naive_dp_rank) {
-            (Some(sc), _) => ((sc.fraction * self.pp as f64).round() as usize).min(self.pp),
+            (Some(sc), _) => opt_schedule::sc_stage_count(sc.fraction, self.pp),
             (None, Some(_)) => self.pp,
             (None, None) => 0,
         }
@@ -495,6 +496,13 @@ mod tests {
         assert_eq!(cfg.sc_stage_count(), 4);
         cfg.quality = QualityConfig::baseline();
         assert_eq!(cfg.sc_stage_count(), 0);
+        // At pp <= 2 the paper's 0.75 covers every stage: a single-stage
+        // SC run compresses its DP traffic exactly as naive DP would.
+        cfg.quality = QualityConfig::cb_fe_sc();
+        for pp in [1, 2] {
+            cfg.pp = pp;
+            assert_eq!(cfg.sc_stage_count(), pp);
+        }
     }
 
     #[test]

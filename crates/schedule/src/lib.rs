@@ -27,9 +27,11 @@
 mod epilogue;
 mod overlap;
 mod schedule;
+mod selective;
 mod slot;
 
 pub use epilogue::{epilogue_sends, is_epilogue_send};
 pub use overlap::{overlap_launch, overlap_micro, OverlapTask};
 pub use schedule::{bubble_fraction, gpipe, one_f_one_b, Op, PipelineSchedule};
+pub use selective::sc_stage_count;
 pub use slot::slot_guard;

@@ -1,7 +1,6 @@
 //! CPI-stack-style execution-time breakdown (paper §3, Fig. 3 / Fig. 10).
 
-use crate::{simulate, SimConfig, SimResult};
-use serde::{Deserialize, Serialize};
+use crate::{simulate, SimConfig};
 
 /// Execution-time breakdown of one iteration, measured the way the paper
 /// measures it (§3): "we turn off each communication/computation and
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// compute + pipeline bubble); each `*_exposed` field is the extra time
 /// attributable to that communication class. Like a CPI stack, the parts
 /// need not sum exactly to the total.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Breakdown {
     /// Full iteration time with everything enabled.
     pub total: f64,
@@ -85,11 +84,6 @@ pub fn breakdown(cfg: &SimConfig) -> Breakdown {
         interstage_exposed,
         emb_exposed,
     }
-}
-
-/// Convenience: breakdown plus the `SimResult` of the full run.
-pub fn breakdown_with_result(cfg: &SimConfig) -> (Breakdown, SimResult) {
-    (breakdown(cfg), simulate(cfg))
 }
 
 #[cfg(test)]

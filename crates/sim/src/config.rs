@@ -1,10 +1,9 @@
 //! Simulation configuration and compression plans.
 
 use opt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// Compressed-backpropagation plan (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbPlan {
     /// PowerSGD rank for inter-stage activation gradients (paper: 16).
     pub rank: usize,
@@ -24,7 +23,7 @@ impl CbPlan {
 }
 
 /// Selective-stage-compression plan (§7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScPlan {
     /// Fraction of stages (earliest first) whose DP traffic is compressed
     /// (paper: 0.75).
@@ -45,7 +44,7 @@ impl ScPlan {
 
 /// Which communications are compressed and how — the knob space of the
 /// paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CompressionPlan {
     /// Compressed backpropagation (inter-stage backward traffic).
     pub compressed_backprop: Option<CbPlan>,
@@ -122,7 +121,7 @@ impl CompressionPlan {
 }
 
 /// Full configuration of one simulated training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Model being trained (paper-scale config; sizes volumes & flops).
     pub model: GptConfig,
@@ -256,9 +255,9 @@ impl SimConfig {
     }
 
     /// Number of earliest stages whose DP traffic selective stage
-    /// compression covers.
+    /// compression covers ([`opt_schedule::sc_stage_count`]).
     pub fn sc_stage_count(&self, fraction: f64) -> usize {
-        ((fraction * self.pp as f64).round() as usize).min(self.pp)
+        opt_schedule::sc_stage_count(fraction, self.pp)
     }
 }
 
@@ -296,10 +295,16 @@ mod tests {
 
     #[test]
     fn sc_stage_count_rounds_075() {
-        let c = SimConfig::paper_gpt_2_5b();
+        let mut c = SimConfig::paper_gpt_2_5b();
         assert_eq!(c.sc_stage_count(0.75), 3);
         assert_eq!(c.sc_stage_count(1.0), 4);
         assert_eq!(c.sc_stage_count(0.0), 0);
+        // opt-schedule's rule at this job's depth: at pp <= 2 the paper's
+        // 0.75 covers every stage, as it does in the trainer.
+        for pp in [1, 2] {
+            c.pp = pp;
+            assert_eq!(c.sc_stage_count(0.75), pp);
+        }
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use crate::cost::{all_reduce_time_s, p2p_time_s, ring_all_reduce_wire_bytes};
 use crate::{KernelModel, SimConfig};
 use opt_schedule::{is_epilogue_send, one_f_one_b, Op};
-use serde::{Deserialize, Serialize};
 
 /// What a trace event represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Forward compute of a micro-batch.
     Forward,
@@ -21,7 +20,7 @@ pub enum TraceKind {
 }
 
 /// One timed event in the simulated iteration (for Fig. 4-style timelines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Pipeline stage (device) the event runs on.
     pub stage: usize,
@@ -36,7 +35,7 @@ pub struct TraceEvent {
 }
 
 /// Result of simulating one training iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// End-to-end iteration time (all stages through DP + EMB sync).
     pub iteration_time_s: f64,

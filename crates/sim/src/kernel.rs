@@ -1,7 +1,5 @@
 //! Compression/decompression kernel cost model, calibrated to Fig. 15.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model for PowerSGD compression kernels on an A100-class GPU.
 ///
 /// Compression of an `n x m` gradient at rank `r` performs two `n x m x r`
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Constants are calibrated to the paper's Fig. 15 anchor: GPT-8.3B,
 /// CB rank 16 → compression ≈ 98 GB/s (787 Gb/s), decompression
 /// ≈ 8.3 TB/s (68.2 Tb/s) of dense-equivalent bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelModel {
     /// Effective GEMM throughput during compression, FLOP/s.
     pub gemm_flops: f64,

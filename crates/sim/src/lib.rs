@@ -17,11 +17,7 @@
 //!   stage's last backward finishes (the structural fact selective stage
 //!   compression exploits, §7),
 //! * embedding synchronization — separate (EMB DP + 2-way sync) or fused
-//!   (single 2D-way all-reduce, §6),
-//! * scripted worker failures with checkpoint/restart cost accounting
-//!   ([`simulate_with_faults`]): snapshot-write overhead, failure
-//!   detection, relaunch, snapshot read, and lost-work replay, driven by
-//!   the same `opt_ckpt::FaultPlan` the numerical trainer executes.
+//!   (single 2D-way all-reduce, §6).
 //!
 //! Communication volumes are derived from the *paper-scale* model configs
 //! (`opt-model::GptConfig`) and the paper's cluster parameters (effective
@@ -49,18 +45,13 @@ mod breakdown;
 mod config;
 mod cost;
 mod engine;
-mod fault;
 mod kernel;
 
-pub use breakdown::{breakdown, breakdown_with_result, Breakdown};
+pub use breakdown::{breakdown, Breakdown};
 pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
 pub use cost::{
     all_reduce_time_s, embedding_fusion_speedup, embedding_sync_baseline_bytes,
     embedding_sync_fused_bytes, p2p_time_s, ring_all_reduce_wire_bytes,
 };
 pub use engine::{simulate, SimResult, TraceEvent, TraceKind};
-pub use fault::{
-    simulate_with_faults, snapshot_bytes, CkptCostModel, FaultEvent, FaultSimResult, Recovery,
-    StoreTransport,
-};
 pub use kernel::KernelModel;

@@ -87,17 +87,11 @@ fn trace_reexports_resolve() {
 
 #[test]
 fn elastic_restore_reexports_resolve() {
-    // The sharded-checkpoint surface: formats in ckpt, the store in net,
-    // the cost model in sim.
+    // The sharded-checkpoint surface: formats in ckpt, the store in net.
     let _ = optimus::ckpt::shard_file_name(0, 0, 0);
     let _ = optimus::ckpt::MANIFEST_FILE;
     let _ = optimus::ckpt::SHARD_FORMAT_VERSION;
     let store: &dyn optimus::net::ShardStore = &optimus::net::MemShardStore::new();
     store.put("manifest.ckpt", b"x").expect("put");
     let _ = optimus::net::FsShardStore::new("never-created");
-    let costs = optimus::sim::CkptCostModel::paper_cluster();
-    // On a paper-scale (tens of GB) snapshot, per-rank fetches from a
-    // store in local memory beat the same fetches over the TCP wire.
-    use optimus::sim::StoreTransport::{Local, Tcp};
-    assert!(costs.sharded_io_s(1e11, 64, Local) < costs.sharded_io_s(1e11, 64, Tcp));
 }
