@@ -7,15 +7,17 @@
 //! builds it before running this test.
 
 use opt_ckpt::{shard_file_name, CkptError, FaultPlan, ShardManifest, MANIFEST_FILE};
-use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer, TcpShardStore};
+use opt_net::{
+    FsShardStore, MemShardStore, ShardStore, ShardStoreServer, TcpShardStore, TransportError,
+};
 use opt_trace::Trace;
 use optimus_cc::{
-    run_with_faults, ProcFaultOptions, ProcOptions, QualityConfig, Recovery, TraceMode, Trainer,
-    TrainerConfig, WorldError,
+    run_with_faults, ProcFaultOptions, ProcOptions, QualityConfig, Recovery, TraceMode,
+    TrainReport, Trainer, TrainerConfig, WorldError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_opt_worker"))
@@ -28,16 +30,41 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Losses must agree bit-for-bit, NaN pattern included.
-fn assert_bit_identical(a: &[f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "loss curves have different lengths");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+/// No worker process may outlive `after`, not even as a zombie: on Linux
+/// `/proc/<pid>` exists until the parent reaps the child.
+fn assert_reaped(pids: &[u32], after: &str) {
+    if cfg!(target_os = "linux") {
+        for pid in pids {
+            let proc_dir = format!("/proc/{pid}");
+            assert!(
+                !Path::new(&proc_dir).exists(),
+                "worker {pid} outlived {after}"
+            );
+        }
+    }
+}
+
+/// Two reports must agree bit-for-bit: training losses (NaN pattern
+/// included), validation points and traffic.
+fn assert_reports_identical(a: &TrainReport, b: &TrainReport) {
+    assert_eq!(
+        a.train_loss.len(),
+        b.train_loss.len(),
+        "loss curves have different lengths"
+    );
+    for (i, (x, y)) in a.train_loss.iter().zip(&b.train_loss).enumerate() {
         if x.is_nan() {
             assert!(y.is_nan(), "iteration {i}: {x} vs {y}");
         } else {
             assert_eq!(x.to_bits(), y.to_bits(), "iteration {i}: {x} vs {y}");
         }
     }
+    assert_eq!(a.val_points.len(), b.val_points.len());
+    for (x, y) in a.val_points.iter().zip(&b.val_points) {
+        assert_eq!(x.iter, y.iter);
+        assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "val loss at {}", x.iter);
+    }
+    assert_eq!(a.traffic, b.traffic, "wire accounting diverged");
 }
 
 #[test]
@@ -47,7 +74,6 @@ fn tcp_process_world_matches_in_process_run_bit_for_bit() {
     // Reference: the ordinary single-process, thread-based trainer.
     let mut reference = Trainer::launch(cfg.clone());
     let ref_report = reference.train();
-    let ref_traffic = ref_report.traffic;
     reference.shutdown();
 
     // Same run, but every rank is a real OS process over loopback TCP.
@@ -65,13 +91,7 @@ fn tcp_process_world_matches_in_process_run_bit_for_bit() {
     let proc_report = proc_world.train().expect("proc train");
     proc_world.shutdown().expect("shutdown");
 
-    assert_bit_identical(&ref_report.train_loss, &proc_report.train_loss);
-    assert_eq!(ref_report.val_points.len(), proc_report.val_points.len());
-    for (a, b) in ref_report.val_points.iter().zip(&proc_report.val_points) {
-        assert_eq!(a.iter, b.iter);
-        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "val loss at {}", a.iter);
-    }
-    assert_eq!(ref_traffic, proc_report.traffic, "wire accounting diverged");
+    assert_reports_identical(&ref_report, &proc_report);
 }
 
 #[test]
@@ -79,7 +99,7 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
     // The headline scenario: train, publish shards over TCP, SIGKILL one
     // worker process, relaunch, self-restore every rank from the TCP
     // store, finish — and match the in-process sharded faulted run
-    // exactly (losses AND ledger deltas).
+    // exactly: counters and the whole report.
     let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 8);
     let plan = FaultPlan::new(1, 6, 3); // kill rank 1 at iter 6, shards at 3 + 6
 
@@ -109,11 +129,7 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
     assert_eq!(outcome.snapshots_taken, in_process.snapshots_taken);
     assert_eq!(outcome.lost_iters, in_process.lost_iters);
     assert_eq!(outcome.resumed_from, in_process.resumed_from);
-    assert_bit_identical(&in_process.report.train_loss, &outcome.report.train_loss);
-    assert_eq!(
-        in_process.report.traffic, outcome.report.traffic,
-        "post-restore ledger deltas diverged"
-    );
+    assert_reports_identical(&in_process.report, &outcome.report);
 
     // The store the processes checkpointed through holds a valid
     // manifest naming one shard per rank.
@@ -125,32 +141,6 @@ fn killed_process_self_restores_from_tcp_store_bit_for_bit() {
         let blob = on_disk.get(&entry.name).expect("shard on disk");
         entry.verify(&blob).expect("shard verifies");
     }
-
-    // Third leg, the scripted single-rank rejoin: the heartbeat detector
-    // flags the SIGKILL, only rank 1 is re-execed, the world rolls back to
-    // the iter-3 manifest. Same counters; and from the resume point on,
-    // the same losses. Nothing earlier is comparable: the survivors keep
-    // their samples and ledgers, so iterations 0..3 average the surviving
-    // dp rank alone and the traffic total includes the doomed work.
-    let rejoined = run_with_faults(
-        &cfg,
-        &plan,
-        &Recovery::Rejoin(ProcFaultOptions {
-            worker_bin: worker_bin(),
-            scratch_dir: scratch("faulted-rejoin"),
-            store_dir: None,
-        }),
-    )
-    .expect("multi-process rejoin run");
-    assert_eq!(rejoined.restarts, in_process.restarts);
-    assert_eq!(rejoined.snapshots_taken, in_process.snapshots_taken);
-    assert_eq!(rejoined.lost_iters, in_process.lost_iters);
-    assert_eq!(rejoined.resumed_from, in_process.resumed_from);
-    let resumed = in_process.resumed_from.expect("the plan's kill fired") as usize;
-    assert_bit_identical(
-        &in_process.report.train_loss[resumed..],
-        &rejoined.report.train_loss[resumed..],
-    );
 }
 
 /// Spans-mode run of a real TCP process world: returns the merged trace.
@@ -232,162 +222,60 @@ fn traced_process_world_exports_deterministic_chrome_trace() {
     std::fs::write(out_dir.join("trace.json"), json).expect("writing trace.json");
 }
 
-#[test]
-fn sigkilled_rank_rejoins_with_survivors_untouched_bit_for_bit() {
-    // The elastic-rejoin acceptance gate (and the CI chaos smoke job,
-    // which runs it under OPT_TRACE=spans): SIGKILL one rank of a 2x2 TCP
-    // world mid-training, let the coordinator's heartbeat detector notice
-    // (no survivor recv timeout), splice a replacement into the live
-    // mesh, and finish — survivors keep their PIDs and the final losses
-    // and post-rejoin wire traffic are bit-identical to an uninterrupted
-    // run.
-    let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 8);
-
-    // Uninterrupted in-process reference, snapshotting the ledger at the
-    // same segment boundary the faulted world rejoins at.
-    let mut reference = Trainer::launch(cfg.clone());
-    reference.train_more(4);
-    let ref_mid = reference.traffic();
-    reference.train_more(4);
-    let ref_tail = reference.traffic().delta_since(&ref_mid);
-    let ref_report = reference.report();
-    reference.shutdown();
-
+/// A store served over TCP and a launcher of fresh process worlds that
+/// restore from it. Recovery is a whole relaunch whose workers
+/// self-restore from the store: a killed rank rejoins only as part of a
+/// new world.
+fn relaunch_fixture(tag: &str) -> (Arc<dyn ShardStore>, ShardStoreServer, ProcOptions) {
     let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-    let server = ShardStoreServer::spawn(store, "127.0.0.1:0").expect("store server");
-    let mut world = Trainer::launch_processes_traced(
-        cfg,
-        ProcOptions {
-            worker_bin: worker_bin(),
-            store_addr: server.addr(),
-            scratch_dir: scratch("rejoin"),
-        },
-        TraceMode::from_env(),
-    )
-    .expect("process world");
-
-    world.train_more(4).expect("train to snapshot");
-    // False-positive guard: every rank is alive (if slow), so even after
-    // a long gap without polling, draining the queued beats flags nobody.
-    assert_eq!(world.await_failure(Duration::from_millis(50)), None);
-
-    world.save_sharded().expect("publish shards"); // iter 4
-    let pids_before = world.worker_pids();
-    world.train_more(2).expect("train past snapshot"); // iters 4, 5
-
-    world.kill_rank(0).expect("SIGKILL rank 0");
-    let dead = world
-        .await_failure(Duration::from_secs(60))
-        .expect("heartbeat detector flags the SIGKILLed rank");
-    assert_eq!(dead, 0);
-    assert_eq!(world.rejoin_rank(0).expect("rejoin"), 4);
-
-    // Only the dead rank was re-execed; every survivor kept its PID.
-    let pids_after = world.worker_pids();
-    assert_ne!(pids_before[0], pids_after[0], "dead rank kept its process");
-    assert_eq!(
-        pids_before[1..],
-        pids_after[1..],
-        "a survivor was relaunched"
-    );
-
-    // Replay 4..6 and train on to 8: the post-rejoin traffic segment
-    // matches the reference's iterations 4..8 lane for lane.
-    let mid = world.traffic().expect("traffic");
-    world.train_more(4).expect("replay and finish");
-    let tail = world.traffic().expect("traffic").delta_since(&mid);
-    assert_eq!(ref_tail, tail, "post-rejoin wire traffic diverged");
-
-    let report = world.report().expect("report");
-    assert!(
-        report.train_loss.iter().all(|l| l.is_finite()),
-        "rejoin left holes in the loss curve"
-    );
-    assert_bit_identical(&ref_report.train_loss, &report.train_loss);
-
-    // Double-kill the same rank: a second detect/quiesce/rejoin cycle
-    // against the same survivors.
-    world.save_sharded().expect("publish shards again"); // iter 8
-    world.kill_rank(0).expect("SIGKILL rank 0 again");
-    assert_eq!(
-        world.await_failure(Duration::from_secs(60)),
-        Some(0),
-        "second failure went undetected"
-    );
-    assert_eq!(world.rejoin_rank(0).expect("second rejoin"), 8);
-    let pids_final = world.worker_pids();
-    assert_eq!(
-        pids_after[1..],
-        pids_final[1..],
-        "survivors must outlive the second rejoin"
-    );
-    let report = world.report().expect("report after second rejoin");
-    assert_bit_identical(&ref_report.train_loss, &report.train_loss);
-
-    // Under OPT_TRACE=spans (the CI chaos job) the coordinator recorded
-    // the detect/rejoin/restore spans; export them for the artifact.
-    if let Some(trace) = world.take_trace().expect("fetching traces") {
-        let json = trace.to_chrome_json();
-        assert!(json.contains("detect"), "recovery spans missing from trace");
-        assert!(json.contains("rejoin"), "recovery spans missing from trace");
-        let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target")
-            .join("chaos-trace");
-        std::fs::create_dir_all(&out_dir).expect("trace out dir");
-        std::fs::write(out_dir.join("trace.json"), json).expect("writing trace.json");
-    }
-    world.shutdown().expect("shutdown");
+    let server = ShardStoreServer::spawn(Arc::clone(&store), "127.0.0.1:0").expect("store server");
+    let opts = ProcOptions {
+        worker_bin: worker_bin(),
+        store_addr: server.addr(),
+        scratch_dir: scratch(tag),
+    };
+    (store, server, opts)
 }
 
 #[test]
 fn rejoin_without_a_snapshot_is_typed_unrecoverable() {
-    // Graceful degradation: a death before any checkpoint was committed
-    // cannot be healed by rejoin — the caller gets a typed error, never a
-    // hung recv timeout.
-    let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 4);
-    let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-    let server = ShardStoreServer::spawn(store, "127.0.0.1:0").expect("store server");
-    let mut world = Trainer::launch_processes(
-        cfg,
-        ProcOptions {
-            worker_bin: worker_bin(),
-            store_addr: server.addr(),
-            scratch_dir: scratch("unrecoverable"),
-        },
-    )
-    .expect("process world");
+    let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 8);
+    let (_store, _server, opts) = relaunch_fixture("relaunch-empty");
+    let launch = || Trainer::launch_processes(cfg.clone(), opts.clone()).expect("process world");
+
+    // A death before the first commit: there is nothing to restore from,
+    // and the relaunched world says so with a typed error. The doomed
+    // world is dropped, not shut down; the drop reaps its workers.
+    let mut world = launch();
     world.train_more(1).expect("train");
     world.kill_rank(1).expect("kill");
-    let err = world.rejoin_rank(1).expect_err("nothing to restore from");
+    let pids = world.worker_pids();
+    drop(world);
+    assert_reaped(&pids, "a drop");
+    let mut world = launch();
+    let err = world
+        .self_restore_all()
+        .expect_err("restored from an empty store");
     assert!(
-        matches!(err, WorldError::Unrecoverable { .. }),
-        "wrong escalation: {err}"
+        matches!(err, WorldError::Ckpt(CkptError::Store { .. })),
+        "wrong refusal: {err}"
     );
-    assert!(err.to_string().contains("no committed checkpoint manifest"));
     world.abort();
 }
 
 #[test]
 fn rejoin_survives_interrupted_publish_and_refuses_corrupt_shards() {
     let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 8);
-    let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-    let server = ShardStoreServer::spawn(Arc::clone(&store), "127.0.0.1:0").expect("store server");
-    let mut world = Trainer::launch_processes(
-        cfg.clone(),
-        ProcOptions {
-            worker_bin: worker_bin(),
-            store_addr: server.addr(),
-            scratch_dir: scratch("matrix"),
-        },
-    )
-    .expect("process world");
+    let (store, _server, opts) = relaunch_fixture("relaunch-torn");
+    let launch = || Trainer::launch_processes(cfg.clone(), opts.clone()).expect("process world");
+    let mut world = launch();
+
+    // A save that died between shard upload and manifest commit leaves
+    // orphan blobs in the store; the previous checkpoint stays
+    // restorable.
     world.train_more(2).expect("train");
     let manifest = world.save_sharded().expect("save"); // iter 2
     world.train_more(2).expect("train on"); // iters 2, 3
-
-    // A save that died between shard upload and manifest commit leaves
-    // orphan blobs in the store; the previous checkpoint must stay
-    // restorable through a rejoin.
     for entry in &manifest.shards {
         let half_published = shard_file_name(entry.stage, entry.dp, 4);
         store
@@ -395,28 +283,35 @@ fn rejoin_survives_interrupted_publish_and_refuses_corrupt_shards() {
             .expect("orphan blob");
     }
     world.kill_rank(0).expect("kill during interrupted publish");
+    let pids = world.worker_pids();
+    assert!(world.abort().is_empty(), "abort failed to reap");
+    assert_reaped(&pids, "an abort");
+    let mut world = launch();
     assert_eq!(
-        world.rejoin_rank(0).expect("previous manifest restorable"),
+        world
+            .self_restore_all()
+            .expect("previous manifest restorable"),
         2
     );
-    world.train_more(1).expect("world is live after rejoin");
+    world.train_more(1).expect("relaunched world is live");
 
-    // A corrupted shard is refused by the replacement (digest validation)
-    // and the world escalates with a typed error instead of hanging. The
-    // refusal crosses the control plane as its message, so over TCP it
-    // arrives as a store-level checkpoint error naming the checksum.
+    // A corrupted shard is refused by the worker it belongs to (checksum
+    // validation). The refusal crosses the control plane as its message,
+    // so over TCP it arrives as a store-level checkpoint error naming the
+    // checksum.
     let name = shard_file_name(0, 0, 2); // rank 0 = (stage 0, dp 0)
     let mut blob = store.get(&name).expect("fetch shard");
     let mid = blob.len() / 2;
     blob[mid] ^= 0x40;
     store.put(&name, &blob).expect("corrupt the shard in place");
     world.kill_rank(0).expect("kill again");
-    let err = world.rejoin_rank(0).expect_err("corrupt shard accepted");
-    match &err {
-        WorldError::Ckpt(CkptError::Store { what }) => {
+    world.abort();
+    let mut world = launch();
+    match world.self_restore_all() {
+        Err(WorldError::Ckpt(CkptError::Store { what })) => {
             assert!(what.contains("checksum mismatch"), "wrong refusal: {what}")
         }
-        other => panic!("wrong escalation: {other}"),
+        other => panic!("corrupt shard not refused as a store error: {other:?}"),
     }
     world.abort();
 }
@@ -424,7 +319,8 @@ fn rejoin_survives_interrupted_publish_and_refuses_corrupt_shards() {
 #[test]
 fn process_world_save_and_monitoring_roundtrip() {
     // save_sharded over TCP produces a manifest any client can read back;
-    // dead_ranks reports a SIGKILLed process; abort tears the world down.
+    // dead_ranks reports a SIGKILLed process, and the next command
+    // surfaces it; shutdown reaps every worker even with one dead.
     let cfg = TrainerConfig::tiny_test(QualityConfig::cb(), 4);
     let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
     let server = ShardStoreServer::spawn(Arc::clone(&store), "127.0.0.1:0").expect("store server");
@@ -451,7 +347,27 @@ fn process_world_save_and_monitoring_roundtrip() {
     }
 
     assert!(world.dead_ranks().is_empty());
+    let pids = world.worker_pids();
     world.kill_rank(0).expect("kill");
     assert_eq!(world.dead_ranks(), vec![0]);
-    world.abort();
+
+    // The dead rank is detected, not discovered through a receive
+    // timeout: its connection's reader saw EOF, so the next command fails
+    // at once, naming it.
+    let started = Instant::now();
+    let err = world.train_more(1).expect_err("trained with a dead rank");
+    let waited = started.elapsed();
+    assert!(
+        matches!(
+            err,
+            WorldError::Transport(TransportError::Disconnected { peer: 0 })
+        ),
+        "wrong error: {err}"
+    );
+    assert!(waited < Duration::from_secs(5), "detection took {waited:?}");
+
+    // Stop cannot reach the dead rank; the survivors still get it and
+    // every worker is reaped before the error comes back.
+    world.shutdown().expect_err("Stop reached a dead rank");
+    assert_reaped(&pids, "a shutdown with a dead rank");
 }

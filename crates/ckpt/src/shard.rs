@@ -214,7 +214,7 @@ impl Persist for ShardEntry {
 /// header plus one [`ShardEntry`] per `(stage, dp)` worker.
 ///
 /// A restarting worker needs only this (small) manifest and its own shard
-/// to rejoin a run; [`ShardManifest::decode`] rejects bad magic, stale
+/// to resume a run; [`ShardManifest::decode`] rejects bad magic, stale
 /// versions, truncation, checksum mismatches, and incomplete worlds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {

@@ -21,7 +21,7 @@ pub(crate) const CH_FWD: u64 = channel_id(1, 0);
 pub(crate) const CH_BWD: u64 = channel_id(1, 1);
 
 /// Channel namespace 3: coordinator -> worker commands, then one lane per
-/// worker -> coordinator reply type (index 6 is `opt_net::CH_HEARTBEAT`).
+/// worker -> coordinator reply type (index 6 is free).
 pub(crate) const CH_CMD: u64 = channel_id(3, 0);
 pub(crate) const CH_ACK: u64 = channel_id(3, 1);
 pub(crate) const CH_SHARD: u64 = channel_id(3, 2);

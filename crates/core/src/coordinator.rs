@@ -199,15 +199,6 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         self.request(0..self.world(), |id| WireCmd::Barrier { id }, CH_ACK)
     }
 
-    /// [`Coordinator::barrier`] over every rank *except* `skip` — the
-    /// quiesce step of the rejoin protocol: proves the survivors idle (no
-    /// in-flight pipeline or collective frames) before a replacement
-    /// splices into their mesh.
-    pub fn barrier_except(&mut self, skip: usize) -> Result<Vec<WorkerAck>, WorldError> {
-        let survivors = (0..self.world()).filter(move |&r| r != skip);
-        self.request(survivors, |id| WireCmd::Barrier { id }, CH_ACK)
-    }
-
     /// Runs training up to the configured iteration count with periodic
     /// validation, returning the aggregated report.
     pub fn train(&mut self) -> Result<TrainReport, WorldError> {

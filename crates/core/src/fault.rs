@@ -1,8 +1,8 @@
 //! Fault-injection harness: scripted worker failures with elastic
 //! recovery from the newest checkpoint. One driver loop
-//! ([`run_with_faults`]) runs every scenario; a [`Recovery`] picks the
-//! world it runs on, where checkpoints live, and how the run gets back to
-//! training after the failure.
+//! ([`run_with_faults`]) runs every scenario, and one protocol recovers
+//! it: the whole world is relaunched and self-restores. A [`Recovery`]
+//! picks the world it runs on and where checkpoints live.
 
 use crate::proc::{ProcOptions, ProcTrainer, WorldError};
 use crate::{TrainReport, Trainer, TrainerConfig};
@@ -11,7 +11,6 @@ use opt_net::{FsShardStore, MemShardStore, ShardStore, ShardStoreServer};
 use opt_trace::TraceMode;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What a faulted run went through, alongside its final metrics.
 #[derive(Debug, Clone)]
@@ -48,23 +47,19 @@ pub struct ProcFaultOptions {
     pub store_dir: Option<PathBuf>,
 }
 
-/// Where a faulted run checkpoints, and how it recovers from its failure.
+/// Which world a faulted run trains on, and where it checkpoints.
 ///
-/// The first runs on worker *threads*, where a single worker death
-/// tears down the whole job — the collective world cannot make progress
-/// minus one member, which mirrors a real 3D-parallel job losing a GPU.
-/// The "kill" quiesces and stops every thread without any state being
-/// flushed, and the restart relaunches all of them. The last two run on
-/// real `opt-worker` OS *processes* meshed over loopback TCP, checkpoint
-/// through a TCP shard store served by the coordinator, and `SIGKILL` an
-/// actual process. All three report the same counters and, **from
-/// `resumed_from` on, bit-identical losses** for the same config and
-/// plan — the uninterrupted run's. The two full relaunches also agree on
-/// everything before it (`NaN` losses, a ledger that restarts at zero);
-/// under [`Recovery::Rejoin`] the survivors keep their samples and
-/// ledgers (only the replayed iterations are truncated), so earlier
-/// losses are means over the surviving dp ranks and the whole-run
-/// `report.traffic` includes the doomed work.
+/// Both recover the same way. A single worker death tears down the whole
+/// job — the collective world cannot make progress minus one member,
+/// which mirrors a real 3D-parallel job losing a GPU — and a fresh world
+/// self-restores from the newest checkpoint. [`Recovery::Sharded`] runs on
+/// worker *threads*, where the "kill" quiesces and stops every thread
+/// without any state being flushed. [`Recovery::ProcessRelaunch`] runs on
+/// real `opt-worker` OS *processes* meshed over loopback TCP, checkpoints
+/// through a TCP shard store served by the coordinator, and `SIGKILL`s an
+/// actual process. For the same config and plan the two agree on the
+/// whole [`FaultOutcome`]: its counters, and a report whose losses
+/// (`NaN` pattern included) and traffic are bit-identical.
 #[derive(Debug, Clone)]
 pub enum Recovery {
     /// Per-rank shards published by the workers themselves into this
@@ -77,18 +72,6 @@ pub enum Recovery {
     /// Process world; the survivors of the `SIGKILL` are torn down too
     /// and a whole new world self-restores from the TCP store.
     ProcessRelaunch(ProcFaultOptions),
-    /// Process world, recovering through the **elastic single-rank rejoin
-    /// protocol**: the `SIGKILL` is *detected* by the coordinator's
-    /// heartbeat failure detector (no survivor ever trips a recv
-    /// timeout), survivors quiesce at a barrier while only the dead rank
-    /// is re-execed, the replacement self-restores its shard and splices
-    /// back into the survivors' live mesh — survivors keep their PIDs,
-    /// sockets to each other, and already-recorded metrics (rolled-back
-    /// iterations are truncated). A failure before any snapshot was
-    /// committed is unrecoverable by rejoin and surfaces as a typed
-    /// [`WorldError::Unrecoverable`] after the world is torn down
-    /// cleanly, never as a hung recv timeout.
-    Rejoin(ProcFaultOptions),
 }
 
 /// The world a faulted run drives: either launcher, behind the calls the
@@ -171,7 +154,7 @@ pub fn run_with_faults(
             let world = Trainer::launch(cfg.clone());
             Ok(World::Threads(Box::new(world), Arc::clone(store)))
         }),
-        Recovery::ProcessRelaunch(opts) | Recovery::Rejoin(opts) => {
+        Recovery::ProcessRelaunch(opts) => {
             let inner: Arc<dyn ShardStore> = match &opts.store_dir {
                 Some(dir) => Arc::new(FsShardStore::new(dir)),
                 None => Arc::new(MemShardStore::new()),
@@ -211,34 +194,13 @@ pub fn run_with_faults(
         if !failed && completed == plan.kill_at_iter {
             failed = true;
             restarts += 1;
+            // A full relaunch: the collective world cannot progress minus
+            // a member, so the rest of the incarnation goes too, and a
+            // fresh world picks up the newest checkpoint — or starts from
+            // scratch when there is none yet.
             let resumed;
-            (world, resumed) = match (world, recovery) {
-                (World::Procs(mut t), Recovery::Rejoin(_)) => {
-                    t.kill_rank(plan.kill_rank)?;
-                    // The heartbeat detector — not a survivor's recv
-                    // timeout — notices the death.
-                    let rejoined = match t.await_failure(Duration::from_secs(60)) {
-                        Some(dead) => t.rejoin_rank(dead),
-                        None => Err(WorldError::Unrecoverable {
-                            reason: format!(
-                                "killed rank {} was never flagged by the failure detector",
-                                plan.kill_rank
-                            ),
-                        }),
-                    };
-                    match rejoined {
-                        Ok(iter) => (World::Procs(t), iter),
-                        Err(e) => {
-                            t.abort();
-                            return Err(e);
-                        }
-                    }
-                }
-                // A full relaunch: the collective world cannot progress
-                // minus a member, so the rest of the incarnation goes too,
-                // and a fresh world picks up the newest checkpoint — or
-                // starts from scratch when there is none yet.
-                (World::Procs(mut t), _) => {
+            (world, resumed) = match world {
+                World::Procs(mut t) => {
                     t.kill_rank(plan.kill_rank)?;
                     debug_assert!(t.dead_ranks().contains(&plan.kill_rank));
                     t.abort();
@@ -248,7 +210,7 @@ pub fn run_with_faults(
                     }
                     (fresh, newest.unwrap_or(0))
                 }
-                (World::Threads(t, store), _) => {
+                World::Threads(t, store) => {
                     t.kill();
                     let fresh = match newest {
                         Some(_) => Trainer::restore_sharded(cfg.clone(), &store)?,

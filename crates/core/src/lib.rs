@@ -30,13 +30,12 @@
 //! the extra rank `pp * dp`. [`Trainer`] launches the workers as threads
 //! over a `LocalTransport` (messages cross as `Arc`s, nothing is encoded);
 //! [`ProcTrainer`] launches them as `opt-worker` OS processes over a
-//! `TcpTransport` and adds what only processes need — reaping, heartbeat
-//! failure detection, single-rank rejoin. Training schedule, metric
-//! aggregation and checkpoint commit order exist once, so the two worlds
-//! agree bit for bit by construction; every coordinator wait is bounded
-//! and a dead worker — thread or process — surfaces as a typed
-//! [`WorldError`] naming its rank (which [`Trainer`]'s infallible methods
-//! turn into a panic).
+//! `TcpTransport` and adds what only processes need — spawning, killing
+//! and reaping them. Training schedule, metric aggregation, checkpoint
+//! commit order and recovery exist once, so the two worlds agree bit for
+//! bit by construction; every coordinator wait is bounded and a dead
+//! worker — thread or process — surfaces as a typed [`WorldError`] naming
+//! its rank (which [`Trainer`]'s infallible methods turn into a panic).
 //!
 //! It is also **fault tolerant**, and a checkpoint is one thing: a
 //! manifest plus one shard per rank in an `opt_net::ShardStore`.
@@ -83,8 +82,7 @@ pub use dp_compress::DistPowerSgd;
 pub use fault::{run_with_faults, FaultOutcome, ProcFaultOptions, Recovery};
 pub use memory::MemoryReport;
 pub use proc::{
-    worker_main, ProcOptions, ProcTrainer, WorldError, ENV_CFG, ENV_RANK, ENV_RDV, ENV_REJOIN,
-    ENV_STORE,
+    worker_main, ProcOptions, ProcTrainer, WorldError, ENV_CFG, ENV_RANK, ENV_RDV, ENV_STORE,
 };
 pub use stats::{ErrorStatPoint, TrainReport, ValPoint};
 pub use trainer::Trainer;

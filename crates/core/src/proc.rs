@@ -12,8 +12,8 @@
 //!                    | WireCmd ->                  <- typed replies
 //!        +-----------+---------------------------------+
 //!        |  Trainer: worker threads, LocalTransport    |  spawn / join
-//!        |  ProcTrainer: opt-worker processes,         |  spawn / reap / fence,
-//!        |               TcpTransport                  |  heartbeats, rejoin
+//!        |  ProcTrainer: opt-worker processes,         |  spawn / kill / reap
+//!        |               TcpTransport                  |
 //!        +-----------+---------------------------------+
 //!                    v
 //!   worker rank 0  <—— collectives + p2p over the same transport ——>  rank W-1
@@ -27,41 +27,45 @@
 //! in a shared scratch directory ([`opt_net::tcp_rendezvous`]);
 //! checkpoint shards move through a [`TcpShardStore`] client talking to a
 //! [`opt_net::ShardStoreServer`] — a real remote blob store as far as any
-//! worker can tell. On top of the shared protocol it adds what only
-//! processes need: every worker heartbeats to the coordinator, a
-//! `SIGKILL`ed rank is detected by [`ProcTrainer::await_failure`], and
-//! [`ProcTrainer::rejoin_rank`] splices a replacement into the surviving
-//! mesh and rolls the world back to the last committed sharded
-//! checkpoint without re-execing any survivor.
+//! worker can tell. On top of the shared protocol it adds only what
+//! processes need: spawning, `SIGKILL`ing and reaping them.
+//!
+//! Recovery is the thread world's: a world that loses a rank is torn down
+//! and relaunched whole, and every new worker self-restores its own shard
+//! from the store ([`ProcTrainer::self_restore_all`]). A dead worker is
+//! noticed by what every wait already does: a send to it fails with
+//! `Disconnected` once its connection's reader sees EOF, and between the
+//! slices of every reply wait the coordinator asks whether the awaited
+//! process has exited.
 //!
 //! Because both worlds run the same coordinator and the same worker loop,
 //! and because collectives reduce in member order, batch keys are pure
 //! functions of the config, and loss aggregation sorts before reducing, a
 //! multi-process run — including one that loses a worker process mid-run
-//! and self-restores a replacement from the shard store — produces
+//! and relaunches a world that self-restores from the shard store — produces
 //! **bit-identical** losses and traffic-ledger deltas to the in-process
 //! run (enforced by `opt-bench`'s `multiproc` integration test and the CI
 //! smoke job).
 
 use crate::config::TrainerConfig;
-use crate::control::StoreSlot;
+use crate::control::{StoreSlot, WireCmd, CH_CMD};
 use crate::coordinator::{resolve_manifest, Coordinator, WorkerHandle};
 use crate::stats::TrainReport;
 use crate::worker::{run_worker, WorkerCtx};
 use opt_ckpt::{CkptError, ShardManifest};
 use opt_net::{
-    tcp_rejoin, tcp_rendezvous, FailureDetector, HeartbeatConfig, ShardStore, TcpShardStore,
-    TcpTransport, TrafficBreakdown, Transport, TransportError, CH_HEARTBEAT,
+    tcp_rendezvous, ShardStore, TcpShardStore, TcpTransport, TrafficBreakdown, Transport,
+    TransportError,
 };
 use opt_tensor::{Persist, PersistError};
-use opt_trace::{SpanKind, Trace, TraceMode, ENV_TRACE};
+use opt_trace::{Trace, TraceMode, ENV_TRACE};
 use std::fmt;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long processes wait for the world to rendezvous and mesh.
 const RDV_TIMEOUT: Duration = Duration::from_secs(120);
@@ -71,21 +75,8 @@ pub const ENV_RANK: &str = "OPT_WORKER_RANK";
 pub const ENV_CFG: &str = "OPT_WORKER_CFG";
 pub const ENV_RDV: &str = "OPT_WORKER_RDV";
 pub const ENV_STORE: &str = "OPT_WORKER_STORE";
-/// Set to `"1"` on a replacement process: instead of the initial
-/// rendezvous barrier it re-meshes into the live world via
-/// [`opt_net::tcp_rejoin`], splicing over its dead predecessor.
-pub const ENV_REJOIN: &str = "OPT_WORKER_REJOIN";
 
 /// Why an operation on a world failed — either launcher, any layer.
-///
-/// The first five variants are ordinary failures of one operation; the
-/// last is the terminal case of [`ProcTrainer::rejoin_rank`] (and of
-/// [`crate::run_with_faults`] under [`crate::Recovery::Rejoin`] on top of
-/// it): a dead rank with **no committed checkpoint to restore a
-/// replacement from**. That one is surfaced as
-/// [`WorldError::Unrecoverable`] so the caller can tear the survivors
-/// down cleanly instead of leaving them to die one by one on recv
-/// timeouts.
 #[derive(Debug)]
 pub enum WorldError {
     /// Spawning or signalling a worker process failed.
@@ -97,17 +88,12 @@ pub enum WorldError {
     /// A control-plane message violated the protocol.
     Protocol(String),
     /// Killing or reaping a worker process failed; the rank is attached
-    /// so a failed fence is attributable instead of silently dropped.
+    /// so a failed kill is attributable instead of silently dropped.
     Reap {
         /// Global rank of the worker being reaped.
         rank: usize,
         /// What the kill/wait syscall reported.
         detail: String,
-    },
-    /// The world cannot be made whole again; escalate and tear down.
-    Unrecoverable {
-        /// Why recovery is impossible.
-        reason: String,
     },
 }
 
@@ -120,9 +106,6 @@ impl fmt::Display for WorldError {
             WorldError::Protocol(d) => write!(f, "control protocol violation: {d}"),
             WorldError::Reap { rank, detail } => {
                 write!(f, "reaping worker rank {rank} failed: {detail}")
-            }
-            WorldError::Unrecoverable { reason } => {
-                write!(f, "world is unrecoverable: {reason}")
             }
         }
     }
@@ -186,7 +169,7 @@ static INCARNATION: AtomicU64 = AtomicU64::new(0);
 
 /// One spawned worker process plus whether it has been reaped.
 /// `Child::kill` on an already-reaped child fails with `InvalidInput`;
-/// the flag keeps fences idempotent and makes reap failures attributable
+/// the flag keeps kills idempotent and makes reap failures attributable
 /// to a rank instead of silently swallowed.
 pub(crate) struct WorkerSlot {
     child: Child,
@@ -194,8 +177,9 @@ pub(crate) struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    /// Kills and reaps the process if it has not been reaped yet.
-    fn reap(&mut self, rank: usize) -> Result<(), WorldError> {
+    /// Reaps the process if it has not been reaped yet, `SIGKILL`ing it
+    /// first unless it was told to stop.
+    fn reap(&mut self, rank: usize, kill: bool) -> Result<(), WorldError> {
         if self.reaped {
             return Ok(());
         }
@@ -203,7 +187,9 @@ impl WorkerSlot {
             rank,
             detail: format!("{what}: {e}"),
         };
-        self.child.kill().map_err(|e| wrap("kill", e))?;
+        if kill {
+            self.child.kill().map_err(|e| wrap("kill", e))?;
+        }
         self.child.wait().map_err(|e| wrap("wait", e))?;
         self.reaped = true;
         Ok(())
@@ -212,7 +198,9 @@ impl WorkerSlot {
 
 impl WorkerHandle for WorkerSlot {
     fn exited(&mut self) -> bool {
-        self.reaped || matches!(self.child.try_wait(), Ok(Some(_)))
+        // A `try_wait` that sees the exit also reaps the child.
+        self.reaped = self.reaped || matches!(self.child.try_wait(), Ok(Some(_)));
+        self.reaped
     }
 }
 
@@ -222,34 +210,28 @@ impl WorkerHandle for WorkerSlot {
 fn reap_all(children: &mut [WorkerSlot]) -> Vec<(usize, WorldError)> {
     let mut failures = Vec::new();
     for (rank, slot) in children.iter_mut().enumerate() {
-        if let Err(e) = slot.reap(rank) {
+        if let Err(e) = slot.reap(rank, true) {
             failures.push((rank, e));
         }
     }
     failures
 }
 
-/// Spawns one `opt-worker` process with the launch environment; `rejoin`
-/// marks a replacement that must re-mesh into a live world instead of
-/// waiting at the initial rendezvous barrier.
+/// Spawns one `opt-worker` process with the launch environment.
 fn spawn_worker(
     cfg: &TrainerConfig,
     opts: &ProcOptions,
     rdv_dir: &Path,
     trace: TraceMode,
     rank: usize,
-    rejoin: bool,
 ) -> Result<WorkerSlot, WorldError> {
-    let mut cmd = std::process::Command::new(&opts.worker_bin);
-    cmd.env(ENV_RANK, rank.to_string())
+    let child = std::process::Command::new(&opts.worker_bin)
+        .env(ENV_RANK, rank.to_string())
         .env(ENV_CFG, to_hex(&cfg.to_bytes()))
         .env(ENV_RDV, rdv_dir)
         .env(ENV_STORE, opts.store_addr.to_string())
-        .env(ENV_TRACE, trace.as_str());
-    if rejoin {
-        cmd.env(ENV_REJOIN, "1");
-    }
-    let child = cmd.spawn()?;
+        .env(ENV_TRACE, trace.as_str())
+        .spawn()?;
     Ok(WorkerSlot {
         child,
         reaped: false,
@@ -260,22 +242,15 @@ fn spawn_worker(
 /// `(stage, dp)` rank, meshed over TCP with the coordinator as the extra
 /// rank `pp * dp`. Training, reports, traces and checkpoints go through
 /// the same coordinator the in-process [`crate::Trainer`] uses; this type
-/// adds the process lifecycle — spawn, reap, fence — the heartbeat
-/// failure detector and single-rank rejoin.
+/// adds the process lifecycle: spawn, kill, reap. Every worker process is
+/// reaped by [`ProcTrainer::shutdown`], [`ProcTrainer::abort`] or, failing
+/// both, the drop.
 ///
 /// Created via [`crate::Trainer::launch_processes`].
 pub struct ProcTrainer {
     pub(crate) coord: Coordinator<TcpTransport, WorkerSlot>,
-    opts: ProcOptions,
     /// The coordinator's own client view of the shard store.
     store: TcpShardStore,
-    /// The rendezvous directory this world meshed in; survivors' endpoint
-    /// files stay valid for the world's whole life, so a replacement rank
-    /// can [`opt_net::tcp_rejoin`] through the same directory.
-    rdv_dir: PathBuf,
-    /// Heartbeat bookkeeping over the worker ranks, fed by
-    /// [`ProcTrainer::await_failure`].
-    detector: FailureDetector,
 }
 
 impl fmt::Debug for ProcTrainer {
@@ -317,7 +292,7 @@ impl ProcTrainer {
             }
         };
         for rank in 0..world {
-            match spawn_worker(&cfg, &opts, &rdv_dir, trace, rank, false) {
+            match spawn_worker(&cfg, &opts, &rdv_dir, trace, rank) {
                 Ok(slot) => children.push(slot),
                 Err(e) => {
                     cleanup(&mut children, "launch");
@@ -332,17 +307,9 @@ impl ProcTrainer {
                 return Err(WorldError::Transport(e));
             }
         };
-        // The coordinator records its own (recovery) spans: failure
-        // detection and rejoin orchestration happen here, not in any
-        // worker, so observability of those phases needs a tracer on this
-        // thread. `take_trace` drains this buffer alongside the workers'.
-        opt_trace::install(trace);
         Ok(ProcTrainer {
             coord: Coordinator::new(cfg, transport, children, trace),
             store: TcpShardStore::connect(opts.store_addr),
-            opts,
-            rdv_dir,
-            detector: FailureDetector::new(HeartbeatConfig::from_env(), world, Instant::now()),
         })
     }
 
@@ -357,133 +324,7 @@ impl ProcTrainer {
         self.coord.trained_iters
     }
 
-    /// Drains every queued heartbeat into the failure detector.
-    fn poll_heartbeats(&mut self) {
-        let coord = self.coord.world();
-        let now = Instant::now();
-        for rank in 0..coord {
-            while let Ok(Some(_)) =
-                self.coord
-                    .transport
-                    .try_recv_value::<u64>(rank, coord, CH_HEARTBEAT)
-            {
-                self.detector.record_beat(rank, now);
-            }
-        }
-    }
-
-    /// Watches the heartbeat lanes for up to `timeout` and returns the
-    /// first rank the failure detector declares dead — silence longer
-    /// than ten `OPT_NET_HEARTBEAT_MS` intervals. Returns `None` if
-    /// every rank kept beating for the whole window.
-    ///
-    /// This is how a dead rank is *detected*: the coordinator notices the
-    /// missing beats instead of a survivor tripping a long recv timeout
-    /// deep inside a collective.
-    pub fn await_failure(&mut self, timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.poll_heartbeats();
-            if let Some(rank) = self.detector.first_dead(Instant::now()) {
-                // Zero-length marker span: the instant of detection, with
-                // the detected rank in the micro field.
-                drop(opt_trace::begin(
-                    SpanKind::Detect,
-                    self.coord.trained_iters,
-                    rank as u32,
-                    0,
-                    0,
-                ));
-                return Some(rank);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(
-                self.detector
-                    .config()
-                    .interval
-                    .min(Duration::from_millis(25)),
-            );
-        }
-    }
-
-    /// Replaces a dead rank without touching the survivors — the
-    /// coordinator half of the elastic rejoin protocol:
-    ///
-    /// 1. **Fence** the dead process (kill + reap, idempotent), so the
-    ///    rank identity cannot be claimed while its old incarnation
-    ///    lingers.
-    /// 2. Check a committed checkpoint manifest exists; without one the
-    ///    world cannot be made whole and the caller gets a typed
-    ///    [`WorldError::Unrecoverable`] instead of hung recv timeouts.
-    /// 3. **Quiesce** the survivors at a barrier (they are never
-    ///    re-execed — same PIDs, same sockets to each other).
-    /// 4. Relaunch *only* the dead rank with [`ENV_REJOIN`] set; it
-    ///    re-meshes via [`opt_net::tcp_rejoin`] and every survivor's
-    ///    background acceptor splices the fresh connection over the dead
-    ///    one, draining stale per-lane state.
-    /// 5. Wait for the splice to land in the coordinator's own mesh.
-    /// 6. Roll the whole world back to the manifest (as
-    ///    [`ProcTrainer::self_restore_all`] does): the replacement fetches
-    ///    its shard from the store, survivors re-apply theirs and
-    ///    truncate replayed metrics.
-    /// 7. Re-arm the failure detector for the replacement.
-    ///
-    /// Returns the checkpoint iteration the world resumed at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` lies outside the world.
-    pub fn rejoin_rank(&mut self, rank: usize) -> Result<u64, WorldError> {
-        assert!(rank < self.coord.world(), "rank {rank} outside the world");
-        let trace = self.coord.trace;
-        let _rejoin_span = opt_trace::begin(
-            SpanKind::Rejoin,
-            self.coord.trained_iters,
-            rank as u32,
-            0,
-            0,
-        );
-        self.coord.workers[rank].reap(rank)?;
-        let manifest_iter = match resolve_manifest(&self.coord.cfg, &self.store) {
-            Ok(manifest) => manifest.meta.iter,
-            Err(CkptError::Store { what }) => {
-                return Err(WorldError::Unrecoverable {
-                    reason: format!(
-                        "rank {rank} is dead and no committed checkpoint manifest exists \
-                         to restore a replacement from: {what}"
-                    ),
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.coord.barrier_except(rank)?;
-        let generation = self.coord.transport.peer_generation(rank);
-        self.coord.workers[rank] = spawn_worker(
-            &self.coord.cfg,
-            &self.opts,
-            &self.rdv_dir,
-            trace,
-            rank,
-            true,
-        )?;
-        self.coord
-            .transport
-            .wait_peer_generation(rank, generation, RDV_TIMEOUT)?;
-        {
-            let _restore_span =
-                opt_trace::begin(SpanKind::Restore, manifest_iter, rank as u32, 0, 0);
-            self.coord
-                .self_restore(0..self.coord.world(), manifest_iter)?;
-        };
-        self.detector.reset(rank, Instant::now());
-        Ok(manifest_iter)
-    }
-
-    /// OS process ids of the current worker incarnations, indexed by
-    /// rank. A rejoin replaces exactly one entry; the failure-matrix
-    /// tests pin the survivors' entries across it.
+    /// OS process ids of the worker processes, indexed by rank.
     pub fn worker_pids(&self) -> Vec<u32> {
         self.coord.workers.iter().map(|s| s.child.id()).collect()
     }
@@ -516,20 +357,7 @@ impl ProcTrainer {
     /// into one merged [`Trace`]. Returns `None` when the world was
     /// launched with tracing off.
     pub fn take_trace(&mut self) -> Result<Option<Trace>, WorldError> {
-        let Some(mut buffers) = self.coord.take_trace()? else {
-            return Ok(None);
-        };
-        // The coordinator thread records only recovery spans
-        // (detect/rejoin/restore); include its buffer when a failure
-        // actually happened so `trace_report` can show the outage, and
-        // leave clean runs byte-identical to the pre-recovery format.
-        let cfg = &self.coord.cfg;
-        let coord_buf =
-            opt_trace::take_buffer(self.coord.world() as u32, cfg.pp as u32, cfg.dp as u32);
-        if !coord_buf.spans.is_empty() {
-            buffers.push(coord_buf);
-        }
-        Ok(Some(Trace::merge(buffers)))
+        Ok(self.coord.take_trace()?.map(Trace::merge))
     }
 
     /// Captures a sharded checkpoint: every worker process publishes its
@@ -557,7 +385,7 @@ impl ProcTrainer {
     /// Panics if `rank` lies outside the world.
     pub fn kill_rank(&mut self, rank: usize) -> Result<(), WorldError> {
         assert!(rank < self.coord.world(), "rank {rank} outside the world");
-        self.coord.workers[rank].reap(rank)
+        self.coord.workers[rank].reap(rank, true)
     }
 
     /// Ranks whose worker process has exited (monitoring; an unexpected
@@ -585,33 +413,51 @@ impl ProcTrainer {
         failures
     }
 
-    /// Clean shutdown: broadcast `Stop`, then reap every worker process.
+    /// Clean shutdown: sends `Stop` to every worker it can reach and waits
+    /// for each to exit; a worker it cannot reach is killed instead. Every
+    /// worker process is reaped before the first failure, if any, is
+    /// returned.
     pub fn shutdown(mut self) -> Result<(), WorldError> {
-        self.coord.broadcast(crate::control::WireCmd::Stop)?;
-        for (rank, slot) in self.coord.workers.iter_mut().enumerate() {
-            slot.child.wait().map_err(|e| WorldError::Reap {
-                rank,
-                detail: format!("wait: {e}"),
-            })?;
-            slot.reaped = true;
+        let coord = self.coord.world();
+        let mut first_err = None;
+        let mut reached = Vec::with_capacity(coord);
+        for rank in 0..coord {
+            let sent = self
+                .coord
+                .transport
+                .send_value(coord, rank, CH_CMD, WireCmd::Stop);
+            reached.push(sent.is_ok());
+            if let Err(e) = sent {
+                first_err.get_or_insert(e.into());
+            }
         }
-        Ok(())
+        for (rank, (slot, stopped)) in self.coord.workers.iter_mut().zip(reached).enumerate() {
+            if let Err(e) = slot.reap(rank, !stopped) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
+}
 
-    /// The launch options this world was spawned with (reused to relaunch
-    /// a replacement world against the same store and scratch space).
-    pub fn options(&self) -> &ProcOptions {
-        &self.opts
+/// Dropping a process world without [`ProcTrainer::shutdown`] or
+/// [`ProcTrainer::abort`] — an early `?`, a panic — still kills and reaps
+/// every worker process, so none is left behind as a zombie.
+impl Drop for ProcTrainer {
+    fn drop(&mut self) {
+        for (rank, e) in reap_all(&mut self.coord.workers) {
+            eprintln!("coordinator: reaping worker rank {rank} on drop failed: {e}");
+        }
     }
 }
 
 /// The body of the `opt-worker` binary: runs **one** `(stage, dp)` rank
 /// as a real OS process. Reads the environment protocol
 /// ([`ENV_RANK`], [`ENV_CFG`], [`ENV_RDV`], [`ENV_STORE`]), rendezvouses
-/// with the rest of the world over TCP, starts the heartbeat, builds the
-/// same `WorkerCtx` a worker thread gets, and runs the shared
-/// `run_worker` loop on it: commands arrive on, and replies leave
-/// through, the TCP transport's control lanes directly.
+/// with the rest of the world over TCP, builds the same `WorkerCtx` a
+/// worker thread gets, and runs the shared `run_worker` loop on it:
+/// commands arrive on, and replies leave through, the TCP transport's
+/// control lanes directly.
 pub fn worker_main() -> Result<(), WorldError> {
     let env = |key: &str| {
         std::env::var(key).map_err(|_| WorldError::Protocol(format!("{key} is not set")))
@@ -638,53 +484,17 @@ pub fn worker_main() -> Result<(), WorldError> {
             cfg.dp
         )));
     }
-    let coord = world;
 
-    // Mesh the world: workers + the coordinator as rank `world`. A
-    // replacement rank (ENV_REJOIN) dials into the *existing* mesh —
-    // every survivor's acceptor splices the fresh sockets over the dead
-    // incarnation's — instead of re-running the full-world rendezvous.
-    let rejoin = std::env::var(ENV_REJOIN).is_ok_and(|v| v == "1");
-    let transport = if rejoin {
-        Arc::new(tcp_rejoin(&rdv_dir, world + 1, rank, RDV_TIMEOUT)?)
-    } else {
-        Arc::new(tcp_rendezvous(&rdv_dir, world + 1, rank, RDV_TIMEOUT)?)
-    };
+    // Mesh the world: workers + the coordinator as rank `world`.
+    let transport = Arc::new(tcp_rendezvous(&rdv_dir, world + 1, rank, RDV_TIMEOUT)?);
     let store: Arc<dyn ShardStore> = Arc::new(TcpShardStore::connect(store_addr));
     let store: StoreSlot = Arc::new(parking_lot::Mutex::new(Some(store)));
-
-    // Heartbeat: a dedicated thread beats on the control-plane heartbeat
-    // lane so the coordinator can tell "dead" from "busy". Control lanes
-    // are excluded from the traffic contract, so beating at wall-clock
-    // cadence cannot perturb bit-exactness.
-    let hb_stop = Arc::new(AtomicBool::new(false));
-    let hb_transport = Arc::clone(&transport);
-    let hb_flag = Arc::clone(&hb_stop);
-    let hb_interval = HeartbeatConfig::from_env().interval;
-    let heartbeat = std::thread::Builder::new()
-        .name("heartbeat".to_string())
-        .spawn(move || {
-            let mut seq: u64 = 0;
-            while !hb_flag.load(Ordering::Relaxed) {
-                if hb_transport
-                    .send_value(rank, coord, CH_HEARTBEAT, seq)
-                    .is_err()
-                {
-                    return; // coordinator gone: nothing left to reassure
-                }
-                seq += 1;
-                std::thread::sleep(hb_interval);
-            }
-        })?;
 
     let stage = opt_model::Stage::build_pipeline(&cfg.model, pp, cfg.seed)
         .into_iter()
         .nth(rank % pp)
         .expect("stage exists");
     run_worker(WorkerCtx::new(&cfg, rank, stage, transport, store, trace));
-
-    hb_stop.store(true, Ordering::Relaxed);
-    let _ = heartbeat.join();
     Ok(())
 }
 

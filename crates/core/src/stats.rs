@@ -128,8 +128,8 @@ impl RawSamples {
 
     /// Discards every sample recorded at or after `iter`. A worker rolled
     /// back to a checkpoint calls this so the iterations it is about to
-    /// replay are not recorded twice — the report after a rejoin stays
-    /// bit-identical to an uninterrupted run. Idempotent.
+    /// replay are not recorded twice — the report after an in-place
+    /// restore stays bit-identical to an uninterrupted run. Idempotent.
     pub fn truncate_from(&mut self, iter: u64) {
         self.train.retain(|&(i, _)| i < iter);
         self.val.retain(|&(i, _)| i < iter);

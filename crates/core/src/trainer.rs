@@ -125,12 +125,9 @@ impl Trainer {
     /// produces bit-identical losses and traffic, by the member-order
     /// determinism contract of the transport layer.
     ///
-    /// On top of that the process world is *elastic*: every worker
-    /// heartbeats to the coordinator, a `SIGKILL`ed rank is detected by
-    /// [`crate::ProcTrainer::await_failure`], and
-    /// [`crate::ProcTrainer::rejoin_rank`] splices a replacement into the
-    /// surviving mesh and rolls the world back to the last committed
-    /// sharded checkpoint without re-execing any survivor.
+    /// It also recovers the way this trainer does: a world that loses a
+    /// rank is relaunched whole, and every new worker self-restores its
+    /// shard ([`crate::ProcTrainer::self_restore_all`]).
     pub fn launch_processes(
         cfg: TrainerConfig,
         opts: crate::ProcOptions,
@@ -261,7 +258,7 @@ impl Trainer {
     /// Elastically restores a **single** rank's state from the shard
     /// store: the targeted worker rendezvouses on the manifest, fetches
     /// only its own shard, validates, and applies it — exactly what a
-    /// replacement worker on a different host does when it rejoins a run.
+    /// relaunched worker on a different host does.
     /// No coordinator-held state is involved; the trainer reads only the
     /// manifest (to validate it against the config and learn the
     /// checkpoint iteration, which is returned).

@@ -243,9 +243,9 @@ impl TrafficBreakdown {
     /// segment between two breakdowns gathered from one monotonically
     /// counting world. Lanes that cancel to zero are dropped, so two
     /// worlds that moved identical segment traffic produce equal deltas
-    /// even when their pre-segment histories differ (the basis of the
-    /// rejoin bit-exactness assertion). Counters that went backwards (a
-    /// rank was replaced between the snapshots) saturate at zero.
+    /// even when their pre-segment histories differ. Counters that went
+    /// backwards (the world was relaunched between the snapshots)
+    /// saturate at zero.
     pub fn delta_since(&self, earlier: &TrafficBreakdown) -> TrafficBreakdown {
         let before: BTreeMap<(u64, u32, u32), &ChannelStat> = earlier
             .channels

@@ -15,7 +15,10 @@
 //! and [`TcpTransport`] (`tcp.rs`: one OS process per rank, values encoded
 //! into length-framed checksummed TCP). Collectives reduce strictly in
 //! member order, so both backends produce **the same bits**. (The
-//! simulator's analytic link model lives in `opt-sim`.)
+//! simulator's analytic link model lives in `opt-sim`.) A TCP mesh is
+//! fixed once established: a rank that dies surfaces as
+//! [`TransportError::Disconnected`] on the next send to it or receive
+//! from it, and a world that loses a rank is relaunched whole.
 //!
 //! Traffic is accounted per class ([`TrafficClass`]) by [`TrafficLedger`],
 //! which experiments read to verify volume reductions.
@@ -29,7 +32,6 @@
 
 mod chanstats;
 mod collective;
-mod heartbeat;
 mod p2p;
 mod rendezvous;
 mod retry;
@@ -40,9 +42,8 @@ mod transport;
 
 pub use chanstats::{ChannelClass, ChannelLedger, ChannelStat, TrafficBreakdown};
 pub use collective::{CollectiveGroup, CollectiveWorld};
-pub use heartbeat::{FailureDetector, HeartbeatConfig, CH_HEARTBEAT};
 pub use p2p::P2pMesh;
-pub use rendezvous::{tcp_rejoin, tcp_rendezvous};
+pub use rendezvous::tcp_rendezvous;
 pub use retry::RetryPolicy;
 pub use shardstore::{
     FsShardStore, MemShardStore, ShardStore, ShardStoreError, ShardStoreServer, TcpShardStore,

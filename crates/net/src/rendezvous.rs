@@ -3,12 +3,11 @@
 //!
 //! Every rank binds an ephemeral loopback listener and publishes its
 //! address as `ep-<rank>` in a directory all ranks can see, then polls
-//! until every peer has done the same. A first launch
-//! ([`tcp_rendezvous`]) and a relaunched rank's re-entry ([`tcp_rejoin`])
-//! run the same body and differ only in the meshing step they end with.
+//! until every peer has done the same and meshes. A relaunched world
+//! rendezvouses in a fresh directory.
 
 use crate::retry::RetryPolicy;
-use crate::tcp::{TcpBound, TcpTransport};
+use crate::tcp::TcpTransport;
 use crate::transport::TransportError;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 /// Meshes a TCP world through a shared rendezvous directory: every rank
 /// binds an ephemeral loopback listener, publishes `ep-<rank>` (atomic
 /// write, so a reader never sees a half-written address), waits for all
-/// peers to publish, then [`TcpBound::establish`]es the full mesh.
+/// peers to publish, then [`crate::TcpBound::establish`]es the full mesh.
 ///
 /// The directory must be fresh per world incarnation — stale endpoint
 /// files from a previous run would be read as live peers.
@@ -27,39 +26,13 @@ pub fn tcp_rendezvous(
     rank: usize,
     timeout: Duration,
 ) -> Result<TcpTransport, TransportError> {
-    rendezvous(&dir.into(), world, rank, timeout, TcpBound::establish)
-}
-
-/// Re-meshes a relaunched rank into a live world through the *same*
-/// rendezvous directory the world was originally built in: the survivors'
-/// endpoint files are still valid (their listeners stay open for the
-/// transport's whole life), and this rank overwrites its own stale
-/// `ep-<rank>` before dialing everyone via [`TcpBound::rejoin`].
-pub fn tcp_rejoin(
-    dir: impl Into<PathBuf>,
-    world: usize,
-    rank: usize,
-    timeout: Duration,
-) -> Result<TcpTransport, TransportError> {
-    rendezvous(&dir.into(), world, rank, timeout, TcpBound::rejoin)
-}
-
-/// The body of both directory rendezvous: bind, publish, wait for every
-/// endpoint, then `mesh` within what is left of `timeout`.
-fn rendezvous(
-    dir: &Path,
-    world: usize,
-    rank: usize,
-    timeout: Duration,
-    mesh: fn(TcpBound, &[SocketAddr], Duration) -> Result<TcpTransport, TransportError>,
-) -> Result<TcpTransport, TransportError> {
-    std::fs::create_dir_all(dir)?;
+    let dir = dir.into();
+    std::fs::create_dir_all(&dir)?;
     let bound = TcpTransport::bind(world, rank, "127.0.0.1:0")?;
-    publish_endpoint(dir, rank, bound.addr())?;
+    publish_endpoint(&dir, rank, bound.addr())?;
     let deadline = Instant::now() + timeout;
-    let endpoints = poll_endpoints(dir, world, deadline)?;
-    mesh(
-        bound,
+    let endpoints = poll_endpoints(&dir, world, deadline)?;
+    bound.establish(
         &endpoints,
         deadline.saturating_duration_since(Instant::now()),
     )

@@ -500,9 +500,10 @@ impl TcpShardStore {
         let io_err = |what: &str, e: std::io::Error| {
             store_proto_err(name, format!("{what} {}: {e}", self.addr))
         };
-        // A single refused connect must not fail a restore mid-rejoin:
-        // retry the connect (not the round-trip — requests are only sent
-        // once) on the shared capped-exponential backoff schedule.
+        // A single refused connect must not fail a relaunched world's
+        // self-restore: retry the connect (not the round-trip — requests
+        // are only sent once) on the shared capped-exponential backoff
+        // schedule.
         let mut stream = crate::retry::RetryPolicy::default()
             .run(|| TcpStream::connect_timeout(&self.addr, STORE_IO_TIMEOUT))
             .map_err(|e| io_err("connecting to", e))?;

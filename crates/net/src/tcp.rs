@@ -26,14 +26,14 @@
 //!
 //! Each side also makes one checksum pass over the body.
 //!
-//! There is one way into the mesh, whichever direction a connection is
-//! opened in and whenever it happens: the caller `dial`s and introduces
-//! itself with a [`wire_hello`] frame, the callee `admit`s the hello,
-//! and `PeerTable::splice` installs the connection. The initial mesh
-//! ([`TcpBound::establish`]: dial lower ranks, accept higher ones) and a
-//! relaunched rank's re-entry ([`TcpBound::rejoin`]: dial everyone, the
-//! survivors' background acceptors splice it over its dead predecessor)
-//! differ only in whom they dial.
+//! There is one way into the mesh: the caller `dial`s and introduces
+//! itself with a [`wire_hello`] frame, and the callee `admit`s the hello.
+//! [`TcpBound::establish`] dials every lower rank and admits every higher
+//! one; once it returns, the mesh is fixed. A peer that dies is never
+//! replaced: its reader thread sees EOF, and every later send to it, or
+//! receive from its drained lanes, fails with
+//! [`TransportError::Disconnected`]. A world that loses a rank is
+//! relaunched whole.
 
 use crate::chanstats::{ChannelLedger, ChannelStat};
 use crate::retry::RetryPolicy;
@@ -41,14 +41,13 @@ use crate::transport::{hop_span, LaneMap, Payload, Transport, TransportError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opt_ckpt::framing::{self, FRAME_OVERHEAD, HEADER_LEN};
 use opt_trace::SpanKind;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Magic bytes opening every transport wire frame.
@@ -75,10 +74,6 @@ const MAX_WIRE_BODY: u64 = 1 << 30;
 /// Polling slice for receive loops that must notice peer death while
 /// waiting on an empty lane.
 const POLL_SLICE: Duration = Duration::from_millis(25);
-
-/// How long the background acceptor waits for a late connection's hello
-/// frame before dropping it.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One message frame around a payload it borrows, as the three slices
 /// the send path writes — the one definition of the wire layout:
@@ -173,59 +168,6 @@ struct Peer {
     corrupt: Arc<AtomicBool>,
 }
 
-/// Peer connection slots plus a per-slot replacement counter, shared
-/// between the transport handle and its background accept thread so a
-/// relaunched rank can be spliced over a dead one without touching the
-/// surviving process's other connections.
-struct PeerTable {
-    slots: Vec<RwLock<Option<Peer>>>,
-    /// Bumped each time a slot's connection is (re)installed: 1 after the
-    /// initial mesh, +1 per rejoin splice.
-    generations: Vec<AtomicU64>,
-}
-
-impl PeerTable {
-    fn new(world: usize) -> Self {
-        PeerTable {
-            slots: (0..world).map(|_| RwLock::new(None)).collect(),
-            generations: (0..world).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Installs `stream` as the live connection for `rank`: shuts down
-    /// any previous connection, drains the rank's inbox lanes, then
-    /// spawns the fresh reader.
-    ///
-    /// The drain is the per-lane sequence resync of the rejoin protocol:
-    /// anything still queued was sent by the dead incarnation and must
-    /// not leak into the replacement's conversation. Lanes are drained in
-    /// place (not removed), so receiver clones held by in-flight receives
-    /// stay wired to the lane.
-    fn splice(
-        &self,
-        rank: usize,
-        stream: TcpStream,
-        inbox: &LaneMap<(usize, u64)>,
-    ) -> Result<(), TransportError> {
-        let mut slot = self.slots[rank].write();
-        if let Some(old) = slot.take() {
-            old.alive.store(false, Ordering::SeqCst);
-            let _ = old.writer.lock().shutdown(std::net::Shutdown::Both);
-        }
-        {
-            let map = inbox.lock();
-            for ((src, _), (_, rx)) in map.iter() {
-                if *src == rank {
-                    while rx.try_recv().is_ok() {}
-                }
-            }
-        }
-        *slot = Some(spawn_peer(rank, stream, inbox)?);
-        self.generations[rank].fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-}
-
 /// The real-wire backend: one OS process per rank, a full mesh of TCP
 /// connections, every message in a checksummed frame.
 ///
@@ -239,20 +181,17 @@ impl PeerTable {
 /// and a receive requires `dst` to be this rank — a process can neither
 /// forge another rank's traffic nor read it.
 ///
-/// The listener outlives the initial mesh: a background accept thread
-/// keeps running for the transport's whole life, so a relaunched rank can
-/// re-handshake ([`crate::tcp_rejoin`]) and be spliced over its dead predecessor
-/// while every other connection stays untouched.
+/// The mesh is fixed once established: the listener closes when
+/// [`TcpBound::establish`] returns, and the only threads a transport runs
+/// are its per-peer readers.
 pub struct TcpTransport {
     world: usize,
     rank: usize,
-    peers: Arc<PeerTable>,
+    /// One connection per peer, filled once by [`TcpBound::establish`];
+    /// `None` only at this rank's own index.
+    peers: Vec<Option<Peer>>,
     inbox: LaneMap<(usize, u64)>,
     stats: ChannelLedger,
-    /// Tells the background acceptor to exit.
-    acceptor_stop: Arc<AtomicBool>,
-    /// The background acceptor, joined on drop.
-    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl fmt::Debug for TcpTransport {
@@ -278,7 +217,7 @@ impl TcpBound {
 
     /// Connects the full mesh: dials every lower rank, accepts every
     /// higher rank, exchanging hello frames to identify peers. Blocks up
-    /// to `timeout`.
+    /// to `timeout`. A second hello from one rank fails the mesh.
     ///
     /// `endpoints[r]` must hold rank `r`'s listener address for `r` below
     /// this rank (higher entries are ignored — those peers dial us).
@@ -287,64 +226,34 @@ impl TcpBound {
         endpoints: &[SocketAddr],
         timeout: Duration,
     ) -> Result<TcpTransport, TransportError> {
-        let dial_below = self.rank;
-        self.mesh(endpoints, timeout, dial_below)
-    }
-
-    /// Re-meshes this rank into an already-running world after a
-    /// relaunch. Unlike the initial [`TcpBound::establish`] (dial lower,
-    /// accept higher), a rejoining rank dials *every* peer: the
-    /// survivors' background acceptors validate the hello and splice the
-    /// fresh connection over the dead one, so no dial-direction
-    /// coordination is needed.
-    ///
-    /// `endpoints[r]` must hold rank `r`'s listener address for every
-    /// `r != rank` (the own-rank entry is ignored).
-    pub fn rejoin(
-        self,
-        endpoints: &[SocketAddr],
-        timeout: Duration,
-    ) -> Result<TcpTransport, TransportError> {
-        let dial_below = self.world;
-        self.mesh(endpoints, timeout, dial_below)
-    }
-
-    /// Dials every peer below `dial_below`, accepts every peer from there
-    /// up, then keeps the listener accepting in the background so
-    /// later-relaunched ranks can splice in.
-    fn mesh(
-        self,
-        endpoints: &[SocketAddr],
-        timeout: Duration,
-        dial_below: usize,
-    ) -> Result<TcpTransport, TransportError> {
         let deadline = Instant::now() + timeout;
         let (world, rank, listener) = (self.world, self.rank, self.listener);
         assert!(
-            endpoints.len() >= dial_below,
-            "need an endpoint for every rank below {dial_below}"
+            endpoints.len() >= rank,
+            "need an endpoint for every rank below {rank}"
         );
         let inbox: LaneMap<(usize, u64)> = Arc::new(Mutex::new(HashMap::new()));
-        let table = Arc::new(PeerTable::new(world));
+        let mut peers: Vec<Option<Peer>> = (0..world).map(|_| None).collect();
 
-        for peer in (0..dial_below).filter(|&p| p != rank) {
-            table.splice(peer, dial(rank, peer, endpoints[peer], deadline)?, &inbox)?;
+        for (peer, slot) in peers.iter_mut().enumerate().take(rank) {
+            let stream = dial(rank, peer, endpoints[peer], deadline)?;
+            *slot = Some(spawn_peer(peer, stream, &inbox)?);
         }
 
         listener.set_nonblocking(true)?;
-        // Whoever was not dialed dials us; the hello says who called.
-        let mut expected = world - dial_below.max(rank + 1);
+        // Every higher rank dials us; the hello says who called.
+        let mut expected = world - rank - 1;
         while expected > 0 {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let remaining = deadline.saturating_duration_since(Instant::now());
                     let peer = admit(&stream, world, rank, remaining.max(POLL_SLICE))?;
-                    if table.generations[peer].load(Ordering::SeqCst) != 0 {
+                    if peers[peer].is_some() {
                         return Err(TransportError::Rendezvous {
                             detail: format!("second hello from rank {peer}"),
                         });
                     }
-                    table.splice(peer, stream, &inbox)?;
+                    peers[peer] = Some(spawn_peer(peer, stream, &inbox)?);
                     expected -= 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -359,23 +268,12 @@ impl TcpBound {
             }
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_acceptor(
-            listener,
-            world,
-            rank,
-            Arc::clone(&table),
-            Arc::clone(&inbox),
-            Arc::clone(&stop),
-        )?;
         Ok(TcpTransport {
             world,
             rank,
-            peers: table,
+            peers,
             inbox,
             stats: ChannelLedger::new(),
-            acceptor_stop: stop,
-            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 }
@@ -401,9 +299,7 @@ fn dial(
 }
 
 /// The callee's half of the handshake: prepares an accepted connection
-/// and validates its hello frame, returning the rank that called. Every
-/// inbound connection — initial mesh or late rejoin — passes through
-/// here before it is spliced in.
+/// and validates its hello frame, returning the rank that called.
 fn admit(
     stream: &TcpStream,
     world: usize,
@@ -430,42 +326,6 @@ fn admit(
     }
     stream.set_read_timeout(None)?;
     Ok(peer)
-}
-
-/// Spawns the background accept thread that admits late connections —
-/// the survivor half of the rejoin handshake. A hello for an occupied
-/// slot *replaces* the old connection (newest wins): the coordinator
-/// fences the dead process before relaunching, so by the time a
-/// replacement dials in, whatever sits in the slot is garbage.
-fn spawn_acceptor(
-    listener: TcpListener,
-    world: usize,
-    rank: usize,
-    table: Arc<PeerTable>,
-    inbox: LaneMap<(usize, u64)>,
-    stop: Arc<AtomicBool>,
-) -> Result<JoinHandle<()>, TransportError> {
-    std::thread::Builder::new()
-        .name(format!("net-accept-{rank}"))
-        .spawn(move || loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let spliced = admit(&stream, world, rank, HELLO_TIMEOUT)
-                        .and_then(|peer| table.splice(peer, stream, &inbox));
-                    if let Err(e) = spliced {
-                        eprintln!("rank {rank}: rejected late connection: {e}");
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_SLICE);
-                }
-                Err(_) => return,
-            }
-        })
-        .map_err(TransportError::from)
 }
 
 fn invalid_data(detail: String) -> io::Error {
@@ -583,41 +443,6 @@ impl TcpTransport {
         self.rank
     }
 
-    /// How many times `rank`'s connection has been (re)installed: 1 after
-    /// the initial mesh, +1 per rejoin splice. Lets a coordinator (and
-    /// the failure-matrix tests) observe that a replacement actually
-    /// re-handshaked.
-    pub fn peer_generation(&self, rank: usize) -> u64 {
-        self.peers.generations[rank].load(Ordering::SeqCst)
-    }
-
-    /// Blocks until `rank`'s connection generation exceeds `above` — i.e.
-    /// a relaunched rank has spliced in — or `timeout` passes.
-    pub fn wait_peer_generation(
-        &self,
-        rank: usize,
-        above: u64,
-        timeout: Duration,
-    ) -> Result<u64, TransportError> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        loop {
-            let generation = self.peer_generation(rank);
-            if generation > above {
-                return Ok(generation);
-            }
-            if Instant::now() >= deadline {
-                return Err(TransportError::Timeout {
-                    src: rank,
-                    dst: self.rank,
-                    channel: 0,
-                    waited_ms: start.elapsed().as_millis(),
-                });
-            }
-            std::thread::sleep(POLL_SLICE);
-        }
-    }
-
     /// The one lane check of this backend: this endpoint is the `local`
     /// end of the lane, and `remote` is another rank of the world.
     fn check_lane(&self, local: usize, remote: usize) {
@@ -651,14 +476,8 @@ impl Drop for TcpTransport {
         // Shut the sockets down explicitly: reader threads hold clones of
         // every stream, so merely dropping the writer halves would leave
         // the connections open and peers would never observe our death.
-        self.acceptor_stop.store(true, Ordering::SeqCst);
-        for slot in &self.peers.slots {
-            if let Some(peer) = slot.read().as_ref() {
-                let _ = peer.writer.lock().shutdown(std::net::Shutdown::Both);
-            }
-        }
-        if let Some(acceptor) = self.acceptor.lock().take() {
-            let _ = acceptor.join();
+        for peer in self.peers.iter().flatten() {
+            let _ = peer.writer.lock().shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -685,20 +504,18 @@ impl Transport for TcpTransport {
         };
         let _span = hop_span(SpanKind::Send, channel, bytes.len());
         let frame = WireFrame::new(channel, dst, bytes);
-        let slot = self.peers.slots[dst].read();
-        let Some(peer) = slot.as_ref() else {
+        let Some(peer) = self.peers[dst]
+            .as_ref()
+            .filter(|p| p.alive.load(Ordering::SeqCst))
+        else {
             return Err(TransportError::Disconnected { peer: dst });
         };
-        if !peer.alive.load(Ordering::SeqCst) {
-            return Err(TransportError::Disconnected { peer: dst });
-        }
         let mut w = peer.writer.lock();
         write_all_parts(&mut *w, frame.slices())
             .map_err(|_| TransportError::Disconnected { peer: dst })?;
         w.flush()
             .map_err(|_| TransportError::Disconnected { peer: dst })?;
         drop(w);
-        drop(slot);
         self.stats.record_send(src, dst, channel, bytes.len());
         Ok(())
     }
@@ -733,8 +550,7 @@ impl Transport for TcpTransport {
                     // Drain wins over death: only report a dead peer once
                     // its lane is empty.
                     if rx.is_empty() {
-                        let slot = self.peers.slots[src].read();
-                        match slot.as_ref() {
+                        match &self.peers[src] {
                             Some(peer) if peer.corrupt.load(Ordering::SeqCst) => {
                                 return Err(TransportError::Corrupt {
                                     src,
@@ -762,21 +578,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn try_recv_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<Payload>, TransportError> {
-        self.check_lane(dst, src);
-        let got = self.inbox_lane(src, channel).try_recv().ok();
-        if let Some(payload) = &got {
-            self.stats
-                .record_recv(src, dst, channel, payload.wire_len());
-        }
-        Ok(got)
-    }
-
     fn channel_stats(&self) -> Vec<ChannelStat> {
         self.stats.snapshot()
     }
@@ -785,24 +586,9 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rendezvous::{tcp_rejoin, tcp_rendezvous};
+    use crate::rendezvous::tcp_rendezvous;
     use crate::transport::{channel_id, net_timeout, LocalTransport};
-    use std::path::Path;
     use std::thread;
-
-    /// Establishes an n-rank loopback TCP world in `dir`, keeping the
-    /// rendezvous files so a rank can later rejoin through them.
-    fn tcp_world_in(dir: &Path, n: usize) -> Vec<TcpTransport> {
-        let handles: Vec<_> = (0..n)
-            .map(|r| {
-                let dir = dir.to_path_buf();
-                thread::spawn(move || {
-                    tcp_rendezvous(dir, n, r, Duration::from_secs(20)).expect("rendezvous")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
 
     /// Establishes an n-rank loopback TCP world inside one test process.
     fn tcp_world(n: usize) -> Vec<TcpTransport> {
@@ -812,7 +598,15 @@ mod tests {
             thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let out = tcp_world_in(&dir, n);
+        let handles: Vec<_> = (0..n)
+            .map(|r| {
+                let dir = dir.clone();
+                thread::spawn(move || {
+                    tcp_rendezvous(dir, n, r, Duration::from_secs(20)).expect("rendezvous")
+                })
+            })
+            .collect();
+        let out = handles.into_iter().map(|h| h.join().unwrap()).collect();
         let _ = std::fs::remove_dir_all(&dir);
         out
     }
@@ -897,75 +691,6 @@ mod tests {
             thread::sleep(Duration::from_millis(10));
         }
         assert!(saw_disconnect, "send to dead peer never failed");
-    }
-
-    #[test]
-    fn killed_rank_rejoins_with_lane_resync() {
-        let dir = std::env::temp_dir().join(format!(
-            "opt-tcp-rejoin-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut world = tcp_world_in(&dir, 3);
-        let t2 = world.pop().unwrap();
-        let t1 = world.pop().unwrap();
-        let t0 = world.pop().unwrap();
-
-        // A message from rank 1's first incarnation that nobody received:
-        // the splice must drain it, not deliver it to the replacement's
-        // conversation.
-        t1.send_value(1, 0, 5, vec![0xAAu8]).unwrap();
-        thread::sleep(Duration::from_millis(200));
-
-        let gen0 = t0.peer_generation(1);
-        let gen2 = t2.peer_generation(1);
-        drop(t1); // rank 1 dies
-
-        let nt1 = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("rejoin");
-        assert_eq!(
-            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
-                .unwrap(),
-            gen0 + 1
-        );
-        t2.wait_peer_generation(1, gen2, Duration::from_secs(10))
-            .unwrap();
-
-        // The stale frame is gone; fresh traffic flows in both directions
-        // with every survivor, on the survivors' original sockets.
-        nt1.send_value(1, 0, 5, vec![0xBBu8]).unwrap();
-        assert_eq!(recv_bytes(&t0, 1, 5, 10).unwrap(), vec![0xBB]);
-        t0.send_value(0, 1, 5, vec![1u8]).unwrap();
-        assert_eq!(recv_bytes(&nt1, 0, 5, 10).unwrap(), vec![1]);
-        t2.send_value(2, 1, 6, vec![2u8]).unwrap();
-        assert_eq!(recv_bytes(&nt1, 2, 6, 10).unwrap(), vec![2]);
-        nt1.send_value(1, 2, 6, vec![3u8]).unwrap();
-        assert_eq!(recv_bytes(&t2, 1, 6, 10).unwrap(), vec![3]);
-
-        // Double-kill of the same rank: a second incarnation dies too and
-        // a third splices in, bumping the generation again.
-        let gen0 = t0.peer_generation(1);
-        drop(nt1);
-        let nt1b = tcp_rejoin(&dir, 3, 1, Duration::from_secs(20)).expect("second rejoin");
-        assert_eq!(
-            t0.wait_peer_generation(1, gen0, Duration::from_secs(10))
-                .unwrap(),
-            gen0 + 1
-        );
-        nt1b.send_value(1, 0, 5, vec![0xCCu8]).unwrap();
-        assert_eq!(recv_bytes(&t0, 1, 5, 10).unwrap(), vec![0xCC]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wait_peer_generation_times_out_without_rejoin() {
-        let world = tcp_world(2);
-        let gen = world[0].peer_generation(1);
-        assert_eq!(gen, 1);
-        let err = world[0]
-            .wait_peer_generation(1, gen, Duration::from_millis(60))
-            .unwrap_err();
-        assert!(matches!(err, TransportError::Timeout { .. }));
     }
 
     #[test]
@@ -1083,24 +808,13 @@ mod tests {
     fn try_recv_checks_the_source_rank() {
         // A source outside the world used to create an inbox lane for a
         // rank that cannot exist and report it empty.
-        let _ = solo_world().try_recv_value::<u8>(5, 0, 0);
+        let _ = solo_world().recv_value::<u8>(5, 0, 0, Duration::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "rank 0 is not a peer of rank 0")]
     fn try_recv_refuses_a_lane_to_itself() {
-        let _ = solo_world().try_recv_value::<u8>(0, 0, 0);
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking_and_typed() {
-        let world = tcp_world(2);
-        assert_eq!(world[1].try_recv_value::<u8>(0, 1, 2).unwrap(), None);
-        world[0].send_value(0, 1, 2, 7u8).unwrap();
-        let got = world[1]
-            .recv_value::<u8>(0, 1, 2, Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(got, 7);
+        let _ = solo_world().recv_value::<u8>(0, 0, 0, Duration::ZERO);
     }
 
     #[test]

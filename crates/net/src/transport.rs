@@ -10,8 +10,8 @@
 //! [`Persist`], sent with [`Transport::send_value`] (or, for a
 //! broadcast, wrapped once in a [`SharedPayload`] and sent with
 //! [`Transport::send_shared`]) and received with
-//! [`Transport::recv_value`] / [`Transport::try_recv_value`]. What a
-//! backend does with it is its own business:
+//! [`Transport::recv_value`]. What a backend does with it is its own
+//! business:
 //!
 //! * [`LocalTransport`] (this file) — one crossbeam channel per lane,
 //!   shared by every worker *thread* of a single-process world. A value
@@ -22,7 +22,7 @@
 //!   length, word-wise checksum) and decoded on delivery, so a truncated or
 //!   bit-flipped frame is rejected before any decoder sees it.
 //!
-//! A backend implements the three `*_payload` methods over [`Payload`],
+//! A backend implements the two `*_payload` methods over [`Payload`],
 //! the envelope a message travels in; the typed methods are derived.
 //! [`Payload::Bytes`] exists because bytes are what a socket delivers —
 //! nothing but a byte-boundary backend's reader constructs one.
@@ -374,9 +374,9 @@ where
 ///   [`Payload::wire_len`] per message, so zero-copy and socket runs of
 ///   the same traffic produce identical per-lane counters.
 ///
-/// Implementers provide the three `*_payload` methods (plus `world` and
+/// Implementers provide the two `*_payload` methods (plus `world` and
 /// optionally `channel_stats`); callers use the derived typed
-/// `send_value`/`send_shared`/`recv_value`/`try_recv_value`. A backend
+/// `send_value`/`send_shared`/`recv_value`. A backend
 /// without a shared address space simply never yields
 /// [`Payload::Shared`] from its receive methods.
 pub trait Transport: Send + Sync + fmt::Debug + 'static {
@@ -401,14 +401,6 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
         channel: u64,
         timeout: Duration,
     ) -> Result<Payload, TransportError>;
-
-    /// Non-blocking receive: `Ok(None)` if the lane is currently empty.
-    fn try_recv_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<Payload>, TransportError>;
 
     /// Per-lane send/recv counters this transport endpoint has observed
     /// ([`Payload::wire_len`] per message, frame overhead excluded).
@@ -471,27 +463,6 @@ pub trait Transport: Send + Sync + fmt::Debug + 'static {
     {
         let payload = self.recv_payload(src, dst, channel, timeout)?;
         payload_value(payload, src, dst, channel)
-    }
-
-    /// Non-blocking typed receive: `Ok(None)` if the lane is currently
-    /// empty.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Transport::recv_value`].
-    fn try_recv_value<T>(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<T>, TransportError>
-    where
-        T: Persist + Clone + Send + Sync + 'static,
-        Self: Sized,
-    {
-        self.try_recv_payload(src, dst, channel)?
-            .map(|payload| payload_value(payload, src, dst, channel))
-            .transpose()
     }
 }
 
@@ -603,21 +574,6 @@ impl Transport for LocalTransport {
         }
     }
 
-    fn try_recv_payload(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: u64,
-    ) -> Result<Option<Payload>, TransportError> {
-        let (_tx, rx) = self.lane(src, dst, channel);
-        let got = rx.try_recv().ok();
-        if let Some(payload) = &got {
-            self.stats
-                .record_recv(src, dst, channel, payload.wire_len());
-        }
-        Ok(got)
-    }
-
     fn channel_stats(&self) -> Vec<ChannelStat> {
         self.stats.snapshot()
     }
@@ -660,17 +616,8 @@ pub(crate) mod tests {
             _: Duration,
         ) -> Result<Payload, TransportError> {
             self.inner
-                .try_recv_payload(src, dst, channel)?
-                .ok_or_else(|| self.error.clone())
-        }
-
-        fn try_recv_payload(
-            &self,
-            src: usize,
-            dst: usize,
-            channel: u64,
-        ) -> Result<Option<Payload>, TransportError> {
-            self.inner.try_recv_payload(src, dst, channel)
+                .recv_payload(src, dst, channel, Duration::ZERO)
+                .map_err(|_| self.error.clone())
         }
     }
 
@@ -707,20 +654,6 @@ pub(crate) mod tests {
         let msg = err.to_string();
         assert!(msg.contains("src 0 -> dst 1"), "uninformative: {msg}");
         assert!(msg.contains("OPT_NET_TIMEOUT_MS"), "no tuning hint: {msg}");
-    }
-
-    #[test]
-    fn local_try_recv_is_nonblocking() {
-        let t = LocalTransport::new(2);
-        assert_eq!(t.try_recv_value::<u8>(0, 1, 0).unwrap(), None);
-        t.send_value(0, 1, 0, 5u8).unwrap();
-        assert_eq!(t.try_recv_value::<u8>(0, 1, 0).unwrap(), Some(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "rank out of range")]
-    fn local_try_recv_checks_the_lane() {
-        let _ = LocalTransport::new(2).try_recv_value::<u8>(2, 1, 0);
     }
 
     #[test]

@@ -282,7 +282,8 @@ proptest! {
         for i in 0..n_msgs {
             prop_assert_eq!(mesh.recv(0, 1).unwrap(), i);
         }
-        prop_assert_eq!(transport.try_recv_value::<usize>(0, 1, 0).unwrap(), None);
+        let rest = transport.recv_value::<usize>(0, 1, 0, Duration::ZERO);
+        prop_assert!(matches!(rest, Err(TransportError::Timeout { .. })), "{:?}", rest);
     }
 
     #[test]

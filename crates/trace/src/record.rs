@@ -41,15 +41,6 @@ pub enum SpanKind {
     Recv,
     /// One validation pass over a held-out chunk.
     Validate,
-    /// Coordinator-side: waiting for the heartbeat failure detector to
-    /// name a dead rank (`micro` carries the detected rank).
-    Detect,
-    /// Coordinator-side: the whole single-rank rejoin — fence, quiesce,
-    /// relaunch, splice, restore (`micro` carries the replaced rank).
-    Rejoin,
-    /// Coordinator-side: the world-wide self-restore rollback inside a
-    /// rejoin (`iter` carries the resumed iteration).
-    Restore,
     /// A compression epilogue handed off to a background thread so its
     /// encode + send overlap the data-parallel exchange (instant marker;
     /// `micro` carries the overlapped microbatch).
@@ -60,9 +51,11 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Every kind, in tag order. New kinds append — codes are positional,
-    /// so extending the enum never breaks previously recorded traces.
-    pub const ALL: [SpanKind; 16] = [
+    /// Every kind, in tag order; a kind's code is its position here.
+    /// Codes only travel in binary [`crate::TraceBuffer`]s between the
+    /// processes of one build, and the Chrome JSON — the only persisted
+    /// form — carries names, so codes may be renumbered freely.
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Iteration,
         SpanKind::Forward,
         SpanKind::Backward,
@@ -74,9 +67,6 @@ impl SpanKind {
         SpanKind::Send,
         SpanKind::Recv,
         SpanKind::Validate,
-        SpanKind::Detect,
-        SpanKind::Rejoin,
-        SpanKind::Restore,
         SpanKind::OverlapLaunch,
         SpanKind::OverlapJoin,
     ];
@@ -105,9 +95,6 @@ impl SpanKind {
             SpanKind::Send => "send",
             SpanKind::Recv => "recv",
             SpanKind::Validate => "validate",
-            SpanKind::Detect => "detect",
-            SpanKind::Rejoin => "rejoin",
-            SpanKind::Restore => "restore",
             SpanKind::OverlapLaunch => "overlap_launch",
             SpanKind::OverlapJoin => "overlap_join",
         }
@@ -141,14 +128,6 @@ impl SpanKind {
         )
     }
 
-    /// Whether this span is part of failure detection / elastic rejoin.
-    pub fn is_recovery(self) -> bool {
-        matches!(
-            self,
-            SpanKind::Detect | SpanKind::Rejoin | SpanKind::Restore
-        )
-    }
-
     /// The Chrome-trace category string.
     pub fn category(self) -> &'static str {
         if self.is_compute() {
@@ -157,8 +136,6 @@ impl SpanKind {
             "comm"
         } else if matches!(self, SpanKind::Encode | SpanKind::Decode) {
             "codec"
-        } else if self.is_recovery() {
-            "recovery"
         } else {
             "other"
         }
