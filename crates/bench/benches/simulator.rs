@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opt_model::GptConfig;
-use opt_sim::{breakdown, simulate, CompressionPlan, SimConfig};
+use opt_schedule::QualityConfig;
+use opt_sim::{breakdown, simulate, SimConfig};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_iteration");
@@ -27,8 +28,8 @@ fn bench_simulate(c: &mut Criterion) {
 fn bench_breakdown(c: &mut Criterion) {
     let mut group = c.benchmark_group("breakdown_ablation");
     for (name, plan) in [
-        ("baseline", CompressionPlan::baseline()),
-        ("cb_fe_sc", CompressionPlan::cb_fe_sc()),
+        ("baseline", QualityConfig::baseline()),
+        ("cb_fe_sc", QualityConfig::cb_fe_sc().at_paper_ranks()),
     ] {
         let cfg = SimConfig::paper_gpt_2_5b().with_plan(plan);
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {

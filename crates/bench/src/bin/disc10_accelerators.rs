@@ -2,7 +2,8 @@
 //! compute-to-interconnect ratio (TPU-like, IPU-POD128-like clusters).
 
 use opt_bench::{banner, print_table, speedup_pct};
-use opt_sim::{breakdown, simulate, CompressionPlan, ScPlan, SimConfig};
+use opt_schedule::{QualityConfig, ScQuality};
+use opt_sim::{breakdown, simulate, SimConfig};
 
 fn main() {
     banner("§10.1 — Optimus-CC benefit vs compute/interconnect ratio (GPT-8.3B)");
@@ -24,12 +25,12 @@ fn main() {
         let b = breakdown(&cfg);
         // Full-throttle plan: SC over every stage (the potential §10.1
         // speaks about; quality budget permitting).
-        let full = CompressionPlan {
-            selective_stage: Some(ScPlan {
+        let full = QualityConfig {
+            sc: Some(ScQuality {
                 fraction: 1.0,
-                rank: 128,
+                rank: QualityConfig::PAPER_DP_RANK,
             }),
-            ..CompressionPlan::cb_fe()
+            ..QualityConfig::cb_fe().at_paper_ranks()
         };
         let opt = simulate(&cfg.clone().with_plan(full)).iteration_time_s;
         rows.push(vec![

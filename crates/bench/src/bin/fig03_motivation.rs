@@ -5,7 +5,7 @@
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
 use opt_bench::{banner, days, print_table};
-use opt_sim::{breakdown, CompressionPlan, SimConfig};
+use opt_sim::{breakdown, SimConfig};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
@@ -16,11 +16,17 @@ fn main() {
 
     banner("Fig. 3 (left) — execution-time breakdown, GPT-2.5B, 125K iters");
     let cfg = SimConfig::paper_gpt_2_5b();
-    let plans: Vec<(&str, CompressionPlan)> = vec![
-        ("Baseline", CompressionPlan::baseline()),
-        ("naive DP", CompressionPlan::naive_dp(128)),
-        ("naive CB", CompressionPlan::naive_cb(16)),
-        ("Opt-CC", CompressionPlan::cb_fe_sc()),
+    let plans: Vec<(&str, QualityConfig)> = vec![
+        ("Baseline", QualityConfig::baseline()),
+        (
+            "naive DP",
+            QualityConfig::naive_dp(QualityConfig::PAPER_DP_RANK),
+        ),
+        (
+            "naive CB",
+            QualityConfig::naive_cb(QualityConfig::PAPER_CB_RANK),
+        ),
+        ("Opt-CC", QualityConfig::cb_fe_sc().at_paper_ranks()),
     ];
     let mut rows = Vec::new();
     for (label, plan) in &plans {

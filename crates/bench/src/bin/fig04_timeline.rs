@@ -2,7 +2,8 @@
 //! timelines from the simulator's event trace.
 
 use opt_bench::banner;
-use opt_sim::{simulate, CompressionPlan, SimConfig, TraceKind};
+use opt_schedule::QualityConfig;
+use opt_sim::{simulate, SimConfig, TraceKind};
 
 fn render(cfg: &SimConfig, title: &str) {
     banner(title);
@@ -39,7 +40,9 @@ fn main() {
     let mut cfg = SimConfig::paper_gpt_2_5b();
     cfg.n_micro = 8;
     render(&cfg, "Fig. 4a — baseline 1F1B");
-    let opt = cfg.clone().with_plan(CompressionPlan::cb_fe_sc());
+    let opt = cfg
+        .clone()
+        .with_plan(QualityConfig::cb_fe_sc().at_paper_ranks());
     render(&opt, "Fig. 4b — Optimus-CC (CB + fused EMB sync + SC)");
     let base = simulate(&cfg).iteration_time_s;
     let fast = simulate(&opt).iteration_time_s;

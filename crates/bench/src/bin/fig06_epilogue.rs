@@ -2,8 +2,8 @@
 //! critical path, and what compressing only them buys.
 
 use opt_bench::{banner, print_table, speedup_pct};
-use opt_schedule::epilogue_sends;
-use opt_sim::{breakdown, CbPlan, CompressionPlan, SimConfig};
+use opt_schedule::{epilogue_sends, QualityConfig};
+use opt_sim::{breakdown, SimConfig};
 
 fn main() {
     banner("Fig. 6 — epilogue sends under 1F1B (S=4, M=16)");
@@ -29,14 +29,11 @@ fn main() {
     banner("Epilogue-only vs compress-all (GPT-2.5B sim)");
     let cfg = SimConfig::paper_gpt_2_5b();
     let base = breakdown(&cfg);
-    let epi = breakdown(&cfg.clone().with_plan(CompressionPlan::cb()));
-    let all = breakdown(&cfg.clone().with_plan(CompressionPlan {
-        compressed_backprop: Some(CbPlan {
-            rank: 16,
-            epilogue_only: false,
-        }),
-        ..CompressionPlan::baseline()
-    }));
+    let epi = breakdown(&cfg.clone().with_plan(QualityConfig::cb().at_paper_ranks()));
+    let all = breakdown(
+        &cfg.clone()
+            .with_plan(QualityConfig::naive_cb(QualityConfig::PAPER_CB_RANK)),
+    );
     let rows = vec![
         vec![
             "baseline".into(),

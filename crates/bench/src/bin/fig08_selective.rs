@@ -2,7 +2,8 @@
 //! front moves the DP bottleneck stage by stage.
 
 use opt_bench::{banner, print_table, speedup_pct};
-use opt_sim::{simulate, CompressionPlan, ScPlan, SimConfig};
+use opt_schedule::{QualityConfig, ScQuality};
+use opt_sim::{simulate, SimConfig};
 
 fn main() {
     banner("Fig. 8 — DP bottleneck vs fraction of stages compressed (GPT-8.3B sim)");
@@ -10,16 +11,12 @@ fn main() {
     let t0 = simulate(&base).iteration_time_s;
     let mut rows = Vec::new();
     for pct in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let plan = if pct == 0.0 {
-            CompressionPlan::baseline()
-        } else {
-            CompressionPlan {
-                selective_stage: Some(ScPlan {
-                    fraction: pct,
-                    rank: 128,
-                }),
-                ..CompressionPlan::baseline()
-            }
+        let plan = QualityConfig {
+            sc: (pct > 0.0).then_some(ScQuality {
+                fraction: pct,
+                rank: QualityConfig::PAPER_DP_RANK,
+            }),
+            ..QualityConfig::baseline()
         };
         let r = simulate(&base.clone().with_plan(plan));
         rows.push(vec![

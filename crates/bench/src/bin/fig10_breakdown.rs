@@ -2,15 +2,16 @@
 //! techniques, measured CPI-stack style (turn each class off, re-run).
 
 use opt_bench::{banner, print_table};
-use opt_sim::{breakdown, CompressionPlan, SimConfig};
+use opt_schedule::QualityConfig;
+use opt_sim::{breakdown, SimConfig};
 
 fn main() {
     for cfg in [SimConfig::paper_gpt_8_3b(), SimConfig::paper_gpt_2_5b()] {
         banner(&format!("Fig. 10 — breakdown ablation, {}", cfg.model.name));
         let mut rows = Vec::new();
         let base = breakdown(&cfg);
-        for (label, plan) in CompressionPlan::table2_columns() {
-            let b = breakdown(&cfg.clone().with_plan(plan));
+        for (label, plan) in QualityConfig::table2_columns() {
+            let b = breakdown(&cfg.clone().with_plan(plan.at_paper_ranks()));
             rows.push(vec![
                 label.to_string(),
                 format!("{:.3}", b.total),

@@ -5,7 +5,7 @@
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
 use opt_bench::{banner, print_table, speedup_pct};
-use opt_sim::{simulate, CompressionPlan, ScPlan, SimConfig};
+use opt_sim::{simulate, SimConfig};
 use optimus_cc::{QualityConfig, ScQuality, Trainer, TrainerConfig};
 
 fn quality_ppl(q: QualityConfig, iters: u64) -> f32 {
@@ -26,14 +26,6 @@ fn main() {
     banner("Fig. 13 (left) — selective stage compression sweep (GPT-2.5B)");
     let mut rows = Vec::new();
     for frac in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let plan = CompressionPlan {
-            selective_stage: (frac > 0.0).then_some(ScPlan {
-                fraction: frac,
-                rank: 128,
-            }),
-            ..CompressionPlan::baseline()
-        };
-        let t = simulate(&sim.clone().with_plan(plan)).iteration_time_s;
         let q = QualityConfig {
             sc: (frac > 0.0).then_some(ScQuality {
                 fraction: frac,
@@ -41,6 +33,7 @@ fn main() {
             }),
             ..QualityConfig::baseline()
         };
+        let t = simulate(&sim.clone().with_plan(q.at_paper_ranks())).iteration_time_s;
         let ppl = quality_ppl(q, iters);
         rows.push(vec![
             format!("{:.0}%", frac * 100.0),
@@ -58,7 +51,7 @@ fn main() {
     // Paper sweeps ranks on the real model up to 512 where compression
     // kernels dominate; quality ranks are scaled for the proxy model.
     for (sim_rank, q_rank) in [(32usize, 1usize), (64, 2), (128, 4), (256, 8), (512, 16)] {
-        let plan = CompressionPlan::naive_dp(sim_rank);
+        let plan = QualityConfig::naive_dp(sim_rank);
         let t = simulate(&sim.clone().with_plan(plan)).iteration_time_s;
         let ppl = quality_ppl(QualityConfig::naive_dp(q_rank), iters);
         rows.push(vec![

@@ -3,7 +3,8 @@
 
 use opt_bench::{banner, print_table, speedup_pct};
 use opt_model::GptConfig;
-use opt_sim::{simulate, CompressionPlan, SimConfig};
+use opt_schedule::QualityConfig;
+use opt_sim::{simulate, SimConfig};
 
 fn main() {
     banner("Fig. 14 — TP/PP sensitivity, GPT-9.2B (80 layers), DP=4, 128 GPUs");
@@ -12,8 +13,8 @@ fn main() {
         let cfg = SimConfig::paper_defaults(GptConfig::gpt_9_2b()).with_tp_pp(tp, pp);
         let base = simulate(&cfg).iteration_time_s;
         let mut row = vec![format!("TP{tp}/PP{pp}"), format!("{base:.3}")];
-        for (_, plan) in CompressionPlan::table2_columns().into_iter().skip(1) {
-            let t = simulate(&cfg.clone().with_plan(plan)).iteration_time_s;
+        for (_, plan) in QualityConfig::table2_columns().into_iter().skip(1) {
+            let t = simulate(&cfg.clone().with_plan(plan.at_paper_ranks())).iteration_time_s;
             row.push(speedup_pct(base, t));
         }
         rows.push(row);

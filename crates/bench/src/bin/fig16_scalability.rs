@@ -3,7 +3,8 @@
 
 use opt_bench::{banner, print_table, speedup_pct};
 use opt_model::GptConfig;
-use opt_sim::{simulate, CompressionPlan, SimConfig};
+use opt_schedule::QualityConfig;
+use opt_sim::{simulate, SimConfig};
 
 fn main() {
     banner("Fig. 16 — scalability sweep (TP8 fixed, GPUs grow with model)");
@@ -24,8 +25,8 @@ fn main() {
         let base = simulate(&cfg).iteration_time_s;
         let gpus = cfg.tp * cfg.dp * cfg.pp;
         let mut row = vec![name, gpus.to_string(), format!("{base:.2}")];
-        for (_, plan) in CompressionPlan::table2_columns().into_iter().skip(1) {
-            let t = simulate(&cfg.clone().with_plan(plan)).iteration_time_s;
+        for (_, plan) in QualityConfig::table2_columns().into_iter().skip(1) {
+            let t = simulate(&cfg.clone().with_plan(plan.at_paper_ranks())).iteration_time_s;
             row.push(speedup_pct(base, t));
         }
         rows.push(row);

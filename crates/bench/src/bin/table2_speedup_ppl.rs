@@ -9,7 +9,7 @@
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
 use opt_bench::{banner, days, print_table, speedup_pct};
-use opt_sim::{simulate, CompressionPlan, SimConfig};
+use opt_sim::{simulate, SimConfig};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
@@ -25,11 +25,10 @@ fn main() {
         ));
         let base_t = simulate(&sim_cfg).iteration_time_s;
         let mut rows = Vec::new();
-        for ((label, plan), (_, quality)) in CompressionPlan::table2_columns()
-            .into_iter()
-            .zip(QualityConfig::table2_columns())
-        {
-            let t = simulate(&sim_cfg.clone().with_plan(plan)).iteration_time_s;
+        // One plan per column: the simulator prices it at the paper's
+        // ranks, the small model trains it at its own.
+        for (label, quality) in QualityConfig::table2_columns() {
+            let t = simulate(&sim_cfg.clone().with_plan(quality.at_paper_ranks())).iteration_time_s;
             let mut trainer = Trainer::launch(TrainerConfig::small_test(quality, iters));
             let report = trainer.train();
             trainer.shutdown();

@@ -1,163 +1,9 @@
-//! Quality-experiment configuration (the numerical twin of `opt-sim`'s
-//! `CompressionPlan`).
+//! Training-run configuration. Its compression plan is
+//! [`opt_schedule::QualityConfig`], the same value the simulator prices.
 
 use opt_data::SyntheticCorpus;
 use opt_model::GptConfig;
-
-/// Which compressor compressed backpropagation uses on the inter-stage
-/// link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CbMethod {
-    /// PowerSGD low-rank factorization at the given rank (the paper's
-    /// choice, §8).
-    LowRank(usize),
-    /// Top-k sparsification at the given density (the "Opt-CC (TopK)"
-    /// bar of Fig. 3, shown by the paper to be unsuitable for p2p).
-    TopK(f64),
-}
-
-/// Compressed-backpropagation quality knobs (§5).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CbQuality {
-    /// Compression method for the backward inter-stage traffic.
-    pub method: CbMethod,
-    /// Compress only epilogue sends (§5.2).
-    pub epilogue_only: bool,
-    /// Lazy error propagation on/off (§5.1; Table 4's LEP ablation).
-    pub lazy_error: bool,
-}
-
-impl CbQuality {
-    /// The paper's setting for the small numerical model: low-rank with
-    /// LEP and epilogue-only compression.
-    pub fn paper(rank: usize) -> Self {
-        Self {
-            method: CbMethod::LowRank(rank),
-            epilogue_only: true,
-            lazy_error: true,
-        }
-    }
-}
-
-/// Selective-stage-compression quality knobs (§7).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScQuality {
-    /// Fraction of stages (earliest first) whose DP traffic is compressed.
-    pub fraction: f64,
-    /// PowerSGD rank for DP gradients.
-    pub rank: usize,
-}
-
-/// The full compression configuration of a quality experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QualityConfig {
-    /// Compressed backpropagation.
-    pub cb: Option<CbQuality>,
-    /// Fused embedding synchronization.
-    pub fused_embedding: bool,
-    /// Selective stage compression.
-    pub sc: Option<ScQuality>,
-    /// Naive DP compression of *all* stages at the given rank (Fig. 3
-    /// "naive DP", Fig. 13 rank sweep).
-    pub naive_dp_rank: Option<usize>,
-}
-
-impl QualityConfig {
-    /// Default CB rank for the small numerical model (hidden 32): rank 4
-    /// keeps roughly the paper's ~10x compression ratio on the
-    /// `(micro*seq) x hidden` activation matrix.
-    pub const SMALL_CB_RANK: usize = 4;
-    /// Default DP rank for the small numerical model.
-    pub const SMALL_DP_RANK: usize = 4;
-
-    /// Megatron-LM baseline: no compression.
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
-    /// Compressed backpropagation only.
-    pub fn cb() -> Self {
-        Self {
-            cb: Some(CbQuality::paper(Self::SMALL_CB_RANK)),
-            ..Self::default()
-        }
-    }
-
-    /// CB without lazy error propagation (Table 4 "CB (Non-LEP)").
-    pub fn cb_non_lep() -> Self {
-        Self {
-            cb: Some(CbQuality {
-                lazy_error: false,
-                ..CbQuality::paper(Self::SMALL_CB_RANK)
-            }),
-            ..Self::default()
-        }
-    }
-
-    /// CB + fused embedding synchronization.
-    pub fn cb_fe() -> Self {
-        Self {
-            fused_embedding: true,
-            ..Self::cb()
-        }
-    }
-
-    /// Full Optimus-CC: CB + FE + selective stage compression at the
-    /// paper's 75 % fraction.
-    pub fn cb_fe_sc() -> Self {
-        Self {
-            sc: Some(ScQuality {
-                fraction: 0.75,
-                rank: Self::SMALL_DP_RANK,
-            }),
-            ..Self::cb_fe()
-        }
-    }
-
-    /// Naive full-DP compression (Fig. 3 "naive DP").
-    pub fn naive_dp(rank: usize) -> Self {
-        Self {
-            naive_dp_rank: Some(rank),
-            ..Self::default()
-        }
-    }
-
-    /// Naive CB: compress every backward send, no LEP (Fig. 3 "naive CB").
-    pub fn naive_cb(rank: usize) -> Self {
-        Self {
-            cb: Some(CbQuality {
-                method: CbMethod::LowRank(rank),
-                epilogue_only: false,
-                lazy_error: false,
-            }),
-            ..Self::default()
-        }
-    }
-
-    /// Full Optimus-CC but with top-k inter-stage compression (Fig. 3
-    /// "Opt-CC (TopK)") — the paper's evidence that top-k is unsuitable
-    /// for point-to-point traffic.
-    pub fn cb_topk(density: f64) -> Self {
-        Self {
-            cb: Some(CbQuality {
-                method: CbMethod::TopK(density),
-                epilogue_only: true,
-                lazy_error: true,
-            }),
-            ..Self::cb_fe_sc()
-        }
-    }
-
-    /// Table 2 column order for quality experiments.
-    pub fn table2_columns() -> Vec<(&'static str, QualityConfig)> {
-        vec![
-            ("Baseline", Self::baseline()),
-            ("CB", Self::cb()),
-            ("CB+FE", Self::cb_fe()),
-            ("CB+FE+SC", Self::cb_fe_sc()),
-        ]
-    }
-}
+use opt_schedule::{CbMethod, CbQuality, QualityConfig, ScQuality};
 
 /// Full configuration of a numerical training run.
 #[derive(Debug, Clone)]
@@ -240,82 +86,37 @@ impl TrainerConfig {
         )
     }
 
-    /// Number of earliest stages covered by selective stage compression
-    /// ([`opt_schedule::sc_stage_count`]); naive DP compression covers all.
+    /// Number of earliest stages whose DP traffic is compressed
+    /// ([`QualityConfig::dp_compressed_stages`] at this run's `pp`).
     pub fn sc_stage_count(&self) -> usize {
-        match (self.quality.sc, self.quality.naive_dp_rank) {
-            (Some(sc), _) => opt_schedule::sc_stage_count(sc.fraction, self.pp),
-            (None, Some(_)) => self.pp,
-            (None, None) => 0,
-        }
+        self.quality.dp_compressed_stages(self.pp)
     }
 
     /// The DP compression rank in effect (SC or naive), if any.
     pub fn dp_rank(&self) -> Option<usize> {
-        self.quality
-            .sc
-            .map(|s| s.rank)
-            .or(self.quality.naive_dp_rank)
+        self.quality.dp_rank()
     }
 
     /// Fingerprint over every *state-affecting* configuration field, used
     /// to refuse restoring a snapshot into an incompatible run.
     ///
-    /// Fields that change what training state means (model shape,
-    /// parallelism, batching, seed, learning rate, compression plan, data
-    /// mix) are hashed; fields that only change observation (`iters`,
-    /// `validate_every`, `val_sequences`, `collect_error_stats`) are not —
-    /// resuming a snapshot to train *longer* or validate *more often* is
-    /// legitimate.
+    /// It hashes the [`opt_tensor::Persist`] encoding of a copy whose
+    /// observation-only fields (`model.name`, `iters`, `validate_every`,
+    /// `val_sequences`, `collect_error_stats`) are cleared — resuming a
+    /// snapshot to train *longer* or validate *more often* is legitimate —
+    /// so every other field, including one added later, is covered.
     pub fn fingerprint(&self) -> u64 {
-        use opt_tensor::Writer;
-        let mut w = Writer::new();
-        w.usize(self.model.n_layers);
-        w.usize(self.model.hidden);
-        w.usize(self.model.heads);
-        w.usize(self.model.vocab);
-        w.usize(self.model.seq_len);
-        w.usize(self.pp);
-        w.usize(self.dp);
-        w.usize(self.micro_batch);
-        w.usize(self.n_micro);
-        w.f32(self.lr);
-        w.u64(self.seed);
-        w.f64(self.repeat_fraction);
-        match self.quality.cb {
-            None => w.u8(0),
-            Some(cb) => {
-                w.u8(1);
-                match cb.method {
-                    CbMethod::LowRank(rank) => {
-                        w.u8(0);
-                        w.usize(rank);
-                    }
-                    CbMethod::TopK(density) => {
-                        w.u8(1);
-                        w.f64(density);
-                    }
-                }
-                w.u8(cb.epilogue_only as u8);
-                w.u8(cb.lazy_error as u8);
-            }
-        }
-        w.u8(self.quality.fused_embedding as u8);
-        match self.quality.sc {
-            None => w.u8(0),
-            Some(sc) => {
-                w.u8(1);
-                w.f64(sc.fraction);
-                w.usize(sc.rank);
-            }
-        }
-        match self.quality.naive_dp_rank {
-            None => w.u8(0),
-            Some(rank) => {
-                w.u8(1);
-                w.usize(rank);
-            }
-        }
+        use opt_tensor::Persist;
+        let mut state = self.clone();
+        state.model.name = String::new();
+        state.iters = 0;
+        state.validate_every = 0;
+        state.val_sequences = 0;
+        state.collect_error_stats = false;
+        // Into a plain `Writer`, not `to_bytes()`, so the codec-cycle
+        // counters only count wire traffic.
+        let mut w = opt_tensor::Writer::new();
+        state.persist(&mut w);
         opt_ckpt::fnv1a64(&w.into_bytes())
     }
 }
@@ -354,21 +155,8 @@ impl opt_tensor::Persist for TrainerConfig {
             }
         }
         w.u8(self.quality.fused_embedding as u8);
-        match self.quality.sc {
-            None => w.u8(0),
-            Some(sc) => {
-                w.u8(1);
-                w.f64(sc.fraction);
-                w.usize(sc.rank);
-            }
-        }
-        match self.quality.naive_dp_rank {
-            None => w.u8(0),
-            Some(rank) => {
-                w.u8(1);
-                w.usize(rank);
-            }
-        }
+        self.quality.sc.map(|sc| (sc.fraction, sc.rank)).persist(w);
+        self.quality.naive_dp_rank.persist(w);
         w.u64(self.validate_every);
         w.usize(self.val_sequences);
         w.u8(self.collect_error_stats as u8);
@@ -424,29 +212,9 @@ impl opt_tensor::Persist for TrainerConfig {
             }
         };
         let fused_embedding = flag(r, "QualityConfig.fused_embedding")?;
-        let sc = match r.u8()? {
-            0 => None,
-            1 => Some(ScQuality {
-                fraction: r.f64()?,
-                rank: r.usize()?,
-            }),
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "ScQuality",
-                    tag,
-                })
-            }
-        };
-        let naive_dp_rank = match r.u8()? {
-            0 => None,
-            1 => Some(r.usize()?),
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "naive_dp_rank",
-                    tag,
-                })
-            }
-        };
+        let sc = Option::<(f64, usize)>::restore(r)?
+            .map(|(fraction, rank)| ScQuality { fraction, rank });
+        let naive_dp_rank = Option::<usize>::restore(r)?;
         Ok(TrainerConfig {
             model,
             pp,
@@ -475,20 +243,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_compose() {
-        assert!(QualityConfig::baseline().cb.is_none());
-        assert!(QualityConfig::cb().cb.unwrap().lazy_error);
-        assert!(!QualityConfig::cb_non_lep().cb.unwrap().lazy_error);
-        assert!(QualityConfig::cb_fe().fused_embedding);
-        assert!(QualityConfig::cb_fe_sc().sc.is_some());
-        assert!(matches!(
-            QualityConfig::cb_topk(0.1).cb.unwrap().method,
-            CbMethod::TopK(_)
-        ));
-        assert!(!QualityConfig::naive_cb(4).cb.unwrap().epilogue_only);
-    }
-
-    #[test]
     fn sc_stage_count_follows_fraction() {
         let mut cfg = TrainerConfig::small_test(QualityConfig::cb_fe_sc(), 1);
         assert_eq!(cfg.sc_stage_count(), 3); // 0.75 * 4
@@ -507,28 +261,60 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_state_affecting_fields_only() {
+        type Edit = fn(&mut TrainerConfig);
         let base = TrainerConfig::small_test(QualityConfig::cb_fe_sc(), 10);
         let fp = base.fingerprint();
         assert_eq!(fp, base.clone().fingerprint(), "fingerprint is stable");
+        let moved = |edit: Edit| {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            cfg.fingerprint() != fp
+        };
+        fn cb(cfg: &mut TrainerConfig) -> &mut CbQuality {
+            cfg.quality.cb.as_mut().unwrap()
+        }
+        fn sc(cfg: &mut TrainerConfig) -> &mut ScQuality {
+            cfg.quality.sc.as_mut().unwrap()
+        }
 
-        // Observation-only fields do not change the fingerprint.
-        let mut obs = base.clone();
-        obs.iters = 999;
-        obs.validate_every = 1;
-        obs.val_sequences = 4;
-        obs.collect_error_stats = true;
-        assert_eq!(obs.fingerprint(), fp);
+        // Observation-only fields do not move it, one at a time.
+        let observation: [(&str, Edit); 5] = [
+            ("model.name", |c| c.model.name = "renamed".into()),
+            ("iters", |c| c.iters = 999),
+            ("validate_every", |c| c.validate_every = 1),
+            ("val_sequences", |c| c.val_sequences = 4),
+            ("collect_error_stats", |c| c.collect_error_stats = true),
+        ];
+        for (field, edit) in observation {
+            assert!(!moved(edit), "{field} moved the fingerprint");
+        }
 
-        // State-affecting fields do.
-        let mut seed = base.clone();
-        seed.seed ^= 1;
-        assert_ne!(seed.fingerprint(), fp);
-        let mut quality = base.clone();
-        quality.quality = QualityConfig::baseline();
-        assert_ne!(quality.fingerprint(), fp);
-        let mut shape = base;
-        shape.n_micro += 1;
-        assert_ne!(shape.fingerprint(), fp);
+        // Every state-affecting field does, one at a time.
+        let state: [(&str, Edit); 20] = [
+            ("model.n_layers", |c| c.model.n_layers += 1),
+            ("model.hidden", |c| c.model.hidden += 1),
+            ("model.heads", |c| c.model.heads += 1),
+            ("model.vocab", |c| c.model.vocab += 1),
+            ("model.seq_len", |c| c.model.seq_len += 1),
+            ("pp", |c| c.pp += 1),
+            ("dp", |c| c.dp += 1),
+            ("micro_batch", |c| c.micro_batch += 1),
+            ("n_micro", |c| c.n_micro += 1),
+            ("lr", |c| c.lr *= 2.0),
+            ("seed", |c| c.seed ^= 1),
+            ("repeat_fraction", |c| c.repeat_fraction += 0.1),
+            ("cb method", |c| cb(c).method = CbMethod::TopK(0.1)),
+            ("cb rank", |c| cb(c).method = CbMethod::LowRank(5)),
+            ("cb epilogue_only", |c| cb(c).epilogue_only ^= true),
+            ("cb lazy_error", |c| cb(c).lazy_error ^= true),
+            ("fused_embedding", |c| c.quality.fused_embedding ^= true),
+            ("sc fraction", |c| sc(c).fraction = 0.5),
+            ("sc rank", |c| sc(c).rank += 1),
+            ("naive rank", |c| c.quality.naive_dp_rank = Some(4)),
+        ];
+        for (field, edit) in state {
+            assert!(moved(edit), "{field} left the fingerprint unchanged");
+        }
     }
 
     #[test]

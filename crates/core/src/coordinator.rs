@@ -119,24 +119,16 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         self.next_id
     }
 
-    fn send_to(
-        &self,
-        ranks: impl Iterator<Item = usize>,
-        cmd: WireCmd,
-    ) -> Result<(), TransportError> {
+    /// Sends `cmd` to every worker.
+    pub fn broadcast(&self, cmd: WireCmd) -> Result<(), WorldError> {
         // One shared payload for the whole fan-out: a byte-boundary
         // transport encodes the command once, not once per rank.
         let payload = SharedPayload::new(cmd);
-        for rank in ranks {
+        for rank in 0..self.world() {
             self.transport
                 .send_shared(self.world(), rank, CH_CMD, &payload)?;
         }
         Ok(())
-    }
-
-    /// Sends `cmd` to every worker.
-    pub fn broadcast(&self, cmd: WireCmd) -> Result<(), WorldError> {
-        Ok(self.send_to(0..self.world(), cmd)?)
     }
 
     /// Receives `rank`'s reply to request `id` on `channel`, skipping
@@ -176,11 +168,10 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     }
 
     /// One request/reply round under a fresh request id: sends
-    /// `cmd(id)` to `ranks`, then collects each rank's reply on
+    /// `cmd(id)` to every worker, then collects each one's reply on
     /// `channel`, in rank order.
     fn request<T>(
         &mut self,
-        ranks: impl Iterator<Item = usize> + Clone,
         cmd: impl FnOnce(u64) -> WireCmd,
         channel: u64,
     ) -> Result<Vec<T>, WorldError>
@@ -188,15 +179,15 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         T: Persist + Clone + Send + Sync + 'static,
     {
         let id = self.fresh_id();
-        self.send_to(ranks.clone(), cmd(id))?;
-        ranks
+        self.broadcast(cmd(id))?;
+        (0..self.world())
             .map(|rank| self.recv_matching(rank, channel, id))
             .collect()
     }
 
     /// Waits until every worker has retired everything sent so far.
     pub fn barrier(&mut self) -> Result<Vec<WorkerAck>, WorldError> {
-        self.request(0..self.world(), |id| WireCmd::Barrier { id }, CH_ACK)
+        self.request(|id| WireCmd::Barrier { id }, CH_ACK)
     }
 
     /// Runs training up to the configured iteration count with periodic
@@ -235,11 +226,8 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// every lane back into whole lanes — so the result does not depend
     /// on how the ranks were deployed.
     fn gather_metrics(&mut self) -> Result<(RawSamples, TrafficBreakdown), WorldError> {
-        let replies: Vec<MetricsMsg> = self.request(
-            0..self.world(),
-            |id| WireCmd::FetchMetrics { id },
-            CH_METRICS,
-        )?;
+        let replies: Vec<MetricsMsg> =
+            self.request(|id| WireCmd::FetchMetrics { id }, CH_METRICS)?;
         let mut samples = RawSamples::default();
         let mut traffic = TrafficBreakdown::default();
         for msg in replies {
@@ -266,7 +254,7 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
         if !self.trace.enabled() {
             return Ok(None);
         }
-        self.request(0..self.world(), |id| WireCmd::FetchTrace { id }, CH_TRACE)
+        self.request(|id| WireCmd::FetchTrace { id }, CH_TRACE)
             .map(Some)
     }
 
@@ -280,24 +268,20 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// state once everything sent before has retired.
     pub fn snapshot(&mut self) -> Result<Snapshot, WorldError> {
         Ok(Snapshot {
-            ranks: self.request(0..self.world(), |id| WireCmd::Snapshot { id }, CH_SECTION)?,
+            ranks: self.request(|id| WireCmd::Snapshot { id }, CH_SECTION)?,
             meta: self.meta(),
         })
     }
 
-    /// The one restore: has each of `ranks` rendezvous on its shard
-    /// store's manifest, fetch only its own shard, validate, and apply it.
-    /// The coordinator has read nothing but the manifest, whose iteration
-    /// is `want_iter`, and requires every rank to have landed on it.
-    pub fn self_restore(
-        &mut self,
-        ranks: impl Iterator<Item = usize> + Clone,
-        want_iter: u64,
-    ) -> Result<(), WorldError> {
+    /// The one restore: has every worker rendezvous on its shard store's
+    /// manifest, fetch only its own shard, validate, and apply it. The
+    /// coordinator has read nothing but the manifest, whose iteration is
+    /// `want_iter`, and requires every rank to have landed on it.
+    pub fn self_restore(&mut self, want_iter: u64) -> Result<(), WorldError> {
         let outcomes: Vec<Outcome<u64>> =
-            self.request(ranks.clone(), |id| WireCmd::SelfRestore { id }, CH_RESTORE)?;
+            self.request(|id| WireCmd::SelfRestore { id }, CH_RESTORE)?;
         let mut first_err = None;
-        for (rank, outcome) in ranks.zip(outcomes) {
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
             match outcome.into_result() {
                 Ok(iter) if iter == want_iter => {}
                 // The store changed between the coordinator's manifest
@@ -329,11 +313,8 @@ impl<Tr: Transport, W: WorkerHandle> Coordinator<Tr, W> {
     /// references are garbage-collected after the commit.
     pub fn save_sharded(&mut self, store: &dyn ShardStore) -> Result<ShardManifest, WorldError> {
         let iter = self.trained_iters;
-        let replies: Vec<Outcome<ShardEntry>> = self.request(
-            0..self.world(),
-            |id| WireCmd::PublishShard { id, iter },
-            CH_SHARD,
-        )?;
+        let replies: Vec<Outcome<ShardEntry>> =
+            self.request(|id| WireCmd::PublishShard { id, iter }, CH_SHARD)?;
         // Replies come in rank order, which is the manifest's shard order;
         // the first failure, if any, is the one reported.
         let shards: Result<Vec<ShardEntry>, CkptError> =

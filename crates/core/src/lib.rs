@@ -43,10 +43,10 @@
 //! parameters, optimizer moments, and compression state (PowerSGD warm
 //! starts, lazy-error residuals, DP error feedback) into a checksummed
 //! shard and publish it, with barrier semantics, and commits the manifest
-//! last; [`Trainer::restore_sharded`] / [`Trainer::restore_rank`] relaunch
-//! workers that rendezvous on the manifest and fetch *only their own
-//! shard* — no process ever holds the whole world's state, and a
-//! replacement worker on a different host does exactly the same. The
+//! last; [`Trainer::restore_sharded`] relaunches workers that rendezvous
+//! on the manifest and fetch *only their own shard* — no process ever
+//! holds the whole world's state, and a replacement worker on a different
+//! host does exactly the same. The
 //! guarantee is bit-exact resume — train `N` straight vs. train `k`,
 //! checkpoint, [`Trainer::kill`], restore, train `N - k` produce identical
 //! losses and identical wire traffic — and [`run_with_faults`] scripts
@@ -77,7 +77,7 @@ mod stats;
 mod trainer;
 mod worker;
 
-pub use config::{CbMethod, CbQuality, QualityConfig, ScQuality, TrainerConfig};
+pub use config::TrainerConfig;
 pub use dp_compress::DistPowerSgd;
 pub use fault::{run_with_faults, FaultOutcome, ProcFaultOptions, Recovery};
 pub use memory::MemoryReport;
@@ -86,6 +86,10 @@ pub use proc::{
 };
 pub use stats::{ErrorStatPoint, TrainReport, ValPoint};
 pub use trainer::Trainer;
+
+// The compression plan lives in opt-schedule, where the simulator reads it
+// too.
+pub use opt_schedule::{CbMethod, CbQuality, QualityConfig, ScQuality};
 
 // Tracing types surface in the trainer API (`Trainer::launch_with_trace`,
 // `Trainer::take_trace`), so re-export them for callers that do not

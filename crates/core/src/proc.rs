@@ -373,7 +373,7 @@ impl ProcTrainer {
     /// checkpoint iteration the world resumed at.
     pub fn self_restore_all(&mut self) -> Result<u64, WorldError> {
         let iter = resolve_manifest(&self.coord.cfg, &self.store)?.meta.iter;
-        self.coord.self_restore(0..self.coord.world(), iter)?;
+        self.coord.self_restore(iter)?;
         Ok(iter)
     }
 

@@ -251,52 +251,9 @@ impl Trainer {
         // A missing or foreign manifest is refused before anything spawns.
         let iter = resolve_manifest(&cfg, store.as_ref())?.meta.iter;
         let mut trainer = Trainer::launch(cfg);
-        trainer.self_restore(0..trainer.coord.world(), store, iter)?;
+        *trainer.store.lock() = Some(Arc::clone(store));
+        ckpt(trainer.coord.self_restore(iter))?;
         Ok(trainer)
-    }
-
-    /// Elastically restores a **single** rank's state from the shard
-    /// store: the targeted worker rendezvouses on the manifest, fetches
-    /// only its own shard, validates, and applies it — exactly what a
-    /// relaunched worker on a different host does.
-    /// No coordinator-held state is involved; the trainer reads only the
-    /// manifest (to validate it against the config and learn the
-    /// checkpoint iteration, which is returned).
-    ///
-    /// The caller is responsible for world consistency: every other rank
-    /// must already hold state from the same checkpoint iteration (e.g.
-    /// restore each rank of a freshly launched world in turn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(stage, dp)` lies outside the trainer's world.
-    pub fn restore_rank(
-        &mut self,
-        stage: usize,
-        dp: usize,
-        store: &Arc<dyn ShardStore>,
-    ) -> Result<u64, CkptError> {
-        let cfg = &self.coord.cfg;
-        assert!(
-            stage < cfg.pp && dp < cfg.dp,
-            "rank (stage {stage}, dp {dp}) outside the {}x{} world",
-            cfg.pp,
-            cfg.dp
-        );
-        let rank = dp * cfg.pp + stage;
-        let iter = resolve_manifest(cfg, store.as_ref())?.meta.iter;
-        self.self_restore(rank..rank + 1, store, iter)?;
-        Ok(iter)
-    }
-
-    fn self_restore(
-        &mut self,
-        ranks: std::ops::Range<usize>,
-        store: &Arc<dyn ShardStore>,
-        want_iter: u64,
-    ) -> Result<(), CkptError> {
-        *self.store.lock() = Some(Arc::clone(store));
-        ckpt(self.coord.self_restore(ranks, want_iter))
     }
 
     /// Sends `Stop` and joins every worker thread; `false` if any of them
@@ -422,9 +379,9 @@ mod tests {
         store.put(&entry.name, &blob).unwrap();
         *entry = ShardEntry::for_blob(1, 0, entry.name.clone(), &blob);
         store.put(MANIFEST_FILE, &manifest.encode()).unwrap();
-        let err = t
-            .restore_rank(1, 0, &store)
-            .expect_err("wrong shapes applied");
+        let Err(err) = Trainer::restore_sharded(t.coord.cfg.clone(), &store) else {
+            panic!("wrong shapes applied");
+        };
         assert!(matches!(err, CkptError::Decode(_)), "{err}");
         t.coord.barrier().expect("the world outlives a refusal");
 

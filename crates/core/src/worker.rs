@@ -1,7 +1,7 @@
 //! The per-(stage, dp-rank) worker: one loop, run by a thread of an
 //! in-process world or by an `opt-worker` OS process.
 
-use crate::config::{CbMethod, TrainerConfig};
+use crate::config::TrainerConfig;
 use crate::control::{
     store_err, MetricsMsg, Outcome, StoreSlot, WireCmd, WorkerAck, CH_ACK, CH_BWD, CH_CMD, CH_FWD,
     CH_METRICS, CH_PREDICT, CH_RESTORE, CH_SECTION, CH_SHARD, CH_TRACE, CTRL_TIMEOUT,
@@ -17,7 +17,7 @@ use opt_net::{
     ChannelStat, CollectiveGroup, CollectiveWorld, P2pMesh, ShardStore, TrafficClass,
     TrafficLedger, Transport, TransportError,
 };
-use opt_schedule::{is_epilogue_send, one_f_one_b, Op};
+use opt_schedule::{is_epilogue_send, one_f_one_b, CbMethod, Op};
 use opt_tensor::{cosine_similarity, Matrix, Persist, PersistError, Reader, Writer};
 use opt_trace::{SpanKind, TraceMode, NO_MICRO};
 use std::collections::{HashMap, VecDeque};

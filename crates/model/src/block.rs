@@ -1,25 +1,24 @@
 //! The Megatron-LM transformer block (paper Fig. 2).
 
-use crate::{Dropout, Gelu, Layer, LayerNorm, Linear, MultiHeadAttention, ParamRef};
+use crate::{Gelu, Layer, LayerNorm, Linear, MultiHeadAttention, ParamRef};
 use opt_tensor::{Matrix, SeedStream};
 use std::collections::VecDeque;
 
 /// One transformer layer with pre-norm residual structure, matching the
-/// paper's Fig. 2:
+/// paper's Fig. 2 (whose dropout layers are the identity at the `p = 0`
+/// every reproduction experiment uses, so they are left out):
 ///
 /// ```text
-/// x ── LN ── Attention ── Dropout ──(+)── LN ── MLP(H→4H→H, GeLU) ── Dropout ──(+)── y
-/// └──────────────────────────────────┘ └──────────────────────────────────────────┘
+/// x ── LN ── Attention ──(+)── LN ── MLP(H→4H→H, GeLU) ──(+)── y
+/// └───────────────────────┘ └───────────────────────────────┘
 /// ```
 pub struct TransformerBlock {
     ln1: LayerNorm,
     attn: MultiHeadAttention,
-    drop1: Dropout,
     ln2: LayerNorm,
     fc1: Linear,
     gelu: Gelu,
     fc2: Linear,
-    drop2: Dropout,
     /// Number of in-flight micro-batches (for the pipelining contract).
     in_flight: VecDeque<()>,
 }
@@ -32,32 +31,23 @@ impl std::fmt::Debug for TransformerBlock {
 
 impl TransformerBlock {
     /// Creates a block with `hidden` features, `heads` attention heads and
-    /// sequences of length `seq_len`. `dropout_p` is 0 in reproduction
-    /// experiments (determinism); the layers exist to match the structure.
-    pub fn new(
-        hidden: usize,
-        heads: usize,
-        seq_len: usize,
-        dropout_p: f32,
-        rng: &mut SeedStream,
-    ) -> Self {
+    /// sequences of length `seq_len`.
+    pub fn new(hidden: usize, heads: usize, seq_len: usize, rng: &mut SeedStream) -> Self {
+        let ln1 = LayerNorm::new(hidden);
+        let attn = MultiHeadAttention::new(hidden, heads, seq_len, rng);
+        // One draw between the attention and MLP inits, where a dropout
+        // layer's seed once came from: skipping it would move every MLP
+        // weight of every seed.
+        rng.fork(1);
         Self {
-            ln1: LayerNorm::new(hidden),
-            attn: MultiHeadAttention::new(hidden, heads, seq_len, rng),
-            drop1: Dropout::new(dropout_p, rng.fork(1).uniform(1.0).to_bits() as u64),
+            ln1,
+            attn,
             ln2: LayerNorm::new(hidden),
             fc1: Linear::new(hidden, 4 * hidden, rng),
             gelu: Gelu::new(),
             fc2: Linear::new(4 * hidden, hidden, rng),
-            drop2: Dropout::new(dropout_p, rng.fork(2).uniform(1.0).to_bits() as u64),
             in_flight: VecDeque::new(),
         }
-    }
-
-    /// Switches dropout between train and eval behaviour.
-    pub fn set_train(&mut self, train: bool) {
-        self.drop1.set_train(train);
-        self.drop2.set_train(train);
     }
 }
 
@@ -66,14 +56,12 @@ impl Layer for TransformerBlock {
         // Attention sub-block with residual.
         let h = self.ln1.forward(x);
         let h = self.attn.forward(&h);
-        let h = self.drop1.forward(&h);
         let x2 = x.add(&h);
         // MLP sub-block with residual.
         let m = self.ln2.forward(&x2);
         let m = self.fc1.forward(&m);
         let m = self.gelu.forward(&m);
         let m = self.fc2.forward(&m);
-        let m = self.drop2.forward(&m);
         let y = x2.add(&m);
         self.in_flight.push_back(());
         y
@@ -83,16 +71,14 @@ impl Layer for TransformerBlock {
         self.in_flight
             .pop_front()
             .expect("TransformerBlock::backward without forward");
-        // y = x2 + drop2(fc2(gelu(fc1(ln2(x2)))))
-        let dm = self.drop2.backward(grad_out);
-        let dm = self.fc2.backward(&dm);
+        // y = x2 + fc2(gelu(fc1(ln2(x2))))
+        let dm = self.fc2.backward(grad_out);
         let dm = self.gelu.backward(&dm);
         let dm = self.fc1.backward(&dm);
         let dm = self.ln2.backward(&dm);
         let dx2 = grad_out.add(&dm);
-        // x2 = x + drop1(attn(ln1(x)))
-        let dh = self.drop1.backward(&dx2);
-        let dh = self.attn.backward(&dh);
+        // x2 = x + attn(ln1(x))
+        let dh = self.attn.backward(&dx2);
         let dh = self.ln1.backward(&dh);
         dx2.add(&dh)
     }
@@ -115,12 +101,10 @@ impl Layer for TransformerBlock {
         self.in_flight.clear();
         self.ln1.clear_caches();
         self.attn.clear_caches();
-        self.drop1.clear_caches();
         self.ln2.clear_caches();
         self.fc1.clear_caches();
         self.gelu.clear_caches();
         self.fc2.clear_caches();
-        self.drop2.clear_caches();
     }
 }
 
@@ -130,7 +114,7 @@ mod tests {
     use crate::layer::testutil::check_input_gradient;
 
     fn block(seed: u64) -> TransformerBlock {
-        TransformerBlock::new(4, 2, 3, 0.0, &mut SeedStream::new(seed))
+        TransformerBlock::new(4, 2, 3, &mut SeedStream::new(seed))
     }
 
     #[test]

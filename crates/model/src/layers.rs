@@ -1,4 +1,4 @@
-//! Primitive layers: Linear, LayerNorm, GeLU, Dropout.
+//! Primitive layers: Linear, LayerNorm, GeLU.
 
 use crate::{Layer, ParamRef};
 use opt_tensor::{xavier_uniform, Matrix, SeedStream};
@@ -243,86 +243,6 @@ impl Layer for Gelu {
     }
 }
 
-/// Inverted dropout with a deterministic seeded mask.
-///
-/// With `p = 0.0` (the default for reproduction experiments) it is exactly
-/// the identity; the layer exists so the block structure matches the
-/// paper's Fig. 2.
-#[derive(Debug)]
-pub struct Dropout {
-    p: f32,
-    rng: SeedStream,
-    train: bool,
-    /// One entry per in-flight forward: the mask, or `None` when the
-    /// forward was the identity.
-    cache: VecDeque<Option<Matrix>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p < 1.0`.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
-        Self {
-            p,
-            rng: SeedStream::new(seed),
-            train: true,
-            cache: VecDeque::new(),
-        }
-    }
-
-    /// Switches between training (masking) and evaluation (identity).
-    pub fn set_train(&mut self, train: bool) {
-        self.train = train;
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        if !self.train || self.p == 0.0 {
-            self.cache.push_back(None);
-            return x.clone();
-        }
-        let keep = 1.0 - self.p;
-        let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
-            if self.rng.unit() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        });
-        let y = x.hadamard(&mask);
-        self.cache.push_back(Some(mask));
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mask = self
-            .cache
-            .pop_front()
-            .expect("Dropout::backward without forward");
-        match mask {
-            Some(mask) => grad_out.hadamard(&mask),
-            None => grad_out.clone(),
-        }
-    }
-
-    fn params(&mut self) -> Vec<ParamRef<'_>> {
-        Vec::new()
-    }
-
-    fn pending_activations(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.cache.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,52 +453,6 @@ mod tests {
     #[test]
     fn gelu_input_gradient_matches_finite_difference() {
         check_input_gradient(Gelu::new, 2, 5, 1e-2);
-    }
-
-    #[test]
-    fn dropout_eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5, 0);
-        d.set_train(false);
-        let mut rng = SeedStream::new(3);
-        let x = rng.uniform_matrix(3, 3, 1.0);
-        assert_eq!(d.forward(&x), x);
-    }
-
-    #[test]
-    fn dropout_passthrough_keeps_fifo_order_with_masked_forwards_in_flight() {
-        let mut d = Dropout::new(0.5, 11);
-        let x = Matrix::full(4, 4, 1.0);
-        let masked = d.forward(&x);
-        d.set_train(false);
-        assert_eq!(d.forward(&x), x);
-        assert_eq!(d.pending_activations(), 2);
-        // FIFO: the first backward belongs to the masked forward, the
-        // second to the identity one, which returns the gradient's bits.
-        let g = Matrix::from_fn(4, 4, |r, c| (r as f32 - c as f32) * 0.3);
-        assert_eq!(d.backward(&x), masked);
-        assert_eq!(bits(&d.backward(&g)), bits(&g));
-        assert_eq!(d.pending_activations(), 0);
-    }
-
-    #[test]
-    fn dropout_train_mode_preserves_expectation() {
-        let mut d = Dropout::new(0.3, 7);
-        let x = Matrix::full(200, 50, 1.0);
-        let y = d.forward(&x);
-        // E[y] == 1 with inverted dropout.
-        assert!((y.mean_all() - 1.0).abs() < 0.02, "mean {}", y.mean_all());
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5, 11);
-        let x = Matrix::full(4, 4, 1.0);
-        let y = d.forward(&x);
-        let g = d.backward(&Matrix::full(4, 4, 1.0));
-        // Where forward dropped, backward must drop too.
-        for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {
-            assert_eq!(*yv == 0.0, *gv == 0.0);
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Key pieces:
 //!
-//! * [`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`] — primitive layers
+//! * [`Linear`], [`LayerNorm`], [`Gelu`] — primitive layers
 //!   implementing the [`Layer`] trait with FIFO activation caches so that
 //!   multiple in-flight micro-batches (1F1B pipelining!) backpropagate
 //!   correctly.
@@ -55,7 +55,7 @@ pub use block::TransformerBlock;
 pub use config::GptConfig;
 pub use embedding::Embedding;
 pub use layer::{Layer, ParamRef};
-pub use layers::{Dropout, Gelu, LayerNorm, Linear};
+pub use layers::{Gelu, LayerNorm, Linear};
 pub use loss::{cross_entropy, softmax_rows, LossOutput};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use stage::Stage;

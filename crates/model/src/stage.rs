@@ -76,18 +76,10 @@ impl Stage {
                     cfg.hidden,
                     cfg.heads,
                     cfg.seq_len,
-                    0.0,
                     &mut brng,
                 ));
             }
-            let is_first = s == 0;
             let is_last = s == pp - 1;
-            let embedding = if is_first {
-                // The real replica is moved into the first stage below.
-                None
-            } else {
-                None
-            };
             let head = if is_last && pp > 1 {
                 // Replica with identical table (synchronized init).
                 let mut replica =
@@ -100,7 +92,8 @@ impl Stage {
             stages.push(Stage {
                 index: s,
                 n_stages: pp,
-                embedding,
+                // The input embedding is moved into the first stage below.
+                embedding: None,
                 blocks,
                 final_ln: is_last.then(|| LayerNorm::new(cfg.hidden)),
                 head,

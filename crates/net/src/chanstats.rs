@@ -238,40 +238,6 @@ impl TrafficBreakdown {
         }
         self.channels = merged.into_values().collect();
     }
-
-    /// The exact integer difference `self - earlier`: the traffic of the
-    /// segment between two breakdowns gathered from one monotonically
-    /// counting world. Lanes that cancel to zero are dropped, so two
-    /// worlds that moved identical segment traffic produce equal deltas
-    /// even when their pre-segment histories differ. Counters that went
-    /// backwards (the world was relaunched between the snapshots)
-    /// saturate at zero.
-    pub fn delta_since(&self, earlier: &TrafficBreakdown) -> TrafficBreakdown {
-        let before: BTreeMap<(u64, u32, u32), &ChannelStat> = earlier
-            .channels
-            .iter()
-            .map(|c| ((c.channel, c.src, c.dst), c))
-            .collect();
-        let channels = self
-            .channels
-            .iter()
-            .map(|c| {
-                let mut d = *c;
-                if let Some(b) = before.get(&(c.channel, c.src, c.dst)) {
-                    d.sends = c.sends.saturating_sub(b.sends);
-                    d.send_bytes = c.send_bytes.saturating_sub(b.send_bytes);
-                    d.recvs = c.recvs.saturating_sub(b.recvs);
-                    d.recv_bytes = c.recv_bytes.saturating_sub(b.recv_bytes);
-                }
-                d
-            })
-            .filter(|d| d.sends != 0 || d.send_bytes != 0 || d.recvs != 0 || d.recv_bytes != 0)
-            .collect();
-        TrafficBreakdown {
-            totals: self.totals.delta_since(&earlier.totals),
-            channels,
-        }
-    }
 }
 
 impl Persist for TrafficBreakdown {
@@ -366,34 +332,6 @@ mod tests {
         assert_eq!(merged, reference);
         assert_eq!(merged.bytes(TrafficClass::InterStage), 64);
         assert_eq!(merged.total_bytes(), 64);
-    }
-
-    #[test]
-    fn delta_since_cancels_shared_history() {
-        // Two worlds with different pre-segment histories move the same
-        // segment traffic: their deltas must be equal.
-        let seg = |l: &ChannelLedger| {
-            l.record_send(0, 1, channel_id(1, 0), 64);
-            l.record_recv(0, 1, channel_id(1, 0), 64);
-            l.record_send(1, 0, channel_id(2, 0), 16);
-        };
-        let a = ChannelLedger::new();
-        a.record_send(0, 1, channel_id(1, 0), 999); // extra history
-        let a0 = TrafficBreakdown::new(TrafficSnapshot::default(), a.snapshot());
-        seg(&a);
-        let a1 = TrafficBreakdown::new(TrafficSnapshot::default(), a.snapshot());
-
-        let b = ChannelLedger::new();
-        let b0 = TrafficBreakdown::new(TrafficSnapshot::default(), b.snapshot());
-        seg(&b);
-        let b1 = TrafficBreakdown::new(TrafficSnapshot::default(), b.snapshot());
-
-        let da = a1.delta_since(&a0);
-        let db = b1.delta_since(&b0);
-        assert_eq!(da, db);
-        assert_eq!(da.sent_bytes(ChannelClass::PipeForward), 64);
-        // An idle segment cancels to an empty breakdown.
-        assert_eq!(a1.delta_since(&a1).channels, Vec::new());
     }
 
     #[test]

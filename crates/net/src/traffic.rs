@@ -88,19 +88,6 @@ impl TrafficSnapshot {
             self.messages[i] += other.messages[i];
         }
     }
-
-    /// The exact integer per-class difference `self - earlier` — the
-    /// traffic of the segment between two snapshots of one monotonic
-    /// ledger. Counters that went backwards (a rank was replaced between
-    /// the snapshots) saturate at zero rather than wrapping.
-    pub fn delta_since(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
-        let mut d = TrafficSnapshot::default();
-        for i in 0..4 {
-            d.bytes[i] = self.bytes[i].saturating_sub(earlier.bytes[i]);
-            d.messages[i] = self.messages[i].saturating_sub(earlier.messages[i]);
-        }
-        d
-    }
 }
 
 impl opt_tensor::Persist for TrafficSnapshot {
@@ -213,23 +200,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ledger.snapshot().bytes(TrafficClass::InterStage), 8000);
-    }
-
-    #[test]
-    fn delta_since_isolates_a_segment() {
-        let ledger = TrafficLedger::new();
-        ledger.record(TrafficClass::DataParallel, 100);
-        let a = ledger.snapshot();
-        ledger.record(TrafficClass::DataParallel, 30);
-        ledger.record(TrafficClass::InterStage, 7);
-        let b = ledger.snapshot();
-        let d = b.delta_since(&a);
-        assert_eq!(d.bytes(TrafficClass::DataParallel), 30);
-        assert_eq!(d.messages(TrafficClass::DataParallel), 1);
-        assert_eq!(d.bytes(TrafficClass::InterStage), 7);
-        assert_eq!(d.messages(TrafficClass::InterStage), 1);
-        // A counter that went backwards floors at zero.
-        assert_eq!(a.delta_since(&b).total_bytes(), 0);
     }
 
     #[test]

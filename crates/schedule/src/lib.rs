@@ -1,15 +1,20 @@
 //! `opt-schedule` — pipeline-parallel execution schedules.
 //!
-//! Reproduces Megatron-LM's `schedules.py`: the GPipe and 1F1B
-//! (one-forward-one-backward) schedules over `S` stages and `M`
+//! Reproduces Megatron-LM's `schedules.py`: the 1F1B
+//! (one-forward-one-backward) schedule over `S` stages and `M`
 //! micro-batches, plus the *epilogue* analysis that Optimus-CC's
 //! epilogue-only compression (§5.2) relies on: identifying which backward
 //! inter-stage sends lie on the critical path because the receiving stage
 //! has drained its other work.
 //!
-//! The same schedule drives both the real multi-threaded trainer (each
-//! device thread executes its op list in order) and the discrete-event
-//! performance simulator (which assigns durations to ops and transfers).
+//! It also holds the one compression plan, [`QualityConfig`] (CB, FE, SC
+//! and the naive strawmen of the paper's Fig. 3), with the one rule for
+//! which stages' DP traffic it compresses and at what rank.
+//!
+//! The same schedule and plan drive both the real multi-threaded trainer
+//! (each device thread executes its op list in order) and the
+//! discrete-event performance simulator (which assigns durations to ops
+//! and transfers).
 //!
 //! # Example
 //!
@@ -26,12 +31,14 @@
 
 mod epilogue;
 mod overlap;
+mod plan;
 mod schedule;
 mod selective;
 mod slot;
 
 pub use epilogue::{epilogue_sends, is_epilogue_send};
 pub use overlap::{overlap_launch, overlap_micro, OverlapTask};
-pub use schedule::{bubble_fraction, gpipe, one_f_one_b, Op, PipelineSchedule};
+pub use plan::{CbMethod, CbQuality, QualityConfig, ScQuality};
+pub use schedule::{bubble_fraction, one_f_one_b, Op, PipelineSchedule};
 pub use selective::sc_stage_count;
 pub use slot::slot_guard;

@@ -1,4 +1,4 @@
-//! Schedule construction: GPipe and 1F1B.
+//! Schedule construction: 1F1B.
 
 use serde::{Deserialize, Serialize};
 
@@ -156,34 +156,6 @@ pub fn one_f_one_b(n_stages: usize, n_micro: usize) -> PipelineSchedule {
     sched
 }
 
-/// Builds the GPipe schedule: all forwards, then all backwards.
-///
-/// # Panics
-///
-/// Panics if `n_stages == 0` or `n_micro == 0`.
-pub fn gpipe(n_stages: usize, n_micro: usize) -> PipelineSchedule {
-    assert!(
-        n_stages > 0 && n_micro > 0,
-        "stages and micro-batches must be positive"
-    );
-    let mut per_device = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        let mut ops = Vec::with_capacity(2 * n_micro);
-        for m in 0..n_micro {
-            ops.push(Op::Forward { micro: m });
-        }
-        for m in 0..n_micro {
-            ops.push(Op::Backward { micro: m });
-        }
-        per_device.push(ops);
-    }
-    PipelineSchedule {
-        n_stages,
-        n_micro,
-        per_device,
-    }
-}
-
 /// Ideal pipeline bubble fraction `(S - 1) / (M + S - 1)` for 1F1B with
 /// equal forward/backward stage times.
 pub fn bubble_fraction(n_stages: usize, n_micro: usize) -> f64 {
@@ -233,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn gpipe_validates() {
-        for s in 1..=6 {
-            for m in 1..=12 {
-                gpipe(s, m).validate().unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn fewer_micro_batches_than_stages() {
         // M < S: warmup clamps to M, no steady phase on early stages.
         let s = one_f_one_b(6, 2);
@@ -266,14 +229,6 @@ mod tests {
                 "stage {stage} peak in-flight {peak}"
             );
         }
-    }
-
-    #[test]
-    fn gpipe_in_flight_is_all_microbatches() {
-        let s = gpipe(4, 16);
-        let ops = s.device_ops(0);
-        let peak = ops.iter().take_while(|o| o.is_forward()).count();
-        assert_eq!(peak, 16);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 /// single-stage run with SC compresses its DP traffic exactly as naive DP
 /// compression would.
 ///
-/// The simulator (`opt_sim::SimConfig::sc_stage_count`) and the trainer
-/// (`optimus_cc::TrainerConfig::sc_stage_count`) both call this rule.
+/// [`crate::QualityConfig::dp_compressed_stages`] calls this rule, and
+/// the simulator and the trainer both read the stage count from there.
 ///
 /// # Example
 ///

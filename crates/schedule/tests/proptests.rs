@@ -1,17 +1,12 @@
 //! Property-based tests on schedule invariants.
 
-use opt_schedule::{epilogue_sends, gpipe, is_epilogue_send, one_f_one_b, Op};
+use opt_schedule::{epilogue_sends, is_epilogue_send, one_f_one_b, Op};
 use proptest::prelude::*;
 
 proptest! {
     #[test]
     fn one_f_one_b_always_validates(s in 1usize..12, m in 1usize..32) {
         one_f_one_b(s, m).validate().unwrap();
-    }
-
-    #[test]
-    fn gpipe_always_validates(s in 1usize..12, m in 1usize..32) {
-        gpipe(s, m).validate().unwrap();
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl Breakdown {
 fn with_free_dp(cfg: &SimConfig) -> SimConfig {
     let mut c = cfg.clone();
     c.dp_grad_bytes = 0;
-    c.plan.selective_stage = None;
+    c.plan.sc = None;
     c.plan.naive_dp_rank = None;
     c
 }
@@ -48,7 +48,7 @@ fn with_free_dp(cfg: &SimConfig) -> SimConfig {
 fn with_free_interstage(cfg: &SimConfig) -> SimConfig {
     let mut c = cfg.clone();
     c.act_bytes = 0;
-    c.plan.compressed_backprop = None;
+    c.plan.cb = None;
     c
 }
 
@@ -89,7 +89,7 @@ pub fn breakdown(cfg: &SimConfig) -> Breakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CompressionPlan;
+    use opt_schedule::QualityConfig;
 
     #[test]
     fn breakdown_components_are_nonnegative_and_bounded() {
@@ -118,7 +118,7 @@ mod tests {
         // by ~78 % (8.3B). Accept > 40 % on either model.
         for cfg in [SimConfig::paper_gpt_2_5b(), SimConfig::paper_gpt_8_3b()] {
             let base = breakdown(&cfg);
-            let cb = breakdown(&cfg.clone().with_plan(CompressionPlan::cb()));
+            let cb = breakdown(&cfg.clone().with_plan(QualityConfig::cb().at_paper_ranks()));
             let cut = 1.0 - cb.interstage_exposed / base.interstage_exposed.max(1e-9);
             assert!(cut > 0.4, "{}: interstage cut only {cut}", cfg.model.name);
         }
@@ -128,8 +128,8 @@ mod tests {
     fn fig10_fe_cuts_exposed_emb_time() {
         // Fig. 10: FE reduces the embedding bar by ~40 %.
         let cfg = SimConfig::paper_gpt_8_3b();
-        let base = breakdown(&cfg.clone().with_plan(CompressionPlan::cb()));
-        let fe = breakdown(&cfg.with_plan(CompressionPlan::cb_fe()));
+        let base = breakdown(&cfg.clone().with_plan(QualityConfig::cb().at_paper_ranks()));
+        let fe = breakdown(&cfg.with_plan(QualityConfig::cb_fe().at_paper_ranks()));
         let cut = 1.0 - fe.emb_exposed / base.emb_exposed.max(1e-9);
         assert!(cut > 0.2 && cut < 0.7, "emb cut {cut}");
     }
@@ -145,7 +145,7 @@ mod tests {
         // discusses the divergence.
         let cfg = SimConfig::paper_gpt_8_3b();
         let base = breakdown(&cfg);
-        let full = breakdown(&cfg.with_plan(CompressionPlan::cb_fe_sc()));
+        let full = breakdown(&cfg.with_plan(QualityConfig::cb_fe_sc().at_paper_ranks()));
         let cut = 1.0 - full.comm_exposed() / base.comm_exposed();
         assert!(cut > 0.25, "total comm cut only {cut}");
     }
@@ -155,7 +155,7 @@ mod tests {
         // Compression must not change the compute+bubble floor.
         let cfg = SimConfig::paper_gpt_2_5b();
         let b0 = breakdown(&cfg);
-        let b1 = breakdown(&cfg.with_plan(CompressionPlan::cb_fe_sc()));
+        let b1 = breakdown(&cfg.with_plan(QualityConfig::cb_fe_sc().at_paper_ranks()));
         assert!((b0.fwd_bwd - b1.fwd_bwd).abs() < 1e-4);
     }
 }

@@ -1,124 +1,7 @@
-//! Simulation configuration and compression plans.
+//! Simulation configuration.
 
 use opt_model::GptConfig;
-
-/// Compressed-backpropagation plan (§5).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CbPlan {
-    /// PowerSGD rank for inter-stage activation gradients (paper: 16).
-    pub rank: usize,
-    /// Compress only epilogue sends (§5.2). `false` = compress every
-    /// backward send (the "naive CB" of Fig. 3).
-    pub epilogue_only: bool,
-}
-
-impl CbPlan {
-    /// The paper's setting: rank 16, epilogue-only.
-    pub fn paper() -> Self {
-        Self {
-            rank: 16,
-            epilogue_only: true,
-        }
-    }
-}
-
-/// Selective-stage-compression plan (§7).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScPlan {
-    /// Fraction of stages (earliest first) whose DP traffic is compressed
-    /// (paper: 0.75).
-    pub fraction: f64,
-    /// PowerSGD rank for data-parallel gradients (paper: 128).
-    pub rank: usize,
-}
-
-impl ScPlan {
-    /// The paper's setting: 75 % of stages at rank 128.
-    pub fn paper() -> Self {
-        Self {
-            fraction: 0.75,
-            rank: 128,
-        }
-    }
-}
-
-/// Which communications are compressed and how — the knob space of the
-/// paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CompressionPlan {
-    /// Compressed backpropagation (inter-stage backward traffic).
-    pub compressed_backprop: Option<CbPlan>,
-    /// Fused embedding synchronization (§6).
-    pub fused_embedding: bool,
-    /// Selective stage compression of DP traffic (§7).
-    pub selective_stage: Option<ScPlan>,
-    /// Naive full DP compression at the given rank (the "naive DP"
-    /// baseline of Fig. 3 and the rank-sweep of Fig. 13). Mutually
-    /// exclusive with `selective_stage` in practice.
-    pub naive_dp_rank: Option<usize>,
-}
-
-impl CompressionPlan {
-    /// No compression — the Megatron-LM baseline.
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
-    /// CB only (lazy error propagation has no timing effect; it is a
-    /// quality technique exercised in the numerical trainer).
-    pub fn cb() -> Self {
-        Self {
-            compressed_backprop: Some(CbPlan::paper()),
-            ..Self::default()
-        }
-    }
-
-    /// CB + fused embedding synchronization.
-    pub fn cb_fe() -> Self {
-        Self {
-            fused_embedding: true,
-            ..Self::cb()
-        }
-    }
-
-    /// CB + FE + selective stage compression — full Optimus-CC.
-    pub fn cb_fe_sc() -> Self {
-        Self {
-            selective_stage: Some(ScPlan::paper()),
-            ..Self::cb_fe()
-        }
-    }
-
-    /// The Fig. 3 "naive DP" bar: compress all DP traffic, nothing else.
-    pub fn naive_dp(rank: usize) -> Self {
-        Self {
-            naive_dp_rank: Some(rank),
-            ..Self::default()
-        }
-    }
-
-    /// The Fig. 3 "naive CB" bar: compress every backward send (no
-    /// epilogue restriction).
-    pub fn naive_cb(rank: usize) -> Self {
-        Self {
-            compressed_backprop: Some(CbPlan {
-                rank,
-                epilogue_only: false,
-            }),
-            ..Self::default()
-        }
-    }
-
-    /// Table 2 column order: (label, plan).
-    pub fn table2_columns() -> Vec<(&'static str, CompressionPlan)> {
-        vec![
-            ("Baseline", Self::baseline()),
-            ("CB", Self::cb()),
-            ("CB+FE", Self::cb_fe()),
-            ("CB+FE+SC", Self::cb_fe_sc()),
-        ]
-    }
-}
+use opt_schedule::QualityConfig;
 
 /// Full configuration of one simulated training job.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,8 +32,9 @@ pub struct SimConfig {
     pub dp_grad_bytes: u32,
     /// Bytes per activation element on the wire (fp16).
     pub act_bytes: u32,
-    /// Compression plan under test.
-    pub plan: CompressionPlan,
+    /// Compression plan under test (the trainer's own plan type; price it
+    /// at [`QualityConfig::at_paper_ranks`] for the paper's setting).
+    pub plan: QualityConfig,
 }
 
 impl SimConfig {
@@ -169,7 +53,7 @@ impl SimConfig {
             inter_node_eff_bw: 8e9,
             dp_grad_bytes: 4,
             act_bytes: 2,
-            plan: CompressionPlan::baseline(),
+            plan: QualityConfig::baseline(),
         }
     }
 
@@ -184,7 +68,7 @@ impl SimConfig {
     }
 
     /// Returns a copy with a different compression plan.
-    pub fn with_plan(mut self, plan: CompressionPlan) -> Self {
+    pub fn with_plan(mut self, plan: QualityConfig) -> Self {
         self.plan = plan;
         self
     }
@@ -253,12 +137,6 @@ impl SimConfig {
         let m = self.model.hidden as f64;
         (n + m) * rank as f64 * self.act_bytes as f64
     }
-
-    /// Number of earliest stages whose DP traffic selective stage
-    /// compression covers ([`opt_schedule::sc_stage_count`]).
-    pub fn sc_stage_count(&self, fraction: f64) -> usize {
-        opt_schedule::sc_stage_count(fraction, self.pp)
-    }
 }
 
 #[cfg(test)]
@@ -291,41 +169,5 @@ mod tests {
         // DP rank 128 on h=3072: around 10x, the paper's quoted factor.
         let dpr = c.dp_volume_bytes(0) / c.dp_volume_compressed_bytes(0, 128);
         assert!(dpr > 5.0 && dpr < 20.0, "DP ratio {dpr}");
-    }
-
-    #[test]
-    fn sc_stage_count_rounds_075() {
-        let mut c = SimConfig::paper_gpt_2_5b();
-        assert_eq!(c.sc_stage_count(0.75), 3);
-        assert_eq!(c.sc_stage_count(1.0), 4);
-        assert_eq!(c.sc_stage_count(0.0), 0);
-        // opt-schedule's rule at this job's depth: at pp <= 2 the paper's
-        // 0.75 covers every stage, as it does in the trainer.
-        for pp in [1, 2] {
-            c.pp = pp;
-            assert_eq!(c.sc_stage_count(0.75), pp);
-        }
-    }
-
-    #[test]
-    fn plan_presets_compose() {
-        let full = CompressionPlan::cb_fe_sc();
-        assert!(full.compressed_backprop.is_some());
-        assert!(full.fused_embedding);
-        assert!(full.selective_stage.is_some());
-        assert!(full.naive_dp_rank.is_none());
-        let cb = CompressionPlan::cb();
-        assert!(!cb.fused_embedding && cb.selective_stage.is_none());
-        assert!(CompressionPlan::naive_cb(16)
-            .compressed_backprop
-            .is_some_and(|p| !p.epilogue_only));
-    }
-
-    #[test]
-    fn table2_columns_are_ordered() {
-        let cols = CompressionPlan::table2_columns();
-        assert_eq!(cols.len(), 4);
-        assert_eq!(cols[0].0, "Baseline");
-        assert_eq!(cols[3].0, "CB+FE+SC");
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::cost::{all_reduce_time_s, p2p_time_s, ring_all_reduce_wire_bytes};
 use crate::{KernelModel, SimConfig};
-use opt_schedule::{is_epilogue_send, one_f_one_b, Op};
+use opt_schedule::{is_epilogue_send, one_f_one_b, CbMethod, Op};
 
 /// What a trace event represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,21 @@ fn effective_end(cfg: &SimConfig, backward_done: &[f64], dp_done: &[f64]) -> f64
 /// * Baseline embedding path: first/last stages run an extra `dp`-way
 ///   all-reduce (EMB DP) after stage DP, then a 2-way sync between them.
 ///   Fused path (§6): a single `2*dp`-way all-reduce after stage DP.
+/// * Lazy error propagation is a quality technique and costs no time.
+///
+/// # Panics
+///
+/// Panics if the plan compresses backpropagation with top-k: the kernel
+/// model prices PowerSGD only, and no figure asks for a top-k CB link.
 pub fn simulate(cfg: &SimConfig) -> SimResult {
+    // (rank, epilogue only) of the compressed-backpropagation link.
+    let cb = cfg.plan.cb.map(|cb| match cb.method {
+        CbMethod::LowRank(rank) => (rank, cb.epilogue_only),
+        CbMethod::TopK(density) => panic!(
+            "opt-sim has no kernel model for top-k compressed backpropagation \
+             (density {density}); price a low-rank CB plan"
+        ),
+    });
     let kernel = KernelModel::a100();
     let s_count = cfg.pp;
     let m_count = cfg.n_micro;
@@ -122,17 +136,8 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
     // --- DP all-reduce plan (needed eagerly: drained stages start their
     // DP while earlier stages are still sending epilogue gradients, and
     // those p2p transfers contend with the DP flows on the NICs) --------
-    let sc_stages = match (cfg.plan.selective_stage, cfg.plan.naive_dp_rank) {
-        (Some(sc), _) => cfg.sc_stage_count(sc.fraction),
-        (None, Some(_)) => s_count,
-        (None, None) => 0,
-    };
-    let dp_rank = cfg
-        .plan
-        .selective_stage
-        .map(|sc| sc.rank)
-        .or(cfg.plan.naive_dp_rank)
-        .unwrap_or(0);
+    let sc_stages = cfg.plan.dp_compressed_stages(s_count);
+    let dp_rank = cfg.plan.dp_rank().unwrap_or(0);
     let dp_cost = |s: usize| -> (f64, f64) {
         // (duration, wire bytes) of stage s's DP all-reduce.
         let compressed = s < sc_stages && dp_rank > 0;
@@ -216,13 +221,10 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                             // is what hides steady-state backward sends
                             // and leaves only the epilogue exposed (§5.2).
                             let data_ready = end - dur / 2.0;
-                            let compress = match cfg.plan.compressed_backprop {
-                                None => None,
-                                Some(cb) => {
-                                    let on_epilogue = is_epilogue_send(s, micro, s_count, m_count);
-                                    (!cb.epilogue_only || on_epilogue).then_some(cb.rank)
-                                }
-                            };
+                            let compress = cb.and_then(|(rank, epilogue_only)| {
+                                let on_epilogue = is_epilogue_send(s, micro, s_count, m_count);
+                                (!epilogue_only || on_epilogue).then_some(rank)
+                            });
                             let (send_start, volume, decomp) = match compress {
                                 Some(rank) => (
                                     data_ready + kernel.compress_time(n_rows, hid, rank),
@@ -357,7 +359,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CompressionPlan;
+    use opt_schedule::QualityConfig;
 
     #[test]
     fn baseline_iteration_time_near_paper_table2() {
@@ -374,7 +376,7 @@ mod tests {
     #[test]
     fn cb_speeds_up_iteration() {
         let base = SimConfig::paper_gpt_2_5b();
-        let cb = base.clone().with_plan(CompressionPlan::cb());
+        let cb = base.clone().with_plan(QualityConfig::cb().at_paper_ranks());
         let t0 = simulate(&base).iteration_time_s;
         let t1 = simulate(&cb).iteration_time_s;
         assert!(t1 < t0, "CB must speed up: {t1} vs {t0}");
@@ -383,9 +385,9 @@ mod tests {
     #[test]
     fn full_stack_ordering_matches_table2() {
         for cfg in [SimConfig::paper_gpt_2_5b(), SimConfig::paper_gpt_8_3b()] {
-            let t: Vec<f64> = CompressionPlan::table2_columns()
+            let t: Vec<f64> = QualityConfig::table2_columns()
                 .into_iter()
-                .map(|(_, p)| simulate(&cfg.clone().with_plan(p)).iteration_time_s)
+                .map(|(_, p)| simulate(&cfg.clone().with_plan(p.at_paper_ranks())).iteration_time_s)
                 .collect();
             assert!(t[1] < t[0], "CB < baseline");
             assert!(t[2] < t[1], "CB+FE < CB");
@@ -397,8 +399,13 @@ mod tests {
     fn sc_gain_larger_on_bigger_model() {
         // Table 2: SC adds much more on GPT-8.3B than on GPT-2.5B.
         let gain = |cfg: SimConfig| {
-            let fe = simulate(&cfg.clone().with_plan(CompressionPlan::cb_fe())).iteration_time_s;
-            let sc = simulate(&cfg.with_plan(CompressionPlan::cb_fe_sc())).iteration_time_s;
+            let fe = simulate(
+                &cfg.clone()
+                    .with_plan(QualityConfig::cb_fe().at_paper_ranks()),
+            )
+            .iteration_time_s;
+            let sc = simulate(&cfg.with_plan(QualityConfig::cb_fe_sc().at_paper_ranks()))
+                .iteration_time_s;
             fe / sc - 1.0
         };
         let g25 = gain(SimConfig::paper_gpt_2_5b());
@@ -421,8 +428,8 @@ mod tests {
 
     #[test]
     fn fused_embedding_reduces_emb_bytes_and_time() {
-        let base = SimConfig::paper_gpt_2_5b().with_plan(CompressionPlan::cb());
-        let fe = SimConfig::paper_gpt_2_5b().with_plan(CompressionPlan::cb_fe());
+        let base = SimConfig::paper_gpt_2_5b().with_plan(QualityConfig::cb().at_paper_ranks());
+        let fe = SimConfig::paper_gpt_2_5b().with_plan(QualityConfig::cb_fe().at_paper_ranks());
         let r0 = simulate(&base);
         let r1 = simulate(&fe);
         assert!(r1.emb_bytes < r0.emb_bytes);
@@ -438,10 +445,14 @@ mod tests {
     #[test]
     fn cb_cuts_interstage_bytes_on_epilogue_only() {
         let base = simulate(&SimConfig::paper_gpt_2_5b());
-        let cb = simulate(&SimConfig::paper_gpt_2_5b().with_plan(CompressionPlan::cb()));
+        let cb =
+            simulate(&SimConfig::paper_gpt_2_5b().with_plan(QualityConfig::cb().at_paper_ranks()));
         // Epilogue-only: backward volume drops by the epilogue fraction.
         assert!(cb.interstage_bytes < base.interstage_bytes);
-        let naive = simulate(&SimConfig::paper_gpt_2_5b().with_plan(CompressionPlan::naive_cb(16)));
+        let naive = simulate(
+            &SimConfig::paper_gpt_2_5b()
+                .with_plan(QualityConfig::naive_cb(QualityConfig::PAPER_CB_RANK)),
+        );
         // Naive CB compresses every backward send -> even fewer bytes.
         assert!(naive.interstage_bytes < cb.interstage_bytes);
     }
@@ -500,5 +511,11 @@ mod tests {
         let r = simulate(&SimConfig::paper_gpt_2_5b());
         let days = r.training_days(230_000);
         assert!((days - r.iteration_time_s * 230_000.0 / 86_400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "no kernel model for top-k")]
+    fn simulate_refuses_a_top_k_cb_plan() {
+        simulate(&SimConfig::paper_gpt_2_5b().with_plan(QualityConfig::cb_topk(0.1)));
     }
 }

@@ -32,10 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use opt_sim::{simulate, CompressionPlan, SimConfig};
+//! use opt_schedule::QualityConfig;
+//! use opt_sim::{simulate, SimConfig};
 //!
+//! // The trainer's own plan, priced at the paper's ranks.
 //! let base = SimConfig::paper_gpt_2_5b();
-//! let opt = base.clone().with_plan(CompressionPlan::cb_fe_sc());
+//! let opt = base.clone().with_plan(QualityConfig::cb_fe_sc().at_paper_ranks());
 //! let t_base = simulate(&base).iteration_time_s;
 //! let t_opt = simulate(&opt).iteration_time_s;
 //! assert!(t_opt < t_base);
@@ -48,7 +50,7 @@ mod engine;
 mod kernel;
 
 pub use breakdown::{breakdown, Breakdown};
-pub use config::{CbPlan, CompressionPlan, ScPlan, SimConfig};
+pub use config::SimConfig;
 pub use cost::{
     all_reduce_time_s, embedding_fusion_speedup, embedding_sync_baseline_bytes,
     embedding_sync_fused_bytes, p2p_time_s, ring_all_reduce_wire_bytes,

@@ -1,9 +1,10 @@
 //! Property-based tests on simulator invariants and its link model.
 
 use opt_model::GptConfig;
+use opt_schedule::{CbQuality, QualityConfig, ScQuality};
 use opt_sim::{
     all_reduce_time_s, embedding_fusion_speedup, p2p_time_s, ring_all_reduce_wire_bytes, simulate,
-    CbPlan, CompressionPlan, ScPlan, SimConfig,
+    SimConfig,
 };
 use proptest::prelude::*;
 
@@ -23,8 +24,8 @@ proptest! {
         // transfer time at paper bandwidths).
         let cfg = job(pp, n_micro);
         let base = simulate(&cfg).iteration_time_s;
-        let cb = simulate(&cfg.clone().with_plan(CompressionPlan::cb())).iteration_time_s;
-        let fe = simulate(&cfg.clone().with_plan(CompressionPlan::cb_fe())).iteration_time_s;
+        let cb = simulate(&cfg.clone().with_plan(QualityConfig::cb().at_paper_ranks())).iteration_time_s;
+        let fe = simulate(&cfg.clone().with_plan(QualityConfig::cb_fe().at_paper_ranks())).iteration_time_s;
         prop_assert!(cb <= base * 1.0001, "CB slower: {cb} vs {base}");
         prop_assert!(fe <= cb * 1.0001, "FE slower: {fe} vs {cb}");
     }
@@ -56,14 +57,11 @@ proptest! {
     #[test]
     fn naive_cb_never_sends_more_than_epilogue_cb(pp in 2usize..9, m in 2usize..16, rank in 1usize..64) {
         let cfg = job(pp, m);
-        let epi = simulate(&cfg.clone().with_plan(CompressionPlan {
-            compressed_backprop: Some(CbPlan { rank, epilogue_only: true }),
-            ..CompressionPlan::baseline()
+        let epi = simulate(&cfg.clone().with_plan(QualityConfig {
+            cb: Some(CbQuality::paper(rank)),
+            ..QualityConfig::baseline()
         }));
-        let all = simulate(&cfg.clone().with_plan(CompressionPlan {
-            compressed_backprop: Some(CbPlan { rank, epilogue_only: false }),
-            ..CompressionPlan::baseline()
-        }));
+        let all = simulate(&cfg.clone().with_plan(QualityConfig::naive_cb(rank)));
         prop_assert!(all.interstage_bytes <= epi.interstage_bytes + 1.0);
     }
 
@@ -72,10 +70,10 @@ proptest! {
         let cfg = job(4, 16);
         let f = |pct: usize| {
             let fraction = pct as f64 * 0.25;
-            let plan = CompressionPlan {
-                selective_stage: (fraction > 0.0)
-                    .then_some(ScPlan { fraction, rank: 128 }),
-                ..CompressionPlan::baseline()
+            let plan = QualityConfig {
+                sc: (fraction > 0.0)
+                    .then_some(ScQuality { fraction, rank: QualityConfig::PAPER_DP_RANK }),
+                ..QualityConfig::baseline()
             };
             simulate(&cfg.clone().with_plan(plan)).dp_bytes
         };

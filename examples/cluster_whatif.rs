@@ -6,7 +6,8 @@
 //! where `model` is one of `2.5b`, `8.3b`, `9.2b`, `39b`, `175b`.
 
 use optimus::model::GptConfig;
-use optimus::sim::{breakdown, simulate, CompressionPlan, SimConfig};
+use optimus::schedule::QualityConfig;
+use optimus::sim::{breakdown, simulate, SimConfig};
 
 fn main() {
     let arg = std::env::args()
@@ -42,8 +43,8 @@ fn main() {
         cfg.micro_batch
     );
     let base = simulate(&cfg).iteration_time_s;
-    for (label, plan) in CompressionPlan::table2_columns() {
-        let c = cfg.clone().with_plan(plan);
+    for (label, plan) in QualityConfig::table2_columns() {
+        let c = cfg.clone().with_plan(plan.at_paper_ranks());
         let r = simulate(&c);
         let b = breakdown(&c);
         println!(

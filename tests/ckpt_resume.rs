@@ -489,49 +489,6 @@ fn elastic_restore_from_shard_store_is_bit_exact_across_thread_counts() {
 }
 
 #[test]
-fn restore_rank_rebuilds_each_worker_from_the_store_alone() {
-    // The per-rank primitive: launch a fresh world that holds nothing,
-    // then elastically restore every rank one at a time via
-    // Trainer::restore_rank — each fetch independent, no rank ever handed
-    // another's state — and finish the run bit-exactly.
-    const TOTAL: u64 = 6;
-    const SNAP_AT: u64 = 3;
-
-    let mut straight = Trainer::launch(full_stack_cfg(TOTAL));
-    let straight_report = straight.train();
-    straight.shutdown();
-
-    let store: Arc<dyn ShardStore> = Arc::new(MemShardStore::new());
-    let cfg = full_stack_cfg(TOTAL);
-    let (pp, dp) = (cfg.pp, cfg.dp);
-    let mut victim = Trainer::launch(cfg);
-    victim.train_more(SNAP_AT);
-    victim.save_sharded(&store).expect("shards published");
-    victim.kill();
-
-    let mut replacement = Trainer::launch(full_stack_cfg(TOTAL));
-    for d in 0..dp {
-        for s in 0..pp {
-            let iter = replacement
-                .restore_rank(s, d, &store)
-                .expect("rank restores from its shard");
-            assert_eq!(iter, SNAP_AT);
-        }
-    }
-    assert_eq!(replacement.trained_iters(), SNAP_AT);
-    let report = replacement.train();
-    replacement.shutdown();
-
-    for iter in SNAP_AT as usize..TOTAL as usize {
-        assert_eq!(
-            straight_report.train_loss[iter].to_bits(),
-            report.train_loss[iter].to_bits(),
-            "iteration {iter} diverged after per-rank elastic restore"
-        );
-    }
-}
-
-#[test]
 fn interrupted_resave_leaves_previous_checkpoint_restorable() {
     // Crash-safety of repeated sharded saves: shards of the new
     // checkpoint land under fresh (iteration-qualified) names, so a save

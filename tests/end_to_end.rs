@@ -6,14 +6,16 @@ use optimus::data::ZeroShotTask;
 use optimus::model::GptConfig;
 use optimus::net::TrafficClass;
 use optimus::schedule::{epilogue_sends, one_f_one_b};
-use optimus::sim::{breakdown, simulate, CompressionPlan, SimConfig};
+use optimus::sim::{breakdown, simulate, SimConfig};
 
 #[test]
 fn simulator_and_trainer_agree_on_technique_direction() {
     // Both substrates must agree: full Optimus-CC reduces total bytes on
     // the wire vs the baseline.
     let sim_base = simulate(&SimConfig::paper_gpt_2_5b());
-    let sim_opt = simulate(&SimConfig::paper_gpt_2_5b().with_plan(CompressionPlan::cb_fe_sc()));
+    let sim_opt = simulate(
+        &SimConfig::paper_gpt_2_5b().with_plan(QualityConfig::cb_fe_sc().at_paper_ranks()),
+    );
     assert!(sim_opt.iteration_time_s < sim_base.iteration_time_s);
     assert!(sim_opt.dp_bytes < sim_base.dp_bytes);
     assert!(sim_opt.emb_bytes < sim_base.emb_bytes);
@@ -38,7 +40,7 @@ fn schedule_epilogue_matches_simulated_exposure() {
     // by (roughly) the epilogue volume.
     let cfg = SimConfig::paper_gpt_2_5b();
     let base = simulate(&cfg);
-    let cb = simulate(&cfg.clone().with_plan(CompressionPlan::cb()));
+    let cb = simulate(&cfg.clone().with_plan(QualityConfig::cb().at_paper_ranks()));
     let n_epilogue = epilogue_sends(cfg.pp, cfg.n_micro).len() as f64;
     let dense = cfg.act_volume_bytes();
     let saved = base.interstage_bytes - cb.interstage_bytes;
@@ -78,7 +80,7 @@ fn paper_scale_configs_simulate_consistently() {
 #[test]
 fn breakdown_is_stable_across_repeat_runs() {
     // The simulator is deterministic: repeated breakdowns are identical.
-    let cfg = SimConfig::paper_gpt_8_3b().with_plan(CompressionPlan::cb_fe());
+    let cfg = SimConfig::paper_gpt_8_3b().with_plan(QualityConfig::cb_fe().at_paper_ranks());
     let a = breakdown(&cfg);
     let b = breakdown(&cfg);
     assert_eq!(a, b);
