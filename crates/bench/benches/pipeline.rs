@@ -3,10 +3,12 @@
 //! for baseline vs full Optimus-CC, which demonstrates that compression
 //! also reduces *our* in-process wall-clock (less data through channels);
 //! the GPT-mid model step that dominates the benchmark's dp2-mid
-//! iterations; and the linear-layer GEMMs that dominate that step.
+//! iterations; one attention layer's forward + backward, where the
+//! per-head products run batched; and the linear-layer GEMMs that
+//! dominate that step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use opt_model::{cross_entropy, GptConfig, Stage};
+use opt_model::{cross_entropy, GptConfig, Layer, MultiHeadAttention, Stage};
 use opt_tensor::SeedStream;
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
@@ -82,5 +84,39 @@ fn bench_model_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_train_iter, bench_model_step, bench_gemm);
+/// One `MultiHeadAttention` forward + backward at the GPT-small stage
+/// shape (64 rows x hidden 32, 4 heads, sequence 16) and the GPT-mid one
+/// (128 x 128, 4 heads, sequence 32): the layer whose six per-head
+/// products per micro-batch each run as one batched GEMM. Throughput is
+/// in tokens.
+fn bench_attention(c: &mut Criterion) {
+    let mut group = c.benchmark_group("attention");
+    for (name, rows, hidden, seq_len) in [
+        ("gpt_small_64_rows", 64usize, 32usize, 16usize),
+        ("gpt_mid_128_rows", 128, 128, 32),
+    ] {
+        let mut rng = SeedStream::new(6);
+        let mut attn = MultiHeadAttention::new(hidden, 4, seq_len, &mut rng);
+        let x = rng.uniform_matrix(rows, hidden, 1.0);
+        let grad = rng.uniform_matrix(rows, hidden, 1.0);
+        group.throughput(Throughput::Elements(rows as u64));
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                let y = attn.forward(std::hint::black_box(&x));
+                let dx = attn.backward(&grad);
+                attn.zero_grad();
+                (y, dx)
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_train_iter,
+    bench_model_step,
+    bench_attention,
+    bench_gemm
+);
 criterion_main!(benches);

@@ -134,7 +134,7 @@ impl DistPowerSgd {
                 // Identical cold-start Q on every rank (shared seed per slot).
                 let q_start = match &self.q_prev[slot] {
                     Some(q) if q.shape() == (m, r) => q.clone(),
-                    _ => SeedStream::new(self.seed ^ (slot as u64) << 4).normal_matrix(m, r, 1.0),
+                    _ => SeedStream::new(self.seed ^ ((slot as u64) << 4)).normal_matrix(m, r, 1.0),
                 };
                 round1.push(grad.matmul(&q_start));
             } else {
@@ -405,7 +405,7 @@ mod tests {
         };
         let q_start = match &st.q_prev[slot] {
             Some(q) if q.shape() == (m, r) => q.clone(),
-            _ => SeedStream::new(st.seed ^ (slot as u64) << 4).normal_matrix(m, r, 1.0),
+            _ => SeedStream::new(st.seed ^ ((slot as u64) << 4)).normal_matrix(m, r, 1.0),
         };
         let mut p = group
             .all_reduce_mean(my_rank, corrected.matmul(&q_start))

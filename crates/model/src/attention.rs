@@ -1,27 +1,30 @@
 //! Causal multi-head self-attention with hand-written backward pass.
+//!
+//! The per-head products run batched: each of the six (`Q·Kᵀ` and `A·V`
+//! forward; `dCtx·Vᵀ`, `Aᵀ·dCtx`, `dS·K` and `dSᵀ·Q` backward) is one
+//! [`gemm_strided_batched`] call over every (sequence, head) pair of the
+//! micro-batch. The kernel reads each head's `L x d` block where it sits
+//! in `q` / `k` / `v` / `dCtx` and stores each result straight into the
+//! head's columns of `context` / `dq` / `dk` / `dv`. The `L x L` score,
+//! probability and gradient tiles of all pairs live in one
+//! `(sequences · heads · L) x L` stack, so the score scale, the causal
+//! softmax and its backward are single passes over rows. Every element
+//! keeps the operation sequence of a per-head loop — the ascending-`k`
+//! FMA chain of each product, masked upper triangle included, and each
+//! softmax lane's steps — so the results are the same bits.
 
+use crate::loss::softmax_into;
 use crate::{Layer, ParamRef};
-use opt_tensor::{xavier_uniform, Matrix, SeedStream};
+use opt_tensor::{
+    gemm_strided_batched, xavier_uniform, BatchShape, BlockLayout, Blocks, Matrix, SeedStream,
+};
 use std::collections::VecDeque;
 
-/// Reused scratch buffers for the per-head GEMMs; every matrix is fully
-/// overwritten before use, so nothing here is model state (checkpoints
-/// ignore it). Eliminates the per-step allocations the seed code made for
-/// head slices, score matrices, and gradient temporaries.
+/// Reused scratch buffers; every matrix is fully overwritten before use,
+/// so nothing here is model state (checkpoints ignore it).
 #[derive(Default)]
 struct AttnScratch {
-    qh: Matrix,
-    kh: Matrix,
-    vh: Matrix,
-    scores: Matrix,
-    ctx_h: Matrix,
     d_context: Matrix,
-    d_ctx_h: Matrix,
-    d_a: Matrix,
-    d_s: Matrix,
-    d_qh: Matrix,
-    d_kh: Matrix,
-    d_vh: Matrix,
     /// `hidden x hidden` accumulation scratch for weight-gradient and
     /// input-gradient GEMMs.
     acc: Matrix,
@@ -33,10 +36,78 @@ struct AttnCache {
     q: Matrix,
     k: Matrix,
     v: Matrix,
-    /// Softmax outputs per (sequence, head): attn[s * heads + h] is L x L.
-    attn: Vec<Matrix>,
+    /// Softmax outputs, one `L x L` tile per (sequence, head) stacked
+    /// sequence-major ([`HeadGrid::tiles`]).
+    attn: Matrix,
     /// Concatenated per-head context (pre output-projection).
     context: Matrix,
+}
+
+/// The (sequence, head) grid of one micro-batch, and where each pair's
+/// blocks sit in the matrices the batched products read and write.
+#[derive(Clone, Copy)]
+struct HeadGrid {
+    n_seq: usize,
+    heads: usize,
+    l: usize,
+    dk: usize,
+    hidden: usize,
+}
+
+impl HeadGrid {
+    /// The `L x dk` block of (sequence `s`, head `h`) in a
+    /// `(n_seq · L) x hidden` activation: rows `s·L..`, columns `h·dk..`.
+    fn head_blocks(self) -> BlockLayout {
+        BlockLayout {
+            ld: self.hidden,
+            outer_stride: self.l * self.hidden,
+            inner_stride: self.dk,
+        }
+    }
+
+    /// The `L x L` tile of (sequence `s`, head `h`) in the
+    /// `(n_seq · heads · L) x L` stack: rows `(s·heads + h)·L..`.
+    fn tiles(self) -> BlockLayout {
+        BlockLayout {
+            ld: self.l,
+            outer_stride: self.heads * self.l * self.l,
+            inner_stride: self.l * self.l,
+        }
+    }
+
+    fn stack_rows(self) -> usize {
+        self.n_seq * self.heads * self.l
+    }
+
+    /// `out(s, h) = A(s, h) · B(s, h)` for every pair in one batched GEMM;
+    /// A's blocks are `m x k`, B's `k x n`.
+    fn product(
+        self,
+        [m, n, k]: [usize; 3],
+        a: Blocks<'_>,
+        b: Blocks<'_>,
+        out: &mut Matrix,
+        out_layout: BlockLayout,
+    ) {
+        let shape = BatchShape {
+            outer: self.n_seq,
+            inner: self.heads,
+            m,
+            n,
+            k,
+        };
+        gemm_strided_batched(shape, a, b, out.as_mut_slice(), out_layout);
+    }
+}
+
+/// The blocks of `m` at `layout`, read through their transpose if
+/// `transposed`.
+fn blocks(m: &Matrix, layout: BlockLayout, transposed: bool) -> Blocks<'_> {
+    Blocks {
+        data: m.as_slice(),
+        layout,
+        transposed,
+    }
 }
 
 /// Causal multi-head self-attention: `y = softmax(QK^T / sqrt(dk)) V W_o`.
@@ -104,43 +175,48 @@ impl MultiHeadAttention {
         self.hidden / self.heads
     }
 
-    fn n_sequences(&self, rows: usize) -> usize {
+    fn grid(&self, rows: usize) -> HeadGrid {
         assert!(
             rows.is_multiple_of(self.seq_len),
             "input rows {rows} not a multiple of seq_len {}",
             self.seq_len
         );
-        rows / self.seq_len
+        HeadGrid {
+            n_seq: rows / self.seq_len,
+            heads: self.heads,
+            l: self.seq_len,
+            dk: self.head_dim(),
+            hidden: self.hidden,
+        }
     }
 
-    /// Row-wise softmax with causal masking applied to an `L x L` score
-    /// matrix: position `i` attends to positions `0..=i`.
-    fn causal_softmax(scores: &Matrix) -> Matrix {
-        let l = scores.rows();
-        let mut out = Matrix::zeros(l, l);
-        for i in 0..l {
-            crate::loss::softmax_into(&scores.row(i)[..=i], &mut out.row_mut(i)[..=i]);
+    /// Row-wise softmax with causal masking over a stack of `L x L` score
+    /// tiles: row `r` is query position `i = r % L`, which attends to
+    /// positions `0..=i`. Masked entries are zero.
+    fn causal_softmax(scores: &Matrix, l: usize) -> Matrix {
+        let mut out = Matrix::zeros(scores.rows(), l);
+        for r in 0..scores.rows() {
+            let i = r % l;
+            softmax_into(&scores.row(r)[..=i], &mut out.row_mut(r)[..=i]);
         }
         out
     }
 
-    /// Softmax backward on each row's unmasked prefix `0..=i`:
-    /// `dS = A ⊙ (dA - rowsum(dA ⊙ A))`, the row sum an unfused
-    /// left-to-right `dot += dA * A`. Masked entries of `d_s` are zero.
-    fn causal_softmax_backward(a: &Matrix, d_a: &Matrix, d_s: &mut Matrix) {
-        let l = a.rows();
-        if d_s.shape() != (l, l) {
-            *d_s = Matrix::zeros(l, l);
-        }
-        for i in 0..l {
-            let (ai, gi) = (&a.row(i)[..=i], &d_a.row(i)[..=i]);
+    /// Softmax backward over a stack of `L x L` tiles, in place: `d`
+    /// holds `dA` and leaves holding `dS = A ⊙ (dA - rowsum(dA ⊙ A))` on
+    /// each row's unmasked prefix `0..=i` (`i = r % L`), the row sum an
+    /// unfused left-to-right `dot += dA * A`. Masked entries become zero.
+    fn causal_softmax_backward(a: &Matrix, d: &mut Matrix, l: usize) {
+        for r in 0..a.rows() {
+            let i = r % l;
+            let ai = &a.row(r)[..=i];
+            let (head, masked) = d.row_mut(r).split_at_mut(i + 1);
             let mut dot = 0.0;
-            for (&g, &p) in gi.iter().zip(ai) {
+            for (&g, &p) in head.iter().zip(ai) {
                 dot += g * p;
             }
-            let (head, masked) = d_s.row_mut(i).split_at_mut(i + 1);
-            for ((d, &g), &p) in head.iter_mut().zip(gi).zip(ai) {
-                *d = p * (g - dot);
+            for (g, &p) in head.iter_mut().zip(ai) {
+                *g = p * (*g - dot);
             }
             masked.fill(0.0);
         }
@@ -149,40 +225,36 @@ impl MultiHeadAttention {
 
 impl Layer for MultiHeadAttention {
     fn forward(&mut self, x: &Matrix) -> Matrix {
-        let n_seq = self.n_sequences(x.rows());
-        let l = self.seq_len;
-        let dk = self.head_dim();
+        let g = self.grid(x.rows());
+        let (l, dk, hb) = (g.l, g.dk, g.head_blocks());
         let scale = 1.0 / (dk as f32).sqrt();
 
         let q = x.matmul(&self.wq);
         let k = x.matmul(&self.wk);
         let v = x.matmul(&self.wv);
 
+        // S = Q·Kᵀ / sqrt(dk) per head; its causal softmax is cached.
+        let mut scores = Matrix::zeros(g.stack_rows(), l);
+        g.product(
+            [l, l, dk],
+            blocks(&q, hb, false),
+            blocks(&k, hb, true),
+            &mut scores,
+            g.tiles(),
+        );
+        scores.scale_assign(scale);
+        let attn = Self::causal_softmax(&scores, l);
+        // Back to the storage pool before the next buffer is drawn.
+        drop(scores);
+        // context = A·V per head, into the head's columns.
         let mut context = Matrix::zeros(x.rows(), self.hidden);
-        let mut attn = Vec::with_capacity(n_seq * self.heads);
-        let sc = &mut self.scratch;
-        for s in 0..n_seq {
-            for h in 0..self.heads {
-                let (r0, r1) = (s * l, (s + 1) * l);
-                let (c0, c1) = (h * dk, (h + 1) * dk);
-                q.slice_block_into(r0, r1, c0, c1, &mut sc.qh);
-                k.slice_block_into(r0, r1, c0, c1, &mut sc.kh);
-                v.slice_block_into(r0, r1, c0, c1, &mut sc.vh);
-                sc.qh.matmul_t_into(&sc.kh, &mut sc.scores);
-                sc.scores.scale_assign(scale);
-                // The softmax output is cached for backward, so it is the
-                // one per-head tensor that still allocates.
-                let a = Self::causal_softmax(&sc.scores);
-                // ctx_h is L x dk; paste it into the context block for
-                // this sequence.
-                a.matmul_into(&sc.vh, &mut sc.ctx_h);
-                for (i, row) in (r0..r1).enumerate() {
-                    let dst = context.row_mut(row);
-                    dst[c0..c1].copy_from_slice(sc.ctx_h.row(i));
-                }
-                attn.push(a);
-            }
-        }
+        g.product(
+            [l, dk, l],
+            blocks(&attn, g.tiles(), false),
+            blocks(&v, hb, false),
+            &mut context,
+            hb,
+        );
         let y = context.matmul(&self.wo);
         self.cache.push_back(AttnCache {
             x: x.clone(),
@@ -200,9 +272,9 @@ impl Layer for MultiHeadAttention {
             .cache
             .pop_front()
             .expect("Attention::backward without forward");
-        let n_seq = self.n_sequences(grad_out.rows());
-        let l = self.seq_len;
-        let dk = self.head_dim();
+        let g = self.grid(grad_out.rows());
+        let (l, dk, hb, tiles) = (g.l, g.dk, g.head_blocks(), g.tiles());
+        let (rows, hidden) = (grad_out.rows(), self.hidden);
         let scale = 1.0 / (dk as f32).sqrt();
 
         // y = context * Wo
@@ -211,40 +283,36 @@ impl Layer for MultiHeadAttention {
         self.grad_wo.add_assign(&sc.acc);
         grad_out.matmul_t_into(&self.wo, &mut sc.d_context);
 
-        let mut dq = Matrix::zeros(grad_out.rows(), self.hidden);
-        let mut dk_mat = Matrix::zeros(grad_out.rows(), self.hidden);
-        let mut dv = Matrix::zeros(grad_out.rows(), self.hidden);
+        // context = A·V per head: dA = dCtx·Vᵀ, dV = Aᵀ·dCtx.
+        let d_ctx = blocks(&sc.d_context, hb, false);
+        let mut d_s = Matrix::zeros(g.stack_rows(), l);
+        g.product([l, l, dk], d_ctx, blocks(&c.v, hb, true), &mut d_s, tiles);
+        let mut dv = Matrix::zeros(rows, hidden);
+        g.product([l, dk, l], blocks(&c.attn, tiles, true), d_ctx, &mut dv, hb);
 
-        for s in 0..n_seq {
-            for h in 0..self.heads {
-                let a = &c.attn[s * self.heads + h]; // L x L
-                let (r0, r1) = (s * l, (s + 1) * l);
-                let (c0, c1) = (h * dk, (h + 1) * dk);
-                c.q.slice_block_into(r0, r1, c0, c1, &mut sc.qh);
-                c.k.slice_block_into(r0, r1, c0, c1, &mut sc.kh);
-                c.v.slice_block_into(r0, r1, c0, c1, &mut sc.vh);
-                sc.d_context
-                    .slice_block_into(r0, r1, c0, c1, &mut sc.d_ctx_h);
-
-                // ctx_h = A vh
-                sc.d_ctx_h.matmul_t_into(&sc.vh, &mut sc.d_a); // L x L
-                a.t_matmul_into(&sc.d_ctx_h, &mut sc.d_vh); // L x dk
-
-                Self::causal_softmax_backward(a, &sc.d_a, &mut sc.d_s);
-                // scores = qh kh^T * scale
-                sc.d_s.matmul_into(&sc.kh, &mut sc.d_qh);
-                sc.d_qh.scale_assign(scale);
-                sc.d_s.t_matmul_into(&sc.qh, &mut sc.d_kh);
-                sc.d_kh.scale_assign(scale);
-
-                // Scatter head gradients back into full-width matrices.
-                for (i, row) in (r0..r1).enumerate() {
-                    dq.row_mut(row)[c0..c1].copy_from_slice(sc.d_qh.row(i));
-                    dk_mat.row_mut(row)[c0..c1].copy_from_slice(sc.d_kh.row(i));
-                    dv.row_mut(row)[c0..c1].copy_from_slice(sc.d_vh.row(i));
-                }
-            }
-        }
+        // dA becomes dS in place.
+        Self::causal_softmax_backward(&c.attn, &mut d_s, l);
+        // S = Q·Kᵀ · scale per head: dQ = dS·K · scale, dK = dSᵀ·Q · scale.
+        let mut dq = Matrix::zeros(rows, hidden);
+        g.product(
+            [l, dk, l],
+            blocks(&d_s, tiles, false),
+            blocks(&c.k, hb, false),
+            &mut dq,
+            hb,
+        );
+        dq.scale_assign(scale);
+        let mut dk_mat = Matrix::zeros(rows, hidden);
+        g.product(
+            [l, dk, l],
+            blocks(&d_s, tiles, true),
+            blocks(&c.q, hb, false),
+            &mut dk_mat,
+            hb,
+        );
+        dk_mat.scale_assign(scale);
+        // Back to the storage pool before the next buffer is drawn.
+        drop(d_s);
 
         // q = x Wq etc.
         c.x.t_matmul_into(&dq, &mut sc.acc);
@@ -308,15 +376,21 @@ mod tests {
 
     #[test]
     fn causal_softmax_rows_sum_to_one_and_mask_future() {
-        let scores = Matrix::from_fn(4, 4, |r, c| (r + c) as f32 * 0.1);
-        let a = MultiHeadAttention::causal_softmax(&scores);
-        for i in 0..4 {
-            let row_sum: f32 = a.row(i).iter().sum();
+        // Two stacked 4 x 4 tiles: row r is query position r % 4.
+        let scores = Matrix::from_fn(8, 4, |r, c| (r + c) as f32 * 0.1);
+        let a = MultiHeadAttention::causal_softmax(&scores, 4);
+        for r in 0..8 {
+            let row_sum: f32 = a.row(r).iter().sum();
             assert!((row_sum - 1.0).abs() < 1e-5);
-            for j in (i + 1)..4 {
-                assert_eq!(a[(i, j)], 0.0, "future position ({i},{j}) not masked");
+            for j in (r % 4 + 1)..4 {
+                assert_eq!(a[(r, j)], 0.0, "future position ({r},{j}) not masked");
             }
         }
+    }
+
+    /// Rows `r0..r0 + rows` x columns `c0..c0 + cols` of `m`, copied.
+    fn block(m: &Matrix, r0: usize, rows: usize, c0: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| m[(r0 + r, c0 + c)])
     }
 
     /// The index-loop softmax backward this crate shipped before the
@@ -340,21 +414,159 @@ mod tests {
     fn softmax_backward_is_bit_identical_to_the_index_loop_implementation() {
         let mut rng = SeedStream::new(23);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // One scratch buffer across every length: a stale shape is
-        // replaced, stale contents of a reused one are overwritten.
-        let mut d_s = rng.uniform_matrix(2, 5, 9.0);
-        for l in [1usize, 3, 16, 32, 16] {
-            let scores = rng.uniform_matrix(l, l, 3.0);
-            let a = MultiHeadAttention::causal_softmax(&scores);
+        for l in [1usize, 3, 16, 32] {
+            // A stack of three tiles, each checked against the oracle.
+            let scores = rng.uniform_matrix(3 * l, l, 3.0);
+            let a = MultiHeadAttention::causal_softmax(&scores, l);
             // The full dA, masked upper triangle included, as the
-            // `d_ctx_h · vhᵀ` GEMM produces it.
-            let d_a = rng.uniform_matrix(l, l, 2.0);
-            MultiHeadAttention::causal_softmax_backward(&a, &d_a, &mut d_s);
-            assert_eq!(
-                bits(&d_s),
-                bits(&old_causal_softmax_backward(&a, &d_a)),
-                "L = {l}"
-            );
+            // `dCtx · Vᵀ` product produces it.
+            let d_a = rng.uniform_matrix(3 * l, l, 2.0);
+            let mut d_s = d_a.clone();
+            MultiHeadAttention::causal_softmax_backward(&a, &mut d_s, l);
+            for t in 0..3 {
+                assert_eq!(
+                    bits(&block(&d_s, t * l, l, 0, l)),
+                    bits(&old_causal_softmax_backward(
+                        &block(&a, t * l, l, 0, l),
+                        &block(&d_a, t * l, l, 0, l)
+                    )),
+                    "L = {l}, tile {t}"
+                );
+            }
+        }
+    }
+
+    /// The per-(sequence, head) loop this layer ran before its products
+    /// were batched, kept as the bit-exactness oracle: each head's blocks
+    /// copied out, one GEMM per block and orientation, an `L x L` softmax
+    /// allocated per head, and the results scattered back.
+    struct PerHeadOracle {
+        heads: usize,
+        seq_len: usize,
+        /// `[wq, wk, wv, wo]` and their gradients.
+        w: [Matrix; 4],
+        grad: [Matrix; 4],
+        /// `(x, q, k, v, per-head softmax, context)` per micro-batch.
+        cache: VecDeque<(Matrix, Matrix, Matrix, Matrix, Vec<Matrix>, Matrix)>,
+    }
+
+    impl PerHeadOracle {
+        fn of(layer: &mut MultiHeadAttention) -> Self {
+            let (heads, seq_len) = (layer.heads, layer.seq_len);
+            let params = layer.params();
+            let w = std::array::from_fn(|i| params[i].value.clone());
+            let grad = std::array::from_fn(|i| params[i].grad.clone());
+            Self {
+                heads,
+                seq_len,
+                w,
+                grad,
+                cache: VecDeque::new(),
+            }
+        }
+
+        fn forward(&mut self, x: &Matrix) -> Matrix {
+            let (l, hidden) = (self.seq_len, x.cols());
+            let dk = hidden / self.heads;
+            let scale = 1.0 / (dk as f32).sqrt();
+            let [q, k, v] = std::array::from_fn(|i| x.matmul(&self.w[i]));
+            let mut context = Matrix::zeros(x.rows(), hidden);
+            let mut attn = Vec::new();
+            for s in 0..x.rows() / l {
+                for h in 0..self.heads {
+                    let [qh, kh, vh] = [&q, &k, &v].map(|m| block(m, s * l, l, h * dk, dk));
+                    let mut scores = qh.matmul_t(&kh);
+                    scores.scale_assign(scale);
+                    let mut a = Matrix::zeros(l, l);
+                    for i in 0..l {
+                        softmax_into(&scores.row(i)[..=i], &mut a.row_mut(i)[..=i]);
+                    }
+                    let ctx_h = a.matmul(&vh);
+                    for i in 0..l {
+                        context.row_mut(s * l + i)[h * dk..(h + 1) * dk]
+                            .copy_from_slice(ctx_h.row(i));
+                    }
+                    attn.push(a);
+                }
+            }
+            let y = context.matmul(&self.w[3]);
+            self.cache.push_back((x.clone(), q, k, v, attn, context));
+            y
+        }
+
+        fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+            let (x, q, k, v, attn, context) = self.cache.pop_front().expect("forward first");
+            let (l, hidden) = (self.seq_len, x.cols());
+            let dk = hidden / self.heads;
+            let scale = 1.0 / (dk as f32).sqrt();
+            self.grad[3].add_assign(&context.t_matmul(grad_out));
+            let d_context = grad_out.matmul_t(&self.w[3]);
+            let mut d = [0; 3].map(|_| Matrix::zeros(x.rows(), hidden));
+            for s in 0..x.rows() / l {
+                for h in 0..self.heads {
+                    let a = &attn[s * self.heads + h];
+                    let [qh, kh, vh, d_ctx_h] =
+                        [&q, &k, &v, &d_context].map(|m| block(m, s * l, l, h * dk, dk));
+                    let d_a = d_ctx_h.matmul_t(&vh);
+                    let d_vh = a.t_matmul(&d_ctx_h);
+                    let d_s = old_causal_softmax_backward(a, &d_a);
+                    let mut d_qh = d_s.matmul(&kh);
+                    d_qh.scale_assign(scale);
+                    let mut d_kh = d_s.t_matmul(&qh);
+                    d_kh.scale_assign(scale);
+                    for (dst, src) in d.iter_mut().zip([&d_qh, &d_kh, &d_vh]) {
+                        for i in 0..l {
+                            dst.row_mut(s * l + i)[h * dk..(h + 1) * dk]
+                                .copy_from_slice(src.row(i));
+                        }
+                    }
+                }
+            }
+            for (grad, d) in self.grad.iter_mut().zip(&d) {
+                grad.add_assign(&x.t_matmul(d));
+            }
+            let mut dx = d[0].matmul_t(&self.w[0]);
+            dx.add_assign(&d[1].matmul_t(&self.w[1]));
+            dx.add_assign(&d[2].matmul_t(&self.w[2]));
+            dx
+        }
+    }
+
+    #[test]
+    fn batched_heads_are_bit_identical_to_the_per_head_loop() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // (rows, hidden, heads, L): GPT-small, GPT-mid, then ragged
+        // sequence lengths 3 and 1 at head dimension 1.
+        for (rows, hidden, heads, l) in [
+            (64, 32, 4, 16),
+            (128, 128, 4, 32),
+            (6, 3, 3, 3),
+            (3, 2, 2, 1),
+        ] {
+            let label = format!("{rows}x{hidden}, {heads} heads, L {l}");
+            let mut rng = SeedStream::new((rows * 1000 + l) as u64);
+            let mut layer = MultiHeadAttention::new(hidden, heads, l, &mut rng);
+            let mut oracle = PerHeadOracle::of(&mut layer);
+            let xs = [0, 1].map(|_| rng.uniform_matrix(rows, hidden, 1.0));
+            let gs = [0, 1].map(|_| rng.uniform_matrix(rows, hidden, 1.0));
+            // Two micro-batches in flight, backward in FIFO order.
+            for x in &xs {
+                assert_eq!(
+                    bits(&layer.forward(x)),
+                    bits(&oracle.forward(x)),
+                    "{label}: y"
+                );
+            }
+            for g in &gs {
+                assert_eq!(
+                    bits(&layer.backward(g)),
+                    bits(&oracle.backward(g)),
+                    "{label}: dx"
+                );
+            }
+            for (p, want) in layer.params().iter().zip(&oracle.grad) {
+                assert_eq!(bits(p.grad), bits(want), "{label}: {}", p.name);
+            }
         }
     }
 

@@ -127,9 +127,9 @@ impl Embedding {
         let mut out = Matrix::zeros(tokens.len(), self.hidden());
         for (i, &t) in tokens.iter().enumerate() {
             assert!(t < self.vocab(), "token id {t} out of range");
-            let p = i % self.seq_len;
-            for c in 0..self.hidden() {
-                out[(i, c)] = self.table[(t, c)] + self.pos[(p, c)];
+            let (row, pos) = (self.table.row(t), self.pos.row(i % self.seq_len));
+            for ((o, &e), &p) in out.row_mut(i).iter_mut().zip(row).zip(pos) {
+                *o = e + p;
             }
         }
         self.lookup_cache.push_back(tokens.to_vec());
@@ -148,11 +148,16 @@ impl Embedding {
             .pop_front()
             .expect("backward_lookup without lookup");
         assert_eq!(grad.rows(), tokens.len(), "lookup grad row mismatch");
+        // Each element still gets its additions in token order; the two
+        // tables are separate buffers, so walking them one after the
+        // other changes no sum.
         for (i, &t) in tokens.iter().enumerate() {
-            let p = i % self.seq_len;
-            for c in 0..grad.cols() {
-                self.grad_table[(t, c)] += grad[(i, c)];
-                self.grad_pos[(p, c)] += grad[(i, c)];
+            let g = grad.row(i);
+            for (acc, &v) in self.grad_table.row_mut(t).iter_mut().zip(g) {
+                *acc += v;
+            }
+            for (acc, &v) in self.grad_pos.row_mut(i % self.seq_len).iter_mut().zip(g) {
+                *acc += v;
             }
         }
     }
@@ -219,6 +224,52 @@ mod tests {
         for c in 0..4 {
             assert_eq!(e.grad()[(2, c)], 2.0); // both rows accumulate
             assert_eq!(e.grad()[(0, c)], 0.0);
+        }
+    }
+
+    /// The index loops `lookup` / `backward_lookup` ran before the
+    /// row-slice rewrite, kept verbatim as the bit-exactness oracle.
+    fn old_lookup(e: &Embedding, tokens: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(tokens.len(), e.hidden());
+        for (i, &t) in tokens.iter().enumerate() {
+            let p = i % e.seq_len;
+            for c in 0..e.hidden() {
+                out[(i, c)] = e.table[(t, c)] + e.pos[(p, c)];
+            }
+        }
+        out
+    }
+
+    fn old_backward_lookup(e: &mut Embedding, tokens: &[usize], grad: &Matrix) {
+        for (i, &t) in tokens.iter().enumerate() {
+            let p = i % e.seq_len;
+            for c in 0..grad.cols() {
+                e.grad_table[(t, c)] += grad[(i, c)];
+                e.grad_pos[(p, c)] += grad[(i, c)];
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_and_its_backward_are_bit_identical_to_the_index_loops() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeedStream::new(12);
+        let (vocab, hidden, seq_len) = (11, 7, 4);
+        let mut e = Embedding::new(vocab, hidden, seq_len, &mut rng);
+        let mut old = Embedding::new(vocab, hidden, seq_len, &mut SeedStream::new(0));
+        old.table = e.table.clone();
+        old.pos = e.pos.clone();
+        // Repeated tokens and repeated positions: several additions land
+        // on one gradient element, whose order must not change.
+        let tokens: Vec<usize> = (0..12).map(|i| (i * 7) % 5).collect();
+        for _ in 0..2 {
+            let y = e.lookup(&tokens);
+            assert_eq!(bits(&y), bits(&old_lookup(&old, &tokens)));
+            let g = rng.uniform_matrix(tokens.len(), hidden, 1.0);
+            e.backward_lookup(&g);
+            old_backward_lookup(&mut old, &tokens, &g);
+            assert_eq!(bits(&e.grad_table), bits(&old.grad_table));
+            assert_eq!(bits(&e.grad_pos), bits(&old.grad_pos));
         }
     }
 

@@ -20,6 +20,18 @@
 //! so every memory walk is over contiguous rows. The pure [`route`]
 //! function picks among the three.
 //!
+//! The packed path reads its operands as **strided blocks**: a stored
+//! row of A, B or the output is `ld` elements after the previous one, and
+//! a dense product is the case where `ld` is the row length. That lets
+//! [`gemm_strided_batched`] run a whole grid of small products — the
+//! per-(sequence, head) attention products — in one entry: it makes one
+//! route decision for the batch (the packed loop; its blocks are small on
+//! both sides, so there is no huge B to avoid packing and no tall A to
+//! swap), packs each block where it sits in its parent matrix, stores each
+//! result tile straight into its block of the output, reuses one
+//! thread-local B-pack buffer and one A-pack buffer for every block, and
+//! above the pool threshold splits the grid's outer index over workers.
+//!
 //! The micro-kernels themselves are dispatched at runtime (see
 //! [`crate::dispatch`]): AVX2+FMA on x86_64 hosts that have it, and a
 //! portable [`f32::mul_add`] fallback, both implementing the same
@@ -42,8 +54,11 @@
 //!   is the same sequence whether or not a spill happens in the middle);
 //! * the swap relies on `a*b == b*a` (IEEE multiplication commutes
 //!   bitwise) and a transpose that moves bits without arithmetic;
-//! * the worker pool (see [`crate::pool`]) assigns each output panel to
-//!   exactly one thread via a fixed decomposition.
+//! * the worker pool (see [`crate::pool`]) assigns each output panel, or
+//!   each block group of a strided batch, to exactly one thread via a
+//!   fixed decomposition;
+//! * a strided operand changes where a block's elements are read from,
+//!   not which products enter a chain or in what order.
 //!
 //! Blocked, blocked+parallel, and every dispatched kernel path are therefore
 //! bit-identical for finite inputs at any thread count;
@@ -88,9 +103,58 @@ pub(crate) enum Src<'a> {
     Transposed(&'a [f32]),
 }
 
+impl Src<'_> {
+    /// Row stride of this operand when its logical `rows x cols` form is
+    /// stored densely.
+    fn dense_ld(self, rows: usize, cols: usize) -> usize {
+        match self {
+            Src::Normal(_) => cols,
+            Src::Transposed(_) => rows,
+        }
+    }
+}
+
+/// Shape and row strides of one packed-path product: `A'` is `m x k`,
+/// `B'` is `k x n`, and consecutive stored rows of A, B and the output
+/// sit `lda`, `ldb` and `ldc` elements apart.
+#[derive(Clone, Copy)]
+struct Dims {
+    m: usize,
+    n: usize,
+    k: usize,
+    lda: usize,
+    ldb: usize,
+    ldc: usize,
+}
+
+impl Dims {
+    /// A product whose operands and output are each stored densely.
+    fn dense(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize) -> Dims {
+        Dims {
+            m,
+            n,
+            k,
+            lda: a.dense_ld(m, k),
+            ldb: b.dense_ld(k, n),
+            ldc: n,
+        }
+    }
+}
+
 thread_local! {
     static BPACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static TSCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's B-pack buffer, zeroed to `len` floats (the
+/// padding lanes of a ragged last panel must read as zero).
+fn with_bpack<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    BPACK.with(|bp| {
+        let mut bpack = bp.borrow_mut();
+        bpack.clear();
+        bpack.resize(len, 0.0);
+        f(&mut bpack)
+    })
 }
 
 /// Cache-blocked transpose: `dst[c * rows + r] = src[r * cols + c]`,
@@ -207,17 +271,14 @@ fn effective_threads(work: usize, panels: usize) -> usize {
 
 /// Pack B once, then fan row micro-panels out over the worker pool.
 fn gemm_packed(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize, out: &mut [f32]) {
-    let panels_n = n.div_ceil(NR);
+    let d = Dims::dense(a, b, m, n, k);
     let panels_m = m.div_ceil(MR);
-    BPACK.with(|bp| {
-        let mut bpack = bp.borrow_mut();
-        bpack.clear();
-        bpack.resize(panels_n * k * NR, 0.0);
-        pack_b(b, n, k, panels_n, &mut bpack);
-
+    with_bpack(n.div_ceil(NR) * k * NR, |bpack| {
+        pack_b(b, d, bpack);
+        let bpack = &*bpack;
         let threads = effective_threads(work, panels_m);
         if threads <= 1 {
-            return run_row_panels(a, m, n, k, &bpack, 0, panels_m, out);
+            return run_row_panels(a, d, bpack, 0, panels_m, out, &mut [0.0; KC * MR]);
         }
         // Fixed decomposition of row micro-panels over the worker pool;
         // each worker owns a disjoint, contiguous slab of output rows.
@@ -233,30 +294,30 @@ fn gemm_packed(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize
                 let (chunk, tail) = rest.split_at_mut((row_end - row_cursor) * n);
                 rest = tail;
                 row_cursor = row_end;
-                let bpack = &bpack[..];
-                scope.spawn(move || run_row_panels(a, m, n, k, bpack, pstart, pend, chunk));
+                scope.spawn(move || {
+                    run_row_panels(a, d, bpack, pstart, pend, chunk, &mut [0.0; KC * MR])
+                });
             }
         });
     });
 }
 
-/// Computes row micro-panels `[pstart, pend)`; `out_chunk` starts at row
-/// `pstart * MR` of the logical output.
-#[allow(clippy::too_many_arguments)]
+/// Computes row micro-panels `[pstart, pend)` of one product whose B is
+/// already in `bpack`; `out_chunk` starts at row `pstart * MR` of the
+/// logical output. `apack` is the caller's scratch for packed A chunks.
 fn run_row_panels(
     a: Src<'_>,
-    m: usize,
-    n: usize,
-    k: usize,
+    d: Dims,
     bpack: &[f32],
     pstart: usize,
     pend: usize,
     out_chunk: &mut [f32],
+    apack: &mut [f32; KC * MR],
 ) {
+    let Dims { m, n, k, lda, .. } = d;
     let arch = dispatch::kernel_arch();
     let panels_n = n.div_ceil(NR);
     let n_kchunks = k.div_ceil(KC).max(1);
-    let mut apack = [0.0f32; KC * MR];
     for mp in pstart..pend {
         let row0 = mp * MR;
         let mr_eff = MR.min(m - row0);
@@ -265,15 +326,15 @@ fn run_row_panels(
             let k0 = ci * KC;
             let k1 = (k0 + KC).min(k);
             let kc = k1 - k0;
-            // Row-major A feeds the micro-kernel directly as MR contiguous
-            // row streams; transposed A (and ragged edge panels) are packed
+            // Row-major A feeds the micro-kernel directly as MR row
+            // streams; transposed A (and ragged edge panels) are packed
             // so the kernel always sees full MR lanes.
             let direct_rows: Option<[&[f32]; MR]> = match a {
-                Src::Normal(d) if mr_eff == MR => Some(std::array::from_fn(|i| {
-                    &d[(row0 + i) * k + k0..(row0 + i) * k + k1]
+                Src::Normal(da) if mr_eff == MR => Some(std::array::from_fn(|i| {
+                    &da[(row0 + i) * lda + k0..(row0 + i) * lda + k1]
                 })),
                 _ => {
-                    pack_a_chunk(a, m, k, row0, mr_eff, k0, k1, &mut apack[..kc * MR]);
+                    pack_a_chunk(a, lda, row0, mr_eff, k0, k1, &mut apack[..kc * MR]);
                     None
                 }
             };
@@ -281,16 +342,247 @@ fn run_row_panels(
                 let nr_eff = NR.min(n - p * NR);
                 let mut acc = [[0.0f32; NR]; MR];
                 if ci > 0 {
-                    load_acc(&mut acc, out_chunk, chunk_row0, n, p * NR, mr_eff, nr_eff);
+                    load_acc(
+                        &mut acc,
+                        out_chunk,
+                        chunk_row0,
+                        d.ldc,
+                        p * NR,
+                        mr_eff,
+                        nr_eff,
+                    );
                 }
                 let bslice = &bpack[(p * k + k0) * NR..(p * k + k1) * NR];
                 match &direct_rows {
                     Some(rows) => simd::micro_kernel_rows(arch, rows, bslice, &mut acc),
                     None => simd::micro_kernel_packed(arch, &apack[..kc * MR], bslice, &mut acc),
                 }
-                store_acc(&acc, out_chunk, chunk_row0, n, p * NR, mr_eff, nr_eff);
+                store_acc(&acc, out_chunk, chunk_row0, d.ldc, p * NR, mr_eff, nr_eff);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Strided batches (blocks read and written in place)
+// ---------------------------------------------------------------------------
+
+/// Where the blocks of one operand of [`gemm_strided_batched`] sit in its
+/// buffer. A batch is a grid of `outer x inner` row-major blocks: block
+/// `(o, i)` starts at element `o * outer_stride + i * inner_stride`, and
+/// its row `r` starts `r * ld` elements after that.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockLayout {
+    /// Elements between consecutive rows of a block; at least the
+    /// block's row length.
+    pub ld: usize,
+    /// Elements between block `(o, i)` and block `(o + 1, i)`.
+    pub outer_stride: usize,
+    /// Elements between block `(o, i)` and block `(o, i + 1)`.
+    pub inner_stride: usize,
+}
+
+/// One input of [`gemm_strided_batched`]: a buffer and where its blocks
+/// sit in it.
+#[derive(Clone, Copy, Debug)]
+pub struct Blocks<'a> {
+    /// The buffer every block of this operand lives in.
+    pub data: &'a [f32],
+    /// Where block `(o, i)` and its rows start in `data`.
+    pub layout: BlockLayout,
+    /// Each stored block holds the operand's transpose, read through it
+    /// as [`crate::Matrix::t_matmul`] reads its receiver and
+    /// [`crate::Matrix::matmul_t`] its argument.
+    pub transposed: bool,
+}
+
+impl<'a> Blocks<'a> {
+    fn at(self, o: usize, i: usize) -> Src<'a> {
+        let l = self.layout;
+        let data = &self.data[o * l.outer_stride + i * l.inner_stride..];
+        if self.transposed {
+            Src::Transposed(data)
+        } else {
+            Src::Normal(data)
+        }
+    }
+}
+
+/// The grid and block shape of [`gemm_strided_batched`]: `outer x inner`
+/// products, each of an `m x k` block by a `k x n` block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchShape {
+    /// Block groups; the worker pool splits the batch between groups.
+    pub outer: usize,
+    /// Blocks per group.
+    pub inner: usize,
+    /// Rows of each output block.
+    pub m: usize,
+    /// Columns of each output block.
+    pub n: usize,
+    /// The shared dimension of each product.
+    pub k: usize,
+}
+
+/// Every product of a strided batch in one kernel entry:
+/// `out(o, i) = A(o, i) · B(o, i)` for each block `(o, i)` of an
+/// `outer x inner` grid ([`BatchShape`]), where each operand's blocks sit
+/// in its buffer as its [`BlockLayout`] says — for instance the `L x d`
+/// head blocks of a `(sequences · L) x hidden` activation, or the
+/// `L x L` tiles of a stack of per-head score matrices.
+///
+/// Packing reads each block where it sits, and each result tile is
+/// stored straight into its block of `out`; nothing is copied out or
+/// scattered back. Elements of `out` outside every block are left as
+/// they were. Every output element is the one ascending-`k`
+/// fused-multiply-add chain [`crate::Matrix::matmul`] computes, so the
+/// bits equal a loop of `matmul` / `t_matmul` / `matmul_t` over copies of
+/// the blocks, on every kernel arch and at any thread count. The whole
+/// batch is one entry in the kernel-path counters. Above the pool
+/// threshold, worker `w` owns a fixed contiguous range of block groups.
+///
+/// # Panics
+///
+/// Panics if a block of any operand reaches past its buffer, if a
+/// layout's `ld` is shorter than its block's stored row, or if (with more
+/// than one group) one group of `out` reaches past the start of the next.
+pub fn gemm_strided_batched(
+    shape: BatchShape,
+    a: Blocks<'_>,
+    b: Blocks<'_>,
+    out: &mut [f32],
+    out_layout: BlockLayout,
+) {
+    let BatchShape {
+        outer,
+        inner,
+        m,
+        n,
+        k,
+    } = shape;
+    let stored = |blocks: Blocks<'_>, rows, cols| {
+        if blocks.transposed {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        }
+    };
+    let (ar, ac) = stored(a, m, k);
+    let (br, bc) = stored(b, k, n);
+    check_blocks("a", a.data.len(), a.layout, shape, ar, ac);
+    check_blocks("b", b.data.len(), b.layout, shape, br, bc);
+    let group = check_blocks("out", out.len(), out_layout, shape, m, n);
+    if group == 0 {
+        return;
+    }
+    assert!(
+        outer == 1 || group <= out_layout.outer_stride,
+        "gemm_strided_batched: an output group spans {group} elements, past the {}-element group stride",
+        out_layout.outer_stride
+    );
+    dispatch::note_dense_kernel(dispatch::kernel_arch());
+    let batch = Batch {
+        inner,
+        a,
+        b,
+        d: Dims {
+            m,
+            n,
+            k,
+            lda: a.layout.ld,
+            ldb: b.layout.ld,
+            ldc: out_layout.ld,
+        },
+        out_layout,
+    };
+    let work = [m, n, k, outer, inner]
+        .iter()
+        .fold(2usize, |w, &x| w.saturating_mul(x));
+    let threads = effective_threads(work, outer);
+    if threads <= 1 {
+        return batch.run_groups(0, outer, out);
+    }
+    // Fixed decomposition of block groups over the worker pool; each
+    // worker owns the contiguous stretch of `out` its groups live in.
+    let ranges = pool::panel_ranges(outer, threads);
+    std::thread::scope(|scope| {
+        let mut rest = out;
+        for &(o0, o1) in &ranges {
+            let take = if o1 == outer {
+                rest.len()
+            } else {
+                (o1 - o0) * out_layout.outer_stride
+            };
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            let batch = &batch;
+            scope.spawn(move || batch.run_groups(o0, o1, chunk));
+        }
+    });
+}
+
+/// Checks that every block of one operand lies inside its `len`-element
+/// buffer, and returns the elements one group of blocks spans (0 when the
+/// batch is empty).
+fn check_blocks(
+    name: &str,
+    len: usize,
+    l: BlockLayout,
+    s: BatchShape,
+    rows: usize,
+    cols: usize,
+) -> usize {
+    if s.outer == 0 || s.inner == 0 || rows == 0 || cols == 0 {
+        return 0;
+    }
+    assert!(
+        l.ld >= cols,
+        "gemm_strided_batched: {name} rows of {cols} elements overlap at ld {}",
+        l.ld
+    );
+    let group = (s.inner - 1) * l.inner_stride + (rows - 1) * l.ld + cols;
+    let end = (s.outer - 1) * l.outer_stride + group;
+    assert!(
+        end <= len,
+        "gemm_strided_batched: {name} blocks reach element {end} of a {len}-element buffer"
+    );
+    group
+}
+
+/// A checked strided batch, as its workers see it.
+struct Batch<'a> {
+    inner: usize,
+    a: Blocks<'a>,
+    b: Blocks<'a>,
+    d: Dims,
+    out_layout: BlockLayout,
+}
+
+impl Batch<'_> {
+    /// Computes block groups `[o0, o1)`; `out` starts at group `o0`.
+    fn run_groups(&self, o0: usize, o1: usize, out: &mut [f32]) {
+        let d = self.d;
+        let panels_m = d.m.div_ceil(MR);
+        let mut apack = [0.0; KC * MR];
+        with_bpack(d.n.div_ceil(NR) * d.k * NR, |bpack| {
+            for o in o0..o1 {
+                for i in 0..self.inner {
+                    let at =
+                        (o - o0) * self.out_layout.outer_stride + i * self.out_layout.inner_stride;
+                    let out = &mut out[at..];
+                    if d.k == 0 {
+                        // An empty sum: the block is zero, as `matmul`
+                        // leaves it.
+                        for r in 0..d.m {
+                            out[r * d.ldc..][..d.n].fill(0.0);
+                        }
+                        continue;
+                    }
+                    pack_b(self.b.at(o, i), d, bpack);
+                    run_row_panels(self.a.at(o, i), d, bpack, 0, panels_m, out, &mut apack);
+                }
+            }
+        });
     }
 }
 
@@ -315,8 +607,7 @@ fn gemm_skinny(a: Src<'_>, db: &[f32], m: usize, n: usize, k: usize, work: usize
         let mr_eff = MR.min(m - row0);
         pack_a_chunk(
             a,
-            m,
-            k,
+            a.dense_ld(m, k),
             row0,
             mr_eff,
             0,
@@ -455,12 +746,11 @@ fn store_acc(
 
 /// Packs `MR` rows of `A'` (rows `row0..row0+mr_eff`, zero-padded to `MR`)
 /// over the `k`-range `[k0, k1)` into
-/// `apack[(kk-k0)*MR + i] = A'(row0+i, kk)`.
-#[allow(clippy::too_many_arguments)]
+/// `apack[(kk-k0)*MR + i] = A'(row0+i, kk)`; consecutive stored rows of A
+/// sit `lda` elements apart.
 fn pack_a_chunk(
     a: Src<'_>,
-    m: usize,
-    k: usize,
+    lda: usize,
     row0: usize,
     mr_eff: usize,
     k0: usize,
@@ -473,7 +763,7 @@ fn pack_a_chunk(
     match a {
         Src::Normal(d) => {
             for i in 0..mr_eff {
-                let src = &d[(row0 + i) * k + k0..(row0 + i) * k + k1];
+                let src = &d[(row0 + i) * lda + k0..(row0 + i) * lda + k1];
                 for (kk, &v) in src.iter().enumerate() {
                     apack[kk * MR + i] = v;
                 }
@@ -482,7 +772,7 @@ fn pack_a_chunk(
         Src::Transposed(d) => {
             // Stored k x m: row kk holds A'(_, kk) contiguously.
             for kk in k0..k1 {
-                let src = &d[kk * m + row0..kk * m + row0 + mr_eff];
+                let src = &d[kk * lda + row0..kk * lda + row0 + mr_eff];
                 apack[(kk - k0) * MR..(kk - k0) * MR + mr_eff].copy_from_slice(src);
             }
         }
@@ -490,15 +780,18 @@ fn pack_a_chunk(
 }
 
 /// Packs all of `B'` into `NR`-wide column panels:
-/// `bpack[(p*k + kk)*NR + j] = B'(kk, p*NR + j)`, zero-padded in `j`.
-fn pack_b(b: Src<'_>, n: usize, k: usize, panels_n: usize, bpack: &mut [f32]) {
+/// `bpack[(p*k + kk)*NR + j] = B'(kk, p*NR + j)`. Padding lanes of a
+/// ragged last panel are not written; [`with_bpack`] zeroed them.
+fn pack_b(b: Src<'_>, d: Dims, bpack: &mut [f32]) {
+    let Dims { n, k, ldb, .. } = d;
+    let panels_n = n.div_ceil(NR);
     match b {
-        Src::Normal(d) => {
+        Src::Normal(db) => {
             // kk-outer scatter: read each B row once, contiguously; the
             // per-panel write cursors advance one 64-byte line per row,
             // so the write working set is one line per panel.
             for kk in 0..k {
-                let row = &d[kk * n..(kk + 1) * n];
+                let row = &db[kk * ldb..kk * ldb + n];
                 for p in 0..panels_n {
                     let col0 = p * NR;
                     let nr_eff = NR.min(n - col0);
@@ -507,14 +800,14 @@ fn pack_b(b: Src<'_>, n: usize, k: usize, panels_n: usize, bpack: &mut [f32]) {
                 }
             }
         }
-        Src::Transposed(d) => {
+        Src::Transposed(db) => {
             // Stored n x k: row j holds B'(_, j) contiguously.
             for p in 0..panels_n {
                 let col0 = p * NR;
                 let nr_eff = NR.min(n - col0);
                 let panel = &mut bpack[p * k * NR..(p + 1) * k * NR];
                 for j in 0..nr_eff {
-                    let src = &d[(col0 + j) * k..(col0 + j + 1) * k];
+                    let src = &db[(col0 + j) * ldb..(col0 + j) * ldb + k];
                     for (kk, &v) in src.iter().enumerate() {
                         panel[kk * NR + j] = v;
                     }

@@ -24,7 +24,10 @@
 //! operations only — no libm call whose result could differ between
 //! kernel paths.
 //! Allocation-free `*_into` variants ([`Matrix::matmul_into`] and
-//! friends) back the model and compressor hot paths.
+//! friends) back the model and compressor hot paths, and
+//! [`gemm_strided_batched`] runs a grid of small products — attention's
+//! per-(sequence, head) blocks — as one kernel entry that reads and
+//! writes every block where it sits.
 //!
 //! # Storage
 //!
@@ -70,6 +73,7 @@ pub use dispatch::{
     arch_available, available_arches, detected_arch, kernel_arch, kernel_path_counts,
     reset_kernel_path_counts, set_kernel_arch, KernelArch,
 };
+pub use gemm::{gemm_strided_batched, BatchShape, BlockLayout, Blocks};
 pub use init::{xavier_uniform, SeedStream};
 pub use linalg::orthonormalize_columns;
 pub use matrix::{Matrix, ShapeError};

@@ -293,23 +293,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies the sub-block of rows `[r0, r1)` x columns `[c0, c1)` into
-    /// `out` (reshaped as needed, buffer reused) — the no-allocation
-    /// workhorse behind per-head attention slicing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds or reversed.
-    pub fn slice_block_into(&self, r0: usize, r1: usize, c0: usize, c1: usize, out: &mut Matrix) {
-        assert!(r0 <= r1 && r1 <= self.rows, "row slice out of bounds");
-        assert!(c0 <= c1 && c1 <= self.cols, "column slice out of bounds");
-        out.reshape_for_write(r1 - r0, c1 - c0);
-        for r in r0..r1 {
-            let src = &self.data[r * self.cols + c0..r * self.cols + c1];
-            out.row_mut(r - r0).copy_from_slice(src);
-        }
-    }
-
     /// Index of the maximum element in each row (the last one on ties),
     /// under [`f32::total_cmp`]: a NaN ranks above every number, so the
     /// answer is defined for every input.
@@ -548,14 +531,10 @@ mod tests {
 
     #[test]
     fn row_access_and_slicing() {
-        let a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        let mut a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         assert_eq!(a.row(2), &[6.0, 7.0, 8.0]);
-        // The block buffer is reshaped to fit, whatever it held before.
-        let mut s = Matrix::zeros(5, 5);
-        a.slice_block_into(1, 3, 1, 3, &mut s);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.row(0), &[4.0, 5.0]);
-        assert_eq!(s.row(1), &[7.0, 8.0]);
+        a.row_mut(1)[1..].copy_from_slice(&[-1.0, -2.0]);
+        assert_eq!(a.as_slice()[3..6], [3.0, -1.0, -2.0]);
     }
 
     #[test]

@@ -151,9 +151,10 @@ impl Matrix {
     #[must_use]
     pub fn col_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols());
+        let sums = out.as_mut_slice();
         for r in 0..self.rows() {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                out[(0, c)] += v;
+            for (s, &v) in sums.iter_mut().zip(self.row(r)) {
+                *s += v;
             }
         }
         out
@@ -231,6 +232,27 @@ mod tests {
     fn col_sums_add_down_each_column() {
         let a = m(2, 3);
         assert_eq!(a.col_sums().as_slice(), &[3.0, 5.0, 7.0]);
+    }
+
+    #[test]
+    fn col_sums_is_bit_identical_to_the_index_loop() {
+        // The `out[(0, c)] += v` loop this crate shipped before the
+        // row-slice rewrite: the same top-to-bottom sum per column.
+        let old = |a: &Matrix| {
+            let mut out = Matrix::zeros(1, a.cols());
+            for r in 0..a.rows() {
+                for (c, &v) in a.row(r).iter().enumerate() {
+                    out[(0, c)] += v;
+                }
+            }
+            out
+        };
+        let mut rng = crate::SeedStream::new(9);
+        for (rows, cols) in [(1, 1), (7, 3), (128, 33)] {
+            let a = rng.uniform_matrix(rows, cols, 100.0);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.col_sums()), bits(&old(&a)), "{rows}x{cols}");
+        }
     }
 
     #[test]

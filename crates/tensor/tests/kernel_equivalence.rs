@@ -26,9 +26,9 @@
 //! which is exactly the property under test.
 
 use opt_tensor::{
-    available_arches, detected_arch, exp, gelu, gelu_backward, kernel_arch, kernel_path_counts,
-    orthonormalize_columns, set_kernel_arch, set_kernel_threads, set_parallel_flop_threshold,
-    Matrix, SeedStream,
+    available_arches, detected_arch, exp, gelu, gelu_backward, gemm_strided_batched, kernel_arch,
+    kernel_path_counts, orthonormalize_columns, set_kernel_arch, set_kernel_threads,
+    set_parallel_flop_threshold, BatchShape, BlockLayout, Blocks, Matrix, SeedStream,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -511,6 +511,216 @@ fn every_small_shape_matches_fma_chain_oracle_on_every_arch() {
     set_kernel_arch(detected_arch());
     set_kernel_threads(1);
     set_parallel_flop_threshold(old_threshold);
+}
+
+/// Where the blocks of a strided-batch operand go in a test buffer. Either
+/// the blocks of a group sit side by side in columns (the head blocks of
+/// an activation) or they stack in rows (a stack of score tiles); rows
+/// are padded by 3 and groups by 5 elements, so no stride is the block's
+/// own width.
+fn test_layout(side_by_side: bool, inner: usize, rows: usize, cols: usize) -> BlockLayout {
+    if side_by_side {
+        let ld = inner * cols + 3;
+        BlockLayout {
+            ld,
+            outer_stride: rows * ld + 5,
+            inner_stride: cols,
+        }
+    } else {
+        let ld = cols + 3;
+        BlockLayout {
+            ld,
+            outer_stride: inner * rows * ld + 5,
+            inner_stride: rows * ld,
+        }
+    }
+}
+
+/// Elements a buffer of `outer` groups at `layout` needs.
+fn buffer_len(layout: BlockLayout, outer: usize) -> usize {
+    outer * layout.outer_stride
+}
+
+/// Start of row `r` of block `(o, i)`.
+fn row_at(layout: BlockLayout, o: usize, i: usize, r: usize) -> usize {
+    o * layout.outer_stride + i * layout.inner_stride + r * layout.ld
+}
+
+/// The stored `rows x cols` block `(o, i)` of `data`, copied out.
+fn stored_block(
+    data: &[f32],
+    layout: BlockLayout,
+    o: usize,
+    i: usize,
+    rows: usize,
+    cols: usize,
+) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| data[row_at(layout, o, i, r) + c])
+}
+
+/// The strided batch against the FMA-chain oracle: for block shapes
+/// straddling the skinny-row limit (16), the register tile (`MR` = 6,
+/// `NR` = 16) and a `k` spanning several 256-deep chunks, in all four
+/// operand orientations, every output block must carry the oracle's bits
+/// of its own product and every element outside the blocks must keep its
+/// sentinel — on every arch, at 1/2/4 threads.
+#[test]
+fn strided_batch_matches_fma_chain_oracle_on_every_arch() {
+    let (outer, inner) = (3usize, 2usize);
+    let mut shapes: Vec<[usize; 3]> = Vec::new();
+    for m in [1usize, 5, 6, 7, 16, 17] {
+        for n in [1usize, 15, 16, 17] {
+            for k in [1usize, 7, 17] {
+                shapes.push([m, n, k]);
+            }
+        }
+    }
+    shapes.extend([[7, 17, 2 * 256 + 7], [17, 5, 0]]);
+    let mut rng = SeedStream::new(0xBA7C);
+    let _guard = KNOB_LOCK.lock().unwrap();
+    let old_threshold = opt_tensor::parallel_flop_threshold();
+    set_parallel_flop_threshold(0);
+    for [m, n, k] in shapes {
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let stored =
+                |t: bool, rows: usize, cols: usize| if t { (cols, rows) } else { (rows, cols) };
+            let ((ar, ac), (br, bc)) = (stored(ta, m, k), stored(tb, k, n));
+            let (la, lb, lo) = (
+                test_layout(ta, inner, ar, ac),
+                test_layout(!tb, inner, br, bc),
+                test_layout(ta != tb, inner, m, n),
+            );
+            let a = rng.uniform_matrix(1, buffer_len(la, outer), 10.0);
+            let b = rng.uniform_matrix(1, buffer_len(lb, outer), 10.0);
+            // The oracle's result, block by block, in a NaN-filled buffer.
+            let mut want = vec![f32::NAN; buffer_len(lo, outer)];
+            for o in 0..outer {
+                for i in 0..inner {
+                    let logical = |data: &Matrix, l, t: bool, rows, cols| {
+                        let blk = stored_block(data.as_slice(), l, o, i, rows, cols);
+                        if t {
+                            blk.transpose()
+                        } else {
+                            blk
+                        }
+                    };
+                    let prod =
+                        oracle_matmul(&logical(&a, la, ta, ar, ac), &logical(&b, lb, tb, br, bc));
+                    for r in 0..m {
+                        want[row_at(lo, o, i, r)..][..n].copy_from_slice(prod.row(r));
+                    }
+                }
+            }
+            let shape = BatchShape {
+                outer,
+                inner,
+                m,
+                n,
+                k,
+            };
+            for arch in available_arches() {
+                set_kernel_arch(arch);
+                for threads in [1usize, 2, 4] {
+                    set_kernel_threads(threads);
+                    let mut got = vec![f32::NAN; want.len()];
+                    gemm_strided_batched(
+                        shape,
+                        Blocks {
+                            data: a.as_slice(),
+                            layout: la,
+                            transposed: ta,
+                        },
+                        Blocks {
+                            data: b.as_slice(),
+                            layout: lb,
+                            transposed: tb,
+                        },
+                        &mut got,
+                        lo,
+                    );
+                    let label = format!(
+                        "batch {m}x{n}x{k} ta={ta} tb={tb} [{} @{threads}thr]",
+                        arch.name()
+                    );
+                    for (e, (w, g)) in want.iter().zip(&got).enumerate() {
+                        assert_eq!(
+                            w.to_bits(),
+                            g.to_bits(),
+                            "{label}: element {e} ({w} vs {g})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    set_kernel_arch(detected_arch());
+    set_kernel_threads(1);
+    set_parallel_flop_threshold(old_threshold);
+}
+
+#[test]
+#[should_panic(expected = "output group spans")]
+fn strided_batch_refuses_output_groups_that_overlap() {
+    // Two 2 x 2 groups whose output stride is shorter than a group.
+    let l = BlockLayout {
+        ld: 2,
+        outer_stride: 4,
+        inner_stride: 0,
+    };
+    let out_layout = BlockLayout {
+        ld: 2,
+        outer_stride: 3,
+        inner_stride: 0,
+    };
+    let data = [1.0f32; 8];
+    let mut out = [0.0f32; 8];
+    let blocks = Blocks {
+        data: &data,
+        layout: l,
+        transposed: false,
+    };
+    let shape = BatchShape {
+        outer: 2,
+        inner: 1,
+        m: 2,
+        n: 2,
+        k: 2,
+    };
+    gemm_strided_batched(shape, blocks, blocks, &mut out, out_layout);
+}
+
+#[test]
+#[should_panic(expected = "b blocks reach element")]
+fn strided_batch_refuses_blocks_past_the_buffer() {
+    let l = BlockLayout {
+        ld: 2,
+        outer_stride: 4,
+        inner_stride: 0,
+    };
+    let (a, b) = ([1.0f32; 8], [1.0f32; 7]);
+    let mut out = [0.0f32; 8];
+    let shape = BatchShape {
+        outer: 2,
+        inner: 1,
+        m: 2,
+        n: 2,
+        k: 2,
+    };
+    gemm_strided_batched(
+        shape,
+        Blocks {
+            data: &a,
+            layout: l,
+            transposed: false,
+        },
+        Blocks {
+            data: &b,
+            layout: l,
+            transposed: false,
+        },
+        &mut out,
+        l,
+    );
 }
 
 /// The element-wise contract: `exp`, GELU forward and fused GELU backward
