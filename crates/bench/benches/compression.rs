@@ -1,11 +1,11 @@
 //! Criterion benchmarks of the compression kernels (Fig. 15's real-code
 //! counterpart): PowerSGD compress/decompress across ranks and shapes,
-//! plus the top-k baseline, and the sparse-vs-densify apply sweep behind
-//! `opt_tensor::DEFAULT_DENSITY_MAX`.
+//! plus the top-k baseline and its residual update (`apply_sub`) across
+//! densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use opt_compress::{Compressor, PowerSgd, TopK};
-use opt_tensor::{set_sparse_density_max, sparse_density_max, SeedStream};
+use opt_tensor::SeedStream;
 
 fn bench_powersgd(c: &mut Criterion) {
     let mut group = c.benchmark_group("powersgd_compress");
@@ -47,30 +47,23 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The evidence for `DEFAULT_DENSITY_MAX`: the same top-k payload applied
-/// through the CSR kernels (`sparse`, threshold forced to 1.0) and through
-/// decompress + dense subtract (`densify`, threshold 0.0). The two are
-/// bit-identical, so the crossover density is purely a speed question.
+/// The lazy-error residual update of a top-k link: one payload's
+/// scatter-subtract into its target, per payload density.
 fn bench_topk_apply(c: &mut Criterion) {
     let mut rng = SeedStream::new(3);
     let grad = rng.uniform_matrix(256, 256, 1.0);
-    let orig = sparse_density_max();
 
     let mut group = c.benchmark_group("topk_apply");
     for density in [0.001, 0.01, 0.1, 0.5] {
         let payload = TopK::new(density).compress(&grad);
-        for (path, threshold) in [("sparse", 1.0), ("densify", 0.0)] {
-            group.bench_function(BenchmarkId::new(path, density), |b| {
-                set_sparse_density_max(threshold);
-                // Reused across iterations: repeated subtraction only
-                // shifts the values, the work per call stays the same.
-                let mut target = grad.clone();
-                b.iter(|| std::hint::black_box(&payload).apply_sub(&mut target));
-            });
-        }
+        group.bench_function(BenchmarkId::from_parameter(density), |b| {
+            // Reused across iterations: repeated subtraction only shifts
+            // the values, the work per call stays the same.
+            let mut target = grad.clone();
+            b.iter(|| std::hint::black_box(&payload).apply_sub(&mut target));
+        });
     }
     group.finish();
-    set_sparse_density_max(orig);
 }
 
 criterion_group!(benches, bench_powersgd, bench_baselines, bench_topk_apply);

@@ -16,13 +16,13 @@ fn main() {
     for micro in 0..8 {
         let grad = rng.uniform_matrix(16, 16, 1.0);
         truth.add_assign(&grad);
-        let (payload, stats) = link.process(&grad, true);
+        let (payload, _) = link.process(&grad, true);
         delivered.add_assign(&payload.decompress());
         let cum_err = delivered.sub(&truth).norm() / truth.norm();
         rows.push(vec![
             format!("{micro}"),
-            format!("{:.4}", stats.error_norm),
-            format!("{:.5}", stats.error_mean),
+            format!("{:.4}", link.error_norm()),
+            format!("{:.5}", link.error().map_or(0.0, Matrix::mean_all)),
             format!("{:.4}", cum_err),
         ]);
     }

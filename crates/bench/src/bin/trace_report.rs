@@ -44,7 +44,7 @@ fn arg_u64(args: &Json, key: &str) -> Result<u64, String> {
 }
 
 /// Collects the `kernel_paths` metadata event the exporter emits: the
-/// `{arch}/{dense|sparse}` kernel paths (with invocation counts) the
+/// `{arch}/dense` GEMM paths (with invocation counts) the
 /// exporting process actually exercised. Absent in traces written before
 /// the event existed, so an empty result is not an error.
 fn kernel_paths(doc: &Json) -> Vec<(String, u64)> {

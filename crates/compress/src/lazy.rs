@@ -3,18 +3,15 @@
 use crate::{Compressed, Compressor};
 use opt_tensor::{Matrix, Persist, PersistError, Reader, Writer};
 
-/// Per-call statistics of the lazy-error state, used by the Fig. 11
-/// reproduction (error/activation-difference independence analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// What one [`LazyErrorPropagator::process`] call sent. The preserved
+/// error is read from the link itself ([`LazyErrorPropagator::error`],
+/// [`LazyErrorPropagator::error_norm`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkErrorStats {
-    /// Mean of the preserved error elements (paper: `Avg(eps) ~ 0`).
-    pub error_mean: f32,
-    /// Frobenius norm of the preserved error.
-    pub error_norm: f32,
     /// Wire bytes of the payload that was produced.
     pub wire_bytes: usize,
     /// Whether this call actually compressed (epilogue sends) or passed
-    /// the tensor through dense (hidden, overlapped sends).
+    /// the tensor through dense (sends hidden by computation).
     pub compressed: bool,
 }
 
@@ -82,7 +79,7 @@ impl<C: Compressor> LazyErrorPropagator<C> {
     ///   dense. Any pending residual is folded in (and thereby delivered
     ///   exactly), so the buffer empties.
     ///
-    /// Returns the wire payload and the post-call error statistics.
+    /// Returns the wire payload and what was sent.
     pub fn process(&mut self, grad: &Matrix, compress: bool) -> (Compressed, LinkErrorStats) {
         let span = opt_trace::begin(opt_trace::SpanKind::Encode, 0, opt_trace::NO_MICRO, 0, 0);
         // Fold the gradient into the retired error buffer in place (IEEE
@@ -97,9 +94,8 @@ impl<C: Compressor> LazyErrorPropagator<C> {
         };
         let (payload, new_error) = if compress {
             let payload = self.inner.compress(&corrected);
-            // Residual = corrected - decode(payload), through the sparse
-            // fast path when the payload qualifies (bit-identical either
-            // way).
+            // Residual = corrected - decode(payload); a top-k payload
+            // subtracts only its stored entries.
             let mut residual = corrected;
             payload.apply_sub(&mut residual);
             (payload, Some(residual))
@@ -108,8 +104,6 @@ impl<C: Compressor> LazyErrorPropagator<C> {
         };
         self.error = if self.lep_enabled { new_error } else { None };
         let stats = LinkErrorStats {
-            error_mean: self.error.as_ref().map_or(0.0, Matrix::mean_all),
-            error_norm: self.error_norm(),
             wire_bytes: payload.wire_bytes(),
             compressed: compress,
         };
@@ -206,8 +200,8 @@ mod tests {
         let mut rng = SeedStream::new(3);
         let mut link = LazyErrorPropagator::new(PowerSgd::new(1, 4), false);
         let g = rng.uniform_matrix(8, 8, 1.0);
-        let (_, stats) = link.process(&g, true);
-        assert_eq!(stats.error_norm, 0.0);
+        link.process(&g, true);
+        assert_eq!(link.error_norm(), 0.0);
         assert!(link.error().is_none());
     }
 

@@ -1,6 +1,6 @@
 //! Self-describing compressed payloads and their wire-size accounting.
 
-use opt_tensor::{Matrix, Persist, PersistError, Reader, SparseMatrix, Writer};
+use opt_tensor::{Matrix, Persist, PersistError, Reader, Writer};
 
 /// Bytes per floating-point element on the wire.
 ///
@@ -90,46 +90,61 @@ impl Compressed {
     }
 
     /// Subtracts this payload's dense approximation from `target` in
-    /// place — the lazy-error residual update — taking the sparse
-    /// fast path when the payload is sparse enough.
+    /// place — the lazy-error residual update.
     ///
-    /// Top-k ([`Compressed::Sparse`]) payloads whose density
-    /// (`nnz / (rows * cols)`) is at or below
-    /// [`opt_tensor::sparse_density_max`] are applied through
-    /// [`SparseMatrix`] CSR kernels, touching only the stored entries;
-    /// anything else falls back to [`Compressed::decompress`] +
-    /// dense subtract. The two paths are **bit-identical**: the entries
-    /// the sparse path skips subtract an exact `+0.0` in the dense path
-    /// (`x - (+0.0) == x` bitwise), so the crossover knob only ever changes
-    /// speed. The sparse path records its Decode span with
-    /// [`opt_trace::FLAG_SPARSE`] so traces show which path ran.
+    /// A top-k ([`Compressed::Sparse`]) payload subtracts each stored
+    /// value at its flat index and touches nothing else. That is
+    /// **bit-identical** to subtracting [`Compressed::decompress`]: every
+    /// entry it skips would subtract an exact `+0.0`, and
+    /// `x - (+0.0) == x` bitwise for every `x`. Other payloads decompress
+    /// and subtract.
     ///
     /// # Panics
     ///
-    /// Panics if `target`'s shape differs from [`Compressed::dense_shape`].
+    /// Panics if `target`'s shape differs from [`Compressed::dense_shape`],
+    /// or if a sparse payload's indices are out of range or not strictly
+    /// ascending (the top-k encoder's wire invariants).
     pub fn apply_sub(&self, target: &mut Matrix) {
-        if let Compressed::Sparse {
+        let Compressed::Sparse {
             rows,
             cols,
             indices,
             values,
         } = self
-        {
-            let total = rows * cols;
-            if total > 0 && values.len() as f32 <= opt_tensor::sparse_density_max() * total as f32 {
-                let _span = opt_trace::begin(
-                    opt_trace::SpanKind::Decode,
-                    0,
-                    opt_trace::NO_MICRO,
-                    self.wire_bytes() as u64,
-                    opt_trace::FLAG_SPARSE,
-                );
-                SparseMatrix::from_flat_payload(*rows, *cols, indices, values).sub_from(target);
-                return;
-            }
+        else {
+            target.sub_assign(&self.decompress());
+            return;
+        };
+        assert_eq!(target.shape(), (*rows, *cols), "shape mismatch");
+        assert_eq!(indices.len(), values.len(), "index/value length mismatch");
+        let data = target.as_mut_slice();
+        let mut next = 0;
+        // Four entries at a time: check them, load all four targets, then
+        // store all four, so no load waits behind the store before it.
+        // Strictly ascending indices are distinct, so the order of loads
+        // and stores cannot change a bit.
+        let (mut idx, mut val) = (indices.chunks_exact(4), values.chunks_exact(4));
+        for (i, v) in (&mut idx).zip(&mut val) {
+            let [a, b, c, d] = [i[0], i[1], i[2], i[3]].map(|i| i as usize);
+            assert!(
+                next <= a && a < b && b < c && c < d,
+                "flat indices must be strictly ascending"
+            );
+            assert!(d < data.len(), "flat index {d} out of range");
+            let x = [data[a], data[b], data[c], data[d]];
+            data[a] = x[0] - v[0];
+            data[b] = x[1] - v[1];
+            data[c] = x[2] - v[2];
+            data[d] = x[3] - v[3];
+            next = d + 1;
         }
-        let approx = self.decompress();
-        target.sub_assign(&approx);
+        for (&i, &v) in idx.remainder().iter().zip(val.remainder()) {
+            let i = i as usize;
+            assert!(next <= i, "flat indices must be strictly ascending");
+            assert!(i < data.len(), "flat index {i} out of range");
+            data[i] -= v;
+            next = i + 1;
+        }
     }
 
     /// Number of bytes this payload occupies on the interconnect, using the
@@ -346,40 +361,66 @@ mod tests {
 
     #[test]
     fn apply_sub_sparse_and_dense_paths_are_bit_identical() {
-        use opt_tensor::{set_sparse_density_max, sparse_density_max, SeedStream};
-        let mut rng = SeedStream::new(42);
-        let base = rng.uniform_matrix(6, 7, 1.0);
-        let payloads = vec![
-            Compressed::Sparse {
-                rows: 6,
-                cols: 7,
-                indices: vec![0, 9, 13, 41],
-                values: vec![0.5, -1.25, 2.0, -0.0625],
-            },
-            // Never sparse-eligible; exercises the fallback arm.
-            Compressed::Dense {
-                matrix: rng.uniform_matrix(6, 7, 1.0),
-            },
-        ];
-        let orig = sparse_density_max();
-        for payload in payloads {
-            let mut dense_path = base.clone();
-            set_sparse_density_max(0.0); // force densify-then-dense
-            payload.apply_sub(&mut dense_path);
-            let mut sparse_path = base.clone();
-            set_sparse_density_max(1.0); // force the sparse path where eligible
-            payload.apply_sub(&mut sparse_path);
-            for (a, b) in sparse_path.as_slice().iter().zip(dense_path.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "variant {payload:?}");
-            }
-            // And both agree with the reference spelled out longhand.
-            let mut reference = base.clone();
+        let mut rng = opt_tensor::SeedStream::new(42);
+        // A stored -0.0 subtracts like any other value.
+        let signed_zero = Compressed::Sparse {
+            rows: 6,
+            cols: 7,
+            indices: vec![0, 9, 13, 41],
+            values: vec![0.5, -1.25, -0.0, -0.0625],
+        };
+        for payload in every_variant().into_iter().chain([signed_zero]) {
+            let (rows, cols) = payload.dense_shape();
+            let base = rng.uniform_matrix(rows, cols, 1.0);
+            let mut applied = base.clone();
+            payload.apply_sub(&mut applied);
+            let mut reference = base;
             reference.sub_assign(&payload.decompress());
-            for (a, b) in sparse_path.as_slice().iter().zip(reference.as_slice()) {
+            for (a, b) in applied.as_slice().iter().zip(reference.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "variant {payload:?}");
             }
         }
-        set_sparse_density_max(orig);
+    }
+
+    /// Applies a 3×4 top-k payload with the given indices to zeros.
+    fn apply_3x4(indices: &[u32]) {
+        let payload = Compressed::Sparse {
+            rows: 3,
+            cols: 4,
+            indices: indices.to_vec(),
+            values: vec![1.0; indices.len()],
+        };
+        payload.apply_sub(&mut Matrix::zeros(3, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn apply_sub_refuses_unsorted_indices_in_a_chunk_of_four() {
+        apply_3x4(&[0, 2, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn apply_sub_refuses_unsorted_indices_across_chunks() {
+        apply_3x4(&[0, 1, 2, 5, 4, 6, 7, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn apply_sub_refuses_a_repeated_index() {
+        apply_3x4(&[2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn apply_sub_refuses_an_out_of_range_index_in_a_chunk_of_four() {
+        apply_3x4(&[0, 1, 2, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn apply_sub_refuses_an_out_of_range_index_past_the_last_chunk() {
+        apply_3x4(&[0, 1, 2, 3, 12]);
     }
 
     #[test]

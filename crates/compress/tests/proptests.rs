@@ -137,3 +137,31 @@ proptest! {
         }
     }
 }
+
+/// Top-k densities from a deep top-k payload (0.1 %) up to fully dense.
+const SPARSE_DENSITIES: [f64; 5] = [0.001, 0.01, 0.1, 0.5, 1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn sparse_subtract_is_bit_identical_to_dense_subtract(seed in 0u64..500) {
+        // `apply_sub` scatters a top-k payload's values into the target;
+        // subtracting the decompressed payload must give the same bits.
+        // 41 × 50 keeps every density's k off a multiple of four, so each
+        // payload also ends in a partial chunk.
+        let (rows, cols) = (41, 50);
+        let mut rng = SeedStream::new(seed ^ 0x1234);
+        let base = rng.uniform_matrix(rows, cols, 1.0);
+        for &density in &SPARSE_DENSITIES {
+            let payload = TopK::new(density).compress(&rng.uniform_matrix(rows, cols, 1.0));
+            let mut sparse_path = base.clone();
+            payload.apply_sub(&mut sparse_path);
+            let mut dense_path = base.clone();
+            dense_path.sub_assign(&payload.decompress());
+            for (i, (x, y)) in dense_path.as_slice().iter().zip(sparse_path.as_slice()).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "density {}: element {}", density, i);
+            }
+        }
+    }
+}

@@ -138,14 +138,10 @@ enum CbLink {
 }
 
 impl CbLink {
-    fn process(
-        &mut self,
-        grad: &Matrix,
-        compress: bool,
-    ) -> (Compressed, opt_compress::LinkErrorStats) {
+    fn process(&mut self, grad: &Matrix, compress: bool) -> Compressed {
         match self {
-            CbLink::LowRank(l) => l.process(grad, compress),
-            CbLink::TopK(l) => l.process(grad, compress),
+            CbLink::LowRank(l) => l.process(grad, compress).0,
+            CbLink::TopK(l) => l.process(grad, compress).0,
         }
     }
 
@@ -453,7 +449,7 @@ fn batch_key(iter: u64, d: usize, micro: usize) -> u64 {
     iter * 1_000_003 + (d as u64) * 1009 + micro as u64
 }
 
-fn train_iter<Tr: Transport + Send + Sync + 'static>(
+fn train_iter<Tr: Transport>(
     ctx: &mut WorkerCtx<Tr>,
     schedule: &opt_schedule::PipelineSchedule,
     state: &mut TrainState,
@@ -480,9 +476,6 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
     let collect_stats = ctx.cfg.collect_error_stats && d == 0 && s > 0;
     let mut recv_acts: HashMap<usize, Matrix> = HashMap::new();
     let mut act_diffs: HashMap<usize, Matrix> = HashMap::new();
-    // The final compression epilogue, when it runs concurrently with the
-    // DP exchange below; carries the compressor home with its wire bytes.
-    let mut overlap_task: Option<opt_schedule::OverlapTask<(CbLink, u64)>> = None;
 
     // Root span of the iteration; every slot below nests under it. The
     // guard is declared first so it closes last.
@@ -545,39 +538,12 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
                 };
                 let upstream = ctx.stage.backward(&grad_in);
                 if let Some(up) = upstream {
-                    // The last backward's epilogue is always an epilogue
-                    // send and has no local consumer: hand the whole
-                    // compress+send to a background thread and let the DP
-                    // exchange below run under it. Joined before the
-                    // embedding sync. Stats collection reads the link's
-                    // residual right after `process`, so that mode keeps
-                    // the sequential path.
-                    if opt_schedule::overlap_micro(n_micro) == Some(micro)
-                        && cb_link.is_some()
-                        && !collect_stats
-                    {
-                        let mut link = cb_link.take().expect("cb link present");
-                        let cb = ctx.cfg.quality.cb.expect("cb config present");
-                        let compress_now =
-                            !cb.epilogue_only || is_epilogue_send(s, micro, pp, n_micro);
-                        let mesh = ctx.bwd_mesh.clone();
-                        let ledger = ctx.ledger.clone();
-                        let (src, dst) = (my_rank, my_rank - 1);
-                        overlap_task = Some(opt_schedule::overlap_launch(iter, micro, move || {
-                            let (payload, _stats) = link.process(&up, compress_now);
-                            let bytes = payload.wire_bytes() as u64;
-                            ledger.record(TrafficClass::InterStage, bytes);
-                            mesh.send(src, dst, payload);
-                            (link, bytes)
-                        }));
-                        continue;
-                    }
-                    let (payload, _stats) = match cb_link {
+                    let payload = match cb_link {
                         Some(link) => {
                             let cb = ctx.cfg.quality.cb.expect("cb config present");
                             let compress_now =
                                 !cb.epilogue_only || is_epilogue_send(s, micro, pp, n_micro);
-                            let (payload, stats) = link.process(&up, compress_now);
+                            let payload = link.process(&up, compress_now);
                             if collect_stats {
                                 if let (Some(eps), Some(diff)) =
                                     (link.error(), act_diffs.get(&micro))
@@ -591,12 +557,9 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
                                     });
                                 }
                             }
-                            (payload, stats)
+                            payload
                         }
-                        None => (
-                            Compressed::Dense { matrix: up },
-                            opt_compress::LinkErrorStats::default(),
-                        ),
+                        None => Compressed::Dense { matrix: up },
                     };
                     let bytes = payload.wire_bytes() as u64;
                     ctx.ledger.record(TrafficClass::InterStage, bytes);
@@ -644,15 +607,6 @@ fn train_iter<Tr: Transport + Send + Sync + 'static>(
                 }
             }
         }
-    }
-
-    // Join the overlapped epilogue before the embedding sync: the
-    // downstream stage must hold the gradient before this iteration's
-    // barrier semantics can be claimed, and the compressor state must be
-    // home before a checkpoint can capture it.
-    if let Some(task) = overlap_task.take() {
-        let (link, _bytes) = task.join(|&(_, bytes)| bytes);
-        *cb_link = Some(link);
     }
 
     // ----- Embedding synchronization (§6) -------------------------------

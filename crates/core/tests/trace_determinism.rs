@@ -121,3 +121,31 @@ fn spans_structure_is_invariant_across_kernel_thread_counts() {
     set_kernel_threads(1);
     set_parallel_flop_threshold(usize::MAX - 1);
 }
+
+#[test]
+fn every_backward_send_encodes_and_sends_on_the_worker_thread() {
+    // The last backward micro-batch is an epilogue send like the others:
+    // its encode and its send are recorded inside its own backward slot,
+    // on the worker thread, exactly once each.
+    let (n_micro, iters) = (3, 2);
+    let trace = spans_run(&config(2, 1, n_micro, iters));
+    for buf in trace.buffers.iter().filter(|b| b.stage > 0) {
+        let backward: Vec<_> = buf
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Backward)
+            .collect();
+        assert_eq!(backward.len(), n_micro * iters as usize);
+        for slot in backward {
+            let children = |kind| {
+                buf.spans
+                    .iter()
+                    .filter(|s| s.parent == slot.seq && s.kind == kind)
+                    .count()
+            };
+            let at = format!("rank {} iter {} micro {}", buf.rank, slot.iter, slot.micro);
+            assert_eq!(children(SpanKind::Encode), 1, "{at}: encode spans");
+            assert_eq!(children(SpanKind::Send), 1, "{at}: send spans");
+        }
+    }
+}

@@ -12,13 +12,6 @@ pub struct Batch {
     pub targets: Vec<usize>,
 }
 
-impl Batch {
-    /// Number of sequences in the batch given `seq_len`.
-    pub fn n_sequences(&self, seq_len: usize) -> usize {
-        self.tokens.len() / seq_len
-    }
-}
-
 /// An order-1 Markov chain over `vocab` tokens where each token has
 /// `branching` plausible successors with geometrically decaying
 /// probability.
@@ -329,7 +322,6 @@ mod tests {
         let b = corpus.train_batch(5, 1);
         assert_eq!(b.tokens.len(), 40);
         assert_eq!(b.targets.len(), 40);
-        assert_eq!(b.n_sequences(8), 5);
         assert!(b.tokens.iter().all(|&t| t < 32));
     }
 }

@@ -30,14 +30,12 @@
 //! ```
 
 mod epilogue;
-mod overlap;
 mod plan;
 mod schedule;
 mod selective;
 mod slot;
 
 pub use epilogue::{epilogue_sends, is_epilogue_send};
-pub use overlap::{overlap_launch, overlap_micro, OverlapTask};
 pub use plan::{CbMethod, CbQuality, QualityConfig, ScQuality};
 pub use schedule::{bubble_fraction, one_f_one_b, Op, PipelineSchedule};
 pub use selective::sc_stage_count;

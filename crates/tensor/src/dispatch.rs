@@ -24,9 +24,9 @@
 //! order. `tests/kernel_equivalence.rs` enforces the contract across
 //! every path the host can run.
 //!
-//! The module also keeps per-`{arch, dense/sparse}` invocation counters so
-//! a trace export can show which kernel paths a run actually exercised
-//! (see [`kernel_path_counts`]).
+//! The module also keeps one GEMM invocation counter per arch so a trace
+//! export can show which kernel paths a run actually exercised (see
+//! [`kernel_path_counts`]).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -168,53 +168,37 @@ pub fn set_kernel_arch(arch: KernelArch) {
 // Kernel-path invocation counters
 // ---------------------------------------------------------------------------
 
-/// Process-wide invocation counters, one per `{arch, dense|sparse}` pair
-/// (indexed `[arch][kind]`). "Dense" counts GEMM driver entries under the
-/// selected arch, one per product whatever its size; "sparse" counts
-/// sparse-subtract entries ([`crate::SparseMatrix::sub_from`]). The
+/// Process-wide GEMM invocation counters, one per arch: driver entries
+/// under the selected arch, one per product whatever its size. The
 /// element-wise kernels (`exp`, `gelu`, `gelu_backward`) are deliberately
 /// not counted: the counters describe which *matrix-product* paths a run
 /// exercised, and their deltas must stay comparable across changes to the
 /// activation code.
-static PATH_COUNTS: [[AtomicU64; 2]; 2] = [
-    [AtomicU64::new(0), AtomicU64::new(0)],
-    [AtomicU64::new(0), AtomicU64::new(0)],
-];
+static PATH_COUNTS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 
 pub(crate) fn note_dense_kernel(arch: KernelArch) {
-    PATH_COUNTS[arch.index()][0].fetch_add(1, Ordering::Relaxed);
+    PATH_COUNTS[arch.index()].fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn note_sparse_kernel(arch: KernelArch) {
-    PATH_COUNTS[arch.index()][1].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Snapshot of the per-path invocation counters:
-/// `(arch name, "dense"|"sparse", invocations)` for all four pairs, in a
-/// fixed order. Counters are process-global and monotonic; consumers
-/// (the Chrome-trace exporter, `trace_report`) typically show only the
+/// Snapshot of the per-arch invocation counters:
+/// `(arch name, "dense", invocations)` for each arch, in a fixed order.
+/// Counters are process-global and monotonic; consumers (the
+/// Chrome-trace exporter, `trace_report`) typically show only the
 /// nonzero entries.
-pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); 4] {
-    let arches = [KernelArch::Scalar, KernelArch::Avx2];
-    let mut out = [("", "", 0u64); 4];
-    for (i, arch) in arches.iter().enumerate() {
-        for (j, path) in ["dense", "sparse"].iter().enumerate() {
-            out[i * 2 + j] = (
-                arch.name(),
-                path,
-                PATH_COUNTS[arch.index()][j].load(Ordering::Relaxed),
-            );
-        }
-    }
-    out
+pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); 2] {
+    [KernelArch::Scalar, KernelArch::Avx2].map(|arch| {
+        (
+            arch.name(),
+            "dense",
+            PATH_COUNTS[arch.index()].load(Ordering::Relaxed),
+        )
+    })
 }
 
 /// Resets the invocation counters to zero (tests).
 pub fn reset_kernel_path_counts() {
-    for per_arch in &PATH_COUNTS {
-        for c in per_arch {
-            c.store(0, Ordering::Relaxed);
-        }
+    for c in &PATH_COUNTS {
+        c.store(0, Ordering::Relaxed);
     }
 }
 
@@ -250,10 +234,8 @@ mod tests {
     #[test]
     fn path_counts_enumerate_all_pairs() {
         let counts = kernel_path_counts();
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts[0].0, "scalar");
-        assert_eq!(counts[0].1, "dense");
-        assert_eq!(counts[3].0, "avx2");
-        assert_eq!(counts[3].1, "sparse");
+        assert_eq!(counts.len(), 2);
+        assert_eq!((counts[0].0, counts[0].1), ("scalar", "dense"));
+        assert_eq!((counts[1].0, counts[1].1), ("avx2", "dense"));
     }
 }

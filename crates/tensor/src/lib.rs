@@ -17,12 +17,10 @@
 //! plus a fixed 8-lane split for dot reductions — makes results
 //! **bit-identical** across every arch path and any thread count, so
 //! training determinism (including checkpoint/restore bit-exactness)
-//! survives both the SIMD and the parallelism. Top-k payloads subtract
-//! through [`SparseMatrix`], bit-identical to the dense subtract, and the
-//! model's transcendentals ([`exp`] for softmax, [`gelu`] /
-//! [`gelu_backward`]) are element-wise kernels built from IEEE-exact
-//! operations only — no libm call whose result could differ between
-//! kernel paths.
+//! survives both the SIMD and the parallelism. The model's
+//! transcendentals ([`exp`] for softmax, [`gelu`] / [`gelu_backward`]) are
+//! element-wise kernels built from IEEE-exact operations only — no libm
+//! call whose result could differ between kernel paths.
 //! Allocation-free `*_into` variants ([`Matrix::matmul_into`] and
 //! friends) back the model and compressor hot paths, and
 //! [`gemm_strided_batched`] runs a grid of small products — attention's
@@ -66,7 +64,6 @@ mod ops;
 mod persist;
 mod pool;
 mod simd;
-mod sparse;
 mod stats;
 
 pub use dispatch::{
@@ -83,5 +80,4 @@ pub use pool::{
     set_parallel_flop_threshold, MAX_KERNEL_THREADS,
 };
 pub use simd::{exp, gelu, gelu_backward};
-pub use sparse::{set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX};
 pub use stats::{cosine_similarity, relative_error};

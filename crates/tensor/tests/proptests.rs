@@ -1,7 +1,6 @@
-//! Property-based tests for the tensor crate's algebraic invariants and
-//! the sparse-kernel equivalence contract.
+//! Property-based tests for the tensor crate's algebraic invariants.
 
-use opt_tensor::{cosine_similarity, orthonormalize_columns, Matrix, SeedStream, SparseMatrix};
+use opt_tensor::{cosine_similarity, orthonormalize_columns, Matrix, SeedStream};
 use proptest::prelude::*;
 
 /// Strategy producing a matrix with the given shape and bounded entries.
@@ -101,61 +100,5 @@ proptest! {
         let zero = Matrix::zeros(5, 3);
         prop_assert_eq!(m.add(&zero), m.clone());
         prop_assert!(m.sub(&m).max_abs() == 0.0);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse fast-path equivalence (the densify-then-dense reference)
-// ---------------------------------------------------------------------------
-
-/// The densities the sparse crossover knob ranges over: from a deep top-k
-/// payload (0.1 %) through the crossover region up to fully dense.
-const SPARSE_DENSITIES: [f32; 5] = [0.001, 0.01, 0.1, 0.5, 1.0];
-
-/// A seeded random sparse matrix at approximately the requested density
-/// (at least one stored entry): a deterministic shuffle picks the flat
-/// positions, ascending, matching the top-k wire invariants.
-fn random_sparse(rows: usize, cols: usize, density: f32, seed: u64) -> SparseMatrix {
-    let total = rows * cols;
-    let k = ((density * total as f32).ceil() as usize).clamp(1, total);
-    let mut rng = SeedStream::new(seed);
-    let mut flats: Vec<u32> = (0..total as u32).collect();
-    // Partial Fisher–Yates over the first k slots.
-    for i in 0..k {
-        let j = i + (rng.uniform(1.0).abs() * (total - i) as f32) as usize % (total - i);
-        flats.swap(i, j);
-    }
-    let mut picked = flats[..k].to_vec();
-    picked.sort_unstable();
-    let values: Vec<f32> = picked.iter().map(|_| rng.uniform(1.0)).collect();
-    SparseMatrix::from_flat_payload(rows, cols, &picked, &values)
-}
-
-fn assert_bits(label: &str, reference: &Matrix, got: &Matrix) -> Result<(), TestCaseError> {
-    prop_assert_eq!(reference.shape(), got.shape(), "{}: shape", label);
-    for (i, (x, y)) in reference.as_slice().iter().zip(got.as_slice()).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "{}: element {}", label, i);
-    }
-    Ok(())
-}
-
-use proptest::test_runner::TestCaseError;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn sparse_subtract_is_bit_identical_to_dense_subtract(seed in 0u64..500) {
-        let (rows, cols) = (40, 50);
-        let mut rng = SeedStream::new(seed ^ 0x1234);
-        let base = rng.uniform_matrix(rows, cols, 1.0);
-        for &density in &SPARSE_DENSITIES {
-            let s = random_sparse(rows, cols, density, seed);
-            let mut sparse_path = base.clone();
-            s.sub_from(&mut sparse_path);
-            let mut dense_path = base.clone();
-            dense_path.sub_assign(&s.densify());
-            assert_bits(&format!("sub @density {density}"), &dense_path, &sparse_path)?;
-        }
     }
 }

@@ -56,8 +56,8 @@ impl Trace {
     ///
     /// One extra `"M"` metadata event named `kernel_paths` (pid 0)
     /// records the *exporting* process's nonzero
-    /// [`opt_tensor::kernel_path_counts`] — which `{arch, dense|sparse}`
-    /// kernel paths the run actually exercised. In a multi-process run
+    /// [`opt_tensor::kernel_path_counts`] — which `{arch}/dense` GEMM
+    /// paths the run actually exercised. In a multi-process run
     /// the counters are per-process, so the event describes the process
     /// that merged and exported the trace.
     pub fn to_chrome_json(&self) -> String {

@@ -34,9 +34,7 @@ mod tracer;
 pub use analyze::{analyze, render, RankSummary, SlowSpan, TraceReport};
 pub use chrome::Trace;
 pub use mode::{TraceMode, ENV_TRACE};
-pub use record::{
-    SpanKind, SpanRecord, TraceBuffer, FLAG_EPILOGUE, FLAG_SPARSE, NO_MICRO, NO_PARENT,
-};
+pub use record::{SpanKind, SpanRecord, TraceBuffer, FLAG_EPILOGUE, NO_MICRO, NO_PARENT};
 pub use tracer::{begin, begin_full, install, take_buffer, thread_mode, SpanGuard};
 
 #[cfg(test)]

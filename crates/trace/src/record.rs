@@ -12,10 +12,6 @@ pub const NO_PARENT: u64 = u64::MAX;
 /// Span flag bit: this backward slot carries a compression epilogue send.
 pub const FLAG_EPILOGUE: u8 = 1;
 
-/// Span flag bit: this decode applied a payload through the sparse fast
-/// path (CSR kernels) instead of densify-then-dense math.
-pub const FLAG_SPARSE: u8 = 2;
-
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
@@ -41,13 +37,6 @@ pub enum SpanKind {
     Recv,
     /// One validation pass over a held-out chunk.
     Validate,
-    /// A compression epilogue handed off to a background thread so its
-    /// encode + send overlap the data-parallel exchange (instant marker;
-    /// `micro` carries the overlapped microbatch).
-    OverlapLaunch,
-    /// The barrier-side wait for an overlapped epilogue to finish
-    /// (`bytes` carries the wire bytes the overlapped send moved).
-    OverlapJoin,
 }
 
 impl SpanKind {
@@ -55,7 +44,7 @@ impl SpanKind {
     /// Codes only travel in binary [`crate::TraceBuffer`]s between the
     /// processes of one build, and the Chrome JSON — the only persisted
     /// form — carries names, so codes may be renumbered freely.
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 11] = [
         SpanKind::Iteration,
         SpanKind::Forward,
         SpanKind::Backward,
@@ -67,8 +56,6 @@ impl SpanKind {
         SpanKind::Send,
         SpanKind::Recv,
         SpanKind::Validate,
-        SpanKind::OverlapLaunch,
-        SpanKind::OverlapJoin,
     ];
 
     /// The wire tag of this kind.
@@ -95,8 +82,6 @@ impl SpanKind {
             SpanKind::Send => "send",
             SpanKind::Recv => "recv",
             SpanKind::Validate => "validate",
-            SpanKind::OverlapLaunch => "overlap_launch",
-            SpanKind::OverlapJoin => "overlap_join",
         }
     }
 
@@ -114,17 +99,11 @@ impl SpanKind {
         )
     }
 
-    /// Whether this span is communication. [`SpanKind::OverlapJoin`]
-    /// counts: it is the residual wait for an overlapped epilogue send,
-    /// i.e. the part of that send the overlap failed to hide.
+    /// Whether this span is communication.
     pub fn is_comm(self) -> bool {
         matches!(
             self,
-            SpanKind::Send
-                | SpanKind::Recv
-                | SpanKind::DpExchange
-                | SpanKind::EmbeddingSync
-                | SpanKind::OverlapJoin
+            SpanKind::Send | SpanKind::Recv | SpanKind::DpExchange | SpanKind::EmbeddingSync
         )
     }
 
@@ -162,7 +141,7 @@ pub struct SpanRecord {
     pub micro: u32,
     /// Bytes moved or encoded by the span (0 for pure compute).
     pub bytes: u64,
-    /// Flag bits ([`FLAG_EPILOGUE`], ...).
+    /// Flag bits ([`FLAG_EPILOGUE`]).
     pub flags: u8,
     /// Wall-clock start, nanoseconds since the UNIX epoch. Excluded from
     /// structural digests.
