@@ -29,28 +29,32 @@ fn bench_train_iter(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three GEMM orientations at 128x128 · 128x512, the mid model's MLP
-/// up-projection (`matmul`), its weight gradient (`t_matmul`) and the
-/// same product against a transposed-stored B (`matmul_t`). Throughput is
-/// in FLOPs, so `Melem/s` reads as MFLOP/s.
+/// The three GEMM orientations — `matmul`, `t_matmul` (the weight
+/// gradient's `Aᵀ·B`) and `matmul_t` (against a transposed-stored B) —
+/// at `m x k x n` = 128x128x512, the mid model's MLP up-projection, and
+/// at the GPT-small stage's 64-row linears: 64x32x32 (a QKV or output
+/// projection, a single `k`-chunk and two column panels) and 64x32x128
+/// (the MLP up-projection). Throughput is in FLOPs, so `Melem/s` reads as
+/// MFLOP/s.
 fn bench_gemm(c: &mut Criterion) {
-    let (m, k, n) = (128usize, 128usize, 512usize);
     let mut group = c.benchmark_group("gemm");
-    group.throughput(Throughput::Elements((2 * m * n * k) as u64));
     let mut rng = SeedStream::new(4);
-    let a = rng.uniform_matrix(m, k, 1.0);
-    let at = a.transpose();
-    let b = rng.uniform_matrix(k, n, 1.0);
-    let bt = b.transpose();
-    group.bench_function("matmul_128x128x512", |bench| {
-        bench.iter(|| std::hint::black_box(&a).matmul(&b));
-    });
-    group.bench_function("t_matmul_128x128x512", |bench| {
-        bench.iter(|| std::hint::black_box(&at).t_matmul(&b));
-    });
-    group.bench_function("matmul_t_128x128x512", |bench| {
-        bench.iter(|| std::hint::black_box(&a).matmul_t(&bt));
-    });
+    for (m, k, n) in [(128usize, 128usize, 512usize), (64, 32, 32), (64, 32, 128)] {
+        group.throughput(Throughput::Elements((2 * m * n * k) as u64));
+        let a = rng.uniform_matrix(m, k, 1.0);
+        let at = a.transpose();
+        let b = rng.uniform_matrix(k, n, 1.0);
+        let bt = b.transpose();
+        group.bench_function(format!("matmul_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| std::hint::black_box(&a).matmul(&b));
+        });
+        group.bench_function(format!("t_matmul_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| std::hint::black_box(&at).t_matmul(&b));
+        });
+        group.bench_function(format!("matmul_t_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| std::hint::black_box(&a).matmul_t(&bt));
+        });
+    }
     group.finish();
 }
 

@@ -6,15 +6,21 @@
 //! arch-dispatched micro-kernel at every problem size:
 //!
 //! * the **packed path** for general shapes: B is packed into `NR`-wide
-//!   column panels once, A is either streamed directly (row-major
-//!   operands) or packed per `k`-chunk (transposed operands), and an
-//!   `MR x NR` register tile of `f32` accumulators walks the shared `k`
-//!   dimension in L1-sized chunks;
+//!   column panels once, A is read where it is stored (row-major rows or
+//!   transposed columns; only a ragged panel of transposed A is packed),
+//!   and `MR x NR` register tiles of `f32` accumulators walk the shared
+//!   `k` dimension in L1-sized chunks — one kernel entry per row panel
+//!   and chunk sweeps every B column panel;
 //! * the **skinny path** for outputs with at most [`SKINNY_ROWS`] rows
 //!   (the PowerSGD factor products after the swap below): the tiny A
 //!   operand is packed whole, B is read directly as contiguous row slivers
 //!   (packing a 64 MB gradient to multiply it by a rank-8 factor would
-//!   dominate), and workers own disjoint column-panel ranges.
+//!   dominate), workers own disjoint column-panel ranges, and one kernel
+//!   entry per column panel and chunk sweeps its row panels.
+//!
+//! A tile's accumulators start as zero registers on the first `k`-chunk
+//! and are stored straight into the output; rows and columns past a
+//! ragged edge are masked off, never written (see `simd.rs`).
 //!
 //! Tall-skinny `A^T B` (PowerSGD `Q = G^T P`) is rewritten as `(B^T A)^T`
 //! so every memory walk is over contiguous rows. The pure [`route`]
@@ -27,9 +33,9 @@
 //! per-(sequence, head) attention products — in one entry: it makes one
 //! route decision for the batch (the packed loop; its blocks are small on
 //! both sides, so there is no huge B to avoid packing and no tall A to
-//! swap), packs each block where it sits in its parent matrix, stores each
-//! result tile straight into its block of the output, reuses one
-//! thread-local B-pack buffer and one A-pack buffer for every block, and
+//! swap), reads and packs each block where it sits in its parent matrix,
+//! stores each result tile straight into its block of the output, reuses
+//! one thread-local B-pack buffer and one A-pack buffer for every block, and
 //! above the pool threshold splits the grid's outer index over workers.
 //!
 //! The micro-kernels themselves are dispatched at runtime (see
@@ -49,9 +55,12 @@
 //!   reassociates any one chain;
 //! * register tiling likewise only interleaves *different* elements'
 //!   chains;
-//! * `k`-chunking spills the accumulator to the output between chunks and
-//!   reloads it, continuing the same chain (`fma(a2,b2, fma(a1,b1, 0))`
-//!   is the same sequence whether or not a spill happens in the middle);
+//! * `k`-chunking stores the accumulators to the output between chunks,
+//!   and the next chunk's kernel entry reloads them from C into registers,
+//!   continuing the same chain (`fma(a2,b2, fma(a1,b1, 0))` is the same
+//!   sequence whether or not a store happens in the middle);
+//! * lanes past a ragged edge (padding columns, repeated or zero rows)
+//!   are computed and discarded, never mixed into a stored chain;
 //! * the swap relies on `a*b == b*a` (IEEE multiplication commutes
 //!   bitwise) and a transpose that moves bits without arithmetic;
 //! * the worker pool (see [`crate::pool`]) assigns each output panel, or
@@ -146,14 +155,16 @@ thread_local! {
     static TSCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's B-pack buffer, zeroed to `len` floats (the
-/// padding lanes of a ragged last panel must read as zero).
+/// Runs `f` on `len` floats of this thread's B-pack buffer, grown when it
+/// is too short and otherwise left as the last pack left it: [`pack_b`]
+/// writes every element it reads.
 fn with_bpack<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     BPACK.with(|bp| {
         let mut bpack = bp.borrow_mut();
-        bpack.clear();
-        bpack.resize(len, 0.0);
-        f(&mut bpack)
+        if bpack.len() < len {
+            bpack.resize(len, 0.0);
+        }
+        f(&mut bpack[..len])
     })
 }
 
@@ -187,11 +198,14 @@ pub(crate) fn gemm_into(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, ou
     let work = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     match (route(a, b, m, n), a, b) {
         (Route::Swap, Src::Transposed(da), Src::Normal(db)) => TSCRATCH.with(|t| {
+            // Grown, never refilled: the skinny path writes all of it.
             let mut tmp = t.borrow_mut();
-            tmp.clear();
-            tmp.resize(n * m, 0.0);
-            gemm_skinny(Src::Transposed(db), da, n, m, k, work, &mut tmp);
-            transpose_into(&tmp, n, m, out);
+            if tmp.len() < n * m {
+                tmp.resize(n * m, 0.0);
+            }
+            let tmp = &mut tmp[..n * m];
+            gemm_skinny(Src::Transposed(db), da, n, m, k, work, tmp);
+            transpose_into(tmp, n, m, out);
         }),
         (Route::Skinny, _, Src::Normal(db)) => gemm_skinny(a, db, m, n, k, work, out),
         _ => gemm_packed(a, b, m, n, k, work, out),
@@ -278,7 +292,7 @@ fn gemm_packed(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize
         let bpack = &*bpack;
         let threads = effective_threads(work, panels_m);
         if threads <= 1 {
-            return run_row_panels(a, d, bpack, 0, panels_m, out, &mut [0.0; KC * MR]);
+            return run_row_panels(a, d, bpack, 0, panels_m, out, &mut Vec::new());
         }
         // Fixed decomposition of row micro-panels over the worker pool;
         // each worker owns a disjoint, contiguous slab of output rows.
@@ -295,7 +309,7 @@ fn gemm_packed(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize
                 rest = tail;
                 row_cursor = row_end;
                 scope.spawn(move || {
-                    run_row_panels(a, d, bpack, pstart, pend, chunk, &mut [0.0; KC * MR])
+                    run_row_panels(a, d, bpack, pstart, pend, chunk, &mut Vec::new())
                 });
             }
         });
@@ -304,7 +318,10 @@ fn gemm_packed(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize
 
 /// Computes row micro-panels `[pstart, pend)` of one product whose B is
 /// already in `bpack`; `out_chunk` starts at row `pstart * MR` of the
-/// logical output. `apack` is the caller's scratch for packed A chunks.
+/// logical output. `apack` is the caller's scratch for packed A chunks,
+/// grown only when a ragged panel of transposed A needs one.
+/// One kernel entry per row panel and `k`-chunk sweeps every B column
+/// panel.
 fn run_row_panels(
     a: Src<'_>,
     d: Dims,
@@ -312,53 +329,54 @@ fn run_row_panels(
     pstart: usize,
     pend: usize,
     out_chunk: &mut [f32],
-    apack: &mut [f32; KC * MR],
+    apack: &mut Vec<f32>,
 ) {
-    let Dims { m, n, k, lda, .. } = d;
+    let Dims {
+        m, n, k, lda, ldc, ..
+    } = d;
     let arch = dispatch::kernel_arch();
-    let panels_n = n.div_ceil(NR);
-    let n_kchunks = k.div_ceil(KC).max(1);
     for mp in pstart..pend {
         let row0 = mp * MR;
         let mr_eff = MR.min(m - row0);
-        let chunk_row0 = row0 - pstart * MR;
-        for ci in 0..n_kchunks {
-            let k0 = ci * KC;
+        let c = &mut out_chunk[(row0 - pstart * MR) * ldc..];
+        // `max(1)`: an empty sum still runs one chunk, which zeroes C.
+        for k0 in (0..k.max(1)).step_by(KC) {
             let k1 = (k0 + KC).min(k);
             let kc = k1 - k0;
-            // Row-major A feeds the micro-kernel directly as MR row
-            // streams; transposed A (and ragged edge panels) are packed
-            // so the kernel always sees full MR lanes.
-            let direct_rows: Option<[&[f32]; MR]> = match a {
-                Src::Normal(da) if mr_eff == MR => Some(std::array::from_fn(|i| {
-                    &da[(row0 + i) * lda + k0..(row0 + i) * lda + k1]
-                })),
-                _ => {
-                    pack_a_chunk(a, lda, row0, mr_eff, k0, k1, &mut apack[..kc * MR]);
-                    None
+            // A feeds the kernel where it is stored: row-major A as MR
+            // row streams (a ragged panel repeats its last row into lanes
+            // that are never stored), transposed A as MR adjacent columns.
+            // Only a ragged panel of transposed A is packed, as its
+            // columns would run past the operand (an empty sum packs
+            // nothing).
+            let rows: [&[f32]; MR];
+            let a = match a {
+                Src::Normal(da) => {
+                    rows =
+                        std::array::from_fn(|i| &da[(row0 + i.min(mr_eff - 1)) * lda + k0..][..kc]);
+                    simd::APanels::Rows(&rows)
+                }
+                Src::Transposed(da) if mr_eff == MR && kc > 0 => simd::APanels::Cols {
+                    a: &da[k0 * lda + row0..],
+                    lda,
+                },
+                Src::Transposed(_) => {
+                    apack.resize(kc * MR, 0.0);
+                    pack_a_chunk(a, lda, row0, mr_eff, k0, k1, apack);
+                    simd::APanels::Packed { a: apack, step: 0 }
                 }
             };
-            for p in 0..panels_n {
-                let nr_eff = NR.min(n - p * NR);
-                let mut acc = [[0.0f32; NR]; MR];
-                if ci > 0 {
-                    load_acc(
-                        &mut acc,
-                        out_chunk,
-                        chunk_row0,
-                        d.ldc,
-                        p * NR,
-                        mr_eff,
-                        nr_eff,
-                    );
-                }
-                let bslice = &bpack[(p * k + k0) * NR..(p * k + k1) * NR];
-                match &direct_rows {
-                    Some(rows) => simd::micro_kernel_rows(arch, rows, bslice, &mut acc),
-                    None => simd::micro_kernel_packed(arch, &apack[..kc * MR], bslice, &mut acc),
-                }
-                store_acc(&acc, out_chunk, chunk_row0, d.ldc, p * NR, mr_eff, nr_eff);
-            }
+            let sweep = simd::Sweep {
+                a,
+                b: &bpack[k0 * NR..],
+                b_step: k * NR,
+                kc,
+                ldc,
+                rows: mr_eff,
+                cols: n,
+                first: k0 == 0,
+            };
+            simd::sweep(arch, &sweep, c);
         }
     }
 }
@@ -563,7 +581,7 @@ impl Batch<'_> {
     fn run_groups(&self, o0: usize, o1: usize, out: &mut [f32]) {
         let d = self.d;
         let panels_m = d.m.div_ceil(MR);
-        let mut apack = [0.0; KC * MR];
+        let mut apack = Vec::new();
         with_bpack(d.n.div_ceil(NR) * d.k * NR, |bpack| {
             for o in o0..o1 {
                 for i in 0..self.inner {
@@ -650,7 +668,8 @@ fn gemm_skinny(a: Src<'_>, db: &[f32], m: usize, n: usize, k: usize, work: usize
 
 /// Computes column panels `[pstart, pend)` into `out_part`, a row-major
 /// `m x part_width` buffer whose column 0 is logical column
-/// `pstart * NR`.
+/// `pstart * NR`. One kernel entry per column panel and `k`-chunk sweeps
+/// every row panel.
 #[allow(clippy::too_many_arguments)]
 fn run_col_panels(
     apack_all: &[f32],
@@ -664,14 +683,12 @@ fn run_col_panels(
     part_width: usize,
 ) {
     let arch = dispatch::kernel_arch();
-    let panels_m = m.div_ceil(MR);
     let panels = pend - pstart;
-    let n_kchunks = k.div_ceil(SKC).max(1);
     // Per-chunk packed B panels for this worker's column range; reused
     // across chunks so it stays cache-resident.
     let mut bchunk = vec![0.0f32; panels * SKC * NR];
-    for ci in 0..n_kchunks {
-        let k0 = ci * SKC;
+    // `max(1)`: an empty sum still runs one chunk, which zeroes C.
+    for k0 in (0..k.max(1)).step_by(SKC) {
         let k1 = (k0 + SKC).min(k);
         let kc = k1 - k0;
         // kk-outer scatter: B's rows are read contiguously (the only
@@ -688,61 +705,27 @@ fn run_col_panels(
         }
         for p in pstart..pend {
             let col0 = p * NR;
-            let nr_eff = NR.min(n - col0);
-            let part_col0 = col0 - pstart * NR;
-            let bslice = &bchunk[(p - pstart) * SKC * NR..][..kc * NR];
-            for mp in 0..panels_m {
-                let row0 = mp * MR;
-                let mr_eff = MR.min(m - row0);
-                let apack = &apack_all[mp * k * MR..(mp + 1) * k * MR];
-                let mut acc = [[0.0f32; NR]; MR];
-                if ci > 0 {
-                    load_acc(
-                        &mut acc, out_part, row0, part_width, part_col0, mr_eff, nr_eff,
-                    );
-                }
-                simd::micro_kernel_packed(arch, &apack[k0 * MR..k1 * MR], bslice, &mut acc);
-                store_acc(&acc, out_part, row0, part_width, part_col0, mr_eff, nr_eff);
-            }
+            let sweep = simd::Sweep {
+                a: simd::APanels::Packed {
+                    a: &apack_all[k0 * MR..],
+                    step: k * MR,
+                },
+                b: &bchunk[(p - pstart) * SKC * NR..][..kc * NR],
+                b_step: 0,
+                kc,
+                ldc: part_width,
+                rows: m,
+                cols: NR.min(n - col0),
+                first: k0 == 0,
+            };
+            simd::sweep(arch, &sweep, &mut out_part[col0 - pstart * NR..]);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernels and packing
+// Packing
 // ---------------------------------------------------------------------------
-
-/// Continue accumulation chains from a previous k-chunk: load the valid
-/// region of the output tile (padded lanes stay zero; never stored).
-fn load_acc(
-    acc: &mut [[f32; NR]; MR],
-    buf: &[f32],
-    row0: usize,
-    stride: usize,
-    col0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    for (i, acc_row) in acc.iter_mut().enumerate().take(mr_eff) {
-        let src = &buf[(row0 + i) * stride + col0..][..nr_eff];
-        acc_row[..nr_eff].copy_from_slice(src);
-    }
-}
-
-fn store_acc(
-    acc: &[[f32; NR]; MR],
-    buf: &mut [f32],
-    row0: usize,
-    stride: usize,
-    col0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
-        let dst = &mut buf[(row0 + i) * stride + col0..][..nr_eff];
-        dst.copy_from_slice(&acc_row[..nr_eff]);
-    }
-}
 
 /// Packs `MR` rows of `A'` (rows `row0..row0+mr_eff`, zero-padded to `MR`)
 /// over the `k`-range `[k0, k1)` into
@@ -780,36 +763,45 @@ fn pack_a_chunk(
 }
 
 /// Packs all of `B'` into `NR`-wide column panels:
-/// `bpack[(p*k + kk)*NR + j] = B'(kk, p*NR + j)`. Padding lanes of a
-/// ragged last panel are not written; [`with_bpack`] zeroed them.
+/// `bpack[(p*k + kk)*NR + j] = B'(kk, p*NR + j)`, writing every element of
+/// `bpack`: full panels copy fixed `NR`-wide rows, and the padding lanes
+/// of a ragged last panel are written as zeros.
 fn pack_b(b: Src<'_>, d: Dims, bpack: &mut [f32]) {
     let Dims { n, k, ldb, .. } = d;
-    let panels_n = n.div_ceil(NR);
+    let (full, rem) = (n / NR, n % NR);
     match b {
         Src::Normal(db) => {
             // kk-outer scatter: read each B row once, contiguously; the
             // per-panel write cursors advance one 64-byte line per row,
             // so the write working set is one line per panel.
             for kk in 0..k {
-                let row = &db[kk * ldb..kk * ldb + n];
-                for p in 0..panels_n {
-                    let col0 = p * NR;
-                    let nr_eff = NR.min(n - col0);
-                    let dst = &mut bpack[(p * k + kk) * NR..][..nr_eff];
-                    dst.copy_from_slice(&row[col0..col0 + nr_eff]);
+                let row = &db[kk * ldb..][..n];
+                for p in 0..full {
+                    bpack[(p * k + kk) * NR..][..NR].copy_from_slice(&row[p * NR..][..NR]);
+                }
+                if rem > 0 {
+                    let tail = &row[full * NR..];
+                    for (j, x) in bpack[(full * k + kk) * NR..][..NR].iter_mut().enumerate() {
+                        *x = tail.get(j).copied().unwrap_or(0.0);
+                    }
                 }
             }
         }
         Src::Transposed(db) => {
             // Stored n x k: row j holds B'(_, j) contiguously.
-            for p in 0..panels_n {
+            for p in 0..n.div_ceil(NR) {
                 let col0 = p * NR;
                 let nr_eff = NR.min(n - col0);
-                let panel = &mut bpack[p * k * NR..(p + 1) * k * NR];
+                let panel = &mut bpack[p * k * NR..][..k * NR];
                 for j in 0..nr_eff {
-                    let src = &db[(col0 + j) * ldb..(col0 + j) * ldb + k];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * NR + j] = v;
+                    let src = &db[(col0 + j) * ldb..][..k];
+                    for (lane, &v) in panel.chunks_exact_mut(NR).zip(src) {
+                        lane[j] = v;
+                    }
+                }
+                if nr_eff < NR {
+                    for lane in panel.chunks_exact_mut(NR) {
+                        lane[nr_eff..].fill(0.0);
                     }
                 }
             }

@@ -35,14 +35,14 @@
 //! the pages the previous one freed instead of faulting fresh ones in.
 //! What draws from the pool: [`Matrix::zeros`], [`Matrix::full`],
 //! [`Matrix::from_fn`], `clone`, the element-wise ops, `transpose`, the
-//! growth of an `*_into` output, and [`Reader::f32s`] (every decoded
-//! payload and checkpoint). What does not: buffers under 64 KiB, which
-//! the allocator serves without faulting, and the
-//! vectors handed to [`Matrix::from_vec`] / [`Matrix::from_rows`], which
-//! keep their own storage until they are dropped. Reuse never changes a
-//! bit — every constructor and kernel overwrites the whole buffer, and
-//! `zeros` / `full` still fill — and the pool never holds more than
-//! 32 MiB; a buffer past that ceiling is freed.
+//! products and the growth of an `*_into` output, and [`Reader::f32s`]
+//! (every decoded payload and checkpoint). What does not: buffers under
+//! 64 KiB, which the allocator serves without faulting, and the vectors
+//! handed to [`Matrix::from_vec`] / [`Matrix::from_rows`], which keep
+//! their own storage until they are dropped. Reuse never changes a bit —
+//! every constructor and kernel overwrites the whole buffer, and
+//! `zeros` / `full` fill a pooled one — and the pool never holds more
+//! than 32 MiB; a buffer past that ceiling is freed.
 //!
 //! # Example
 //!

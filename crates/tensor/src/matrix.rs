@@ -66,15 +66,21 @@ fn pool() -> MutexGuard<'static, Pool> {
     POOL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A buffer of exactly `len` elements with unspecified contents: a freed
-/// one from the pool when there is one, else a fresh allocation.
-pub(crate) fn take_storage(len: usize) -> Vec<f32> {
-    let pooled = if len >= POOL_MIN_LEN {
+/// A freed buffer of exactly `len` elements from the pool, contents
+/// unspecified, when there is one. Buffers under 64 KiB never take the
+/// lock.
+fn take_pooled(len: usize) -> Option<Vec<f32>> {
+    if len >= POOL_MIN_LEN {
         pool().take(len)
     } else {
         None
-    };
-    pooled.unwrap_or_else(|| vec![0.0; len])
+    }
+}
+
+/// A buffer of exactly `len` elements with unspecified contents: a freed
+/// one from the pool when there is one, else a fresh allocation.
+pub(crate) fn take_storage(len: usize) -> Vec<f32> {
+    take_pooled(len).unwrap_or_else(|| vec![0.0; len])
 }
 
 /// Hands `buf` to the pool; a refused buffer is freed after the lock is
@@ -122,8 +128,8 @@ impl std::error::Error for ShapeError {}
 /// freed buffers (exact length, 32 MiB ceiling) and goes back to it on
 /// drop, so a training step reuses the pages the previous one freed.
 /// Reuse never changes a bit: every constructor and kernel overwrites
-/// the whole buffer, and [`Matrix::zeros`] / [`Matrix::full`] still
-/// fill. The crate docs list what draws from the pool.
+/// the whole buffer, and [`Matrix::zeros`] / [`Matrix::full`] fill a
+/// pooled one. The crate docs list what draws from the pool.
 ///
 /// # Example
 ///
@@ -182,8 +188,15 @@ impl Matrix {
 
     /// Creates a matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        let mut data = take_storage(rows * cols);
-        data.fill(value);
+        // A fresh allocation is written once, by `vec!` (zeros come from
+        // a zeroed allocation); only a pooled one needs a fill.
+        let data = match take_pooled(rows * cols) {
+            Some(mut buf) => {
+                buf.fill(value);
+                buf
+            }
+            None => vec![value; rows * cols],
+        };
         Self { rows, cols, data }
     }
 
@@ -347,7 +360,7 @@ impl Matrix {
     /// Panics if `self.cols() != rhs.rows()`.
     #[must_use]
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::default();
         self.matmul_into(rhs, &mut out);
         out
     }
@@ -383,7 +396,7 @@ impl Matrix {
     /// Panics if `self.rows() != rhs.rows()`.
     #[must_use]
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let mut out = Matrix::default();
         self.t_matmul_into(rhs, &mut out);
         out
     }
@@ -419,7 +432,7 @@ impl Matrix {
     /// Panics if `self.cols() != rhs.cols()`.
     #[must_use]
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let mut out = Matrix::default();
         self.matmul_t_into(rhs, &mut out);
         out
     }

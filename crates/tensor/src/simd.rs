@@ -52,7 +52,19 @@
 //! tile shape lives in `gemm.rs` alone. A step issues 8 loads for 12 FMAs
 //! (an 8 x 8 tile issued 9 for 8, which made load issue, not the FMA
 //! units, the limit) and keeps 12 independent chains in flight, more than
-//! FMA latency times its two ports needs.
+//! FMA latency times its two ports needs. A tile at most 8 columns wide
+//! runs one vector per row and half the FMAs.
+//!
+//! One kernel entry ([`Sweep`]) walks a whole grid of tiles — a row panel
+//! across every B column panel, or a column panel across its row panels —
+//! over one `k`-chunk. Each tile's accumulators start as zero registers
+//! on the first chunk and are loaded from C on later ones, and are stored
+//! straight back to C. There is no tile buffer between the registers and
+//! C: a ragged tile's valid columns are read and written with
+//! `_mm256_maskload_ps` / `_mm256_maskstore_ps` (the scalar form's loops
+//! stop at the valid row and column), and the rows and columns past them
+//! are never touched. [`sweep`] asserts the operand bounds every
+//! unchecked access relies on.
 
 use crate::dispatch::{kernel_arch, KernelArch};
 use crate::gemm::{MR, NR};
@@ -74,33 +86,72 @@ pub(crate) fn reduce_lanes(lanes: &[f32; DOT_LANES]) -> f32 {
 // Scalar fallback (also the contract's executable definition)
 // ---------------------------------------------------------------------------
 
-/// Packed-A micro-kernel, scalar contract emulation:
-/// `acc[i][j] = fma(apack[k][i], bpanel[k][j], acc[i][j])`, `k` ascending.
-#[inline(always)]
-pub(crate) fn micro_kernel_packed_scalar(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (ap, bp) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for i in 0..MR {
-            let ai = ap[i];
-            for j in 0..NR {
-                acc[i][j] = ai.mul_add(bp[j], acc[i][j]);
-            }
+/// The A operand of one kernel entry ([`sweep`]).
+#[derive(Clone, Copy)]
+pub(crate) enum APanels<'a> {
+    /// Packed row panels: element `(i, kk)` of row panel `t` is
+    /// `a[t * step + kk * MR + i]`.
+    Packed { a: &'a [f32], step: usize },
+    /// One row panel streamed from row-major A: element `(i, kk)` is
+    /// `rows[i][kk]`. Rows past the block's last may repeat it; they are
+    /// computed and never stored.
+    Rows(&'a [&'a [f32]; MR]),
+    /// Full row panels read through a transposed-stored A: element
+    /// `(i, kk)` of row panel `t` is `a[kk * lda + t * MR + i]`.
+    Cols { a: &'a [f32], lda: usize },
+}
+
+impl APanels<'_> {
+    /// Element `(i, kk)` of row panel `t`.
+    #[inline(always)]
+    fn at(self, t: usize, kk: usize, i: usize) -> f32 {
+        match self {
+            APanels::Packed { a, step } => a[t * step + kk * MR + i],
+            APanels::Rows(rows) => rows[i][kk],
+            APanels::Cols { a, lda } => a[kk * lda + t * MR + i],
         }
     }
 }
 
-/// Direct-rows micro-kernel (row-major A streamed without packing),
-/// scalar contract emulation.
-#[inline(always)]
-pub(crate) fn micro_kernel_rows_scalar(
-    arows: &[&[f32]; MR],
-    bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    for (kk, bp) in bpanel.chunks_exact(NR).enumerate() {
-        for i in 0..MR {
-            let ai = arows[i][kk];
-            for j in 0..NR {
-                acc[i][j] = ai.mul_add(bp[j], acc[i][j]);
+/// One kernel entry: the `rows x cols` block of C at the start of the
+/// output slice (row `i` at `i * ldc`), walked as a grid of `MR x NR`
+/// register tiles over one `k`-chunk of `kc` steps. Tile `(ti, tj)`
+/// multiplies row panel `ti` of `a` by B column panel `tj`, whose step
+/// `kk` is `b[tj * b_step + kk * NR..][..NR]`. Its accumulators start at
+/// zero on the first chunk (`first`) and are reloaded from C on later
+/// ones; either way they are stored straight back into C, rows and
+/// columns past the block masked off.
+pub(crate) struct Sweep<'a> {
+    pub a: APanels<'a>,
+    pub b: &'a [f32],
+    pub b_step: usize,
+    pub kc: usize,
+    pub ldc: usize,
+    pub rows: usize,
+    pub cols: usize,
+    pub first: bool,
+}
+
+/// Sweep kernel, scalar contract emulation: bounded loops over the valid
+/// rows and columns of each tile, accumulating in C itself,
+/// `c[i][j] = fma(a[i][k], b[k][j], c[i][j])` with `k` ascending.
+pub(crate) fn sweep_scalar(s: &Sweep<'_>, c: &mut [f32]) {
+    for ti in 0..s.rows.div_ceil(MR) {
+        let mr = MR.min(s.rows - ti * MR);
+        for tj in 0..s.cols.div_ceil(NR) {
+            let nr = NR.min(s.cols - tj * NR);
+            let b = &s.b[tj * s.b_step..];
+            for i in 0..mr {
+                let crow = &mut c[(ti * MR + i) * s.ldc + tj * NR..][..nr];
+                if s.first {
+                    crow.fill(0.0);
+                }
+                for kk in 0..s.kc {
+                    let ai = s.a.at(ti, kk, i);
+                    for (cj, &bj) in crow.iter_mut().zip(&b[kk * NR..][..nr]) {
+                        *cj = ai.mul_add(bj, *cj);
+                    }
+                }
             }
         }
     }
@@ -231,11 +282,11 @@ pub(crate) fn gelu_backward_scalar(x: &[f32], grad: &[f32], dx: &mut [f32]) {
 
 // A note on the scalar fallback's speed: on builds whose baseline target
 // features lack hardware FMA (plain x86_64 builds), [`f32::mul_add`]
-// lowers to a libm `fmaf` call per multiply, which makes the scalar tile
+// lowers to a libm `fmaf` call per multiply, which makes the scalar sweep
 // roughly an order of magnitude slower than an unfused `acc += a * b`
 // loop. That cost is inherent to the bit contract — a correctly rounded
 // fused chain is the only accumulation every kernel path can reproduce
-// exactly — and the scalar tile (like the scalar form of the element-wise
+// exactly — and the scalar sweep (like the scalar form of the element-wise
 // lanes above, a dozen `mul_add`s per element) is the contract's portable
 // reference, not a performance path.
 
@@ -251,47 +302,50 @@ pub(crate) mod avx2 {
     /// `__m256` vectors per tile row.
     const NV: usize = NR / 8;
 
-    // The tile helpers below are `#[inline(always)]` instead of
+    // The helpers below are `#[inline(always)]` instead of
     // `#[target_feature]` (the two attributes cannot be combined): they
-    // compile as part of the AVX2 kernels that call them, where every
+    // compile as part of the AVX2 sweep that calls them, where every
     // intrinsic inlines and the tile lives in 12 `ymm` registers.
 
+    /// Calls `f(v, col, mask)` for each of the first `W` vectors of a tile
+    /// row that holds a valid column: `col = v * 8`, and `mask` is `None`
+    /// when all eight lanes are valid, else the lanes below `nr`.
+    ///
     /// # Safety
     ///
-    /// The host must support AVX2 and FMA.
+    /// The host must support AVX2.
     #[inline(always)]
-    unsafe fn load_tile(acc: &[[f32; NR]; MR]) -> [[__m256; NV]; MR] {
-        let mut vacc = [[_mm256_setzero_ps(); NV]; MR];
-        for (vrow, row) in vacc.iter_mut().zip(acc) {
-            for (c, v) in vrow.iter_mut().enumerate() {
-                *v = _mm256_loadu_ps(row.as_ptr().add(c * 8));
-            }
-        }
-        vacc
-    }
-
-    /// # Safety
-    ///
-    /// The host must support AVX2 and FMA.
-    #[inline(always)]
-    unsafe fn store_tile(vacc: &[[__m256; NV]; MR], acc: &mut [[f32; NR]; MR]) {
-        for (vrow, row) in vacc.iter().zip(acc) {
-            for (c, v) in vrow.iter().enumerate() {
-                _mm256_storeu_ps(row.as_mut_ptr().add(c * 8), *v);
+    unsafe fn row_vectors<const W: usize>(
+        nr: usize,
+        mut f: impl FnMut(usize, usize, Option<__m256i>),
+    ) {
+        for v in 0..W {
+            let col = v * 8;
+            if col + 8 <= nr {
+                f(v, col, None);
+            } else if col < nr {
+                let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((nr - col) as i32), lanes);
+                f(v, col, Some(mask));
             }
         }
     }
 
-    /// One `k` step: `NV` loads of B's row `kk`, then per tile row one
-    /// broadcast of `a(i)` and `NV` FMAs.
+    /// One `k` step over the first `W` vectors of each tile row: `W`
+    /// loads of B's row `kk`, then per tile row one broadcast of `a(i)`
+    /// and `W` FMAs.
     ///
     /// # Safety
     ///
     /// The host must support AVX2 and FMA; `bp` must be valid for `NR`
     /// reads.
     #[inline(always)]
-    unsafe fn step(vacc: &mut [[__m256; NV]; MR], bp: *const f32, a: impl Fn(usize) -> f32) {
-        let mut b = [_mm256_setzero_ps(); NV];
+    unsafe fn step<const W: usize>(
+        vacc: &mut [[__m256; W]; MR],
+        bp: *const f32,
+        a: impl Fn(usize) -> f32,
+    ) {
+        let mut b = [_mm256_setzero_ps(); W];
         for (c, v) in b.iter_mut().enumerate() {
             *v = _mm256_loadu_ps(bp.add(c * 8));
         }
@@ -303,44 +357,102 @@ pub(crate) mod avx2 {
         }
     }
 
+    /// One register tile of `W` vectors per row: the accumulators start
+    /// as zero registers (`first`) or are loaded from the valid `mr x nr`
+    /// corner of C at `c`, walk `kc` steps, and are stored straight back
+    /// to that corner.
+    ///
     /// # Safety
     ///
-    /// The host must support AVX2 and FMA (guaranteed by dispatch).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn micro_kernel_packed(
-        apack: &[f32],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
+    /// The host must support AVX2 and FMA; `b` must be valid for
+    /// `kc * NR` reads, `a(kk, i)` for every `kk < kc` and `i < MR`, and
+    /// `c.add(i * ldc + j)` for every `i < mr`, `j < nr`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn tile<const W: usize>(
+        a: impl Fn(usize, usize) -> f32,
+        b: *const f32,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+        first: bool,
     ) {
-        let kc = bpanel.len() / NR;
-        assert_eq!(apack.len(), kc * MR);
-        let mut vacc = load_tile(acc);
-        let ap = apack.as_ptr();
-        let bp = bpanel.as_ptr();
-        for kk in 0..kc {
-            step(&mut vacc, bp.add(kk * NR), |i| *ap.add(kk * MR + i));
+        let mut vacc = [[_mm256_setzero_ps(); W]; MR];
+        if !first {
+            for (i, vrow) in vacc.iter_mut().enumerate() {
+                if i < mr {
+                    row_vectors::<W>(nr, |v, col, mask| {
+                        let p = c.add(i * ldc + col);
+                        vrow[v] = match mask {
+                            None => _mm256_loadu_ps(p),
+                            Some(m) => _mm256_maskload_ps(p, m),
+                        };
+                    });
+                }
+            }
         }
-        store_tile(&vacc, acc);
+        for kk in 0..kc {
+            step(&mut vacc, b.add(kk * NR), |i| a(kk, i));
+        }
+        for (i, vrow) in vacc.iter().enumerate() {
+            if i < mr {
+                row_vectors::<W>(nr, |v, col, mask| {
+                    let p = c.add(i * ldc + col);
+                    match mask {
+                        None => _mm256_storeu_ps(p, vrow[v]),
+                        Some(m) => _mm256_maskstore_ps(p, m, vrow[v]),
+                    }
+                });
+            }
+        }
+    }
+
+    /// The tile grid of one [`super::Sweep`], tile `(ti, tj)` reading A
+    /// through `a(ti, kk, i)`.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], for every tile of the grid; [`super::sweep`] checks it.
+    #[inline(always)]
+    unsafe fn grid(s: &super::Sweep<'_>, c: &mut [f32], a: impl Fn(usize, usize, usize) -> f32) {
+        let (cp, bp) = (c.as_mut_ptr(), s.b.as_ptr());
+        for ti in 0..s.rows.div_ceil(MR) {
+            let mr = MR.min(s.rows - ti * MR);
+            for tj in 0..s.cols.div_ceil(NR) {
+                let nr = NR.min(s.cols - tj * NR);
+                let at = |kk, i| a(ti, kk, i);
+                let (bt, ct) = (bp.add(tj * s.b_step), cp.add(ti * MR * s.ldc + tj * NR));
+                // A tile at most 8 columns wide (a ragged last panel, or
+                // a head-width product) runs one vector per row.
+                if nr > 8 {
+                    tile::<NV>(at, bt, s.kc, ct, s.ldc, mr, nr, s.first);
+                } else {
+                    tile::<1>(at, bt, s.kc, ct, s.ldc, mr, nr, s.first);
+                }
+            }
+        }
     }
 
     /// # Safety
     ///
-    /// The host must support AVX2 and FMA; every `arows[i]` must hold at
-    /// least `bpanel.len() / NR` elements (guaranteed by the caller's
-    /// slicing).
+    /// The host must support AVX2 and FMA (guaranteed by dispatch), and
+    /// every operand must hold the elements the sweep reads and writes
+    /// (checked by [`super::sweep`]).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn micro_kernel_rows(
-        arows: &[&[f32]; MR],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        let kc = bpanel.len() / NR;
-        let mut vacc = load_tile(acc);
-        let bp = bpanel.as_ptr();
-        for kk in 0..kc {
-            step(&mut vacc, bp.add(kk * NR), |i| *arows[i].as_ptr().add(kk));
+    pub(crate) unsafe fn sweep(s: &super::Sweep<'_>, c: &mut [f32]) {
+        match s.a {
+            super::APanels::Packed { a, step } => {
+                let ap = a.as_ptr();
+                grid(s, c, |t, kk, i| *ap.add(t * step + kk * MR + i));
+            }
+            super::APanels::Rows(rows) => grid(s, c, |_, kk, i| *rows[i].as_ptr().add(kk)),
+            super::APanels::Cols { a, lda } => {
+                let ap = a.as_ptr();
+                grid(s, c, |t, kk, i| *ap.add(kk * lda + t * MR + i));
+            }
         }
-        store_tile(&vacc, acc);
     }
 
     /// 8-lane split dot: the `__m256` accumulator *is* the lane array.
@@ -400,35 +512,52 @@ pub(crate) mod avx2 {
 // Arch-dispatching wrappers
 // ---------------------------------------------------------------------------
 
-/// Packed-A micro-kernel under an explicit arch choice.
-#[inline]
-pub(crate) fn micro_kernel_packed(
-    arch: KernelArch,
-    apack: &[f32],
-    bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    match arch {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 after feature detection.
-        KernelArch::Avx2 => unsafe { avx2::micro_kernel_packed(apack, bpanel, acc) },
-        _ => micro_kernel_packed_scalar(apack, bpanel, acc),
+/// One kernel entry ([`Sweep`]) under an explicit arch choice, writing
+/// the block at the start of `c`.
+///
+/// # Panics
+///
+/// Panics if an operand is too short for the block: the bounds every
+/// unchecked access of the vector forms relies on.
+pub(crate) fn sweep(arch: KernelArch, s: &Sweep<'_>, c: &mut [f32]) {
+    if s.rows == 0 || s.cols == 0 {
+        return;
     }
-}
-
-/// Direct-rows micro-kernel under an explicit arch choice.
-#[inline]
-pub(crate) fn micro_kernel_rows(
-    arch: KernelArch,
-    arows: &[&[f32]; MR],
-    bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
+    let (tiles_m, tiles_n) = (s.rows.div_ceil(MR), s.cols.div_ceil(NR));
+    assert!(
+        s.cols <= s.ldc && (s.rows - 1) * s.ldc + s.cols <= c.len(),
+        "gemm sweep: a {}x{} block at ld {} overruns {} output elements",
+        s.rows,
+        s.cols,
+        s.ldc,
+        c.len()
+    );
+    assert!(
+        (tiles_n - 1) * s.b_step + s.kc * NR <= s.b.len(),
+        "gemm sweep: B panels overrun"
+    );
+    match s.a {
+        APanels::Packed { a, step } => {
+            assert!(
+                (tiles_m - 1) * step + s.kc * MR <= a.len(),
+                "gemm sweep: A panels overrun"
+            );
+        }
+        APanels::Rows(rows) => assert!(
+            tiles_m == 1 && rows.iter().all(|r| r.len() >= s.kc),
+            "gemm sweep: A rows overrun"
+        ),
+        APanels::Cols { a, lda } => assert!(
+            s.kc == 0 || (s.kc - 1) * lda + tiles_m * MR <= a.len(),
+            "gemm sweep: A columns overrun"
+        ),
+    }
     match arch {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 after feature detection.
-        KernelArch::Avx2 => unsafe { avx2::micro_kernel_rows(arows, bpanel, acc) },
-        _ => micro_kernel_rows_scalar(arows, bpanel, acc),
+        // SAFETY: dispatch only selects Avx2 after feature detection, and
+        // the asserts above bound every access.
+        KernelArch::Avx2 => unsafe { avx2::sweep(s, c) },
+        _ => sweep_scalar(s, c),
     }
 }
 
@@ -524,43 +653,106 @@ mod tests {
         }
     }
 
-    /// The full `MR x NR` tile, both A forms, on every arch at chunk
-    /// lengths from one step to a quarter of `KC`.
+    /// One sweep over full and ragged tile grids, every A form, from zero
+    /// and from a reloaded C, on every arch at chunk lengths from none to
+    /// a quarter of `KC`: the bits equal the scalar form's, and the
+    /// sentinels in C's padding columns and past its last row survive.
     #[test]
     fn micro_kernels_match_scalar_contract_on_every_arch() {
         let mut rng = SeedStream::new(13);
-        for kc in [1usize, 2, 7, 64] {
-            let apack = rng.uniform_matrix(1, kc * MR, 1.0);
-            let bpanel = rng.uniform_matrix(1, kc * NR, 1.0);
-            let init = rng.uniform_matrix(MR, NR, 1.0);
-            let tile = |src: &crate::Matrix| {
-                let mut acc = [[0.0f32; NR]; MR];
-                for i in 0..MR {
-                    acc[i].copy_from_slice(&src.as_slice()[i * NR..(i + 1) * NR]);
+        for kc in [0usize, 1, 7, 64] {
+            for (rows, cols) in [
+                (6usize, 16usize),
+                (1, 1),
+                (5, 9),
+                (6, 8),
+                (7, 17),
+                (13, 33),
+                (18, 48),
+            ] {
+                let ldc = cols + 3;
+                let tiles_m = rows.div_ceil(MR);
+                let tiles_n = cols.div_ceil(NR);
+                let apack = rng.uniform_matrix(1, tiles_m * kc * MR, 1.0);
+                let bpack = rng.uniform_matrix(1, tiles_n * kc * NR, 1.0);
+                let mut c0 = rng
+                    .uniform_matrix(1, rows * ldc + 5, 1.0)
+                    .as_slice()
+                    .to_vec();
+                for (e, x) in c0.iter_mut().enumerate() {
+                    if e % ldc >= cols || e >= rows * ldc {
+                        *x = f32::NAN;
+                    }
                 }
-                acc
-            };
-            let mut want = tile(&init);
-            micro_kernel_packed_scalar(apack.as_slice(), bpanel.as_slice(), &mut want);
-            for arch in available_arches() {
-                let mut got = tile(&init);
-                micro_kernel_packed(arch, apack.as_slice(), bpanel.as_slice(), &mut got);
-                assert_eq!(want, got, "packed kernel kc {kc} on {}", arch.name());
-            }
-            // Rows variant: build contiguous per-row streams with the same
-            // logical a-values, then compare against the packed result of
-            // a matching pack.
-            let rows: Vec<Vec<f32>> = (0..MR)
-                .map(|i| (0..kc).map(|kk| apack.as_slice()[kk * MR + i]).collect())
-                .collect();
-            let arows: [&[f32]; MR] = std::array::from_fn(|i| rows[i].as_slice());
-            let mut want_rows = tile(&init);
-            micro_kernel_rows_scalar(&arows, bpanel.as_slice(), &mut want_rows);
-            assert_eq!(want, want_rows, "rows and packed scalar kernels agree");
-            for arch in available_arches() {
-                let mut got = tile(&init);
-                micro_kernel_rows(arch, &arows, bpanel.as_slice(), &mut got);
-                assert_eq!(want_rows, got, "rows kernel kc {kc} on {}", arch.name());
+                let arows: Vec<Vec<f32>> = (0..MR)
+                    .map(|i| {
+                        let i = i.min(rows - 1);
+                        (0..kc).map(|kk| apack.as_slice()[kk * MR + i]).collect()
+                    })
+                    .collect();
+                let arows: [&[f32]; MR] = std::array::from_fn(|i| arows[i].as_slice());
+                let lda = tiles_m * MR + 2;
+                let mut acols = vec![0.0f32; kc * lda];
+                for (e, &v) in apack.as_slice().iter().enumerate() {
+                    let (t, kk, i) = (e / (kc * MR), e / MR % kc, e % MR);
+                    acols[kk * lda + t * MR + i] = v;
+                }
+                let mut forms = vec![(
+                    "packed",
+                    APanels::Packed {
+                        a: apack.as_slice(),
+                        step: kc * MR,
+                    },
+                )];
+                forms.push((
+                    "cols",
+                    APanels::Cols {
+                        a: acols.as_slice(),
+                        lda,
+                    },
+                ));
+                if rows <= MR {
+                    forms.push(("rows", APanels::Rows(&arows)));
+                }
+                for first in [true, false] {
+                    let run = |arch, a| {
+                        let s = Sweep {
+                            a,
+                            b: bpack.as_slice(),
+                            b_step: kc * NR,
+                            kc,
+                            ldc,
+                            rows,
+                            cols,
+                            first,
+                        };
+                        let mut c = c0.clone();
+                        sweep(arch, &s, &mut c);
+                        c
+                    };
+                    let want = run(KernelArch::Scalar, forms[0].1);
+                    for (e, (w, c)) in want.iter().zip(&c0).enumerate() {
+                        if e % ldc >= cols || e >= rows * ldc {
+                            assert!(w.is_nan(), "scalar wrote padding element {e}");
+                        } else if first || kc > 0 {
+                            assert_ne!(w.to_bits(), c.to_bits(), "element {e} not computed");
+                        }
+                    }
+                    for arch in available_arches() {
+                        for &(name, a) in &forms {
+                            let got = run(arch, a);
+                            let same = want
+                                .iter()
+                                .zip(&got)
+                                .all(|(w, g)| w.to_bits() == g.to_bits());
+                            assert!(
+                                same,
+                                "{name} sweep {rows}x{cols} kc {kc} first {first} on {}",
+                                arch.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

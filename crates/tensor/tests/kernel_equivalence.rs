@@ -558,42 +558,37 @@ fn stored_block(
     Matrix::from_fn(rows, cols, |r, c| data[row_at(layout, o, i, r) + c])
 }
 
-/// The strided batch against the FMA-chain oracle: for block shapes
-/// straddling the skinny-row limit (16), the register tile (`MR` = 6,
-/// `NR` = 16) and a `k` spanning several 256-deep chunks, in all four
-/// operand orientations, every output block must carry the oracle's bits
-/// of its own product and every element outside the blocks must keep its
-/// sentinel — on every arch, at 1/2/4 threads.
-#[test]
-fn strided_batch_matches_fma_chain_oracle_on_every_arch() {
+/// Runs every shape of `shapes` as an `outer x inner` strided batch in
+/// all four operand orientations, with each operand's blocks where
+/// `layout(side_by_side, inner, rows, cols)` puts them and `tail` sentinel
+/// elements after each buffer's last group. Every output block must carry
+/// the oracle's bits of its own product and every element outside the
+/// blocks must keep its NaN sentinel — on every arch, at 1/2/4 threads.
+fn check_strided_batches(
+    seed: u64,
+    shapes: &[[usize; 3]],
+    layout: impl Fn(bool, usize, usize, usize) -> BlockLayout,
+    tail: usize,
+) {
     let (outer, inner) = (3usize, 2usize);
-    let mut shapes: Vec<[usize; 3]> = Vec::new();
-    for m in [1usize, 5, 6, 7, 16, 17] {
-        for n in [1usize, 15, 16, 17] {
-            for k in [1usize, 7, 17] {
-                shapes.push([m, n, k]);
-            }
-        }
-    }
-    shapes.extend([[7, 17, 2 * 256 + 7], [17, 5, 0]]);
-    let mut rng = SeedStream::new(0xBA7C);
+    let mut rng = SeedStream::new(seed);
     let _guard = KNOB_LOCK.lock().unwrap();
     let old_threshold = opt_tensor::parallel_flop_threshold();
     set_parallel_flop_threshold(0);
-    for [m, n, k] in shapes {
+    for &[m, n, k] in shapes {
         for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
             let stored =
                 |t: bool, rows: usize, cols: usize| if t { (cols, rows) } else { (rows, cols) };
             let ((ar, ac), (br, bc)) = (stored(ta, m, k), stored(tb, k, n));
             let (la, lb, lo) = (
-                test_layout(ta, inner, ar, ac),
-                test_layout(!tb, inner, br, bc),
-                test_layout(ta != tb, inner, m, n),
+                layout(ta, inner, ar, ac),
+                layout(!tb, inner, br, bc),
+                layout(ta != tb, inner, m, n),
             );
-            let a = rng.uniform_matrix(1, buffer_len(la, outer), 10.0);
-            let b = rng.uniform_matrix(1, buffer_len(lb, outer), 10.0);
+            let a = rng.uniform_matrix(1, buffer_len(la, outer) + tail, 10.0);
+            let b = rng.uniform_matrix(1, buffer_len(lb, outer) + tail, 10.0);
             // The oracle's result, block by block, in a NaN-filled buffer.
-            let mut want = vec![f32::NAN; buffer_len(lo, outer)];
+            let mut want = vec![f32::NAN; buffer_len(lo, outer) + tail];
             for o in 0..outer {
                 for i in 0..inner {
                     let logical = |data: &Matrix, l, t: bool, rows, cols| {
@@ -656,6 +651,86 @@ fn strided_batch_matches_fma_chain_oracle_on_every_arch() {
     set_kernel_arch(detected_arch());
     set_kernel_threads(1);
     set_parallel_flop_threshold(old_threshold);
+}
+
+/// The strided batch against the FMA-chain oracle: for block shapes
+/// straddling the skinny-row limit (16), the register tile (`MR` = 6,
+/// `NR` = 16) and a `k` spanning several 256-deep chunks, with every
+/// stride padded ([`test_layout`]).
+#[test]
+fn strided_batch_matches_fma_chain_oracle_on_every_arch() {
+    let mut shapes: Vec<[usize; 3]> = Vec::new();
+    for m in [1usize, 5, 6, 7, 16, 17] {
+        for n in [1usize, 15, 16, 17] {
+            for k in [1usize, 7, 17] {
+                shapes.push([m, n, k]);
+            }
+        }
+    }
+    shapes.extend([[7, 17, 2 * 256 + 7], [17, 5, 0]]);
+    check_strided_batches(0xBA7C, &shapes, test_layout, 0);
+}
+
+/// Blocks packed edge to edge: every operand's blocks stack with no gap
+/// (`ld` is the block's width), and a sentinel tail follows the last.
+/// A store that runs past a ragged tile's last column lands in the next
+/// row, where a later tile can overwrite it, or — from the last row of
+/// the last block — in the tail, where this test sees it; a dropped
+/// reload between `k`-chunks breaks the `2 * 256 + 7` products.
+#[test]
+fn strided_batch_stores_nothing_outside_edge_to_edge_blocks() {
+    let edge_to_edge = |_side_by_side: bool, inner: usize, rows: usize, cols: usize| BlockLayout {
+        ld: cols,
+        outer_stride: inner * rows * cols,
+        inner_stride: rows * cols,
+    };
+    let mut shapes: Vec<[usize; 3]> = Vec::new();
+    for m in [5usize, 17] {
+        for n in [1usize, 5, 15, 17] {
+            for k in [7usize, 2 * 256 + 7] {
+                shapes.push([m, n, k]);
+            }
+        }
+    }
+    check_strided_batches(0xED6E, &shapes, edge_to_edge, 16);
+}
+
+/// Products take their output from the storage pool unfilled, so a
+/// driver that left any element unwritten would hand back what the
+/// buffer held before. A NaN-filled buffer of exactly the output's
+/// length (at least 64 KiB, so it is pooled) is freed right before each
+/// product, which must then carry the oracle's bits everywhere: on the
+/// packed, skinny and swapped routes, for an empty sum and at ragged
+/// tile edges with `k` spanning several chunks.
+#[test]
+fn products_overwrite_every_element_of_a_pooled_nan_buffer() {
+    let mut rng = SeedStream::new(0x9A17);
+    for k in [0usize, 7, 2 * 256 + 7] {
+        // Packed (131 x 127), skinny (16 rows) and, for `t_matmul`, the
+        // swapped route (2053 x 8).
+        for (m, n) in [(131usize, 127usize), (16, 1031), (2053, 8)] {
+            assert!(m * n * 4 >= 64 << 10, "{m}x{n} is too small to pool");
+            let a = rng.uniform_matrix(m, k, 1.0);
+            let at = a.transpose();
+            let b = rng.uniform_matrix(k, n, 1.0);
+            let bt = b.transpose();
+            let reference = oracle_matmul(&a, &b);
+            let nan_first = |product: &dyn Fn() -> Matrix| {
+                drop(Matrix::full(m, n, f32::NAN));
+                product()
+            };
+            let label = |name: &str| format!("{name} {m}x{n}x{k} over pooled NaN");
+            check_all_paths(&label("matmul"), &reference, || nan_first(&|| a.matmul(&b))).unwrap();
+            check_all_paths(&label("t_matmul"), &reference, || {
+                nan_first(&|| at.t_matmul(&b))
+            })
+            .unwrap();
+            check_all_paths(&label("matmul_t"), &reference, || {
+                nan_first(&|| a.matmul_t(&bt))
+            })
+            .unwrap();
+        }
+    }
 }
 
 #[test]
