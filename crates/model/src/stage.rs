@@ -486,6 +486,61 @@ mod tests {
         assert!(g_first.sub(g_last).norm() > 1e-6);
     }
 
+    /// `Stage::params()` order as `(name, shape)`: optimizer moments, DP
+    /// compression slots and checkpoint shards are all keyed by position
+    /// in this list, so it must not move.
+    #[test]
+    fn params_order_is_pinned() {
+        let block: [(&str, (usize, usize)); 12] = [
+            ("ln.gamma", (1, 16)),
+            ("ln.beta", (1, 16)),
+            ("attn.wq", (16, 16)),
+            ("attn.wk", (16, 16)),
+            ("attn.wv", (16, 16)),
+            ("attn.wo", (16, 16)),
+            ("ln.gamma", (1, 16)),
+            ("ln.beta", (1, 16)),
+            ("linear.w", (16, 64)),
+            ("linear.b", (1, 64)),
+            ("linear.w", (64, 16)),
+            ("linear.b", (1, 16)),
+        ];
+        let input = [("embedding.table", (32, 16)), ("embedding.pos", (8, 16))];
+        let final_ln = [("ln.gamma", (1, 16)), ("ln.beta", (1, 16))];
+        let layout = |blocks: usize, first: bool, last: bool, head: bool| {
+            let mut want = Vec::new();
+            if first {
+                want.extend(input);
+            }
+            for _ in 0..blocks {
+                want.extend(block);
+            }
+            if last {
+                want.extend(final_ln);
+            }
+            if head {
+                want.push(("head.table", (32, 16)));
+            }
+            want
+        };
+        let got = |pp: usize| -> Vec<Vec<(&'static str, (usize, usize))>> {
+            Stage::build_pipeline(&GptConfig::tiny(), pp, 0)
+                .iter_mut()
+                .map(|s| {
+                    s.params()
+                        .iter()
+                        .map(|p| (p.name, p.value.shape()))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(got(1), vec![layout(4, true, true, false)]);
+        assert_eq!(
+            got(2),
+            vec![layout(2, true, false, false), layout(2, false, true, true)]
+        );
+    }
+
     #[test]
     fn non_embedding_params_exclude_tables() {
         let cfg = GptConfig::tiny();
