@@ -106,8 +106,8 @@ fn bench_attention(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rows as u64));
         group.bench_function(name, |bench| {
             bench.iter(|| {
-                let y = attn.forward(std::hint::black_box(&x));
-                let dx = attn.backward(&grad);
+                let (y, saved) = attn.forward(std::hint::black_box(&x));
+                let dx = attn.backward(saved, &grad);
                 attn.zero_grad();
                 (y, dx)
             });

@@ -156,7 +156,6 @@ impl opt_tensor::Persist for TrainerConfig {
         }
         w.u8(self.quality.fused_embedding as u8);
         self.quality.sc.map(|sc| (sc.fraction, sc.rank)).persist(w);
-        self.quality.naive_dp_rank.persist(w);
         w.u64(self.validate_every);
         w.usize(self.val_sequences);
         w.u8(self.collect_error_stats as u8);
@@ -214,7 +213,6 @@ impl opt_tensor::Persist for TrainerConfig {
         let fused_embedding = flag(r, "QualityConfig.fused_embedding")?;
         let sc = Option::<(f64, usize)>::restore(r)?
             .map(|(fraction, rank)| ScQuality { fraction, rank });
-        let naive_dp_rank = Option::<usize>::restore(r)?;
         Ok(TrainerConfig {
             model,
             pp,
@@ -228,7 +226,6 @@ impl opt_tensor::Persist for TrainerConfig {
                 cb,
                 fused_embedding,
                 sc,
-                naive_dp_rank,
             },
             validate_every: r.u64()?,
             val_sequences: r.usize()?,
@@ -290,7 +287,7 @@ mod tests {
         }
 
         // Every state-affecting field does, one at a time.
-        let state: [(&str, Edit); 20] = [
+        let state: [(&str, Edit); 19] = [
             ("model.n_layers", |c| c.model.n_layers += 1),
             ("model.hidden", |c| c.model.hidden += 1),
             ("model.heads", |c| c.model.heads += 1),
@@ -310,7 +307,6 @@ mod tests {
             ("fused_embedding", |c| c.quality.fused_embedding ^= true),
             ("sc fraction", |c| sc(c).fraction = 0.5),
             ("sc rank", |c| sc(c).rank += 1),
-            ("naive rank", |c| c.quality.naive_dp_rank = Some(4)),
         ];
         for (field, edit) in state {
             assert!(moved(edit), "{field} left the fingerprint unchanged");

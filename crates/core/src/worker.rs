@@ -647,68 +647,47 @@ fn train_iter<Tr: Transport>(
     ctx.stage.zero_grad();
 }
 
+/// One evaluation forward on dp rank 0, where the global rank is the
+/// stage index: the first stage embeds `tokens`, every other stage takes
+/// its predecessor's activation, and all but the last send theirs on.
+/// Returns the logits on the last stage. Nothing is queued for a backward.
+fn eval_forward<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, tokens: &[usize]) -> Option<Matrix> {
+    let s = ctx.stage_idx;
+    let h = if s == 0 {
+        ctx.stage.forward_tokens(tokens)
+    } else {
+        let act = ctx
+            .fwd_mesh
+            .recv(s - 1, s)
+            .expect("evaluation activation lost");
+        ctx.stage.forward_hidden(&act)
+    };
+    ctx.stage.clear_caches();
+    if s + 1 < ctx.cfg.pp {
+        ctx.fwd_mesh.send(s, s + 1, h);
+        None
+    } else {
+        Some(h)
+    }
+}
+
 /// Validation forward pass over `n_seq` held-out sequences (dp rank 0).
 fn validate<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, iter: u64, index: u64, n_seq: usize) {
     let _span = opt_trace::begin(SpanKind::Validate, iter, NO_MICRO, 0, 0);
-    let pp = ctx.cfg.pp;
-    let s = ctx.stage_idx;
-    let my_rank = s; // dp rank 0 => global rank == stage index
-    let chunks = n_seq.div_ceil(ctx.cfg.micro_batch);
-    for c in 0..chunks {
+    for c in 0..n_seq.div_ceil(ctx.cfg.micro_batch) {
         let key = index * 10_007 + c as u64;
-        if s == 0 {
-            let batch = ctx.corpus.validation_batch(ctx.cfg.micro_batch, key);
-            let h = ctx.stage.forward_tokens(&batch.tokens);
-            if pp == 1 {
-                let out = cross_entropy(&h, &batch.targets);
-                ctx.samples.val.push((iter, out.loss));
-            } else {
-                ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
-            }
-        } else {
-            let act = ctx
-                .fwd_mesh
-                .recv(my_rank - 1, my_rank)
-                .expect("validation activation lost");
-            let h = ctx.stage.forward_hidden(&act);
-            if s == pp - 1 {
-                let batch = ctx.corpus.validation_batch(ctx.cfg.micro_batch, key);
-                let out = cross_entropy(&h, &batch.targets);
-                ctx.samples.val.push((iter, out.loss));
-            } else {
-                ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
-            }
+        let batch = ctx.corpus.validation_batch(ctx.cfg.micro_batch, key);
+        if let Some(logits) = eval_forward(ctx, &batch.tokens) {
+            let out = cross_entropy(&logits, &batch.targets);
+            ctx.samples.val.push((iter, out.loss));
         }
     }
-    ctx.stage.clear_caches();
 }
 
 /// Inference pass: last-position argmax per sequence (dp rank 0).
 fn predict<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, id: u64, tokens: &[usize]) {
-    let pp = ctx.cfg.pp;
-    let s = ctx.stage_idx;
-    let my_rank = s;
-    let logits = if s == 0 {
-        let h = ctx.stage.forward_tokens(tokens);
-        if pp == 1 {
-            h
-        } else {
-            ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
-            ctx.stage.clear_caches();
-            return;
-        }
-    } else {
-        let act = ctx
-            .fwd_mesh
-            .recv(my_rank - 1, my_rank)
-            .expect("predict activation lost");
-        let h = ctx.stage.forward_hidden(&act);
-        if s < pp - 1 {
-            ctx.fwd_mesh.send(my_rank, my_rank + 1, h);
-            ctx.stage.clear_caches();
-            return;
-        }
-        h
+    let Some(logits) = eval_forward(ctx, tokens) else {
+        return;
     };
     // Last stage: argmax at each sequence's final position.
     let seq_len = ctx.cfg.model.seq_len;
@@ -717,6 +696,5 @@ fn predict<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, id: u64, tokens: &[usize]) {
     let answers: Vec<usize> = (0..n_seq)
         .map(|q| preds[q * seq_len + seq_len - 1])
         .collect();
-    ctx.stage.clear_caches();
     ctx.reply(CH_PREDICT, id, answers);
 }

@@ -18,7 +18,6 @@ use crate::{Layer, ParamRef};
 use opt_tensor::{
     gemm_strided_batched, xavier_uniform, BatchShape, BlockLayout, Blocks, Matrix, SeedStream,
 };
-use std::collections::VecDeque;
 
 /// Reused scratch buffers; every matrix is fully overwritten before use,
 /// so nothing here is model state (checkpoints ignore it).
@@ -30,8 +29,8 @@ struct AttnScratch {
     acc: Matrix,
 }
 
-/// Per-forward cached tensors needed by the backward pass.
-struct AttnCache {
+/// What one forward leaves for the backward pass.
+pub struct AttnCache {
     x: Matrix,
     q: Matrix,
     k: Matrix,
@@ -128,7 +127,6 @@ pub struct MultiHeadAttention {
     grad_wk: Matrix,
     grad_wv: Matrix,
     grad_wo: Matrix,
-    cache: VecDeque<AttnCache>,
     scratch: AttnScratch,
 }
 
@@ -165,7 +163,6 @@ impl MultiHeadAttention {
             grad_wk: Matrix::zeros(hidden, hidden),
             grad_wv: Matrix::zeros(hidden, hidden),
             grad_wo: Matrix::zeros(hidden, hidden),
-            cache: VecDeque::new(),
             scratch: AttnScratch::default(),
         }
     }
@@ -224,7 +221,9 @@ impl MultiHeadAttention {
 }
 
 impl Layer for MultiHeadAttention {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    type Saved = AttnCache;
+
+    fn forward(&self, x: &Matrix) -> (Matrix, AttnCache) {
         let g = self.grid(x.rows());
         let (l, dk, hb) = (g.l, g.dk, g.head_blocks());
         let scale = 1.0 / (dk as f32).sqrt();
@@ -233,7 +232,7 @@ impl Layer for MultiHeadAttention {
         let k = x.matmul(&self.wk);
         let v = x.matmul(&self.wv);
 
-        // S = Q·Kᵀ / sqrt(dk) per head; its causal softmax is cached.
+        // S = Q·Kᵀ / sqrt(dk) per head; its causal softmax is saved.
         let mut scores = Matrix::zeros(g.stack_rows(), l);
         g.product(
             [l, l, dk],
@@ -256,22 +255,18 @@ impl Layer for MultiHeadAttention {
             hb,
         );
         let y = context.matmul(&self.wo);
-        self.cache.push_back(AttnCache {
+        let saved = AttnCache {
             x: x.clone(),
             q,
             k,
             v,
             attn,
             context,
-        });
-        y
+        };
+        (y, saved)
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let c = self
-            .cache
-            .pop_front()
-            .expect("Attention::backward without forward");
+    fn backward(&mut self, c: AttnCache, grad_out: &Matrix) -> Matrix {
         let g = self.grid(grad_out.rows());
         let (l, dk, hb, tiles) = (g.l, g.dk, g.head_blocks(), g.tiles());
         let (rows, hidden) = (grad_out.rows(), self.hidden);
@@ -352,14 +347,6 @@ impl Layer for MultiHeadAttention {
                 grad: &mut self.grad_wo,
             },
         ]
-    }
-
-    fn pending_activations(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.cache.clear();
     }
 }
 
@@ -446,9 +433,10 @@ mod tests {
         /// `[wq, wk, wv, wo]` and their gradients.
         w: [Matrix; 4],
         grad: [Matrix; 4],
-        /// `(x, q, k, v, per-head softmax, context)` per micro-batch.
-        cache: VecDeque<(Matrix, Matrix, Matrix, Matrix, Vec<Matrix>, Matrix)>,
     }
+
+    /// `(x, q, k, v, per-head softmax, context)` of one forward.
+    type OracleSaved = (Matrix, Matrix, Matrix, Matrix, Vec<Matrix>, Matrix);
 
     impl PerHeadOracle {
         fn of(layer: &mut MultiHeadAttention) -> Self {
@@ -461,11 +449,10 @@ mod tests {
                 seq_len,
                 w,
                 grad,
-                cache: VecDeque::new(),
             }
         }
 
-        fn forward(&mut self, x: &Matrix) -> Matrix {
+        fn forward(&self, x: &Matrix) -> (Matrix, OracleSaved) {
             let (l, hidden) = (self.seq_len, x.cols());
             let dk = hidden / self.heads;
             let scale = 1.0 / (dk as f32).sqrt();
@@ -490,12 +477,11 @@ mod tests {
                 }
             }
             let y = context.matmul(&self.w[3]);
-            self.cache.push_back((x.clone(), q, k, v, attn, context));
-            y
+            (y, (x.clone(), q, k, v, attn, context))
         }
 
-        fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-            let (x, q, k, v, attn, context) = self.cache.pop_front().expect("forward first");
+        fn backward(&mut self, saved: OracleSaved, grad_out: &Matrix) -> Matrix {
+            let (x, q, k, v, attn, context) = saved;
             let (l, hidden) = (self.seq_len, x.cols());
             let dk = hidden / self.heads;
             let scale = 1.0 / (dk as f32).sqrt();
@@ -549,18 +535,18 @@ mod tests {
             let mut oracle = PerHeadOracle::of(&mut layer);
             let xs = [0, 1].map(|_| rng.uniform_matrix(rows, hidden, 1.0));
             let gs = [0, 1].map(|_| rng.uniform_matrix(rows, hidden, 1.0));
-            // Two micro-batches in flight, backward in FIFO order.
+            // Two micro-batches in flight, backward in forward order.
+            let mut saved = Vec::new();
             for x in &xs {
-                assert_eq!(
-                    bits(&layer.forward(x)),
-                    bits(&oracle.forward(x)),
-                    "{label}: y"
-                );
+                let (y, s) = layer.forward(x);
+                let (want, o) = oracle.forward(x);
+                assert_eq!(bits(&y), bits(&want), "{label}: y");
+                saved.push((s, o));
             }
-            for g in &gs {
+            for (g, (s, o)) in gs.iter().zip(saved) {
                 assert_eq!(
-                    bits(&layer.backward(g)),
-                    bits(&oracle.backward(g)),
+                    bits(&layer.backward(s, g)),
+                    bits(&oracle.backward(o, g)),
                     "{label}: dx"
                 );
             }
@@ -573,9 +559,9 @@ mod tests {
     #[test]
     fn forward_shape_preserved() {
         let mut rng = SeedStream::new(1);
-        let mut attn = MultiHeadAttention::new(8, 2, 4, &mut rng);
+        let attn = MultiHeadAttention::new(8, 2, 4, &mut rng);
         let x = rng.uniform_matrix(8, 8, 0.5); // 2 sequences of length 4
-        let y = attn.forward(&x);
+        let (y, _) = attn.forward(&x);
         assert_eq!(y.shape(), (8, 8));
     }
 
@@ -584,7 +570,7 @@ mod tests {
         // With causal masking, output at position 0 is v[0] * Wo regardless
         // of other positions.
         let mut rng = SeedStream::new(2);
-        let mut attn = MultiHeadAttention::new(4, 1, 3, &mut rng);
+        let attn = MultiHeadAttention::new(4, 1, 3, &mut rng);
         let x1 = rng.uniform_matrix(3, 4, 0.5);
         let mut x2 = x1.clone();
         // Perturb positions 1, 2: output row 0 must not change.
@@ -592,8 +578,8 @@ mod tests {
             x2[(1, c)] += 1.0;
             x2[(2, c)] -= 1.0;
         }
-        let y1 = attn.forward(&x1);
-        let y2 = attn.forward(&x2);
+        let (y1, _) = attn.forward(&x1);
+        let (y2, _) = attn.forward(&x2);
         for c in 0..4 {
             assert!((y1[(0, c)] - y2[(0, c)]).abs() < 1e-6);
         }
@@ -616,8 +602,8 @@ mod tests {
         let probe = rng.uniform_matrix(4, 4, 1.0);
         let make = || MultiHeadAttention::new(4, 2, 4, &mut SeedStream::new(55));
         let mut layer = make();
-        layer.forward(&x);
-        layer.backward(&probe);
+        let (_, saved) = layer.forward(&x);
+        layer.backward(saved, &probe);
         // Check a few entries of each weight gradient.
         for (pi, name) in ["attn.wq", "attn.wk", "attn.wv", "attn.wo"]
             .iter()
@@ -628,7 +614,7 @@ mod tests {
                 let perturb = |delta: f32| {
                     let mut l = make();
                     l.params()[pi].value.as_mut_slice()[idx] += delta;
-                    l.forward(&x).dot(&probe)
+                    l.forward(&x).0.dot(&probe)
                 };
                 let eps = 1e-3;
                 let numeric = (perturb(eps) - perturb(-eps)) / (2.0 * eps);
@@ -639,28 +625,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fifo_cache_supports_pipelined_microbatches() {
-        let mut rng = SeedStream::new(3);
-        let mut attn = MultiHeadAttention::new(4, 1, 2, &mut rng);
-        let x1 = rng.uniform_matrix(2, 4, 0.5);
-        let x2 = rng.uniform_matrix(2, 4, 0.5);
-        let y1 = attn.forward(&x1);
-        let _y2 = attn.forward(&x2);
-        assert_eq!(attn.pending_activations(), 2);
-        // Backward for x1 first: compare against a fresh layer doing only x1.
-        let mut fresh = MultiHeadAttention::new(4, 1, 2, &mut SeedStream::new(3));
-        // Copy weights so both layers are identical.
-        for (dst, src) in fresh.params().into_iter().zip(attn.params()) {
-            *dst.value = src.value.clone();
-        }
-        let y1_fresh = fresh.forward(&x1);
-        assert!(y1.sub(&y1_fresh).max_abs() < 1e-6);
-        let g = Matrix::full(2, 4, 1.0);
-        let dx = attn.backward(&g);
-        let dx_fresh = fresh.backward(&g);
-        assert!(dx.sub(&dx_fresh).max_abs() < 1e-6);
     }
 }

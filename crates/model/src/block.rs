@@ -1,8 +1,8 @@
 //! The Megatron-LM transformer block (paper Fig. 2).
 
+use crate::attention::AttnCache;
 use crate::{Gelu, Layer, LayerNorm, Linear, MultiHeadAttention, ParamRef};
 use opt_tensor::{Matrix, SeedStream};
-use std::collections::VecDeque;
 
 /// One transformer layer with pre-norm residual structure, matching the
 /// paper's Fig. 2 (whose dropout layers are the identity at the `p = 0`
@@ -19,8 +19,17 @@ pub struct TransformerBlock {
     fc1: Linear,
     gelu: Gelu,
     fc2: Linear,
-    /// Number of in-flight micro-batches (for the pipelining contract).
-    in_flight: VecDeque<()>,
+}
+
+/// What one forward leaves for the block's backward: its six sublayers'
+/// saved states.
+pub struct BlockSaved {
+    ln1: <LayerNorm as Layer>::Saved,
+    attn: AttnCache,
+    ln2: <LayerNorm as Layer>::Saved,
+    fc1: Matrix,
+    gelu: Matrix,
+    fc2: Matrix,
 }
 
 impl std::fmt::Debug for TransformerBlock {
@@ -44,42 +53,47 @@ impl TransformerBlock {
             attn,
             ln2: LayerNorm::new(hidden),
             fc1: Linear::new(hidden, 4 * hidden, rng),
-            gelu: Gelu::new(),
+            gelu: Gelu,
             fc2: Linear::new(4 * hidden, hidden, rng),
-            in_flight: VecDeque::new(),
         }
     }
 }
 
 impl Layer for TransformerBlock {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    type Saved = BlockSaved;
+
+    fn forward(&self, x: &Matrix) -> (Matrix, BlockSaved) {
         // Attention sub-block with residual.
-        let h = self.ln1.forward(x);
-        let h = self.attn.forward(&h);
+        let (h, ln1) = self.ln1.forward(x);
+        let (h, attn) = self.attn.forward(&h);
         let x2 = x.add(&h);
         // MLP sub-block with residual.
-        let m = self.ln2.forward(&x2);
-        let m = self.fc1.forward(&m);
-        let m = self.gelu.forward(&m);
-        let m = self.fc2.forward(&m);
+        let (m, ln2) = self.ln2.forward(&x2);
+        let (m, fc1) = self.fc1.forward(&m);
+        let (m, gelu) = self.gelu.forward(&m);
+        let (m, fc2) = self.fc2.forward(&m);
         let y = x2.add(&m);
-        self.in_flight.push_back(());
-        y
+        let saved = BlockSaved {
+            ln1,
+            attn,
+            ln2,
+            fc1,
+            gelu,
+            fc2,
+        };
+        (y, saved)
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        self.in_flight
-            .pop_front()
-            .expect("TransformerBlock::backward without forward");
+    fn backward(&mut self, s: BlockSaved, grad_out: &Matrix) -> Matrix {
         // y = x2 + fc2(gelu(fc1(ln2(x2))))
-        let dm = self.fc2.backward(grad_out);
-        let dm = self.gelu.backward(&dm);
-        let dm = self.fc1.backward(&dm);
-        let dm = self.ln2.backward(&dm);
+        let dm = self.fc2.backward(s.fc2, grad_out);
+        let dm = self.gelu.backward(s.gelu, &dm);
+        let dm = self.fc1.backward(s.fc1, &dm);
+        let dm = self.ln2.backward(s.ln2, &dm);
         let dx2 = grad_out.add(&dm);
         // x2 = x + attn(ln1(x))
-        let dh = self.attn.backward(&dx2);
-        let dh = self.ln1.backward(&dh);
+        let dh = self.attn.backward(s.attn, &dx2);
+        let dh = self.ln1.backward(s.ln1, &dh);
         dx2.add(&dh)
     }
 
@@ -91,20 +105,6 @@ impl Layer for TransformerBlock {
         out.extend(self.fc1.params());
         out.extend(self.fc2.params());
         out
-    }
-
-    fn pending_activations(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.in_flight.clear();
-        self.ln1.clear_caches();
-        self.attn.clear_caches();
-        self.ln2.clear_caches();
-        self.fc1.clear_caches();
-        self.gelu.clear_caches();
-        self.fc2.clear_caches();
     }
 }
 
@@ -119,10 +119,10 @@ mod tests {
 
     #[test]
     fn forward_preserves_shape() {
-        let mut b = block(1);
+        let b = block(1);
         let mut rng = SeedStream::new(2);
         let x = rng.uniform_matrix(6, 4, 0.5); // two sequences of length 3
-        assert_eq!(b.forward(&x).shape(), (6, 4));
+        assert_eq!(b.forward(&x).0.shape(), (6, 4));
     }
 
     #[test]
@@ -144,10 +144,10 @@ mod tests {
         // With Xavier init and LayerNorm, output stays in the same
         // magnitude range as input (no explosion), a sanity check for
         // trainability.
-        let mut b = block(3);
+        let b = block(3);
         let mut rng = SeedStream::new(4);
         let x = rng.uniform_matrix(6, 4, 1.0);
-        let y = b.forward(&x);
+        let (y, _) = b.forward(&x);
         assert!(y.norm() < 10.0 * x.norm());
         assert!(y.norm() > 0.1 * x.norm());
     }
@@ -161,15 +161,15 @@ mod tests {
         let xb = rng.uniform_matrix(3, 4, 0.5);
         let g = Matrix::full(3, 4, 1.0);
         // b1: interleaved (forward a, forward b, backward a, backward b)
-        b1.forward(&xa);
-        b1.forward(&xb);
-        let da1 = b1.backward(&g);
-        let db1 = b1.backward(&g);
+        let (_, sa) = b1.forward(&xa);
+        let (_, sb) = b1.forward(&xb);
+        let da1 = b1.backward(sa, &g);
+        let db1 = b1.backward(sb, &g);
         // b2: sequential
-        b2.forward(&xa);
-        let da2 = b2.backward(&g);
-        b2.forward(&xb);
-        let db2 = b2.backward(&g);
+        let (_, sa) = b2.forward(&xa);
+        let da2 = b2.backward(sa, &g);
+        let (_, sb) = b2.forward(&xb);
+        let db2 = b2.backward(sb, &g);
         assert!(da1.sub(&da2).max_abs() < 1e-5);
         assert!(db1.sub(&db2).max_abs() < 1e-5);
     }
@@ -179,8 +179,8 @@ mod tests {
         let mut b = block(11);
         let mut rng = SeedStream::new(6);
         let x = rng.uniform_matrix(3, 4, 0.5);
-        b.forward(&x);
-        b.backward(&Matrix::full(3, 4, 1.0));
+        let (_, saved) = b.forward(&x);
+        b.backward(saved, &Matrix::full(3, 4, 1.0));
         assert!(b.params().iter().any(|p| p.grad.norm() > 0.0));
         b.zero_grad();
         assert!(b.params().iter().all(|p| p.grad.norm() == 0.0));

@@ -7,8 +7,8 @@
 //! synchronized every iteration — the "EMB Sync" all-reduce whose fusion
 //! is the paper's §6 contribution.
 
+use crate::ParamRef;
 use opt_tensor::{Matrix, SeedStream};
-use std::collections::VecDeque;
 
 /// A replica of the shared embedding: token table (`vocab x hidden`) plus a
 /// learned positional table (`seq_len x hidden`).
@@ -16,7 +16,9 @@ use std::collections::VecDeque;
 /// The first pipeline stage calls [`Embedding::lookup`]/[`Embedding::backward_lookup`];
 /// the last stage calls [`Embedding::project`]/[`Embedding::backward_project`]
 /// on its own replica. Both accumulate into [`Embedding::grad`], which the
-/// runtime all-reduces (separately or fused, §6).
+/// runtime all-reduces (separately or fused, §6). The embedding keeps no
+/// activations: each backward is handed the tokens or hidden states of
+/// its forward.
 #[derive(Debug)]
 pub struct Embedding {
     table: Matrix,
@@ -24,8 +26,6 @@ pub struct Embedding {
     grad_table: Matrix,
     grad_pos: Matrix,
     seq_len: usize,
-    lookup_cache: VecDeque<Vec<usize>>,
-    project_cache: VecDeque<Matrix>,
 }
 
 impl Embedding {
@@ -38,8 +38,6 @@ impl Embedding {
             grad_table: Matrix::zeros(vocab, hidden),
             grad_pos: Matrix::zeros(seq_len, hidden),
             seq_len,
-            lookup_cache: VecDeque::new(),
-            project_cache: VecDeque::new(),
         }
     }
 
@@ -83,31 +81,21 @@ impl Embedding {
         self.grad_table = grad;
     }
 
-    /// Mutable (table, grad) pair for the optimizer step.
-    pub fn table_param(&mut self) -> (&mut Matrix, &mut Matrix) {
-        (&mut self.table, &mut self.grad_table)
-    }
-
-    /// Both parameter pairs at once: `[(table, grad_table), (pos, grad_pos)]`.
-    /// Needed when a caller must hold mutable references to both
-    /// simultaneously (disjoint-field split).
-    #[allow(clippy::type_complexity)]
-    pub fn both_params(&mut self) -> [(&mut Matrix, &mut Matrix); 2] {
+    /// The token table and the positional table with their gradients,
+    /// named `"embedding.table"` and `"embedding.pos"`.
+    pub fn params(&mut self) -> [ParamRef<'_>; 2] {
         [
-            (&mut self.table, &mut self.grad_table),
-            (&mut self.pos, &mut self.grad_pos),
+            ParamRef {
+                name: "embedding.table",
+                value: &mut self.table,
+                grad: &mut self.grad_table,
+            },
+            ParamRef {
+                name: "embedding.pos",
+                value: &mut self.pos,
+                grad: &mut self.grad_pos,
+            },
         ]
-    }
-
-    /// Total scalar parameters (token + positional tables).
-    pub fn param_count(&self) -> usize {
-        self.table.len() + self.pos.len()
-    }
-
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_table.fill_zero();
-        self.grad_pos.fill_zero();
     }
 
     /// Input-side forward: maps tokens (grouped in sequences of `seq_len`)
@@ -117,7 +105,7 @@ impl Embedding {
     ///
     /// Panics if `tokens.len()` is not a multiple of `seq_len` or a token
     /// id is out of range.
-    pub fn lookup(&mut self, tokens: &[usize]) -> Matrix {
+    pub fn lookup(&self, tokens: &[usize]) -> Matrix {
         assert!(
             tokens.len().is_multiple_of(self.seq_len),
             "token count {} not a multiple of seq_len {}",
@@ -132,21 +120,16 @@ impl Embedding {
                 *o = e + p;
             }
         }
-        self.lookup_cache.push_back(tokens.to_vec());
         out
     }
 
-    /// Input-side backward: scatter-adds `grad` into the token and
-    /// positional gradients.
+    /// Input-side backward for the `tokens` of one lookup: scatter-adds
+    /// `grad` into the token and positional gradients.
     ///
     /// # Panics
     ///
-    /// Panics if no lookup is cached.
-    pub fn backward_lookup(&mut self, grad: &Matrix) {
-        let tokens = self
-            .lookup_cache
-            .pop_front()
-            .expect("backward_lookup without lookup");
+    /// Panics if `grad` does not have one row per token.
+    pub fn backward_lookup(&mut self, tokens: &[usize], grad: &Matrix) {
         assert_eq!(grad.rows(), tokens.len(), "lookup grad row mismatch");
         // Each element still gets its additions in token order; the two
         // tables are separate buffers, so walking them one after the
@@ -163,37 +146,18 @@ impl Embedding {
     }
 
     /// Output-side forward (tied weights): logits = `hidden_states * table^T`.
-    pub fn project(&mut self, hidden_states: &Matrix) -> Matrix {
-        let logits = hidden_states.matmul_t(&self.table);
-        self.project_cache.push_back(hidden_states.clone());
-        logits
+    pub fn project(&self, hidden_states: &Matrix) -> Matrix {
+        hidden_states.matmul_t(&self.table)
     }
 
-    /// Output-side backward: accumulates the table gradient from the
-    /// logits gradient and returns the gradient w.r.t. the hidden states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no projection is cached.
-    pub fn backward_project(&mut self, grad_logits: &Matrix) -> Matrix {
-        let h = self
-            .project_cache
-            .pop_front()
-            .expect("backward_project without project");
+    /// Output-side backward for the `hidden_states` of one projection:
+    /// accumulates the table gradient from the logits gradient and returns
+    /// the gradient w.r.t. the hidden states.
+    pub fn backward_project(&mut self, hidden_states: &Matrix, grad_logits: &Matrix) -> Matrix {
         // logits = h * T^T  =>  dT = dLogits^T * h, dh = dLogits * T.
-        self.grad_table.add_assign(&grad_logits.t_matmul(&h));
+        self.grad_table
+            .add_assign(&grad_logits.t_matmul(hidden_states));
         grad_logits.matmul(&self.table)
-    }
-
-    /// Outstanding cached activations (both sides).
-    pub fn pending_activations(&self) -> usize {
-        self.lookup_cache.len() + self.project_cache.len()
-    }
-
-    /// Drops all cached activations (after evaluation-only forwards).
-    pub fn clear_caches(&mut self) {
-        self.lookup_cache.clear();
-        self.project_cache.clear();
     }
 }
 
@@ -207,7 +171,7 @@ mod tests {
 
     #[test]
     fn lookup_returns_table_plus_pos_rows() {
-        let mut e = emb();
+        let e = emb();
         let out = e.lookup(&[3, 7]);
         for c in 0..4 {
             assert_eq!(out[(0, c)], e.table[(3, c)] + e.pos[(0, c)]);
@@ -218,9 +182,8 @@ mod tests {
     #[test]
     fn backward_lookup_scatter_adds() {
         let mut e = emb();
-        e.lookup(&[2, 2]); // same token twice
         let g = Matrix::full(2, 4, 1.0);
-        e.backward_lookup(&g);
+        e.backward_lookup(&[2, 2], &g); // same token twice
         for c in 0..4 {
             assert_eq!(e.grad()[(2, c)], 2.0); // both rows accumulate
             assert_eq!(e.grad()[(0, c)], 0.0);
@@ -266,7 +229,7 @@ mod tests {
             let y = e.lookup(&tokens);
             assert_eq!(bits(&y), bits(&old_lookup(&old, &tokens)));
             let g = rng.uniform_matrix(tokens.len(), hidden, 1.0);
-            e.backward_lookup(&g);
+            e.backward_lookup(&tokens, &g);
             old_backward_lookup(&mut old, &tokens, &g);
             assert_eq!(bits(&e.grad_table), bits(&old.grad_table));
             assert_eq!(bits(&e.grad_pos), bits(&old.grad_pos));
@@ -275,7 +238,7 @@ mod tests {
 
     #[test]
     fn project_is_table_transpose_matmul() {
-        let mut e = emb();
+        let e = emb();
         let h = Matrix::full(2, 4, 1.0);
         let logits = e.project(&h);
         assert_eq!(logits.shape(), (2, 10));
@@ -289,15 +252,13 @@ mod tests {
         let h = rng.uniform_matrix(2, 4, 0.5);
         let probe = rng.uniform_matrix(2, 10, 1.0);
         let mut e = emb();
-        e.project(&h);
-        let dh = e.backward_project(&probe);
+        let dh = e.backward_project(&h, &probe);
         let eps = 1e-3;
         // d loss / d h[0,1]
         let fd = |delta: f32| {
-            let mut e2 = emb();
             let mut hp = h.clone();
             hp[(0, 1)] += delta;
-            e2.project(&hp).dot(&probe)
+            emb().project(&hp).dot(&probe)
         };
         let numeric = (fd(eps) - fd(-eps)) / (2.0 * eps);
         assert!((numeric - dh[(0, 1)]).abs() < 1e-2);
@@ -319,9 +280,9 @@ mod tests {
         let x = e.lookup(&[1, 2]);
         let logits = e.project(&x);
         let g = Matrix::full(logits.rows(), logits.cols(), 0.1);
-        let _dh = e.backward_project(&g);
+        let _dh = e.backward_project(&x, &g);
         let before = e.grad().clone();
-        e.backward_lookup(&Matrix::full(2, 4, 0.1));
+        e.backward_lookup(&[1, 2], &Matrix::full(2, 4, 0.1));
         // Lookup backward must add on top of projection backward.
         assert!(e.grad().sub(&before).norm() > 0.0);
     }
@@ -332,12 +293,17 @@ mod tests {
         emb().lookup(&[10, 0]);
     }
 
+    /// `Stage::zero_grad` zeroes through `params()`, so both tables'
+    /// gradients must be reachable there.
     #[test]
     fn zero_grad_clears_both_tables() {
         let mut e = emb();
-        e.lookup(&[0, 1]);
-        e.backward_lookup(&Matrix::full(2, 4, 1.0));
-        e.zero_grad();
+        e.backward_lookup(&[0, 1], &Matrix::full(2, 4, 1.0));
+        assert!(e.grad_pos.norm() > 0.0);
+        for p in e.params() {
+            p.grad.fill_zero();
+        }
         assert_eq!(e.grad().norm(), 0.0);
+        assert_eq!(e.grad_pos.norm(), 0.0);
     }
 }

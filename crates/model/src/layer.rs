@@ -17,16 +17,13 @@ pub struct ParamRef<'a> {
     pub grad: &'a mut Matrix,
 }
 
-/// A differentiable layer with FIFO activation caching.
+/// A differentiable layer that keeps no activations.
 ///
-/// # Pipelining contract
-///
-/// Under 1F1B scheduling a device may run several forward passes before
-/// the first backward arrives. Implementations must therefore cache
-/// per-call activations in a FIFO queue: `backward` consumes the cache of
-/// the *oldest* outstanding `forward`. The 1F1B schedule guarantees
-/// backward order equals forward order, so a queue (not a stack) is
-/// correct.
+/// `forward` hands back, beside its output, whatever its `backward` will
+/// need ([`Layer::Saved`]); the caller keeps it and passes it back. Under
+/// 1F1B scheduling a stage runs several forwards before the first backward
+/// arrives, and [`crate::Stage`] owns the one queue that holds their saved
+/// states in forward order.
 ///
 /// # Gradient accumulation
 ///
@@ -35,16 +32,15 @@ pub struct ParamRef<'a> {
 /// whose gradients sum (paper Eq. 7). Callers reset with
 /// [`Layer::zero_grad`] after the optimizer step.
 pub trait Layer: Send {
-    /// Computes the layer output, caching whatever `backward` will need.
-    fn forward(&mut self, x: &Matrix) -> Matrix;
+    /// What one forward leaves for its backward.
+    type Saved;
 
-    /// Consumes the oldest cached activation, accumulates parameter
+    /// Computes the layer output and the state its backward needs.
+    fn forward(&self, x: &Matrix) -> (Matrix, Self::Saved);
+
+    /// Consumes one forward's saved state, accumulates parameter
     /// gradients, and returns the gradient with respect to the input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward activation is cached.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
+    fn backward(&mut self, saved: Self::Saved, grad_out: &Matrix) -> Matrix;
 
     /// Mutable references to every (parameter, gradient) pair.
     /// Stateless layers return an empty vector.
@@ -61,14 +57,6 @@ pub trait Layer: Send {
             p.grad.fill_zero();
         }
     }
-
-    /// Number of forward activations cached but not yet consumed by
-    /// backward. Zero at iteration boundaries in a correct schedule.
-    fn pending_activations(&self) -> usize;
-
-    /// Drops all cached activations without backpropagating. Used after
-    /// evaluation-only forward passes (validation, zero-shot probes).
-    fn clear_caches(&mut self);
 }
 
 #[cfg(test)]
@@ -89,9 +77,9 @@ pub(crate) mod testutil {
         let mut rng = SeedStream::new(1234);
         let x = rng.uniform_matrix(rows, cols, 0.5);
         let mut probe_layer = layer_factory();
-        let out = probe_layer.forward(&x);
+        let (out, saved) = probe_layer.forward(&x);
         let probe = SeedStream::new(99).uniform_matrix(out.rows(), out.cols(), 1.0);
-        let analytic = probe_layer.backward(&probe);
+        let analytic = probe_layer.backward(saved, &probe);
 
         let eps = 1e-3;
         for idx in [0usize, (rows * cols) / 2, rows * cols - 1] {
@@ -99,10 +87,9 @@ pub(crate) mod testutil {
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let mut lp = layer_factory();
-            let mut lm = layer_factory();
-            let fp = lp.forward(&xp).dot(&probe);
-            let fm = lm.forward(&xm).dot(&probe);
+            let layer = layer_factory();
+            let fp = layer.forward(&xp).0.dot(&probe);
+            let fm = layer.forward(&xm).0.dot(&probe);
             let numeric = (fp - fm) / (2.0 * eps);
             let got = analytic.as_slice()[idx];
             assert!(

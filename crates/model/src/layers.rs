@@ -2,7 +2,6 @@
 
 use crate::{Layer, ParamRef};
 use opt_tensor::{xavier_uniform, Matrix, SeedStream};
-use std::collections::VecDeque;
 
 /// Fully-connected layer `y = x W + b`.
 ///
@@ -13,7 +12,6 @@ pub struct Linear {
     b: Matrix,
     grad_w: Matrix,
     grad_b: Matrix,
-    cache: VecDeque<Matrix>,
     /// Weight-gradient GEMM scratch (fully overwritten each backward).
     scratch_gw: Matrix,
 }
@@ -26,7 +24,6 @@ impl Linear {
             b: Matrix::zeros(1, out_dim),
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: Matrix::zeros(1, out_dim),
-            cache: VecDeque::new(),
             scratch_gw: Matrix::default(),
         }
     }
@@ -48,18 +45,16 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// The input.
+    type Saved = Matrix;
+
+    fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
         let mut y = x.matmul(&self.w);
         y.add_row_broadcast_assign(&self.b);
-        self.cache.push_back(x.clone());
-        y
+        (y, x.clone())
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cache
-            .pop_front()
-            .expect("Linear::backward without forward");
+    fn backward(&mut self, x: Matrix, grad_out: &Matrix) -> Matrix {
         x.t_matmul_into(grad_out, &mut self.scratch_gw);
         self.grad_w.add_assign(&self.scratch_gw);
         self.grad_b.add_assign(&grad_out.col_sums());
@@ -80,14 +75,6 @@ impl Layer for Linear {
             },
         ]
     }
-
-    fn pending_activations(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.cache.clear();
-    }
 }
 
 /// Layer normalization over the feature (column) dimension with learned
@@ -99,8 +86,6 @@ pub struct LayerNorm {
     grad_gamma: Matrix,
     grad_beta: Matrix,
     eps: f32,
-    /// Cached (normalized input, 1/std per row).
-    cache: VecDeque<(Matrix, Vec<f32>)>,
 }
 
 impl LayerNorm {
@@ -112,13 +97,15 @@ impl LayerNorm {
             grad_gamma: Matrix::zeros(1, dim),
             grad_beta: Matrix::zeros(1, dim),
             eps: 1e-5,
-            cache: VecDeque::new(),
         }
     }
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// The normalized input and 1/std per row.
+    type Saved = (Matrix, Vec<f32>);
+
+    fn forward(&self, x: &Matrix) -> (Matrix, Self::Saved) {
         let (rows, cols) = x.shape();
         let mut xhat = Matrix::zeros(rows, cols);
         let mut y = Matrix::zeros(rows, cols);
@@ -136,15 +123,10 @@ impl Layer for LayerNorm {
             }
             inv_stds.push(inv_std);
         }
-        self.cache.push_back((xhat, inv_stds));
-        y
+        (y, (xhat, inv_stds))
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let (xhat, inv_stds) = self
-            .cache
-            .pop_front()
-            .expect("LayerNorm::backward without forward");
+    fn backward(&mut self, (xhat, inv_stds): Self::Saved, grad_out: &Matrix) -> Matrix {
         let (rows, cols) = grad_out.shape();
         let n = cols as f32;
         let mut dx = Matrix::zeros(rows, cols);
@@ -187,43 +169,24 @@ impl Layer for LayerNorm {
             },
         ]
     }
-
-    fn pending_activations(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.cache.clear();
-    }
 }
 
 /// GeLU activation (tanh approximation, as in GPT-2/Megatron), computed
 /// by `opt-tensor`'s dispatched element-wise kernels.
-#[derive(Debug, Default)]
-pub struct Gelu {
-    cache: VecDeque<Matrix>,
-}
-
-impl Gelu {
-    /// Creates a GeLU activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+#[derive(Debug)]
+pub struct Gelu;
 
 impl Layer for Gelu {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// The input.
+    type Saved = Matrix;
+
+    fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
         let mut y = Matrix::zeros(x.rows(), x.cols());
         opt_tensor::gelu(x.as_slice(), y.as_mut_slice());
-        self.cache.push_back(x.clone());
-        y
+        (y, x.clone())
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cache
-            .pop_front()
-            .expect("Gelu::backward without forward");
+    fn backward(&mut self, x: Matrix, grad_out: &Matrix) -> Matrix {
         assert_eq!(x.shape(), grad_out.shape(), "Gelu::backward shape mismatch");
         let mut dx = Matrix::zeros(x.rows(), x.cols());
         opt_tensor::gelu_backward(x.as_slice(), grad_out.as_slice(), dx.as_mut_slice());
@@ -232,14 +195,6 @@ impl Layer for Gelu {
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
         Vec::new()
-    }
-
-    fn pending_activations(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear_caches(&mut self) {
-        self.cache.clear();
     }
 }
 
@@ -255,7 +210,7 @@ mod tests {
         // Overwrite with known weights.
         *l.params()[0].value = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         *l.params()[1].value = Matrix::from_rows(&[&[0.5, -0.5]]);
-        let y = l.forward(&Matrix::from_rows(&[&[3.0, 4.0]]));
+        let (y, _) = l.forward(&Matrix::from_rows(&[&[3.0, 4.0]]));
         assert_eq!(y.as_slice(), &[3.5, 7.5]);
     }
 
@@ -271,8 +226,8 @@ mod tests {
         let probe = rng.uniform_matrix(3, 2, 1.0);
         let make = || Linear::new(4, 2, &mut SeedStream::new(21));
         let mut layer = make();
-        layer.forward(&x);
-        layer.backward(&probe);
+        let (_, saved) = layer.forward(&x);
+        layer.backward(saved, &probe);
         let analytic = layer.params()[0].grad.clone();
 
         let eps = 1e-3;
@@ -280,7 +235,7 @@ mod tests {
             let perturb = |delta: f32| {
                 let mut l = make();
                 l.params()[0].value.as_mut_slice()[idx] += delta;
-                l.forward(&x).dot(&probe)
+                l.forward(&x).0.dot(&probe)
             };
             let numeric = (perturb(eps) - perturb(-eps)) / (2.0 * eps);
             let got = analytic.as_slice()[idx];
@@ -292,30 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_fifo_cache_handles_two_in_flight() {
-        let mut rng = SeedStream::new(1);
-        let mut l = Linear::new(3, 3, &mut rng);
-        let x1 = rng.uniform_matrix(2, 3, 1.0);
-        let x2 = rng.uniform_matrix(2, 3, 1.0);
-        l.forward(&x1);
-        l.forward(&x2);
-        assert_eq!(l.pending_activations(), 2);
-        let g = Matrix::full(2, 3, 1.0);
-        // First backward must use x1's cache: grad_w contribution x1^T g.
-        let before = l.params()[0].grad.clone();
-        l.backward(&g);
-        let after = l.params()[0].grad.clone();
-        let expect = x1.t_matmul(&g);
-        assert!(after.sub(&before).sub(&expect).max_abs() < 1e-6);
-        assert_eq!(l.pending_activations(), 1);
-    }
-
-    #[test]
     fn layernorm_output_is_normalized() {
-        let mut ln = LayerNorm::new(8);
+        let ln = LayerNorm::new(8);
         let mut rng = SeedStream::new(2);
         let x = rng.uniform_matrix(4, 8, 5.0);
-        let y = ln.forward(&x);
+        let (y, _) = ln.forward(&x);
         for r in 0..4 {
             let row = y.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
@@ -408,14 +344,14 @@ mod tests {
             ];
             let mut want_gg = Matrix::zeros(1, cols);
             let mut want_gb = Matrix::zeros(1, cols);
-            let ys: Vec<Matrix> = xs.iter().map(|x| ln.forward(x)).collect();
-            for ((x, g), y) in xs.iter().zip(&gs).zip(&ys) {
+            let outs: Vec<_> = xs.iter().map(|x| ln.forward(x)).collect();
+            for ((x, g), (y, saved)) in xs.iter().zip(&gs).zip(outs) {
                 let (want_y, xhat, inv_stds) = old_layernorm_forward(x, &gamma, &beta, ln.eps);
-                assert_eq!(bits(y), bits(&want_y), "forward {rows}x{cols}");
+                assert_eq!(bits(&y), bits(&want_y), "forward {rows}x{cols}");
                 let want_dx =
                     old_layernorm_backward(g, &xhat, &inv_stds, &gamma, &mut want_gg, &mut want_gb);
                 assert_eq!(
-                    bits(&ln.backward(g)),
+                    bits(&ln.backward(saved, g)),
                     bits(&want_dx),
                     "backward {rows}x{cols}"
                 );
@@ -442,7 +378,7 @@ mod tests {
     fn gelu_matches_reference_points() {
         // gelu(0) = 0, gelu(large) ~ large, gelu(-large) ~ 0, and the
         // known value gelu(1.0) ~ 0.8412.
-        let y = Gelu::new().forward(&Matrix::from_rows(&[&[0.0, 5.0, -5.0, 1.0]]));
+        let (y, _) = Gelu.forward(&Matrix::from_rows(&[&[0.0, 5.0, -5.0, 1.0]]));
         let y = y.as_slice();
         assert_eq!(y[0], 0.0);
         assert!((y[1] - 5.0).abs() < 1e-3);
@@ -452,13 +388,6 @@ mod tests {
 
     #[test]
     fn gelu_input_gradient_matches_finite_difference() {
-        check_input_gradient(Gelu::new, 2, 5, 1e-2);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward without forward")]
-    fn backward_without_forward_panics() {
-        let mut g = Gelu::new();
-        g.backward(&Matrix::zeros(1, 1));
+        check_input_gradient(|| Gelu, 2, 5, 1e-2);
     }
 }

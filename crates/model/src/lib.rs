@@ -9,9 +9,9 @@
 //! Key pieces:
 //!
 //! * [`Linear`], [`LayerNorm`], [`Gelu`] — primitive layers
-//!   implementing the [`Layer`] trait with FIFO activation caches so that
-//!   multiple in-flight micro-batches (1F1B pipelining!) backpropagate
-//!   correctly.
+//!   implementing the [`Layer`] trait. A layer keeps no activations: its
+//!   forward hands back what its backward needs, and the caller passes
+//!   that back.
 //! * [`MultiHeadAttention`] and [`TransformerBlock`] — the Megatron-LM
 //!   layer structure of the paper's Fig. 2 (LN → attention → residual →
 //!   LN → MLP(4h) → residual).
@@ -22,11 +22,12 @@
 //!   first↔last stage gradient dependency.
 //! * [`Stage`] — a pipeline stage (a consecutive slice of the model)
 //!   exposing forward/backward on hidden-state matrices, the unit the
-//!   pipeline runtime schedules.
+//!   pipeline runtime schedules. It owns the stage's one 1F1B queue, so
+//!   several in-flight micro-batches backpropagate in forward order.
 //! * [`GptConfig`] — configuration zoo with Megatron-consistent parameter
 //!   counting (GPT-2.5B / 8.3B / 9.2B / 39B / 175B presets) used by the
 //!   performance simulator to size communication volumes.
-//! * [`Sgd`] / [`Adam`] — optimizers operating on [`ParamRef`]s.
+//! * [`Adam`] — the optimizer, operating on [`ParamRef`]s.
 //!
 //! # Example
 //!
@@ -57,5 +58,5 @@ pub use embedding::Embedding;
 pub use layer::{Layer, ParamRef};
 pub use layers::{Gelu, LayerNorm, Linear};
 pub use loss::{cross_entropy, softmax_rows, LossOutput};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer};
 pub use stage::Stage;

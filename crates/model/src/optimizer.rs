@@ -13,78 +13,6 @@ pub trait Optimizer: Send {
     /// Applies one update step to every `(value, grad)` pair. Gradients
     /// are *not* zeroed; callers zero them afterwards.
     fn step(&mut self, params: &mut [ParamRef<'_>]);
-
-    /// The learning rate currently in effect.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for warmup/decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// SGD with optional momentum: `v = mu v + g; w -= lr v`.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Matrix>,
-}
-
-impl Sgd {
-    /// Creates plain SGD (`momentum = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates SGD with momentum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamRef<'_>]) {
-        for (slot, p) in params.iter_mut().enumerate() {
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(slot)
-                    .or_insert_with(|| Matrix::zeros(p.grad.rows(), p.grad.cols()));
-                // Fused `v = mu*v + g` (one pass instead of scale + add;
-                // same per-element operations, so bit-identical). The zip
-                // would silently truncate on a shape drift, hence the
-                // assert.
-                debug_assert_eq!(v.shape(), p.grad.shape(), "stale velocity shape");
-                for (vi, &g) in v.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
-                    *vi = *vi * self.momentum + g;
-                }
-                p.value.axpy(-self.lr, v);
-            } else {
-                p.value.axpy(-self.lr, p.grad);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction — the optimizer used for GPT
@@ -218,14 +146,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -249,35 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let final_w = quadratic_step(&mut Sgd::new(0.1), 100);
-        assert!(final_w.abs() < 1e-3, "w = {final_w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let final_w = quadratic_step(&mut Sgd::with_momentum(0.05, 0.9), 200);
-        assert!(final_w.abs() < 1e-2, "w = {final_w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let final_w = quadratic_step(&mut Adam::new(0.1), 300);
         assert!(final_w.abs() < 1e-2, "w = {final_w}");
-    }
-
-    #[test]
-    fn sgd_single_step_is_lr_times_grad() {
-        let mut opt = Sgd::new(0.5);
-        let mut w = Matrix::full(1, 2, 1.0);
-        let mut g = Matrix::from_rows(&[&[2.0, -4.0]]);
-        let mut params = vec![ParamRef {
-            name: "w",
-            value: &mut w,
-            grad: &mut g,
-        }];
-        opt.step(&mut params);
-        assert_eq!(w.as_slice(), &[0.0, 3.0]);
     }
 
     #[test]
@@ -339,15 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_is_adjustable() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn non_positive_lr_panics() {
-        let _ = Sgd::new(0.0);
+        let _ = Adam::new(0.0);
     }
 }

@@ -1,7 +1,9 @@
 //! Pipeline stages: consecutive slices of a GPT model.
 
+use crate::block::BlockSaved;
 use crate::{Embedding, GptConfig, Layer, LayerNorm, ParamRef, TransformerBlock};
 use opt_tensor::{Matrix, SeedStream};
+use std::collections::VecDeque;
 
 /// One pipeline stage of a GPT model.
 ///
@@ -13,6 +15,15 @@ use opt_tensor::{Matrix, SeedStream};
 ///   (§6) optimizes.
 /// * A single-stage pipeline uses one table for both roles (no sync
 ///   needed), exactly like single-GPU training.
+///
+/// # Pipelining contract
+///
+/// Under 1F1B scheduling a stage runs several forward passes before the
+/// first backward arrives. Its layers keep no activations; each forward
+/// pushes what its backward needs onto the stage's one queue, and each
+/// [`Stage::backward`] pops the *oldest* entry. The 1F1B schedule
+/// guarantees backward order equals forward order, so a queue (not a
+/// stack) is correct.
 ///
 /// # Example
 ///
@@ -31,6 +42,19 @@ pub struct Stage {
     blocks: Vec<TransformerBlock>,
     final_ln: Option<LayerNorm>,
     head: Option<Embedding>,
+    /// One entry per forward not yet backpropagated, oldest first.
+    in_flight: VecDeque<Saved>,
+}
+
+/// What one stage forward leaves for its backward.
+struct Saved {
+    /// The first stage's input tokens.
+    tokens: Option<Vec<usize>>,
+    /// Each block's state, in block order.
+    blocks: Vec<BlockSaved>,
+    /// On the last stage: the final norm's state and the normed hidden
+    /// states the tied projection read.
+    head: Option<(<LayerNorm as Layer>::Saved, Matrix)>,
 }
 
 impl std::fmt::Debug for Stage {
@@ -97,6 +121,7 @@ impl Stage {
                 blocks,
                 final_ln: is_last.then(|| LayerNorm::new(cfg.hidden)),
                 head,
+                in_flight: VecDeque::new(),
             });
         }
         stages[0].embedding = Some(input_embedding);
@@ -128,6 +153,14 @@ impl Stage {
         self.blocks.len()
     }
 
+    /// The last stage's final norm and the table its tied projection
+    /// uses: the head replica, or in a single-stage pipeline the input
+    /// embedding itself.
+    fn head_mut(&mut self) -> Option<(&mut LayerNorm, &mut Embedding)> {
+        let table = self.head.as_mut().or(self.embedding.as_mut())?;
+        Some((self.final_ln.as_mut()?, table))
+    }
+
     /// Forward pass for the **first** stage: embeds tokens and runs the
     /// stage's blocks. For a single-stage pipeline this also applies the
     /// final norm and tied projection, returning logits.
@@ -136,20 +169,11 @@ impl Stage {
     ///
     /// Panics if this is not the first stage.
     pub fn forward_tokens(&mut self, tokens: &[usize]) -> Matrix {
-        assert!(self.index == 0, "forward_tokens on non-first stage");
-        let mut h = self
-            .embedding
-            .as_mut()
-            .expect("first stage has embedding")
-            .lookup(tokens);
-        for b in &mut self.blocks {
-            h = b.forward(&h);
-        }
-        if self.has_head() {
-            h = self.final_ln.as_mut().unwrap().forward(&h);
-            h = self.embedding.as_mut().unwrap().project(&h);
-        }
-        h
+        let Some(embedding) = &self.embedding else {
+            panic!("forward_tokens on non-first stage");
+        };
+        let x = embedding.lookup(tokens);
+        self.forward(&x, Some(tokens.to_vec()))
     }
 
     /// Forward pass for middle/last stages on a received hidden matrix.
@@ -161,60 +185,66 @@ impl Stage {
     /// [`Stage::forward_tokens`]).
     pub fn forward_hidden(&mut self, x: &Matrix) -> Matrix {
         assert!(self.index > 0, "use forward_tokens on the first stage");
-        // The first block consumes `x` by reference, so the received
-        // activation is never copied.
-        let mut blocks = self.blocks.iter_mut();
-        let mut h = match blocks.next() {
-            Some(b) => b.forward(x),
-            None => x.clone(),
-        };
-        for b in blocks {
-            h = b.forward(&h);
-        }
-        if self.has_head() {
-            h = self.final_ln.as_mut().unwrap().forward(&h);
-            h = self
-                .head
-                .as_mut()
-                .expect("last stage has head replica")
-                .project(&h);
-        }
-        h
+        self.forward(x, None)
     }
 
-    /// Backward pass. For the last stage `grad` is the logits gradient;
-    /// for others it is the incoming activation gradient from the next
-    /// stage. Returns the gradient to send to the previous stage, or
-    /// `None` on the first stage.
-    pub fn backward(&mut self, grad: &Matrix) -> Option<Matrix> {
-        // Feed `grad` by reference to the first consumer instead of
-        // cloning it up front.
-        let mut g;
-        if self.has_head() {
-            g = if self.n_stages == 1 {
-                self.embedding.as_mut().unwrap().backward_project(grad)
-            } else {
-                self.head.as_mut().unwrap().backward_project(grad)
-            };
-            g = self.final_ln.as_mut().unwrap().backward(&g);
-            for b in self.blocks.iter_mut().rev() {
-                g = b.backward(&g);
-            }
-        } else {
-            let mut blocks = self.blocks.iter_mut().rev();
-            g = match blocks.next() {
-                Some(b) => b.backward(grad),
-                None => grad.clone(),
-            };
-            for b in blocks {
-                g = b.backward(&g);
-            }
+    /// Folds `x` through the blocks, then on the last stage through the
+    /// final norm and the tied projection, and queues what the backward
+    /// needs. The first block reads `x` by reference, so a received
+    /// activation is never copied.
+    fn forward(&mut self, x: &Matrix, tokens: Option<Vec<usize>>) -> Matrix {
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        let mut h = None;
+        for b in &self.blocks {
+            let (y, saved) = b.forward(h.as_ref().unwrap_or(x));
+            blocks.push(saved);
+            h = Some(y);
         }
-        if let Some(emb) = &mut self.embedding {
-            emb.backward_lookup(&g);
-            None
-        } else {
-            Some(g)
+        let h = h.unwrap_or_else(|| x.clone());
+        let (out, head) = match self.head_mut() {
+            Some((ln, table)) => {
+                let (normed, ln_saved) = ln.forward(&h);
+                (table.project(&normed), Some((ln_saved, normed)))
+            }
+            None => (h, None),
+        };
+        self.in_flight.push_back(Saved {
+            tokens,
+            blocks,
+            head,
+        });
+        out
+    }
+
+    /// Backward pass for the oldest queued forward. For the last stage
+    /// `grad` is the logits gradient; for others it is the incoming
+    /// activation gradient from the next stage. Returns the gradient to
+    /// send to the previous stage, or `None` on the first stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward is queued.
+    pub fn backward(&mut self, grad: &Matrix) -> Option<Matrix> {
+        let saved = self
+            .in_flight
+            .pop_front()
+            .expect("Stage::backward without forward");
+        // `grad` goes by reference to its first consumer instead of being
+        // cloned up front.
+        let mut g = None;
+        if let (Some((ln_saved, normed)), Some((ln, table))) = (saved.head, self.head_mut()) {
+            let dh = table.backward_project(&normed, grad);
+            g = Some(ln.backward(ln_saved, &dh));
+        }
+        for (b, s) in self.blocks.iter_mut().zip(saved.blocks).rev() {
+            g = Some(b.backward(s, g.as_ref().unwrap_or(grad)));
+        }
+        match (saved.tokens, &mut self.embedding) {
+            (Some(tokens), Some(embedding)) => {
+                embedding.backward_lookup(&tokens, g.as_ref().unwrap_or(grad));
+                None
+            }
+            _ => Some(g.unwrap_or_else(|| grad.clone())),
         }
     }
 
@@ -223,17 +253,7 @@ impl Stage {
     pub fn params(&mut self) -> Vec<ParamRef<'_>> {
         let mut out = Vec::new();
         if let Some(emb) = &mut self.embedding {
-            let [(t, g), (p, gp)] = emb.both_params();
-            out.push(ParamRef {
-                name: "embedding.table",
-                value: t,
-                grad: g,
-            });
-            out.push(ParamRef {
-                name: "embedding.pos",
-                value: p,
-                grad: gp,
-            });
+            out.extend(emb.params());
         }
         for b in &mut self.blocks {
             out.extend(b.params());
@@ -242,11 +262,10 @@ impl Stage {
             out.extend(ln.params());
         }
         if let Some(h) = &mut self.head {
-            let (t, g) = h.table_param();
+            let [table, _pos] = h.params();
             out.push(ParamRef {
                 name: "head.table",
-                value: t,
-                grad: g,
+                ..table
             });
         }
         out
@@ -289,17 +308,8 @@ impl Stage {
 
     /// Zeroes every gradient accumulator on the stage.
     pub fn zero_grad(&mut self) {
-        if let Some(e) = &mut self.embedding {
-            e.zero_grad();
-        }
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-        if let Some(ln) = &mut self.final_ln {
-            ln.zero_grad();
-        }
-        if let Some(h) = &mut self.head {
-            h.zero_grad();
+        for p in self.params() {
+            p.grad.fill_zero();
         }
     }
 
@@ -347,40 +357,17 @@ impl Stage {
         self.zero_grad();
     }
 
-    /// Drops every cached activation on this stage. Call after an
-    /// evaluation-only forward pass (validation / zero-shot probes) so the
-    /// FIFO caches stay aligned for training.
+    /// Drops every queued forward without backpropagating it. Call after
+    /// an evaluation-only forward pass (validation / zero-shot probes) so
+    /// the queue stays aligned for training.
     pub fn clear_caches(&mut self) {
-        if let Some(e) = &mut self.embedding {
-            e.clear_caches();
-        }
-        for b in &mut self.blocks {
-            b.clear_caches();
-        }
-        if let Some(ln) = &mut self.final_ln {
-            ln.clear_caches();
-        }
-        if let Some(h) = &mut self.head {
-            h.clear_caches();
-        }
+        self.in_flight.clear();
     }
 
-    /// Outstanding cached activations across all layers (0 at iteration
+    /// Forwards queued but not yet backpropagated (0 at iteration
     /// boundaries in a correct schedule).
     pub fn pending_activations(&self) -> usize {
-        let mut n = 0;
-        if let Some(e) = &self.embedding {
-            n += e.pending_activations();
-        }
-        n += self
-            .blocks
-            .iter()
-            .map(|b| b.pending_activations())
-            .sum::<usize>();
-        if let Some(h) = &self.head {
-            n += h.pending_activations();
-        }
-        n
+        self.in_flight.len()
     }
 }
 
@@ -411,7 +398,7 @@ mod tests {
         let tokens = tokens_for(&cfg, 1);
         let logits = stages[0].forward_tokens(&tokens);
         assert_eq!(logits.shape(), (cfg.seq_len, cfg.vocab));
-        // Backward consumes all caches.
+        // Backward empties the queue.
         let targets: Vec<usize> = tokens.iter().map(|&t| (t + 1) % cfg.vocab).collect();
         let out = cross_entropy(&logits, &targets);
         assert!(stages[0].backward(&out.grad_logits).is_none());
@@ -447,6 +434,79 @@ mod tests {
         for s in &stages {
             assert_eq!(s.pending_activations(), 0);
         }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Stage `stage` of a `pp`-stage GPT-tiny pipeline, run two ways on
+    /// identical copies: two forwards then two backwards through the
+    /// queue, and forward/backward pairs one at a time. Outputs, upstream
+    /// gradients and every parameter gradient must match bit for bit, and
+    /// `zero_grad` must then leave every gradient zero.
+    fn check_two_in_flight(pp: usize, stage: usize) {
+        let cfg = GptConfig::tiny();
+        let build = || Stage::build_pipeline(&cfg, pp, 5).swap_remove(stage);
+        let (mut queued, mut paired) = (build(), build());
+        let mut rng = SeedStream::new(9);
+        let rows = 2 * cfg.seq_len;
+        let tokens: [Vec<usize>; 2] =
+            std::array::from_fn(|m| (0..rows).map(|i| (i * 7 + m * 3) % cfg.vocab).collect());
+        let xs = [0, 1].map(|_| rng.uniform_matrix(rows, cfg.hidden, 1.0));
+        let out_cols = if queued.has_head() {
+            cfg.vocab
+        } else {
+            cfg.hidden
+        };
+        let grads = [0, 1].map(|_| rng.uniform_matrix(rows, out_cols, 1.0));
+        let forward = |s: &mut Stage, m: usize| {
+            if s.has_embedding() {
+                s.forward_tokens(&tokens[m])
+            } else {
+                s.forward_hidden(&xs[m])
+            }
+        };
+        let label = format!("pp {pp}, stage {stage}");
+
+        let ys: Vec<Matrix> = (0..2).map(|m| forward(&mut queued, m)).collect();
+        assert_eq!(queued.pending_activations(), 2, "{label}");
+        let ups: Vec<_> = grads.iter().map(|g| queued.backward(g)).collect();
+        assert_eq!(queued.pending_activations(), 0, "{label}");
+        for (m, g) in grads.iter().enumerate() {
+            let y = forward(&mut paired, m);
+            assert_eq!(bits(&ys[m]), bits(&y), "{label}: output {m}");
+            let up = paired.backward(g);
+            assert_eq!(up.is_some(), stage > 0, "{label}");
+            assert_eq!(
+                ups[m].as_ref().map(bits),
+                up.as_ref().map(bits),
+                "{label}: upstream gradient {m}"
+            );
+        }
+        for (q, p) in queued.params().iter().zip(paired.params()) {
+            assert!(q.grad.norm() > 0.0, "{label}: {} got no gradient", q.name);
+            assert_eq!(bits(q.grad), bits(p.grad), "{label}: {}", q.name);
+        }
+        queued.zero_grad();
+        for p in queued.params() {
+            assert!(p.grad.as_slice().iter().all(|&v| v == 0.0), "{label}");
+        }
+    }
+
+    #[test]
+    fn two_in_flight_micro_batches_match_one_at_a_time() {
+        check_two_in_flight(1, 0);
+        check_two_in_flight(2, 0);
+        check_two_in_flight(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Stage::backward without forward")]
+    fn backward_without_forward_panics() {
+        let cfg = GptConfig::tiny();
+        let mut stages = Stage::build_pipeline(&cfg, 2, 0);
+        stages[1].backward(&Matrix::zeros(cfg.seq_len, cfg.vocab));
     }
 
     #[test]

@@ -59,11 +59,9 @@ pub struct QualityConfig {
     pub cb: Option<CbQuality>,
     /// Fused embedding synchronization (§6).
     pub fused_embedding: bool,
-    /// Selective stage compression.
+    /// Selective stage compression; at fraction 1 it covers every stage,
+    /// which is naive DP compression ([`QualityConfig::naive_dp`]).
     pub sc: Option<ScQuality>,
-    /// Naive DP compression of *all* stages at the given rank (Fig. 3
-    /// "naive DP", Fig. 13 rank sweep).
-    pub naive_dp_rank: Option<usize>,
 }
 
 impl QualityConfig {
@@ -122,10 +120,14 @@ impl QualityConfig {
         }
     }
 
-    /// Naive full-DP compression (Fig. 3 "naive DP").
+    /// Naive full-DP compression (Fig. 3 "naive DP", Fig. 13 rank sweep):
+    /// selective stage compression of every stage.
     pub fn naive_dp(rank: usize) -> Self {
         Self {
-            naive_dp_rank: Some(rank),
+            sc: Some(ScQuality {
+                fraction: 1.0,
+                rank,
+            }),
             ..Self::default()
         }
     }
@@ -168,8 +170,8 @@ impl QualityConfig {
 
     /// The same plan at the paper's ranks: a low-rank CB link moves to
     /// [`Self::PAPER_CB_RANK`] and selective stage compression to
-    /// [`Self::PAPER_DP_RANK`]. Top-k densities and the naive-DP rank are
-    /// left alone; callers pass those explicitly.
+    /// [`Self::PAPER_DP_RANK`]. Top-k densities are left alone; callers
+    /// pass those explicitly.
     pub fn at_paper_ranks(mut self) -> Self {
         if let Some(CbQuality {
             method: CbMethod::LowRank(rank),
@@ -185,19 +187,14 @@ impl QualityConfig {
     }
 
     /// Number of earliest of `pp` stages whose DP traffic is compressed:
-    /// selective stage compression covers [`sc_stage_count`] of them,
-    /// naive DP compression covers all.
+    /// the [`sc_stage_count`] of selective stage compression.
     pub fn dp_compressed_stages(&self, pp: usize) -> usize {
-        match (self.sc, self.naive_dp_rank) {
-            (Some(sc), _) => sc_stage_count(sc.fraction, pp),
-            (None, Some(_)) => pp,
-            (None, None) => 0,
-        }
+        self.sc.map_or(0, |sc| sc_stage_count(sc.fraction, pp))
     }
 
-    /// The DP compression rank in effect (SC or naive), if any.
+    /// The DP compression rank in effect, if any.
     pub fn dp_rank(&self) -> Option<usize> {
-        self.sc.map(|s| s.rank).or(self.naive_dp_rank)
+        self.sc.map(|s| s.rank)
     }
 }
 
@@ -225,7 +222,6 @@ mod tests {
         assert!(full.cb.is_some());
         assert!(full.fused_embedding);
         assert!(full.sc.is_some());
-        assert!(full.naive_dp_rank.is_none());
         let cb = QualityConfig::cb();
         assert!(!cb.fused_embedding && cb.sc.is_none());
         assert!(QualityConfig::naive_cb(16)
@@ -270,7 +266,7 @@ mod tests {
             (Q::cb_non_lep(), 0, None, low(4), None, low(16)),
             (Q::cb_fe(), 0, None, low(4), None, low(16)),
             (Q::cb_fe_sc(), 3, Some(4), low(4), Some(128), low(16)),
-            (Q::naive_dp(8), 4, Some(8), None, Some(8), None),
+            (Q::naive_dp(8), 4, Some(8), None, Some(128), None),
             (Q::naive_cb(2), 0, None, low(2), None, low(16)),
             (
                 Q::cb_topk(0.1),
@@ -297,7 +293,6 @@ mod tests {
                 p.cb.map(|c| (c.epilogue_only, c.lazy_error)),
                 q.cb.map(|c| (c.epilogue_only, c.lazy_error))
             );
-            assert_eq!(p.naive_dp_rank, q.naive_dp_rank);
         }
     }
 }

@@ -39,7 +39,6 @@ fn with_free_dp(cfg: &SimConfig) -> SimConfig {
     let mut c = cfg.clone();
     c.dp_grad_bytes = 0;
     c.plan.sc = None;
-    c.plan.naive_dp_rank = None;
     c
 }
 

@@ -24,16 +24,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     /// In-place element-wise `self += rhs`.
     ///
     /// # Panics
@@ -197,12 +187,6 @@ mod tests {
         let a = m(3, 3);
         let b = Matrix::full(3, 3, 2.5);
         assert_eq!(a.add(&b).sub(&b), a);
-    }
-
-    #[test]
-    fn hadamard_with_ones_is_identity() {
-        let a = m(2, 4);
-        assert_eq!(a.hadamard(&Matrix::full(2, 4, 1.0)), a);
     }
 
     #[test]
