@@ -362,6 +362,31 @@ mod tests {
     }
 
     #[test]
+    fn fifo_cache_supports_pipelined_microbatches() {
+        let mut rng = SeedStream::new(3);
+        let mut attn = MultiHeadAttention::new(4, 1, 2, &mut rng);
+        let x1 = rng.uniform_matrix(2, 4, 0.5);
+        let x2 = rng.uniform_matrix(2, 4, 0.5);
+        let (y1, saved1) = attn.forward(&x1);
+        let (y2, saved2) = attn.forward(&x2);
+        // Two in flight, backward in forward order: each must match a
+        // fresh layer with the same weights that ran only that input.
+        let g = Matrix::full(2, 4, 1.0);
+        let dx1 = attn.backward(saved1, &g);
+        let dx2 = attn.backward(saved2, &g);
+        for (x, y, dx) in [(&x1, &y1, &dx1), (&x2, &y2, &dx2)] {
+            let mut fresh = MultiHeadAttention::new(4, 1, 2, &mut SeedStream::new(3));
+            for (dst, src) in fresh.params().into_iter().zip(attn.params()) {
+                *dst.value = src.value.clone();
+            }
+            let (y_fresh, saved) = fresh.forward(x);
+            assert!(y.sub(&y_fresh).max_abs() < 1e-6);
+            let dx_fresh = fresh.backward(saved, &g);
+            assert!(dx.sub(&dx_fresh).max_abs() < 1e-6);
+        }
+    }
+
+    #[test]
     fn causal_softmax_rows_sum_to_one_and_mask_future() {
         // Two stacked 4 x 4 tiles: row r is query position r % 4.
         let scores = Matrix::from_fn(8, 4, |r, c| (r + c) as f32 * 0.1);

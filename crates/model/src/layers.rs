@@ -220,6 +220,26 @@ mod tests {
     }
 
     #[test]
+    fn linear_fifo_cache_handles_two_in_flight() {
+        let mut rng = SeedStream::new(1);
+        let mut l = Linear::new(3, 3, &mut rng);
+        let x1 = rng.uniform_matrix(2, 3, 1.0);
+        let x2 = rng.uniform_matrix(2, 3, 1.0);
+        let (_, saved1) = l.forward(&x1);
+        let (_, saved2) = l.forward(&x2);
+        let g = Matrix::full(2, 3, 1.0);
+        // Each backward uses the input its own forward saved: grad_w
+        // grows by x1^T g, then by x2^T g.
+        let before = l.params()[0].grad.clone();
+        l.backward(saved1, &g);
+        let mid = l.params()[0].grad.clone();
+        assert!(mid.sub(&before).sub(&x1.t_matmul(&g)).max_abs() < 1e-6);
+        l.backward(saved2, &g);
+        let after = l.params()[0].grad.clone();
+        assert!(after.sub(&mid).sub(&x2.t_matmul(&g)).max_abs() < 1e-6);
+    }
+
+    #[test]
     fn linear_weight_gradient_matches_finite_difference() {
         let mut rng = SeedStream::new(7);
         let x = rng.uniform_matrix(3, 4, 0.5);
