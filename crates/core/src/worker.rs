@@ -650,7 +650,9 @@ fn train_iter<Tr: Transport>(
 /// One evaluation forward on dp rank 0, where the global rank is the
 /// stage index: the first stage embeds `tokens`, every other stage takes
 /// its predecessor's activation, and all but the last send theirs on.
-/// Returns the logits on the last stage. Nothing is queued for a backward.
+/// Returns the logits on the last stage. The forward queues its backward
+/// state like a training forward; `clear_caches` then clears the whole
+/// queue, which holds nothing else between iterations.
 fn eval_forward<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, tokens: &[usize]) -> Option<Matrix> {
     let s = ctx.stage_idx;
     let h = if s == 0 {
@@ -674,10 +676,13 @@ fn eval_forward<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, tokens: &[usize]) -> Opt
 /// Validation forward pass over `n_seq` held-out sequences (dp rank 0).
 fn validate<Tr: Transport>(ctx: &mut WorkerCtx<Tr>, iter: u64, index: u64, n_seq: usize) {
     let _span = opt_trace::begin(SpanKind::Validate, iter, NO_MICRO, 0, 0);
+    // Only the first stage (tokens) and the last (targets) read the batch.
+    let reads_batch = ctx.stage_idx == 0 || ctx.stage_idx + 1 == ctx.cfg.pp;
     for c in 0..n_seq.div_ceil(ctx.cfg.micro_batch) {
         let key = index * 10_007 + c as u64;
-        let batch = ctx.corpus.validation_batch(ctx.cfg.micro_batch, key);
-        if let Some(logits) = eval_forward(ctx, &batch.tokens) {
+        let batch = reads_batch.then(|| ctx.corpus.validation_batch(ctx.cfg.micro_batch, key));
+        let tokens = batch.as_ref().map_or(&[][..], |b| &b.tokens[..]);
+        if let (Some(logits), Some(batch)) = (eval_forward(ctx, tokens), &batch) {
             let out = cross_entropy(&logits, &batch.targets);
             ctx.samples.val.push((iter, out.loss));
         }
