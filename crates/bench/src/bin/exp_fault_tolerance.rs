@@ -11,18 +11,14 @@
 //! small-model quality-proxy training iterations; CI smoke uses
 //! `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, fmt, print_table};
+use opt_bench::{banner, fmt, print_table, quality_iters};
 use opt_ckpt::FaultPlan;
 use opt_net::MemShardStore;
 use optimus_cc::{run_with_faults, QualityConfig, Recovery, Trainer, TrainerConfig};
 use std::sync::Arc;
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
-        .max(1);
+    let iters = quality_iters(30).max(1);
 
     banner("Bit-exact elastic restart — numerical trainer, full Optimus-CC");
     // The kill falls after a snapshot and before the next one (before the

@@ -4,15 +4,12 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 300) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, days, print_table};
+use opt_bench::{banner, days, print_table, quality_iters};
 use opt_sim::{breakdown, SimConfig};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300);
+    let iters = quality_iters(300);
 
     banner("Fig. 3 (left) — execution-time breakdown, GPT-2.5B, 125K iters");
     let cfg = SimConfig::paper_gpt_2_5b();

@@ -4,14 +4,11 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 300) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, print_table};
+use opt_bench::{banner, print_table, quality_iters};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300);
+    let iters = quality_iters(300);
     banner("Fig. 9 — validation PPL over training (small-model proxy)");
     let mut curves = Vec::new();
     for (label, q) in QualityConfig::table2_columns() {

@@ -4,14 +4,11 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 150) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, print_table};
+use opt_bench::{banner, print_table, quality_iters};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
+    let iters = quality_iters(150);
     banner("Fig. 11 — Avg(eps), Avg(Y(i)-Y(i+n)), cos(eps, Ydiff) during training");
     let mut cfg = TrainerConfig::small_test(QualityConfig::cb(), iters);
     cfg.collect_error_stats = true;

@@ -4,7 +4,7 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 250) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, print_table, speedup_pct};
+use opt_bench::{banner, print_table, quality_iters, speedup_pct};
 use opt_sim::{simulate, SimConfig};
 use optimus_cc::{QualityConfig, ScQuality, Trainer, TrainerConfig};
 
@@ -16,10 +16,7 @@ fn quality_ppl(q: QualityConfig, iters: u64) -> f32 {
 }
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250);
+    let iters = quality_iters(250);
     let sim = SimConfig::paper_gpt_2_5b();
     let t0 = simulate(&sim).iteration_time_s;
 

@@ -8,15 +8,12 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 300) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, days, print_table, speedup_pct};
+use opt_bench::{banner, days, print_table, quality_iters, speedup_pct};
 use opt_sim::{simulate, SimConfig};
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300);
+    let iters = quality_iters(300);
 
     for sim_cfg in [SimConfig::paper_gpt_8_3b(), SimConfig::paper_gpt_2_5b()] {
         banner(&format!(

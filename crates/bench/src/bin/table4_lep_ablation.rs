@@ -4,15 +4,12 @@
 //! Knobs: `OPT_QUALITY_ITERS` (default 400) sets the small-model
 //! quality-proxy training iterations; CI smoke uses `OPT_QUALITY_ITERS=5`.
 
-use opt_bench::{banner, print_table};
+use opt_bench::{banner, print_table, quality_iters};
 use opt_data::ZeroShotTask;
 use optimus_cc::{QualityConfig, Trainer, TrainerConfig};
 
 fn main() {
-    let iters: u64 = std::env::var("OPT_QUALITY_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
+    let iters = quality_iters(400);
     let n_examples = 200;
 
     banner("Table 4 — lazy error propagation ablation (small-model proxy)");

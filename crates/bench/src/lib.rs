@@ -2,14 +2,21 @@
 //!
 //! One binary per paper table/figure (see `src/bin/`), each printing the
 //! same rows/series the paper reports, plus `opt_worker` (the process-world
-//! rank the `multiproc` suite spawns), `trace_report` (offline Chrome-trace
-//! analysis, built on the [`json`] reader) and the Criterion
-//! micro-benchmarks in `benches/`. The repo's timing instrument is not
-//! here: it is the standalone `benchmark/` package (`benchmark/run.sh`).
-
-pub mod json;
+//! rank the `multiproc` suite spawns), `trace_report` (offline analysis
+//! of a `trace.bin` trace file) and the Criterion micro-benchmarks in
+//! `benches/`. The repo's timing instrument is not here: it is the
+//! standalone `benchmark/` package (`benchmark/run.sh`).
 
 use std::fmt::Display;
+
+/// Training iterations of the small-model quality proxy: `OPT_QUALITY_ITERS`
+/// when it parses, `default` otherwise (CI smoke runs every binary at 5).
+pub fn quality_iters(default: u64) -> u64 {
+    std::env::var("OPT_QUALITY_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 /// Prints a simple aligned table: a header row then data rows.
 ///

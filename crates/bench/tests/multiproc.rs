@@ -10,7 +10,7 @@ use opt_ckpt::{shard_file_name, CkptError, FaultPlan, ShardManifest, MANIFEST_FI
 use opt_net::{
     FsShardStore, MemShardStore, ShardStore, ShardStoreServer, TcpShardStore, TransportError,
 };
-use opt_trace::Trace;
+use opt_trace::{Trace, TraceFile};
 use optimus_cc::{
     run_with_faults, ProcFaultOptions, ProcOptions, QualityConfig, Recovery, TraceMode,
     TrainReport, Trainer, TrainerConfig, WorldError,
@@ -212,11 +212,18 @@ fn traced_process_world_exports_deterministic_chrome_trace() {
 
     // Export the merged trace where CI archives it and trace_report
     // asserts on it (a directory of its own: the fault-tolerance test
-    // clears target/multiproc-smoke at will).
+    // clears target/multiproc-smoke at will): the trace file, which must
+    // decode back to exactly this trace, and the Chrome JSON for viewing.
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../target")
         .join("multiproc-trace");
     std::fs::create_dir_all(&out_dir).expect("trace out dir");
+    let bin_path = out_dir.join("trace.bin");
+    std::fs::write(&bin_path, TraceFile::exported(proc_trace.clone()).encode())
+        .expect("writing trace.bin");
+    let decoded = TraceFile::decode(&std::fs::read(&bin_path).expect("reading trace.bin"))
+        .expect("trace.bin decodes");
+    assert_eq!(decoded.trace, proc_trace);
     let json = proc_trace.to_chrome_json();
     assert!(json.contains("\"traceEvents\""));
     std::fs::write(out_dir.join("trace.json"), json).expect("writing trace.json");

@@ -4,8 +4,7 @@
 //! [`Snapshot`] to disk — a checkpoint on disk is always a manifest plus
 //! one shard per rank ([`crate::ShardManifest`]).
 
-use crate::framing::{frame, unframe};
-use crate::CkptError;
+use crate::framing::frame;
 use opt_tensor::{Matrix, Persist, PersistError, Reader, Writer};
 
 /// Magic bytes opening an encoded snapshot.
@@ -98,10 +97,10 @@ impl Persist for RankSection {
     }
 }
 
-/// A complete, self-validating training snapshot: header plus one
-/// [`RankSection`] per `(stage, dp)` worker, gathered in one process for
-/// inspection. Nothing restores from it; a checkpoint that can be
-/// restored is a [`crate::ShardManifest`] plus its shards.
+/// A training snapshot: header plus one [`RankSection`] per `(stage, dp)`
+/// worker, gathered in one process for inspection. Nothing decodes or
+/// restores from it; a checkpoint that can be restored is a
+/// [`crate::ShardManifest`] plus its shards. [`Snapshot::encode`] sizes it.
 ///
 /// # Encoded layout
 ///
@@ -112,10 +111,6 @@ impl Persist for RankSection {
 /// body     body_len  SnapshotMeta + Vec<RankSection> (Persist codec)
 /// checksum u64 LE    framing::checksum over body
 /// ```
-///
-/// [`Snapshot::decode`] rejects bad magic, unknown versions, truncation,
-/// checksum mismatches, and structurally invalid bodies — a snapshot that
-/// decodes is a snapshot that was encoded completely and has not rotted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Header.
@@ -125,163 +120,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Number of worker sections this snapshot should contain.
-    pub fn world_size(&self) -> usize {
-        self.meta.pp * self.meta.dp
-    }
-
-    /// Verifies that exactly one section exists per `(stage, dp)` pair and
-    /// nothing else.
-    pub fn validate_complete(&self) -> Result<(), CkptError> {
-        if self.ranks.len() != self.world_size() {
-            return Err(CkptError::Decode(PersistError::Invalid {
-                what: "snapshot section count does not match its world size",
-            }));
-        }
-        for d in 0..self.meta.dp {
-            for s in 0..self.meta.pp {
-                let n = self
-                    .ranks
-                    .iter()
-                    .filter(|sec| sec.stage == s && sec.dp == d)
-                    .count();
-                if n != 1 {
-                    return Err(CkptError::MissingRank { stage: s, dp: d });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes to the framed byte encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Writer::new();
         self.meta.persist(&mut body);
         self.ranks.persist(&mut body);
         frame(MAGIC, FORMAT_VERSION, &body.into_bytes())
-    }
-
-    /// Parses and validates the framed byte encoding.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut r = Reader::new(unframe(bytes, MAGIC, FORMAT_VERSION)?);
-        let meta = SnapshotMeta::restore(&mut r)?;
-        let ranks = Vec::<RankSection>::restore(&mut r)?;
-        r.finish().map_err(CkptError::Decode)?;
-        let snap = Snapshot { meta, ranks };
-        snap.validate_complete()?;
-        Ok(snap)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Snapshot {
-        let section = |stage: usize, dp: usize| RankSection {
-            stage,
-            dp,
-            params: vec![Matrix::full(2, 3, 1.5), Matrix::zeros(1, 4)],
-            optimizer: vec![1, 2, 3],
-            cb_link: vec![],
-            dp_state: vec![9; 5],
-        };
-        Snapshot {
-            meta: SnapshotMeta {
-                pp: 2,
-                dp: 1,
-                seed: 7,
-                iter: 42,
-                config_fingerprint: 0xABCD,
-            },
-            ranks: vec![section(0, 0), section(1, 0)],
-        }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let snap = sample();
-        let back = Snapshot::decode(&snap.encode()).expect("roundtrip");
-        assert_eq!(back, snap);
-        assert_eq!(back.world_size(), 2);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample().encode();
-        bytes[0] = b'X';
-        assert!(matches!(Snapshot::decode(&bytes), Err(CkptError::BadMagic)));
-    }
-
-    #[test]
-    fn unknown_version_rejected() {
-        let mut bytes = sample().encode();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(CkptError::UnsupportedVersion(99))
-        ));
-    }
-
-    #[test]
-    fn truncation_rejected_at_every_cut() {
-        let bytes = sample().encode();
-        for cut in [1, 10, 21, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                Snapshot::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn corruption_rejected_everywhere_in_body() {
-        let clean = sample().encode();
-        let body_start = MAGIC.len() + 12;
-        for pos in (body_start..clean.len() - 8).step_by(7) {
-            let mut bytes = clean.clone();
-            bytes[pos] ^= 0xFF;
-            assert!(
-                matches!(
-                    Snapshot::decode(&bytes),
-                    Err(CkptError::ChecksumMismatch { .. })
-                ),
-                "flip at {pos} not caught by checksum"
-            );
-        }
-    }
-
-    #[test]
-    fn missing_rank_rejected() {
-        let mut snap = sample();
-        snap.ranks.pop();
-        let err = Snapshot::decode(&snap.encode()).unwrap_err();
-        assert!(matches!(
-            err,
-            CkptError::Decode(PersistError::Invalid { .. })
-        ));
-        // Right count but a duplicated section: caught per-pair.
-        let mut dup = sample();
-        dup.ranks[1] = dup.ranks[0].clone();
-        let err = Snapshot::decode(&dup.encode()).unwrap_err();
-        assert!(matches!(err, CkptError::MissingRank { .. }));
-    }
-
-    #[test]
-    fn huge_length_field_is_truncation_not_panic() {
-        let mut bytes = sample().encode();
-        // Length field with the top bit set: must report Truncated, not
-        // overflow or slice out of range.
-        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(CkptError::Truncated { .. })
-        ));
-        let mut bytes2 = sample().encode();
-        bytes2[12..20].copy_from_slice(&(1u64 << 62).to_le_bytes());
-        assert!(matches!(
-            Snapshot::decode(&bytes2),
-            Err(CkptError::Truncated { .. })
-        ));
     }
 }

@@ -77,8 +77,8 @@ impl Trainer {
     }
 
     /// [`Trainer::launch`] with an explicit trace mode instead of the
-    /// `OPT_TRACE` environment variable. With [`TraceMode::Spans`] (or
-    /// `Full`) every worker thread records a span tree that
+    /// `OPT_TRACE` environment variable. With [`TraceMode::Spans`] every
+    /// worker thread records a span tree that
     /// [`Trainer::take_trace`] later drains; with [`TraceMode::Off`] the
     /// run is byte-identical to an uninstrumented one.
     pub fn launch_with_trace(cfg: TrainerConfig, trace: TraceMode) -> Trainer {

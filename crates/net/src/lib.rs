@@ -23,6 +23,11 @@
 //! Traffic is accounted per class ([`TrafficClass`]) by [`TrafficLedger`],
 //! which experiments read to verify volume reductions.
 //!
+//! Wherever the runtime waits for a peer to come up (mesh dials,
+//! rendezvous polling, [`TcpShardStore`] connects) it retries on one
+//! deadline-bounded loop with a constant schedule: no jitter, first sleep
+//! 25 ms, doubling to a 1 s ceiling (`retry.rs`).
+//!
 //! The crate also provides the **rendezvous + fetch** substrate for
 //! cross-host elastic restore: a [`ShardStore`] of named blobs (an
 //! in-process [`MemShardStore`], a filesystem-backed [`FsShardStore`],
@@ -44,7 +49,6 @@ pub use chanstats::{ChannelClass, ChannelLedger, ChannelStat, TrafficBreakdown};
 pub use collective::{CollectiveGroup, CollectiveWorld};
 pub use p2p::P2pMesh;
 pub use rendezvous::tcp_rendezvous;
-pub use retry::RetryPolicy;
 pub use shardstore::{
     FsShardStore, MemShardStore, ShardStore, ShardStoreError, ShardStoreServer, TcpShardStore,
     STORE_MAGIC, STORE_PROTOCOL_VERSION,

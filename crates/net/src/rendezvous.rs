@@ -6,7 +6,7 @@
 //! until every peer has done the same and meshes. A relaunched world
 //! rendezvouses in a fresh directory.
 
-use crate::retry::RetryPolicy;
+use crate::retry::retry_until;
 use crate::tcp::TcpTransport;
 use crate::transport::TransportError;
 use std::net::SocketAddr;
@@ -45,14 +45,13 @@ fn poll_endpoints(
     world: usize,
     deadline: Instant,
 ) -> Result<Vec<SocketAddr>, TransportError> {
-    let retry = RetryPolicy::default();
     let mut endpoints = Vec::with_capacity(world);
     for peer in 0..world {
-        let addr = retry
-            .run_until(deadline, || read_endpoint(dir, peer).ok_or(()))
-            .map_err(|()| TransportError::Rendezvous {
+        let addr = retry_until(deadline, || read_endpoint(dir, peer).ok_or(())).map_err(|()| {
+            TransportError::Rendezvous {
                 detail: format!("rank {peer} never published an endpoint in {dir:?}"),
-            })?;
+            }
+        })?;
         endpoints.push(addr);
     }
     Ok(endpoints)

@@ -29,6 +29,7 @@
 //! happens in `opt-ckpt`'s shard codec, so every backend gets the same
 //! validation for free.
 
+use crate::retry::retry_until;
 use opt_ckpt::framing;
 use opt_tensor::{Persist, Reader, Writer};
 use std::collections::HashMap;
@@ -38,7 +39,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a shard-store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,6 +292,10 @@ pub const STORE_PROTOCOL_VERSION: u32 = 2;
 /// How long a [`TcpShardStore`] client waits on one request round-trip.
 const STORE_IO_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// How long a [`TcpShardStore`] client keeps retrying a refused connect:
+/// covers ten attempts of the backoff schedule (4.575 s of sleeps).
+const STORE_CONNECT_WINDOW: Duration = Duration::from_secs(5);
+
 const OP_PUT: u8 = 0;
 const OP_GET: u8 = 1;
 const OP_LIST: u8 = 2;
@@ -504,9 +509,11 @@ impl TcpShardStore {
         // self-restore: retry the connect (not the round-trip — requests
         // are only sent once) on the shared capped-exponential backoff
         // schedule.
-        let mut stream = crate::retry::RetryPolicy::default()
-            .run(|| TcpStream::connect_timeout(&self.addr, STORE_IO_TIMEOUT))
-            .map_err(|e| io_err("connecting to", e))?;
+        let deadline = Instant::now() + STORE_CONNECT_WINDOW;
+        let mut stream = retry_until(deadline, || {
+            TcpStream::connect_timeout(&self.addr, STORE_IO_TIMEOUT)
+        })
+        .map_err(|e| io_err("connecting to", e))?;
         stream
             .set_read_timeout(Some(STORE_IO_TIMEOUT))
             .map_err(|e| io_err("configuring", e))?;

@@ -36,11 +36,10 @@
 //! relaunched whole.
 
 use crate::chanstats::{ChannelLedger, ChannelStat};
-use crate::retry::RetryPolicy;
-use crate::transport::{hop_span, LaneMap, Payload, Transport, TransportError};
+use crate::retry::retry_until;
+use crate::transport::{LaneMap, Payload, Transport, TransportError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opt_ckpt::framing::{self, FRAME_OVERHEAD, HEADER_LEN};
-use opt_trace::SpanKind;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -288,11 +287,11 @@ fn dial(
     endpoint: SocketAddr,
     deadline: Instant,
 ) -> Result<TcpStream, TransportError> {
-    let mut stream = RetryPolicy::default()
-        .run_until(deadline, || TcpStream::connect(endpoint))
-        .map_err(|e| TransportError::Rendezvous {
+    let mut stream = retry_until(deadline, || TcpStream::connect(endpoint)).map_err(|e| {
+        TransportError::Rendezvous {
             detail: format!("connecting to rank {peer} at {endpoint}: {e}"),
-        })?;
+        }
+    })?;
     stream.set_nodelay(true)?;
     stream.write_all(&wire_hello(rank))?;
     Ok(stream)
@@ -502,7 +501,6 @@ impl Transport for TcpTransport {
             Payload::Bytes(b) => b,
             Payload::Shared(s) => s.encoded(),
         };
-        let _span = hop_span(SpanKind::Send, channel, bytes.len());
         let frame = WireFrame::new(channel, dst, bytes);
         let Some(peer) = self.peers[dst]
             .as_ref()
@@ -529,7 +527,6 @@ impl Transport for TcpTransport {
     ) -> Result<Payload, TransportError> {
         self.check_lane(dst, src);
         let rx = self.inbox_lane(src, channel);
-        let span = hop_span(SpanKind::Recv, channel, 0);
         let start = Instant::now();
         let deadline = start + timeout;
         loop {
@@ -539,7 +536,6 @@ impl Transport for TcpTransport {
             match rx.recv_timeout(slice) {
                 Ok(payload) => {
                     let wire_len = payload.wire_len();
-                    span.set_bytes(wire_len as u64);
                     self.stats.record_recv(src, dst, channel, wire_len);
                     return Ok(payload);
                 }

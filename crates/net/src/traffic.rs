@@ -157,12 +157,6 @@ impl TrafficLedger {
             messages: c.messages,
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        let mut c = self.inner.lock();
-        *c = Counters::default();
-    }
 }
 
 #[cfg(test)]
@@ -200,14 +194,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ledger.snapshot().bytes(TrafficClass::InterStage), 8000);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let ledger = TrafficLedger::new();
-        ledger.record(TrafficClass::TensorParallel, 7);
-        ledger.reset();
-        assert_eq!(ledger.snapshot().total_bytes(), 0);
     }
 
     #[test]

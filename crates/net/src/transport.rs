@@ -40,9 +40,8 @@
 //! the `OPT_NET_TIMEOUT_MS` environment variable (handy when stepping
 //! through real-transport runs in a debugger).
 
-use crate::chanstats::{ChannelClass, ChannelLedger, ChannelStat};
+use crate::chanstats::{ChannelLedger, ChannelStat};
 use opt_tensor::Persist;
-use opt_trace::{SpanGuard, SpanKind, NO_MICRO};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
@@ -516,16 +515,6 @@ impl LocalTransport {
     }
 }
 
-/// Opens the `full`-mode Send/Recv span of one hop on `channel` — except
-/// on a control lane, where a worker's receive is its idle wait for the
-/// next command and would show up as one long Recv span.
-pub(crate) fn hop_span(kind: SpanKind, channel: u64, bytes: usize) -> SpanGuard {
-    if ChannelClass::of(channel) == ChannelClass::Control {
-        return SpanGuard::inactive();
-    }
-    opt_trace::begin_full(kind, 0, NO_MICRO, bytes as u64, 0)
-}
-
 impl Transport for LocalTransport {
     fn world(&self) -> usize {
         self.world
@@ -540,7 +529,6 @@ impl Transport for LocalTransport {
     ) -> Result<(), TransportError> {
         let (tx, _rx) = self.lane(src, dst, channel);
         let wire_len = payload.wire_len();
-        let _span = hop_span(SpanKind::Send, channel, wire_len);
         self.stats.record_send(src, dst, channel, wire_len);
         // The transport holds both lane ends, so the send cannot fail. A
         // shared payload crosses as-is: the zero-copy fast path.
@@ -556,11 +544,9 @@ impl Transport for LocalTransport {
         timeout: Duration,
     ) -> Result<Payload, TransportError> {
         let (_tx, rx) = self.lane(src, dst, channel);
-        let span = hop_span(SpanKind::Recv, channel, 0);
         match rx.recv_timeout(timeout) {
             Ok(payload) => {
                 let wire_len = payload.wire_len();
-                span.set_bytes(wire_len as u64);
                 self.stats.record_recv(src, dst, channel, wire_len);
                 Ok(payload)
             }
@@ -679,21 +665,6 @@ pub(crate) mod tests {
     fn timeout_env_knob_is_read() {
         // Not set in the test environment: default applies.
         assert_eq!(net_timeout(), Duration::from_millis(DEFAULT_TIMEOUT_MS));
-    }
-
-    #[test]
-    fn full_mode_spans_skip_control_lanes() {
-        // The tracer is thread-local and this test owns its thread.
-        opt_trace::install(opt_trace::TraceMode::Full);
-        let t = LocalTransport::new(2);
-        let hop = |channel| {
-            t.send_value(0, 1, channel, 5u8).unwrap();
-            t.recv_value::<u8>(0, 1, channel, net_timeout()).unwrap();
-            opt_trace::take_buffer(0, 0, 0).spans.len()
-        };
-        assert_eq!(hop(channel_id(3, 0)), 0, "control lane recorded a span");
-        assert_eq!(hop(channel_id(1, 0)), 2, "one Send and one Recv span");
-        opt_trace::install(opt_trace::TraceMode::Off);
     }
 
     #[test]

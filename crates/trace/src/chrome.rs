@@ -51,8 +51,9 @@ impl Trace {
     /// `chrome://tracing` and <https://ui.perfetto.dev> load directly):
     /// one process per rank, complete (`"X"`) events with microsecond
     /// timestamps relative to the earliest span in the trace, and the
-    /// structural fields repeated under `args` so the analyzer can
-    /// round-trip a trace through this export.
+    /// structural fields repeated under `args` so the viewer shows them
+    /// on each event. The export is write-only: analysis reads the
+    /// [`crate::TraceFile`] written beside it.
     ///
     /// One extra `"M"` metadata event named `kernel_paths` (pid 0)
     /// records the *exporting* process's nonzero
@@ -80,13 +81,11 @@ impl Trace {
             out.push_str(&ev);
         };
         let mut path_args = String::new();
-        for (arch, kind, count) in opt_tensor::kernel_path_counts() {
-            if count > 0 {
-                if !path_args.is_empty() {
-                    path_args.push_str(", ");
-                }
-                let _ = write!(path_args, "\"{arch}/{kind}\": {count}");
+        for (path, count) in exercised_kernel_paths() {
+            if !path_args.is_empty() {
+                path_args.push_str(", ");
             }
+            let _ = write!(path_args, "\"{path}\": {count}");
         }
         push(
             format!(
@@ -113,6 +112,16 @@ impl Trace {
         out.push_str("\n  ]\n}\n");
         out
     }
+}
+
+/// The calling process's nonzero GEMM kernel-path counters, as
+/// `("{arch}/{kind}", invocations)` in counter order.
+pub(crate) fn exercised_kernel_paths() -> Vec<(String, u64)> {
+    opt_tensor::kernel_path_counts()
+        .into_iter()
+        .filter(|&(_, _, count)| count > 0)
+        .map(|(arch, kind, count)| (format!("{arch}/{kind}"), count))
+        .collect()
 }
 
 fn span_event(b: &TraceBuffer, s: &SpanRecord, t0: u64) -> String {

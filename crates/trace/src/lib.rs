@@ -9,17 +9,20 @@
 //!
 //! The pieces:
 //!
-//! * [`TraceMode`] — the `OPT_TRACE=off|spans|full` knob. `off` (default)
-//!   records nothing and costs one thread-local read per instrumentation
-//!   point; `spans` records the deterministic tree; `full` adds
-//!   backend-dependent per-lane transport latency spans.
-//! * [`install`] / [`begin`] / [`begin_full`] / [`take_buffer`] — the
-//!   lock-free thread-local recorder each worker thread owns.
+//! * [`TraceMode`] — the `OPT_TRACE=off|spans` knob (any other value means
+//!   `off`). `off` (default) records nothing and costs one thread-local
+//!   read per instrumentation point; `spans` records the deterministic
+//!   tree.
+//! * [`install`] / [`begin`] / [`take_buffer`] — the lock-free
+//!   thread-local recorder each worker thread owns.
 //! * [`TraceBuffer`] — one rank's spans, `Persist`-coded so multi-process
 //!   workers can ship them to the coordinator over the transport.
 //! * [`Trace`] — the merged run trace: [`Trace::merge`] is deterministic
-//!   by (rank, seq), [`Trace::to_chrome_json`] exports Chrome-trace JSON
-//!   that <https://ui.perfetto.dev> loads directly.
+//!   by (rank, seq), [`Trace::to_chrome_json`] exports write-only
+//!   Chrome-trace JSON that <https://ui.perfetto.dev> loads directly.
+//! * [`TraceFile`] — the trace file (`trace.bin`) offline analysis reads:
+//!   the merged buffers in the same `Persist` encoding plus the exporting
+//!   process's kernel-path counts, decoded back exactly.
 //! * [`analyze`] / [`render`] — per-rank pipeline-bubble fraction (a
 //!   structural replay that reduces to `opt_schedule::bubble_fraction`
 //!   on ideal 1F1B traces), comm/compute overlap ratio, and the top-k
@@ -27,15 +30,17 @@
 
 mod analyze;
 mod chrome;
+mod file;
 mod mode;
 mod record;
 mod tracer;
 
 pub use analyze::{analyze, render, RankSummary, SlowSpan, TraceReport};
 pub use chrome::Trace;
+pub use file::TraceFile;
 pub use mode::{TraceMode, ENV_TRACE};
 pub use record::{SpanKind, SpanRecord, TraceBuffer, FLAG_EPILOGUE, NO_MICRO, NO_PARENT};
-pub use tracer::{begin, begin_full, install, take_buffer, thread_mode, SpanGuard};
+pub use tracer::{begin, install, take_buffer, SpanGuard};
 
 #[cfg(test)]
 mod proptests {

@@ -1,6 +1,6 @@
 //! The `OPT_TRACE` mode knob.
 
-/// Environment variable selecting the trace mode (`off`, `spans`, `full`).
+/// Environment variable selecting the trace mode (`off` or `spans`).
 pub const ENV_TRACE: &str = "OPT_TRACE";
 
 /// How much the tracer records.
@@ -13,10 +13,6 @@ pub const ENV_TRACE: &str = "OPT_TRACE";
 ///   encode/decode, and the worker-level send/recv spans. The *structure*
 ///   of this tree (everything except wall-clock timestamps) is identical
 ///   across kernel-thread counts and across Local vs TCP transports.
-/// * [`TraceMode::Full`] — additionally records a span around every
-///   transport send and blocking receive (per-lane latency). These extra
-///   spans depend on which backend carries the bytes, so `full` traces
-///   are *not* covered by the structural-determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Record nothing (the default).
@@ -24,17 +20,14 @@ pub enum TraceMode {
     Off,
     /// Record the deterministic span tree.
     Spans,
-    /// Record the span tree plus transport-level send/recv latency spans.
-    Full,
 }
 
 impl TraceMode {
-    /// Parses a knob value (`"off"`, `"spans"`, `"full"`).
+    /// Parses a knob value (`"off"`, `"spans"`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "off" => Some(TraceMode::Off),
             "spans" => Some(TraceMode::Spans),
-            "full" => Some(TraceMode::Full),
             _ => None,
         }
     }
@@ -53,17 +46,11 @@ impl TraceMode {
         self != TraceMode::Off
     }
 
-    /// Whether transport-level latency spans are recorded too.
-    pub fn full(self) -> bool {
-        self == TraceMode::Full
-    }
-
     /// The canonical knob spelling of this mode.
     pub fn as_str(self) -> &'static str {
         match self {
             TraceMode::Off => "off",
             TraceMode::Spans => "spans",
-            TraceMode::Full => "full",
         }
     }
 }
@@ -74,9 +61,10 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_canonical_spellings() {
-        for mode in [TraceMode::Off, TraceMode::Spans, TraceMode::Full] {
+        for mode in [TraceMode::Off, TraceMode::Spans] {
             assert_eq!(TraceMode::parse(mode.as_str()), Some(mode));
         }
+        assert_eq!(TraceMode::parse("full"), None);
         assert_eq!(TraceMode::parse("verbose"), None);
         assert_eq!(TraceMode::parse(""), None);
     }
@@ -86,7 +74,5 @@ mod tests {
         assert_eq!(TraceMode::default(), TraceMode::Off);
         assert!(!TraceMode::Off.enabled());
         assert!(TraceMode::Spans.enabled());
-        assert!(!TraceMode::Spans.full());
-        assert!(TraceMode::Full.full());
     }
 }

@@ -31,9 +31,9 @@ pub enum SpanKind {
     Encode,
     /// A compressor decode (wire payload -> gradient).
     Decode,
-    /// A message send (worker-level in `spans`, per-lane in `full`).
+    /// A worker-level message send.
     Send,
-    /// A message receive (worker-level in `spans`, per-lane in `full`).
+    /// A worker-level message receive.
     Recv,
     /// One validation pass over a held-out chunk.
     Validate,
@@ -41,9 +41,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in tag order; a kind's code is its position here.
-    /// Codes only travel in binary [`crate::TraceBuffer`]s between the
-    /// processes of one build, and the Chrome JSON — the only persisted
-    /// form — carries names, so codes may be renumbered freely.
+    /// Codes travel in binary [`crate::TraceBuffer`]s between processes
+    /// and are persisted in trace files ([`crate::TraceFile`]), so
+    /// renumbering them means bumping the trace file version.
     pub const ALL: [SpanKind; 11] = [
         SpanKind::Iteration,
         SpanKind::Forward,
@@ -83,11 +83,6 @@ impl SpanKind {
             SpanKind::Recv => "recv",
             SpanKind::Validate => "validate",
         }
-    }
-
-    /// Inverse of [`SpanKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
     /// Whether this span is pipeline compute (forward/backward slots and
@@ -288,10 +283,8 @@ mod tests {
     fn kind_codes_roundtrip() {
         for kind in SpanKind::ALL {
             assert_eq!(SpanKind::from_code(kind.code()), Some(kind));
-            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(SpanKind::from_code(200), None);
-        assert_eq!(SpanKind::from_name("nope"), None);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The thread-local span recorder.
 //!
 //! Each worker thread [`install`]s a tracer once at startup; the
-//! instrumentation points across the workspace call [`begin`] /
-//! [`begin_full`] and get back a [`SpanGuard`] that closes the span on
-//! drop. A thread with no tracer installed (the default, and every
+//! instrumentation points across the workspace call [`begin`] and get
+//! back a [`SpanGuard`] that closes the span on drop. A thread with no tracer installed (the default, and every
 //! kernel-pool or transport-bridge helper thread) records nothing —
 //! which is precisely what keeps the span tree independent of
 //! `OPT_KERNEL_THREADS` and of the transport backend.
@@ -18,7 +17,6 @@ use std::cell::RefCell;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 struct ThreadTracer {
-    mode: TraceMode,
     next_seq: u64,
     /// Indices (into `spans`) of the currently open spans, innermost last.
     open: Vec<usize>,
@@ -30,13 +28,12 @@ struct ThreadTracer {
 }
 
 impl ThreadTracer {
-    fn new(mode: TraceMode) -> Self {
+    fn new() -> Self {
         let base_ns = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         ThreadTracer {
-            mode,
             next_seq: 0,
             open: Vec::new(),
             spans: Vec::new(),
@@ -89,17 +86,11 @@ thread_local! {
 pub fn install(mode: TraceMode) {
     TRACER.with(|t| {
         *t.borrow_mut() = if mode.enabled() {
-            Some(ThreadTracer::new(mode))
+            Some(ThreadTracer::new())
         } else {
             None
         };
     });
-}
-
-/// The calling thread's trace mode ([`TraceMode::Off`] when no tracer is
-/// installed).
-pub fn thread_mode() -> TraceMode {
-    TRACER.with(|t| t.borrow().as_ref().map_or(TraceMode::Off, |tr| tr.mode))
 }
 
 /// Drains the calling thread's recorded spans into a [`TraceBuffer`]
@@ -122,7 +113,7 @@ pub fn take_buffer(rank: u32, stage: u32, dp: u32) -> TraceBuffer {
     }
 }
 
-/// Closes its span when dropped. Obtained from [`begin`] / [`begin_full`];
+/// Closes its span when dropped. Obtained from [`begin`];
 /// inert (and free) when the thread records nothing.
 #[must_use = "dropping the guard immediately closes the span"]
 #[derive(Debug)]
@@ -132,7 +123,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// A guard that records nothing.
-    pub fn inactive() -> Self {
+    fn inactive() -> Self {
         SpanGuard { active: false }
     }
 
@@ -170,38 +161,16 @@ impl Drop for SpanGuard {
     }
 }
 
-fn begin_if(
-    want_full: bool,
-    kind: SpanKind,
-    iter: u64,
-    micro: u32,
-    bytes: u64,
-    flags: u8,
-) -> SpanGuard {
-    TRACER.with(|t| {
-        let mut borrow = t.borrow_mut();
-        match borrow.as_mut() {
-            Some(tr) if !want_full || tr.mode.full() => {
-                tr.open_span(kind, iter, micro, bytes, flags);
-                SpanGuard { active: true }
-            }
-            _ => SpanGuard::inactive(),
-        }
-    })
-}
-
-/// Opens a span on the calling thread's tracer (recorded in both `spans`
-/// and `full` modes). Returns an inert guard when tracing is off.
+/// Opens a span on the calling thread's tracer. Returns an inert guard
+/// when tracing is off.
 pub fn begin(kind: SpanKind, iter: u64, micro: u32, bytes: u64, flags: u8) -> SpanGuard {
-    begin_if(false, kind, iter, micro, bytes, flags)
-}
-
-/// Opens a span recorded only in [`TraceMode::Full`] — the transport
-/// backends use this for per-lane send/recv latency, which is backend-
-/// dependent and therefore excluded from the `spans`-mode determinism
-/// contract.
-pub fn begin_full(kind: SpanKind, iter: u64, micro: u32, bytes: u64, flags: u8) -> SpanGuard {
-    begin_if(true, kind, iter, micro, bytes, flags)
+    TRACER.with(|t| match t.borrow_mut().as_mut() {
+        Some(tr) => {
+            tr.open_span(kind, iter, micro, bytes, flags);
+            SpanGuard { active: true }
+        }
+        None => SpanGuard::inactive(),
+    })
 }
 
 #[cfg(test)]
@@ -248,22 +217,6 @@ mod tests {
         assert_eq!(buf.spans[2].parent, buf.spans[1].seq);
         assert_eq!(buf.spans[3].parent, buf.spans[0].seq);
         assert_eq!(buf.spans[2].bytes, 128);
-    }
-
-    #[test]
-    fn full_only_spans_skipped_in_spans_mode() {
-        install(TraceMode::Spans);
-        drop(begin_full(SpanKind::Send, 0, NO_MICRO, 64, 0));
-        drop(begin(SpanKind::Send, 0, NO_MICRO, 64, 0));
-        let buf = take_buffer(0, 0, 0);
-        install(TraceMode::Off);
-        assert_eq!(buf.spans.len(), 1);
-
-        install(TraceMode::Full);
-        drop(begin_full(SpanKind::Send, 0, NO_MICRO, 64, 0));
-        let buf = take_buffer(0, 0, 0);
-        install(TraceMode::Off);
-        assert_eq!(buf.spans.len(), 1);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Trace profile: train a tiny 2-stage, 2-way-DP pipeline under
-//! spans-mode tracing, export the merged Chrome trace (loadable at
-//! <https://ui.perfetto.dev>), and print the per-rank pipeline-bubble /
-//! comm-overlap report.
+//! spans-mode tracing, write the merged trace as a trace file
+//! (`trace.bin`, what `trace_report` reads) and as Chrome-trace JSON
+//! (loadable at <https://ui.perfetto.dev>), and print the per-rank
+//! pipeline-bubble / comm-overlap report.
 //!
 //! Run with: `cargo run --release --example trace_profile`
 
 use optimus::core::{QualityConfig, TraceMode, Trainer, TrainerConfig};
-use optimus::trace::{analyze, render};
+use optimus::trace::{analyze, render, TraceFile};
 
 fn main() {
     let cfg = TrainerConfig::tiny_test(QualityConfig::cb_fe_sc(), 8);
@@ -22,6 +23,9 @@ fn main() {
     std::fs::create_dir_all(out_dir).expect("creating output dir");
     let path = out_dir.join("trace.json");
     std::fs::write(&path, trace.to_chrome_json()).expect("writing trace");
+    let bin_path = out_dir.join("trace.bin");
+    std::fs::write(&bin_path, TraceFile::exported(trace.clone()).encode())
+        .expect("writing trace file");
 
     println!(
         "final validation PPL {:.3}; {} spans ({} compute) from {} ranks",
@@ -31,8 +35,13 @@ fn main() {
         trace.buffers.len()
     );
     println!(
-        "wrote {} — load it at https://ui.perfetto.dev to browse the timeline\n",
+        "wrote {} — load it at https://ui.perfetto.dev to browse the timeline",
         path.display()
+    );
+    println!(
+        "wrote {} — `trace_report {}` analyzes it offline\n",
+        bin_path.display(),
+        bin_path.display()
     );
 
     print!("{}", render(&analyze(&trace, 5)));

@@ -5,7 +5,7 @@
 //! warm starts, LEP residuals, DP error feedback) round-tripping through
 //! the shard format, in memory and on disk.
 
-use optimus::ckpt::{CkptError, FaultPlan, Snapshot, MANIFEST_FILE};
+use optimus::ckpt::{CkptError, FaultPlan, MANIFEST_FILE};
 use optimus::core::{
     run_with_faults, FaultOutcome, QualityConfig, Recovery, Trainer, TrainerConfig,
 };
@@ -151,7 +151,6 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let mut t = Trainer::launch(full_stack_cfg(4));
     t.train_more(2);
     let manifest = t.save_sharded(&store).expect("checkpoint saved");
-    let clean = t.snapshot().encode();
     t.shutdown();
     let restore = || Trainer::restore_sharded(full_stack_cfg(4), &store);
     let flip_middle_bit = |bytes: &mut Vec<u8>| {
@@ -187,23 +186,6 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     .expect("write foreign manifest");
     assert!(matches!(restore(), Err(CkptError::BadMagic)));
     let _ = std::fs::remove_dir_all(&dir);
-
-    // The in-memory snapshot's own codec refuses the same three damages.
-    Snapshot::decode(&clean).expect("clean snapshot decodes");
-    let mut flipped = clean.clone();
-    flip_middle_bit(&mut flipped);
-    assert!(matches!(
-        Snapshot::decode(&flipped),
-        Err(CkptError::ChecksumMismatch { .. })
-    ));
-    assert!(matches!(
-        Snapshot::decode(&clean[..clean.len() / 2]),
-        Err(CkptError::Truncated { .. })
-    ));
-    assert!(matches!(
-        Snapshot::decode(b"definitely not a snapshot"),
-        Err(CkptError::BadMagic)
-    ));
 }
 
 #[test]
